@@ -6,15 +6,17 @@ Model files are JSON:
      "cpds": [{"child": "X3", "parents": ["X1", "X2"],
                "table": [[1.0, 0.0, 0.0], ...]}, ...]}
 
-where each CPD table holds one row per joint parent assignment (last
-listed parent varying fastest) and one column per child state.
+where each variable's states form a list, and each CPD table holds one
+row per joint parent assignment (last listed parent varying fastest) and
+one column per child state.
 Evidence files map variable names to a state or a list of states:
 
     {"X7": ["dd", "dD"], "X2": "DD"}
 
 Exit codes: 0 success, 1 the model failed validation, 2 usage errors
-(bad flags, malformed files, unknown names).  Impossible evidence is a
-result, not an error: commands report log_p_evidence=-inf and exit 0.
+(bad flags or flag values, malformed files, unknown names).  Impossible
+evidence is a result, not an error: commands report log_p_evidence=-inf
+and exit 0.
 Numeric output is printed with 10 significant digits; all output is
 deterministic for a given input (and seed, where one applies).
 """
@@ -75,9 +77,12 @@ def load_network(path: str) -> DiscreteNetwork:
     variables: list[Variable] = []
     try:
         for idx, spec in enumerate(doc["variables"]):
-            variables.append(
-                Variable(idx, str(spec["name"]), tuple(str(s) for s in spec["states"]))
-            )
+            name = str(spec["name"])
+            if not isinstance(spec["states"], list):
+                raise CliError(
+                    f"error: {path}: states of variable {name!r} must be a list"
+                )
+            variables.append(Variable(idx, name, tuple(str(s) for s in spec["states"])))
     except (TypeError, KeyError) as exc:
         raise CliError(f"error: {path}: bad variable entry ({exc})") from None
     by_name = {v.name: v for v in variables}
@@ -265,6 +270,8 @@ def cmd_map(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if args.count < 0:
+        raise CliError("error: --count must be non-negative")
     net = _validated_network(args.network)
     ev = _evidence(args, net)
     cq = compile_query(net, ev)
@@ -280,6 +287,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_hmm_demo(args) -> int:
+    if args.days < 1:
+        raise CliError("error: --days must be at least 1")
     spec = hmm_mod.precipitation_spec(args.days)
     states, y = hmm_mod.simulate(spec, args.seed)
     table = hmm_mod.posteriors(spec, y)

@@ -8,6 +8,11 @@ parents) fits inside at least one cluster.  Clusters do not have to be
 maximal cliques of any triangulation; anything passing the validator is
 accepted.
 
+Condition (2) is checked in its equivalent per-variable form: the
+clusters holding any one variable form a connected subtree.  A
+violation names the variable and the holding clusters that are cut off
+from its lowest-index holder.
+
 Each variable is assigned to exactly one covering cluster; the built-in
 rule picks the smallest covering cluster, breaking ties by the lower
 cluster index.
@@ -57,6 +62,8 @@ class JunctionTree:
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "assignment", assignment)
         object.__setattr__(self, "_adj", {i: tuple(sorted(ns)) for i, ns in adj.items()})
+        # every listed pair, self-loops and out-of-range ones included
+        object.__setattr__(self, "_edge_set", frozenset(edges))
 
     @property
     def q(self) -> int:
@@ -66,7 +73,7 @@ class JunctionTree:
         return self._adj[i]
 
     def is_edge(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in set(self.edges)
+        return (min(i, j), max(i, j)) in self._edge_set
 
     def separator(self, i: int, j: int) -> frozenset[int]:
         if not self.is_edge(i, j):
@@ -238,11 +245,20 @@ def assign_clusters(net: DiscreteNetwork, jt: JunctionTree) -> dict[int, int]:
 
 def validate_junction_tree(net: DiscreteNetwork, jt: JunctionTree) -> ValidationReport:
     """Check the tree/intersection/covering conditions plus, when an
-    assignment is attached, that it maps families into their clusters."""
+    assignment is attached, that it maps families into their clusters.
+
+    The intersection condition is checked per variable: starting from
+    the lowest-index cluster holding it, a walk through holding clusters
+    only must reach every other holder.  Each variable that fails gives
+    one running-intersection violation naming it and the holders the
+    walk missed.  Each walk looks only at holders and their tree
+    neighbours, so no pair of clusters is ever compared along a path.
+    """
     out: list[Violation] = []
     ids = set(net.ids)
     q = jt.q
 
+    holders: dict[int, list[int]] = {}
     for j, cluster in enumerate(jt.clusters):
         unknown = sorted(cluster - ids)
         if unknown:
@@ -250,6 +266,8 @@ def validate_junction_tree(net: DiscreteNetwork, jt: JunctionTree) -> Validation
                 Violation("unknown-variable", None,
                           f"cluster {j} references unknown variable ids {unknown}")
             )
+        for u in cluster:
+            holders.setdefault(u, []).append(j)
 
     tree_ok = True
     seen_edges: set[tuple[int, int]] = set()
@@ -290,26 +308,29 @@ def validate_junction_tree(net: DiscreteNetwork, jt: JunctionTree) -> Validation
                 tree_ok = False
 
     if tree_ok:
-        for i in range(q):
-            for j in range(i + 1, q):
-                inter = jt.clusters[i] & jt.clusters[j]
-                if not inter:
-                    continue
-                for k in jt.path(i, j):
-                    if not inter <= jt.clusters[k]:
-                        out.append(
-                            Violation(
-                                "running-intersection", None,
-                                f"clusters {i} and {j} share variables "
-                                f"{sorted(inter - jt.clusters[k])} missing from "
-                                f"cluster {k} on their path",
-                            )
-                        )
-                        break
+        for u in sorted(holders):
+            start = holders[u][0]
+            reached = {start}
+            stack = [start]
+            while stack:
+                a = stack.pop()
+                for b in jt.neighbors(a):
+                    if b not in reached and u in jt.clusters[b]:
+                        reached.add(b)
+                        stack.append(b)
+            if len(reached) < len(holders[u]):
+                missed = [j for j in holders[u] if j not in reached]
+                out.append(
+                    Violation(
+                        "running-intersection", None,
+                        f"variable {u} is held by clusters {missed}, which are "
+                        f"cut off from cluster {start} by clusters lacking it",
+                    )
+                )
 
     for u in sorted(ids):
         fam = net.family(u)
-        if not any(fam <= c for c in jt.clusters):
+        if not any(fam <= jt.clusters[j] for j in holders.get(u, ())):
             out.append(
                 Violation("covering", u,
                           f"no cluster covers the family {sorted(fam)} of "

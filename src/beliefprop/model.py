@@ -8,7 +8,9 @@ fastest, one column per child state.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -67,6 +69,10 @@ class DiscreteNetwork:
         self._cpd_by_child: dict[int, Cpd] = {}
         for c in self.cpds:
             self._cpd_by_child.setdefault(c.child, c)
+        # on a duplicate id the last variable's card wins
+        self._cards: Mapping[int, int] = MappingProxyType(
+            {v.id: v.card for v in self.variables}
+        )
 
     # -- lookups ---------------------------------------------------------
 
@@ -84,8 +90,9 @@ class DiscreteNetwork:
         return self._by_id[u].card
 
     @property
-    def cards(self) -> dict[int, int]:
-        return {v.id: v.card for v in self.variables}
+    def cards(self) -> Mapping[int, int]:
+        """Read-only id -> card mapping, built once."""
+        return self._cards
 
     def cpd(self, u: int) -> Cpd:
         return self._cpd_by_child[u]
@@ -100,18 +107,34 @@ class DiscreteNetwork:
     # -- structure ---------------------------------------------------------
 
     def topological_order(self) -> list[int]:
-        """Parents-before-children order; raises ValueError on a cycle."""
-        pending = {u: set(self.parents(u)) for u in self.ids}
+        """Parents-before-children order; raises ValueError on a cycle.
+
+        Kahn's algorithm, level by level: a level holds every variable
+        whose parents all sit in earlier levels, sorted by id.  A
+        dangling or self parent is never emitted, so its child ends up
+        in the cycle error.
+        """
+        waiting: dict[int, int] = {}
+        children: dict[int, list[int]] = {}
+        for u in dict.fromkeys(self.ids):
+            ps = set(self.parents(u))
+            waiting[u] = len(ps)
+            for p in ps:
+                children.setdefault(p, []).append(u)
         order: list[int] = []
-        while pending:
-            ready = sorted(u for u, ps in pending.items() if not ps)
-            if not ready:
-                raise ValueError(f"cycle among variables {sorted(pending)}")
-            for u in ready:
-                del pending[u]
-                order.append(u)
-            for ps in pending.values():
-                ps.difference_update(ready)
+        level = sorted(u for u, n in waiting.items() if n == 0)
+        while level:
+            order.extend(level)
+            ready = []
+            for p in level:
+                for u in children.get(p, ()):
+                    waiting[u] -= 1
+                    if waiting[u] == 0:
+                        ready.append(u)
+            level = sorted(ready)
+        if len(order) < len(waiting):
+            stuck = sorted(u for u, n in waiting.items() if n)
+            raise ValueError(f"cycle among variables {stuck}")
         return order
 
     def cpd_factor(self, u: int) -> Factor:
@@ -164,15 +187,15 @@ def validate_network(net: DiscreteNetwork) -> ValidationReport:
             out.append(
                 Violation("duplicate-state", v.id, f"{v.name} repeats a state label")
             )
-    names = [v.name for v in net.variables]
-    for name in sorted(set(n for n in names if names.count(n) > 1)):
+    name_counts = Counter(v.name for v in net.variables)
+    for name in sorted(n for n, k in name_counts.items() if k > 1):
         out.append(Violation("duplicate-name", None, f"variable name {name!r} declared twice"))
 
     ids = set(seen_ids)
-    children = [c.child for c in net.cpds]
-    for u in sorted(ids - set(children)):
+    cpd_counts = Counter(c.child for c in net.cpds)
+    for u in sorted(ids - set(cpd_counts)):
         out.append(Violation("missing-cpd", u, f"variable {net.variable(u).name} has no CPD"))
-    for u in sorted(set(c for c in children if children.count(c) > 1)):
+    for u in sorted(c for c, k in cpd_counts.items() if k > 1):
         out.append(Violation("extra-cpd", u, f"variable id {u} has multiple CPDs"))
     for c in net.cpds:
         if c.child not in ids:

@@ -21,6 +21,7 @@ argmax downward edge by edge.
 from __future__ import annotations
 
 import math
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -39,6 +40,10 @@ from .model import (
     InvalidNetworkError,
     validate_network,
 )
+
+
+# children of each cluster, and a parent-before-child cluster order
+Schedule = tuple[Mapping[int, tuple[int, ...]], tuple[int, ...]]
 
 
 class SchedulingError(RuntimeError):
@@ -125,19 +130,27 @@ class CompiledQuery:
         self.root = root
         self.renormalize = renormalize
         self.potentials = build_potentials(net, self.evidence)
+        # variables of each cluster in ascending id order; a home out of
+        # range (possible with validate=False) owns nothing
+        members: list[list[int]] = [[] for _ in range(jtree.q)]
+        for u, j in sorted(jtree.assignment.items()):
+            if 0 <= j < jtree.q:
+                members[j].append(u)
         self.cluster_potentials: list[Factor] = [
-            product(
-                self.potentials[u]
-                for u in sorted(u for u, j in jtree.assignment.items() if j == c)
-            )
-            for c in range(jtree.q)
+            product(self.potentials[u] for u in us) for us in members
         ]
         self._messages: dict[tuple[str, int, int], Factor] = {}
+        self._schedules: dict[int, Schedule] = {}
 
     # -- schedule ----------------------------------------------------------
 
-    def rooted_children(self, root: int) -> tuple[dict[int, tuple[int, ...]], list[int]]:
-        """Children map and a parent-before-child cluster order."""
+    def rooted_children(self, root: int) -> Schedule:
+        """Children map and a parent-before-child cluster order.
+
+        Computed once per root and returned read-only on later calls.
+        """
+        if root in self._schedules:
+            return self._schedules[root]
         children: dict[int, tuple[int, ...]] = {}
         order: list[int] = []
         seen = {root}
@@ -150,7 +163,9 @@ class CompiledQuery:
             seen.update(kids)
             # reversed so the lowest-index child is processed first
             stack.extend(reversed(kids))
-        return children, order
+        schedule = (MappingProxyType(children), tuple(order))
+        self._schedules[root] = schedule
+        return schedule
 
     def inward(self, root: int | None = None, semiring: str = "sum") -> None:
         """Send messages from the leaves toward the root."""
@@ -272,12 +287,11 @@ class CompiledQuery:
         table order at the root and at every downward extension).
         """
         root = self.root if root is None else root
+        children, order = self.rooted_children(root)
         if not all(
-            self.has_message(j, k, "max")
-            for k, j in self._inward_edges(root)
+            self.has_message(k, j, "max") for j in order for k in children[j]
         ):
             self.inward(root, semiring="max")
-        children, order = self.rooted_children(root)
         marginal = self.max_cluster_marginal(root)
         peak = float(marginal.values.max())
         if peak <= 0.0:
@@ -293,10 +307,6 @@ class CompiledQuery:
             for k in children[j]:
                 self._extend_map(j, k, assignment)
         return assignment, log_value
-
-    def _inward_edges(self, root: int) -> list[tuple[int, int]]:
-        children, order = self.rooted_children(root)
-        return [(p, c) for p, kids in children.items() for c in kids]
 
     def _extend_map(self, parent: int, child: int, assignment: dict[int, int]) -> None:
         pieces = [self.cluster_potentials[child]]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from beliefprop.jtree import JunctionTree
 from beliefprop.model import Cpd, DiscreteNetwork, EvidenceSet, Variable
 
 GENOTYPES = ("dd", "dD", "DD")
@@ -89,3 +90,42 @@ def random_evidence(rng: np.random.Generator, net: DiscreteNetwork,
             picked = rng.choice(v.card, size=k, replace=False)
             allowed[v.id] = frozenset(int(s) for s in picked)
     return EvidenceSet(allowed)
+
+
+# -- reference implementations for the linear-time validators -------------
+
+
+def pairwise_running_intersection(jt: JunctionTree) -> list[tuple[int, int, int]]:
+    """Condition (2) checked the quadratic way, pair by pair.
+
+    For each pair of clusters (i, j) that share variables, walks the tree
+    path between them and reports the first cluster k that misses part
+    of the intersection, as (i, j, k).  Requires a valid spanning tree.
+    """
+    out = []
+    for i in range(jt.q):
+        for j in range(i + 1, jt.q):
+            inter = jt.clusters[i] & jt.clusters[j]
+            if not inter:
+                continue
+            for k in jt.path(i, j):
+                if not inter <= jt.clusters[k]:
+                    out.append((i, j, k))
+                    break
+    return out
+
+
+def round_based_topological_order(net: DiscreteNetwork) -> list[int]:
+    """Topological order by rescanning every pending variable per level."""
+    pending = {u: set(net.parents(u)) for u in net.ids}
+    order: list[int] = []
+    while pending:
+        ready = sorted(u for u, ps in pending.items() if not ps)
+        if not ready:
+            raise ValueError(f"cycle among variables {sorted(pending)}")
+        for u in ready:
+            del pending[u]
+            order.append(u)
+        for ps in pending.values():
+            ps.difference_update(ready)
+    return order

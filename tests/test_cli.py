@@ -216,6 +216,13 @@ class TestSample:
         assert a.stdout != c.stdout
 
 
+    def test_negative_count_is_usage_error(self, net_path):
+        r = run_cli("sample", net_path, "-n", "-3")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr.splitlines() == ["error: --count must be non-negative"]
+
+
 class TestHmmDemo:
     def test_csv_shape(self):
         r = run_cli("hmm-demo", "--days", "14", "--seed", "3")
@@ -232,6 +239,28 @@ class TestHmmDemo:
         a = run_cli("hmm-demo", "--days", "10", "--seed", "1")
         b = run_cli("hmm-demo", "--days", "10", "--seed", "1")
         assert a.stdout == b.stdout
+
+
+    def test_zero_days_is_usage_error(self):
+        r = run_cli("hmm-demo", "--days", "0")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr.splitlines() == ["error: --days must be at least 1"]
+
+
+class TestLoader:
+    def test_string_states_are_usage_error(self, tmp_path, net_path):
+        with open(net_path) as fh:
+            doc = json.load(fh)
+        doc["variables"][4]["states"] = "ab"
+        bad = tmp_path / "string_states.json"
+        bad.write_text(json.dumps(doc))
+        r = run_cli("validate", str(bad))
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr.splitlines() == [
+            f"error: {bad}: states of variable 'X5' must be a list"
+        ]
 
 
 class TestRoundTrip:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 from conftest import PED_ASSIGNMENT, PED_CLUSTERS, PED_EDGES
-from helpers import pedigree_network, random_network
+from helpers import pairwise_running_intersection, pedigree_network, random_network
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from beliefprop import hmm
 from beliefprop.jtree import (
@@ -112,6 +114,18 @@ class TestTreeQueries:
         with pytest.raises(JunctionTreeError, match="not a tree edge"):
             ped_jtree.separator(0, 6)
 
+    def test_is_edge_answers_for_every_listed_pair(self):
+        # a self-loop and an out-of-range pair are listed edges, though
+        # neither makes it into the neighbour lists
+        clusters = (frozenset({0}), frozenset({0, 1}), frozenset({1}))
+        jt = JunctionTree(clusters, ((1, 0), (2, 2), (0, 7)))
+        assert jt.is_edge(0, 1) and jt.is_edge(1, 0)
+        assert jt.is_edge(2, 2)
+        assert jt.is_edge(7, 0) and jt.is_edge(0, 7)
+        assert not jt.is_edge(1, 2)
+        assert not jt.is_edge(1, 1)
+        assert jt.neighbors(2) == ()
+
     def test_path(self, ped_jtree):
         assert ped_jtree.path(0, 6) == [0, 1, 3, 5, 6]
         assert ped_jtree.path(2, 2) == [2]
@@ -203,3 +217,62 @@ class TestValidator:
         jt = JunctionTree(PED_CLUSTERS, edges)
         lines = validate_junction_tree(ped_net, jt).lines()
         assert any("running-intersection" in line for line in lines)
+
+
+@st.composite
+def clustered_trees(draw):
+    """A random network, random clusters over its variables, and a
+    random spanning tree joining them (cluster 0 need not be the root)."""
+    net = random_network(np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+                         max_vars=6)
+    q = draw(st.integers(1, 7))
+    clusters = tuple(
+        frozenset(draw(st.sets(st.sampled_from(net.ids), max_size=len(net.ids))))
+        for _ in range(q)
+    )
+    perm = draw(st.permutations(range(q)))
+    edges = tuple(
+        (perm[i], perm[draw(st.integers(0, i - 1))]) for i in range(1, q)
+    )
+    return net, JunctionTree(clusters, edges)
+
+
+class TestValidatorAgainstPairwiseReference:
+    @seed(20240117)
+    @settings(max_examples=300, deadline=None)
+    @given(clustered_trees())
+    def test_verdict_matches_reference(self, case):
+        net, jt = case
+        report = validate_junction_tree(net, jt)
+        kinds = {v.kind for v in report.violations}
+        broken = bool(pairwise_running_intersection(jt))
+        uncovered = {
+            u for u in net.ids if not any(net.family(u) <= c for c in jt.clusters)
+        }
+        assert ("running-intersection" in kinds) == broken
+        assert {v.variable for v in report.violations if v.kind == "covering"} == uncovered
+        assert report.ok == (not broken and not uncovered)
+        assert kinds <= {"running-intersection", "covering"}
+
+    def test_one_violation_per_disconnected_variable(self, ped_net):
+        # cluster 2 ({X4, X6, X9}) hangs off cluster 0, which lacks X9:
+        # X9's holders {1, 2, 3, 4} split into {1, 3, 4} and {2}
+        edges = ((0, 1), (0, 2), (1, 3), (3, 4), (3, 5), (5, 6))
+        jt = JunctionTree(PED_CLUSTERS, edges)
+        ri = [v for v in validate_junction_tree(ped_net, jt).violations
+              if v.kind == "running-intersection"]
+        assert [v.message for v in ri] == [
+            "variable 8 is held by clusters [2], which are cut off from "
+            "cluster 1 by clusters lacking it"
+        ]
+
+    def test_long_chain_needs_no_path_walks(self, monkeypatch):
+        spec = hmm.precipitation_spec(2000)
+        net, _ = hmm.to_bayes_net(spec, [0] * 2000)
+        jt = hmm.chain_junction_tree(spec)
+
+        def no_path(self, i, j):
+            raise AssertionError("validate_junction_tree walked a cluster path")
+
+        monkeypatch.setattr(JunctionTree, "path", no_path)
+        assert validate_junction_tree(net, jt).ok

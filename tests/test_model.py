@@ -1,6 +1,14 @@
 import numpy as np
 import pytest
-from helpers import FOUNDER, MENDEL, pedigree_evidence, pedigree_network
+from helpers import (
+    FOUNDER,
+    MENDEL,
+    pedigree_evidence,
+    pedigree_network,
+    round_based_topological_order,
+)
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from beliefprop.model import (
     Cpd,
@@ -54,6 +62,82 @@ class TestNetworkBasics:
         )
         with pytest.raises(ValueError, match="cycle"):
             net.topological_order()
+
+    def test_cards_are_read_only(self):
+        net = pedigree_network()
+        assert net.cards == {u: 3 for u in range(10)}
+        with pytest.raises(TypeError):
+            net.cards[0] = 5
+
+    def test_cards_last_duplicate_wins(self):
+        net = DiscreteNetwork(
+            [Variable(0, "A", ("x", "y")), Variable(0, "B", ("x", "y", "z"))], []
+        )
+        assert net.cards[0] == 3
+
+
+@st.composite
+def parent_graphs(draw, defects: bool):
+    """A network whose structure is all that matters: distinct, unsorted
+    ids with parents drawn from earlier positions, plus (with defects)
+    extra parent links that may close cycles, point at the variable
+    itself or name an unknown id (99)."""
+    ids = draw(st.lists(st.integers(0, 40), min_size=1, max_size=9, unique=True))
+    parents = {
+        u: draw(st.lists(st.sampled_from(ids[:pos]), max_size=3)) if pos else []
+        for pos, u in enumerate(ids)
+    }
+    if defects:
+        for child, p in draw(st.lists(
+            st.tuples(st.sampled_from(ids), st.sampled_from(ids + [99])),
+            min_size=1, max_size=3,
+        )):
+            parents[child].append(p)
+    order = draw(st.permutations(ids))
+    return DiscreteNetwork(
+        [Variable(u, f"V{u}", ("x",)) for u in order],
+        [Cpd(u, tuple(parents[u]), np.ones((1, 1))) for u in order],
+    )
+
+
+def topological_outcome(order_fn, net):
+    try:
+        return order_fn(net)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestTopologicalOrderAgainstReference:
+    @seed(20240118)
+    @settings(max_examples=300, deadline=None)
+    @given(parent_graphs(defects=False))
+    def test_dags_give_identical_order(self, net):
+        assert net.topological_order() == round_based_topological_order(net)
+
+    @seed(20240119)
+    @settings(max_examples=300, deadline=None)
+    @given(parent_graphs(defects=True))
+    def test_defective_graphs_give_identical_outcome(self, net):
+        assert topological_outcome(DiscreteNetwork.topological_order, net) == \
+            topological_outcome(round_based_topological_order, net)
+
+    @pytest.mark.parametrize(
+        "parents, stuck",
+        [
+            ({5: (), 3: (5,), 8: (3, 8)}, [8]),     # self-parent
+            ({5: (), 3: (5, 99), 8: (3,)}, [3, 8]),  # dangling parent and its child
+            ({5: (8,), 3: (5,), 8: (3,), 1: ()}, [3, 5, 8]),
+        ],
+    )
+    def test_defect_message(self, parents, stuck):
+        net = DiscreteNetwork(
+            [Variable(u, f"V{u}", ("x",)) for u in parents],
+            [Cpd(u, ps, np.ones((1, 1))) for u, ps in parents.items()],
+        )
+        with pytest.raises(ValueError) as exc:
+            net.topological_order()
+        assert str(exc.value) == f"cycle among variables {stuck}"
+        assert str(exc.value) == topological_outcome(round_based_topological_order, net)
 
 
 class TestCpdFactor:

@@ -228,6 +228,43 @@ class TestMostProbable:
         assert math.exp(log_value) == pytest.approx(oracle_value, rel=1e-12)
 
 
+    def test_map_for_non_default_root(self, ped_net_module, ped_ev_module,
+                                      ped_jtree_module):
+        cq = CompiledQuery(ped_net_module, ped_ev_module, jtree=ped_jtree_module, root=0)
+        cq.map_assignment()  # leaves max messages toward cluster 0 behind
+        oracle_assignment, _ = oracle_map(ped_net_module, ped_ev_module)
+        want = joint_score(ped_net_module, ped_ev_module, oracle_assignment)
+        for root in (4, 6):
+            assignment, log_value = cq.map_assignment(root=root)
+            assert joint_score(ped_net_module, ped_ev_module, assignment) == want
+            assert log_value == pytest.approx(math.log(want), rel=1e-12)
+
+
+class TestSchedule:
+    def test_root_zero(self, calibrated):
+        children, order = calibrated.rooted_children(0)
+        assert order == (0, 1, 2, 3, 4, 5, 6)
+        assert dict(children) == {
+            0: (1,), 1: (2, 3), 2: (), 3: (4, 5), 4: (), 5: (6,), 6: ()
+        }
+
+    def test_cached_read_only_per_root(self, calibrated):
+        jt = calibrated.jtree
+        for root in range(jt.q):
+            schedule = calibrated.rooted_children(root)
+            assert calibrated.rooted_children(root) is schedule
+            children, order = schedule
+            assert isinstance(order, tuple) and order[0] == root
+            assert sorted(order) == list(range(jt.q))
+            with pytest.raises(TypeError):
+                children[root] = ()
+            parent = {k: j for j in order for k in children[j]}
+            for pos, j in enumerate(order):
+                up = {parent[j]} if j != root else set()
+                assert children[j] == tuple(sorted(set(jt.neighbors(j)) - up))
+                assert all(order.index(k) > pos for k in children[j])
+
+
 class TestJointScore:
     def test_against_joint_table(self):
         net = pedigree_network()
