@@ -7,7 +7,7 @@ A brute-force enumeration oracle and a hidden Markov chain adapter are
 included for cross-checking.
 """
 
-from .factor import Factor, FactorDivisionError, FactorSizeError, ZeroMassError, product
+from .factor import Factor, FactorSizeError, product
 from .jtree import (
     InvalidJunctionTreeError,
     JunctionTree,
@@ -61,7 +61,6 @@ __all__ = [
     "EnumerationSizeError",
     "EvidenceSet",
     "Factor",
-    "FactorDivisionError",
     "FactorSizeError",
     "ImpossibleEvidenceError",
     "InvalidJunctionTreeError",
@@ -74,7 +73,6 @@ __all__ = [
     "ValidationReport",
     "Variable",
     "Violation",
-    "ZeroMassError",
     "assign_clusters",
     "build_junction_tree",
     "build_potentials",

@@ -92,6 +92,10 @@ def load_network(path: str) -> DiscreteNetwork:
             child_name = str(spec["child"])
             if child_name not in by_name:
                 raise CliError(f"error: {path}: CPD for unknown variable {child_name!r}")
+            if not isinstance(spec["parents"], list):
+                raise CliError(
+                    f"error: {path}: parents of {child_name!r} must be a list"
+                )
             parent_ids = []
             for p in spec["parents"]:
                 if str(p) not in by_name:
@@ -350,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
                                         "and print smoothing posteriors")
     p.add_argument("--days", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", choices=["csv"], default="csv")
     p.set_defaults(fn=cmd_hmm_demo)
 
     return parser

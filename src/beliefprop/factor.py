@@ -30,20 +30,6 @@ class FactorSizeError(ValueError):
     """An operation would materialize a table over too many variables."""
 
 
-class FactorDivisionError(ValueError):
-    """A positive entry was divided by a zero entry.
-
-    Division is only used to undo a multiplication (messages, cluster
-    conditionals), where the denominator must dominate the numerator's
-    support.  A positive/zero entry therefore signals an upstream bug,
-    not a numerical accident, and deserves a loud failure.
-    """
-
-
-class ZeroMassError(ValueError):
-    """Normalization was requested for a factor with zero total mass."""
-
-
 def _merged_scope(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(set(a) | set(b)))
 
@@ -181,42 +167,6 @@ class Factor:
         if not touched:
             return self
         return Factor(self.scope, values, self.log_scale)
-
-    def divide(self, other: "Factor") -> "Factor":
-        """Pointwise quotient with the 0/0 := 0 convention.
-
-        The divisor's scope must be contained in this factor's scope.
-        A positive entry over a zero divisor raises FactorDivisionError.
-        """
-        if not set(other.scope) <= set(self.scope):
-            raise ValueError(
-                f"divisor scope {other.scope} is not contained in {self.scope}"
-            )
-        for u in other.scope:
-            if self.card(u) != other.card(u):
-                raise ValueError(f"cardinality mismatch for variable {u}")
-        den = np.broadcast_to(
-            other.values[_alignment_index(other.scope, self.scope)], self.values.shape
-        )
-        zero_den = den == 0.0
-        if np.any(zero_den & (self.values > 0.0)):
-            raise FactorDivisionError(
-                "positive entry divided by zero (support of the divisor "
-                "does not cover the dividend)"
-            )
-        out = np.divide(self.values, den, out=np.zeros_like(self.values), where=~zero_den)
-        return Factor(self.scope, out, self.log_scale - other.log_scale)
-
-    def normalize(self) -> tuple["Factor", float]:
-        """Scale to total mass one.
-
-        Returns the normalized factor (log_scale reset to 0) and the log
-        of the removed mass, i.e. log(sum) + log_scale of the input.
-        """
-        total = float(self.values.sum())
-        if total <= 0.0:
-            raise ZeroMassError("cannot normalize a zero-mass factor")
-        return Factor(self.scope, self.values / total, 0.0), math.log(total) + self.log_scale
 
     def expand(self, scope: Iterable[int], cards: Mapping[int, int]) -> "Factor":
         """Broadcast to a superset scope; new variables index uniformly."""

@@ -88,11 +88,15 @@ def precipitation_spec(n: int) -> HmmSpec:
 
 
 def emission(spec: HmmSpec, s: int | str, k: int) -> float:
-    """Poisson pmf of count k under the rate of state s."""
+    """Poisson pmf of count k under the rate of state s.
+
+    Computed in log space, so large counts give a finite (possibly zero)
+    probability instead of overflowing.
+    """
     if k < 0:
         return 0.0
     rate = spec.rates[spec.state_index(s)]
-    return math.exp(-rate) * rate**k / math.factorial(k)
+    return math.exp(k * math.log(rate) - rate - math.lgamma(k + 1))
 
 
 def _emission_column(spec: HmmSpec, k: int) -> np.ndarray:

@@ -8,7 +8,7 @@ non-separator variables summed out.  After an inward pass to a root and
 an outward pass back, every cluster and edge holds an unnormalized
 marginal whose total mass is the evidence probability.
 
-Messages are renormalized to unit maximum by default, with the removed
+Messages are renormalized to unit maximum, with the removed
 mass tracked in each factor's log scale, so long chains cannot
 underflow.  Both passes are iterative (explicit stacks), so tree depth
 is not limited by the interpreter's recursion limit.
@@ -107,7 +107,6 @@ class CompiledQuery:
         evidence: EvidenceSet | None = None,
         jtree: JunctionTree | None = None,
         root: int = 0,
-        renormalize: bool = True,
         validate: bool = True,
     ):
         self.net = net
@@ -128,7 +127,6 @@ class CompiledQuery:
         if not (0 <= root < jtree.q):
             raise ValueError(f"root cluster {root} out of range")
         self.root = root
-        self.renormalize = renormalize
         self.potentials = build_potentials(net, self.evidence)
         # variables of each cluster in ascending id order; a home out of
         # range (possible with validate=False) owns nothing
@@ -199,39 +197,53 @@ class CompiledQuery:
             return self._messages[(semiring, i, j)]
         except KeyError:
             raise SchedulingError(
-                f"message {i} -> {j} ({semiring}) has not been computed"
+                f"message {i} -> {j} ({semiring}) has not been computed; "
+                "run the inward pass (then the outward pass) first"
             ) from None
+
+    def cluster_product(
+        self, j: int, skip: int | None = None, semiring: str = "sum"
+    ) -> Factor:
+        """Cluster potential of j times every stored message into j except
+        the one from ``skip``, all from the ``semiring`` store.
+
+        The one product behind every other quantity: messages (``skip``
+        is the receiver), cluster marginals (no ``skip``), the MAP
+        extension and the sampling conditionals (``skip`` is the parent
+        toward the root).
+        """
+        pieces = [self.cluster_potentials[j]]
+        for i in self.jtree.neighbors(j):
+            if i != skip:
+                pieces.append(self.message(i, j, semiring))
+        return product(pieces)
+
+    def cluster_table(
+        self, j: int, skip: int | None = None, semiring: str = "sum"
+    ) -> Factor:
+        """``cluster_product`` laid out over every variable of cluster j."""
+        return self.cluster_product(j, skip, semiring).expand(
+            sorted(self.jtree.clusters[j]), self.net.cards
+        )
 
     def compute_message(self, j: int, k: int, semiring: str = "sum") -> Factor:
         """Message along the directed edge j -> k.
 
-        Multiplies the cluster potential of j with every incoming message
-        except the one from k, then sums (or maximizes) out everything
-        outside the separator.  The result's scope is exactly the
+        ``cluster_product(j, k)`` with everything outside the separator
+        summed (or maximized) out.  The result's scope is exactly the
         separator, broadcasting over separator variables that no factor
         mentions.
         """
         if semiring not in ("sum", "max"):
             raise ValueError(f"unknown semiring {semiring!r}")
         sep = sorted(self.jtree.separator(j, k))
-        pieces = [self.cluster_potentials[j]]
-        for i in self.jtree.neighbors(j):
-            if i == k:
-                continue
-            if not self.has_message(i, j, semiring):
-                raise SchedulingError(
-                    f"message {j} -> {k} needs message {i} -> {j} first"
-                )
-            pieces.append(self.message(i, j, semiring))
-        prod = product(pieces)
+        prod = self.cluster_product(j, k, semiring)
         drop = set(prod.scope) - set(sep)
         if semiring == "sum":
             msg = prod.marginalize_sum(drop)
         else:
             msg = prod.marginalize_max(drop)
-        msg = msg.expand(sep, self.net.cards)
-        if self.renormalize:
-            msg = msg.rescaled_unit_max()
+        msg = msg.expand(sep, self.net.cards).rescaled_unit_max()
         self._messages[(semiring, j, k)] = msg
         return msg
 
@@ -243,10 +255,7 @@ class CompiledQuery:
 
     def cluster_marginal(self, j: int) -> Factor:
         """Unnormalized P(cluster, evidence): potential times all inputs."""
-        pieces = [self.cluster_potentials[j]]
-        pieces.extend(self.message(i, j) for i in self.jtree.neighbors(j))
-        scope = sorted(self.jtree.clusters[j])
-        return product(pieces).expand(scope, self.net.cards)
+        return self.cluster_table(j)
 
     def evidence_log_probability(self) -> float:
         """log P(evidence); -inf when the evidence is impossible.
@@ -273,12 +282,6 @@ class CompiledQuery:
 
     # -- most probable assignment ------------------------------------------
 
-    def max_cluster_marginal(self, j: int) -> Factor:
-        pieces = [self.cluster_potentials[j]]
-        pieces.extend(self.message(i, j, "max") for i in self.jtree.neighbors(j))
-        scope = sorted(self.jtree.clusters[j])
-        return product(pieces).expand(scope, self.net.cards)
-
     def map_assignment(self, root: int | None = None) -> tuple[dict[int, int], float]:
         """Most probable full assignment under the evidence.
 
@@ -292,7 +295,7 @@ class CompiledQuery:
             self.has_message(k, j, "max") for j in order for k in children[j]
         ):
             self.inward(root, semiring="max")
-        marginal = self.max_cluster_marginal(root)
+        marginal = self.cluster_table(root, semiring="max")
         peak = float(marginal.values.max())
         if peak <= 0.0:
             raise ImpossibleEvidenceError(
@@ -300,31 +303,26 @@ class CompiledQuery:
             )
         log_value = math.log(peak) + marginal.log_scale
         assignment: dict[int, int] = {}
-        flat = int(np.argmax(marginal.values))
-        for u, s in zip(marginal.scope, np.unravel_index(flat, marginal.values.shape)):
-            assignment[u] = int(s)
+        _extend_argmax(marginal, assignment)
         for j in order:
             for k in children[j]:
-                self._extend_map(j, k, assignment)
+                _extend_argmax(self.cluster_table(k, j, "max"), assignment)
         return assignment, log_value
 
-    def _extend_map(self, parent: int, child: int, assignment: dict[int, int]) -> None:
-        pieces = [self.cluster_potentials[child]]
-        for i in self.jtree.neighbors(child):
-            if i != parent:
-                pieces.append(self.message(i, child, "max"))
-        scope = sorted(self.jtree.clusters[child])
-        table = product(pieces).expand(scope, self.net.cards)
-        index = tuple(
-            assignment[u] if u in assignment else slice(None) for u in table.scope
-        )
-        free = [u for u in table.scope if u not in assignment]
-        if not free:
-            return
-        sub = table.values[index]
-        flat = int(np.argmax(sub))
-        for u, s in zip(free, np.unravel_index(flat, sub.shape)):
-            assignment[u] = int(s)
+
+def _extend_argmax(table: Factor, assignment: dict[int, int]) -> None:
+    """Fix the table's unassigned variables at their first maximum given
+    the assigned ones."""
+    free = [u for u in table.scope if u not in assignment]
+    if not free:
+        return
+    index = tuple(
+        assignment[u] if u in assignment else slice(None) for u in table.scope
+    )
+    sub = table.values[index]
+    flat = int(np.argmax(sub))
+    for u, s in zip(free, np.unravel_index(flat, sub.shape)):
+        assignment[u] = int(s)
 
 
 def compile_query(
@@ -332,11 +330,7 @@ def compile_query(
     evidence: EvidenceSet | None = None,
     jtree: JunctionTree | None = None,
     root: int = 0,
-    renormalize: bool = True,
     validate: bool = True,
 ) -> CompiledQuery:
     """Build a CompiledQuery and run both sum-product passes."""
-    cq = CompiledQuery(
-        net, evidence, jtree=jtree, root=root, renormalize=renormalize, validate=validate
-    )
-    return cq.propagate()
+    return CompiledQuery(net, evidence, jtree=jtree, root=root, validate=validate).propagate()

@@ -28,9 +28,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .factor import Factor, product
+from .factor import Factor
 from .hmm import ForwardBackward, HmmSpec, _emission_column, forward_backward
-from .propagation import CompiledQuery, ImpossibleEvidenceError, SchedulingError
+from .propagation import CompiledQuery, ImpossibleEvidenceError
 
 _CHUNK = 1 << 16
 
@@ -38,19 +38,6 @@ _CHUNK = 1 << 16
 class SamplingConsistencyError(RuntimeError):
     """A conditional came out empty for a separator state that upstream
     messages claim is possible; indicates an engine bug."""
-
-
-def _conditional_numerator(cq: CompiledQuery, j: int, parent: int | None) -> Factor:
-    pieces = [cq.cluster_potentials[j]]
-    for i in cq.jtree.neighbors(j):
-        if i != parent:
-            if not cq.has_message(i, j):
-                raise SchedulingError(
-                    f"sampling needs message {i} -> {j}; run the inward pass first"
-                )
-            pieces.append(cq.message(i, j))
-    scope = sorted(cq.jtree.clusters[j])
-    return product(pieces).expand(scope, cq.net.cards)
 
 
 def cluster_conditional(
@@ -73,7 +60,7 @@ def cluster_conditional(
             f"separator assignment must cover exactly {sorted(sep)}, "
             f"got {sorted(sep_assignment)}"
         )
-    numer = _conditional_numerator(cq, j, parent)
+    numer = cq.cluster_table(j, parent)
     index = tuple(
         int(sep_assignment[u]) if u in sep_assignment else slice(None)
         for u in numer.scope
@@ -89,6 +76,24 @@ def cluster_conditional(
     return Factor(free, sub / total)
 
 
+def _row_cdfs(rows: np.ndarray) -> np.ndarray:
+    """Each row's conditional CDF, in column order.
+
+    The CDF is pinned to exactly 1 from each row's last positive cell on,
+    so rounding can neither overflow the index nor leak probability into
+    zero cells.  An all-zero row stays all zero.
+    """
+    sums = rows.sum(axis=1, keepdims=True)
+    cond = np.divide(rows, sums, out=np.zeros_like(rows), where=sums > 0)
+    cum = np.cumsum(cond, axis=1)
+    positive = cond > 0
+    has_mass = positive.any(axis=1)
+    last_pos = cond.shape[1] - 1 - np.argmax(positive[:, ::-1], axis=1)
+    suffix = np.arange(cond.shape[1])[None, :] >= last_pos[:, None]
+    cum[has_mass[:, None] & suffix] = 1.0
+    return cum
+
+
 class _ClusterTable:
     """Precomputed conditional CDFs for one cluster: rows indexed by the
     flattened separator assignment, columns by the flattened free
@@ -97,7 +102,7 @@ class _ClusterTable:
     def __init__(self, cq: CompiledQuery, j: int, parent: int | None):
         jt = cq.jtree
         sep = sorted(jt.separator(j, parent)) if parent is not None else []
-        numer = _conditional_numerator(cq, j, parent)
+        numer = cq.cluster_table(j, parent)
         free = [u for u in numer.scope if u not in sep]
         perm = [numer.scope.index(u) for u in [*sep, *free]]
         sep_shape = tuple(numer.card(u) for u in sep)
@@ -105,23 +110,13 @@ class _ClusterTable:
         table = numer.values.transpose(perm).reshape(
             int(np.prod(sep_shape, dtype=int)), int(np.prod(free_shape, dtype=int))
         )
-        sums = table.sum(axis=1, keepdims=True)
-        self.zero_row = sums[:, 0] <= 0.0
-        cond = np.divide(table, sums, out=np.zeros_like(table), where=sums > 0)
-        cum = np.cumsum(cond, axis=1)
-        # Pin the CDF to exactly 1 from each row's last positive cell on,
-        # so rounding can neither overflow the index nor leak probability
-        # into zero cells.
-        positive = cond > 0
-        has_mass = positive.any(axis=1)
-        last_pos = cond.shape[1] - 1 - np.argmax(positive[:, ::-1], axis=1)
-        suffix = np.arange(cond.shape[1])[None, :] >= last_pos[:, None]
-        cum[has_mass[:, None] & suffix] = 1.0
+        self.cum = _row_cdfs(table)
+        # a row with mass ends at exactly 1.0; a zero-mass row stays all zero
+        self.zero_row = self.cum[:, -1] < 1.0
         self.cluster = j
         self.sep = sep
         self.free = free
         self.free_shape = free_shape
-        self.cum = cum
 
 
 class PosteriorSampler:
@@ -173,12 +168,9 @@ class PosteriorSampler:
         out = np.zeros((count, len(self._columns)), dtype=np.int64)
         for table in self._plan:
             uniforms = self._rng.random(count)
-            if table.sep:
-                flat = np.zeros(count, dtype=np.int64)
-                for u in table.sep:
-                    flat = flat * cards[u] + out[:, self._columns[u]]
-            else:
-                flat = np.zeros(count, dtype=np.int64)
+            flat = np.zeros(count, dtype=np.int64)
+            for u in table.sep:
+                flat = flat * cards[u] + out[:, self._columns[u]]
             for lo in range(0, count, _CHUNK):
                 hi = min(lo + _CHUNK, count)
                 rows = flat[lo:hi]
@@ -237,18 +229,6 @@ def backward_transition(
     numer = (np.asarray(spec.transition) * (e[None, :] * fb.forward[i - 1][:, None])).T * scale
     denom = fb.forward[i][:, None]
     return np.divide(numer, denom, out=np.zeros_like(numer), where=denom > 0)
-
-
-def _row_cdfs(rows: np.ndarray) -> np.ndarray:
-    sums = rows.sum(axis=1, keepdims=True)
-    cond = np.divide(rows, sums, out=np.zeros_like(rows), where=sums > 0)
-    cum = np.cumsum(cond, axis=1)
-    positive = cond > 0
-    has_mass = positive.any(axis=1)
-    last_pos = cond.shape[1] - 1 - np.argmax(positive[:, ::-1], axis=1)
-    suffix = np.arange(cond.shape[1])[None, :] >= last_pos[:, None]
-    cum[has_mass[:, None] & suffix] = 1.0
-    return cum
 
 
 def sample_hmm_path(

@@ -262,6 +262,26 @@ class TestLoader:
             f"error: {bad}: states of variable 'X5' must be a list"
         ]
 
+    def test_string_parents_are_usage_error(self, tmp_path):
+        # one-letter names: read character by character, "AB" would pass
+        # as the parents A and B
+        doc = {
+            "variables": [{"name": n, "states": ["0", "1"]} for n in "ABC"],
+            "cpds": [
+                {"child": "A", "parents": [], "table": [[0.5, 0.5]]},
+                {"child": "B", "parents": [], "table": [[0.5, 0.5]]},
+                {"child": "C", "parents": "AB", "table": [[0.5, 0.5]] * 4},
+            ],
+        }
+        bad = tmp_path / "string_parents.json"
+        bad.write_text(json.dumps(doc))
+        r = run_cli("validate", str(bad))
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr.splitlines() == [
+            f"error: {bad}: parents of 'C' must be a list"
+        ]
+
 
 class TestRoundTrip:
     def test_network_json_round_trip(self, net_path):

@@ -5,13 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beliefprop.factor import (
-    Factor,
-    FactorDivisionError,
-    FactorSizeError,
-    ZeroMassError,
-    product,
-)
+from beliefprop.factor import Factor, FactorSizeError, product
 
 
 def F(scope, values, log_scale=0.0):
@@ -139,43 +133,7 @@ class TestRestrict:
         np.testing.assert_array_equal(once.linear(), twice.linear())
 
 
-class TestDivide:
-    def test_zero_over_zero_is_zero(self):
-        num = F([0, 1], [[0, 2], [0, 4]])
-        den = F([1], [0, 2])
-        out = num.divide(den)
-        np.testing.assert_array_equal(out.linear(), [[0, 1], [0, 2]])
-
-    def test_positive_over_zero_raises(self):
-        num = F([0], [1, 1])
-        den = F([0], [0, 1])
-        with pytest.raises(FactorDivisionError):
-            num.divide(den)
-
-    def test_scope_containment(self):
-        num = F([0], [1, 1])
-        den = F([1], [1, 1])
-        with pytest.raises(ValueError, match="not contained"):
-            num.divide(den)
-
-    def test_scales_subtract(self):
-        num = F([0], [1, 1], log_scale=1.0)
-        den = F([0], [1, 1], log_scale=3.0)
-        assert num.divide(den).log_scale == -2.0
-
-
 class TestNormalizeScale:
-    def test_normalize(self):
-        f = F([0], [1, 3], log_scale=2.0)
-        out, log_norm = f.normalize()
-        np.testing.assert_allclose(out.linear(), [0.25, 0.75])
-        assert out.log_scale == 0.0
-        assert log_norm == pytest.approx(math.log(4) + 2.0)
-
-    def test_normalize_zero_mass(self):
-        with pytest.raises(ZeroMassError):
-            F([0], [0, 0]).normalize()
-
     def test_total_log_mass(self):
         assert F([0], [0, 0]).total_log_mass() == float("-inf")
         assert F([0], [1, 1], log_scale=-1.0).total_log_mass() == pytest.approx(
@@ -257,15 +215,6 @@ def test_marginalization_order_irrelevant(seed):
     np.testing.assert_allclose(one.linear(), other.linear(), rtol=1e-14)
     both = f.marginalize_sum([0, 2])
     np.testing.assert_allclose(one.linear(), both.linear(), rtol=1e-14)
-
-
-@settings(max_examples=60, deadline=None)
-@given(small_tables, small_tables)
-def test_divide_multiply_roundtrip(seed_n, seed_d):
-    num = table_from_seed(seed_n, (0, 1), (3, 2))
-    den = table_from_seed(seed_d, (1,), (2,))
-    back = num.divide(den) * den
-    np.testing.assert_allclose(back.linear(), num.linear(), rtol=1e-13)
 
 
 @settings(max_examples=60, deadline=None)

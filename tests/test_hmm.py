@@ -54,6 +54,15 @@ class TestEmission:
         want = math.exp(-rate) * rate ** k / math.factorial(k)
         assert hmm.emission(spec5, 0, k) == pytest.approx(want, rel=1e-12)
 
+    def test_large_count_is_finite(self, spec5):
+        # rate**k / k! overflows a float from k = 171 on; the log-space
+        # pmf must not, and must still follow pmf(k) = pmf(k-1) * rate / k
+        value = hmm.emission(spec5, 0, 171)
+        assert math.isfinite(value) and value > 0.0
+        assert value == pytest.approx(hmm.emission(spec5, 0, 170) * 3.0 / 171, rel=1e-12)
+        fb = hmm.forward_backward(hmm.precipitation_spec(3), [0, 171, 0])
+        assert math.isfinite(hmm.log_likelihood(fb))
+
 
 class TestForwardBackward:
     def test_single_step(self):
@@ -163,6 +172,18 @@ class TestChainTree:
             bwd = cq.message(i, i - 1).linear()
             want_b = fb.backward[i - 1] * math.exp(fb.backward_log[i - 1])
             np.testing.assert_allclose(bwd, want_b, rtol=1e-12)
+
+    def test_long_chain_evidence_probability(self):
+        # 2000 steps of messages multiply far below the smallest double;
+        # log Z stays finite only because every message is rescaled
+        spec = hmm.precipitation_spec(2000)
+        _, y = hmm.simulate(spec, 5)
+        net, ev = hmm.to_bayes_net(spec, y)
+        cq = CompiledQuery(net, ev, jtree=hmm.chain_junction_tree(spec), root=0)
+        logz = cq.propagate().evidence_log_probability()
+        assert math.isfinite(logz)
+        want = hmm.log_likelihood(hmm.forward_backward(spec, y))
+        assert logz == pytest.approx(want, rel=1e-12)
 
     def test_tree_posterior_equals_smoothing(self, spec5):
         y = [0, 2, 1, 4, 0]

@@ -87,20 +87,6 @@ class TestMessages:
         msg = calibrated.message(1, 0)
         assert set(msg.scope) == set(ped_jtree_module.separator(1, 0))
 
-    def test_renormalization_transparent(self, ped_net_module, ped_ev_module,
-                                         ped_jtree_module):
-        raw = CompiledQuery(ped_net_module, ped_ev_module, jtree=ped_jtree_module,
-                            root=0, renormalize=False)
-        raw.propagate()
-        scaled = CompiledQuery(ped_net_module, ped_ev_module, jtree=ped_jtree_module,
-                               root=0, renormalize=True)
-        scaled.propagate()
-        for i, j in ped_jtree_module.edges:
-            np.testing.assert_allclose(
-                raw.message(i, j).linear(), scaled.message(i, j).linear(),
-                rtol=1e-12, atol=0,
-            )
-
     def test_scheduling_error_before_pass(self, ped_net_module, ped_ev_module,
                                           ped_jtree_module):
         cq = CompiledQuery(ped_net_module, ped_ev_module, jtree=ped_jtree_module)

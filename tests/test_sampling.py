@@ -3,7 +3,8 @@ import pytest
 from helpers import pedigree_evidence, pedigree_network, random_evidence, random_network
 
 from beliefprop import hmm
-from beliefprop.model import EvidenceSet
+from beliefprop.jtree import JunctionTree
+from beliefprop.model import Cpd, DiscreteNetwork, EvidenceSet, Variable
 from beliefprop.oracle import joint_table, oracle_posterior
 from beliefprop.propagation import (
     CompiledQuery,
@@ -14,6 +15,8 @@ from beliefprop.propagation import (
 from beliefprop.sampling import (
     PosteriorSampler,
     SamplingConsistencyError,
+    _ClusterTable,
+    _row_cdfs,
     cluster_conditional,
     sample_hmm_path,
     sample_posterior,
@@ -86,6 +89,43 @@ class TestClusterConditional:
             pytest.skip("no zero separator assignment on this edge")
         with pytest.raises(SamplingConsistencyError):
             cluster_conditional(cq, j, dict(zip(sep, zeros[0])))
+
+
+class TestRowCdfs:
+    def test_pinned_from_last_positive_cell(self):
+        # ten 0.1s sum to 0.9999999999999999 without the pin
+        cum = _row_cdfs(np.array([[0.1] * 10 + [0.0, 0.0]]))
+        assert np.all(cum[0, 9:] == 1.0)
+        assert np.all(cum[0, :9] < 1.0)
+        assert np.all(np.diff(cum[0]) >= 0.0)
+
+    def test_all_zero_row_stays_zero(self):
+        cum = _row_cdfs(np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 0.0]]))
+        np.testing.assert_array_equal(cum[0], [0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(cum[1], [1.0 / 3.0, 1.0, 1.0])
+
+    def test_zero_mass_cluster_row(self):
+        # A -> B -> C with P(A=0) = 1 and P(B=0 | A=0) = 0: seen from
+        # cluster {A, B} below the root {B, C}, the row B=0 has no mass
+        variables = [Variable(i, n, ("0", "1")) for i, n in enumerate("ABC")]
+        cpds = [
+            Cpd(0, (), np.array([[1.0, 0.0]])),
+            Cpd(1, (0,), np.array([[0.0, 1.0], [0.5, 0.5]])),
+            Cpd(2, (1,), np.array([[0.5, 0.5], [0.5, 0.5]])),
+        ]
+        jt = JunctionTree((frozenset({0, 1}), frozenset({1, 2})), ((0, 1),),
+                          {0: 0, 1: 0, 2: 1})
+        cq = CompiledQuery(DiscreteNetwork(variables, cpds), jtree=jt, root=1)
+        cq.propagate()
+        table = _ClusterTable(cq, 0, 1)
+        np.testing.assert_array_equal(table.zero_row, [True, False])
+        np.testing.assert_array_equal(table.cum[0], [0.0, 0.0])
+        sampler = PosteriorSampler(cq, seed=0)
+        assert [t.cluster for t in sampler._plan] == [1, 0]
+        # force the root draw to B=0, the state upstream calls impossible
+        sampler._plan[0].cum[:] = 1.0
+        with pytest.raises(SamplingConsistencyError):
+            sampler.sample(5)
 
 
 class TestPosteriorSampler:
