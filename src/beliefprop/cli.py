@@ -278,7 +278,8 @@ def cmd_sample(args) -> int:
         raise CliError("error: --count must be non-negative")
     net = _validated_network(args.network)
     ev = _evidence(args, net)
-    cq = compile_query(net, ev)
+    cq = CompiledQuery(net, ev)
+    cq.inward()
     if cq.evidence_log_probability() == float("-inf"):
         _print_logp("", float("-inf"))
         return 0

@@ -184,7 +184,10 @@ def posteriors(spec: HmmSpec, y: Sequence[int]) -> np.ndarray:
     """All smoothing posteriors as an (n, states) table."""
     fb = forward_backward(spec, y)
     rows = fb.forward * fb.backward
-    return rows / rows.sum(axis=1, keepdims=True)
+    totals = rows.sum(axis=1, keepdims=True)
+    if np.any(totals <= 0.0):
+        raise ValueError("posterior undefined: observations have probability zero")
+    return rows / totals
 
 
 def simulate(spec: HmmSpec, seed: int) -> tuple[np.ndarray, np.ndarray]:

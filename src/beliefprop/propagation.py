@@ -4,16 +4,16 @@ Evidence is folded into per-variable potentials (CPD times indicator),
 each cluster multiplies the potentials of the variables assigned to it,
 and messages flow along tree edges: the message from j to k is the
 cluster potential of j times all incoming messages except k's, with the
-non-separator variables summed out.  After an inward pass to a root and
-an outward pass back, every cluster and edge holds an unnormalized
-marginal whose total mass is the evidence probability.
+non-separator variables summed out.  After an inward pass to the query's
+one root cluster and an outward pass back, every cluster and edge holds
+an unnormalized marginal whose total mass is the evidence probability.
 
 Messages are renormalized to unit maximum, with the removed
 mass tracked in each factor's log scale, so long chains cannot
 underflow.  Both passes are iterative (explicit stacks), so tree depth
 is not limited by the interpreter's recursion limit.
 
-The same schedule run in the max-sum semiring yields most-probable
+The same inward pass run in the max-sum semiring yields most-probable
 assignments: maximize instead of marginalize, then extend the root's
 argmax downward edge by edge.
 """
@@ -95,10 +95,12 @@ def joint_score(net: DiscreteNetwork, evidence: EvidenceSet, assignment: Mapping
 class CompiledQuery:
     """A network, evidence, and junction tree wired up for propagation.
 
-    The two message stores (sum and max semiring) start empty; inward()
-    and outward() fill them following the tree rooted at ``root``.
-    Marginal accessors require the messages they read to exist and raise
-    SchedulingError otherwise.
+    ``root`` fixes the one rooted schedule that inward(), outward(),
+    map_assignment() and the samplers all follow; ``parent`` maps every
+    other cluster to its neighbour toward the root.  The two message
+    stores (sum and max semiring) start empty; inward() and outward()
+    fill them.  Marginal accessors require the messages they read to
+    exist and raise SchedulingError otherwise.
     """
 
     def __init__(
@@ -127,6 +129,9 @@ class CompiledQuery:
         if not (0 <= root < jtree.q):
             raise ValueError(f"root cluster {root} out of range")
         self.root = root
+        self._schedules: dict[int, Schedule] = {}
+        children, order = self.rooted_children(root)
+        self.parent = MappingProxyType({k: j for j in order for k in children[j]})
         self.potentials = build_potentials(net, self.evidence)
         # variables of each cluster in ascending id order; a home out of
         # range (possible with validate=False) owns nothing
@@ -138,7 +143,6 @@ class CompiledQuery:
             product(self.potentials[u] for u in us) for us in members
         ]
         self._messages: dict[tuple[str, int, int], Factor] = {}
-        self._schedules: dict[int, Schedule] = {}
 
     # -- schedule ----------------------------------------------------------
 
@@ -165,26 +169,21 @@ class CompiledQuery:
         self._schedules[root] = schedule
         return schedule
 
-    def inward(self, root: int | None = None, semiring: str = "sum") -> None:
+    def inward(self, semiring: str = "sum") -> None:
         """Send messages from the leaves toward the root."""
-        root = self.root if root is None else root
-        children, order = self.rooted_children(root)
-        parents = {c: p for p, kids in children.items() for c in kids}
-        for j in reversed(order):
-            if j != root:
-                self.compute_message(j, parents[j], semiring=semiring)
+        _, order = self.rooted_children(self.root)
+        for j in reversed(order[1:]):
+            self.compute_message(j, self.parent[j], semiring=semiring)
 
-    def outward(self, root: int | None = None, semiring: str = "sum") -> None:
-        """Send messages from the root back toward the leaves."""
-        root = self.root if root is None else root
-        children, order = self.rooted_children(root)
-        for j in order:
-            for k in children[j]:
-                self.compute_message(j, k, semiring=semiring)
+    def outward(self) -> None:
+        """Send sum messages from the root back toward the leaves."""
+        _, order = self.rooted_children(self.root)
+        for j in order[1:]:
+            self.compute_message(self.parent[j], j)
 
-    def propagate(self, semiring: str = "sum") -> "CompiledQuery":
-        self.inward(semiring=semiring)
-        self.outward(semiring=semiring)
+    def propagate(self) -> "CompiledQuery":
+        self.inward()
+        self.outward()
         return self
 
     # -- messages ----------------------------------------------------------
@@ -282,20 +281,16 @@ class CompiledQuery:
 
     # -- most probable assignment ------------------------------------------
 
-    def map_assignment(self, root: int | None = None) -> tuple[dict[int, int], float]:
+    def map_assignment(self) -> tuple[dict[int, int], float]:
         """Most probable full assignment under the evidence.
 
         Returns the assignment and log P(assignment, evidence).  Ties are
         broken toward lower state indices (first maximum in the canonical
         table order at the root and at every downward extension).
         """
-        root = self.root if root is None else root
-        children, order = self.rooted_children(root)
-        if not all(
-            self.has_message(k, j, "max") for j in order for k in children[j]
-        ):
-            self.inward(root, semiring="max")
-        marginal = self.cluster_table(root, semiring="max")
+        if not all(self.has_message(j, k, "max") for j, k in self.parent.items()):
+            self.inward(semiring="max")
+        marginal = self.cluster_table(self.root, semiring="max")
         peak = float(marginal.values.max())
         if peak <= 0.0:
             raise ImpossibleEvidenceError(
@@ -304,6 +299,7 @@ class CompiledQuery:
         log_value = math.log(peak) + marginal.log_scale
         assignment: dict[int, int] = {}
         _extend_argmax(marginal, assignment)
+        children, order = self.rooted_children(self.root)
         for j in order:
             for k in children[j]:
                 _extend_argmax(self.cluster_table(k, j, "max"), assignment)

@@ -1,20 +1,22 @@
 """Exact posterior sampling.
 
 Tree-structured models admit exact (non-MCMC) posterior draws: after an
-inward pass toward a root, the cluster conditionals
+inward pass toward the query's root, the cluster conditionals
 
     P(cluster | its separator toward the root, evidence)
 
 are available in closed form, so a single sweep from the root assigns
 every variable.  Restricting the sweep to a subtree yields draws of any
-subset of variables at reduced cost.
+subset of variables at reduced cost.  Every parent comes from the
+query's one rooted schedule (``CompiledQuery.parent``).
 
 Randomness contract: numpy's PCG64 generator seeded with a caller
 64-bit seed.  For each visited cluster, in a fixed root-first order
 (children by ascending cluster index), one uniform per requested sample
 is drawn and inverted through the cluster conditional's CDF laid out in
 canonical assignment order (last scope variable fastest).  The draw
-stream therefore depends only on (tree, root, targets, seed, count).
+stream therefore depends only on (tree, the query's root, targets,
+seed, count).
 
 The chain models in the hmm module get a direct implementation of the
 same idea (sample_hmm_path) working straight from the forward/backward
@@ -49,12 +51,8 @@ def cluster_conditional(
     cluster it is empty and the result is the normalized root marginal.
     The returned factor is a proper distribution over the free variables.
     """
-    if j == cq.root:
-        parent = None
-        sep = frozenset()
-    else:
-        parent = cq.jtree.path(j, cq.root)[1]
-        sep = cq.jtree.separator(j, parent)
+    parent = cq.parent.get(j)
+    sep = cq.jtree.separator(j, parent) if parent is not None else frozenset()
     if set(sep_assignment) != set(sep):
         raise ValueError(
             f"separator assignment must cover exactly {sorted(sep)}, "
@@ -99,9 +97,9 @@ class _ClusterTable:
     flattened separator assignment, columns by the flattened free
     assignment (canonical order both ways)."""
 
-    def __init__(self, cq: CompiledQuery, j: int, parent: int | None):
-        jt = cq.jtree
-        sep = sorted(jt.separator(j, parent)) if parent is not None else []
+    def __init__(self, cq: CompiledQuery, j: int):
+        parent = cq.parent.get(j)
+        sep = sorted(cq.jtree.separator(j, parent)) if parent is not None else []
         numer = cq.cluster_table(j, parent)
         free = [u for u in numer.scope if u not in sep]
         perm = [numer.scope.index(u) for u in [*sep, *free]]
@@ -126,33 +124,30 @@ class PosteriorSampler:
     def __init__(
         self,
         cq: CompiledQuery,
-        root: int | None = None,
         seed: int = 0,
         targets: Iterable[int] | None = None,
     ):
         self.cq = cq
-        self.root = cq.root if root is None else root
         jt = cq.jtree
         if targets is None:
             needed = set(range(jt.q))
             self.variables = tuple(sorted(cq.net.ids))
         else:
             targets = sorted(set(int(u) for u in targets))
-            unknown = [u for u in targets if u not in set(cq.net.ids)]
+            unknown = [u for u in targets if u not in cq.net.cards]
             if unknown:
                 raise KeyError(f"unknown variable ids {unknown}")
-            needed = {self.root}
+            # each target's home cluster and its ancestors; a walk stops at
+            # the first cluster already needed, so the total is O(q)
+            needed = {cq.root}
             for u in targets:
-                needed.update(jt.path(self.root, jt.assignment[u]))
+                j = jt.assignment[u]
+                while j not in needed:
+                    needed.add(j)
+                    j = cq.parent[j]
             self.variables = tuple(targets)
-        children, order = cq.rooted_children(self.root)
-        self._plan: list[_ClusterTable] = []
-        parent_of: dict[int, int | None] = {self.root: None}
-        for j in order:
-            for k in children[j]:
-                parent_of[k] = j
-            if j in needed:
-                self._plan.append(_ClusterTable(cq, j, parent_of[j]))
+        _, order = cq.rooted_children(cq.root)
+        self._plan = [_ClusterTable(cq, j) for j in order if j in needed]
         covered = sorted(set().union(*(set(t.sep) | set(t.free) for t in self._plan)))
         self._columns = {u: idx for idx, u in enumerate(covered)}
         self._rng = np.random.Generator(np.random.PCG64(seed))
@@ -190,7 +185,6 @@ class PosteriorSampler:
 
 def sample_posterior(
     cq: CompiledQuery,
-    root: int | None = None,
     seed: int = 0,
     count: int = 1,
     targets: Iterable[int] | None = None,
@@ -200,7 +194,7 @@ def sample_posterior(
     With ``targets`` the tree walk is restricted to the subtree needed to
     cover those variables and only their columns are returned.
     """
-    sampler = PosteriorSampler(cq, root=root, seed=seed, targets=targets)
+    sampler = PosteriorSampler(cq, seed=seed, targets=targets)
     return sampler.variables, sampler.sample(count)
 
 

@@ -90,6 +90,14 @@ class TestForwardBackward:
         table = hmm.posteriors(spec5, [0, 2, 1, 4, 0])
         assert table[0, 0] == 0.0 and table[0, 1] == 1.0
 
+    def test_impossible_observations_raise(self):
+        # a count of 2000 has pmf 0.0 in both states
+        spec = hmm.precipitation_spec(3)
+        with pytest.raises(ValueError, match="probability zero"):
+            hmm.posteriors(spec, [0, 2000, 0])
+        with pytest.raises(ValueError, match="probability zero"):
+            hmm.posterior(spec, [0, 2000, 0], 1)
+
     def test_against_brute_force(self):
         # n = 3 keeps the enumerated table (2 * 41)^3 inside the oracle cap
         spec = hmm.precipitation_spec(3)

@@ -216,12 +216,12 @@ class TestMostProbable:
 
     def test_map_for_non_default_root(self, ped_net_module, ped_ev_module,
                                       ped_jtree_module):
-        cq = CompiledQuery(ped_net_module, ped_ev_module, jtree=ped_jtree_module, root=0)
-        cq.map_assignment()  # leaves max messages toward cluster 0 behind
         oracle_assignment, _ = oracle_map(ped_net_module, ped_ev_module)
         want = joint_score(ped_net_module, ped_ev_module, oracle_assignment)
         for root in (4, 6):
-            assignment, log_value = cq.map_assignment(root=root)
+            cq = CompiledQuery(ped_net_module, ped_ev_module,
+                               jtree=ped_jtree_module, root=root)
+            assignment, log_value = cq.map_assignment()
             assert joint_score(ped_net_module, ped_ev_module, assignment) == want
             assert log_value == pytest.approx(math.log(want), rel=1e-12)
 
@@ -249,6 +249,17 @@ class TestSchedule:
                 up = {parent[j]} if j != root else set()
                 assert children[j] == tuple(sorted(set(jt.neighbors(j)) - up))
                 assert all(order.index(k) > pos for k in children[j])
+
+    def test_parent_map_per_root(self, ped_net_module, ped_ev_module,
+                                 ped_jtree_module):
+        jt = ped_jtree_module
+        for root in range(jt.q):
+            cq = CompiledQuery(ped_net_module, ped_ev_module, jtree=jt, root=root)
+            assert set(cq.parent) == set(range(jt.q)) - {root}
+            for j, parent in cq.parent.items():
+                assert parent == jt.path(j, root)[1]
+            with pytest.raises(TypeError):
+                cq.parent[root] = 0
 
 
 class TestJointScore:

@@ -117,7 +117,7 @@ class TestRowCdfs:
                           {0: 0, 1: 0, 2: 1})
         cq = CompiledQuery(DiscreteNetwork(variables, cpds), jtree=jt, root=1)
         cq.propagate()
-        table = _ClusterTable(cq, 0, 1)
+        table = _ClusterTable(cq, 0)
         np.testing.assert_array_equal(table.zero_row, [True, False])
         np.testing.assert_array_equal(table.cum[0], [0.0, 0.0])
         sampler = PosteriorSampler(cq, seed=0)
@@ -208,6 +208,34 @@ class TestPosteriorSampler:
         col = {u: k for k, u in enumerate(ids)}
         for u, allowed in ev.allowed.items():
             assert set(np.unique(big[:, col[u]])) <= set(allowed)
+
+    def test_long_chain_targets_need_no_path_walks(self, monkeypatch):
+        # every parent comes from the query's schedule, so a targeted
+        # sampler on a 2000-step chain walks each cluster once
+        spec = hmm.precipitation_spec(2000)
+        _, y = hmm.simulate(spec, 5)
+        net, ev = hmm.to_bayes_net(spec, y)
+        jt = hmm.chain_junction_tree(spec)
+
+        def no_path(self, i, j):
+            raise AssertionError("sampling walked a cluster path")
+
+        monkeypatch.setattr(JunctionTree, "path", no_path)
+        cq = CompiledQuery(net, ev, jtree=jt)
+        cq.inward()
+        targets = [2 * i for i in range(2000)]
+        sampler = PosteriorSampler(cq, seed=0, targets=targets)
+        assert sampler.variables == tuple(targets)
+        draws = sampler.sample(3)
+        assert draws.shape == (3, 2000)
+        assert draws.min() >= 0 and draws.max() < spec.n_states
+        for j in range(jt.q):
+            if j == cq.root:
+                continue
+            msg = cq.message(j, cq.parent[j])
+            idx = np.unravel_index(int(np.argmax(msg.values)), msg.values.shape)
+            cond = cluster_conditional(cq, j, dict(zip(msg.scope, idx)))
+            assert cond.linear().sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_joint_distribution_exact_on_tiny_net(self):
         # empirical joint over a 3-variable network vs enumeration
