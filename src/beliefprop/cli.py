@@ -14,7 +14,8 @@ Evidence files map variable names to a state or a list of states:
     {"X7": ["dd", "dD"], "X2": "DD"}
 
 Exit codes: 0 success, 1 the model failed validation, 2 usage errors
-(bad flags or flag values, malformed files, unknown names).  Impossible
+(bad flags or flag values, malformed files, unknown names) and models
+whose junction tree has a cluster too wide to tabulate.  Impossible
 evidence is a result, not an error: commands report log_p_evidence=-inf
 and exit 0.
 Numeric output is printed with 10 significant digits; all output is
@@ -31,6 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from . import hmm as hmm_mod
+from .factor import FactorSizeError
 from .jtree import JunctionTree, build_junction_tree, validate_junction_tree
 from .model import Cpd, DiscreteNetwork, EvidenceSet, Variable, validate_network
 from .oracle import oracle_log_probability, oracle_posterior
@@ -369,6 +371,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         if str(exc):
             print(str(exc), file=sys.stderr)
         return exc.exit_code
+    except FactorSizeError as exc:
+        print(f"error: {args.network}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -7,8 +7,14 @@ varying fastest in the flat (C-order) layout.  Keeping a separate
 log-domain scale lets long chains of products stay inside double range
 without switching the tables themselves to log space.
 
-All operations are pure: they validate their inputs and return new
-factors, never mutating the operands.
+All operations are pure: they return new factors and never mutate the
+operands.  The invariants (ascending scope, one axis per scope variable,
+finite non-negative values, finite scale) are checked once, where a
+factor enters from outside through the ``Factor`` constructor.  The
+algebra methods build their results without re-scanning them: from
+valid operands only a product or a sum can leave double range, so
+``multiply`` and ``marginalize_sum`` check their result for overflow and
+the other operations need no value check at all.
 """
 
 from __future__ import annotations
@@ -45,7 +51,9 @@ class Factor:
     """Immutable table over ``scope`` scaled by ``exp(log_scale)``.
 
     A factor with empty scope is a scalar (0-d table).  Values must be
-    finite and non-negative; the scale must be finite.
+    finite and non-negative; the scale must be finite.  The constructor
+    checks all of this; results of the algebra methods hold it by
+    construction and skip the check (see the module docstring).
     """
 
     scope: tuple[int, ...]
@@ -117,7 +125,12 @@ class Factor:
                 )
         a = self.values[_alignment_index(self.scope, scope)]
         b = other.values[_alignment_index(other.scope, scope)]
-        return Factor(scope, a * b, self.log_scale + other.log_scale)
+        values = a * b
+        log_scale = self.log_scale + other.log_scale
+        _require_finite(values)
+        if not math.isfinite(log_scale):
+            raise ValueError("log_scale must be finite")
+        return _trusted(scope, values, log_scale)
 
     def __mul__(self, other: "Factor") -> "Factor":
         return self.multiply(other)
@@ -139,7 +152,10 @@ class Factor:
             return self
         axes = tuple(i for i, u in enumerate(self.scope) if u in dropped)
         kept = tuple(u for u in self.scope if u not in dropped)
-        return Factor(kept, reducer(self.values, axis=axes), self.log_scale)
+        values = reducer(self.values, axis=axes)
+        if reducer is np.sum:
+            _require_finite(values)
+        return _trusted(kept, values, self.log_scale)
 
     def restrict(self, allowed: Mapping[int, Iterable[int]]) -> "Factor":
         """Zero out entries whose states fall outside the allowed sets.
@@ -166,11 +182,13 @@ class Factor:
             touched = True
         if not touched:
             return self
-        return Factor(self.scope, values, self.log_scale)
+        return _trusted(self.scope, values, self.log_scale)
 
     def expand(self, scope: Iterable[int], cards: Mapping[int, int]) -> "Factor":
         """Broadcast to a superset scope; new variables index uniformly."""
         target = tuple(sorted(int(u) for u in scope))
+        if len(set(target)) != len(target):
+            raise ValueError(f"scope must be strictly ascending, got {target!r}")
         if not set(self.scope) <= set(target):
             raise ValueError(f"target scope {target} does not contain {self.scope}")
         if target == self.scope:
@@ -179,7 +197,7 @@ class Factor:
             self.card(u) if u in self.scope else int(cards[u]) for u in target
         )
         view = self.values[_alignment_index(self.scope, target)]
-        return Factor(target, np.broadcast_to(view, shape), self.log_scale)
+        return _trusted(target, np.broadcast_to(view, shape), self.log_scale)
 
     def rescaled_unit_max(self) -> "Factor":
         """Divide by the largest entry, folding it into the scale.
@@ -190,12 +208,40 @@ class Factor:
         peak = float(self.values.max()) if self.values.size else 0.0
         if peak <= 0.0 or peak == 1.0:
             return self
-        return Factor(self.scope, self.values / peak, self.log_scale + math.log(peak))
+        return _trusted(self.scope, self.values / peak, self.log_scale + math.log(peak))
+
+
+def _require_finite(values: np.ndarray) -> None:
+    """Reject a product or sum of valid tables that overflowed to inf."""
+    # entries are non-negative and never NaN, so the largest is inf
+    # exactly when some entry is
+    if values.size and not math.isfinite(values.max()):
+        raise ValueError("factor values must be finite")
+
+
+def _trusted(scope: tuple[int, ...], values, log_scale: float) -> Factor:
+    """A factor from an algebra result that holds the invariants by
+    construction: lay the table out as the constructor does, without
+    scanning its values."""
+    # asarray keeps a full reduction a 0-d table
+    values = np.asarray(values)
+    if not values.flags.c_contiguous:
+        values = np.ascontiguousarray(values)
+    values.setflags(write=False)
+    out = object.__new__(Factor)
+    object.__setattr__(out, "scope", scope)
+    object.__setattr__(out, "values", values)
+    object.__setattr__(out, "log_scale", log_scale)
+    return out
+
+
+# shared start of every product; factors are immutable
+_UNIT = Factor.unit()
 
 
 def product(factors: Iterable[Factor], max_scope: int = DEFAULT_SCOPE_CAP) -> Factor:
     """Multiply a sequence of factors; the empty product is the scalar 1."""
-    out = Factor.unit()
+    out = _UNIT
     for f in factors:
         out = out.multiply(f, max_scope=max_scope)
     return out

@@ -26,7 +26,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .factor import Factor, product
+from .factor import DEFAULT_SCOPE_CAP, Factor, FactorSizeError, product
 from .jtree import (
     InvalidJunctionTreeError,
     JunctionTree,
@@ -100,7 +100,9 @@ class CompiledQuery:
     other cluster to its neighbour toward the root.  The two message
     stores (sum and max semiring) start empty; inward() and outward()
     fill them.  Marginal accessors require the messages they read to
-    exist and raise SchedulingError otherwise.
+    exist and raise SchedulingError otherwise.  A tree with a cluster of
+    more than ``DEFAULT_SCOPE_CAP`` variables raises FactorSizeError
+    here, before any table is built.
     """
 
     def __init__(
@@ -125,6 +127,15 @@ class CompiledQuery:
                 raise InvalidJunctionTreeError(report)
         if jtree.assignment is None:
             jtree = JunctionTree(jtree.clusters, jtree.edges, assign_clusters(net, jtree))
+        # the readouts lay out whole cluster tables, so no query on a
+        # cluster over the cap can finish
+        sizes = [len(c) for c in jtree.clusters]
+        width = max(sizes, default=0)
+        if width > DEFAULT_SCOPE_CAP:
+            raise FactorSizeError(
+                f"cluster {sizes.index(width)} has {width} variables, "
+                f"cap is {DEFAULT_SCOPE_CAP}"
+            )
         self.jtree = jtree
         if not (0 <= root < jtree.q):
             raise ValueError(f"root cluster {root} out of range")

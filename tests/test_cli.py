@@ -283,6 +283,31 @@ class TestLoader:
         ]
 
 
+class TestWidth:
+    def test_over_cap_width_is_usage_error(self, tmp_path):
+        # roots X0..X26 and one child per pair of roots: moralizing joins
+        # every pair of roots, so the tree has a cluster of all 27
+        roots = [f"X{i}" for i in range(27)]
+        variables = [{"name": n, "states": ["0", "1"]} for n in roots]
+        cpds = [{"child": n, "parents": [], "table": [[0.5, 0.5]]} for n in roots]
+        for i in range(27):
+            for j in range(i + 1, 27):
+                child = f"Y{i}_{j}"
+                variables.append({"name": child, "states": ["0", "1"]})
+                cpds.append({"child": child, "parents": [roots[i], roots[j]],
+                             "table": [[0.5, 0.5]] * 4})
+        wide = tmp_path / "all_pairs.json"
+        wide.write_text(json.dumps({"variables": variables, "cpds": cpds}))
+        r = run_cli("logz", str(wide))
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "Traceback" not in r.stderr
+        lines = r.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {wide}: cluster ")
+        assert lines[0].endswith("has 27 variables, cap is 25")
+
+
 class TestRoundTrip:
     def test_network_json_round_trip(self, net_path):
         with open(net_path) as fh:

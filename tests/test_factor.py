@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from beliefprop.factor import Factor, FactorSizeError, product
+from beliefprop.propagation import compile_query
+from beliefprop.sampling import sample_posterior
 
 
 def F(scope, values, log_scale=0.0):
@@ -163,6 +165,27 @@ class TestExpand:
         with pytest.raises(ValueError, match="does not contain"):
             f.expand([0], {0: 2})
 
+    def test_duplicated_target_id(self):
+        f = F([1], [2, 3])
+        with pytest.raises(ValueError, match="ascending"):
+            f.expand([0, 0, 1], {0: 2, 1: 2})
+
+
+class TestOverflow:
+    # the algebra builds its results unchecked except where valid
+    # operands can leave double range: products and sums
+    def test_product_overflow(self):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            F([0], [1e200]) * F([0], [1e200])
+
+    def test_sum_overflow(self):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            F([0], [1e308, 1e308]).marginalize_sum([0])
+
+    def test_log_scale_overflow(self):
+        with pytest.raises(ValueError, match="log_scale"):
+            F([0], [1.0], log_scale=1e308) * F([0], [1.0], log_scale=1e308)
+
 
 def test_product_empty_is_unit():
     out = product([])
@@ -173,6 +196,24 @@ def test_product_of_three():
     fs = [F([0], [1, 2]), F([1], [3, 4]), F([0, 1], [[1, 1], [1, 0.5]])]
     out = product(fs)
     assert out.linear()[1, 1] == pytest.approx(2 * 4 * 0.5)
+
+
+def test_only_outside_factors_are_validated(monkeypatch, ped_net, ped_ev):
+    # the ten CPD factors enter from outside; every table the queries
+    # derive from them is built by the algebra without a re-check
+    validated = []
+    check = Factor.__post_init__
+
+    def counted(self):
+        validated.append(self.scope)
+        check(self)
+
+    monkeypatch.setattr(Factor, "__post_init__", counted)
+    cq = compile_query(ped_net, ped_ev)
+    cq.posterior_table()
+    cq.map_assignment()
+    sample_posterior(cq, count=10)
+    assert len(validated) == len(ped_net.cpds) == 10
 
 
 # -- randomized algebra laws ------------------------------------------------
@@ -236,3 +277,64 @@ def test_distributivity_of_sum_over_product(seed):
     left = (a * b).marginalize_sum([2]).linear()
     right = (a * b.marginalize_sum([2])).linear()
     np.testing.assert_allclose(left, right, rtol=1e-14)
+
+
+# -- results hold the invariants by construction ----------------------------
+
+CARDS = {0: 2, 1: 3, 2: 1, 3: 2, 4: 4}
+
+
+@st.composite
+def factors(draw):
+    scope = tuple(sorted(draw(st.sets(st.sampled_from(tuple(CARDS)), max_size=3))))
+    shape = tuple(CARDS[u] for u in scope)
+    size = math.prod(shape)
+    entries = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e3)),
+                            min_size=size, max_size=size))
+    log_scale = draw(st.floats(-700.0, 700.0))
+    values = np.array(entries, dtype=float).reshape(shape)
+    if values.ndim > 1 and draw(st.booleans()):
+        values = np.asfortranarray(values)
+    return Factor(scope, values, log_scale)
+
+
+def subset(data, items):
+    return data.draw(st.sets(st.sampled_from(tuple(items)))) if items else set()
+
+
+def assert_invariants(f):
+    assert type(f.scope) is tuple and all(type(u) is int for u in f.scope)
+    assert list(f.scope) == sorted(set(f.scope))
+    values = f.values
+    assert values.dtype == np.float64
+    assert values.flags.c_contiguous and not values.flags.writeable
+    assert values.ndim == len(f.scope)
+    assert np.all(np.isfinite(values)) and not np.any(values < 0)
+    assert type(f.log_scale) is float and math.isfinite(f.log_scale)
+    checked = Factor(f.scope, f.values, f.log_scale)
+    assert checked.scope == f.scope and checked.log_scale == f.log_scale
+    assert checked.values.shape == values.shape
+    assert checked.values.tobytes() == values.tobytes()
+
+
+@seed(20240520)
+@settings(max_examples=150, deadline=None)
+@given(factors(), factors(), factors(), st.data())
+def test_algebra_results_hold_invariants(a, b, c, data):
+    allowed = {
+        u: data.draw(st.sets(st.integers(0, CARDS[u] - 1)))
+        for u in subset(data, CARDS)
+    }
+    results = [
+        a.multiply(b),
+        a.marginalize_sum(subset(data, a.scope)),
+        a.marginalize_max(subset(data, a.scope)),
+        a.marginalize_sum(a.scope),
+        a.restrict(allowed),
+        a.expand(set(a.scope) | subset(data, CARDS), CARDS),
+        a.rescaled_unit_max(),
+        product([a, b, c]),
+        product([]),
+    ]
+    for f in results:
+        assert_invariants(f)

@@ -9,6 +9,7 @@ from helpers import (
     random_network,
 )
 
+from beliefprop.factor import DEFAULT_SCOPE_CAP, Factor, FactorSizeError
 from beliefprop.jtree import InvalidJunctionTreeError, JunctionTree
 from beliefprop.model import Cpd, DiscreteNetwork, EvidenceSet, InvalidNetworkError, Variable
 from beliefprop.oracle import (
@@ -308,6 +309,30 @@ class TestConstruction:
         with pytest.raises(ValueError):
             CompiledQuery(ped_net_module, ped_ev_module,
                           jtree=ped_jtree_module, root=99)
+
+    @pytest.mark.parametrize("wide_at", [0, 1])
+    def test_over_cap_cluster_fails_before_any_table(self, monkeypatch, wide_at):
+        n = DEFAULT_SCOPE_CAP + 1
+        k = n + wide_at  # one more variable for the narrow cluster
+        net = DiscreteNetwork(
+            [Variable(i, f"V{i}", ("a", "b")) for i in range(k)],
+            [Cpd(i, (), np.array([[0.5, 0.5]])) for i in range(k)],
+        )
+        wide = frozenset(range(n))
+        if wide_at == 0:
+            jt = JunctionTree((wide,), ())
+        else:
+            jt = JunctionTree((frozenset({n}), wide), ((0, 1),))
+
+        def no_multiply(self, other, max_scope=DEFAULT_SCOPE_CAP):
+            raise AssertionError("a table was built before the width check")
+
+        monkeypatch.setattr(Factor, "multiply", no_multiply)
+        with pytest.raises(
+            FactorSizeError,
+            match=f"cluster {wide_at} has {n} variables, cap is {DEFAULT_SCOPE_CAP}",
+        ):
+            CompiledQuery(net, jtree=jt)
 
 
 class TestRandomizedAgainstOracle:
