@@ -14,10 +14,10 @@ Evidence files map variable names to a state or a list of states:
     {"X7": ["dd", "dD"], "X2": "DD"}
 
 Exit codes: 0 success, 1 the model failed validation, 2 usage errors
-(bad flags or flag values, malformed files, unknown names) and models
-whose junction tree has a cluster too wide to tabulate.  Impossible
-evidence is a result, not an error: commands report log_p_evidence=-inf
-and exit 0.
+(bad flags or flag values, unreadable or malformed files, unknown
+names) and models whose junction tree has a cluster too wide to
+tabulate.  Impossible evidence is a result, not an error: commands
+report log_p_evidence=-inf and exit 0.
 Numeric output is printed with 10 significant digits; all output is
 deterministic for a given input (and seed, where one applies).
 """
@@ -61,10 +61,12 @@ def format_dec(x: float) -> str:
 
 def _load_json(path: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError:
-        raise CliError(f"error: cannot open {path}") from None
+    except OSError as exc:
+        raise CliError(f"error: {path}: cannot open ({exc.strerror})") from None
+    except UnicodeDecodeError as exc:
+        raise CliError(f"error: {path}: not UTF-8 text (byte {exc.start})") from None
     except json.JSONDecodeError as exc:
         raise CliError(
             f"error: {path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
@@ -278,6 +280,8 @@ def cmd_map(args) -> int:
 def cmd_sample(args) -> int:
     if args.count < 0:
         raise CliError("error: --count must be non-negative")
+    if args.seed < 0:
+        raise CliError("error: --seed must be non-negative")
     net = _validated_network(args.network)
     ev = _evidence(args, net)
     cq = CompiledQuery(net, ev)
@@ -296,6 +300,8 @@ def cmd_sample(args) -> int:
 def cmd_hmm_demo(args) -> int:
     if args.days < 1:
         raise CliError("error: --days must be at least 1")
+    if args.seed < 0:
+        raise CliError("error: --seed must be non-negative")
     spec = hmm_mod.precipitation_spec(args.days)
     states, y = hmm_mod.simulate(spec, args.seed)
     table = hmm_mod.posteriors(spec, y)

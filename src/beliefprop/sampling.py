@@ -92,10 +92,35 @@ def _row_cdfs(rows: np.ndarray) -> np.ndarray:
     return cum
 
 
+def _invert(cum: np.ndarray, pos: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """For each draw, the number of cells of CDF row ``pos`` that are <= its
+    uniform ``u``, i.e. ``(cum[pos] <= u[:, None]).sum(axis=1)``.
+
+    Every row must end at the pinned 1.0, so ``u < 1`` makes ``cum <= u``
+    a prefix of at most W - 1 cells in a row of W.  Padding each row with
+    2.0 to a power-of-two width ``span >= W`` keeps the padding outside
+    that prefix, and a branchless binary search finds its length in
+    log2(span) vectorized steps without gathering whole rows.
+    """
+    n, width = cum.shape
+    span = 1 << (width - 1).bit_length()
+    padded = np.full((n, span), 2.0)
+    padded[:, :width] = cum
+    flat = padded.ravel()
+    base = pos * span - 1
+    draws = np.zeros(pos.shape[0], dtype=np.int64)
+    step = span >> 1
+    while step:
+        draws += step * (flat[base + draws + step] <= u)
+        step >>= 1
+    return draws
+
+
 class _ClusterTable:
-    """Precomputed conditional CDFs for one cluster: rows indexed by the
-    flattened separator assignment, columns by the flattened free
-    assignment (canonical order both ways)."""
+    """One cluster laid out for sampling: ``table`` has one row per
+    flattened separator assignment and one column per flattened free
+    assignment (canonical order both ways).  No CDF is kept; at draw time
+    CDFs are built only for the rows the draws reach."""
 
     def __init__(self, cq: CompiledQuery, j: int):
         parent = cq.parent.get(j)
@@ -105,21 +130,32 @@ class _ClusterTable:
         perm = [numer.scope.index(u) for u in [*sep, *free]]
         sep_shape = tuple(numer.card(u) for u in sep)
         free_shape = tuple(numer.card(u) for u in free)
-        table = numer.values.transpose(perm).reshape(
+        self.table = numer.values.transpose(perm).reshape(
             int(np.prod(sep_shape, dtype=int)), int(np.prod(free_shape, dtype=int))
         )
-        self.cum = _row_cdfs(table)
-        # a row with mass ends at exactly 1.0; a zero-mass row stays all zero
-        self.zero_row = self.cum[:, -1] < 1.0
         self.cluster = j
         self.sep = sep
         self.free = free
         self.free_shape = free_shape
 
+    def draw(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Flattened free assignment for each draw, given its separator
+        row and uniform."""
+        hit = np.zeros(self.table.shape[0], dtype=bool)
+        hit[rows] = True
+        reached = np.flatnonzero(hit)
+        cum = _row_cdfs(self.table[reached])
+        # a row with mass ends at exactly 1.0; a zero-mass row stays all zero
+        if np.any(cum[:, -1] < 1.0):
+            raise SamplingConsistencyError(
+                f"cluster {self.cluster} reached with a zero-mass separator"
+            )
+        return _invert(cum, (np.cumsum(hit) - 1)[rows], u)
+
 
 class PosteriorSampler:
-    """Reusable sampling state: compiled query, visit plan, CDF tables,
-    and the PCG64 generator."""
+    """Reusable sampling state: compiled query, visit plan, laid-out
+    cluster tables, and the PCG64 generator."""
 
     def __init__(
         self,
@@ -168,13 +204,7 @@ class PosteriorSampler:
                 flat = flat * cards[u] + out[:, self._columns[u]]
             for lo in range(0, count, _CHUNK):
                 hi = min(lo + _CHUNK, count)
-                rows = flat[lo:hi]
-                if table.zero_row.size and np.any(table.zero_row[rows]):
-                    raise SamplingConsistencyError(
-                        f"cluster {table.cluster} reached with a zero-mass separator"
-                    )
-                cum = table.cum[rows]
-                draws = (cum <= uniforms[lo:hi, None]).sum(axis=1)
+                draws = table.draw(flat[lo:hi], uniforms[lo:hi])
                 if table.free:
                     states = np.unravel_index(draws, table.free_shape)
                     for u, vals in zip(table.free, states):

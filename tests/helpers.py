@@ -6,6 +6,7 @@ import numpy as np
 
 from beliefprop.jtree import JunctionTree
 from beliefprop.model import Cpd, DiscreteNetwork, EvidenceSet, Variable
+from beliefprop.sampling import _CHUNK, PosteriorSampler, SamplingConsistencyError, _row_cdfs
 
 GENOTYPES = ("dd", "dD", "DD")
 
@@ -129,3 +130,35 @@ def round_based_topological_order(net: DiscreteNetwork) -> list[int]:
         for ps in pending.values():
             ps.difference_update(ready)
     return order
+
+
+# -- reference implementation for the sampler's lazy CDFs ------------------
+
+
+def eager_sample(sampler: PosteriorSampler, count: int) -> np.ndarray:
+    """``sampler.sample(count)`` the eager way: every separator row's CDF
+    is built up front, each draw gathers its whole row and counts the
+    cells <= its uniform.  Consumes the sampler's generator the same way."""
+    cards = sampler.cq.net.cards
+    out = np.zeros((count, len(sampler._columns)), dtype=np.int64)
+    for table in sampler._plan:
+        cum = _row_cdfs(table.table)
+        zero_row = cum[:, -1] < 1.0
+        uniforms = sampler._rng.random(count)
+        flat = np.zeros(count, dtype=np.int64)
+        for u in table.sep:
+            flat = flat * cards[u] + out[:, sampler._columns[u]]
+        for lo in range(0, count, _CHUNK):
+            hi = min(lo + _CHUNK, count)
+            rows = flat[lo:hi]
+            if np.any(zero_row[rows]):
+                raise SamplingConsistencyError(
+                    f"cluster {table.cluster} reached with a zero-mass separator"
+                )
+            draws = (cum[rows] <= uniforms[lo:hi, None]).sum(axis=1)
+            if table.free:
+                states = np.unravel_index(draws, table.free_shape)
+                for u, vals in zip(table.free, states):
+                    out[lo:hi, sampler._columns[u]] = vals
+    keep = [sampler._columns[u] for u in sampler.variables]
+    return out[:, keep]

@@ -53,6 +53,20 @@ class TestValidate:
         assert r.returncode == 2
         assert "cannot open" in r.stderr
 
+    def test_directory_is_usage_error(self, tmp_path, net_path):
+        r = run_cli("logz", net_path, "--evidence", str(tmp_path))
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr.splitlines() == [f"error: {tmp_path}: cannot open (Is a directory)"]
+
+    def test_non_utf8_file_is_usage_error(self, tmp_path):
+        bad = tmp_path / "latin.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        r = run_cli("validate", str(bad))
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr.splitlines() == [f"error: {bad}: not UTF-8 text (byte 0)"]
+
     def test_malformed_json(self, tmp_path):
         bad = tmp_path / "mangled.json"
         bad.write_text('{"variables": [,]}')
@@ -222,6 +236,12 @@ class TestSample:
         assert r.stdout == ""
         assert r.stderr.splitlines() == ["error: --count must be non-negative"]
 
+    def test_negative_seed_is_usage_error(self, net_path):
+        r = run_cli("sample", net_path, "--seed", "-1")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr.splitlines() == ["error: --seed must be non-negative"]
+
 
 class TestHmmDemo:
     def test_csv_shape(self):
@@ -246,6 +266,12 @@ class TestHmmDemo:
         assert r.returncode == 2
         assert r.stdout == ""
         assert r.stderr.splitlines() == ["error: --days must be at least 1"]
+
+    def test_negative_seed_is_usage_error(self):
+        r = run_cli("hmm-demo", "--seed", "-5")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr.splitlines() == ["error: --seed must be non-negative"]
 
 
 class TestLoader:

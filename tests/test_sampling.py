@@ -1,6 +1,14 @@
 import numpy as np
 import pytest
-from helpers import pedigree_evidence, pedigree_network, random_evidence, random_network
+from helpers import (
+    eager_sample,
+    pedigree_evidence,
+    pedigree_network,
+    random_evidence,
+    random_network,
+)
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from beliefprop import hmm
 from beliefprop.jtree import JunctionTree
@@ -16,6 +24,7 @@ from beliefprop.sampling import (
     PosteriorSampler,
     SamplingConsistencyError,
     _ClusterTable,
+    _invert,
     _row_cdfs,
     cluster_conditional,
     sample_hmm_path,
@@ -118,14 +127,98 @@ class TestRowCdfs:
         cq = CompiledQuery(DiscreteNetwork(variables, cpds), jtree=jt, root=1)
         cq.propagate()
         table = _ClusterTable(cq, 0)
-        np.testing.assert_array_equal(table.zero_row, [True, False])
-        np.testing.assert_array_equal(table.cum[0], [0.0, 0.0])
+        cum = _row_cdfs(table.table)
+        np.testing.assert_array_equal(cum[0], [0.0, 0.0])
+        assert cum[1, -1] == 1.0
         sampler = PosteriorSampler(cq, seed=0)
         assert [t.cluster for t in sampler._plan] == [1, 0]
         # force the root draw to B=0, the state upstream calls impossible
-        sampler._plan[0].cum[:] = 1.0
+        sampler._plan[0].table = np.array([[1.0, 0.0, 0.0, 0.0]])
         with pytest.raises(SamplingConsistencyError):
             sampler.sample(5)
+
+
+def _prefix_counts(cum, pos, u):
+    return (cum[pos] <= u[:, None]).sum(axis=1)
+
+
+@st.composite
+def _cdf_case(draw):
+    """CDF rows of small-integer weights (exact ties, trailing zero cells)
+    and draws whose uniforms are often a cell of their row."""
+    width = draw(st.one_of(
+        st.sampled_from([1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65]),
+        st.integers(1, 69),
+    ))
+    n = draw(st.integers(1, 5))
+    weights = np.array(
+        draw(st.lists(st.integers(0, 3), min_size=n * width, max_size=n * width)),
+        dtype=float,
+    ).reshape(n, width)
+    for r in range(n):
+        weights[r, width - draw(st.integers(0, width - 1)):] = 0.0
+        if weights[r].sum() == 0.0:
+            weights[r, 0] = 1.0
+    cum = _row_cdfs(weights)
+    pos, u = [], []
+    for _ in range(draw(st.integers(1, 12))):
+        r = draw(st.integers(0, n - 1))
+        ties = [c for c in cum[r] if c < 1.0]
+        if ties and draw(st.booleans()):
+            u.append(draw(st.sampled_from(ties)))
+        else:
+            u.append(draw(st.floats(0.0, 1.0, exclude_max=True)))
+        pos.append(r)
+    return cum, np.array(pos, dtype=np.int64), np.array(u)
+
+
+class TestLazyCdfs:
+    """The sampler builds CDFs only for reached rows and inverts them by
+    binary search; draws must equal the eager reference bit for bit."""
+
+    @seed(20261018)
+    @settings(max_examples=200, deadline=None)
+    @given(_cdf_case())
+    def test_invert_counts_cells_at_or_below_u(self, case):
+        cum, pos, u = case
+        np.testing.assert_array_equal(_invert(cum, pos, u), _prefix_counts(cum, pos, u))
+
+    def test_invert_edge_widths(self):
+        for width in (1, 2, 3, 4, 5, 31, 32, 33, 1024, 1025):
+            cum = _row_cdfs(np.ones((2, width)))
+            u = np.concatenate([[0.0], cum[0, :-1], [np.nextafter(1.0, 0.0)]])
+            pos = np.arange(u.size) % 2
+            np.testing.assert_array_equal(_invert(cum, pos, u), _prefix_counts(cum, pos, u))
+
+    @pytest.mark.parametrize("count", [0, 1, 1000, (1 << 16) + 7])
+    def test_pedigree_every_root(self, count):
+        net, ev = pedigree_network(), pedigree_evidence()
+        for root in range(CompiledQuery(net, ev).jtree.q):
+            cq = CompiledQuery(net, ev, root=root)
+            cq.inward()
+            for targets in (None, [0, 8], [5]):
+                got = PosteriorSampler(cq, seed=root + 1, targets=targets).sample(count)
+                want = eager_sample(PosteriorSampler(cq, seed=root + 1, targets=targets), count)
+                assert got.shape[0] == count
+                np.testing.assert_array_equal(got, want)
+
+    def test_random_networks_every_root(self):
+        rng = np.random.default_rng(20261018)
+        compared = 0
+        for _ in range(40):
+            net = random_network(rng, max_vars=8, max_states=4)
+            ev = random_evidence(rng, net)
+            for root in range(CompiledQuery(net, ev).jtree.q):
+                cq = CompiledQuery(net, ev, root=root)
+                cq.inward()
+                if cq.evidence_log_probability() == float("-inf"):
+                    continue
+                for targets in (None, [int(rng.integers(len(net.ids)))]):
+                    got = PosteriorSampler(cq, seed=root, targets=targets).sample(300)
+                    want = eager_sample(PosteriorSampler(cq, seed=root, targets=targets), 300)
+                    np.testing.assert_array_equal(got, want)
+                    compared += 1
+        assert compared >= 80
 
 
 class TestPosteriorSampler:
