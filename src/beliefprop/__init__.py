@@ -27,10 +27,10 @@ from .model import (
     ValidationReport,
     Variable,
     Violation,
+    build_potentials,
     validate_network,
 )
 from .oracle import (
-    EnumerationSizeError,
     joint_table,
     oracle_log_probability,
     oracle_map,
@@ -42,7 +42,6 @@ from .propagation import (
     CompiledQuery,
     ImpossibleEvidenceError,
     SchedulingError,
-    build_potentials,
     compile_query,
     joint_score,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "Cpd",
     "CompiledQuery",
     "DiscreteNetwork",
-    "EnumerationSizeError",
     "EvidenceSet",
     "Factor",
     "FactorSizeError",

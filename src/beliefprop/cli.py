@@ -15,8 +15,10 @@ Evidence files map variable names to a state or a list of states:
 
 Exit codes: 0 success, 1 the model failed validation, 2 usage errors
 (bad flags or flag values, unreadable or malformed files, unknown
-names) and models whose junction tree has a cluster too wide to
-tabulate.  Impossible evidence is a result, not an error: commands
+names) and any table past the entry cap (``factor.MAX_TABLE_ENTRIES``):
+a junction tree cluster, the oracle's joint table under --oracle, or
+the sample output.  Each is refused before anything is printed.
+Impossible evidence is a result, not an error: commands
 report log_p_evidence=-inf and exit 0.
 Numeric output is printed with 10 significant digits; all output is
 deterministic for a given input (and seed, where one applies).
@@ -213,9 +215,12 @@ def cmd_logz(args) -> int:
     ev = _evidence(args, net)
     cq = CompiledQuery(net, ev)
     cq.inward()
-    _print_logp("", cq.evidence_log_probability())
-    if args.oracle:
-        _print_logp("oracle_", oracle_log_probability(net, ev))
+    log_p = cq.evidence_log_probability()
+    # the oracle may refuse an over-cap joint table: fail before printing
+    reference = oracle_log_probability(net, ev) if args.oracle else None
+    _print_logp("", log_p)
+    if reference is not None:
+        _print_logp("oracle_", reference)
     return 0
 
 

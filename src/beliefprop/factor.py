@@ -15,6 +15,13 @@ algebra methods build their results without re-scanning them: from
 valid operands only a product or a sum can leave double range, so
 ``multiply`` and ``marginalize_sum`` check their result for overflow and
 the other operations need no value check at all.
+
+One guard bounds every table whose size comes from the input: a table
+may hold at most ``MAX_TABLE_ENTRIES`` entries, counted as the product
+of its variables' cardinalities.  ``check_table_size`` raises
+``FactorSizeError`` before anything is allocated; ``multiply`` calls it
+on every product, and the engine, the oracle and the sampler call it
+where they plan a cluster, a joint table or a sample output.
 """
 
 from __future__ import annotations
@@ -25,19 +32,29 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-# Hard ceiling on the number of variables a single table may span.
-# Dense tables grow exponentially in the scope size; 25 binary variables
-# is already a 256 MB table, so anything larger is almost certainly a
-# mistake in how the caller decomposed the problem.
-DEFAULT_SCOPE_CAP = 25
+# Hard ceiling on the entries of any one table: 2^25 doubles is a
+# 256 MB table, so anything larger is almost certainly a mistake in how
+# the caller decomposed the problem.
+MAX_TABLE_ENTRIES = 1 << 25
 
 
 class FactorSizeError(ValueError):
-    """An operation would materialize a table over too many variables."""
+    """A table would hold more than ``MAX_TABLE_ENTRIES`` entries."""
 
 
-def _merged_scope(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sorted(set(a) | set(b)))
+def check_table_size(shape: Iterable[int], label: str) -> None:
+    """Raise FactorSizeError if a table of this shape would hold more
+    than ``MAX_TABLE_ENTRIES`` entries.
+
+    The shape must hold Python ints (numpy shapes and cardinalities do),
+    which cannot overflow, so the check is exact however large the
+    table would be; a count from outside is converted where it enters.
+    """
+    entries = math.prod(shape)
+    if entries > MAX_TABLE_ENTRIES:
+        raise FactorSizeError(
+            f"{label} has {entries} entries, cap is {MAX_TABLE_ENTRIES}"
+        )
 
 
 def _alignment_index(sub: tuple[int, ...], full: tuple[int, ...]) -> tuple:
@@ -110,19 +127,16 @@ class Factor:
 
     # -- algebra -------------------------------------------------------
 
-    def multiply(self, other: "Factor", max_scope: int = DEFAULT_SCOPE_CAP) -> "Factor":
+    def multiply(self, other: "Factor") -> "Factor":
         """Pointwise product over the union scope (scales add)."""
-        scope = _merged_scope(self.scope, other.scope)
-        if len(scope) > max_scope:
-            raise FactorSizeError(
-                f"product scope has {len(scope)} variables, cap is {max_scope}"
-            )
-        for u in set(self.scope) & set(other.scope):
-            if self.card(u) != other.card(u):
+        cards = dict(zip(self.scope, self.values.shape))
+        for u, d in zip(other.scope, other.values.shape):
+            if cards.setdefault(u, d) != d:
                 raise ValueError(
-                    f"cardinality mismatch for variable {u}: "
-                    f"{self.card(u)} vs {other.card(u)}"
+                    f"cardinality mismatch for variable {u}: {cards[u]} vs {d}"
                 )
+        check_table_size(cards.values(), "product table")
+        scope = tuple(sorted(cards))
         a = self.values[_alignment_index(self.scope, scope)]
         b = other.values[_alignment_index(other.scope, scope)]
         values = a * b
@@ -239,9 +253,9 @@ def _trusted(scope: tuple[int, ...], values, log_scale: float) -> Factor:
 _UNIT = Factor.unit()
 
 
-def product(factors: Iterable[Factor], max_scope: int = DEFAULT_SCOPE_CAP) -> Factor:
+def product(factors: Iterable[Factor]) -> Factor:
     """Multiply a sequence of factors; the empty product is the scalar 1."""
     out = _UNIT
     for f in factors:
-        out = out.multiply(f, max_scope=max_scope)
+        out = out.multiply(f)
     return out

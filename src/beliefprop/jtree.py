@@ -80,27 +80,6 @@ class JunctionTree:
             raise JunctionTreeError(f"({i}, {j}) is not a tree edge")
         return self.clusters[i] & self.clusters[j]
 
-    def path(self, i: int, j: int) -> list[int]:
-        """Cluster indices from i to j inclusive (unique in a tree)."""
-        if i == j:
-            return [i]
-        parent: dict[int, int] = {i: i}
-        frontier = [i]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for b in self.neighbors(a):
-                    if b not in parent:
-                        parent[b] = a
-                        nxt.append(b)
-            frontier = nxt
-        if j not in parent:
-            raise JunctionTreeError(f"no path between clusters {i} and {j}")
-        out = [j]
-        while out[-1] != i:
-            out.append(parent[out[-1]])
-        return list(reversed(out))
-
     def side_of(self, i: int, j: int) -> frozenset[int]:
         """Clusters in the component of i when edge (i, j) is removed."""
         if not self.is_edge(i, j):

@@ -320,3 +320,22 @@ class EvidenceSet:
 
     def permits(self, u: int, state: int) -> bool:
         return u not in self.allowed or state in self.allowed[u]
+
+
+def build_potentials(net: DiscreteNetwork, evidence: EvidenceSet) -> dict[int, Factor]:
+    """One factor per variable: its CPD with the child's disallowed states
+    zeroed.
+
+    Each variable's indicator is applied exactly once, in its own
+    potential, never where the variable appears as a parent.  Products
+    over sets of potentials therefore carry each restriction once, and
+    a single potential restricted this way still matches the message
+    definitions entry for entry.
+    """
+    out: dict[int, Factor] = {}
+    for u in net.ids:
+        factor = net.cpd_factor(u)
+        if evidence.restricts(u):
+            factor = factor.restrict({u: evidence.allowed[u]})
+        out[u] = factor
+    return out

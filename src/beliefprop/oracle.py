@@ -6,54 +6,30 @@ maximize, or slice it.  The only shared machinery is the factor algebra
 and the model itself; none of the message-passing code is used, so the
 two paths can check each other.
 
-Enumeration is exponential, so table sizes are guarded: anything past
-MAX_TABLE_ENTRIES joint states is refused.
+Enumeration is exponential, so every table is planned before it is
+built: the joint table, or the table over a message's upstream and
+separator variables, must pass the factor module's one entry cap
+(``MAX_TABLE_ENTRIES``), or FactorSizeError is raised before anything
+is allocated.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .factor import Factor, product
+from .factor import Factor, check_table_size, product
 from .jtree import JunctionTree, edge_context
-from .model import DiscreteNetwork, EvidenceSet
-
-MAX_TABLE_ENTRIES = 10_000_000
-
-
-class EnumerationSizeError(ValueError):
-    """The requested table would exceed the enumeration guard."""
-
-
-def _guard(net: DiscreteNetwork, variables) -> None:
-    variables = list(variables)
-    entries = 1
-    for u in variables:
-        entries *= net.card(u)
-        if entries > MAX_TABLE_ENTRIES:
-            raise EnumerationSizeError(
-                f"joint table over {len(variables)} variables exceeds "
-                f"{MAX_TABLE_ENTRIES} entries"
-            )
-
-
-def _potentials(net: DiscreteNetwork, evidence: EvidenceSet) -> dict[int, Factor]:
-    # each variable's indicator applied once, on its own CPD only
-    out: dict[int, Factor] = {}
-    for u in net.ids:
-        factor = net.cpd_factor(u)
-        if evidence.restricts(u):
-            factor = factor.restrict({u: evidence.allowed[u]})
-        out[u] = factor
-    return out
+from .model import DiscreteNetwork, EvidenceSet, build_potentials
 
 
 def joint_table(net: DiscreteNetwork, evidence: EvidenceSet) -> Factor:
     """Unnormalized P(all variables, evidence) as one dense factor."""
     ids = sorted(net.ids)
-    _guard(net, ids)
-    pots = _potentials(net, evidence)
-    return product((pots[u] for u in ids), max_scope=len(ids)).expand(ids, net.cards)
+    check_table_size(
+        (net.card(u) for u in ids), f"joint table over {len(ids)} variables"
+    )
+    pots = build_potentials(net, evidence)
+    return product(pots[u] for u in ids).expand(ids, net.cards)
 
 
 def oracle_message(
@@ -63,12 +39,13 @@ def oracle_message(
     multiply the potentials of every variable assigned on the i side of
     the edge, then sum out those not in the separator."""
     ctx = edge_context(jt, i, j)
-    scope_bound = sorted(ctx.upstream | ctx.separator)
-    _guard(net, scope_bound)
-    pots = _potentials(net, evidence)
-    prod = product(
-        (pots[u] for u in sorted(ctx.upstream)), max_scope=max(len(scope_bound), 1)
+    scope_bound = ctx.upstream | ctx.separator
+    check_table_size(
+        (net.card(u) for u in scope_bound),
+        f"table over {len(scope_bound)} variables for message {i} -> {j}",
     )
+    pots = build_potentials(net, evidence)
+    prod = product(pots[u] for u in sorted(ctx.upstream))
     msg = prod.marginalize_sum(set(prod.scope) - ctx.separator)
     return msg.expand(sorted(ctx.separator), net.cards)
 

@@ -26,7 +26,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .factor import DEFAULT_SCOPE_CAP, Factor, FactorSizeError, product
+from .factor import Factor, check_table_size, product
 from .jtree import (
     InvalidJunctionTreeError,
     JunctionTree,
@@ -38,6 +38,7 @@ from .model import (
     DiscreteNetwork,
     EvidenceSet,
     InvalidNetworkError,
+    build_potentials,
     validate_network,
 )
 
@@ -52,25 +53,6 @@ class SchedulingError(RuntimeError):
 
 class ImpossibleEvidenceError(ValueError):
     """A conditional quantity was requested under zero-probability evidence."""
-
-
-def build_potentials(net: DiscreteNetwork, evidence: EvidenceSet) -> dict[int, Factor]:
-    """One factor per variable: its CPD with the child's disallowed states
-    zeroed.
-
-    Each variable's indicator is applied exactly once, in its own
-    potential, never where the variable appears as a parent.  Products
-    over sets of potentials therefore carry each restriction once, and
-    a single potential restricted this way still matches the message
-    definitions entry for entry.
-    """
-    out: dict[int, Factor] = {}
-    for u in net.ids:
-        factor = net.cpd_factor(u)
-        if evidence.restricts(u):
-            factor = factor.restrict({u: evidence.allowed[u]})
-        out[u] = factor
-    return out
 
 
 def joint_score(net: DiscreteNetwork, evidence: EvidenceSet, assignment: Mapping[int, int]) -> float:
@@ -100,9 +82,10 @@ class CompiledQuery:
     other cluster to its neighbour toward the root.  The two message
     stores (sum and max semiring) start empty; inward() and outward()
     fill them.  Marginal accessors require the messages they read to
-    exist and raise SchedulingError otherwise.  A tree with a cluster of
-    more than ``DEFAULT_SCOPE_CAP`` variables raises FactorSizeError
-    here, before any table is built.
+    exist and raise SchedulingError otherwise.  A tree with a cluster
+    of more than ``MAX_TABLE_ENTRIES`` entries (the product of its
+    variables' cardinalities) raises FactorSizeError here, before any
+    table is built.
     """
 
     def __init__(
@@ -129,13 +112,9 @@ class CompiledQuery:
             jtree = JunctionTree(jtree.clusters, jtree.edges, assign_clusters(net, jtree))
         # the readouts lay out whole cluster tables, so no query on a
         # cluster over the cap can finish
-        sizes = [len(c) for c in jtree.clusters]
-        width = max(sizes, default=0)
-        if width > DEFAULT_SCOPE_CAP:
-            raise FactorSizeError(
-                f"cluster {sizes.index(width)} has {width} variables, "
-                f"cap is {DEFAULT_SCOPE_CAP}"
-            )
+        cards = net.cards
+        for j, cluster in enumerate(jtree.clusters):
+            check_table_size((cards[u] for u in cluster), f"cluster {j}")
         self.jtree = jtree
         if not (0 <= root < jtree.q):
             raise ValueError(f"root cluster {root} out of range")

@@ -26,11 +26,12 @@ tables, in chronological or reverse order.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .factor import Factor
+from .factor import Factor, check_table_size
 from .hmm import ForwardBackward, HmmSpec, _emission_column, forward_backward
 from .propagation import CompiledQuery, ImpossibleEvidenceError
 
@@ -192,9 +193,12 @@ class PosteriorSampler:
 
     def sample(self, count: int) -> np.ndarray:
         """Draw ``count`` assignments; one row per draw, one column per
-        entry of ``self.variables`` (state indices)."""
+        entry of ``self.variables`` (state indices).  FactorSizeError when
+        the output would pass the table entry cap."""
+        count = operator.index(count)
         if count < 0:
             raise ValueError("count must be non-negative")
+        check_table_size((count, len(self._columns)), "sample output")
         cards = self.cq.net.cards
         out = np.zeros((count, len(self._columns)), dtype=np.int64)
         for table in self._plan:
@@ -267,11 +271,14 @@ def sample_hmm_path(
     "forward" starts at step 1 and walks ahead through the conditional
     transitions; "backward" starts at the final step and walks back.
     Both target the same smoothing posterior.  One uniform per path per
-    step, steps processed in walk order.
+    step, steps processed in walk order.  FactorSizeError when the
+    output would pass the table entry cap.
     """
     if direction not in ("forward", "backward"):
         raise ValueError(f"unknown direction {direction!r}")
     n = spec.horizon
+    count = operator.index(count)
+    check_table_size((count, n), "sample output")
     fb = forward_backward(spec, y)
     rng = np.random.Generator(np.random.PCG64(seed))
     paths = np.zeros((count, n), dtype=np.int64)

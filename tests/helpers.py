@@ -96,6 +96,29 @@ def random_evidence(rng: np.random.Generator, net: DiscreteNetwork,
 # -- reference implementations for the linear-time validators -------------
 
 
+def path(jt: JunctionTree, i: int, j: int) -> list[int]:
+    """Cluster indices from i to j inclusive (unique in a tree), found by
+    a breadth-first walk from i."""
+    if i == j:
+        return [i]
+    parent: dict[int, int] = {i: i}
+    frontier = [i]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in jt.neighbors(a):
+                if b not in parent:
+                    parent[b] = a
+                    nxt.append(b)
+        frontier = nxt
+    if j not in parent:
+        raise ValueError(f"no path between clusters {i} and {j}")
+    out = [j]
+    while out[-1] != i:
+        out.append(parent[out[-1]])
+    return list(reversed(out))
+
+
 def pairwise_running_intersection(jt: JunctionTree) -> list[tuple[int, int, int]]:
     """Condition (2) checked the quadratic way, pair by pair.
 
@@ -109,7 +132,7 @@ def pairwise_running_intersection(jt: JunctionTree) -> list[tuple[int, int, int]
             inter = jt.clusters[i] & jt.clusters[j]
             if not inter:
                 continue
-            for k in jt.path(i, j):
+            for k in path(jt, i, j):
                 if not inter <= jt.clusters[k]:
                     out.append((i, j, k))
                     break

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from beliefprop.cli import load_network, network_to_json
+from beliefprop.jtree import build_junction_tree
 
 NET = "pedigree.json"
 EV = "ped_ev.json"
@@ -309,29 +310,80 @@ class TestLoader:
         ]
 
 
+def _write_model(path, variables, cpds):
+    path.write_text(json.dumps({"variables": variables, "cpds": cpds}))
+    return str(path)
+
+
+def all_pairs_model(path, n, card):
+    """Roots X0..X{n-1} with ``card`` states and one binary child per pair
+    of roots: moralizing joins every pair of roots, so the tree has one
+    cluster of all n roots."""
+    roots = [f"X{i}" for i in range(n)]
+    states = [str(s) for s in range(card)]
+    variables = [{"name": r, "states": states} for r in roots]
+    cpds = [{"child": r, "parents": [], "table": [[1 / card] * card]} for r in roots]
+    for i in range(n):
+        for j in range(i + 1, n):
+            child = f"Y{i}_{j}"
+            variables.append({"name": child, "states": ["0", "1"]})
+            cpds.append({"child": child, "parents": [roots[i], roots[j]],
+                         "table": [[0.5, 0.5]] * card ** 2})
+    return _write_model(path, variables, cpds)
+
+
+def independent_model(path, n, card):
+    """n independent roots with ``card`` states each."""
+    states = [str(s) for s in range(card)]
+    variables = [{"name": f"X{i}", "states": states} for i in range(n)]
+    cpds = [{"child": f"X{i}", "parents": [], "table": [[1 / card] * card]}
+            for i in range(n)]
+    return _write_model(path, variables, cpds)
+
+
+def assert_one_usage_error(r, path, message):
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "Traceback" not in r.stderr
+    assert r.stderr.splitlines() == [f"error: {path}: {message}"]
+
+
 class TestWidth:
-    def test_over_cap_width_is_usage_error(self, tmp_path):
-        # roots X0..X26 and one child per pair of roots: moralizing joins
-        # every pair of roots, so the tree has a cluster of all 27
-        roots = [f"X{i}" for i in range(27)]
-        variables = [{"name": n, "states": ["0", "1"]} for n in roots]
-        cpds = [{"child": n, "parents": [], "table": [[0.5, 0.5]]} for n in roots]
-        for i in range(27):
-            for j in range(i + 1, 27):
-                child = f"Y{i}_{j}"
-                variables.append({"name": child, "states": ["0", "1"]})
-                cpds.append({"child": child, "parents": [roots[i], roots[j]],
-                             "table": [[0.5, 0.5]] * 4})
-        wide = tmp_path / "all_pairs.json"
-        wide.write_text(json.dumps({"variables": variables, "cpds": cpds}))
-        r = run_cli("logz", str(wide))
-        assert r.returncode == 2
-        assert r.stdout == ""
-        assert "Traceback" not in r.stderr
-        lines = r.stderr.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith(f"error: {wide}: cluster ")
-        assert lines[0].endswith("has 27 variables, cap is 25")
+    @pytest.mark.parametrize("n, card", [
+        pytest.param(27, 2, id="binary27"),
+        # under 25 variables, over 2^25 entries
+        pytest.param(16, 3, id="ternary16"),
+    ])
+    def test_over_cap_width_is_usage_error(self, tmp_path, n, card):
+        wide = all_pairs_model(tmp_path / "all_pairs.json", n, card)
+        net = load_network(wide)
+        roots = frozenset(net.by_name(f"X{i}").id for i in range(n))
+        cluster = build_junction_tree(net).clusters.index(roots)
+        r = run_cli("logz", wide)
+        assert_one_usage_error(
+            r, wide, f"cluster {cluster} has {card ** n} entries, cap is {1 << 25}"
+        )
+
+
+class TestSizeCap:
+    """Over-cap tables outside the engine's clusters are usage errors too,
+    refused before anything is printed or allocated.  The model has 16
+    independent ternary variables: tiny clusters, but a joint table of
+    3^16 > 2^25 entries."""
+
+    @pytest.mark.parametrize("args, message", [
+        pytest.param(["logz", "--oracle"],
+                     f"joint table over 16 variables has {3 ** 16} entries", id="logz-oracle"),
+        pytest.param(["marginals", "--oracle"],
+                     f"joint table over 16 variables has {3 ** 16} entries",
+                     id="marginals-oracle"),
+        pytest.param(["sample", "-n", "1000000000000000"],
+                     f"sample output has {16 * 10 ** 15} entries", id="sample-count"),
+    ])
+    def test_over_cap_is_one_usage_error(self, tmp_path, args, message):
+        model = independent_model(tmp_path / "indep16.json", 16, 3)
+        r = run_cli(args[0], model, *args[1:])
+        assert_one_usage_error(r, model, f"{message}, cap is {1 << 25}")
 
 
 class TestRoundTrip:

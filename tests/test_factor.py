@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from beliefprop.factor import Factor, FactorSizeError, product
+from beliefprop.factor import (
+    MAX_TABLE_ENTRIES,
+    Factor,
+    FactorSizeError,
+    check_table_size,
+    product,
+)
 from beliefprop.propagation import compile_query
 from beliefprop.sampling import sample_posterior
 
@@ -78,16 +84,37 @@ class TestMultiply:
             a * b
 
     def test_scope_cap(self):
-        # cap check runs before any allocation, so huge unions fail fast
+        # the entry check runs before any allocation, so huge products fail fast
         a = F(range(14), np.ones((2,) * 14))
         b = F(range(13, 27), np.ones((2,) * 14))
-        with pytest.raises(FactorSizeError):
+        with pytest.raises(
+            FactorSizeError,
+            match=f"product table has {1 << 27} entries, cap is {MAX_TABLE_ENTRIES}",
+        ):
             a.multiply(b)
-        c = F([0, 1], np.ones((2, 2)))
-        d = F([1, 2], np.ones((2, 2)))
-        with pytest.raises(FactorSizeError):
-            c.multiply(d, max_scope=2)
-        assert c.multiply(d, max_scope=3).scope == (0, 1, 2)
+        # 16 ternary variables: under 25 variables, over 2^25 entries
+        c = F(range(8), np.ones((3,) * 8))
+        d = F(range(8, 16), np.ones((3,) * 8))
+        with pytest.raises(FactorSizeError, match=f"has {3 ** 16} entries"):
+            product([c, d])
+        assert c.multiply(F([7, 8], np.ones((3, 3)))).scope == tuple(range(9))
+
+
+class TestCheckTableSize:
+    def test_cap_is_inclusive(self):
+        assert MAX_TABLE_ENTRIES == 1 << 25
+        check_table_size((2,) * 25, "t")
+        with pytest.raises(FactorSizeError, match=f"^t has {1 << 26} entries"):
+            check_table_size((2,) * 26, "t")
+
+    def test_scalar_and_empty_axis_pass(self):
+        check_table_size((), "t")
+        check_table_size((0, 1 << 40), "t")
+
+    def test_counts_in_python_ints(self):
+        # int64 would wrap 2^40 * 2^40 to 0; the count must stay exact
+        with pytest.raises(FactorSizeError, match=f"has {1 << 80} entries"):
+            check_table_size((1 << 40, 1 << 40), "t")
 
 
 class TestMarginalize:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from conftest import PED_ASSIGNMENT, PED_CLUSTERS, PED_EDGES
-from helpers import pairwise_running_intersection, pedigree_network, random_network
+from helpers import pairwise_running_intersection, path, pedigree_network, random_network
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
@@ -127,8 +127,8 @@ class TestTreeQueries:
         assert jt.neighbors(2) == ()
 
     def test_path(self, ped_jtree):
-        assert ped_jtree.path(0, 6) == [0, 1, 3, 5, 6]
-        assert ped_jtree.path(2, 2) == [2]
+        assert path(ped_jtree, 0, 6) == [0, 1, 3, 5, 6]
+        assert path(ped_jtree, 2, 2) == [2]
 
     def test_side_of(self, ped_jtree):
         assert ped_jtree.side_of(1, 0) == frozenset({1, 2, 3, 4, 5, 6})
@@ -271,8 +271,8 @@ class TestValidatorAgainstPairwiseReference:
         net, _ = hmm.to_bayes_net(spec, [0] * 2000)
         jt = hmm.chain_junction_tree(spec)
 
-        def no_path(self, i, j):
-            raise AssertionError("validate_junction_tree walked a cluster path")
+        def no_walk(self, i, j):
+            raise AssertionError("validate_junction_tree walked the tree per edge")
 
-        monkeypatch.setattr(JunctionTree, "path", no_path)
+        monkeypatch.setattr(JunctionTree, "side_of", no_walk)
         assert validate_junction_tree(net, jt).ok

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from helpers import pedigree_evidence, pedigree_network
 
-from beliefprop.jtree import build_junction_tree
+from beliefprop.factor import FactorSizeError
+from beliefprop.jtree import JunctionTree, build_junction_tree
 from beliefprop.model import Cpd, DiscreteNetwork, EvidenceSet, Variable
 from beliefprop.oracle import (
-    EnumerationSizeError,
     joint_table,
     oracle_log_probability,
     oracle_map,
@@ -128,5 +128,22 @@ class TestSizeGuard:
         variables = [Variable(i, f"V{i}", ("a", "b", "c")) for i in range(n)]
         cpds = [Cpd(i, (), np.array([[0.2, 0.3, 0.5]])) for i in range(n)]
         net = DiscreteNetwork(variables, cpds)
-        with pytest.raises(EnumerationSizeError):
+        with pytest.raises(
+            FactorSizeError, match=f"joint table over {n} variables has {3 ** n} entries"
+        ):
             oracle_log_probability(net, EvidenceSet.none())
+
+    def test_large_message_refused(self):
+        # 16 ternary variables upstream of an empty separator: over 2^25
+        # entries with fewer than 25 variables
+        n = 16
+        variables = [Variable(i, f"V{i}", ("a", "b", "c")) for i in range(n + 1)]
+        cpds = [Cpd(i, (), np.array([[0.2, 0.3, 0.5]])) for i in range(n + 1)]
+        net = DiscreteNetwork(variables, cpds)
+        assignment = {i: 0 for i in range(n)} | {n: 1}
+        jt = JunctionTree((frozenset(range(n)), frozenset({n})), ((0, 1),), assignment)
+        with pytest.raises(
+            FactorSizeError,
+            match=f"table over {n} variables for message 0 -> 1 has {3 ** n} entries",
+        ):
+            oracle_message(net, EvidenceSet.none(), jt, 0, 1)

@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 from helpers import (
+    path,
     pedigree_evidence,
     pedigree_network,
     random_evidence,
     random_network,
 )
 
-from beliefprop.factor import DEFAULT_SCOPE_CAP, Factor, FactorSizeError
+import beliefprop
+from beliefprop import model, oracle
+from beliefprop.factor import MAX_TABLE_ENTRIES, Factor, FactorSizeError
 from beliefprop.jtree import InvalidJunctionTreeError, JunctionTree
 from beliefprop.model import Cpd, DiscreteNetwork, EvidenceSet, InvalidNetworkError, Variable
 from beliefprop.oracle import (
@@ -66,6 +69,11 @@ class TestPotentials:
         f4 = pots[3].linear()
         assert f4[:, :, 0].max() == 0 and f4[:, :, 1].max() == 0
         assert f4[:, :, 2].max() > 0
+
+    def test_one_builder_shared_with_the_oracle(self):
+        # the oracle builds its potentials with the same model function
+        assert build_potentials is model.build_potentials is beliefprop.build_potentials
+        assert oracle.build_potentials is model.build_potentials
 
     def test_no_evidence_is_plain_cpd(self):
         net = pedigree_network()
@@ -258,7 +266,7 @@ class TestSchedule:
             cq = CompiledQuery(ped_net_module, ped_ev_module, jtree=jt, root=root)
             assert set(cq.parent) == set(range(jt.q)) - {root}
             for j, parent in cq.parent.items():
-                assert parent == jt.path(j, root)[1]
+                assert parent == path(jt, j, root)[1]
             with pytest.raises(TypeError):
                 cq.parent[root] = 0
 
@@ -310,13 +318,22 @@ class TestConstruction:
             CompiledQuery(ped_net_module, ped_ev_module,
                           jtree=ped_jtree_module, root=99)
 
-    @pytest.mark.parametrize("wide_at", [0, 1])
-    def test_over_cap_cluster_fails_before_any_table(self, monkeypatch, wide_at):
-        n = DEFAULT_SCOPE_CAP + 1
+    @pytest.mark.parametrize(
+        "wide_at, n, card",
+        [
+            pytest.param(0, 26, 2, id="0"),
+            pytest.param(1, 26, 2, id="1"),
+            # under 25 variables, over 2^25 entries
+            pytest.param(0, 16, 3, id="ternary-0"),
+            pytest.param(1, 16, 3, id="ternary-1"),
+        ],
+    )
+    def test_over_cap_cluster_fails_before_any_table(self, monkeypatch, wide_at, n, card):
         k = n + wide_at  # one more variable for the narrow cluster
+        states = tuple("abc"[:card])
         net = DiscreteNetwork(
-            [Variable(i, f"V{i}", ("a", "b")) for i in range(k)],
-            [Cpd(i, (), np.array([[0.5, 0.5]])) for i in range(k)],
+            [Variable(i, f"V{i}", states) for i in range(k)],
+            [Cpd(i, (), np.full((1, card), 1 / card)) for i in range(k)],
         )
         wide = frozenset(range(n))
         if wide_at == 0:
@@ -324,13 +341,13 @@ class TestConstruction:
         else:
             jt = JunctionTree((frozenset({n}), wide), ((0, 1),))
 
-        def no_multiply(self, other, max_scope=DEFAULT_SCOPE_CAP):
-            raise AssertionError("a table was built before the width check")
+        def no_multiply(self, other):
+            raise AssertionError("a table was built before the size check")
 
         monkeypatch.setattr(Factor, "multiply", no_multiply)
         with pytest.raises(
             FactorSizeError,
-            match=f"cluster {wide_at} has {n} variables, cap is {DEFAULT_SCOPE_CAP}",
+            match=f"cluster {wide_at} has {card ** n} entries, cap is {MAX_TABLE_ENTRIES}",
         ):
             CompiledQuery(net, jtree=jt)
 

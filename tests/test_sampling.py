@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from helpers import (
     eager_sample,
+    path,
     pedigree_evidence,
     pedigree_network,
     random_evidence,
@@ -11,6 +12,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from beliefprop import hmm
+from beliefprop.factor import MAX_TABLE_ENTRIES, FactorSizeError
 from beliefprop.jtree import JunctionTree
 from beliefprop.model import Cpd, DiscreteNetwork, EvidenceSet, Variable
 from beliefprop.oracle import joint_table, oracle_posterior
@@ -45,7 +47,7 @@ class TestClusterConditional:
         for j in range(cq.jtree.q):
             if j == root:
                 continue
-            parent = cq.jtree.path(j, root)[1]
+            parent = path(cq.jtree, j, root)[1]
             sep = sorted(cq.jtree.separator(j, parent))
             # walk every separator assignment with positive mass
             sep_marg = cq.message(j, parent).linear()
@@ -71,7 +73,7 @@ class TestClusterConditional:
         net, ev = pedigree_network(), pedigree_evidence()
         root = cq.root
         j = next(k for k in range(cq.jtree.q) if k != root)
-        parent = cq.jtree.path(j, root)[1]
+        parent = path(cq.jtree, j, root)[1]
         sep = sorted(cq.jtree.separator(j, parent))
         sep_marg = cq.message(j, parent).linear()
         idx = np.unravel_index(int(np.argmax(sep_marg)), sep_marg.shape)
@@ -90,7 +92,7 @@ class TestClusterConditional:
         cq = ped_query
         root = cq.root
         j = next(k for k in range(cq.jtree.q) if k != root)
-        parent = cq.jtree.path(j, root)[1]
+        parent = path(cq.jtree, j, root)[1]
         sep = sorted(cq.jtree.separator(j, parent))
         sep_marg = cq.message(j, parent).linear()
         zeros = np.argwhere(sep_marg == 0.0)
@@ -229,6 +231,21 @@ class TestPosteriorSampler:
         c = PosteriorSampler(ped_query, seed=8).sample(50)
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("count", [10 ** 15, np.int64(1 << 62)])
+    def test_over_cap_count_fails_before_drawing(self, ped_query, count):
+        sampler = PosteriorSampler(ped_query, seed=7)
+        # counted exactly, even where int64 arithmetic would wrap
+        entries = int(count) * len(ped_query.net.ids)
+        with pytest.raises(
+            FactorSizeError,
+            match=f"sample output has {entries} entries, cap is {MAX_TABLE_ENTRIES}",
+        ):
+            sampler.sample(count)
+        # the refused call drew no uniforms
+        np.testing.assert_array_equal(
+            sampler.sample(50), PosteriorSampler(ped_query, seed=7).sample(50)
+        )
+
     def test_sample_posterior_wrapper(self, ped_query):
         ids, draws = sample_posterior(ped_query, seed=3, count=10)
         assert draws.shape == (10, len(ids))
@@ -310,10 +327,10 @@ class TestPosteriorSampler:
         net, ev = hmm.to_bayes_net(spec, y)
         jt = hmm.chain_junction_tree(spec)
 
-        def no_path(self, i, j):
-            raise AssertionError("sampling walked a cluster path")
+        def no_walk(self, i, j):
+            raise AssertionError("sampling walked the tree per edge")
 
-        monkeypatch.setattr(JunctionTree, "path", no_path)
+        monkeypatch.setattr(JunctionTree, "side_of", no_walk)
         cq = CompiledQuery(net, ev, jtree=jt)
         cq.inward()
         targets = [2 * i for i in range(2000)]
@@ -384,6 +401,13 @@ class TestHmmPathSampling:
         spec, y, _ = setup
         with pytest.raises(ValueError, match="direction"):
             sample_hmm_path(spec, y, "sideways")
+
+    def test_over_cap_count_refused(self, setup):
+        spec, y, _ = setup
+        with pytest.raises(
+            FactorSizeError, match=f"sample output has {10 ** 15 * spec.horizon} entries"
+        ):
+            sample_hmm_path(spec, y, count=10 ** 15)
 
     def test_marginals_match_smoothing(self, setup):
         spec, y, fb = setup
