@@ -16,8 +16,9 @@ Evidence files map variable names to a state or a list of states:
 Exit codes: 0 success, 1 the model failed validation, 2 usage errors
 (bad flags or flag values, unreadable or malformed files, unknown
 names) and any table past the entry cap (``factor.MAX_TABLE_ENTRIES``):
-a junction tree cluster, the oracle's joint table under --oracle, or
-the sample output.  Each is refused before anything is printed.
+a junction tree cluster, the oracle's joint table under --oracle, the
+sample output, or the hmm-demo horizon x states table.  Each is refused
+before anything is printed.
 Impossible evidence is a result, not an error: commands
 report log_p_evidence=-inf and exit 0.
 Numeric output is printed with 10 significant digits; all output is
@@ -210,14 +211,19 @@ def cmd_jtree(args) -> int:
     return 0
 
 
-def cmd_logz(args) -> int:
+def _inward_query(args) -> tuple[CompiledQuery, float]:
+    """The validated network and evidence of ``args``, compiled and
+    passed inward, with log P(evidence)."""
     net = _validated_network(args.network)
-    ev = _evidence(args, net)
-    cq = CompiledQuery(net, ev)
+    cq = CompiledQuery(net, _evidence(args, net))
     cq.inward()
-    log_p = cq.evidence_log_probability()
+    return cq, cq.evidence_log_probability()
+
+
+def cmd_logz(args) -> int:
+    cq, log_p = _inward_query(args)
     # the oracle may refuse an over-cap joint table: fail before printing
-    reference = oracle_log_probability(net, ev) if args.oracle else None
+    reference = oracle_log_probability(cq.net, cq.evidence) if args.oracle else None
     _print_logp("", log_p)
     if reference is not None:
         _print_logp("oracle_", reference)
@@ -266,18 +272,14 @@ def cmd_marginals(args) -> int:
 
 
 def cmd_map(args) -> int:
-    net = _validated_network(args.network)
-    ev = _evidence(args, net)
-    cq = CompiledQuery(net, ev)
-    cq.inward()
-    log_p = cq.evidence_log_probability()
+    cq, log_p = _inward_query(args)
     if log_p == float("-inf"):
         _print_logp("", log_p)
         return 0
     assignment, log_value = cq.map_assignment()
     print(f"map_log_joint={format_dec(log_value)}")
     for u in sorted(assignment):
-        var = net.variable(u)
+        var = cq.net.variable(u)
         print(f"{var.name}={var.states[assignment[u]]}")
     return 0
 
@@ -287,18 +289,15 @@ def cmd_sample(args) -> int:
         raise CliError("error: --count must be non-negative")
     if args.seed < 0:
         raise CliError("error: --seed must be non-negative")
-    net = _validated_network(args.network)
-    ev = _evidence(args, net)
-    cq = CompiledQuery(net, ev)
-    cq.inward()
-    if cq.evidence_log_probability() == float("-inf"):
-        _print_logp("", float("-inf"))
+    cq, log_p = _inward_query(args)
+    if log_p == float("-inf"):
+        _print_logp("", log_p)
         return 0
     ids, draws = sample_posterior(cq, seed=args.seed, count=args.count)
-    names = [net.variable(u).name for u in ids]
-    print(",".join(names))
+    variables = [cq.net.variable(u) for u in ids]
+    print(",".join(v.name for v in variables))
     for row in draws:
-        print(",".join(net.variable(u).states[s] for u, s in zip(ids, row)))
+        print(",".join(v.states[s] for v, s in zip(variables, row)))
     return 0
 
 
@@ -383,7 +382,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(str(exc), file=sys.stderr)
         return exc.exit_code
     except FactorSizeError as exc:
-        print(f"error: {args.network}: {exc}", file=sys.stderr)
+        # hmm-demo reads no model file, so it has no path to name
+        where = f"{args.network}: " if hasattr(args, "network") else ""
+        print(f"error: {where}{exc}", file=sys.stderr)
         return 2
 
 

@@ -110,10 +110,6 @@ class Factor:
     def card(self, u: int) -> int:
         return self.values.shape[self.scope.index(u)]
 
-    @property
-    def cards(self) -> dict[int, int]:
-        return {u: d for u, d in zip(self.scope, self.values.shape)}
-
     def linear(self) -> np.ndarray:
         """The represented table with the scale folded back in."""
         return self.values * math.exp(self.log_scale)

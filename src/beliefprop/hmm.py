@@ -26,6 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .factor import check_table_size
 from .jtree import JunctionTree
 from .model import Cpd, DiscreteNetwork, EvidenceSet, Variable
 
@@ -35,7 +36,8 @@ DEFAULT_COUNT_CUTOFF = 40
 @dataclass(frozen=True)
 class HmmSpec:
     """State space, initial distribution, transition matrix, Poisson
-    emission rates, and horizon length."""
+    emission rates, and horizon length.  FactorSizeError when the
+    horizon x states tables the sweeps keep would pass the entry cap."""
 
     states: tuple[str, ...]
     initial: tuple[float, ...]
@@ -56,6 +58,7 @@ class HmmSpec:
             raise ValueError("horizon must be at least 1")
         if len(self.initial) != k or len(self.rates) != k or len(self.transition) != k:
             raise ValueError("state-indexed fields must all have one entry per state")
+        check_table_size((self.horizon, k), "horizon x states table")
         if abs(sum(self.initial) - 1.0) > 1e-12:
             raise ValueError("initial distribution must sum to 1")
         for row in self.transition:

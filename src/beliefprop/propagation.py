@@ -14,13 +14,16 @@ underflow.  Both passes are iterative (explicit stacks), so tree depth
 is not limited by the interpreter's recursion limit.
 
 The same inward pass run in the max-sum semiring yields most-probable
-assignments: maximize instead of marginalize, then extend the root's
-argmax downward edge by edge.
+assignments: maximize instead of marginalize, then walk the query's one
+root-first order over ``cluster_rows`` (one row per separator
+assignment), taking the argmax of each row the walk reaches.  Posterior
+sampling walks the same order over the same layout of the sum tables.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
@@ -43,16 +46,39 @@ from .model import (
 )
 
 
-# children of each cluster, and a parent-before-child cluster order
-Schedule = tuple[Mapping[int, tuple[int, ...]], tuple[int, ...]]
-
-
 class SchedulingError(RuntimeError):
     """A message was requested before its prerequisites were computed."""
 
 
 class ImpossibleEvidenceError(ValueError):
     """A conditional quantity was requested under zero-probability evidence."""
+
+
+@dataclass(frozen=True)
+class ClusterRows:
+    """One cluster's table laid out for root-first decoding.
+
+    ``table * exp(log_scale)`` has one row per assignment of ``sep``, the
+    separator toward the query's root (empty at the root), and one column
+    per assignment of ``free``, the cluster's other variables, both
+    flattened in canonical order (ascending ids, last fastest).
+    """
+
+    cluster: int
+    sep: tuple[int, ...]
+    sep_shape: tuple[int, ...]
+    free: tuple[int, ...]
+    free_shape: tuple[int, ...]
+    table: np.ndarray
+    log_scale: float
+
+    def row(self, states: Mapping[int, int | np.ndarray]):
+        """Row index of the separator assignment ``states`` (variable ->
+        state); elementwise when the states are integer arrays."""
+        flat = 0
+        for u, d in zip(self.sep, self.sep_shape):
+            flat = flat * d + states[u]
+        return flat
 
 
 def joint_score(net: DiscreteNetwork, evidence: EvidenceSet, assignment: Mapping[int, int]) -> float:
@@ -78,9 +104,10 @@ class CompiledQuery:
     """A network, evidence, and junction tree wired up for propagation.
 
     ``root`` fixes the one rooted schedule that inward(), outward(),
-    map_assignment() and the samplers all follow; ``parent`` maps every
-    other cluster to its neighbour toward the root.  The two message
-    stores (sum and max semiring) start empty; inward() and outward()
+    map_assignment() and the samplers all follow: ``order`` lists the
+    clusters parent before child (children by ascending index), and
+    ``parent`` maps every other cluster to its neighbour toward the root.
+    The two message stores (sum and max semiring) start empty; inward() and outward()
     fill them.  Marginal accessors require the messages they read to
     exist and raise SchedulingError otherwise.  A tree with a cluster
     of more than ``MAX_TABLE_ENTRIES`` entries (the product of its
@@ -119,9 +146,8 @@ class CompiledQuery:
         if not (0 <= root < jtree.q):
             raise ValueError(f"root cluster {root} out of range")
         self.root = root
-        self._schedules: dict[int, Schedule] = {}
-        children, order = self.rooted_children(root)
-        self.parent = MappingProxyType({k: j for j in order for k in children[j]})
+        children, self.order = self.rooted_children(root)
+        self.parent = MappingProxyType({k: j for j in self.order for k in children[j]})
         self.potentials = build_potentials(net, self.evidence)
         # variables of each cluster in ascending id order; a home out of
         # range (possible with validate=False) owns nothing
@@ -136,13 +162,8 @@ class CompiledQuery:
 
     # -- schedule ----------------------------------------------------------
 
-    def rooted_children(self, root: int) -> Schedule:
-        """Children map and a parent-before-child cluster order.
-
-        Computed once per root and returned read-only on later calls.
-        """
-        if root in self._schedules:
-            return self._schedules[root]
+    def rooted_children(self, root: int) -> tuple[Mapping[int, tuple[int, ...]], tuple[int, ...]]:
+        """Read-only children map and parent-before-child order from ``root``."""
         children: dict[int, tuple[int, ...]] = {}
         order: list[int] = []
         seen = {root}
@@ -155,20 +176,16 @@ class CompiledQuery:
             seen.update(kids)
             # reversed so the lowest-index child is processed first
             stack.extend(reversed(kids))
-        schedule = (MappingProxyType(children), tuple(order))
-        self._schedules[root] = schedule
-        return schedule
+        return MappingProxyType(children), tuple(order)
 
     def inward(self, semiring: str = "sum") -> None:
         """Send messages from the leaves toward the root."""
-        _, order = self.rooted_children(self.root)
-        for j in reversed(order[1:]):
+        for j in reversed(self.order[1:]):
             self.compute_message(j, self.parent[j], semiring=semiring)
 
     def outward(self) -> None:
         """Send sum messages from the root back toward the leaves."""
-        _, order = self.rooted_children(self.root)
-        for j in order[1:]:
+        for j in self.order[1:]:
             self.compute_message(self.parent[j], j)
 
     def propagate(self) -> "CompiledQuery":
@@ -197,9 +214,9 @@ class CompiledQuery:
         the one from ``skip``, all from the ``semiring`` store.
 
         The one product behind every other quantity: messages (``skip``
-        is the receiver), cluster marginals (no ``skip``), the MAP
-        extension and the sampling conditionals (``skip`` is the parent
-        toward the root).
+        is the receiver), cluster marginals (no ``skip``), and the
+        MAP traceback and sampling conditionals (``skip`` is the parent
+        toward the root, through ``cluster_rows``).
         """
         pieces = [self.cluster_potentials[j]]
         for i in self.jtree.neighbors(j):
@@ -214,6 +231,21 @@ class CompiledQuery:
         return self.cluster_product(j, skip, semiring).expand(
             sorted(self.jtree.clusters[j]), self.net.cards
         )
+
+    def cluster_rows(self, j: int, semiring: str = "sum") -> ClusterRows:
+        """``cluster_table(j, parent, semiring)`` as rows over the separator
+        toward the root; a normalized sum row is P(free | separator, evidence)."""
+        parent = self.parent.get(j)
+        sep = tuple(sorted(self.jtree.separator(j, parent))) if parent is not None else ()
+        numer = self.cluster_table(j, parent, semiring)
+        free = tuple(u for u in numer.scope if u not in sep)
+        perm = [numer.scope.index(u) for u in (*sep, *free)]
+        sep_shape = tuple(numer.card(u) for u in sep)
+        free_shape = tuple(numer.card(u) for u in free)
+        table = numer.values.transpose(perm).reshape(
+            math.prod(sep_shape), math.prod(free_shape)
+        )
+        return ClusterRows(j, sep, sep_shape, free, free_shape, table, numer.log_scale)
 
     def compute_message(self, j: int, k: int, semiring: str = "sum") -> Factor:
         """Message along the directed edge j -> k.
@@ -274,41 +306,27 @@ class CompiledQuery:
     def map_assignment(self) -> tuple[dict[int, int], float]:
         """Most probable full assignment under the evidence.
 
-        Returns the assignment and log P(assignment, evidence).  Ties are
-        broken toward lower state indices (first maximum in the canonical
-        table order at the root and at every downward extension).
+        Returns the assignment, keyed in the order the walk over ``order``
+        fixes the variables, and log P(assignment, evidence).  Each cluster
+        takes the first maximum of the ``cluster_rows(j, "max")`` row its
+        separator picks, so ties go to lower state indices.
         """
         if not all(self.has_message(j, k, "max") for j, k in self.parent.items()):
             self.inward(semiring="max")
-        marginal = self.cluster_table(self.root, semiring="max")
-        peak = float(marginal.values.max())
+        root = self.cluster_rows(self.root, "max")
+        peak = float(root.table.max())
         if peak <= 0.0:
             raise ImpossibleEvidenceError(
                 "no assignment is consistent with the evidence"
             )
-        log_value = math.log(peak) + marginal.log_scale
+        log_value = math.log(peak) + root.log_scale
         assignment: dict[int, int] = {}
-        _extend_argmax(marginal, assignment)
-        children, order = self.rooted_children(self.root)
-        for j in order:
-            for k in children[j]:
-                _extend_argmax(self.cluster_table(k, j, "max"), assignment)
+        for j in self.order:
+            rows = root if j == self.root else self.cluster_rows(j, "max")
+            best = int(np.argmax(rows.table[rows.row(assignment)]))
+            for u, s in zip(rows.free, np.unravel_index(best, rows.free_shape)):
+                assignment[u] = int(s)
         return assignment, log_value
-
-
-def _extend_argmax(table: Factor, assignment: dict[int, int]) -> None:
-    """Fix the table's unassigned variables at their first maximum given
-    the assigned ones."""
-    free = [u for u in table.scope if u not in assignment]
-    if not free:
-        return
-    index = tuple(
-        assignment[u] if u in assignment else slice(None) for u in table.scope
-    )
-    sub = table.values[index]
-    flat = int(np.argmax(sub))
-    for u, s in zip(free, np.unravel_index(flat, sub.shape)):
-        assignment[u] = int(s)
 
 
 def compile_query(

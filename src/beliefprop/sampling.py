@@ -7,8 +7,10 @@ inward pass toward the query's root, the cluster conditionals
 
 are available in closed form, so a single sweep from the root assigns
 every variable.  Restricting the sweep to a subtree yields draws of any
-subset of variables at reduced cost.  Every parent comes from the
-query's one rooted schedule (``CompiledQuery.parent``).
+subset of variables at reduced cost.  The sweep is the MAP traceback's:
+it walks the query's one root-first order (``CompiledQuery.order``) over
+the same separator-row layout (``CompiledQuery.cluster_rows``), drawing
+from each row where the traceback takes its argmax.
 
 Randomness contract: numpy's PCG64 generator seeded with a caller
 64-bit seed.  For each visited cluster, in a fixed root-first order
@@ -33,7 +35,7 @@ import numpy as np
 
 from .factor import Factor, check_table_size
 from .hmm import ForwardBackward, HmmSpec, _emission_column, forward_backward
-from .propagation import CompiledQuery, ImpossibleEvidenceError
+from .propagation import ClusterRows, CompiledQuery, ImpossibleEvidenceError
 
 _CHUNK = 1 << 16
 
@@ -50,29 +52,29 @@ def cluster_conditional(
 
     The separator is the one toward the query's root; for the root
     cluster it is empty and the result is the normalized root marginal.
-    The returned factor is a proper distribution over the free variables.
+    The returned factor is a proper distribution over the free variables,
+    one row of ``cq.cluster_rows(j)`` normalized.
     """
-    parent = cq.parent.get(j)
-    sep = cq.jtree.separator(j, parent) if parent is not None else frozenset()
-    if set(sep_assignment) != set(sep):
+    layout = cq.cluster_rows(j)
+    if set(sep_assignment) != set(layout.sep):
         raise ValueError(
-            f"separator assignment must cover exactly {sorted(sep)}, "
+            f"separator assignment must cover exactly {list(layout.sep)}, "
             f"got {sorted(sep_assignment)}"
         )
-    numer = cq.cluster_table(j, parent)
-    index = tuple(
-        int(sep_assignment[u]) if u in sep_assignment else slice(None)
-        for u in numer.scope
-    )
-    free = tuple(u for u in numer.scope if u not in sep_assignment)
-    sub = np.asarray(numer.values[index], dtype=float)
-    total = float(sub.sum())
+    states = {u: int(s) for u, s in sep_assignment.items()}
+    for u, d in zip(layout.sep, layout.sep_shape):
+        # a flattened row index would carry an out-of-range state into
+        # a neighbouring row
+        if not 0 <= states[u] < d:
+            raise ValueError(f"state {states[u]} out of range for variable {u}")
+    row = layout.table[layout.row(states)]
+    total = float(row.sum())
     if total <= 0.0:
         raise SamplingConsistencyError(
             f"cluster {j} has zero conditional mass at separator "
             f"{dict(sep_assignment)}"
         )
-    return Factor(free, sub / total)
+    return Factor(layout.free, (row / total).reshape(layout.free_shape))
 
 
 def _row_cdfs(rows: np.ndarray) -> np.ndarray:
@@ -117,46 +119,25 @@ def _invert(cum: np.ndarray, pos: np.ndarray, u: np.ndarray) -> np.ndarray:
     return draws
 
 
-class _ClusterTable:
-    """One cluster laid out for sampling: ``table`` has one row per
-    flattened separator assignment and one column per flattened free
-    assignment (canonical order both ways).  No CDF is kept; at draw time
-    CDFs are built only for the rows the draws reach."""
-
-    def __init__(self, cq: CompiledQuery, j: int):
-        parent = cq.parent.get(j)
-        sep = sorted(cq.jtree.separator(j, parent)) if parent is not None else []
-        numer = cq.cluster_table(j, parent)
-        free = [u for u in numer.scope if u not in sep]
-        perm = [numer.scope.index(u) for u in [*sep, *free]]
-        sep_shape = tuple(numer.card(u) for u in sep)
-        free_shape = tuple(numer.card(u) for u in free)
-        self.table = numer.values.transpose(perm).reshape(
-            int(np.prod(sep_shape, dtype=int)), int(np.prod(free_shape, dtype=int))
+def _draw(layout: ClusterRows, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Flattened free assignment for each draw, given its separator row
+    and uniform.  CDFs are built only for the rows the draws reach."""
+    hit = np.zeros(layout.table.shape[0], dtype=bool)
+    hit[rows] = True
+    reached = np.flatnonzero(hit)
+    cum = _row_cdfs(layout.table[reached])
+    # a row with mass ends at exactly 1.0; a zero-mass row stays all zero
+    if np.any(cum[:, -1] < 1.0):
+        raise SamplingConsistencyError(
+            f"cluster {layout.cluster} reached with a zero-mass separator"
         )
-        self.cluster = j
-        self.sep = sep
-        self.free = free
-        self.free_shape = free_shape
-
-    def draw(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Flattened free assignment for each draw, given its separator
-        row and uniform."""
-        hit = np.zeros(self.table.shape[0], dtype=bool)
-        hit[rows] = True
-        reached = np.flatnonzero(hit)
-        cum = _row_cdfs(self.table[reached])
-        # a row with mass ends at exactly 1.0; a zero-mass row stays all zero
-        if np.any(cum[:, -1] < 1.0):
-            raise SamplingConsistencyError(
-                f"cluster {self.cluster} reached with a zero-mass separator"
-            )
-        return _invert(cum, (np.cumsum(hit) - 1)[rows], u)
+    return _invert(cum, (np.cumsum(hit) - 1)[rows], u)
 
 
 class PosteriorSampler:
-    """Reusable sampling state: compiled query, visit plan, laid-out
-    cluster tables, and the PCG64 generator."""
+    """Reusable sampling state: compiled query, visit plan (the needed
+    clusters' ``cluster_rows`` layouts in root-first order), and the
+    PCG64 generator."""
 
     def __init__(
         self,
@@ -183,8 +164,7 @@ class PosteriorSampler:
                     needed.add(j)
                     j = cq.parent[j]
             self.variables = tuple(targets)
-        _, order = cq.rooted_children(cq.root)
-        self._plan = [_ClusterTable(cq, j) for j in order if j in needed]
+        self._plan = [cq.cluster_rows(j) for j in cq.order if j in needed]
         covered = sorted(set().union(*(set(t.sep) | set(t.free) for t in self._plan)))
         self._columns = {u: idx for idx, u in enumerate(covered)}
         self._rng = np.random.Generator(np.random.PCG64(seed))
@@ -199,19 +179,18 @@ class PosteriorSampler:
         if count < 0:
             raise ValueError("count must be non-negative")
         check_table_size((count, len(self._columns)), "sample output")
-        cards = self.cq.net.cards
         out = np.zeros((count, len(self._columns)), dtype=np.int64)
-        for table in self._plan:
+        for layout in self._plan:
             uniforms = self._rng.random(count)
-            flat = np.zeros(count, dtype=np.int64)
-            for u in table.sep:
-                flat = flat * cards[u] + out[:, self._columns[u]]
+            rows = np.zeros(count, dtype=np.int64) + layout.row(
+                {u: out[:, self._columns[u]] for u in layout.sep}
+            )
             for lo in range(0, count, _CHUNK):
                 hi = min(lo + _CHUNK, count)
-                draws = table.draw(flat[lo:hi], uniforms[lo:hi])
-                if table.free:
-                    states = np.unravel_index(draws, table.free_shape)
-                    for u, vals in zip(table.free, states):
+                draws = _draw(layout, rows[lo:hi], uniforms[lo:hi])
+                if layout.free:
+                    states = np.unravel_index(draws, layout.free_shape)
+                    for u, vals in zip(layout.free, states):
                         out[lo:hi, self._columns[u]] = vals
         keep = [self._columns[u] for u in self.variables]
         return out[:, keep]
@@ -282,27 +261,15 @@ def sample_hmm_path(
     fb = forward_backward(spec, y)
     rng = np.random.Generator(np.random.PCG64(seed))
     paths = np.zeros((count, n), dtype=np.int64)
-
-    start_row = np.zeros(count, dtype=np.int64)
-
-    def draw_from(cdf_rows: np.ndarray, current: np.ndarray) -> np.ndarray:
-        u = rng.random(count)
-        return (cdf_rows[current] <= u[:, None]).sum(axis=1)
-
-    if direction == "forward":
-        start = fb.forward[0] * fb.backward[0]
-        if start.sum() <= 0:
-            raise ValueError("observations have probability zero")
-        paths[:, 0] = draw_from(_row_cdfs(start[None, :]), start_row)
-        for i in range(1, n):
-            cdf = _row_cdfs(forward_transition(spec, fb, y, i))
-            paths[:, i] = draw_from(cdf, paths[:, i - 1])
-    else:
-        start = fb.forward[n - 1] * fb.backward[n - 1]
-        if start.sum() <= 0:
-            raise ValueError("observations have probability zero")
-        paths[:, n - 1] = draw_from(_row_cdfs(start[None, :]), start_row)
-        for i in range(n - 1, 0, -1):
-            cdf = _row_cdfs(backward_transition(spec, fb, y, i))
-            paths[:, i - 1] = draw_from(cdf, paths[:, i])
+    walk = range(n) if direction == "forward" else range(n - 1, -1, -1)
+    start = fb.forward[walk[0]] * fb.backward[walk[0]]
+    if start.sum() <= 0:
+        raise ValueError("observations have probability zero")
+    first = np.zeros(count, dtype=np.int64)
+    paths[:, walk[0]] = _invert(_row_cdfs(start[None, :]), first, rng.random(count))
+    transition = forward_transition if direction == "forward" else backward_transition
+    for prev, i in zip(walk, walk[1:]):
+        # either conditional is indexed by the later of its two steps
+        cdf = _row_cdfs(transition(spec, fb, y, max(prev, i)))
+        paths[:, i] = _invert(cdf, paths[:, prev], rng.random(count))
     return paths

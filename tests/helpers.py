@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 
+import math
+
+from beliefprop.factor import Factor
 from beliefprop.jtree import JunctionTree
 from beliefprop.model import Cpd, DiscreteNetwork, EvidenceSet, Variable
+from beliefprop.propagation import CompiledQuery, ImpossibleEvidenceError
 from beliefprop.sampling import _CHUNK, PosteriorSampler, SamplingConsistencyError, _row_cdfs
 
 GENOTYPES = ("dd", "dD", "DD")
@@ -162,26 +166,60 @@ def eager_sample(sampler: PosteriorSampler, count: int) -> np.ndarray:
     """``sampler.sample(count)`` the eager way: every separator row's CDF
     is built up front, each draw gathers its whole row and counts the
     cells <= its uniform.  Consumes the sampler's generator the same way."""
-    cards = sampler.cq.net.cards
     out = np.zeros((count, len(sampler._columns)), dtype=np.int64)
-    for table in sampler._plan:
-        cum = _row_cdfs(table.table)
+    for layout in sampler._plan:
+        cum = _row_cdfs(layout.table)
         zero_row = cum[:, -1] < 1.0
         uniforms = sampler._rng.random(count)
-        flat = np.zeros(count, dtype=np.int64)
-        for u in table.sep:
-            flat = flat * cards[u] + out[:, sampler._columns[u]]
+        flat = np.zeros(count, dtype=np.int64) + layout.row(
+            {u: out[:, sampler._columns[u]] for u in layout.sep}
+        )
         for lo in range(0, count, _CHUNK):
             hi = min(lo + _CHUNK, count)
             rows = flat[lo:hi]
             if np.any(zero_row[rows]):
                 raise SamplingConsistencyError(
-                    f"cluster {table.cluster} reached with a zero-mass separator"
+                    f"cluster {layout.cluster} reached with a zero-mass separator"
                 )
             draws = (cum[rows] <= uniforms[lo:hi, None]).sum(axis=1)
-            if table.free:
-                states = np.unravel_index(draws, table.free_shape)
-                for u, vals in zip(table.free, states):
+            if layout.free:
+                states = np.unravel_index(draws, layout.free_shape)
+                for u, vals in zip(layout.free, states):
                     out[lo:hi, sampler._columns[u]] = vals
     keep = [sampler._columns[u] for u in sampler.variables]
     return out[:, keep]
+
+
+# -- reference implementation for the MAP traceback ------------------------
+
+
+def _extend_argmax(table: Factor, assignment: dict[int, int]) -> None:
+    """Fix the table's unassigned variables at their first maximum given
+    the assigned ones."""
+    free = [u for u in table.scope if u not in assignment]
+    if not free:
+        return
+    index = tuple(
+        assignment[u] if u in assignment else slice(None) for u in table.scope
+    )
+    sub = table.values[index]
+    flat = int(np.argmax(sub))
+    for u, s in zip(free, np.unravel_index(flat, sub.shape)):
+        assignment[u] = int(s)
+
+
+def argmax_traceback(cq: CompiledQuery) -> tuple[dict[int, int], float]:
+    """``cq.map_assignment()`` read from the whole max-semiring cluster
+    tables: the root's argmax, then each parent's children in turn
+    indexed by the variables assigned so far.  Needs the max messages."""
+    marginal = cq.cluster_table(cq.root, semiring="max")
+    peak = float(marginal.values.max())
+    if peak <= 0.0:
+        raise ImpossibleEvidenceError("no assignment is consistent with the evidence")
+    assignment: dict[int, int] = {}
+    _extend_argmax(marginal, assignment)
+    children, order = cq.rooted_children(cq.root)
+    for j in order:
+        for k in children[j]:
+            _extend_argmax(cq.cluster_table(k, j, "max"), assignment)
+    return assignment, math.log(peak) + marginal.log_scale

@@ -274,6 +274,17 @@ class TestHmmDemo:
         assert r.stdout == ""
         assert r.stderr.splitlines() == ["error: --seed must be non-negative"]
 
+    def test_over_cap_days_is_one_usage_error(self):
+        # the horizon x states table is refused before any is allocated
+        r = run_cli("hmm-demo", "--days", "1000000000000")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "Traceback" not in r.stderr
+        assert r.stderr.splitlines() == [
+            f"error: horizon x states table has {2 * 10 ** 12} entries, "
+            f"cap is {1 << 25}"
+        ]
+
 
 class TestLoader:
     def test_string_states_are_usage_error(self, tmp_path, net_path):

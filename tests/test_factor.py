@@ -54,7 +54,6 @@ class TestConstruction:
     def test_cards(self):
         f = F([1, 4], np.ones((2, 3)))
         assert f.card(1) == 2 and f.card(4) == 3
-        assert f.cards == {1: 2, 4: 3}
 
 
 class TestMultiply:

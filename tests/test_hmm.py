@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from beliefprop import hmm
+from beliefprop.factor import MAX_TABLE_ENTRIES, FactorSizeError
 from beliefprop.jtree import validate_junction_tree
 from beliefprop.model import validate_network
 from beliefprop.oracle import oracle_log_probability, oracle_posterior
@@ -40,6 +41,12 @@ class TestSpec:
                         (3.0, -0.5), 5)
         with pytest.raises(ValueError):
             hmm.precipitation_spec(0)
+
+    def test_horizon_over_the_table_cap(self):
+        # two states: the largest horizon is half the entry cap
+        hmm.precipitation_spec(MAX_TABLE_ENTRIES // 2)
+        with pytest.raises(FactorSizeError, match="horizon x states table"):
+            hmm.precipitation_spec(MAX_TABLE_ENTRIES // 2 + 1)
 
 
 class TestEmission:

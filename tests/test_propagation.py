@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from helpers import (
+    argmax_traceback,
     path,
     pedigree_evidence,
     pedigree_network,
@@ -13,7 +14,7 @@ from helpers import (
 import beliefprop
 from beliefprop import model, oracle
 from beliefprop.factor import MAX_TABLE_ENTRIES, Factor, FactorSizeError
-from beliefprop.jtree import InvalidJunctionTreeError, JunctionTree
+from beliefprop.jtree import InvalidJunctionTreeError, JunctionTree, build_junction_tree
 from beliefprop.model import Cpd, DiscreteNetwork, EvidenceSet, InvalidNetworkError, Variable
 from beliefprop.oracle import (
     joint_table,
@@ -215,6 +216,27 @@ class TestMostProbable:
             scores.add(joint_score(ped_net_module, ped_ev_module, assignment))
         assert len(scores) == 1
 
+    def test_traceback_matches_whole_table_reference(self, ped_net_module,
+                                                     ped_ev_module, ped_jtree_module):
+        # the walk over separator rows picks exactly what indexing the whole
+        # max-semiring cluster tables picks, at every root; the dict is keyed
+        # in the order the walk fixes the variables
+        cases = [(ped_net_module, ped_ev_module, ped_jtree_module)]
+        rng = np.random.default_rng(20261018)
+        for _ in range(40):
+            net = random_network(rng)
+            cases.append((net, random_evidence(rng, net), build_junction_tree(net)))
+        for net, ev, jt in cases:
+            for root in range(jt.q):
+                cq = CompiledQuery(net, ev, jtree=jt, root=root)
+                assignment, log_value = cq.map_assignment()
+                assert (assignment, log_value) == argmax_traceback(cq)
+                walk = []
+                for j in cq.order:
+                    up = jt.separator(j, cq.parent[j]) if j != root else frozenset()
+                    walk += sorted(jt.clusters[j] - up)
+                assert list(assignment) == walk
+
     def test_no_evidence_map_is_mode(self):
         net = pedigree_network()
         cq = CompiledQuery(net, EvidenceSet.none())
@@ -246,9 +268,7 @@ class TestSchedule:
     def test_cached_read_only_per_root(self, calibrated):
         jt = calibrated.jtree
         for root in range(jt.q):
-            schedule = calibrated.rooted_children(root)
-            assert calibrated.rooted_children(root) is schedule
-            children, order = schedule
+            children, order = calibrated.rooted_children(root)
             assert isinstance(order, tuple) and order[0] == root
             assert sorted(order) == list(range(jt.q))
             with pytest.raises(TypeError):

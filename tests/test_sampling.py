@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from helpers import (
@@ -25,7 +27,6 @@ from beliefprop.propagation import (
 from beliefprop.sampling import (
     PosteriorSampler,
     SamplingConsistencyError,
-    _ClusterTable,
     _invert,
     _row_cdfs,
     cluster_conditional,
@@ -66,6 +67,13 @@ class TestClusterConditional:
     def test_wrong_separator_assignment(self, ped_query):
         with pytest.raises(ValueError, match="separator"):
             cluster_conditional(ped_query, ped_query.root, {0: 0})
+
+    @pytest.mark.parametrize("state", [-1, 3])
+    def test_separator_state_out_of_range(self, ped_query, state):
+        j, parent = next(iter(ped_query.parent.items()))
+        sep = sorted(ped_query.jtree.separator(j, parent))
+        with pytest.raises(ValueError, match="out of range"):
+            cluster_conditional(ped_query, j, {u: state for u in sep})
 
     def test_matches_oracle_conditional(self, ped_query):
         # P(cluster | separator, evidence) against enumeration
@@ -128,14 +136,17 @@ class TestRowCdfs:
                           {0: 0, 1: 0, 2: 1})
         cq = CompiledQuery(DiscreteNetwork(variables, cpds), jtree=jt, root=1)
         cq.propagate()
-        table = _ClusterTable(cq, 0)
-        cum = _row_cdfs(table.table)
+        layout = cq.cluster_rows(0)
+        assert layout.sep == (1,) and layout.free == (0,)
+        cum = _row_cdfs(layout.table)
         np.testing.assert_array_equal(cum[0], [0.0, 0.0])
         assert cum[1, -1] == 1.0
         sampler = PosteriorSampler(cq, seed=0)
         assert [t.cluster for t in sampler._plan] == [1, 0]
         # force the root draw to B=0, the state upstream calls impossible
-        sampler._plan[0].table = np.array([[1.0, 0.0, 0.0, 0.0]])
+        sampler._plan[0] = dataclasses.replace(
+            sampler._plan[0], table=np.array([[1.0, 0.0, 0.0, 0.0]])
+        )
         with pytest.raises(SamplingConsistencyError):
             sampler.sample(5)
 

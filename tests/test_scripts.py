@@ -26,9 +26,21 @@ def test_pedigree_tables(args):
     assert r.stdout.splitlines()[0].startswith("P(evidence) = 1.632000000e-04 ")
 
 
-def test_hmm_posterior_demo():
-    r = run_script("hmm_posterior_demo.py", "--days", "20", "--samples", "2000")
+def _posterior_demo_gaps(*args):
+    r = run_script("hmm_posterior_demo.py", "--days", "20", "--samples", "2000", *args)
     assert r.returncode == 0, r.stderr
-    gap = re.search(r"^max \|fwd/bwd - tree\| += (\S+)$", r.stdout, re.MULTILINE)
-    assert gap is not None, r.stdout
-    assert float(gap.group(1)) <= 1e-12
+    gaps = dict(re.findall(r"^max \|fwd/bwd - (\w+)\| += (\S+)$", r.stdout, re.MULTILINE))
+    assert set(gaps) == {"tree", "sampled"}, r.stdout
+    return {name: float(gap) for name, gap in gaps.items()}
+
+
+def test_hmm_posterior_demo():
+    assert _posterior_demo_gaps()["tree"] <= 1e-12
+
+
+def test_hmm_posterior_demo_backward():
+    # backward path draws target the same smoothing posterior: 2000 draws
+    # put every day's frequency within a few standard errors (<= 0.012)
+    gaps = _posterior_demo_gaps("--direction", "backward")
+    assert gaps["tree"] <= 1e-12
+    assert gaps["sampled"] <= 0.06
