@@ -39,7 +39,7 @@ from .factor import FactorSizeError
 from .jtree import JunctionTree, build_junction_tree, validate_junction_tree
 from .model import Cpd, DiscreteNetwork, EvidenceSet, Variable, validate_network
 from .oracle import oracle_log_probability, oracle_posterior
-from .propagation import CompiledQuery, compile_query
+from .propagation import CompiledQuery
 from .sampling import sample_posterior
 
 
@@ -231,26 +231,23 @@ def cmd_logz(args) -> int:
 
 
 def cmd_marginals(args) -> int:
-    net = _validated_network(args.network)
-    ev = _evidence(args, net)
+    cq, log_p = _inward_query(args)
+    chosen = list(cq.net.variables)
     if args.var:
+        chosen = []
         for name in args.var:
             try:
-                net.by_name(name)
+                chosen.append(cq.net.by_name(name))
             except KeyError:
                 raise CliError(f"error: unknown variable {name!r}") from None
-        chosen = [net.by_name(name) for name in args.var]
-    else:
-        chosen = list(net.variables)
-    cq = compile_query(net, ev)
-    log_p = cq.evidence_log_probability()
     if log_p == float("-inf"):
         _print_logp("", log_p)
         return 0
+    cq.outward()
     rows = []
     for var in chosen:
         post = cq.variable_posterior(var.id)
-        reference = oracle_posterior(net, ev, var.id) if args.oracle else None
+        reference = oracle_posterior(cq.net, cq.evidence, var.id) if args.oracle else None
         for s, label in enumerate(var.states):
             row = [var.name, label, format_dec(float(post[s]))]
             if reference is not None:

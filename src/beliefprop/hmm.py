@@ -7,9 +7,14 @@ smoothing are done with the classic two sweeps:
     forward[i](s)  = P(S_i = s, Y_1..Y_i = y_1..y_i)
     backward[i](s) = P(Y_{i+1}..Y_n = y_{i+1}..y_n | S_i = s)
 
-with backward[n] = 1.  Both tables are kept renormalized to unit maximum
-per step, with the removed mass accumulated in a per-step log scale, so
-horizons of thousands of steps stay finite.
+with backward[n] = 1.  Both sweeps read one table per sequence, the
+(n x states) log pmfs from log_emissions; emission() and to_bayes_net's
+CPD rows read the same table.  Each step adds its emission row to the
+log of the propagated row and rescales to unit maximum, keeping the
+removed peak in the step's log scale.  So horizons of thousands of
+steps, and counts whose pmf underflows to 0 in every state, stay exact.
+The posterior chain's conditionals (forward_transition,
+backward_transition) are row normalizations of the same tables.
 
 The chain is also expressible as a Bayesian network (one node per S_i
 and Y_i, counts truncated to a finite domain), which lets the generic
@@ -21,6 +26,7 @@ pinned to H, P(H -> L) = 0.3, P(L -> H) = 0.1, rates 3.0 and 0.5.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -59,13 +65,14 @@ class HmmSpec:
         if len(self.initial) != k or len(self.rates) != k or len(self.transition) != k:
             raise ValueError("state-indexed fields must all have one entry per state")
         check_table_size((self.horizon, k), "horizon x states table")
-        if abs(sum(self.initial) - 1.0) > 1e-12:
-            raise ValueError("initial distribution must sum to 1")
-        for row in self.transition:
-            if len(row) != k or abs(sum(row) - 1.0) > 1e-12:
-                raise ValueError("transition rows must be distributions over states")
-        if any(r <= 0 for r in self.rates):
-            raise ValueError("emission rates must be positive")
+        # NaN fails every comparison, so the range tests also catch it
+        for p in (self.initial, *self.transition):
+            if len(p) != k or not all(0.0 <= x <= 1.0 for x in p) or abs(sum(p) - 1.0) > 1e-12:
+                raise ValueError(
+                    "initial and transition rows must be distributions over states"
+                )
+        if not all(0.0 < r < math.inf for r in self.rates):
+            raise ValueError("emission rates must be positive and finite")
 
     @property
     def n_states(self) -> int:
@@ -90,76 +97,86 @@ def precipitation_spec(n: int) -> HmmSpec:
     )
 
 
-def emission(spec: HmmSpec, s: int | str, k: int) -> float:
-    """Poisson pmf of count k under the rate of state s.
+def _counts(y: Sequence[int]) -> list[int]:
+    counts = []
+    for i, k in enumerate(y):
+        try:
+            counts.append(operator.index(k))
+        except TypeError:
+            raise ValueError(f"count {k!r} at step {i} is not an integer") from None
+    return counts
 
-    Computed in log space, so large counts give a finite (possibly zero)
-    probability instead of overflowing.
+
+def log_emissions(spec: HmmSpec, counts: Sequence[int]) -> np.ndarray:
+    """(len(counts), states) table of log Poisson pmfs, row i for counts[i].
+
+    Log space keeps counts far past 170 (where rate**k / k! overflows a
+    float) finite; a negative count has log pmf -inf.  ValueError naming
+    the step when a count is not an integer.
     """
-    if k < 0:
-        return 0.0
-    rate = spec.rates[spec.state_index(s)]
-    return math.exp(k * math.log(rate) - rate - math.lgamma(k + 1))
+    k = _counts(counts)
+    rates = np.asarray(spec.rates)
+    table = np.multiply.outer(np.asarray(k, dtype=float), np.log(rates)) - rates
+    table -= np.array([math.lgamma(c + 1) if c >= 0 else math.inf for c in k])[:, None]
+    return table
 
 
-def _emission_column(spec: HmmSpec, k: int) -> np.ndarray:
-    return np.array([emission(spec, s, k) for s in range(spec.n_states)])
+def emission(spec: HmmSpec, s: int | str, k: int) -> float:
+    """Poisson pmf of count k under the rate of state s: one entry of
+    log_emissions, exponentiated (zero when it underflows)."""
+    return math.exp(log_emissions(spec, [k])[0, spec.state_index(s)])
 
 
 @dataclass(frozen=True)
 class ForwardBackward:
-    """Scaled forward/backward tables: row i times exp(log scale i)."""
+    """Scaled forward/backward tables: row i times exp(log scale i); and
+    the log_emissions table both sweeps read."""
 
     forward: np.ndarray
     forward_log: np.ndarray
     backward: np.ndarray
     backward_log: np.ndarray
+    log_emissions: np.ndarray
 
 
-def _rescale(row: np.ndarray) -> tuple[np.ndarray, float]:
-    peak = float(row.max())
-    if peak <= 0.0:
-        return row, 0.0
-    return row / peak, math.log(peak)
-
-
-def forward(spec: HmmSpec, y: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Filtering sweep; returns the scaled table and per-step log scales."""
-    n = spec.horizon
-    if len(y) != n:
-        raise ValueError(f"expected {n} observations, got {len(y)}")
-    trans = np.asarray(spec.transition)
-    table = np.zeros((n, spec.n_states))
-    logs = np.zeros(n)
-    row = np.asarray(spec.initial) * _emission_column(spec, int(y[0]))
-    table[0], logs[0] = _rescale(row)
-    for i in range(1, n):
-        row = (table[i - 1] @ trans) * _emission_column(spec, int(y[i]))
-        table[i], shift = _rescale(row)
-        logs[i] = logs[i - 1] + shift
-    return table, logs
-
-
-def backward(spec: HmmSpec, y: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Smoothing sweep; returns the scaled table and per-step log scales."""
-    n = spec.horizon
-    if len(y) != n:
-        raise ValueError(f"expected {n} observations, got {len(y)}")
-    trans = np.asarray(spec.transition)
-    table = np.zeros((n, spec.n_states))
-    logs = np.zeros(n)
-    table[n - 1] = 1.0
-    for i in range(n - 2, -1, -1):
-        row = trans @ (_emission_column(spec, int(y[i + 1])) * table[i + 1])
-        table[i], shift = _rescale(row)
-        logs[i] = logs[i + 1] + shift
-    return table, logs
+def _fold(row: np.ndarray, log_e: np.ndarray) -> tuple[np.ndarray, float]:
+    """``row * exp(log_e)`` scaled to a unit maximum, and the log of the
+    peak removed; all zeros and -inf when the product is all zero.  The
+    caller enters np.errstate(divide="ignore") for zeros in ``row``."""
+    logs = np.log(row) + log_e
+    peak = float(logs.max())
+    if peak == -math.inf:
+        return np.zeros_like(row), peak
+    return np.exp(logs - peak), peak
 
 
 def forward_backward(spec: HmmSpec, y: Sequence[int]) -> ForwardBackward:
-    f, fl = forward(spec, y)
-    b, bl = backward(spec, y)
-    return ForwardBackward(f, fl, b, bl)
+    """Both sweeps over one log_emissions table.  Each step folds its
+    emission row in log space and keeps the removed peak in the step's
+    log scale, so a count whose pmf underflows in every state stays
+    exact."""
+    n = spec.horizon
+    if len(y) != n:
+        raise ValueError(f"expected {n} observations, got {len(y)}")
+    log_e = log_emissions(spec, y)
+    trans = np.asarray(spec.transition)
+    fwd, fwd_log = np.zeros((n, spec.n_states)), np.zeros(n)
+    bwd, bwd_log = np.ones((n, spec.n_states)), np.zeros(n)
+    with np.errstate(divide="ignore"):
+        fwd[0], fwd_log[0] = _fold(np.asarray(spec.initial), log_e[0])
+        for i in range(1, n):
+            fwd[i], shift = _fold(fwd[i - 1] @ trans, log_e[i])
+            fwd_log[i] = fwd_log[i - 1] + shift
+        for i in range(n - 2, -1, -1):
+            folded, shift = _fold(bwd[i + 1], log_e[i + 1])
+            row = trans @ folded
+            peak = row.max()
+            if peak > 0.0:
+                row /= peak
+                shift += math.log(peak)
+            bwd[i] = row
+            bwd_log[i] = bwd_log[i + 1] + shift
+    return ForwardBackward(fwd, fwd_log, bwd, bwd_log, log_e)
 
 
 def log_likelihood(fb: ForwardBackward, i: int = 0) -> float:
@@ -170,27 +187,35 @@ def log_likelihood(fb: ForwardBackward, i: int = 0) -> float:
     return math.log(total) + float(fb.forward_log[i]) + float(fb.backward_log[i])
 
 
-def posterior(
-    spec: HmmSpec, y: Sequence[int], i: int, fb: ForwardBackward | None = None
-) -> np.ndarray:
-    """P(S_i | all observations) for one 0-based step."""
-    if fb is None:
-        fb = forward_backward(spec, y)
-    row = fb.forward[i] * fb.backward[i]
-    total = row.sum()
-    if total <= 0.0:
-        raise ValueError("posterior undefined: observations have probability zero")
-    return row / total
-
-
 def posteriors(spec: HmmSpec, y: Sequence[int]) -> np.ndarray:
-    """All smoothing posteriors as an (n, states) table."""
+    """All smoothing posteriors P(S_i | all observations) as an
+    (n, states) table, row i for 0-based step i."""
     fb = forward_backward(spec, y)
     rows = fb.forward * fb.backward
     totals = rows.sum(axis=1, keepdims=True)
     if np.any(totals <= 0.0):
         raise ValueError("posterior undefined: observations have probability zero")
     return rows / totals
+
+
+def _normalized(rows: np.ndarray) -> np.ndarray:
+    sums = rows.sum(axis=1, keepdims=True)
+    return np.divide(rows, sums, out=np.zeros_like(rows), where=sums > 0)
+
+
+def forward_transition(spec: HmmSpec, fb: ForwardBackward, i: int) -> np.ndarray:
+    """P(S_i = s | S_{i-1} = r, all observations) with rows indexed by r,
+    for 0 < i < horizon.  Rows sum to one up to rounding; a row whose
+    state cannot explain the observations is zero."""
+    with np.errstate(divide="ignore"):
+        folded, _ = _fold(fb.backward[i], fb.log_emissions[i])
+    return _normalized(np.asarray(spec.transition) * folded)
+
+
+def backward_transition(spec: HmmSpec, fb: ForwardBackward, i: int) -> np.ndarray:
+    """P(S_{i-1} = r | S_i = s, all observations) with rows indexed by s,
+    for 0 < i < horizon.  Step i's emission is fixed by s, so it cancels."""
+    return _normalized((fb.forward[i - 1][:, None] * np.asarray(spec.transition)).T)
 
 
 def simulate(spec: HmmSpec, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -218,14 +243,13 @@ def to_bayes_net(
     n = spec.horizon
     if len(y) != n:
         raise ValueError(f"expected {n} observations, got {len(y)}")
-    if any(int(k) < 0 or int(k) > cutoff for k in y):
+    counts = _counts(y)
+    if any(k < 0 or k > cutoff for k in counts):
         raise ValueError(f"observations must lie within the count cutoff 0..{cutoff}")
     count_states = tuple(str(k) for k in range(cutoff + 1))
     variables: list[Variable] = []
     cpds: list[Cpd] = []
-    emission_rows = np.array(
-        [[emission(spec, s, k) for k in range(cutoff + 1)] for s in range(spec.n_states)]
-    )
+    emission_rows = np.exp(log_emissions(spec, range(cutoff + 1)).T, order="C")
     for i in range(n):
         s_id, y_id = 2 * i, 2 * i + 1
         variables.append(Variable(s_id, f"S{i + 1}", spec.states))
@@ -236,7 +260,7 @@ def to_bayes_net(
             cpds.append(Cpd(s_id, (2 * (i - 1),), np.asarray(spec.transition)))
         cpds.append(Cpd(y_id, (s_id,), emission_rows))
     net = DiscreteNetwork(variables, cpds)
-    evidence = EvidenceSet({2 * i + 1: {int(y[i])} for i in range(n)})
+    evidence = EvidenceSet({2 * i + 1: {counts[i]} for i in range(n)})
     return net, evidence
 
 

@@ -34,7 +34,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .factor import Factor, check_table_size
-from .hmm import ForwardBackward, HmmSpec, _emission_column, forward_backward
+from .hmm import HmmSpec, backward_transition, forward_backward, forward_transition
 from .propagation import ClusterRows, CompiledQuery, ImpossibleEvidenceError
 
 _CHUNK = 1 << 16
@@ -214,30 +214,6 @@ def sample_posterior(
 # -- chain models -----------------------------------------------------------
 
 
-def forward_transition(
-    spec: HmmSpec, fb: ForwardBackward, y: Sequence[int], i: int
-) -> np.ndarray:
-    """P(S_i = s | S_{i-1} = r, all observations) with rows indexed by r,
-    for 0 < i < horizon.  Rows sum to one up to rounding."""
-    e = _emission_column(spec, int(y[i]))
-    scale = math.exp(float(fb.backward_log[i] - fb.backward_log[i - 1]))
-    numer = np.asarray(spec.transition) * (e * fb.backward[i])[None, :] * scale
-    denom = fb.backward[i - 1][:, None]
-    return np.divide(numer, denom, out=np.zeros_like(numer), where=denom > 0)
-
-
-def backward_transition(
-    spec: HmmSpec, fb: ForwardBackward, y: Sequence[int], i: int
-) -> np.ndarray:
-    """P(S_{i-1} = r | S_i = s, all observations) with rows indexed by s,
-    for 0 < i < horizon."""
-    e = _emission_column(spec, int(y[i]))
-    scale = math.exp(float(fb.forward_log[i - 1] - fb.forward_log[i]))
-    numer = (np.asarray(spec.transition) * (e[None, :] * fb.forward[i - 1][:, None])).T * scale
-    denom = fb.forward[i][:, None]
-    return np.divide(numer, denom, out=np.zeros_like(numer), where=denom > 0)
-
-
 def sample_hmm_path(
     spec: HmmSpec,
     y: Sequence[int],
@@ -270,6 +246,6 @@ def sample_hmm_path(
     transition = forward_transition if direction == "forward" else backward_transition
     for prev, i in zip(walk, walk[1:]):
         # either conditional is indexed by the later of its two steps
-        cdf = _row_cdfs(transition(spec, fb, y, max(prev, i)))
+        cdf = _row_cdfs(transition(spec, fb, max(prev, i)))
         paths[:, i] = _invert(cdf, paths[:, prev], rng.random(count))
     return paths

@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from beliefprop import hmm
 from beliefprop.factor import MAX_TABLE_ENTRIES, FactorSizeError
@@ -9,11 +12,58 @@ from beliefprop.jtree import validate_junction_tree
 from beliefprop.model import validate_network
 from beliefprop.oracle import oracle_log_probability, oracle_posterior
 from beliefprop.propagation import CompiledQuery
+from beliefprop.sampling import sample_hmm_path
 
 
 @pytest.fixture(scope="module")
 def spec5():
     return hmm.precipitation_spec(5)
+
+
+def _log(p: float) -> float:
+    return math.log(p) if p > 0 else -math.inf
+
+
+def enumerate_log_space(spec, y):
+    """log P(y) and the smoothing posteriors by a log-space sum over every
+    state path, with the Poisson log pmf written out independently."""
+    n, k = len(y), spec.n_states
+    log_e = [[c * math.log(r) - r - math.lgamma(c + 1) for r in spec.rates] for c in y]
+    paths = list(itertools.product(range(k), repeat=n))
+    scores = np.array([
+        _log(spec.initial[path[0]]) + log_e[0][path[0]]
+        + sum(_log(spec.transition[path[i - 1]][path[i]]) + log_e[i][path[i]]
+              for i in range(1, n))
+        for path in paths
+    ])
+    peak = scores.max()
+    weights = np.exp(scores - peak)
+    post = np.zeros((n, k))
+    for path, w in zip(paths, weights):
+        post[np.arange(n), path] += w
+    return peak + math.log(weights.sum()), post / weights.sum()
+
+
+@st.composite
+def chain_cases(draw, max_horizon, max_count, max_rate, zero_transitions):
+    """A random chain spec and an observation sequence for it.  Initial
+    entries may be zero; transition entries only if ``zero_transitions``."""
+    k = draw(st.integers(2, 3))
+    n = draw(st.integers(1, max_horizon))
+
+    def distribution(low):
+        w = draw(st.lists(st.integers(low, 4), min_size=k, max_size=k).filter(any))
+        return tuple(x / sum(w) for x in w)
+
+    spec = hmm.HmmSpec(
+        tuple("ABC"[:k]),
+        distribution(0),
+        tuple(distribution(0 if zero_transitions else 1) for _ in range(k)),
+        tuple(draw(st.floats(0.1, max_rate)) for _ in range(k)),
+        n,
+    )
+    y = draw(st.lists(st.integers(0, max_count), min_size=n, max_size=n))
+    return spec, y
 
 
 class TestSpec:
@@ -41,6 +91,23 @@ class TestSpec:
                         (3.0, -0.5), 5)
         with pytest.raises(ValueError):
             hmm.precipitation_spec(0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("initial", (math.nan, 1.0)),
+        ("initial", (1.5, -0.5)),
+        ("transition", ((1.2, -0.2), (0.3, 0.7))),
+        ("transition", ((0.9, 0.1), (math.nan, 1.0))),
+        ("rates", (math.inf, 1.0)),
+        ("rates", (math.nan, 1.0)),
+    ])
+    def test_rejects_nan_negative_and_infinite_entries(self, field, value):
+        # NaN passes both `abs(sum - 1) > tol` and `r <= 0`; a negative
+        # entry can still sum to one
+        fields = dict(states=("L", "H"), initial=(0.0, 1.0),
+                      transition=((0.9, 0.1), (0.3, 0.7)), rates=(3.0, 0.5), horizon=3)
+        fields[field] = value
+        with pytest.raises(ValueError):
+            hmm.HmmSpec(**fields)
 
     def test_horizon_over_the_table_cap(self):
         # two states: the largest horizon is half the entry cap
@@ -71,11 +138,37 @@ class TestEmission:
         assert math.isfinite(hmm.log_likelihood(fb))
 
 
+    def test_table_is_log_pmf_per_step_and_state(self, spec5):
+        counts = [0, 4, 171, 2000]
+        want = [[k * math.log(r) - r - math.lgamma(k + 1) for r in (3.0, 0.5)]
+                for k in counts]
+        np.testing.assert_allclose(hmm.log_emissions(spec5, counts), want, rtol=1e-14)
+
+    def test_negative_count_is_impossible(self, spec5):
+        assert np.all(hmm.log_emissions(spec5, [-1]) == -math.inf)
+        assert hmm.emission(spec5, 0, -3) == 0.0
+
+    def test_fractional_counts_are_refused(self, spec5):
+        # truncating 1.7 to 1 would answer for other observations
+        spec = hmm.precipitation_spec(4)
+        with pytest.raises(ValueError, match="count 1.7 at step 1 is not an integer"):
+            hmm.posteriors(spec, [1, 1.7, 2, 3])
+        with pytest.raises(ValueError, match="count 0.5 at step 0"):
+            hmm.posteriors(spec, [0.5, 1.7, 2.2, 3.9])
+        with pytest.raises(ValueError, match="count 2.0 at step 2"):
+            hmm.to_bayes_net(spec, [0, 1, 2.0, 3])
+        with pytest.raises(ValueError, match="at step 3"):
+            sample_hmm_path(spec, [0, 1, 2, np.float64(3.0)])
+        # integer types of any kind are counts
+        hmm.posteriors(spec, np.array([0, 1, 2, 3], dtype=np.int32))
+        hmm.to_bayes_net(spec, [np.int64(0), 1, np.uint8(2), 3])
+
+
 class TestForwardBackward:
     def test_single_step(self):
         spec = hmm.precipitation_spec(1)
-        table, logs = hmm.forward(spec, [0])
-        lin = table[0] * math.exp(logs[0])
+        fb = hmm.forward_backward(spec, [0])
+        lin = fb.forward[0] * math.exp(fb.forward_log[0])
         np.testing.assert_allclose(lin, [0.0, math.exp(-0.5)], rtol=1e-12)
 
     def test_loglik_same_from_every_step(self, spec5):
@@ -98,12 +191,42 @@ class TestForwardBackward:
         assert table[0, 0] == 0.0 and table[0, 1] == 1.0
 
     def test_impossible_observations_raise(self):
-        # a count of 2000 has pmf 0.0 in both states
+        # a negative count has pmf 0 in every state
         spec = hmm.precipitation_spec(3)
         with pytest.raises(ValueError, match="probability zero"):
-            hmm.posteriors(spec, [0, 2000, 0])
-        with pytest.raises(ValueError, match="probability zero"):
-            hmm.posterior(spec, [0, 2000, 0], 1)
+            hmm.posteriors(spec, [0, -1, 0])
+
+    @pytest.mark.parametrize("y", [[0, 2000, 0], [2000, 0, 0], [5000, 3, 4000]])
+    def test_underflowing_counts_stay_exact(self, y):
+        # each of these counts has pmf 0.0 as a float in both states;
+        # the log-space steps keep log P(y) finite and exact
+        spec = hmm.precipitation_spec(3)
+        want_logz, want_post = enumerate_log_space(spec, y)
+        fb = hmm.forward_backward(spec, y)
+        for i in range(3):
+            assert hmm.log_likelihood(fb, i) == pytest.approx(want_logz, rel=1e-12)
+        np.testing.assert_allclose(hmm.posteriors(spec, y), want_post, rtol=0, atol=1e-9)
+
+    def test_path_after_underflowing_count_starts_at_h(self):
+        # the start is pinned to H, so every path must begin there even
+        # though a first count of 2000 favours L by thousands of nats
+        spec = hmm.precipitation_spec(3)
+        for direction in ("forward", "backward"):
+            paths = sample_hmm_path(spec, [2000, 0, 0], direction, seed=4, count=500)
+            assert np.all(paths[:, 0] == spec.state_index("H"))
+
+    @seed(20261018)
+    @settings(max_examples=150, deadline=None)
+    @given(chain_cases(max_horizon=5, max_count=10 ** 4, max_rate=50.0,
+                       zero_transitions=False))
+    def test_large_counts_match_log_space_enumeration(self, case):
+        # with every transition positive, each propagated row stays within
+        # a bounded ratio of its peak, so scaling loses no mass
+        spec, y = case
+        want_logz, want_post = enumerate_log_space(spec, y)
+        fb = hmm.forward_backward(spec, y)
+        assert hmm.log_likelihood(fb) == pytest.approx(want_logz, rel=1e-12)
+        np.testing.assert_allclose(hmm.posteriors(spec, y), want_post, rtol=0, atol=1e-9)
 
     def test_against_brute_force(self):
         # n = 3 keeps the enumerated table (2 * 41)^3 inside the oracle cap
@@ -113,11 +236,10 @@ class TestForwardBackward:
         want = oracle_log_probability(net, ev)
         fb = hmm.forward_backward(spec, y)
         assert hmm.log_likelihood(fb) == pytest.approx(want, rel=1e-12)
+        table = hmm.posteriors(spec, y)
         for i in range(3):
             np.testing.assert_allclose(
-                hmm.posterior(spec, y, i, fb),
-                oracle_posterior(net, ev, 2 * i),
-                rtol=0, atol=1e-12,
+                table[i], oracle_posterior(net, ev, 2 * i), rtol=0, atol=1e-12
             )
 
 
@@ -199,6 +321,25 @@ class TestChainTree:
         assert math.isfinite(logz)
         want = hmm.log_likelihood(hmm.forward_backward(spec, y))
         assert logz == pytest.approx(want, rel=1e-12)
+
+    @seed(20261018)
+    @settings(max_examples=40, deadline=None)
+    @given(chain_cases(max_horizon=60, max_count=40, max_rate=5.0,
+                       zero_transitions=True))
+    def test_engine_matches_forward_backward(self, case):
+        # rates up to 5 keep the Poisson tail past the count cutoff of 40
+        # below the CPD row-sum tolerance
+        spec, y = case
+        net, ev = hmm.to_bayes_net(spec, y)
+        cq = CompiledQuery(net, ev, jtree=hmm.chain_junction_tree(spec), root=0)
+        logz = cq.propagate().evidence_log_probability()
+        fb = hmm.forward_backward(spec, y)
+        assert logz == pytest.approx(hmm.log_likelihood(fb), rel=1e-12)
+        table = hmm.posteriors(spec, y)
+        for i in range(spec.horizon):
+            np.testing.assert_allclose(
+                cq.variable_posterior(2 * i), table[i], rtol=0, atol=1e-12
+            )
 
     def test_tree_posterior_equals_smoothing(self, spec5):
         y = [0, 2, 1, 4, 0]

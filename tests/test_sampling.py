@@ -387,14 +387,14 @@ def setup():
 class TestHmmPathSampling:
     def test_transition_rows_stochastic(self, setup):
         spec, y, fb = setup
-        from beliefprop.sampling import backward_transition, forward_transition
+        from beliefprop.hmm import backward_transition, forward_transition
 
         # a conditioning state is reachable exactly when its scaling-pass
         # entry is positive: backward for the forward walk, forward for
         # the backward walk
         for i in range(1, spec.horizon):
-            fwd = forward_transition(spec, fb, y, i).sum(axis=1)
-            bwd = backward_transition(spec, fb, y, i).sum(axis=1)
+            fwd = forward_transition(spec, fb, i).sum(axis=1)
+            bwd = backward_transition(spec, fb, i).sum(axis=1)
             for r in range(spec.n_states):
                 if fb.backward[i - 1][r] > 0:
                     assert fwd[r] == pytest.approx(1.0, abs=1e-12)
