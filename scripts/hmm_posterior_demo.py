@@ -2,7 +2,7 @@
 """Smoothing posteriors for the two-state precipitation chain, three ways.
 
 Simulates a trajectory, then computes P(state | all counts) per day by
-(a) the scaled forward/backward recursions, (b) two-pass propagation on
+(a) the log-space forward/backward recursions, (b) two-pass propagation on
 the chain cluster tree, and (c) empirical frequencies of exact posterior
 path draws.  Prints a per-day table and the worst disagreement between
 the three, which should be at rounding level for (a) vs (b) and at

@@ -2,19 +2,21 @@
 
 The chain S_1..S_n moves between discrete regimes and each day emits a
 count Y_i ~ Poisson(rate of the current regime).  Filtering and
-smoothing are done with the classic two sweeps:
+smoothing are done with the classic two sweeps, kept in log space:
 
-    forward[i](s)  = P(S_i = s, Y_1..Y_i = y_1..y_i)
-    backward[i](s) = P(Y_{i+1}..Y_n = y_{i+1}..y_n | S_i = s)
+    log_forward[i](s)  = log P(S_i = s, Y_1..Y_i = y_1..y_i)
+    log_backward[i](s) = log P(Y_{i+1}..Y_n = y_{i+1}..y_n | S_i = s)
 
-with backward[n] = 1.  Both sweeps read one table per sequence, the
+with log_backward[n] = 0.  Both sweeps read one table per sequence, the
 (n x states) log pmfs from log_emissions; emission() and to_bayes_net's
-CPD rows read the same table.  Each step adds its emission row to the
-log of the propagated row and rescales to unit maximum, keeping the
-removed peak in the step's log scale.  So horizons of thousands of
-steps, and counts whose pmf underflows to 0 in every state, stay exact.
-The posterior chain's conditionals (forward_transition,
-backward_transition) are row normalizations of the same tables.
+CPD rows read the same table.  Each step is one log-sum-exp over the
+log transition matrix, and no step rescales, so no mass is rounded
+away: horizons of thousands of steps, counts whose pmf underflows to 0
+in every state, and zero transition entries all stay exact.
+log_likelihood sums a row of the tables with logaddexp; posteriors and
+the posterior chain's conditionals (forward_transition,
+backward_transition) exponentiate log rows scaled to a unit maximum
+(unit_max_exp) and normalize each row.
 
 The chain is also expressible as a Bayesian network (one node per S_i
 and Y_i, counts truncated to a finite domain), which lets the generic
@@ -36,7 +38,9 @@ from .factor import check_table_size
 from .jtree import JunctionTree
 from .model import Cpd, DiscreteNetwork, EvidenceSet, Variable
 
-DEFAULT_COUNT_CUTOFF = 40
+COUNT_CUTOFF = 40
+# past this magnitude a count's log pmf leaves the float range
+MAX_COUNT = 10**305
 
 
 @dataclass(frozen=True)
@@ -101,9 +105,12 @@ def _counts(y: Sequence[int]) -> list[int]:
     counts = []
     for i, k in enumerate(y):
         try:
-            counts.append(operator.index(k))
+            c = operator.index(k)
         except TypeError:
             raise ValueError(f"count {k!r} at step {i} is not an integer") from None
+        if abs(c) > MAX_COUNT:
+            raise ValueError(f"count at step {i} is out of range (magnitude above 1e305)")
+        counts.append(c)
     return counts
 
 
@@ -112,7 +119,8 @@ def log_emissions(spec: HmmSpec, counts: Sequence[int]) -> np.ndarray:
 
     Log space keeps counts far past 170 (where rate**k / k! overflows a
     float) finite; a negative count has log pmf -inf.  ValueError naming
-    the step when a count is not an integer.
+    the step when a count is not an integer or its magnitude passes
+    MAX_COUNT.
     """
     k = _counts(counts)
     rates = np.asarray(spec.rates)
@@ -127,95 +135,87 @@ def emission(spec: HmmSpec, s: int | str, k: int) -> float:
     return math.exp(log_emissions(spec, [k])[0, spec.state_index(s)])
 
 
+def unit_max_exp(log_rows: np.ndarray) -> np.ndarray:
+    """exp of each row of ``log_rows`` (last axis) scaled to a unit
+    maximum; an all -inf row gives zeros."""
+    peak = log_rows.max(axis=-1, keepdims=True)
+    return np.exp(log_rows - np.where(peak > -math.inf, peak, 0.0))
+
+
 @dataclass(frozen=True)
 class ForwardBackward:
-    """Scaled forward/backward tables: row i times exp(log scale i); and
-    the log_emissions table both sweeps read."""
+    """The log forward and log backward tables, the log_emissions table
+    both sweeps read, and the log transition matrix."""
 
-    forward: np.ndarray
-    forward_log: np.ndarray
-    backward: np.ndarray
-    backward_log: np.ndarray
+    log_forward: np.ndarray
+    log_backward: np.ndarray
     log_emissions: np.ndarray
+    log_transition: np.ndarray
 
+    @property
+    def forward(self) -> np.ndarray:
+        """Forward rows scaled to a unit maximum."""
+        return unit_max_exp(self.log_forward)
 
-def _fold(row: np.ndarray, log_e: np.ndarray) -> tuple[np.ndarray, float]:
-    """``row * exp(log_e)`` scaled to a unit maximum, and the log of the
-    peak removed; all zeros and -inf when the product is all zero.  The
-    caller enters np.errstate(divide="ignore") for zeros in ``row``."""
-    logs = np.log(row) + log_e
-    peak = float(logs.max())
-    if peak == -math.inf:
-        return np.zeros_like(row), peak
-    return np.exp(logs - peak), peak
+    @property
+    def backward(self) -> np.ndarray:
+        """Backward rows scaled to a unit maximum."""
+        return unit_max_exp(self.log_backward)
 
 
 def forward_backward(spec: HmmSpec, y: Sequence[int]) -> ForwardBackward:
-    """Both sweeps over one log_emissions table.  Each step folds its
-    emission row in log space and keeps the removed peak in the step's
-    log scale, so a count whose pmf underflows in every state stays
-    exact."""
+    """Both sweeps over one log_emissions table, each step one
+    log-sum-exp over the log transition matrix."""
     n = spec.horizon
     if len(y) != n:
         raise ValueError(f"expected {n} observations, got {len(y)}")
     log_e = log_emissions(spec, y)
-    trans = np.asarray(spec.transition)
-    fwd, fwd_log = np.zeros((n, spec.n_states)), np.zeros(n)
-    bwd, bwd_log = np.ones((n, spec.n_states)), np.zeros(n)
     with np.errstate(divide="ignore"):
-        fwd[0], fwd_log[0] = _fold(np.asarray(spec.initial), log_e[0])
-        for i in range(1, n):
-            fwd[i], shift = _fold(fwd[i - 1] @ trans, log_e[i])
-            fwd_log[i] = fwd_log[i - 1] + shift
-        for i in range(n - 2, -1, -1):
-            folded, shift = _fold(bwd[i + 1], log_e[i + 1])
-            row = trans @ folded
-            peak = row.max()
-            if peak > 0.0:
-                row /= peak
-                shift += math.log(peak)
-            bwd[i] = row
-            bwd_log[i] = bwd_log[i + 1] + shift
-    return ForwardBackward(fwd, fwd_log, bwd, bwd_log, log_e)
+        log_init = np.log(spec.initial)
+        log_t = np.log(spec.transition)
+    fwd = np.empty((n, spec.n_states))
+    bwd = np.zeros((n, spec.n_states))
+    fwd[0] = log_init + log_e[0]
+    for i in range(1, n):
+        fwd[i] = np.logaddexp.reduce(fwd[i - 1][:, None] + log_t, axis=0) + log_e[i]
+    for i in range(n - 2, -1, -1):
+        bwd[i] = np.logaddexp.reduce(log_t + (log_e[i + 1] + bwd[i + 1]), axis=1)
+    return ForwardBackward(fwd, bwd, log_e, log_t)
+
+
+def _normalized(log_rows: np.ndarray) -> np.ndarray:
+    """Each row of exp(log_rows) divided by its sum; an all -inf row
+    stays zero."""
+    rows = unit_max_exp(log_rows)
+    sums = rows.sum(axis=1, keepdims=True)
+    return np.divide(rows, sums, out=np.zeros_like(rows), where=sums > 0)
 
 
 def log_likelihood(fb: ForwardBackward, i: int = 0) -> float:
     """log P(all observations), readable at any step i."""
-    total = float((fb.forward[i] * fb.backward[i]).sum())
-    if total <= 0.0:
-        return float("-inf")
-    return math.log(total) + float(fb.forward_log[i]) + float(fb.backward_log[i])
+    return float(np.logaddexp.reduce(fb.log_forward[i] + fb.log_backward[i]))
 
 
 def posteriors(spec: HmmSpec, y: Sequence[int]) -> np.ndarray:
     """All smoothing posteriors P(S_i | all observations) as an
     (n, states) table, row i for 0-based step i."""
     fb = forward_backward(spec, y)
-    rows = fb.forward * fb.backward
-    totals = rows.sum(axis=1, keepdims=True)
-    if np.any(totals <= 0.0):
+    if log_likelihood(fb) == -math.inf:
         raise ValueError("posterior undefined: observations have probability zero")
-    return rows / totals
-
-
-def _normalized(rows: np.ndarray) -> np.ndarray:
-    sums = rows.sum(axis=1, keepdims=True)
-    return np.divide(rows, sums, out=np.zeros_like(rows), where=sums > 0)
+    return _normalized(fb.log_forward + fb.log_backward)
 
 
 def forward_transition(spec: HmmSpec, fb: ForwardBackward, i: int) -> np.ndarray:
     """P(S_i = s | S_{i-1} = r, all observations) with rows indexed by r,
     for 0 < i < horizon.  Rows sum to one up to rounding; a row whose
     state cannot explain the observations is zero."""
-    with np.errstate(divide="ignore"):
-        folded, _ = _fold(fb.backward[i], fb.log_emissions[i])
-    return _normalized(np.asarray(spec.transition) * folded)
+    return _normalized(fb.log_transition + (fb.log_emissions[i] + fb.log_backward[i]))
 
 
 def backward_transition(spec: HmmSpec, fb: ForwardBackward, i: int) -> np.ndarray:
     """P(S_{i-1} = r | S_i = s, all observations) with rows indexed by s,
     for 0 < i < horizon.  Step i's emission is fixed by s, so it cancels."""
-    return _normalized((fb.forward[i - 1][:, None] * np.asarray(spec.transition)).T)
+    return _normalized((fb.log_forward[i - 1][:, None] + fb.log_transition).T)
 
 
 def simulate(spec: HmmSpec, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -230,12 +230,10 @@ def simulate(spec: HmmSpec, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return states, y.astype(int)
 
 
-def to_bayes_net(
-    spec: HmmSpec, y: Sequence[int], cutoff: int = DEFAULT_COUNT_CUTOFF
-) -> tuple[DiscreteNetwork, EvidenceSet]:
+def to_bayes_net(spec: HmmSpec, y: Sequence[int]) -> tuple[DiscreteNetwork, EvidenceSet]:
     """Express the chain and its observations as a network plus evidence.
 
-    Count domains are truncated to 0..cutoff; with the default cutoff the
+    Count domains are truncated to 0..COUNT_CUTOFF; for the demo rates the
     discarded tail mass is far below 1e-12 for the demo rates, so CPD
     rows still sum to one within tolerance.  Node ids interleave as
     S_1, Y_1, S_2, Y_2, ...
@@ -244,12 +242,12 @@ def to_bayes_net(
     if len(y) != n:
         raise ValueError(f"expected {n} observations, got {len(y)}")
     counts = _counts(y)
-    if any(k < 0 or k > cutoff for k in counts):
-        raise ValueError(f"observations must lie within the count cutoff 0..{cutoff}")
-    count_states = tuple(str(k) for k in range(cutoff + 1))
+    if any(k < 0 or k > COUNT_CUTOFF for k in counts):
+        raise ValueError(f"observations must lie within the count cutoff 0..{COUNT_CUTOFF}")
+    count_states = tuple(str(k) for k in range(COUNT_CUTOFF + 1))
     variables: list[Variable] = []
     cpds: list[Cpd] = []
-    emission_rows = np.exp(log_emissions(spec, range(cutoff + 1)).T, order="C")
+    emission_rows = np.exp(log_emissions(spec, range(COUNT_CUTOFF + 1)).T, order="C")
     for i in range(n):
         s_id, y_id = 2 * i, 2 * i + 1
         variables.append(Variable(s_id, f"S{i + 1}", spec.states))

@@ -330,8 +330,12 @@ def build_potentials(net: DiscreteNetwork, evidence: EvidenceSet) -> dict[int, F
     potential, never where the variable appears as a parent.  Products
     over sets of potentials therefore carry each restriction once, and
     a single potential restricted this way still matches the message
-    definitions entry for entry.
+    definitions entry for entry.  ValueError naming them when the
+    evidence restricts variable ids the network does not have.
     """
+    unknown = sorted(u for u in evidence.allowed if u not in net.cards)
+    if unknown:
+        raise ValueError(f"evidence names unknown variable ids {unknown}")
     out: dict[int, Factor] = {}
     for u in net.ids:
         factor = net.cpd_factor(u)

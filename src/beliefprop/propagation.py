@@ -329,12 +329,6 @@ class CompiledQuery:
         return assignment, log_value
 
 
-def compile_query(
-    net: DiscreteNetwork,
-    evidence: EvidenceSet | None = None,
-    jtree: JunctionTree | None = None,
-    root: int = 0,
-    validate: bool = True,
-) -> CompiledQuery:
+def compile_query(net: DiscreteNetwork, evidence: EvidenceSet | None = None) -> CompiledQuery:
     """Build a CompiledQuery and run both sum-product passes."""
-    return CompiledQuery(net, evidence, jtree=jtree, root=root, validate=validate).propagate()
+    return CompiledQuery(net, evidence).propagate()

@@ -21,7 +21,7 @@ stream therefore depends only on (tree, the query's root, targets,
 seed, count).
 
 The chain models in the hmm module get a direct implementation of the
-same idea (sample_hmm_path) working straight from the forward/backward
+same idea (sample_hmm_path) working straight from the log forward/backward
 tables, in chronological or reverse order.
 """
 
@@ -34,7 +34,13 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .factor import Factor, check_table_size
-from .hmm import HmmSpec, backward_transition, forward_backward, forward_transition
+from .hmm import (
+    HmmSpec,
+    backward_transition,
+    forward_backward,
+    forward_transition,
+    unit_max_exp,
+)
 from .propagation import ClusterRows, CompiledQuery, ImpossibleEvidenceError
 
 _CHUNK = 1 << 16
@@ -238,7 +244,7 @@ def sample_hmm_path(
     rng = np.random.Generator(np.random.PCG64(seed))
     paths = np.zeros((count, n), dtype=np.int64)
     walk = range(n) if direction == "forward" else range(n - 1, -1, -1)
-    start = fb.forward[walk[0]] * fb.backward[walk[0]]
+    start = unit_max_exp(fb.log_forward[walk[0]] + fb.log_backward[walk[0]])
     if start.sum() <= 0:
         raise ValueError("observations have probability zero")
     first = np.zeros(count, dtype=np.int64)

@@ -172,12 +172,12 @@ def test_c5_chain_tree_reproduces_forward_backward():
         for i in range(1, spec.horizon):
             np.testing.assert_allclose(
                 cq.message(i - 1, i).linear(),
-                fb.forward[i - 1] * math.exp(fb.forward_log[i - 1]),
+                np.exp(fb.log_forward[i - 1]),
                 rtol=1e-12,
             )
             np.testing.assert_allclose(
                 cq.message(i, i - 1).linear(),
-                fb.backward[i - 1] * math.exp(fb.backward_log[i - 1]),
+                np.exp(fb.log_backward[i - 1]),
                 rtol=1e-12,
             )
         post = hmm.posteriors(spec, y)

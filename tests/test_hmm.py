@@ -28,7 +28,8 @@ def enumerate_log_space(spec, y):
     """log P(y) and the smoothing posteriors by a log-space sum over every
     state path, with the Poisson log pmf written out independently."""
     n, k = len(y), spec.n_states
-    log_e = [[c * math.log(r) - r - math.lgamma(c + 1) for r in spec.rates] for c in y]
+    log_e = [[c * math.log(r) - r - math.lgamma(c + 1) if c >= 0 else -math.inf
+              for r in spec.rates] for c in y]
     paths = list(itertools.product(range(k), repeat=n))
     scores = np.array([
         _log(spec.initial[path[0]]) + log_e[0][path[0]]
@@ -37,6 +38,8 @@ def enumerate_log_space(spec, y):
         for path in paths
     ])
     peak = scores.max()
+    if peak == -math.inf:
+        return peak, None
     weights = np.exp(scores - peak)
     post = np.zeros((n, k))
     for path, w in zip(paths, weights):
@@ -45,9 +48,10 @@ def enumerate_log_space(spec, y):
 
 
 @st.composite
-def chain_cases(draw, max_horizon, max_count, max_rate, zero_transitions):
+def chain_cases(draw, max_horizon, max_count, max_rate, zero_transitions, min_count=0):
     """A random chain spec and an observation sequence for it.  Initial
-    entries may be zero; transition entries only if ``zero_transitions``."""
+    entries may be zero; transition entries only if ``zero_transitions``.
+    A negative ``min_count`` lets impossible observations in."""
     k = draw(st.integers(2, 3))
     n = draw(st.integers(1, max_horizon))
 
@@ -62,7 +66,7 @@ def chain_cases(draw, max_horizon, max_count, max_rate, zero_transitions):
         tuple(draw(st.floats(0.1, max_rate)) for _ in range(k)),
         n,
     )
-    y = draw(st.lists(st.integers(0, max_count), min_size=n, max_size=n))
+    y = draw(st.lists(st.integers(min_count, max_count), min_size=n, max_size=n))
     return spec, y
 
 
@@ -163,12 +167,22 @@ class TestEmission:
         hmm.posteriors(spec, np.array([0, 1, 2, 3], dtype=np.int32))
         hmm.to_bayes_net(spec, [np.int64(0), 1, np.uint8(2), 3])
 
+    def test_counts_past_float_range_are_refused(self, spec5):
+        # refused where counts enter, like a fractional count, instead of
+        # a bare OverflowError from the float conversion or log-gamma
+        spec = hmm.precipitation_spec(1)
+        for big in (10 ** 400, -(10 ** 400), hmm.MAX_COUNT + 1):
+            with pytest.raises(ValueError, match="count at step 0 is out of range"):
+                hmm.posteriors(spec, [big])
+        table = hmm.log_emissions(spec5, [hmm.MAX_COUNT, -hmm.MAX_COUNT])
+        assert np.all(np.isfinite(table[0])) and np.all(table[1] == -math.inf)
+
 
 class TestForwardBackward:
     def test_single_step(self):
         spec = hmm.precipitation_spec(1)
         fb = hmm.forward_backward(spec, [0])
-        lin = fb.forward[0] * math.exp(fb.forward_log[0])
+        lin = np.exp(fb.log_forward[0])
         np.testing.assert_allclose(lin, [0.0, math.exp(-0.5)], rtol=1e-12)
 
     def test_loglik_same_from_every_step(self, spec5):
@@ -180,7 +194,7 @@ class TestForwardBackward:
     def test_backward_terminal_is_one(self, spec5):
         fb = hmm.forward_backward(spec5, [0, 2, 1, 4, 0])
         np.testing.assert_array_equal(fb.backward[-1], [1.0, 1.0])
-        assert fb.backward_log[-1] == 0.0
+        np.testing.assert_array_equal(fb.log_backward[-1], [0.0, 0.0])
 
     def test_posteriors_rows_normalized(self, spec5):
         table = hmm.posteriors(spec5, [0, 2, 1, 4, 0])
@@ -215,18 +229,42 @@ class TestForwardBackward:
             paths = sample_hmm_path(spec, [2000, 0, 0], direction, seed=4, count=500)
             assert np.all(paths[:, 0] == spec.state_index("H"))
 
+    def test_zero_transitions_keep_mass_below_peak(self):
+        # the A and B paths never mix; after step 0 B's weight lies 999
+        # nats (below 1e-308) under A's until a count of 2000 lifts it
+        spec = hmm.HmmSpec(("A", "B"), (0.5, 0.5), ((1, 0), (0, 1)), (1.0, 1000.0), 2)
+        y = [0, 2000]
+        want_logz, want_post = enumerate_log_space(spec, y)
+        assert want_logz == pytest.approx(-1391.7069397300927, rel=1e-12)
+        fb = hmm.forward_backward(spec, y)
+        for i in range(2):
+            assert hmm.log_likelihood(fb, i) == pytest.approx(-1391.7069397300927, rel=1e-12)
+        table = hmm.posteriors(spec, y)
+        assert np.all(np.isfinite(table))
+        np.testing.assert_allclose(table, want_post, rtol=0, atol=1e-12)
+
     @seed(20261018)
     @settings(max_examples=150, deadline=None)
     @given(chain_cases(max_horizon=5, max_count=10 ** 4, max_rate=50.0,
-                       zero_transitions=False))
+                       zero_transitions=True, min_count=-1))
     def test_large_counts_match_log_space_enumeration(self, case):
-        # with every transition positive, each propagated row stays within
-        # a bounded ratio of its peak, so scaling loses no mass
+        # no sweep step rescales, so neither large counts nor zero
+        # transitions round mass away
         spec, y = case
         want_logz, want_post = enumerate_log_space(spec, y)
         fb = hmm.forward_backward(spec, y)
-        assert hmm.log_likelihood(fb) == pytest.approx(want_logz, rel=1e-12)
+        for i in range(spec.horizon):
+            assert hmm.log_likelihood(fb, i) == pytest.approx(want_logz, rel=1e-12)
+        if want_logz == -math.inf:
+            with pytest.raises(ValueError, match="probability zero"):
+                hmm.posteriors(spec, y)
+            return
         np.testing.assert_allclose(hmm.posteriors(spec, y), want_post, rtol=0, atol=1e-9)
+        steps = np.arange(spec.horizon)
+        for direction in ("forward", "backward"):
+            paths = sample_hmm_path(spec, y, direction, seed=0, count=200)
+            assert np.all(want_post[steps, paths] > 0)
+            assert np.all(np.asarray(spec.transition)[paths[:, :-1], paths[:, 1:]] > 0)
 
     def test_against_brute_force(self):
         # n = 3 keeps the enumerated table (2 * 41)^3 inside the oracle cap
@@ -304,10 +342,10 @@ class TestChainTree:
         fb = hmm.forward_backward(spec5, y)
         for i in range(1, 5):
             fwd = cq.message(i - 1, i).linear()
-            want_f = fb.forward[i - 1] * math.exp(fb.forward_log[i - 1])
+            want_f = np.exp(fb.log_forward[i - 1])
             np.testing.assert_allclose(fwd, want_f, rtol=1e-12)
             bwd = cq.message(i, i - 1).linear()
-            want_b = fb.backward[i - 1] * math.exp(fb.backward_log[i - 1])
+            want_b = np.exp(fb.log_backward[i - 1])
             np.testing.assert_allclose(bwd, want_b, rtol=1e-12)
 
     def test_long_chain_evidence_probability(self):

@@ -76,6 +76,16 @@ class TestPotentials:
         assert build_potentials is model.build_potentials is beliefprop.build_potentials
         assert oracle.build_potentials is model.build_potentials
 
+    def test_unknown_evidence_ids_refused(self):
+        # the engine and the oracle share the builder, so neither can
+        # report log P(evidence) = 0 for evidence on a missing variable
+        net = pedigree_network()
+        ev = EvidenceSet({999: {0}, 3: {2}, -1: {0}})
+        with pytest.raises(ValueError, match=r"unknown variable ids \[-1, 999\]"):
+            compile_query(net, ev)
+        with pytest.raises(ValueError, match=r"unknown variable ids \[-1, 999\]"):
+            oracle_log_probability(net, ev)
+
     def test_no_evidence_is_plain_cpd(self):
         net = pedigree_network()
         pots = build_potentials(net, EvidenceSet.none())
