@@ -4,6 +4,10 @@ The model is a three-generation pedigree over a biallelic locus.
 Genotype states are dd, dD, DD.  Founders draw from the Hardy-Weinberg
 prior with allele frequency P(d) = 0.8; each child receives one allele
 from each parent, chosen uniformly from that parent's pair.
+
+fixtures/pedigree_jtree.json is not written here: it pins the tree that
+`beliefprop jtree fixtures/pedigree.json --emit-json` prints, and the
+tests and CI compare the built tree against it byte for byte.
 """
 
 import json

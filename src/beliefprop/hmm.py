@@ -164,22 +164,31 @@ class ForwardBackward:
 
 
 def forward_backward(spec: HmmSpec, y: Sequence[int]) -> ForwardBackward:
-    """Both sweeps over one log_emissions table, each step one
-    log-sum-exp over the log transition matrix."""
+    """Both sweeps over one log_emissions table, each step one log-sum-exp
+    over the log transition matrix.  ValueError when log P(y) leaves the
+    float range."""
     n = spec.horizon
     if len(y) != n:
         raise ValueError(f"expected {n} observations, got {len(y)}")
     log_e = log_emissions(spec, y)
-    with np.errstate(divide="ignore"):
-        log_init = np.log(spec.initial)
-        log_t = np.log(spec.transition)
     fwd = np.empty((n, spec.n_states))
     bwd = np.zeros((n, spec.n_states))
-    fwd[0] = log_init + log_e[0]
-    for i in range(1, n):
-        fwd[i] = np.logaddexp.reduce(fwd[i - 1][:, None] + log_t, axis=0) + log_e[i]
-    for i in range(n - 2, -1, -1):
-        bwd[i] = np.logaddexp.reduce(log_t + (log_e[i + 1] + bwd[i + 1]), axis=1)
+    # an entry past -1.8e308 reads -inf, losing nothing unless every path
+    # does; then reachability tells an impossible y from a vanishing one
+    with np.errstate(divide="ignore", over="ignore"):
+        log_init = np.log(spec.initial)
+        log_t = np.log(spec.transition)
+        fwd[0] = log_init + log_e[0]
+        for i in range(1, n):
+            fwd[i] = np.logaddexp.reduce(fwd[i - 1][:, None] + log_t, axis=0) + log_e[i]
+        for i in range(n - 2, -1, -1):
+            bwd[i] = np.logaddexp.reduce(log_t + (log_e[i + 1] + bwd[i + 1]), axis=1)
+    if np.all(fwd[-1] == -math.inf):
+        reach = (log_init > -math.inf) & (log_e[0] > -math.inf)
+        for i in range(1, n):
+            reach = (reach @ (log_t > -math.inf)) & (log_e[i] > -math.inf)
+        if reach.any():
+            raise ValueError("log P(observations) leaves the float range (below -1.8e308)")
     return ForwardBackward(fwd, bwd, log_e, log_t)
 
 
@@ -205,14 +214,14 @@ def posteriors(spec: HmmSpec, y: Sequence[int]) -> np.ndarray:
     return _normalized(fb.log_forward + fb.log_backward)
 
 
-def forward_transition(spec: HmmSpec, fb: ForwardBackward, i: int) -> np.ndarray:
+def forward_transition(fb: ForwardBackward, i: int) -> np.ndarray:
     """P(S_i = s | S_{i-1} = r, all observations) with rows indexed by r,
     for 0 < i < horizon.  Rows sum to one up to rounding; a row whose
     state cannot explain the observations is zero."""
     return _normalized(fb.log_transition + (fb.log_emissions[i] + fb.log_backward[i]))
 
 
-def backward_transition(spec: HmmSpec, fb: ForwardBackward, i: int) -> np.ndarray:
+def backward_transition(fb: ForwardBackward, i: int) -> np.ndarray:
     """P(S_{i-1} = r | S_i = s, all observations) with rows indexed by s,
     for 0 < i < horizon.  Step i's emission is fixed by s, so it cancels."""
     return _normalized((fb.log_forward[i - 1][:, None] + fb.log_transition).T)

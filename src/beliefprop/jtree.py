@@ -8,20 +8,26 @@ parents) fits inside at least one cluster.  Clusters do not have to be
 maximal cliques of any triangulation; anything passing the validator is
 accepted.
 
-Condition (2) is checked in its equivalent per-variable form: the
-clusters holding any one variable form a connected subtree.  A
-violation names the variable and the holding clusters that are cut off
-from its lowest-index holder.
+Structure readers share a tree's holder index (``holders``: each
+variable's holding clusters, ascending) and its one rooted walk
+(``rooted``).  Condition (2) holds for a variable when all its holders
+but one have a holding parent in the walk from cluster 0; a violation
+names the holders cut off from the variable's lowest-index holder.
 
-Each variable is assigned to exactly one covering cluster; the built-in
-rule picks the smallest covering cluster, breaking ties by the lower
-cluster index.
+Min-fill pops (fill, vertex id) from a heap and skips stale entries;
+eliminating v rescores only v's neighbours and theirs, the only
+vertices whose fill can change.  Each variable is assigned to the
+smallest covering cluster, ties going to the lower cluster index.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+import heapq
+from collections import Counter
+from dataclasses import InitVar, dataclass
+from itertools import combinations
+from types import MappingProxyType
+from typing import Mapping
 
 from .model import DiscreteNetwork, ValidationReport, Violation
 
@@ -38,14 +44,16 @@ class InvalidJunctionTreeError(ValueError):
 
 @dataclass(frozen=True)
 class JunctionTree:
-    """Clusters, undirected edges (as (low, high) index pairs), and an
-    optional variable-to-cluster assignment."""
+    """Clusters, undirected edges (as (low, high) index pairs), an optional
+    variable-to-cluster assignment, and ``holders``: each held variable's
+    clusters, ascending (``_holders`` reuses those of equal clusters)."""
 
     clusters: tuple[frozenset[int], ...]
     edges: tuple[tuple[int, int], ...]
     assignment: Mapping[int, int] | None = None
+    _holders: InitVar[Mapping[int, tuple[int, ...]] | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _holders) -> None:
         clusters = tuple(frozenset(int(u) for u in c) for c in self.clusters)
         edges = tuple(
             (min(int(i), int(j)), max(int(i), int(j))) for i, j in self.edges
@@ -58,9 +66,16 @@ class JunctionTree:
             if 0 <= i < len(clusters) and 0 <= j < len(clusters) and i != j:
                 adj[i].append(j)
                 adj[j].append(i)
+        if _holders is None:
+            holders: dict[int, list[int]] = {}
+            for j, cluster in enumerate(clusters):
+                for u in cluster:
+                    holders.setdefault(u, []).append(j)
+            _holders = {u: tuple(js) for u, js in holders.items()}
         object.__setattr__(self, "clusters", clusters)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "assignment", assignment)
+        object.__setattr__(self, "holders", _holders)
         object.__setattr__(self, "_adj", {i: tuple(sorted(ns)) for i, ns in adj.items()})
         # every listed pair, self-loops and out-of-range ones included
         object.__setattr__(self, "_edge_set", frozenset(edges))
@@ -80,21 +95,32 @@ class JunctionTree:
             raise JunctionTreeError(f"({i}, {j}) is not a tree edge")
         return self.clusters[i] & self.clusters[j]
 
+    def rooted(self, root: int) -> tuple[Mapping[int, tuple[int, ...]], tuple[int, ...]]:
+        """Read-only children map and parent-before-child order from ``root``."""
+        children: dict[int, tuple[int, ...]] = {}
+        order: list[int] = []
+        seen = {root}
+        stack = [root]
+        while stack:
+            j = stack.pop()
+            order.append(j)
+            kids = tuple(k for k in self.neighbors(j) if k not in seen)
+            children[j] = kids
+            seen.update(kids)
+            # reversed so the lowest-index child is processed first
+            stack.extend(reversed(kids))
+        return MappingProxyType(children), tuple(order)
+
     def side_of(self, i: int, j: int) -> frozenset[int]:
-        """Clusters in the component of i when edge (i, j) is removed."""
+        """Clusters in the component of i when edge (i, j) is removed:
+        the subtree of i in the tree rooted at j."""
         if not self.is_edge(i, j):
             raise JunctionTreeError(f"({i}, {j}) is not a tree edge")
-        seen = {i}
-        frontier = [i]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for b in self.neighbors(a):
-                    if b not in seen and not (a == i and b == j):
-                        seen.add(b)
-                        nxt.append(b)
-            frontier = nxt
-        return frozenset(seen)
+        children, _ = self.rooted(j)
+        side = [i]
+        for a in side:
+            side.extend(children[a])
+        return frozenset(side)
 
 
 @dataclass(frozen=True)
@@ -118,11 +144,9 @@ def moral_graph(net: DiscreteNetwork) -> dict[int, set[int]]:
     """Undirected graph linking each variable to its whole family."""
     adj: dict[int, set[int]] = {u: set() for u in net.ids}
     for u in net.ids:
-        fam = sorted(net.family(u))
+        fam = net.family(u)
         for a in fam:
-            for b in fam:
-                if a != b:
-                    adj[a].add(b)
+            adj[a] |= fam - {a}
     return adj
 
 
@@ -132,38 +156,37 @@ def min_fill_cliques(adj: Mapping[int, set[int]]) -> list[frozenset[int]]:
     Ties are broken by the lower vertex id, so the result is a pure
     function of the graph.  Cliques that end up contained in another
     clique are dropped; the survivors are the maximal cliques of the
-    triangulation induced by the elimination.
+    triangulation induced by the elimination, in elimination order.
     """
     work = {u: set(ns) for u, ns in adj.items()}
-    cliques: list[frozenset[int]] = []
-    while work:
-        best = None
-        for u in sorted(work):
-            nbrs = sorted(work[u])
-            fill = 0
-            for i, a in enumerate(nbrs):
-                for b in nbrs[i + 1:]:
-                    if b not in work[a]:
-                        fill += 1
-            if best is None or fill < best[0]:
-                best = (fill, u)
-        _, v = best
-        nbrs = sorted(work[v])
-        cliques.append(frozenset([v, *nbrs]))
-        for i, a in enumerate(nbrs):
-            for b in nbrs[i + 1:]:
-                work[a].add(b)
-                work[b].add(a)
-        for a in nbrs:
-            work[a].discard(v)
-        del work[v]
-    maximal: list[frozenset[int]] = []
-    for c in cliques:
-        if any(c < other for other in cliques):
+
+    def fill(u: int) -> int:
+        nbrs = work[u]
+        # each missing edge is counted from both of its ends
+        return sum(len(nbrs - work[a]) - 1 for a in nbrs) // 2
+
+    score = {u: fill(u) for u in work}
+    heap = [(f, u) for u, f in score.items()]
+    heapq.heapify(heap)
+    eliminated: list[tuple[int, frozenset[int]]] = []
+    while heap:
+        f, v = heapq.heappop(heap)
+        if v not in work or score[v] != f:
             continue
-        if c not in maximal:
-            maximal.append(c)
-    return maximal
+        nbrs = work.pop(v)
+        eliminated.append((v, frozenset([v, *nbrs])))
+        touched = set(nbrs)
+        for a in nbrs:
+            work[a] |= nbrs
+            work[a] -= {a, v}
+            touched |= work[a]
+        for u in touched:
+            score[u] = fill(u)
+            heapq.heappush(heap, (score[u], u))
+    # a clique inside another equals some clique minus its own vertex
+    # (Blair & Peyton 1993); no two cliques share their own vertex
+    subsumed = {c - {v} for v, c in eliminated}
+    return [c for _, c in eliminated if c not in subsumed]
 
 
 def build_junction_tree(net: DiscreteNetwork) -> JunctionTree:
@@ -174,15 +197,11 @@ def build_junction_tree(net: DiscreteNetwork) -> JunctionTree:
     cluster holding everything.  The output carries the smallest-cluster
     variable assignment and passes validate_junction_tree.
     """
-    cliques = min_fill_cliques(moral_graph(net))
-    if not cliques:
-        cliques = [frozenset()]
-    q = len(cliques)
-    candidates = sorted(
-        (-len(cliques[i] & cliques[j]), i, j)
-        for i in range(q) for j in range(i + 1, q)
-    )
-    parent = list(range(q))
+    cliques = min_fill_cliques(moral_graph(net)) or [frozenset()]
+    bare = JunctionTree(tuple(cliques), ())
+    # separator size of every pair of clusters that share a variable
+    shared = Counter(e for js in bare.holders.values() for e in combinations(js, 2))
+    parent = list(range(bare.q))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -191,15 +210,17 @@ def build_junction_tree(net: DiscreteNetwork) -> JunctionTree:
         return x
 
     edges: list[tuple[int, int]] = []
-    for _, i, j in candidates:
+    # pairs sharing nothing weigh 0, so a part still apart joins cluster
+    # 0 through its lowest index, the first such pair in edge order
+    joins = sorted(shared, key=lambda e: (-shared[e], e))
+    for i, j in joins + [(0, j) for j in range(1, bare.q)]:
         ri, rj = find(i), find(j)
         if ri != rj:
             parent[ri] = rj
             edges.append((i, j))
-            if len(edges) == q - 1:
-                break
-    tree = JunctionTree(tuple(cliques), tuple(edges))
-    return JunctionTree(tree.clusters, tree.edges, assign_clusters(net, tree))
+    return JunctionTree(
+        bare.clusters, tuple(edges), assign_clusters(net, bare), _holders=bare.holders
+    )
 
 
 def assign_clusters(net: DiscreteNetwork, jt: JunctionTree) -> dict[int, int]:
@@ -208,17 +229,13 @@ def assign_clusters(net: DiscreteNetwork, jt: JunctionTree) -> dict[int, int]:
     out: dict[int, int] = {}
     for u in net.ids:
         fam = net.family(u)
-        best = None
-        for j, cluster in enumerate(jt.clusters):
-            if fam <= cluster:
-                key = (len(cluster), j)
-                if best is None or key < best:
-                    best = key
-        if best is None:
+        covering = [j for j in jt.holders.get(u, ()) if fam <= jt.clusters[j]]
+        if not covering:
             raise JunctionTreeError(
                 f"no cluster covers the family of variable {u} ({sorted(fam)})"
             )
-        out[u] = best[1]
+        # holders ascend, so min keeps the lower index among equal sizes
+        out[u] = min(covering, key=lambda j: len(jt.clusters[j]))
     return out
 
 
@@ -226,18 +243,15 @@ def validate_junction_tree(net: DiscreteNetwork, jt: JunctionTree) -> Validation
     """Check the tree/intersection/covering conditions plus, when an
     assignment is attached, that it maps families into their clusters.
 
-    The intersection condition is checked per variable: starting from
-    the lowest-index cluster holding it, a walk through holding clusters
-    only must reach every other holder.  Each variable that fails gives
-    one running-intersection violation naming it and the holders the
-    walk missed.  Each walk looks only at holders and their tree
-    neighbours, so no pair of clusters is ever compared along a path.
+    The tree spans when its walk rooted at cluster 0 reaches every
+    cluster.  A holder's top is its parent's top if the parent holds the
+    variable too, else itself; a variable whose holders have several
+    tops gives one running-intersection violation.
     """
     out: list[Violation] = []
     ids = set(net.ids)
     q = jt.q
 
-    holders: dict[int, list[int]] = {}
     for j, cluster in enumerate(jt.clusters):
         unknown = sorted(cluster - ids)
         if unknown:
@@ -245,8 +259,6 @@ def validate_junction_tree(net: DiscreteNetwork, jt: JunctionTree) -> Validation
                 Violation("unknown-variable", None,
                           f"cluster {j} references unknown variable ids {unknown}")
             )
-        for u in cluster:
-            holders.setdefault(u, []).append(j)
 
     tree_ok = True
     seen_edges: set[tuple[int, int]] = set()
@@ -269,36 +281,24 @@ def validate_junction_tree(net: DiscreteNetwork, jt: JunctionTree) -> Validation
             )
             tree_ok = False
         else:
-            reached = {0} if q else set()
-            frontier = [0] if q else []
-            while frontier:
-                nxt = []
-                for a in frontier:
-                    for b in jt.neighbors(a):
-                        if b not in reached:
-                            reached.add(b)
-                            nxt.append(b)
-                frontier = nxt
-            if len(reached) != q:
-                missing = sorted(set(range(q)) - reached)
+            children, order = jt.rooted(0)
+            if len(order) != q:
+                missing = sorted(set(range(q)) - set(order))
                 out.append(
                     Violation("tree", None, f"clusters {missing} are disconnected")
                 )
                 tree_ok = False
 
     if tree_ok:
-        for u in sorted(holders):
-            start = holders[u][0]
-            reached = {start}
-            stack = [start]
-            while stack:
-                a = stack.pop()
-                for b in jt.neighbors(a):
-                    if b not in reached and u in jt.clusters[b]:
-                        reached.add(b)
-                        stack.append(b)
-            if len(reached) < len(holders[u]):
-                missed = [j for j in holders[u] if j not in reached]
+        parent = {k: j for j in order for k in children[j]}
+        top: dict[tuple[int, int], int] = {}
+        for j in order:
+            for u in jt.clusters[j]:
+                top[j, u] = top.get((parent.get(j), u), j)
+        for u, holders in sorted(jt.holders.items()):
+            start = holders[0]
+            missed = [j for j in holders if top[j, u] != top[start, u]]
+            if missed:
                 out.append(
                     Violation(
                         "running-intersection", None,
@@ -309,7 +309,7 @@ def validate_junction_tree(net: DiscreteNetwork, jt: JunctionTree) -> Validation
 
     for u in sorted(ids):
         fam = net.family(u)
-        if not any(fam <= jt.clusters[j] for j in holders.get(u, ())):
+        if not any(fam <= jt.clusters[j] for j in jt.holders.get(u, ())):
             out.append(
                 Violation("covering", u,
                           f"no cluster covers the family {sorted(fam)} of "

@@ -164,19 +164,7 @@ class CompiledQuery:
 
     def rooted_children(self, root: int) -> tuple[Mapping[int, tuple[int, ...]], tuple[int, ...]]:
         """Read-only children map and parent-before-child order from ``root``."""
-        children: dict[int, tuple[int, ...]] = {}
-        order: list[int] = []
-        seen = {root}
-        stack = [root]
-        while stack:
-            j = stack.pop()
-            order.append(j)
-            kids = tuple(k for k in self.jtree.neighbors(j) if k not in seen)
-            children[j] = kids
-            seen.update(kids)
-            # reversed so the lowest-index child is processed first
-            stack.extend(reversed(kids))
-        return MappingProxyType(children), tuple(order)
+        return self.jtree.rooted(root)
 
     def inward(self, semiring: str = "sum") -> None:
         """Send messages from the leaves toward the root."""

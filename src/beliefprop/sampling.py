@@ -239,6 +239,8 @@ def sample_hmm_path(
         raise ValueError(f"unknown direction {direction!r}")
     n = spec.horizon
     count = operator.index(count)
+    if count < 0:
+        raise ValueError("count must be non-negative")
     check_table_size((count, n), "sample output")
     fb = forward_backward(spec, y)
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -252,6 +254,6 @@ def sample_hmm_path(
     transition = forward_transition if direction == "forward" else backward_transition
     for prev, i in zip(walk, walk[1:]):
         # either conditional is indexed by the later of its two steps
-        cdf = _row_cdfs(transition(spec, fb, max(prev, i)))
+        cdf = _row_cdfs(transition(fb, max(prev, i)))
         paths[:, i] = _invert(cdf, paths[:, prev], rng.random(count))
     return paths

@@ -7,7 +7,7 @@ import numpy as np
 import math
 
 from beliefprop.factor import Factor
-from beliefprop.jtree import JunctionTree
+from beliefprop.jtree import JunctionTree, JunctionTreeError, moral_graph
 from beliefprop.model import Cpd, DiscreteNetwork, EvidenceSet, Variable
 from beliefprop.propagation import CompiledQuery, ImpossibleEvidenceError
 from beliefprop.sampling import _CHUNK, PosteriorSampler, SamplingConsistencyError, _row_cdfs
@@ -157,6 +157,94 @@ def round_based_topological_order(net: DiscreteNetwork) -> list[int]:
         for ps in pending.values():
             ps.difference_update(ready)
     return order
+
+
+# -- reference implementations for the structure layer --------------------
+
+
+def all_pairs_min_fill_cliques(adj) -> list[frozenset[int]]:
+    """``min_fill_cliques`` by rescoring every remaining vertex at every
+    step and dropping each clique strictly inside another one."""
+    work = {u: set(ns) for u, ns in adj.items()}
+    cliques: list[frozenset[int]] = []
+    while work:
+        best = None
+        for u in sorted(work):
+            nbrs = sorted(work[u])
+            fill = 0
+            for i, a in enumerate(nbrs):
+                for b in nbrs[i + 1:]:
+                    if b not in work[a]:
+                        fill += 1
+            if best is None or fill < best[0]:
+                best = (fill, u)
+        _, v = best
+        nbrs = sorted(work[v])
+        cliques.append(frozenset([v, *nbrs]))
+        for i, a in enumerate(nbrs):
+            for b in nbrs[i + 1:]:
+                work[a].add(b)
+                work[b].add(a)
+        for a in nbrs:
+            work[a].discard(v)
+        del work[v]
+    maximal: list[frozenset[int]] = []
+    for c in cliques:
+        if any(c < other for other in cliques):
+            continue
+        if c not in maximal:
+            maximal.append(c)
+    return maximal
+
+
+def all_pairs_assign_clusters(net: DiscreteNetwork, jt: JunctionTree) -> dict[int, int]:
+    """``assign_clusters`` by scanning every cluster per variable."""
+    out: dict[int, int] = {}
+    for u in net.ids:
+        fam = net.family(u)
+        best = None
+        for j, cluster in enumerate(jt.clusters):
+            if fam <= cluster:
+                key = (len(cluster), j)
+                if best is None or key < best:
+                    best = key
+        if best is None:
+            raise JunctionTreeError(
+                f"no cluster covers the family of variable {u} ({sorted(fam)})"
+            )
+        out[u] = best[1]
+    return out
+
+
+def all_pairs_junction_tree(net: DiscreteNetwork) -> JunctionTree:
+    """``build_junction_tree`` by Kruskal over every cluster pair, sorted
+    by (-separator size, i, j), zero-weight pairs included."""
+    cliques = all_pairs_min_fill_cliques(moral_graph(net))
+    if not cliques:
+        cliques = [frozenset()]
+    q = len(cliques)
+    candidates = sorted(
+        (-len(cliques[i] & cliques[j]), i, j)
+        for i in range(q) for j in range(i + 1, q)
+    )
+    parent = list(range(q))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    edges: list[tuple[int, int]] = []
+    for _, i, j in candidates:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
+            edges.append((i, j))
+            if len(edges) == q - 1:
+                break
+    tree = JunctionTree(tuple(cliques), tuple(edges))
+    return JunctionTree(tree.clusters, tree.edges, all_pairs_assign_clusters(net, tree))
 
 
 # -- reference implementation for the sampler's lazy CDFs ------------------

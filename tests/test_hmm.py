@@ -210,6 +210,24 @@ class TestForwardBackward:
         with pytest.raises(ValueError, match="probability zero"):
             hmm.posteriors(spec, [0, -1, 0])
 
+    def test_log_likelihood_past_float_range_is_refused(self):
+        # each count of 1e305 has log pmf near -7e307 in both states, so
+        # log P(y) lies near -2.1e308, which no float holds (and the
+        # suite turns an overflow RuntimeWarning into a failure)
+        spec = hmm.precipitation_spec(3)
+        for call in (hmm.forward_backward, hmm.posteriors, sample_hmm_path):
+            with pytest.raises(ValueError, match="leaves the float range"):
+                call(spec, [hmm.MAX_COUNT] * 3)
+
+    def test_impossible_observations_past_float_range_stay_impossible(self):
+        # the first three steps leave the float range, but the negative
+        # fourth count makes every path impossible
+        spec = hmm.precipitation_spec(4)
+        y = [hmm.MAX_COUNT] * 3 + [-1]
+        assert hmm.log_likelihood(hmm.forward_backward(spec, y), 3) == -math.inf
+        with pytest.raises(ValueError, match="probability zero"):
+            hmm.posteriors(spec, y)
+
     @pytest.mark.parametrize("y", [[0, 2000, 0], [2000, 0, 0], [5000, 3, 4000]])
     def test_underflowing_counts_stay_exact(self, y):
         # each of these counts has pmf 0.0 as a float in both states;

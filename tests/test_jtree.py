@@ -1,11 +1,22 @@
+import json
+import time
+
 import numpy as np
 import pytest
 from conftest import PED_ASSIGNMENT, PED_CLUSTERS, PED_EDGES
-from helpers import pairwise_running_intersection, path, pedigree_network, random_network
+from helpers import (
+    all_pairs_junction_tree,
+    all_pairs_min_fill_cliques,
+    pairwise_running_intersection,
+    path,
+    pedigree_network,
+    random_network,
+)
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from beliefprop import hmm
+from beliefprop.cli import jtree_to_json, load_network
 from beliefprop.jtree import (
     JunctionTree,
     JunctionTreeError,
@@ -16,6 +27,7 @@ from beliefprop.jtree import (
     moral_graph,
     validate_junction_tree,
 )
+from beliefprop.model import Cpd, DiscreteNetwork, Variable
 
 
 class TestMoralGraph:
@@ -84,6 +96,70 @@ class TestBuiltTree:
         assert a.clusters == b.clusters and a.edges == b.edges
 
 
+def disjoint_union(a: DiscreteNetwork, b: DiscreteNetwork) -> DiscreteNetwork:
+    """Both networks side by side, b's ids shifted past a's."""
+    off = max(a.ids) + 1
+    variables = list(a.variables) + [
+        Variable(v.id + off, f"{v.name}b", v.states) for v in b.variables
+    ]
+    cpds = list(a.cpds) + [
+        Cpd(c.child + off, tuple(p + off for p in c.parents), c.table) for c in b.cpds
+    ]
+    return DiscreteNetwork(variables, cpds)
+
+
+class TestBuiltTreeAgainstAllPairsReference:
+    """The holder-index build gives the all-pairs build's tree exactly:
+    clusters and their order, edges and their order, the assignment."""
+
+    @staticmethod
+    def assert_same_tree(net):
+        got, want = build_junction_tree(net), all_pairs_junction_tree(net)
+        assert got.clusters == want.clusters
+        assert got.edges == want.edges
+        assert got.assignment == want.assignment
+        assert validate_junction_tree(net, got).ok
+
+    @seed(20261018)
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.integers(1, 4))
+    def test_random_dags(self, rng_seed, max_vars, max_parents):
+        rng = np.random.default_rng(rng_seed)
+        net = random_network(rng, max_vars=max_vars, max_parents=max_parents)
+        assert min_fill_cliques(moral_graph(net)) == all_pairs_min_fill_cliques(moral_graph(net))
+        self.assert_same_tree(net)
+
+    @seed(20261019)
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_disjoint_unions(self, rng_seed):
+        # the parts share no variable, so they meet through zero-weight joins
+        rng = np.random.default_rng(rng_seed)
+        self.assert_same_tree(disjoint_union(random_network(rng), random_network(rng)))
+
+    def test_empty_network(self):
+        self.assert_same_tree(DiscreteNetwork([], []))
+        assert build_junction_tree(DiscreteNetwork([], [])).clusters == (frozenset(),)
+
+    def test_pedigree_tree_is_pinned(self, fixtures_dir):
+        # clusters in order, edges in order and the assignment, as
+        # `beliefprop jtree fixtures/pedigree.json --emit-json` prints them
+        net = load_network(str(fixtures_dir / "pedigree.json"))
+        want = json.loads((fixtures_dir / "pedigree_jtree.json").read_text())
+        assert jtree_to_json(net, build_junction_tree(net)) == want
+
+    def test_long_chain_network_builds_in_near_linear_time(self):
+        # the all-pairs build took seconds here; 5 s is a generous bound
+        spec = hmm.precipitation_spec(2000)
+        net, _ = hmm.to_bayes_net(spec, [0] * 2000)
+        start = time.perf_counter()
+        jt = build_junction_tree(net)
+        elapsed = time.perf_counter() - start
+        assert jt.q == 3999
+        assert validate_junction_tree(net, jt).ok
+        assert elapsed < 5.0
+
+
 class TestAssignment:
     def test_pedigree_fixture_assignment(self, ped_net):
         jt = JunctionTree(PED_CLUSTERS, PED_EDGES)
@@ -133,6 +209,24 @@ class TestTreeQueries:
     def test_side_of(self, ped_jtree):
         assert ped_jtree.side_of(1, 0) == frozenset({1, 2, 3, 4, 5, 6})
         assert ped_jtree.side_of(0, 1) == frozenset({0})
+
+    def test_side_of_matches_paths(self, ped_jtree):
+        # k is on i's side of edge (i, j) exactly when its path to j passes i
+        for i, j in ped_jtree.edges:
+            for a, b in ((i, j), (j, i)):
+                want = {k for k in range(ped_jtree.q) if a in path(ped_jtree, k, b)}
+                assert ped_jtree.side_of(a, b) == frozenset(want)
+
+    def test_rooted_lists_parents_first(self, ped_jtree):
+        children, order = ped_jtree.rooted(3)
+        assert order == (3, 1, 0, 2, 4, 5, 6)
+        assert dict(children) == {3: (1, 4, 5), 1: (0, 2), 0: (), 2: (), 4: (), 5: (6,), 6: ()}
+
+    def test_holders_list_clusters_in_ascending_order(self, ped_jtree):
+        assert ped_jtree.holders[8] == (1, 2, 3, 4)
+        assert set(ped_jtree.holders) == set(range(10))
+        for u, js in ped_jtree.holders.items():
+            assert list(js) == [j for j, c in enumerate(PED_CLUSTERS) if u in c]
 
     def test_edge_context_upstream(self, ped_jtree):
         # everything below cluster 1 seen from the root side

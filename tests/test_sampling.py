@@ -393,8 +393,8 @@ class TestHmmPathSampling:
         # entry is positive: backward for the forward walk, forward for
         # the backward walk
         for i in range(1, spec.horizon):
-            fwd = forward_transition(spec, fb, i).sum(axis=1)
-            bwd = backward_transition(spec, fb, i).sum(axis=1)
+            fwd = forward_transition(fb, i).sum(axis=1)
+            bwd = backward_transition(fb, i).sum(axis=1)
             for r in range(spec.n_states):
                 if fb.backward[i - 1][r] > 0:
                     assert fwd[r] == pytest.approx(1.0, abs=1e-12)
@@ -419,6 +419,16 @@ class TestHmmPathSampling:
             FactorSizeError, match=f"sample output has {10 ** 15 * spec.horizon} entries"
         ):
             sample_hmm_path(spec, y, count=10 ** 15)
+
+    def test_negative_count_refused_before_sweeps(self, setup, monkeypatch):
+        spec, y, _ = setup
+
+        def no_sweep(*args):
+            raise AssertionError("sample_hmm_path swept before checking count")
+
+        monkeypatch.setattr("beliefprop.sampling.forward_backward", no_sweep)
+        with pytest.raises(ValueError, match="count must be non-negative"):
+            sample_hmm_path(spec, y, count=-1)
 
     def test_marginals_match_smoothing(self, setup):
         spec, y, fb = setup
