@@ -15,16 +15,20 @@ but one have a holding parent in the walk from cluster 0; a violation
 names the holders cut off from the variable's lowest-index holder.
 
 Min-fill pops (fill, vertex id) from a heap and skips stale entries;
-eliminating v rescores only v's neighbours and theirs, the only
-vertices whose fill can change.  Each variable is assigned to the
-smallest covering cluster, ties going to the lower cluster index.
+eliminating v rescores only v's neighbours and the neighbours of those
+that gained a fill edge, the only vertices whose fill can change.  Each
+variable is assigned to the smallest covering cluster, ties going to the
+lower cluster index.  The spanning tree weighs every pair of clusters
+that share a variable, so a build costs about the sum over variables of
+their holder count squared: near-linear on chains, quadratic on a hub
+held by many clusters.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from itertools import combinations
 from types import MappingProxyType
 from typing import Mapping
@@ -46,14 +50,13 @@ class InvalidJunctionTreeError(ValueError):
 class JunctionTree:
     """Clusters, undirected edges (as (low, high) index pairs), an optional
     variable-to-cluster assignment, and ``holders``: each held variable's
-    clusters, ascending (``_holders`` reuses those of equal clusters)."""
+    clusters, ascending, read-only."""
 
     clusters: tuple[frozenset[int], ...]
     edges: tuple[tuple[int, int], ...]
     assignment: Mapping[int, int] | None = None
-    _holders: InitVar[Mapping[int, tuple[int, ...]] | None] = None
 
-    def __post_init__(self, _holders) -> None:
+    def __post_init__(self) -> None:
         clusters = tuple(frozenset(int(u) for u in c) for c in self.clusters)
         edges = tuple(
             (min(int(i), int(j)), max(int(i), int(j))) for i, j in self.edges
@@ -66,16 +69,15 @@ class JunctionTree:
             if 0 <= i < len(clusters) and 0 <= j < len(clusters) and i != j:
                 adj[i].append(j)
                 adj[j].append(i)
-        if _holders is None:
-            holders: dict[int, list[int]] = {}
-            for j, cluster in enumerate(clusters):
-                for u in cluster:
-                    holders.setdefault(u, []).append(j)
-            _holders = {u: tuple(js) for u, js in holders.items()}
+        holders: dict[int, list[int]] = {}
+        for j, cluster in enumerate(clusters):
+            for u in cluster:
+                holders.setdefault(u, []).append(j)
         object.__setattr__(self, "clusters", clusters)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "assignment", assignment)
-        object.__setattr__(self, "holders", _holders)
+        held = MappingProxyType({u: tuple(js) for u, js in holders.items()})
+        object.__setattr__(self, "holders", held)
         object.__setattr__(self, "_adj", {i: tuple(sorted(ns)) for i, ns in adj.items()})
         # every listed pair, self-loops and out-of-range ones included
         object.__setattr__(self, "_edge_set", frozenset(edges))
@@ -162,8 +164,8 @@ def min_fill_cliques(adj: Mapping[int, set[int]]) -> list[frozenset[int]]:
 
     def fill(u: int) -> int:
         nbrs = work[u]
-        # each missing edge is counted from both of its ends
-        return sum(len(nbrs - work[a]) - 1 for a in nbrs) // 2
+        # each missing edge counts from both ends; & walks the smaller set
+        return sum(len(nbrs) - 1 - len(nbrs & work[a]) for a in nbrs) // 2
 
     score = {u: fill(u) for u in work}
     heap = [(f, u) for u, f in score.items()]
@@ -177,9 +179,12 @@ def min_fill_cliques(adj: Mapping[int, set[int]]) -> list[frozenset[int]]:
         eliminated.append((v, frozenset([v, *nbrs])))
         touched = set(nbrs)
         for a in nbrs:
-            work[a] |= nbrs
-            work[a] -= {a, v}
-            touched |= work[a]
+            added = nbrs - work[a] - {a}
+            work[a] |= added
+            work[a].discard(v)
+            if added:
+                # a fill edge at a changes the fill of a's neighbours
+                touched |= work[a]
         for u in touched:
             score[u] = fill(u)
             heapq.heappush(heap, (score[u], u))
@@ -218,9 +223,7 @@ def build_junction_tree(net: DiscreteNetwork) -> JunctionTree:
         if ri != rj:
             parent[ri] = rj
             edges.append((i, j))
-    return JunctionTree(
-        bare.clusters, tuple(edges), assign_clusters(net, bare), _holders=bare.holders
-    )
+    return JunctionTree(bare.clusters, tuple(edges), assign_clusters(net, bare))
 
 
 def assign_clusters(net: DiscreteNetwork, jt: JunctionTree) -> dict[int, int]:

@@ -96,11 +96,6 @@ class TestJtree:
         for name, j in doc["assignment"].items():
             assert name in doc["clusters"][j]
 
-    def test_emit_json_is_the_pinned_tree(self, net_path, fixtures_dir):
-        r = run_cli("jtree", net_path, "--emit-json")
-        assert r.returncode == 0
-        assert r.stdout == (fixtures_dir / "pedigree_jtree.json").read_text()
-
 
 class TestLogz:
     def test_value(self, net_path, ev_path):

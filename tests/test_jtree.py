@@ -1,5 +1,6 @@
 import json
 import time
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -129,6 +130,20 @@ class TestBuiltTreeAgainstAllPairsReference:
         assert min_fill_cliques(moral_graph(net)) == all_pairs_min_fill_cliques(moral_graph(net))
         self.assert_same_tree(net)
 
+    @seed(20261021)
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 30), st.floats(0.05, 0.5))
+    def test_min_fill_on_random_graphs(self, rng_seed, n, density):
+        # larger than the DAGs above, so fill edges added next to a
+        # neighbour of the eliminated vertex often change who goes next
+        rng = np.random.default_rng(rng_seed)
+        adj: dict[int, set[int]] = {u: set() for u in range(n)}
+        for u, w in combinations(range(n), 2):
+            if rng.random() < density:
+                adj[u].add(w)
+                adj[w].add(u)
+        assert min_fill_cliques(adj) == all_pairs_min_fill_cliques(adj)
+
     @seed(20261019)
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -136,6 +151,21 @@ class TestBuiltTreeAgainstAllPairsReference:
         # the parts share no variable, so they meet through zero-weight joins
         rng = np.random.default_rng(rng_seed)
         self.assert_same_tree(disjoint_union(random_network(rng), random_network(rng)))
+
+    @seed(20261020)
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 3))
+    def test_hub_networks(self, rng_seed, n_children, n_hubs):
+        # each child has one or two hub parents, so a hub is held by many
+        # cliques and its elimination rescoring reaches far
+        rng = np.random.default_rng(rng_seed)
+        n = n_hubs + n_children
+        variables = [Variable(i, f"V{i}", ("a", "b")) for i in range(n)]
+        cpds = [Cpd(i, (), [[0.5, 0.5]]) for i in range(n_hubs)]
+        for i in range(n_hubs, n):
+            ps = tuple(sorted({int(h) for h in rng.integers(0, n_hubs, size=2)}))
+            cpds.append(Cpd(i, ps, np.full((2 ** len(ps), 2), 0.5)))
+        self.assert_same_tree(DiscreteNetwork(variables, cpds))
 
     def test_empty_network(self):
         self.assert_same_tree(DiscreteNetwork([], []))
