@@ -14,14 +14,18 @@ factor enters from outside through the ``Factor`` constructor.  The
 algebra methods build their results without re-scanning them: from
 valid operands only a product or a sum can leave double range, so
 ``multiply`` and ``marginalize_sum`` check their result for overflow and
-the other operations need no value check at all.
+the other operations need no value check at all.  The propagation
+engine works on bare tables and runs the same check once per message
+(after its sum) and once per cluster table: an overflow there stays inf
+or turns into NaN, and the check catches both.
 
 One guard bounds every table whose size comes from the input: a table
 may hold at most ``MAX_TABLE_ENTRIES`` entries, counted as the product
 of its variables' cardinalities.  ``check_table_size`` raises
 ``FactorSizeError`` before anything is allocated; ``multiply`` calls it
-on every product, and the engine, the oracle and the sampler call it
-where they plan a cluster, a joint table or a sample output.
+on every product, the engine once per cluster when it compiles a query,
+and the oracle and the sampler where they plan a joint table or a
+sample output.
 """
 
 from __future__ import annotations
@@ -137,9 +141,7 @@ class Factor:
         b = other.values[_alignment_index(other.scope, scope)]
         values = a * b
         log_scale = self.log_scale + other.log_scale
-        _require_finite(values)
-        if not math.isfinite(log_scale):
-            raise ValueError("log_scale must be finite")
+        _require_finite(values, log_scale)
         return _trusted(scope, values, log_scale)
 
     def __mul__(self, other: "Factor") -> "Factor":
@@ -221,12 +223,14 @@ class Factor:
         return _trusted(self.scope, self.values / peak, self.log_scale + math.log(peak))
 
 
-def _require_finite(values: np.ndarray) -> None:
-    """Reject a product or sum of valid tables that overflowed to inf."""
-    # entries are non-negative and never NaN, so the largest is inf
-    # exactly when some entry is
+def _require_finite(values: np.ndarray, log_scale: float = 0.0) -> None:
+    """Reject a product or sum of valid tables that left double range."""
+    # entries of valid tables are non-negative, so an overflow shows as
+    # inf in the largest entry, or as NaN once an inf met a zero
     if values.size and not math.isfinite(values.max()):
         raise ValueError("factor values must be finite")
+    if not math.isfinite(log_scale):
+        raise ValueError("log_scale must be finite")
 
 
 def _trusted(scope: tuple[int, ...], values, log_scale: float) -> Factor:
@@ -245,13 +249,14 @@ def _trusted(scope: tuple[int, ...], values, log_scale: float) -> Factor:
     return out
 
 
-# shared start of every product; factors are immutable
+# the empty product; factors are immutable, so one is shared
 _UNIT = Factor.unit()
 
 
 def product(factors: Iterable[Factor]) -> Factor:
-    """Multiply a sequence of factors; the empty product is the scalar 1."""
-    out = _UNIT
+    """Multiply factors left to right from the first; the empty product is 1."""
+    factors = iter(factors)
+    out = next(factors, _UNIT)
     for f in factors:
         out = out.multiply(f)
     return out

@@ -202,7 +202,8 @@ def _normalized(log_rows: np.ndarray) -> np.ndarray:
 
 def log_likelihood(fb: ForwardBackward, i: int = 0) -> float:
     """log P(all observations), readable at any step i."""
-    return float(np.logaddexp.reduce(fb.log_forward[i] + fb.log_backward[i]))
+    with np.errstate(over="ignore"):
+        return float(np.logaddexp.reduce(fb.log_forward[i] + fb.log_backward[i]))
 
 
 def posteriors(spec: HmmSpec, y: Sequence[int]) -> np.ndarray:
@@ -211,20 +212,23 @@ def posteriors(spec: HmmSpec, y: Sequence[int]) -> np.ndarray:
     fb = forward_backward(spec, y)
     if log_likelihood(fb) == -math.inf:
         raise ValueError("posterior undefined: observations have probability zero")
-    return _normalized(fb.log_forward + fb.log_backward)
+    with np.errstate(over="ignore"):
+        return _normalized(fb.log_forward + fb.log_backward)
 
 
 def forward_transition(fb: ForwardBackward, i: int) -> np.ndarray:
     """P(S_i = s | S_{i-1} = r, all observations) with rows indexed by r,
     for 0 < i < horizon.  Rows sum to one up to rounding; a row whose
     state cannot explain the observations is zero."""
-    return _normalized(fb.log_transition + (fb.log_emissions[i] + fb.log_backward[i]))
+    with np.errstate(over="ignore"):
+        return _normalized(fb.log_transition + (fb.log_emissions[i] + fb.log_backward[i]))
 
 
 def backward_transition(fb: ForwardBackward, i: int) -> np.ndarray:
     """P(S_{i-1} = r | S_i = s, all observations) with rows indexed by s,
     for 0 < i < horizon.  Step i's emission is fixed by s, so it cancels."""
-    return _normalized((fb.log_forward[i - 1][:, None] + fb.log_transition).T)
+    with np.errstate(over="ignore"):
+        return _normalized((fb.log_forward[i - 1][:, None] + fb.log_transition).T)
 
 
 def simulate(spec: HmmSpec, seed: int) -> tuple[np.ndarray, np.ndarray]:

@@ -8,8 +8,13 @@ non-separator variables summed out.  After an inward pass to the query's
 one root cluster and an outward pass back, every cluster and edge holds
 an unnormalized marginal whose total mass is the evidence probability.
 
+The tree fixes the scope of every such table, so a query lays each
+cluster out once (see ``CompiledQuery``), and messages and readouts run
+on bare arrays: broadcast multiplies in a fixed order and one sum or max
+over precomputed axes.  A ``Factor`` is made only where a caller asks.
+
 Messages are renormalized to unit maximum, with the removed
-mass tracked in each factor's log scale, so long chains cannot
+mass tracked in each message's log scale, so long chains cannot
 underflow.  Both passes are iterative (explicit stacks), so tree depth
 is not limited by the interpreter's recursion limit.
 
@@ -24,12 +29,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .factor import Factor, check_table_size, product
+from .factor import Factor, _require_finite, _trusted, check_table_size
 from .jtree import (
     InvalidJunctionTreeError,
     JunctionTree,
@@ -52,6 +58,16 @@ class SchedulingError(RuntimeError):
 
 class ImpossibleEvidenceError(ValueError):
     """A conditional quantity was requested under zero-probability evidence."""
+
+
+class _Layout(NamedTuple):
+    """One cluster laid out for a query (see ``CompiledQuery``)."""
+
+    scope: tuple[int, ...]
+    shape: tuple[int, ...]
+    potential: np.ndarray
+    log_scale: float
+    seps: dict[int, tuple[tuple[int, ...], ...]]
 
 
 @dataclass(frozen=True)
@@ -107,12 +123,16 @@ class CompiledQuery:
     map_assignment() and the samplers all follow: ``order`` lists the
     clusters parent before child (children by ascending index), and
     ``parent`` maps every other cluster to its neighbour toward the root.
-    The two message stores (sum and max semiring) start empty; inward() and outward()
-    fill them.  Marginal accessors require the messages they read to
-    exist and raise SchedulingError otherwise.  A tree with a cluster
-    of more than ``MAX_TABLE_ENTRIES`` entries (the product of its
-    variables' cardinalities) raises FactorSizeError here, before any
-    table is built.
+    Construction lays out each cluster: its ascending scope and shape,
+    the product of its potentials (ascending ids) and its log scale, and
+    per neighbour (separator, its view shape, its shape, the axes outside
+    it).  A view has size-1 axes where a table lacks a scope variable.
+    The message stores (sum and max semiring) hold (table, log scale)
+    pairs; inward() and outward() fill them.  Marginal accessors require
+    the messages they read to exist and raise SchedulingError otherwise.
+    A tree with a cluster of more than ``MAX_TABLE_ENTRIES`` entries (the
+    product of its variables' cardinalities) raises FactorSizeError here,
+    before any table is built.
     """
 
     def __init__(
@@ -149,16 +169,36 @@ class CompiledQuery:
         children, self.order = self.rooted_children(root)
         self.parent = MappingProxyType({k: j for j in self.order for k in children[j]})
         self.potentials = build_potentials(net, self.evidence)
-        # variables of each cluster in ascending id order; a home out of
-        # range (possible with validate=False) owns nothing
-        members: list[list[int]] = [[] for _ in range(jtree.q)]
+        # potentials of each cluster in ascending id order; a home out
+        # of range (possible with validate=False) owns nothing
+        members: list[list[Factor]] = [[] for _ in range(jtree.q)]
         for u, j in sorted(jtree.assignment.items()):
             if 0 <= j < jtree.q:
-                members[j].append(u)
-        self.cluster_potentials: list[Factor] = [
-            product(self.potentials[u] for u in us) for us in members
-        ]
-        self._messages: dict[tuple[str, int, int], Factor] = {}
+                members[j].append(self.potentials[u])
+        self._layouts = [self._layout(j, pots) for j, pots in enumerate(members)]
+        self._messages: dict[tuple[str, int, int], tuple[np.ndarray, float]] = {}
+
+    def _layout(self, j: int, pots: list[Factor]) -> _Layout:
+        cards, cluster = self.net.cards, self.jtree.clusters[j]
+        scope = tuple(sorted(cluster.union(*(f.scope for f in pots))))
+        shape = tuple(cards[u] for u in scope)
+        if len(scope) > len(cluster):  # a stray potential, under validate=False
+            check_table_size(shape, "product table")
+
+        def view(sub) -> tuple[int, ...]:
+            return tuple(d if u in sub else 1 for u, d in zip(scope, shape))
+
+        # 1.0 * x == x, so starting from one changes no bit
+        potential, log_scale = np.ones(view(())), 0.0
+        for f in pots:
+            potential = potential * f.values.reshape(view(f.scope))
+            log_scale += f.log_scale
+        seps = {}
+        for k in self.jtree.neighbors(j):
+            sep = tuple(sorted(cluster & self.jtree.clusters[k]))
+            outside = tuple(a for a, u in enumerate(scope) if u not in sep)
+            seps[k] = (sep, view(sep), tuple(cards[u] for u in sep), outside)
+        return _Layout(scope, shape, potential, log_scale, seps)
 
     # -- schedule ----------------------------------------------------------
 
@@ -186,7 +226,7 @@ class CompiledQuery:
     def has_message(self, i: int, j: int, semiring: str = "sum") -> bool:
         return (semiring, i, j) in self._messages
 
-    def message(self, i: int, j: int, semiring: str = "sum") -> Factor:
+    def _stored(self, i: int, j: int, semiring: str) -> tuple[np.ndarray, float]:
         try:
             return self._messages[(semiring, i, j)]
         except KeyError:
@@ -195,36 +235,44 @@ class CompiledQuery:
                 "run the inward pass (then the outward pass) first"
             ) from None
 
-    def cluster_product(
-        self, j: int, skip: int | None = None, semiring: str = "sum"
-    ) -> Factor:
+    def message(self, i: int, j: int, semiring: str = "sum") -> Factor:
+        values, log_scale = self._stored(i, j, semiring)
+        return _trusted(self._layouts[j].seps[i][0], values, log_scale)
+
+    def _product(self, j: int, skip: int | None, semiring: str) -> tuple[np.ndarray, float]:
         """Cluster potential of j times every stored message into j except
-        the one from ``skip``, all from the ``semiring`` store.
+        the one from ``skip``, all from the ``semiring`` store, over j's
+        layout.  Unchecked: an overflow stays inf or turns into NaN, so one
+        finite check on the product or on a reduction of it catches it.
 
         The one product behind every other quantity: messages (``skip``
         is the receiver), cluster marginals (no ``skip``), and the
         MAP traceback and sampling conditionals (``skip`` is the parent
         toward the root, through ``cluster_rows``).
         """
-        pieces = [self.cluster_potentials[j]]
+        _, _, values, log_scale, seps = self._layouts[j]
         for i in self.jtree.neighbors(j):
             if i != skip:
-                pieces.append(self.message(i, j, semiring))
-        return product(pieces)
+                msg, scale = self._stored(i, j, semiring)
+                values, log_scale = values * msg.reshape(seps[i][1]), log_scale + scale
+        return values, log_scale
 
     def cluster_table(
         self, j: int, skip: int | None = None, semiring: str = "sum"
     ) -> Factor:
-        """``cluster_product`` laid out over every variable of cluster j."""
-        return self.cluster_product(j, skip, semiring).expand(
-            sorted(self.jtree.clusters[j]), self.net.cards
-        )
+        """``_product`` laid out over every variable of cluster j."""
+        layout = self._layouts[j]
+        if len(layout.scope) > len(self.jtree.clusters[j]):
+            raise ValueError(f"cluster {j} does not hold its potentials' scope {layout.scope}")
+        values, log_scale = self._product(j, skip, semiring)
+        _require_finite(values, log_scale)
+        return _trusted(layout.scope, np.broadcast_to(values, layout.shape), log_scale)
 
     def cluster_rows(self, j: int, semiring: str = "sum") -> ClusterRows:
         """``cluster_table(j, parent, semiring)`` as rows over the separator
         toward the root; a normalized sum row is P(free | separator, evidence)."""
         parent = self.parent.get(j)
-        sep = tuple(sorted(self.jtree.separator(j, parent))) if parent is not None else ()
+        sep = self._layouts[j].seps[parent][0] if parent is not None else ()
         numer = self.cluster_table(j, parent, semiring)
         free = tuple(u for u in numer.scope if u not in sep)
         perm = [numer.scope.index(u) for u in (*sep, *free)]
@@ -238,22 +286,25 @@ class CompiledQuery:
     def compute_message(self, j: int, k: int, semiring: str = "sum") -> Factor:
         """Message along the directed edge j -> k.
 
-        ``cluster_product(j, k)`` with everything outside the separator
-        summed (or maximized) out.  The result's scope is exactly the
-        separator, broadcasting over separator variables that no factor
-        mentions.
+        ``_product(j, k)`` with everything outside the separator summed
+        (or maximized) out, rescaled to unit maximum.  The result's scope
+        is exactly the separator, broadcasting over separator variables
+        that no piece mentions.
         """
         if semiring not in ("sum", "max"):
             raise ValueError(f"unknown semiring {semiring!r}")
-        sep = sorted(self.jtree.separator(j, k))
-        prod = self.cluster_product(j, k, semiring)
-        drop = set(prod.scope) - set(sep)
-        if semiring == "sum":
-            msg = prod.marginalize_sum(drop)
-        else:
-            msg = prod.marginalize_max(drop)
-        msg = msg.expand(sep, self.net.cards).rescaled_unit_max()
-        self._messages[(semiring, j, k)] = msg
+        self.jtree.separator(j, k)  # JunctionTreeError unless an edge
+        sep, _, sep_shape, outside = self._layouts[j].seps[k]
+        values, log_scale = self._product(j, k, semiring)
+        if outside:
+            values = values.sum(axis=outside) if semiring == "sum" else values.max(axis=outside)
+        _require_finite(values, log_scale)
+        values = np.broadcast_to(values, sep_shape)
+        peak = float(values.max()) if values.size else 0.0
+        if peak > 0.0 and peak != 1.0:
+            values, log_scale = values / peak, log_scale + math.log(peak)
+        msg = _trusted(sep, values, log_scale)
+        self._messages[(semiring, j, k)] = (msg.values, log_scale)
         return msg
 
     # -- marginals ---------------------------------------------------------
@@ -276,18 +327,15 @@ class CompiledQuery:
 
     def variable_posterior(self, u: int) -> np.ndarray:
         """P(variable | evidence) read from the variable's home cluster."""
-        j = self.jtree.assignment[u]
-        marginal = self.cluster_marginal(j)
-        single = marginal.marginalize_sum(set(marginal.scope) - {u})
-        total = float(single.values.sum())
-        if total <= 0.0:
-            raise ImpossibleEvidenceError(
-                "posterior undefined: evidence has probability zero"
-            )
-        return single.values / total
+        return _posterior(self.cluster_marginal(self.jtree.assignment[u]), u)
 
     def posterior_table(self) -> dict[int, np.ndarray]:
-        return {u: self.variable_posterior(u) for u in sorted(self.net.ids)}
+        """Every posterior by ascending id, one cluster marginal per home."""
+        home, out = self.jtree.assignment, {}
+        for j, us in groupby(sorted(self.net.ids, key=lambda u: (home[u], u)), key=home.get):
+            marginal = self.cluster_marginal(j)
+            out.update((u, _posterior(marginal, u)) for u in us)
+        return dict(sorted(out.items()))
 
     # -- most probable assignment ------------------------------------------
 
@@ -315,6 +363,16 @@ class CompiledQuery:
             for u, s in zip(rows.free, np.unravel_index(best, rows.free_shape)):
                 assignment[u] = int(s)
         return assignment, log_value
+
+
+def _posterior(marginal: Factor, u: int) -> np.ndarray:
+    """P(u | evidence) from an unnormalized marginal over u's home cluster."""
+    single = marginal.values.sum(axis=tuple(a for a, v in enumerate(marginal.scope) if v != u))
+    _require_finite(single)
+    total = float(single.sum())
+    if total <= 0.0:
+        raise ImpossibleEvidenceError("posterior undefined: evidence has probability zero")
+    return single / total
 
 
 def compile_query(net: DiscreteNetwork, evidence: EvidenceSet | None = None) -> CompiledQuery:

@@ -246,7 +246,8 @@ def sample_hmm_path(
     rng = np.random.Generator(np.random.PCG64(seed))
     paths = np.zeros((count, n), dtype=np.int64)
     walk = range(n) if direction == "forward" else range(n - 1, -1, -1)
-    start = unit_max_exp(fb.log_forward[walk[0]] + fb.log_backward[walk[0]])
+    with np.errstate(over="ignore"):
+        start = unit_max_exp(fb.log_forward[walk[0]] + fb.log_backward[walk[0]])
     if start.sum() <= 0:
         raise ValueError("observations have probability zero")
     first = np.zeros(count, dtype=np.int64)

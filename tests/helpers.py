@@ -311,3 +311,73 @@ def argmax_traceback(cq: CompiledQuery) -> tuple[dict[int, int], float]:
         for k in children[j]:
             _extend_argmax(cq.cluster_table(k, j, "max"), assignment)
     return assignment, math.log(peak) + marginal.log_scale
+
+
+# -- reference implementation for the compiled cluster layouts ------------
+
+
+class FactorReference:
+    """A query's messages and cluster tables built from ``Factor`` algebra,
+    each product a chain of ``multiply`` calls from the unit: the engine's
+    arithmetic before it laid clusters out.  Reads the query's tree,
+    root, assignment and potentials; fills its own message store."""
+
+    def __init__(self, cq: CompiledQuery):
+        self.cq = cq
+        jt = cq.jtree
+        members: list[list[int]] = [[] for _ in range(jt.q)]
+        for u, j in sorted(jt.assignment.items()):
+            if 0 <= j < jt.q:
+                members[j].append(u)
+        self.potentials = [self._product(cq.potentials[u] for u in us) for us in members]
+        self.messages: dict[tuple[str, int, int], Factor] = {}
+
+    @staticmethod
+    def _product(factors) -> Factor:
+        out = Factor.unit()
+        for f in factors:
+            out = out.multiply(f)
+        return out
+
+    def cluster_product(self, j: int, skip: int | None = None, semiring: str = "sum") -> Factor:
+        pieces = [self.potentials[j]]
+        for i in self.cq.jtree.neighbors(j):
+            if i != skip:
+                pieces.append(self.messages[(semiring, i, j)])
+        return self._product(pieces)
+
+    def cluster_table(self, j: int, skip: int | None = None, semiring: str = "sum") -> Factor:
+        return self.cluster_product(j, skip, semiring).expand(
+            sorted(self.cq.jtree.clusters[j]), self.cq.net.cards
+        )
+
+    def compute_message(self, j: int, k: int, semiring: str = "sum") -> Factor:
+        sep = sorted(self.cq.jtree.separator(j, k))
+        prod = self.cluster_product(j, k, semiring)
+        drop = set(prod.scope) - set(sep)
+        if semiring == "sum":
+            msg = prod.marginalize_sum(drop)
+        else:
+            msg = prod.marginalize_max(drop)
+        msg = msg.expand(sep, self.cq.net.cards).rescaled_unit_max()
+        self.messages[(semiring, j, k)] = msg
+        return msg
+
+    def propagate(self) -> "FactorReference":
+        """Sum messages inward and outward, then max messages inward."""
+        cq = self.cq
+        for j in reversed(cq.order[1:]):
+            self.compute_message(j, cq.parent[j])
+        for j in cq.order[1:]:
+            self.compute_message(cq.parent[j], j)
+        for j in reversed(cq.order[1:]):
+            self.compute_message(j, cq.parent[j], "max")
+        return self
+
+    def variable_posterior(self, u: int) -> np.ndarray:
+        marginal = self.cluster_table(self.cq.jtree.assignment[u])
+        single = marginal.marginalize_sum(set(marginal.scope) - {u})
+        total = float(single.values.sum())
+        if total <= 0.0:
+            raise ImpossibleEvidenceError("posterior undefined: evidence has probability zero")
+        return single.values / total

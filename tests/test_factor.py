@@ -218,6 +218,13 @@ def test_product_empty_is_unit():
     assert out.scope == () and out.linear() == 1.0
 
 
+def test_product_starts_from_its_first_factor():
+    # no unit multiply in front: a single factor comes back as it is
+    f = F([0, 1], [[1, 2], [3, 4]], log_scale=0.5)
+    assert product([f]) is f
+    assert product(iter([f, F([1], [2, 3])])).log_scale == 0.5
+
+
 def test_product_of_three():
     fs = [F([0], [1, 2]), F([1], [3, 4]), F([0, 1], [[1, 1], [1, 0.5]])]
     out = product(fs)

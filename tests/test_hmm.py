@@ -219,6 +219,21 @@ class TestForwardBackward:
             with pytest.raises(ValueError, match="leaves the float range"):
                 call(spec, [hmm.MAX_COUNT] * 3)
 
+    def test_one_path_past_float_range_reads_weight_zero(self):
+        # state A's path leaves the float range while B's stays near 0, so
+        # the readouts add log tables whose A entries overflow to -inf;
+        # that is weight 0, and the suite's warning filter sees no overflow
+        spec = hmm.HmmSpec(("A", "B"), (0.5, 0.5), ((1, 0), (0, 1)), (3.0, 1e305), 3)
+        y = [hmm.MAX_COUNT] * 3
+        fb = hmm.forward_backward(spec, y)
+        assert hmm.log_likelihood(fb) == pytest.approx(math.log(0.5), rel=1e-12)
+        assert np.array_equal(hmm.posteriors(spec, y), [[0.0, 1.0]] * 3)
+        assert np.array_equal(hmm.forward_transition(fb, 1)[1], [0.0, 1.0])
+        assert np.array_equal(hmm.backward_transition(fb, 1)[1], [0.0, 1.0])
+        for direction in ("forward", "backward"):
+            paths = sample_hmm_path(spec, y, direction, seed=3, count=5)
+            assert np.array_equal(paths, np.ones((5, 3), dtype=np.int64))
+
     def test_impossible_observations_past_float_range_stay_impossible(self):
         # the first three steps leave the float range, but the negative
         # fourth count makes every path impossible

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from helpers import (
+    FactorReference,
     argmax_traceback,
     path,
     pedigree_evidence,
@@ -10,9 +11,11 @@ from helpers import (
     random_evidence,
     random_network,
 )
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import beliefprop
-from beliefprop import model, oracle
+from beliefprop import hmm, model, oracle
 from beliefprop.factor import MAX_TABLE_ENTRIES, Factor, FactorSizeError
 from beliefprop.jtree import InvalidJunctionTreeError, JunctionTree, build_junction_tree
 from beliefprop.model import Cpd, DiscreteNetwork, EvidenceSet, InvalidNetworkError, Variable
@@ -31,6 +34,7 @@ from beliefprop.propagation import (
     compile_query,
     joint_score,
 )
+from beliefprop.sampling import sample_posterior
 
 
 @pytest.fixture(scope="module")
@@ -400,3 +404,132 @@ class TestRandomizedAgainstOracle:
                     cq.variable_posterior(u), oracle_posterior(net, ev, u),
                     rtol=1e-10, atol=1e-12,
                 )
+
+
+class TestLayoutsMatchFactorReference:
+    """Messages and readouts run on compiled cluster layouts; every table
+    equals the Factor-algebra reference bit for bit."""
+
+    @staticmethod
+    def assert_same(got: Factor, want: Factor) -> None:
+        assert got.scope == want.scope
+        assert got.values.shape == want.values.shape
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.log_scale == want.log_scale
+
+    def check(self, cq: CompiledQuery, ref: FactorReference, clusters) -> None:
+        cq.propagate()
+        cq.inward("max")
+        ref.propagate()
+        assert set(cq._messages) == set(ref.messages)
+        for (semiring, i, j), want in ref.messages.items():
+            self.assert_same(cq.message(i, j, semiring), want)
+        for j in clusters:
+            self.assert_same(cq.cluster_marginal(j), ref.cluster_table(j))
+            parent = cq.parent.get(j)
+            self.assert_same(
+                cq.cluster_table(j, parent, "max"), ref.cluster_table(j, parent, "max")
+            )
+
+    def check_posteriors(self, cq: CompiledQuery, ref: FactorReference) -> None:
+        ids = sorted(cq.net.ids)
+        try:
+            want = {u: ref.variable_posterior(u) for u in ids}
+        except ImpossibleEvidenceError:
+            with pytest.raises(ImpossibleEvidenceError):
+                cq.posterior_table()
+            return
+        table = cq.posterior_table()
+        assert list(table) == ids
+        for u in ids:
+            assert table[u].tobytes() == want[u].tobytes()
+            assert cq.variable_posterior(u).tobytes() == want[u].tobytes()
+        logz = ref.cluster_table(cq.root).total_log_mass()
+        assert cq.evidence_log_probability() == logz
+
+    @seed(20261018)
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_random_networks_roots_and_evidence(self, s):
+        rng = np.random.default_rng(s)
+        net = random_network(rng, max_vars=7)
+        ev = random_evidence(rng, net)
+        jt = build_junction_tree(net)
+        cq = CompiledQuery(net, ev, jtree=jt, root=int(rng.integers(jt.q)))
+        ref = FactorReference(cq)
+        self.check(cq, ref, range(jt.q))
+        self.check_posteriors(cq, ref)
+
+    @staticmethod
+    def three_variables() -> DiscreteNetwork:
+        # A and B are roots, C depends on A
+        return DiscreteNetwork(
+            [Variable(0, "A", ("a0", "a1")), Variable(1, "B", ("b0", "b1", "b2")),
+             Variable(2, "C", ("c0", "c1"))],
+            [Cpd(0, (), [[0.3, 0.7]]), Cpd(1, (), [[0.2, 0.5, 0.3]]),
+             Cpd(2, (0,), [[0.9, 0.1], [0.4, 0.6]])],
+        )
+
+    @pytest.mark.parametrize("root", [0, 1])
+    def test_separator_only_variables_broadcast(self, root):
+        # B reaches cluster 0 only through the separator and A reaches
+        # cluster 1 only through it, so both messages broadcast a
+        # separator variable no piece carries
+        jt = JunctionTree((frozenset({0, 1, 2}), frozenset({0, 1})), ((0, 1),), {0: 0, 1: 1, 2: 0})
+        ev = EvidenceSet({1: frozenset({0, 2}), 2: frozenset({1})})
+        cq = CompiledQuery(self.three_variables(), ev, jtree=jt, root=root, validate=False)
+        ref = FactorReference(cq)
+        self.check(cq, ref, range(2))
+        self.check_posteriors(cq, ref)
+
+    def test_stray_potential_is_summed_out_of_messages(self):
+        # C's potential lands on cluster 1, which lacks C: messages sum C
+        # out as before, and cluster 1's table cannot be laid out
+        jt = JunctionTree((frozenset({0, 1, 2}), frozenset({0, 1})), ((0, 1),), {0: 1, 1: 1, 2: 1})
+        cq = CompiledQuery(self.three_variables(), jtree=jt, validate=False)
+        ref = FactorReference(cq)
+        self.check(cq, ref, [0])
+        for table in (cq.cluster_marginal, ref.cluster_table):
+            with pytest.raises(ValueError):
+                table(1)
+
+    def test_overflowing_product_and_sum_raise(self):
+        # with validate=False nothing bounds the CPD entries
+        net = DiscreteNetwork(
+            [Variable(0, "A", ("a0", "a1")), Variable(1, "B", ("b0", "b1"))],
+            [Cpd(0, (), [[1e308, 1e308]]), Cpd(1, (), [[1e200, 1.0]])],
+        )
+        clusters = (frozenset({0, 1}), frozenset({1}))
+        with np.errstate(over="ignore", invalid="ignore"):
+            # the product A * B overflows in a cluster table, in a message
+            # from the cluster holding both, and the sum over A overflows
+            for jt, read in (
+                (JunctionTree(clusters[:1], (), {0: 0, 1: 0}), "evidence_log_probability"),
+                (JunctionTree(clusters, ((0, 1),), {0: 0, 1: 0}), "inward"),
+                (JunctionTree(clusters, ((0, 1),), {0: 0, 1: 1}), "inward"),
+            ):
+                cq = CompiledQuery(net, jtree=jt, root=jt.q - 1, validate=False)
+                with pytest.raises(ValueError, match="finite"):
+                    getattr(cq, read)()
+
+
+def test_hot_path_builds_no_factor_algebra(monkeypatch, ped_net_module, ped_ev_module):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("Factor algebra on the compiled hot path")
+
+    spec = hmm.precipitation_spec(200)
+    _, y = hmm.simulate(spec, 7)
+    net, ev = hmm.to_bayes_net(spec, y)
+    jt = hmm.chain_junction_tree(spec)
+    for name in ("multiply", "marginalize_sum", "marginalize_max", "expand", "rescaled_unit_max"):
+        monkeypatch.setattr(Factor, name, refuse)
+    cq = CompiledQuery(net, ev, jtree=jt, validate=False)
+    cq.inward()
+    assert math.isfinite(cq.evidence_log_probability())
+    cq.outward()
+    post = np.array([cq.variable_posterior(2 * i) for i in range(spec.horizon)])
+    np.testing.assert_allclose(post, hmm.posteriors(spec, y), rtol=0, atol=1e-9)
+    ped = compile_query(ped_net_module, ped_ev_module)
+    assert len(ped.posterior_table()) == len(ped_net_module.ids)
+    ped.map_assignment()
+    sample_posterior(ped, seed=3, count=100)
