@@ -93,9 +93,11 @@ class Factor:
             )
         if not values.flags.c_contiguous:
             values = np.ascontiguousarray(values)
-        if not np.all(np.isfinite(values)):
+        # ndarray methods: the np.all / np.any wrappers cost more than
+        # the scan on the small tables a CPD gives
+        if not np.isfinite(values).all():
             raise ValueError("factor values must be finite")
-        if np.any(values < 0):
+        if (values < 0).any():
             raise ValueError("factor values must be non-negative")
         if not math.isfinite(self.log_scale):
             raise ValueError("log_scale must be finite")

@@ -139,12 +139,16 @@ class DiscreteNetwork:
 
     def cpd_factor(self, u: int) -> Factor:
         """The CPD of u as a factor over its family (canonical scope order)."""
-        cpd = self._cpd_by_child[u]
+        return Factor(*self._cpd_view(u))
+
+    def _cpd_view(self, u: int) -> tuple[tuple[int, ...], np.ndarray]:
+        """The family of u in ascending id order, and its CPD table viewed
+        with one axis per family member in that order (no copy)."""
+        cpd, cards = self._cpd_by_child[u], self._cards
         listed = cpd.parents + (u,)
-        shape = tuple(self.card(w) for w in listed)
-        table = cpd.table.reshape(shape)
-        perm = sorted(range(len(listed)), key=lambda i: listed[i])
-        return Factor(tuple(sorted(listed)), table.transpose(perm))
+        perm = sorted(range(len(listed)), key=listed.__getitem__)
+        table = cpd.table.reshape([cards[w] for w in listed]).transpose(perm)
+        return tuple(listed[i] for i in perm), table
 
 
 @dataclass(frozen=True)
@@ -322,24 +326,35 @@ class EvidenceSet:
         return u not in self.allowed or state in self.allowed[u]
 
 
-def build_potentials(net: DiscreteNetwork, evidence: EvidenceSet) -> dict[int, Factor]:
-    """One factor per variable: its CPD with the child's disallowed states
-    zeroed.
+def build_potentials(
+    net: DiscreteNetwork, evidence: EvidenceSet, sliced: Mapping[int, int] | None = None
+) -> dict[int, Factor]:
+    """One factor per variable: its CPD over its family in ascending id
+    order, with the child's disallowed states zeroed.
 
     Each variable's indicator is applied exactly once, in its own
     potential, never where the variable appears as a parent.  Products
     over sets of potentials therefore carry each restriction once, and
     a single potential restricted this way still matches the message
-    definitions entry for entry.  ValueError naming them when the
-    evidence restricts variable ids the network does not have.
+    definitions entry for entry.  A variable in ``sliced`` (variable ->
+    its one allowed state) is instead indexed at that state in every
+    potential that mentions it, which drops its axis (factor reduction).
+    ValueError naming them when the evidence restricts variable ids the
+    network does not have, or names a state out of range.
     """
-    unknown = sorted(u for u in evidence.allowed if u not in net.cards)
+    cards, allowed, sliced = net.cards, evidence.allowed, sliced or {}
+    unknown = sorted(u for u in allowed if u not in cards)
     if unknown:
         raise ValueError(f"evidence names unknown variable ids {unknown}")
+    for u, states in allowed.items():
+        if not all(0 <= s < cards[u] for s in states):
+            raise ValueError(f"state index out of range for variable {u}: {sorted(states)}")
     out: dict[int, Factor] = {}
     for u in net.ids:
-        factor = net.cpd_factor(u)
-        if evidence.restricts(u):
-            factor = factor.restrict({u: evidence.allowed[u]})
+        scope, table = net._cpd_view(u)
+        kept = tuple(w for w in scope if w not in sliced)
+        factor = Factor(kept, table[tuple(sliced.get(w, slice(None)) for w in scope)])
+        if u in allowed and u not in sliced:
+            factor = factor.restrict({u: allowed[u]})
         out[u] = factor
     return out

@@ -1,17 +1,22 @@
 """Message passing on a junction tree.
 
-Evidence is folded into per-variable potentials (CPD times indicator),
-each cluster multiplies the potentials of the variables assigned to it,
-and messages flow along tree edges: the message from j to k is the
-cluster potential of j times all incoming messages except k's, with the
-non-separator variables summed out.  After an inward pass to the query's
-one root cluster and an outward pass back, every cluster and edge holds
-an unnormalized marginal whose total mass is the evidence probability.
+Each variable's potential is its CPD with the evidence folded in: a
+variable pinned to one state is indexed out of every potential that
+mentions it (factor reduction), any other allowed set masks the
+variable's own potential.  Each cluster multiplies the potentials of the
+variables assigned to it, and messages flow along tree edges: the
+message from j to k is the cluster potential of j times all incoming
+messages except k's, with the non-separator variables summed out.
+After an inward pass to the query's one root cluster and an outward pass
+back, every cluster and edge holds an unnormalized marginal whose total
+mass is the evidence probability.
 
 The tree fixes the scope of every such table, so a query lays each
 cluster out once (see ``CompiledQuery``), and messages and readouts run
 on bare arrays: broadcast multiplies in a fixed order and one sum or max
-over precomputed axes.  A ``Factor`` is made only where a caller asks.
+over precomputed axes.  Those arrays leave out the variables pinned by
+evidence; a ``Factor`` is made only where a caller asks, over the full
+scope, with exact zeros off the observed states.
 
 Messages are renormalized to unit maximum, with the removed
 mass tracked in each message's log scale, so long chains cannot
@@ -27,6 +32,7 @@ sampling walks the same order over the same layout of the sum tables.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from itertools import groupby
@@ -60,6 +66,22 @@ class ImpossibleEvidenceError(ValueError):
     """A conditional quantity was requested under zero-probability evidence."""
 
 
+class _Pad(NamedTuple):
+    """A full scope; shape and observed-slice index when it holds observed variables."""
+
+    scope: tuple[int, ...]
+    shape: tuple[int, ...] | None = None
+    index: tuple | None = None
+
+    def pad(self, values: np.ndarray) -> np.ndarray:
+        """``values`` (observed axes left out) over the full scope, 0 off the observed states."""
+        if self.index is None:
+            return values
+        out = np.zeros(self.shape)
+        out[self.index] = values
+        return out
+
+
 class _Layout(NamedTuple):
     """One cluster laid out for a query (see ``CompiledQuery``)."""
 
@@ -67,7 +89,13 @@ class _Layout(NamedTuple):
     shape: tuple[int, ...]
     potential: np.ndarray
     log_scale: float
-    seps: dict[int, tuple[tuple[int, ...], ...]]
+    seps: dict[int, tuple]
+    pad: _Pad
+    rows: tuple
+
+
+# indexes a whole axis; the observed state indexes a sliced one
+_ALL = slice(None)
 
 
 @dataclass(frozen=True)
@@ -77,7 +105,11 @@ class ClusterRows:
     ``table * exp(log_scale)`` has one row per assignment of ``sep``, the
     separator toward the query's root (empty at the root), and one column
     per assignment of ``free``, the cluster's other variables, both
-    flattened in canonical order (ascending ids, last fastest).
+    flattened in canonical order (ascending ids, last fastest).  ``sep``
+    leaves out variables pinned to one state by the evidence (``row``
+    ignores states given for them); ``free`` keeps them, with exact
+    zeros off the observed state, so the walks assign them like any
+    other variable.
     """
 
     cluster: int
@@ -123,16 +155,20 @@ class CompiledQuery:
     map_assignment() and the samplers all follow: ``order`` lists the
     clusters parent before child (children by ascending index), and
     ``parent`` maps every other cluster to its neighbour toward the root.
-    Construction lays out each cluster: its ascending scope and shape,
-    the product of its potentials (ascending ids) and its log scale, and
-    per neighbour (separator, its view shape, its shape, the axes outside
-    it).  A view has size-1 axes where a table lacks a scope variable.
-    The message stores (sum and max semiring) hold (table, log scale)
-    pairs; inward() and outward() fill them.  Marginal accessors require
-    the messages they read to exist and raise SchedulingError otherwise.
-    A tree with a cluster of more than ``MAX_TABLE_ENTRIES`` entries (the
-    product of its variables' cardinalities) raises FactorSizeError here,
-    before any table is built.
+    ``potentials`` maps each variable to its CPD over its family with
+    every single-state observation indexed out and its own other allowed
+    set masked.  Construction lays out each cluster without its observed
+    variables: its ascending scope and shape, the product of its
+    potentials (ascending ids) and its log scale, and per neighbour
+    (separator, its view shape, its shape, the axes outside it).  A view
+    has size-1 axes where a table lacks a scope variable.  The message
+    stores (sum and max semiring) hold (table, log scale) pairs over
+    those separators; inward() and outward() fill them.  Accessors that
+    return a ``Factor`` restore the observed axes.  Marginal accessors
+    require the messages they read to exist and raise SchedulingError
+    otherwise.  A tree with a cluster of more than ``MAX_TABLE_ENTRIES``
+    entries (the product of its variables' cardinalities, observed ones
+    included) raises FactorSizeError here, before any table is built.
     """
 
     def __init__(
@@ -168,7 +204,15 @@ class CompiledQuery:
         self.root = root
         children, self.order = self.rooted_children(root)
         self.parent = MappingProxyType({k: j for j in self.order for k in children[j]})
-        self.potentials = build_potentials(net, self.evidence)
+        allowed = self.evidence.allowed
+        self._observed = {u: s for u, states in allowed.items() if len(states) == 1 for s in states}
+        self._unsliced_copy: CompiledQuery | None = None
+        self._compile()
+
+    def _compile(self) -> None:
+        """Potentials, cluster layouts and an empty message store."""
+        jtree = self.jtree
+        self.potentials = build_potentials(self.net, self.evidence, self._observed)
         # potentials of each cluster in ascending id order; a home out
         # of range (possible with validate=False) owns nothing
         members: list[list[Factor]] = [[] for _ in range(jtree.q)]
@@ -178,8 +222,27 @@ class CompiledQuery:
         self._layouts = [self._layout(j, pots) for j, pots in enumerate(members)]
         self._messages: dict[tuple[str, int, int], tuple[np.ndarray, float]] = {}
 
+    def _unsliced(self) -> "CompiledQuery":
+        """This query with every observation masked, none sliced, holding
+        the messages this query has sent: the messages as defined, over
+        every state, which ``message`` reports."""
+        if not self._observed:
+            return self
+        twin = self._unsliced_copy
+        if twin is None:
+            twin = self._unsliced_copy = copy.copy(self)
+            twin._observed = {}
+            twin._compile()
+        if len(twin._messages) != len(self._messages):
+            # the store keeps sending order, so replaying it is a valid schedule
+            for semiring, i, j in self._messages:
+                if not twin.has_message(i, j, semiring):
+                    twin.compute_message(i, j, semiring)
+        return twin
+
     def _layout(self, j: int, pots: list[Factor]) -> _Layout:
-        cards, cluster = self.net.cards, self.jtree.clusters[j]
+        cards, full = self.net.cards, self.jtree.clusters[j]
+        cluster = full.difference(self._observed)
         scope = tuple(sorted(cluster.union(*(f.scope for f in pots))))
         shape = tuple(cards[u] for u in scope)
         if len(scope) > len(cluster):  # a stray potential, under validate=False
@@ -197,8 +260,24 @@ class CompiledQuery:
         for k in self.jtree.neighbors(j):
             sep = tuple(sorted(cluster & self.jtree.clusters[k]))
             outside = tuple(a for a, u in enumerate(scope) if u not in sep)
-            seps[k] = (sep, view(sep), tuple(cards[u] for u in sep), outside)
-        return _Layout(scope, shape, potential, log_scale, seps)
+            pad = self._padding(tuple(sorted(full & self.jtree.clusters[k])))
+            seps[k] = (sep, view(sep), tuple(cards[u] for u in sep), outside, pad)
+        # cluster_rows: the reduced separator toward the root, then the
+        # other variables, observed ones included
+        parent = self.parent.get(j)
+        sep, up = (seps[parent][0], self.jtree.clusters[parent]) if parent is not None else ((), ())
+        free = tuple(sorted(full.difference(up)))
+        perm = [scope.index(u) for u in (*sep, *free) if u not in self._observed]
+        sep_shape, free_shape = tuple(cards[u] for u in sep), tuple(cards[u] for u in free)
+        rows = (sep, sep_shape, free, free_shape, perm, self._padding((*sep, *free)))
+        return _Layout(scope, shape, potential, log_scale, seps, self._padding(tuple(sorted(full))), rows)
+
+    def _padding(self, scope: tuple[int, ...]) -> _Pad:
+        observed = self._observed
+        if observed.keys().isdisjoint(scope):
+            return _Pad(scope)
+        shape = tuple(self.net.cards[u] for u in scope)
+        return _Pad(scope, shape, tuple(observed.get(u, _ALL) for u in scope))
 
     # -- schedule ----------------------------------------------------------
 
@@ -236,8 +315,12 @@ class CompiledQuery:
             ) from None
 
     def message(self, i: int, j: int, semiring: str = "sum") -> Factor:
-        values, log_scale = self._stored(i, j, semiring)
-        return _trusted(self._layouts[j].seps[i][0], values, log_scale)
+        """The message i -> j over its whole separator, every state of an
+        observed variable included, once this query has sent it."""
+        self._stored(i, j, semiring)
+        twin = self._unsliced()
+        values, log_scale = twin._stored(i, j, semiring)
+        return _trusted(twin._layouts[j].seps[i][0], values, log_scale)
 
     def _product(self, j: int, skip: int | None, semiring: str) -> tuple[np.ndarray, float]:
         """Cluster potential of j times every stored message into j except
@@ -250,38 +333,38 @@ class CompiledQuery:
         MAP traceback and sampling conditionals (``skip`` is the parent
         toward the root, through ``cluster_rows``).
         """
-        _, _, values, log_scale, seps = self._layouts[j]
+        _, _, values, log_scale, seps, _, _ = self._layouts[j]
         for i in self.jtree.neighbors(j):
             if i != skip:
                 msg, scale = self._stored(i, j, semiring)
                 values, log_scale = values * msg.reshape(seps[i][1]), log_scale + scale
         return values, log_scale
 
+    def _table(self, j: int, skip: int | None, semiring: str) -> tuple[np.ndarray, float]:
+        """``_product`` checked finite and laid out over j's whole layout."""
+        layout = self._layouts[j]
+        if not self.jtree.clusters[j].issuperset(layout.scope):
+            raise ValueError(f"cluster {j} does not hold its potentials' scope {layout.scope}")
+        values, log_scale = self._product(j, skip, semiring)
+        _require_finite(values, log_scale)
+        values = np.broadcast_to(values, layout.shape)
+        return (values if values.flags.c_contiguous else values.copy()), log_scale
+
     def cluster_table(
         self, j: int, skip: int | None = None, semiring: str = "sum"
     ) -> Factor:
         """``_product`` laid out over every variable of cluster j."""
-        layout = self._layouts[j]
-        if len(layout.scope) > len(self.jtree.clusters[j]):
-            raise ValueError(f"cluster {j} does not hold its potentials' scope {layout.scope}")
-        values, log_scale = self._product(j, skip, semiring)
-        _require_finite(values, log_scale)
-        return _trusted(layout.scope, np.broadcast_to(values, layout.shape), log_scale)
+        values, log_scale = self._table(j, skip, semiring)
+        pad = self._layouts[j].pad
+        return _trusted(pad.scope, pad.pad(values), log_scale)
 
     def cluster_rows(self, j: int, semiring: str = "sum") -> ClusterRows:
         """``cluster_table(j, parent, semiring)`` as rows over the separator
         toward the root; a normalized sum row is P(free | separator, evidence)."""
-        parent = self.parent.get(j)
-        sep = self._layouts[j].seps[parent][0] if parent is not None else ()
-        numer = self.cluster_table(j, parent, semiring)
-        free = tuple(u for u in numer.scope if u not in sep)
-        perm = [numer.scope.index(u) for u in (*sep, *free)]
-        sep_shape = tuple(numer.card(u) for u in sep)
-        free_shape = tuple(numer.card(u) for u in free)
-        table = numer.values.transpose(perm).reshape(
-            math.prod(sep_shape), math.prod(free_shape)
-        )
-        return ClusterRows(j, sep, sep_shape, free, free_shape, table, numer.log_scale)
+        sep, sep_shape, free, free_shape, perm, pad = self._layouts[j].rows
+        values, log_scale = self._table(j, self.parent.get(j), semiring)
+        table = pad.pad(values.transpose(perm)).reshape(math.prod(sep_shape), math.prod(free_shape))
+        return ClusterRows(j, sep, sep_shape, free, free_shape, table, log_scale)
 
     def compute_message(self, j: int, k: int, semiring: str = "sum") -> Factor:
         """Message along the directed edge j -> k.
@@ -289,12 +372,14 @@ class CompiledQuery:
         ``_product(j, k)`` with everything outside the separator summed
         (or maximized) out, rescaled to unit maximum.  The result's scope
         is exactly the separator, broadcasting over separator variables
-        that no piece mentions.
+        that no piece mentions.  The stored table leaves out the variables
+        the evidence pins; the returned factor restores their axes with
+        exact zeros off the observed states, which ``message`` does not.
         """
         if semiring not in ("sum", "max"):
             raise ValueError(f"unknown semiring {semiring!r}")
         self.jtree.separator(j, k)  # JunctionTreeError unless an edge
-        sep, _, sep_shape, outside = self._layouts[j].seps[k]
+        _, _, sep_shape, outside, pad = self._layouts[j].seps[k]
         values, log_scale = self._product(j, k, semiring)
         if outside:
             values = values.sum(axis=outside) if semiring == "sum" else values.max(axis=outside)
@@ -303,9 +388,10 @@ class CompiledQuery:
         peak = float(values.max()) if values.size else 0.0
         if peak > 0.0 and peak != 1.0:
             values, log_scale = values / peak, log_scale + math.log(peak)
-        msg = _trusted(sep, values, log_scale)
-        self._messages[(semiring, j, k)] = (msg.values, log_scale)
-        return msg
+        if not values.flags.c_contiguous:
+            values = values.copy()
+        self._messages[(semiring, j, k)] = (values, log_scale)
+        return _trusted(pad.scope, pad.pad(values), log_scale)
 
     # -- marginals ---------------------------------------------------------
 
@@ -327,15 +413,33 @@ class CompiledQuery:
 
     def variable_posterior(self, u: int) -> np.ndarray:
         """P(variable | evidence) read from the variable's home cluster."""
-        return _posterior(self.cluster_marginal(self.jtree.assignment[u]), u)
+        j = self.jtree.assignment[u]
+        return self._posterior(j, self.cluster_marginal(j), u)
 
     def posterior_table(self) -> dict[int, np.ndarray]:
         """Every posterior by ascending id, one cluster marginal per home."""
         home, out = self.jtree.assignment, {}
         for j, us in groupby(sorted(self.net.ids, key=lambda u: (home[u], u)), key=home.get):
             marginal = self.cluster_marginal(j)
-            out.update((u, _posterior(marginal, u)) for u in us)
+            out.update((u, self._posterior(j, marginal, u)) for u in us)
         return dict(sorted(out.items()))
+
+    def _posterior(self, j: int, marginal: Factor, u: int) -> np.ndarray:
+        """P(u | evidence) from the unnormalized marginal of u's home
+        cluster j, summed over its observed slice (0 elsewhere); an
+        observed variable's posterior is its indicator."""
+        observed, layout = self._observed, self._layouts[j]
+        index = layout.pad.index
+        table = marginal.values if index is None else marginal.values[index]
+        single = table.sum(axis=tuple(a for a, v in enumerate(layout.scope) if v != u))
+        _require_finite(single)
+        total = float(single.sum())
+        if total <= 0.0:
+            raise ImpossibleEvidenceError("posterior undefined: evidence has probability zero")
+        if u in observed:
+            single = np.zeros(self.net.card(u))
+            single[observed[u]] = total
+        return single / total
 
     # -- most probable assignment ------------------------------------------
 
@@ -363,16 +467,6 @@ class CompiledQuery:
             for u, s in zip(rows.free, np.unravel_index(best, rows.free_shape)):
                 assignment[u] = int(s)
         return assignment, log_value
-
-
-def _posterior(marginal: Factor, u: int) -> np.ndarray:
-    """P(u | evidence) from an unnormalized marginal over u's home cluster."""
-    single = marginal.values.sum(axis=tuple(a for a, v in enumerate(marginal.scope) if v != u))
-    _require_finite(single)
-    total = float(single.sum())
-    if total <= 0.0:
-        raise ImpossibleEvidenceError("posterior undefined: evidence has probability zero")
-    return single / total
 
 
 def compile_query(net: DiscreteNetwork, evidence: EvidenceSet | None = None) -> CompiledQuery:

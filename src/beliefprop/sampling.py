@@ -59,9 +59,11 @@ def cluster_conditional(
     The separator is the one toward the query's root; for the root
     cluster it is empty and the result is the normalized root marginal.
     The returned factor is a proper distribution over the free variables,
-    one row of ``cq.cluster_rows(j)`` normalized.
+    one row of ``cluster_rows(j)`` normalized, read with every observation
+    masked and none sliced, so that every separator state ``cq.message``
+    gives positive mass has one.
     """
-    layout = cq.cluster_rows(j)
+    layout = cq._unsliced().cluster_rows(j)
     if set(sep_assignment) != set(layout.sep):
         raise ValueError(
             f"separator assignment must cover exactly {list(layout.sep)}, "

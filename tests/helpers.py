@@ -8,7 +8,7 @@ import math
 
 from beliefprop.factor import Factor
 from beliefprop.jtree import JunctionTree, JunctionTreeError, moral_graph
-from beliefprop.model import Cpd, DiscreteNetwork, EvidenceSet, Variable
+from beliefprop.model import Cpd, DiscreteNetwork, EvidenceSet, Variable, build_potentials
 from beliefprop.propagation import CompiledQuery, ImpossibleEvidenceError
 from beliefprop.sampling import _CHUNK, PosteriorSampler, SamplingConsistencyError, _row_cdfs
 
@@ -316,21 +316,38 @@ def argmax_traceback(cq: CompiledQuery) -> tuple[dict[int, int], float]:
 # -- reference implementation for the compiled cluster layouts ------------
 
 
-class FactorReference:
-    """A query's messages and cluster tables built from ``Factor`` algebra,
-    each product a chain of ``multiply`` calls from the unit: the engine's
-    arithmetic before it laid clusters out.  Reads the query's tree,
-    root, assignment and potentials; fills its own message store."""
+class _FactorRun:
+    """One query's messages and cluster tables from ``Factor`` algebra,
+    each product a chain of ``multiply`` calls from the unit, with the
+    variables in ``observed`` sliced out of every potential at their
+    state.  Messages are stored over the separators without them."""
 
-    def __init__(self, cq: CompiledQuery):
-        self.cq = cq
+    def __init__(self, cq: CompiledQuery, observed: dict[int, int]):
+        self.cq, self.observed = cq, observed
+        pots = build_potentials(cq.net, cq.evidence)
         jt = cq.jtree
         members: list[list[int]] = [[] for _ in range(jt.q)]
         for u, j in sorted(jt.assignment.items()):
             if 0 <= j < jt.q:
                 members[j].append(u)
-        self.potentials = [self._product(cq.potentials[u] for u in us) for us in members]
+        self.potentials = [self._product(self.sliced(pots[u]) for u in us) for us in members]
         self.messages: dict[tuple[str, int, int], Factor] = {}
+
+    def sliced(self, f: Factor) -> Factor:
+        """``f`` at the observed states, over its other variables."""
+        index = tuple(self.observed.get(u, slice(None)) for u in f.scope)
+        kept = tuple(u for u in f.scope if u not in self.observed)
+        return Factor(kept, f.values[index], f.log_scale)
+
+    def padded(self, f: Factor, scope) -> Factor:
+        """``f`` over ``scope``: zeros off the observed states."""
+        scope = tuple(sorted(scope))
+        index = tuple(self.observed.get(u, slice(None)) for u in scope)
+        if all(isinstance(i, slice) for i in index):
+            return f
+        values = np.zeros([self.cq.net.card(u) for u in scope])
+        values[index] = f.values
+        return Factor(scope, values, f.log_scale)
 
     @staticmethod
     def _product(factors) -> Factor:
@@ -338,6 +355,9 @@ class FactorReference:
         for f in factors:
             out = out.multiply(f)
         return out
+
+    def kept(self, variables) -> list[int]:
+        return sorted(set(variables) - set(self.observed))
 
     def cluster_product(self, j: int, skip: int | None = None, semiring: str = "sum") -> Factor:
         pieces = [self.potentials[j]]
@@ -347,12 +367,12 @@ class FactorReference:
         return self._product(pieces)
 
     def cluster_table(self, j: int, skip: int | None = None, semiring: str = "sum") -> Factor:
-        return self.cluster_product(j, skip, semiring).expand(
-            sorted(self.cq.jtree.clusters[j]), self.cq.net.cards
-        )
+        cluster = self.cq.jtree.clusters[j]
+        table = self.cluster_product(j, skip, semiring).expand(self.kept(cluster), self.cq.net.cards)
+        return self.padded(table, cluster)
 
     def compute_message(self, j: int, k: int, semiring: str = "sum") -> Factor:
-        sep = sorted(self.cq.jtree.separator(j, k))
+        sep = self.kept(self.cq.jtree.separator(j, k))
         prod = self.cluster_product(j, k, semiring)
         drop = set(prod.scope) - set(sep)
         if semiring == "sum":
@@ -363,7 +383,7 @@ class FactorReference:
         self.messages[(semiring, j, k)] = msg
         return msg
 
-    def propagate(self) -> "FactorReference":
+    def propagate(self) -> None:
         """Sum messages inward and outward, then max messages inward."""
         cq = self.cq
         for j in reversed(cq.order[1:]):
@@ -372,12 +392,42 @@ class FactorReference:
             self.compute_message(cq.parent[j], j)
         for j in reversed(cq.order[1:]):
             self.compute_message(j, cq.parent[j], "max")
+
+
+class FactorReference:
+    """The engine's arithmetic before it laid clusters out, from the
+    query's tree, root, assignment and evidence.  ``messages`` hold the
+    messages with the evidence masked, as ``cq.message`` reports them;
+    ``cluster_table`` and ``variable_posterior`` run with every
+    single-state observation sliced out of every potential, as the
+    engine does, and restore the sliced axes with zeros."""
+
+    def __init__(self, cq: CompiledQuery):
+        self.cq = cq
+        observed = {u: next(iter(s)) for u, s in cq.evidence.allowed.items() if len(s) == 1}
+        self.masked, self.sliced = _FactorRun(cq, {}), _FactorRun(cq, observed)
+        self.messages = self.masked.messages
+
+    def cluster_table(self, j: int, skip: int | None = None, semiring: str = "sum") -> Factor:
+        return self.sliced.cluster_table(j, skip, semiring)
+
+    def propagate(self) -> "FactorReference":
+        self.masked.propagate()
+        self.sliced.propagate()
         return self
 
     def variable_posterior(self, u: int) -> np.ndarray:
+        """Sums over the observed slice of the home cluster's table; an
+        observed variable's posterior is its indicator."""
+        observed = self.sliced.observed
         marginal = self.cluster_table(self.cq.jtree.assignment[u])
-        single = marginal.marginalize_sum(set(marginal.scope) - {u})
-        total = float(single.values.sum())
+        index = tuple(observed.get(v, slice(None)) for v in marginal.scope)
+        kept = self.sliced.kept(marginal.scope)
+        single = marginal.values[index].sum(axis=tuple(a for a, v in enumerate(kept) if v != u))
+        total = float(single.sum())
         if total <= 0.0:
             raise ImpossibleEvidenceError("posterior undefined: evidence has probability zero")
-        return single.values / total
+        if u in observed:
+            single = np.zeros(self.cq.net.card(u))
+            single[observed[u]] = total
+        return single / total

@@ -1,10 +1,12 @@
 import itertools
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
+from scipy import special, stats
 
 from beliefprop import hmm
 from beliefprop.factor import MAX_TABLE_ENTRIES, FactorSizeError
@@ -148,6 +150,60 @@ class TestEmission:
                 for k in counts]
         np.testing.assert_allclose(hmm.log_emissions(spec5, counts), want, rtol=1e-14)
 
+    COUNTS = (0, 1, 2, 5, 10, 100, 10**4, 10**6, 10**9, 10**13, 10**16, 10**20)
+    # the second row sits near counts, where x log(x / rate) + rate - x cancels
+    RATES = (1e-3, 0.5, 3.0, 1e2, 1e6, 1e13, 1e20,
+             2.2, 101.5, 1.0003e6, 9.9999e12, 1.000001e20)
+
+    def grid_spec(self) -> hmm.HmmSpec:
+        n = len(self.RATES)
+        return hmm.HmmSpec(tuple(f"s{i}" for i in range(n)), (1.0,) + (0.0,) * (n - 1),
+                           np.eye(n), self.RATES, 1)
+
+    @staticmethod
+    def exact_log_pmf(k: int, rate: float) -> float:
+        """k log(rate) - rate - log k! at 60 digits: log k! exactly up to
+        k = 1000, past that Stirling's series, whose seventh term is
+        below 1e-39."""
+        with localcontext() as ctx:
+            ctx.prec = 60
+            r = Decimal(rate)
+            if k <= 1000:
+                log_fact = Decimal(math.factorial(k)).ln()
+            else:
+                n = Decimal(k)
+                two_pi = 2 * Decimal("3.14159265358979323846264338327950288419716939937510582")
+                log_fact = (n + Decimal("0.5")) * n.ln() - n + two_pi.ln() / 2
+                for i, b in enumerate((Decimal(1) / 6, Decimal(-1) / 30, Decimal(1) / 42,
+                                       Decimal(-1) / 30, Decimal(5) / 66, Decimal(-691) / 2730), 1):
+                    log_fact += b / (2 * i * (2 * i - 1) * n ** (2 * i - 1))
+            return float(k * r.ln() - r - log_fact)
+
+    def test_log_pmf_keeps_relative_accuracy(self):
+        # rates 1e20 and counts 10**20 made k log(rate) - rate - lgamma(k + 1)
+        # cancel down to 0.0 (pmf 1) where the log pmf is about -23.9
+        table = hmm.log_emissions(self.grid_spec(), self.COUNTS)
+        assert table[self.COUNTS.index(10**20), self.RATES.index(1e20)] == pytest.approx(
+            -23.944789, abs=1e-6
+        )
+        for k, row in zip(self.COUNTS, table):
+            for rate, got in zip(self.RATES, row):
+                assert got == pytest.approx(self.exact_log_pmf(k, rate), rel=1e-12), (k, rate)
+
+    def test_log_pmf_matches_scipy_where_scipy_is_exact(self):
+        # scipy's logpmf is the plain difference, so it is a referee only
+        # where its terms do not cancel by more than three digits
+        table = hmm.log_emissions(self.grid_spec(), self.COUNTS)
+        compared = 0
+        for k, row in zip(self.COUNTS, table):
+            for rate, got in zip(self.RATES, row):
+                want = float(stats.poisson.logpmf(float(k), rate))
+                terms = abs(float(special.xlogy(k, rate))) + float(special.gammaln(k + 1.0)) + rate
+                if terms <= 1e3 * abs(want):
+                    assert got == pytest.approx(want, rel=1e-12), (k, rate)
+                    compared += 1
+        assert compared >= 60
+
     def test_negative_count_is_impossible(self, spec5):
         assert np.all(hmm.log_emissions(spec5, [-1]) == -math.inf)
         assert hmm.emission(spec5, 0, -3) == 0.0
@@ -220,13 +276,15 @@ class TestForwardBackward:
                 call(spec, [hmm.MAX_COUNT] * 3)
 
     def test_one_path_past_float_range_reads_weight_zero(self):
-        # state A's path leaves the float range while B's stays near 0, so
+        # state A's path leaves the float range while B's stays in it, so
         # the readouts add log tables whose A entries overflow to -inf;
         # that is weight 0, and the suite's warning filter sees no overflow
         spec = hmm.HmmSpec(("A", "B"), (0.5, 0.5), ((1, 0), (0, 1)), (3.0, 1e305), 3)
         y = [hmm.MAX_COUNT] * 3
         fb = hmm.forward_backward(spec, y)
-        assert hmm.log_likelihood(fb) == pytest.approx(math.log(0.5), rel=1e-12)
+        # each count equals B's rate: log pmf -log(2 pi k) / 2 - 1 / (12 k) + ...
+        want = math.log(0.5) - 1.5 * math.log(2 * math.pi * 1e305)
+        assert hmm.log_likelihood(fb) == pytest.approx(want, rel=1e-12)
         assert np.array_equal(hmm.posteriors(spec, y), [[0.0, 1.0]] * 3)
         assert np.array_equal(hmm.forward_transition(fb, 1)[1], [0.0, 1.0])
         assert np.array_equal(hmm.backward_transition(fb, 1)[1], [0.0, 1.0])
