@@ -295,8 +295,8 @@ class EvidenceSet:
     ) -> "EvidenceSet":
         """Build from variable names (or ids) and state labels.
 
-        A bare string is shorthand for a single-state observation.
-        Unknown variables or labels raise KeyError naming the offender.
+        A bare string is one label; a value that is not a string, list or
+        tuple raises TypeError, an unknown variable or label KeyError.
         """
         allowed: dict[int, frozenset[int]] = {}
         for key, val in mapping.items():
@@ -310,7 +310,9 @@ class EvidenceSet:
                     var = net.variable(int(key))
                 except KeyError:
                     raise KeyError(f"unknown variable id {key} in evidence") from None
-            labels = [val] if isinstance(val, str) else list(val)
+            if not isinstance(val, (str, list, tuple)):
+                raise TypeError(f"evidence for {var.name!r} is not a label or list of labels: {val!r}")
+            labels = [val] if isinstance(val, str) else val
             idx = []
             for lab in labels:
                 if lab not in var.states:

@@ -15,8 +15,11 @@ The tree fixes the scope of every such table, so a query lays each
 cluster out once (see ``CompiledQuery``), and messages and readouts run
 on bare arrays: broadcast multiplies in a fixed order and one sum or max
 over precomputed axes.  Those arrays leave out the variables pinned by
-evidence; a ``Factor`` is made only where a caller asks, over the full
-scope, with exact zeros off the observed states.
+evidence, and a layout holds only what that kernel reads.  The observed
+axes come back in one helper (``CompiledQuery._with_observed``), with
+exact zeros off the observed states, only where a caller asks for a
+table: a ``Factor`` over the full scope, or the columns of
+``cluster_rows``.
 
 Messages are renormalized to unit maximum, with the removed
 mass tracked in each message's log scale, so long chains cannot
@@ -66,36 +69,15 @@ class ImpossibleEvidenceError(ValueError):
     """A conditional quantity was requested under zero-probability evidence."""
 
 
-class _Pad(NamedTuple):
-    """A full scope; shape and observed-slice index when it holds observed variables."""
-
-    scope: tuple[int, ...]
-    shape: tuple[int, ...] | None = None
-    index: tuple | None = None
-
-    def pad(self, values: np.ndarray) -> np.ndarray:
-        """``values`` (observed axes left out) over the full scope, 0 off the observed states."""
-        if self.index is None:
-            return values
-        out = np.zeros(self.shape)
-        out[self.index] = values
-        return out
-
-
 class _Layout(NamedTuple):
-    """One cluster laid out for a query (see ``CompiledQuery``)."""
+    """One cluster laid out for a query, observed variables left out: only
+    what ``_product`` and ``compute_message`` read (see ``CompiledQuery``)."""
 
     scope: tuple[int, ...]
     shape: tuple[int, ...]
     potential: np.ndarray
     log_scale: float
     seps: dict[int, tuple]
-    pad: _Pad
-    rows: tuple
-
-
-# indexes a whole axis; the observed state indexes a sliced one
-_ALL = slice(None)
 
 
 @dataclass(frozen=True)
@@ -109,7 +91,7 @@ class ClusterRows:
     leaves out variables pinned to one state by the evidence (``row``
     ignores states given for them); ``free`` keeps them, with exact
     zeros off the observed state, so the walks assign them like any
-    other variable.
+    other variable.  ``cluster_rows`` works all of this out per call.
     """
 
     cluster: int
@@ -158,13 +140,16 @@ class CompiledQuery:
     ``potentials`` maps each variable to its CPD over its family with
     every single-state observation indexed out and its own other allowed
     set masked.  Construction lays out each cluster without its observed
-    variables: its ascending scope and shape, the product of its
-    potentials (ascending ids) and its log scale, and per neighbour
-    (separator, its view shape, its shape, the axes outside it).  A view
-    has size-1 axes where a table lacks a scope variable.  The message
-    stores (sum and max semiring) hold (table, log scale) pairs over
-    those separators; inward() and outward() fill them.  Accessors that
-    return a ``Factor`` restore the observed axes.  Marginal accessors
+    variables, holding only what ``_product`` and ``compute_message``
+    read: its ascending scope and shape, the product of its potentials
+    (ascending ids) and its log scale, and per neighbour (separator, its
+    view shape, its shape, the axes outside it).  A view has size-1 axes
+    where a table lacks a scope variable.  The message stores (sum and
+    max semiring) hold (table, log scale) pairs over those separators;
+    inward() and outward() fill them.  ``_with_observed`` alone puts the
+    observed axes back, for ``cluster_table``, the factor
+    ``compute_message`` returns and the columns of ``cluster_rows``;
+    posteriors slice them out by its index rule.  Marginal accessors
     require the messages they read to exist and raise SchedulingError
     otherwise.  A tree with a cluster of more than ``MAX_TABLE_ENTRIES``
     entries (the product of its variables' cardinalities, observed ones
@@ -241,8 +226,7 @@ class CompiledQuery:
         return twin
 
     def _layout(self, j: int, pots: list[Factor]) -> _Layout:
-        cards, full = self.net.cards, self.jtree.clusters[j]
-        cluster = full.difference(self._observed)
+        cards, cluster = self.net.cards, self.jtree.clusters[j].difference(self._observed)
         scope = tuple(sorted(cluster.union(*(f.scope for f in pots))))
         shape = tuple(cards[u] for u in scope)
         if len(scope) > len(cluster):  # a stray potential, under validate=False
@@ -260,24 +244,23 @@ class CompiledQuery:
         for k in self.jtree.neighbors(j):
             sep = tuple(sorted(cluster & self.jtree.clusters[k]))
             outside = tuple(a for a, u in enumerate(scope) if u not in sep)
-            pad = self._padding(tuple(sorted(full & self.jtree.clusters[k])))
-            seps[k] = (sep, view(sep), tuple(cards[u] for u in sep), outside, pad)
-        # cluster_rows: the reduced separator toward the root, then the
-        # other variables, observed ones included
-        parent = self.parent.get(j)
-        sep, up = (seps[parent][0], self.jtree.clusters[parent]) if parent is not None else ((), ())
-        free = tuple(sorted(full.difference(up)))
-        perm = [scope.index(u) for u in (*sep, *free) if u not in self._observed]
-        sep_shape, free_shape = tuple(cards[u] for u in sep), tuple(cards[u] for u in free)
-        rows = (sep, sep_shape, free, free_shape, perm, self._padding((*sep, *free)))
-        return _Layout(scope, shape, potential, log_scale, seps, self._padding(tuple(sorted(full))), rows)
+            seps[k] = (sep, view(sep), tuple(cards[u] for u in sep), outside)
+        return _Layout(scope, shape, potential, log_scale, seps)
 
-    def _padding(self, scope: tuple[int, ...]) -> _Pad:
-        observed = self._observed
-        if observed.keys().isdisjoint(scope):
-            return _Pad(scope)
-        shape = tuple(self.net.cards[u] for u in scope)
-        return _Pad(scope, shape, tuple(observed.get(u, _ALL) for u in scope))
+    def _observed_index(self, scope: tuple[int, ...]) -> tuple:
+        """Where a table over ``scope`` holds what a layout computes: each
+        observed variable at its state, every other axis whole."""
+        return tuple(self._observed.get(u, slice(None)) for u in scope)
+
+    def _with_observed(self, scope: tuple[int, ...], values: np.ndarray) -> np.ndarray:
+        """``values``, over ``scope`` less its observed variables, over all of
+        ``scope``: the observed axes come back, 0 off the observed states.
+        The one place a table the engine computed regains them."""
+        if values.ndim == len(scope):  # nothing in scope is observed
+            return values
+        out = np.zeros([self.net.cards[u] for u in scope])
+        out[self._observed_index(scope)] = values
+        return out
 
     # -- schedule ----------------------------------------------------------
 
@@ -333,7 +316,7 @@ class CompiledQuery:
         MAP traceback and sampling conditionals (``skip`` is the parent
         toward the root, through ``cluster_rows``).
         """
-        _, _, values, log_scale, seps, _, _ = self._layouts[j]
+        _, _, values, log_scale, seps = self._layouts[j]
         for i in self.jtree.neighbors(j):
             if i != skip:
                 msg, scale = self._stored(i, j, semiring)
@@ -355,15 +338,21 @@ class CompiledQuery:
     ) -> Factor:
         """``_product`` laid out over every variable of cluster j."""
         values, log_scale = self._table(j, skip, semiring)
-        pad = self._layouts[j].pad
-        return _trusted(pad.scope, pad.pad(values), log_scale)
+        scope = tuple(sorted(self.jtree.clusters[j]))
+        return _trusted(scope, self._with_observed(scope, values), log_scale)
 
     def cluster_rows(self, j: int, semiring: str = "sum") -> ClusterRows:
         """``cluster_table(j, parent, semiring)`` as rows over the separator
         toward the root; a normalized sum row is P(free | separator, evidence)."""
-        sep, sep_shape, free, free_shape, perm, pad = self._layouts[j].rows
-        values, log_scale = self._table(j, self.parent.get(j), semiring)
-        table = pad.pad(values.transpose(perm)).reshape(math.prod(sep_shape), math.prod(free_shape))
+        parent, layout, cards = self.parent.get(j), self._layouts[j], self.net.cards
+        values, log_scale = self._table(j, parent, semiring)
+        sep, _, sep_shape, _ = layout.seps.get(parent, ((), (), (), ()))
+        up = self.jtree.clusters[parent] if parent is not None else ()
+        free = tuple(sorted(self.jtree.clusters[j].difference(up)))
+        perm = [layout.scope.index(u) for u in (*sep, *free) if u not in self._observed]
+        free_shape = tuple(cards[u] for u in free)
+        table = self._with_observed((*sep, *free), values.transpose(perm))
+        table = table.reshape(math.prod(sep_shape), math.prod(free_shape))
         return ClusterRows(j, sep, sep_shape, free, free_shape, table, log_scale)
 
     def compute_message(self, j: int, k: int, semiring: str = "sum") -> Factor:
@@ -378,8 +367,8 @@ class CompiledQuery:
         """
         if semiring not in ("sum", "max"):
             raise ValueError(f"unknown semiring {semiring!r}")
-        self.jtree.separator(j, k)  # JunctionTreeError unless an edge
-        _, _, sep_shape, outside, pad = self._layouts[j].seps[k]
+        full = tuple(sorted(self.jtree.separator(j, k)))  # JunctionTreeError unless an edge
+        _, _, sep_shape, outside = self._layouts[j].seps[k]
         values, log_scale = self._product(j, k, semiring)
         if outside:
             values = values.sum(axis=outside) if semiring == "sum" else values.max(axis=outside)
@@ -391,7 +380,7 @@ class CompiledQuery:
         if not values.flags.c_contiguous:
             values = values.copy()
         self._messages[(semiring, j, k)] = (values, log_scale)
-        return _trusted(pad.scope, pad.pad(values), log_scale)
+        return _trusted(full, self._with_observed(full, values), log_scale)
 
     # -- marginals ---------------------------------------------------------
 
@@ -428,10 +417,8 @@ class CompiledQuery:
         """P(u | evidence) from the unnormalized marginal of u's home
         cluster j, summed over its observed slice (0 elsewhere); an
         observed variable's posterior is its indicator."""
-        observed, layout = self._observed, self._layouts[j]
-        index = layout.pad.index
-        table = marginal.values if index is None else marginal.values[index]
-        single = table.sum(axis=tuple(a for a, v in enumerate(layout.scope) if v != u))
+        observed, table = self._observed, marginal.values[self._observed_index(marginal.scope)]
+        single = table.sum(axis=tuple(a for a, v in enumerate(self._layouts[j].scope) if v != u))
         _require_finite(single)
         total = float(single.sum())
         if total <= 0.0:

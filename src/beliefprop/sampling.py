@@ -51,6 +51,14 @@ class SamplingConsistencyError(RuntimeError):
     messages claim is possible; indicates an engine bug."""
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int; ValueError naming it otherwise (1.9 is not 1)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} {value!r} is not an integer") from None
+
+
 def cluster_conditional(
     cq: CompiledQuery, j: int, sep_assignment: Mapping[int, int]
 ) -> Factor:
@@ -69,7 +77,7 @@ def cluster_conditional(
             f"separator assignment must cover exactly {list(layout.sep)}, "
             f"got {sorted(sep_assignment)}"
         )
-    states = {u: int(s) for u, s in sep_assignment.items()}
+    states = {u: _integer(s, f"state of variable {u}") for u, s in sep_assignment.items()}
     for u, d in zip(layout.sep, layout.sep_shape):
         # a flattened row index would carry an out-of-range state into
         # a neighbouring row
@@ -159,7 +167,7 @@ class PosteriorSampler:
             needed = set(range(jt.q))
             self.variables = tuple(sorted(cq.net.ids))
         else:
-            targets = sorted(set(int(u) for u in targets))
+            targets = sorted({_integer(u, "target") for u in targets})
             unknown = [u for u in targets if u not in cq.net.cards]
             if unknown:
                 raise KeyError(f"unknown variable ids {unknown}")

@@ -142,6 +142,17 @@ class TestLogz:
         assert r.returncode == 2
         assert "Dd" in r.stderr
 
+    @pytest.mark.parametrize("value", [{"dd": 5, "DD": 1}, 5, None])
+    def test_evidence_value_not_labels_is_usage_error(self, net_path, tmp_path, value):
+        ev = tmp_path / "ev.json"
+        ev.write_text(json.dumps({"X1": value}))
+        r = run_cli("logz", net_path, "--evidence", str(ev))
+        assert r.returncode == 2
+        assert r.stdout == ""
+        [line] = r.stderr.splitlines()
+        assert line.startswith(f"error: {ev}: bad evidence entry (")
+        assert "'X1'" in line
+
 
 class TestMarginals:
     def test_csv_single_variable(self, net_path, ev_path):

@@ -115,6 +115,10 @@ class TestSpec:
         with pytest.raises(ValueError):
             hmm.HmmSpec(**fields)
 
+    def test_short_rates_refused(self):
+        with pytest.raises(ValueError, match="one entry per state"):
+            hmm.HmmSpec(("L", "H"), (0.0, 1.0), ((0.9, 0.1), (0.3, 0.7)), (3.0,), 5)
+
     def test_horizon_over_the_table_cap(self):
         # two states: the largest horizon is half the entry cap
         hmm.precipitation_spec(MAX_TABLE_ENTRIES // 2)
@@ -265,6 +269,13 @@ class TestForwardBackward:
         spec = hmm.precipitation_spec(3)
         with pytest.raises(ValueError, match="probability zero"):
             hmm.posteriors(spec, [0, -1, 0])
+
+    @pytest.mark.parametrize("y", [[0, 1, 2, 0], [0, 1, 2, 0, 1, 3]])
+    def test_wrong_number_of_counts_refused(self, spec5, y):
+        with pytest.raises(ValueError, match=f"expected 5 observations, got {len(y)}"):
+            hmm.forward_backward(spec5, y)
+        with pytest.raises(ValueError, match=f"expected 5 observations, got {len(y)}"):
+            hmm.to_bayes_net(spec5, y)
 
     def test_log_likelihood_past_float_range_is_refused(self):
         # each count of 1e305 has log pmf near -7e307 in both states, so

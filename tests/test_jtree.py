@@ -240,6 +240,10 @@ class TestTreeQueries:
         assert ped_jtree.side_of(1, 0) == frozenset({1, 2, 3, 4, 5, 6})
         assert ped_jtree.side_of(0, 1) == frozenset({0})
 
+    def test_side_of_requires_edge(self, ped_jtree):
+        with pytest.raises(JunctionTreeError, match=r"\(0, 6\) is not a tree edge"):
+            ped_jtree.side_of(0, 6)
+
     def test_side_of_matches_paths(self, ped_jtree):
         # k is on i's side of edge (i, j) exactly when its path to j passes i
         for i, j in ped_jtree.edges:
@@ -335,6 +339,24 @@ class TestValidator:
         report = validate_junction_tree(ped_net, jt)
         assert not report.ok
         assert "assignment" in {v.kind for v in report.violations}
+
+    @pytest.mark.parametrize(
+        "edges, assignment, line",
+        [
+            (PED_EDGES[:-1] + ((5, 7),), None, "tree: edge (5, 7) is out of range"),
+            (PED_EDGES[:-1] + ((6, 6),), None, "tree: edge (6, 6) is a self-loop"),
+            (PED_EDGES[:-1] + ((3, 5),), None, "tree: edge (3, 5) is duplicated"),
+            # six edges, but a cycle through 0, 1, 2 leaves cluster 6 out
+            (PED_EDGES[:-1] + ((0, 2),), None, "tree: clusters [6] are disconnected"),
+            (PED_EDGES, {u: j for u, j in PED_ASSIGNMENT.items() if u != 9},
+             "assignment: variable 9 is unassigned"),
+            (PED_EDGES, {**PED_ASSIGNMENT, 9: 7}, "assignment: variable 9 assigned to 7"),
+        ],
+        ids=["out-of-range", "self-loop", "duplicated", "disconnected", "unassigned", "assigned-to"],
+    )
+    def test_violation_lines(self, ped_net, edges, assignment, line):
+        jt = JunctionTree(PED_CLUSTERS, edges, assignment)
+        assert validate_junction_tree(ped_net, jt).lines() == [line]
 
     def test_witness_names_condition(self, ped_net):
         edges = ((0, 1), (0, 2), (1, 3), (3, 4), (3, 5), (5, 6))

@@ -265,6 +265,16 @@ class TestEvidence:
         with pytest.raises(KeyError, match="Dd"):
             EvidenceSet.from_labels(net, {"X2": "Dd"})
 
+    def test_unknown_variable_id_named(self):
+        with pytest.raises(KeyError, match="unknown variable id 99"):
+            EvidenceSet.from_labels(pedigree_network(), {99: "DD"})
+
+    @pytest.mark.parametrize("value", [{"dd": 5, "DD": 1}, {"dd", "DD"}, 5, None])
+    def test_value_not_a_label_or_list_is_type_error(self, value):
+        # iterating a dict would take its keys as labels
+        with pytest.raises(TypeError, match="'X1'"):
+            EvidenceSet.from_labels(pedigree_network(), {"X1": value})
+
     def test_permits_and_restricts(self):
         ev = pedigree_evidence()
         assert ev.restricts(6) and not ev.restricts(0)

@@ -77,6 +77,17 @@ class TestMarginalAndPosterior:
         assert oracle_log_probability(net, ev) > float("-inf")
 
 
+    def test_posterior_under_impossible_evidence_refused(self):
+        # B = t is impossible once the A -> B table is deterministic
+        det = DiscreteNetwork(
+            [Variable(0, "A", ("h", "t")), Variable(1, "B", ("h", "t"))],
+            [Cpd(0, (), np.array([[1.0, 0.0]])),
+             Cpd(1, (0,), np.array([[1.0, 0.0], [0.0, 1.0]]))],
+        )
+        with pytest.raises(ValueError, match="evidence has probability zero"):
+            oracle_posterior(det, EvidenceSet({1: frozenset({1})}), 0)
+
+
 class TestOracleMessage:
     def test_definition_on_tiny_chain(self):
         # chain A -> B -> C; message over the A-B separator from the

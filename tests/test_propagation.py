@@ -90,6 +90,15 @@ class TestPotentials:
         with pytest.raises(ValueError, match=r"unknown variable ids \[-1, 999\]"):
             oracle_log_probability(net, ev)
 
+    def test_state_out_of_range_refused(self):
+        # the engine and the oracle both index CPDs at the observed state
+        net = pedigree_network()
+        ev = EvidenceSet({3: {2}, 0: {1, 3}})
+        with pytest.raises(ValueError, match=r"out of range for variable 0: \[1, 3\]"):
+            build_potentials(net, ev)
+        with pytest.raises(ValueError, match=r"out of range for variable 0: \[1, 3\]"):
+            compile_query(net, ev)
+
     def test_no_evidence_is_plain_cpd(self):
         net = pedigree_network()
         pots = build_potentials(net, EvidenceSet.none())

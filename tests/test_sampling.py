@@ -75,6 +75,18 @@ class TestClusterConditional:
         with pytest.raises(ValueError, match="out of range"):
             cluster_conditional(ped_query, j, {u: state for u in sep})
 
+    def test_non_integer_separator_state_refused(self, ped_query):
+        # truncating would read 0.9 as state 0
+        j, parent = next(iter(ped_query.parent.items()))
+        sep = sorted(ped_query.jtree.separator(j, parent))
+        with pytest.raises(ValueError, match=r"state of variable \d+ 0\.9 is not an integer"):
+            cluster_conditional(ped_query, j, {u: 0.9 for u in sep})
+        msg = ped_query.message(j, parent).linear()
+        idx = np.unravel_index(int(np.argmax(msg)), msg.shape)
+        got = cluster_conditional(ped_query, j, dict(zip(sep, idx)))
+        want = cluster_conditional(ped_query, j, {u: int(s) for u, s in zip(sep, idx)})
+        np.testing.assert_array_equal(got.values, want.values)
+
     def test_matches_oracle_conditional(self, ped_query):
         # P(cluster | separator, evidence) against enumeration
         cq = ped_query
@@ -308,6 +320,16 @@ class TestPosteriorSampler:
         with pytest.raises(KeyError):
             PosteriorSampler(ped_query, targets=[55])
 
+    def test_non_integer_target_refused(self, ped_query):
+        # truncating would sample variable 1
+        with pytest.raises(ValueError, match=r"target 1\.9 is not an integer"):
+            PosteriorSampler(ped_query, targets=[1.9])
+        assert PosteriorSampler(ped_query, targets=[np.int64(1)]).variables == (1,)
+
+    def test_negative_count_refused(self, ped_query):
+        with pytest.raises(ValueError, match="count must be non-negative"):
+            PosteriorSampler(ped_query, seed=7).sample(-1)
+
     def test_zero_probability_states_never_drawn(self, ped_query):
         # X3 = dd has zero posterior mass under the evidence
         ids, draws = sample_posterior(ped_query, seed=2, count=20000)
@@ -429,6 +451,12 @@ class TestHmmPathSampling:
         monkeypatch.setattr("beliefprop.sampling.forward_backward", no_sweep)
         with pytest.raises(ValueError, match="count must be non-negative"):
             sample_hmm_path(spec, y, count=-1)
+
+    def test_impossible_observations_refused(self, setup):
+        # a negative rain count has probability zero under every state
+        spec, y, _ = setup
+        with pytest.raises(ValueError, match="observations have probability zero"):
+            sample_hmm_path(spec, [-1, *y[1:]], seed=1, count=5)
 
     def test_marginals_match_smoothing(self, setup):
         spec, y, fb = setup
