@@ -31,6 +31,7 @@ sample output.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -59,6 +60,14 @@ def check_table_size(shape: Iterable[int], label: str) -> None:
         raise FactorSizeError(
             f"{label} has {entries} entries, cap is {MAX_TABLE_ENTRIES}"
         )
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as an int; ValueError naming it otherwise (1.9 is not 1)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} {value!r} is not an integer") from None
 
 
 def _alignment_index(sub: tuple[int, ...], full: tuple[int, ...]) -> tuple:

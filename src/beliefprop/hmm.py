@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .factor import check_table_size
+from .factor import _integer, check_table_size
 from .jtree import JunctionTree
 from .model import Cpd, DiscreteNetwork, EvidenceSet, Variable
 
@@ -63,7 +63,7 @@ class HmmSpec:
             self, "transition", tuple(tuple(float(p) for p in row) for row in self.transition)
         )
         object.__setattr__(self, "rates", tuple(float(r) for r in self.rates))
-        object.__setattr__(self, "horizon", int(self.horizon))
+        object.__setattr__(self, "horizon", _integer(self.horizon, "horizon"))
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
         if len(self.initial) != k or len(self.rates) != k or len(self.transition) != k:
@@ -87,7 +87,7 @@ class HmmSpec:
             if s not in self.states:
                 raise KeyError(f"unknown state label {s!r}")
             return self.states.index(s)
-        return int(s)
+        return _integer(s, "state")
 
 
 def precipitation_spec(n: int) -> HmmSpec:

@@ -8,6 +8,7 @@ fastest, one column per child state.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -15,7 +16,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .factor import Factor
+from .factor import Factor, _integer
 
 ROW_SUM_TOL = 1e-9
 
@@ -225,10 +226,7 @@ def validate_network(net: DiscreteNetwork) -> ValidationReport:
                 )
             )
             continue
-        rows = 1
-        for p in c.parents:
-            rows *= net.card(p)
-        want = (rows, net.card(c.child))
+        want = (math.prod(net.card(p) for p in c.parents), net.card(c.child))
         if c.table.shape != want:
             out.append(
                 Violation(
@@ -238,7 +236,8 @@ def validate_network(net: DiscreteNetwork) -> ValidationReport:
                 )
             )
             continue
-        if not np.all(np.isfinite(c.table)) or np.any(c.table < 0) or np.any(c.table > 1):
+        # NaN and +-inf fail the comparison too
+        if not ((c.table >= 0) & (c.table <= 1)).all():
             out.append(
                 Violation("bad-prob", c.child, f"{child_name} has entries outside [0, 1]")
             )
@@ -279,7 +278,8 @@ class EvidenceSet:
     allowed: Mapping[int, frozenset[int]]
 
     def __post_init__(self) -> None:
-        frozen = {int(u): frozenset(int(s) for s in states)
+        frozen = {_integer(u, "evidence variable id"):
+                  frozenset(_integer(s, f"state of variable {u}") for s in states)
                   for u, states in self.allowed.items()}
         object.__setattr__(self, "allowed", frozen)
 
@@ -307,7 +307,7 @@ class EvidenceSet:
                     raise KeyError(f"unknown variable {key!r} in evidence") from None
             else:
                 try:
-                    var = net.variable(int(key))
+                    var = net.variable(_integer(key, "evidence variable id"))
                 except KeyError:
                     raise KeyError(f"unknown variable id {key} in evidence") from None
             if not isinstance(val, (str, list, tuple)):

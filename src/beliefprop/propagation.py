@@ -18,19 +18,20 @@ over precomputed axes.  Those arrays leave out the variables pinned by
 evidence, and a layout holds only what that kernel reads.  The observed
 axes come back in one helper (``CompiledQuery._with_observed``), with
 exact zeros off the observed states, only where a caller asks for a
-table: a ``Factor`` over the full scope, or the columns of
-``cluster_rows``.
+table: a ``Factor`` over the full scope, the columns of
+``cluster_rows``, each MAP row or an observed variable's posterior.
 
 Messages are renormalized to unit maximum, with the removed
 mass tracked in each message's log scale, so long chains cannot
 underflow.  Both passes are iterative (explicit stacks), so tree depth
 is not limited by the interpreter's recursion limit.
 
-The same inward pass run in the max-sum semiring yields most-probable
+The same inward pass run in the max semiring yields most-probable
 assignments: maximize instead of marginalize, then walk the query's one
-root-first order over ``cluster_rows`` (one row per separator
-assignment), taking the argmax of each row the walk reaches.  Posterior
-sampling walks the same order over the same layout of the sum tables.
+root-first order, index each cluster's sliced max table at the
+separator states the walk has fixed and take the first maximum of that
+one row.  Posterior sampling walks the same order over the sum tables
+laid out by ``cluster_rows`` (one row per separator assignment).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import math
 from dataclasses import dataclass
 from itertools import groupby
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -84,14 +85,14 @@ class _Layout(NamedTuple):
 class ClusterRows:
     """One cluster's table laid out for root-first decoding.
 
-    ``table * exp(log_scale)`` has one row per assignment of ``sep``, the
-    separator toward the query's root (empty at the root), and one column
-    per assignment of ``free``, the cluster's other variables, both
-    flattened in canonical order (ascending ids, last fastest).  ``sep``
-    leaves out variables pinned to one state by the evidence (``row``
-    ignores states given for them); ``free`` keeps them, with exact
-    zeros off the observed state, so the walks assign them like any
-    other variable.  ``cluster_rows`` works all of this out per call.
+    ``table``, the sum table up to a positive scale, has one row per
+    assignment of ``sep``, the separator toward the query's root (empty
+    at the root), and one column per assignment of ``free``, the
+    cluster's other variables, both flattened in canonical order
+    (ascending ids, last fastest).  ``sep`` leaves out variables pinned
+    to one state by the evidence (``row`` ignores states given for
+    them); ``free`` keeps them, with exact zeros off the observed state,
+    so the sampler draws them like any other variable.
     """
 
     cluster: int
@@ -100,7 +101,6 @@ class ClusterRows:
     free: tuple[int, ...]
     free_shape: tuple[int, ...]
     table: np.ndarray
-    log_scale: float
 
     def row(self, states: Mapping[int, int | np.ndarray]):
         """Row index of the separator assignment ``states`` (variable ->
@@ -147,9 +147,9 @@ class CompiledQuery:
     where a table lacks a scope variable.  The message stores (sum and
     max semiring) hold (table, log scale) pairs over those separators;
     inward() and outward() fill them.  ``_with_observed`` alone puts the
-    observed axes back, for ``cluster_table``, the factor
-    ``compute_message`` returns and the columns of ``cluster_rows``;
-    posteriors slice them out by its index rule.  Marginal accessors
+    observed axes back, for ``cluster_table``, ``compute_message``'s
+    factor, the columns of ``cluster_rows`` and the MAP rows; posteriors
+    slice each home marginal once by its index rule.  Marginal accessors
     require the messages they read to exist and raise SchedulingError
     otherwise.  A tree with a cluster of more than ``MAX_TABLE_ENTRIES``
     entries (the product of its variables' cardinalities, observed ones
@@ -314,7 +314,7 @@ class CompiledQuery:
         The one product behind every other quantity: messages (``skip``
         is the receiver), cluster marginals (no ``skip``), and the
         MAP traceback and sampling conditionals (``skip`` is the parent
-        toward the root, through ``cluster_rows``).
+        toward the root).
         """
         _, _, values, log_scale, seps = self._layouts[j]
         for i in self.jtree.neighbors(j):
@@ -341,11 +341,11 @@ class CompiledQuery:
         scope = tuple(sorted(self.jtree.clusters[j]))
         return _trusted(scope, self._with_observed(scope, values), log_scale)
 
-    def cluster_rows(self, j: int, semiring: str = "sum") -> ClusterRows:
-        """``cluster_table(j, parent, semiring)`` as rows over the separator
-        toward the root; a normalized sum row is P(free | separator, evidence)."""
+    def cluster_rows(self, j: int) -> ClusterRows:
+        """``cluster_table(j, parent)`` as rows over the separator toward
+        the root; a normalized row is P(free | separator, evidence)."""
         parent, layout, cards = self.parent.get(j), self._layouts[j], self.net.cards
-        values, log_scale = self._table(j, parent, semiring)
+        values, _ = self._table(j, parent, "sum")
         sep, _, sep_shape, _ = layout.seps.get(parent, ((), (), (), ()))
         up = self.jtree.clusters[parent] if parent is not None else ()
         free = tuple(sorted(self.jtree.clusters[j].difference(up)))
@@ -353,7 +353,7 @@ class CompiledQuery:
         free_shape = tuple(cards[u] for u in free)
         table = self._with_observed((*sep, *free), values.transpose(perm))
         table = table.reshape(math.prod(sep_shape), math.prod(free_shape))
-        return ClusterRows(j, sep, sep_shape, free, free_shape, table, log_scale)
+        return ClusterRows(j, sep, sep_shape, free, free_shape, table)
 
     def compute_message(self, j: int, k: int, semiring: str = "sum") -> Factor:
         """Message along the directed edge j -> k.
@@ -402,31 +402,27 @@ class CompiledQuery:
 
     def variable_posterior(self, u: int) -> np.ndarray:
         """P(variable | evidence) read from the variable's home cluster."""
-        j = self.jtree.assignment[u]
-        return self._posterior(j, self.cluster_marginal(j), u)
+        return dict(self._posteriors(self.jtree.assignment[u], (u,)))[u]
 
     def posterior_table(self) -> dict[int, np.ndarray]:
         """Every posterior by ascending id, one cluster marginal per home."""
         home, out = self.jtree.assignment, {}
         for j, us in groupby(sorted(self.net.ids, key=lambda u: (home[u], u)), key=home.get):
-            marginal = self.cluster_marginal(j)
-            out.update((u, self._posterior(j, marginal, u)) for u in us)
+            out.update(self._posteriors(j, us))
         return dict(sorted(out.items()))
 
-    def _posterior(self, j: int, marginal: Factor, u: int) -> np.ndarray:
-        """P(u | evidence) from the unnormalized marginal of u's home
-        cluster j, summed over its observed slice (0 elsewhere); an
-        observed variable's posterior is its indicator."""
-        observed, table = self._observed, marginal.values[self._observed_index(marginal.scope)]
-        single = table.sum(axis=tuple(a for a, v in enumerate(self._layouts[j].scope) if v != u))
-        _require_finite(single)
-        total = float(single.sum())
-        if total <= 0.0:
-            raise ImpossibleEvidenceError("posterior undefined: evidence has probability zero")
-        if u in observed:
-            single = np.zeros(self.net.card(u))
-            single[observed[u]] = total
-        return single / total
+    def _posteriors(self, j: int, us: Iterable[int]) -> Iterator[tuple[int, np.ndarray]]:
+        """(u, P(u | evidence)) for each u homed in cluster j, from its marginal
+        sliced once to its observed states; an observed u reads its indicator."""
+        marginal, scope = self.cluster_marginal(j), self._layouts[j].scope
+        table = marginal.values[self._observed_index(marginal.scope)]
+        for u in us:
+            single = table.sum(axis=tuple(a for a, v in enumerate(scope) if v != u))
+            _require_finite(single)
+            total = float(single.sum())
+            if total <= 0.0:
+                raise ImpossibleEvidenceError("posterior undefined: evidence has probability zero")
+            yield u, self._with_observed((u,), single) / total
 
     # -- most probable assignment ------------------------------------------
 
@@ -434,26 +430,28 @@ class CompiledQuery:
         """Most probable full assignment under the evidence.
 
         Returns the assignment, keyed in the order the walk over ``order``
-        fixes the variables, and log P(assignment, evidence).  Each cluster
-        takes the first maximum of the ``cluster_rows(j, "max")`` row its
-        separator picks, so ties go to lower state indices.
+        fixes the variables, and log P(assignment, evidence) from the
+        root's peak.  Each cluster indexes its sliced max table at the
+        states the walk fixed for its separator toward the root and takes
+        the first maximum of that row over its free variables (ascending,
+        observed ones padded back), so ties go to lower state indices.
         """
         if not all(self.has_message(j, k, "max") for j, k in self.parent.items()):
             self.inward(semiring="max")
-        root = self.cluster_rows(self.root, "max")
-        peak = float(root.table.max())
-        if peak <= 0.0:
-            raise ImpossibleEvidenceError(
-                "no assignment is consistent with the evidence"
-            )
-        log_value = math.log(peak) + root.log_scale
         assignment: dict[int, int] = {}
         for j in self.order:
-            rows = root if j == self.root else self.cluster_rows(j, "max")
-            best = int(np.argmax(rows.table[rows.row(assignment)]))
-            for u, s in zip(rows.free, np.unravel_index(best, rows.free_shape)):
-                assignment[u] = int(s)
-        return assignment, log_value
+            parent = self.parent.get(j)
+            values, scale = self._table(j, parent, "max")
+            if parent is None:
+                peak, root_scale = float(values.max()), scale
+                if peak <= 0.0:
+                    raise ImpossibleEvidenceError("no assignment is consistent with the evidence")
+            up = self.jtree.clusters[parent] if parent is not None else ()
+            free = tuple(sorted(self.jtree.clusters[j].difference(up)))
+            fixed = tuple(assignment[u] if u in up else slice(None) for u in self._layouts[j].scope)
+            row = self._with_observed(free, values[fixed])
+            assignment.update(zip(free, map(int, np.unravel_index(int(np.argmax(row)), row.shape))))
+        return assignment, math.log(peak) + root_scale
 
 
 def compile_query(net: DiscreteNetwork, evidence: EvidenceSet | None = None) -> CompiledQuery:

@@ -7,10 +7,12 @@ inward pass toward the query's root, the cluster conditionals
 
 are available in closed form, so a single sweep from the root assigns
 every variable.  Restricting the sweep to a subtree yields draws of any
-subset of variables at reduced cost.  The sweep is the MAP traceback's:
-it walks the query's one root-first order (``CompiledQuery.order``) over
-the same separator-row layout (``CompiledQuery.cluster_rows``), drawing
-from each row where the traceback takes its argmax.
+subset of variables at reduced cost.  The sweep walks the MAP
+traceback's root-first order (``CompiledQuery.order``) over the sum
+tables laid out as separator rows (``CompiledQuery.cluster_rows``),
+building CDFs only for the rows its draws reach.  Targets, separator
+states and counts follow the one integer rule (``factor._integer``):
+anything but an integer type is a ValueError naming it, never truncated.
 
 Randomness contract: numpy's PCG64 generator seeded with a caller
 64-bit seed.  For each visited cluster, in a fixed root-first order
@@ -28,12 +30,11 @@ tables, in chronological or reverse order.
 from __future__ import annotations
 
 import math
-import operator
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .factor import Factor, check_table_size
+from .factor import Factor, _integer, check_table_size
 from .hmm import (
     HmmSpec,
     backward_transition,
@@ -49,14 +50,6 @@ _CHUNK = 1 << 16
 class SamplingConsistencyError(RuntimeError):
     """A conditional came out empty for a separator state that upstream
     messages claim is possible; indicates an engine bug."""
-
-
-def _integer(value, what: str) -> int:
-    """``value`` as an int; ValueError naming it otherwise (1.9 is not 1)."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{what} {value!r} is not an integer") from None
 
 
 def cluster_conditional(
@@ -191,7 +184,7 @@ class PosteriorSampler:
         """Draw ``count`` assignments; one row per draw, one column per
         entry of ``self.variables`` (state indices).  FactorSizeError when
         the output would pass the table entry cap."""
-        count = operator.index(count)
+        count = _integer(count, "count")
         if count < 0:
             raise ValueError("count must be non-negative")
         check_table_size((count, len(self._columns)), "sample output")
@@ -248,7 +241,7 @@ def sample_hmm_path(
     if direction not in ("forward", "backward"):
         raise ValueError(f"unknown direction {direction!r}")
     n = spec.horizon
-    count = operator.index(count)
+    count = _integer(count, "count")
     if count < 0:
         raise ValueError("count must be non-negative")
     check_table_size((count, n), "sample output")

@@ -216,6 +216,11 @@ class TestMap:
         for name in ("X2", "X4", "X8", "X10"):
             assert assignment[name] == "DD"
         assert assignment["X7"] in ("dd", "dD")
+        # the whole output, which pins the traceback's tie order
+        assert lines == [
+            "map_log_joint=-10.10291458", "X1=dD", "X2=DD", "X3=DD", "X4=DD",
+            "X5=dD", "X6=dd", "X7=dD", "X8=DD", "X9=dD", "X10=DD",
+        ]
 
 
 class TestSample:

@@ -82,8 +82,18 @@ class TestSpec:
     def test_state_index(self, spec5):
         assert spec5.state_index("H") == 1
         assert spec5.state_index(0) == 0
+        assert spec5.state_index(np.int64(1)) == 1
         with pytest.raises(KeyError):
             spec5.state_index("X")
+        # truncating would return 1
+        with pytest.raises(ValueError, match=r"state 1\.5 is not an integer"):
+            spec5.state_index(1.5)
+
+    def test_fractional_horizon_refused(self):
+        # truncating would build a 2-step spec
+        with pytest.raises(ValueError, match=r"horizon 2\.5 is not an integer"):
+            hmm.precipitation_spec(2.5)
+        assert hmm.precipitation_spec(np.int64(3)).horizon == 3
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -228,6 +228,12 @@ class TestValidation:
             ("cycle",
              [Variable(0, "A", ("x", "y")), Variable(1, "B", ("x", "y"))],
              [Cpd(0, (1,), np.ones((2, 2)) / 2), Cpd(1, (0,), np.ones((2, 2)) / 2)]),
+            # NaN, +-inf and a lone out-of-range entry
+            *(("bad-prob",
+               [Variable(0, "A", ("x", "y"))],
+               [Cpd(0, (), np.array([row]))])
+              for row in ([np.nan, 0.5], [np.inf, 0.0], [-np.inf, 1.0],
+                          [-0.1, 1.0], [1.5, 0.0])),
         ],
     )
     def test_defect_reported(self, kind, variables, cpds):
@@ -268,6 +274,20 @@ class TestEvidence:
     def test_unknown_variable_id_named(self):
         with pytest.raises(KeyError, match="unknown variable id 99"):
             EvidenceSet.from_labels(pedigree_network(), {99: "DD"})
+
+    def test_fractional_ids_and_states_refused(self):
+        # truncating would observe X2 = DD
+        with pytest.raises(ValueError, match=r"state of variable 1 2\.7 is not an integer"):
+            EvidenceSet({1: {2.7}})
+        with pytest.raises(ValueError, match=r"evidence variable id 1\.9 is not an integer"):
+            EvidenceSet({1.9: {2.7}})
+        with pytest.raises(ValueError, match=r"evidence variable id 1\.9 is not an integer"):
+            EvidenceSet.from_labels(pedigree_network(), {1.9: "DD"})
+
+    def test_numpy_integer_ids_accepted(self):
+        assert EvidenceSet({np.int64(1): {np.int64(2)}}).allowed == {1: frozenset({2})}
+        ev = EvidenceSet.from_labels(pedigree_network(), {np.int64(1): "DD"})
+        assert ev.allowed == {1: frozenset({2})}
 
     @pytest.mark.parametrize("value", [{"dd": 5, "DD": 1}, {"dd", "DD"}, 5, None])
     def test_value_not_a_label_or_list_is_type_error(self, value):

@@ -330,6 +330,11 @@ class TestPosteriorSampler:
         with pytest.raises(ValueError, match="count must be non-negative"):
             PosteriorSampler(ped_query, seed=7).sample(-1)
 
+    def test_fractional_count_refused(self, ped_query):
+        with pytest.raises(ValueError, match=r"count 2\.5 is not an integer"):
+            PosteriorSampler(ped_query, seed=7).sample(2.5)
+        assert PosteriorSampler(ped_query, seed=7).sample(np.int64(2)).shape == (2, 10)
+
     def test_zero_probability_states_never_drawn(self, ped_query):
         # X3 = dd has zero posterior mass under the evidence
         ids, draws = sample_posterior(ped_query, seed=2, count=20000)
@@ -451,6 +456,11 @@ class TestHmmPathSampling:
         monkeypatch.setattr("beliefprop.sampling.forward_backward", no_sweep)
         with pytest.raises(ValueError, match="count must be non-negative"):
             sample_hmm_path(spec, y, count=-1)
+
+    def test_fractional_count_refused(self, setup):
+        spec, y, _ = setup
+        with pytest.raises(ValueError, match=r"count 2\.5 is not an integer"):
+            sample_hmm_path(spec, y, count=2.5)
 
     def test_impossible_observations_refused(self, setup):
         # a negative rain count has probability zero under every state
