@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .factor import Factor, _integer
+from .factor import Factor, _integer, _trusted
 
 ROW_SUM_TOL = 1e-9
 
@@ -146,7 +146,7 @@ class DiscreteNetwork:
         """The family of u in ascending id order, and its CPD table viewed
         with one axis per family member in that order (no copy)."""
         cpd, cards = self._cpd_by_child[u], self._cards
-        listed = cpd.parents + (u,)
+        listed = cpd.parents + (cpd.child,)
         perm = sorted(range(len(listed)), key=listed.__getitem__)
         table = cpd.table.reshape([cards[w] for w in listed]).transpose(perm)
         return tuple(listed[i] for i in perm), table
@@ -175,6 +175,18 @@ class InvalidNetworkError(ValueError):
     def __init__(self, report: ValidationReport):
         self.report = report
         super().__init__("; ".join(report.lines()))
+
+
+def _table_defects(table: np.ndarray) -> list[tuple[str, str]]:
+    """(kind, what is wrong) unless a well-shaped CPD table's rows are distributions."""
+    # NaN and +-inf fail the comparison too
+    if not ((table >= 0) & (table <= 1)).all():
+        return [("bad-prob", "has entries outside [0, 1]")]
+    sums = table.sum(axis=1)
+    bad = np.nonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)[0]
+    if bad.size:
+        return [("bad-row-sum", f"rows {bad.tolist()} sum to {sums[bad].tolist()}")]
+    return []
 
 
 def validate_network(net: DiscreteNetwork) -> ValidationReport:
@@ -206,52 +218,31 @@ def validate_network(net: DiscreteNetwork) -> ValidationReport:
         if c.child not in ids:
             out.append(Violation("unknown-child", c.child, f"CPD for unknown id {c.child}"))
 
+    defects: dict[int, list[tuple[str, str]]] = {}
     for c in net.cpds:
         if c.child not in ids:
             continue
         child_name = net.variable(c.child).name
         if len(set(c.parents)) != len(c.parents):
-            out.append(
-                Violation("duplicate-parent", c.child, f"{child_name} lists a parent twice")
-            )
+            out.append(Violation("duplicate-parent", c.child, f"{child_name} lists a parent twice"))
         if c.child in c.parents:
             out.append(Violation("self-parent", c.child, f"{child_name} is its own parent"))
         dangling = [p for p in c.parents if p not in ids]
         if dangling:
-            out.append(
-                Violation(
-                    "dangling-parent",
-                    c.child,
-                    f"{child_name} references unknown parent ids {dangling}",
-                )
-            )
+            out.append(Violation("dangling-parent", c.child,
+                                 f"{child_name} references unknown parent ids {dangling}"))
             continue
         want = (math.prod(net.card(p) for p in c.parents), net.card(c.child))
         if c.table.shape != want:
-            out.append(
-                Violation(
-                    "bad-shape",
-                    c.child,
-                    f"{child_name} table has shape {c.table.shape}, expected {want}",
-                )
-            )
+            out.append(Violation("bad-shape", c.child,
+                                 f"{child_name} table has shape {c.table.shape}, expected {want}"))
             continue
-        # NaN and +-inf fail the comparison too
-        if not ((c.table >= 0) & (c.table <= 1)).all():
-            out.append(
-                Violation("bad-prob", c.child, f"{child_name} has entries outside [0, 1]")
-            )
-            continue
-        sums = c.table.sum(axis=1)
-        bad = np.nonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)[0]
-        if bad.size:
-            out.append(
-                Violation(
-                    "bad-row-sum",
-                    c.child,
-                    f"{child_name} rows {bad.tolist()} sum to {sums[bad].tolist()}",
-                )
-            )
+        # a table shared by several CPDs (a chain's transition matrix) is
+        # checked once and its defect reported under each of them
+        if id(c.table) not in defects:
+            defects[id(c.table)] = _table_defects(c.table)
+        for kind, detail in defects[id(c.table)]:
+            out.append(Violation(kind, c.child, f"{child_name} {detail}"))
 
     structural = {v.kind for v in out}
     if not structural & {"duplicate-id", "missing-cpd", "extra-cpd", "dangling-parent",
@@ -352,10 +343,17 @@ def build_potentials(
         if not all(0 <= s < cards[u] for s in states):
             raise ValueError(f"state index out of range for variable {u}: {sorted(states)}")
     out: dict[int, Factor] = {}
+    # a table shared by several CPDs passes Factor's checks once per view and slice
+    checked: dict[tuple, np.ndarray] = {}
     for u in net.ids:
         scope, table = net._cpd_view(u)
         kept = tuple(w for w in scope if w not in sliced)
-        factor = Factor(kept, table[tuple(sliced.get(w, slice(None)) for w in scope)])
+        key = (id(net.cpd(u).table), table.shape, table.strides, tuple(map(sliced.get, scope)))
+        if key in checked and len(set(kept)) == len(kept):  # Factor refuses a repeated id
+            factor = _trusted(kept, checked[key], 0.0)
+        else:
+            factor = Factor(kept, table[tuple(sliced.get(w, slice(None)) for w in scope)])
+            checked[key] = factor.values
         if u in allowed and u not in sliced:
             factor = factor.restrict({u: allowed[u]})
         out[u] = factor

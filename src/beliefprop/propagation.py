@@ -240,6 +240,7 @@ class CompiledQuery:
         for f in pots:
             potential = potential * f.values.reshape(view(f.scope))
             log_scale += f.log_scale
+        potential.setflags(write=False)  # tables and messages may be views of it
         seps = {}
         for k in self.jtree.neighbors(j):
             sep = tuple(sorted(cluster & self.jtree.clusters[k]))
@@ -330,7 +331,7 @@ class CompiledQuery:
             raise ValueError(f"cluster {j} does not hold its potentials' scope {layout.scope}")
         values, log_scale = self._product(j, skip, semiring)
         _require_finite(values, log_scale)
-        values = np.broadcast_to(values, layout.shape)
+        values = values if values.shape == layout.shape else np.broadcast_to(values, layout.shape)
         return (values if values.flags.c_contiguous else values.copy()), log_scale
 
     def cluster_table(
@@ -373,7 +374,7 @@ class CompiledQuery:
         if outside:
             values = values.sum(axis=outside) if semiring == "sum" else values.max(axis=outside)
         _require_finite(values, log_scale)
-        values = np.broadcast_to(values, sep_shape)
+        values = values if values.shape == sep_shape else np.broadcast_to(values, sep_shape)
         peak = float(values.max()) if values.size else 0.0
         if peak > 0.0 and peak != 1.0:
             values, log_scale = values / peak, log_scale + math.log(peak)

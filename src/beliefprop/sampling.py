@@ -24,7 +24,8 @@ seed, count).
 
 The chain models in the hmm module get a direct implementation of the
 same idea (sample_hmm_path) working straight from the log forward/backward
-tables, in chronological or reverse order.
+tables, in chronological or reverse order: every step's conditional is
+built at once and only the draws walk the steps, through ``_search``.
 """
 
 from __future__ import annotations
@@ -35,13 +36,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .factor import Factor, _integer, check_table_size
-from .hmm import (
-    HmmSpec,
-    backward_transition,
-    forward_backward,
-    forward_transition,
-    unit_max_exp,
-)
+from .hmm import HmmSpec, forward_backward, unit_max_exp
 from .propagation import ClusterRows, CompiledQuery, ImpossibleEvidenceError
 
 _CHUNK = 1 << 16
@@ -87,38 +82,42 @@ def cluster_conditional(
 
 
 def _row_cdfs(rows: np.ndarray) -> np.ndarray:
-    """Each row's conditional CDF, in column order.
+    """Each row's (last axis) conditional CDF, in column order.
 
     The CDF is pinned to exactly 1 from each row's last positive cell on,
     so rounding can neither overflow the index nor leak probability into
     zero cells.  An all-zero row stays all zero.
     """
-    sums = rows.sum(axis=1, keepdims=True)
+    sums = rows.sum(axis=-1, keepdims=True)
     cond = np.divide(rows, sums, out=np.zeros_like(rows), where=sums > 0)
-    cum = np.cumsum(cond, axis=1)
+    cum = np.cumsum(cond, axis=-1)
     positive = cond > 0
-    has_mass = positive.any(axis=1)
-    last_pos = cond.shape[1] - 1 - np.argmax(positive[:, ::-1], axis=1)
-    suffix = np.arange(cond.shape[1])[None, :] >= last_pos[:, None]
-    cum[has_mass[:, None] & suffix] = 1.0
+    width = cond.shape[-1]
+    last_pos = width - 1 - np.argmax(positive[..., ::-1], axis=-1)
+    suffix = np.arange(width) >= last_pos[..., None]
+    cum[positive.any(axis=-1)[..., None] & suffix] = 1.0
     return cum
 
 
-def _invert(cum: np.ndarray, pos: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """For each draw, the number of cells of CDF row ``pos`` that are <= its
-    uniform ``u``, i.e. ``(cum[pos] <= u[:, None]).sum(axis=1)``.
+def _padded(cum: np.ndarray) -> np.ndarray:
+    """CDF rows (last axis) padded with 2.0 to a power-of-two width for ``_search``."""
+    width = cum.shape[-1]
+    padded = np.full((*cum.shape[:-1], 1 << (width - 1).bit_length()), 2.0)
+    padded[..., :width] = cum
+    return padded
+
+
+def _search(padded: np.ndarray, pos: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """For each draw, ``(cum[pos] <= u[:, None]).sum(axis=1)``: the cells of
+    its CDF row ``pos`` (rows of ``padded`` across its leading axes) <= ``u``.
 
     Every row must end at the pinned 1.0, so ``u < 1`` makes ``cum <= u``
-    a prefix of at most W - 1 cells in a row of W.  Padding each row with
-    2.0 to a power-of-two width ``span >= W`` keeps the padding outside
-    that prefix, and a branchless binary search finds its length in
-    log2(span) vectorized steps without gathering whole rows.
+    a prefix of at most W - 1 cells in a row of W.  ``_padded`` keeps its
+    2.0s outside that prefix, and a branchless binary search finds its
+    length in log2(span) vectorized steps without gathering whole rows.
     """
-    n, width = cum.shape
-    span = 1 << (width - 1).bit_length()
-    padded = np.full((n, span), 2.0)
-    padded[:, :width] = cum
-    flat = padded.ravel()
+    span = padded.shape[-1]
+    flat = padded.reshape(-1)
     base = pos * span - 1
     draws = np.zeros(pos.shape[0], dtype=np.int64)
     step = span >> 1
@@ -140,7 +139,7 @@ def _draw(layout: ClusterRows, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
         raise SamplingConsistencyError(
             f"cluster {layout.cluster} reached with a zero-mass separator"
         )
-    return _invert(cum, (np.cumsum(hit) - 1)[rows], u)
+    return _search(_padded(cum), (np.cumsum(hit) - 1)[rows], u)
 
 
 class PosteriorSampler:
@@ -234,9 +233,9 @@ def sample_hmm_path(
 
     "forward" starts at step 1 and walks ahead through the conditional
     transitions; "backward" starts at the final step and walks back.
-    Both target the same smoothing posterior.  One uniform per path per
-    step, steps processed in walk order.  FactorSizeError when the
-    output would pass the table entry cap.
+    Both target the same smoothing posterior.  All steps' CDFs are built
+    at once; the draws, one uniform per path per step, walk the steps in
+    order.  FactorSizeError when the output would pass the table entry cap.
     """
     if direction not in ("forward", "backward"):
         raise ValueError(f"unknown direction {direction!r}")
@@ -254,10 +253,10 @@ def sample_hmm_path(
     if start.sum() <= 0:
         raise ValueError("observations have probability zero")
     first = np.zeros(count, dtype=np.int64)
-    paths[:, walk[0]] = _invert(_row_cdfs(start[None, :]), first, rng.random(count))
-    transition = forward_transition if direction == "forward" else backward_transition
+    paths[:, walk[0]] = _search(_padded(_row_cdfs(start)), first, rng.random(count))
+    stack = fb.forward_transitions if direction == "forward" else fb.backward_transitions
+    padded, k = _padded(_row_cdfs(stack)), spec.n_states
     for prev, i in zip(walk, walk[1:]):
-        # either conditional is indexed by the later of its two steps
-        cdf = _row_cdfs(transition(fb, max(prev, i)))
-        paths[:, i] = _invert(cdf, paths[:, prev], rng.random(count))
+        # either conditional is entry (later of its two steps) - 1
+        paths[:, i] = _search(padded, (max(prev, i) - 1) * k + paths[:, prev], rng.random(count))
     return paths

@@ -10,13 +10,16 @@ from helpers import (
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from beliefprop import hmm
 from beliefprop.model import (
     Cpd,
     DiscreteNetwork,
     EvidenceSet,
     Variable,
+    build_potentials,
     validate_network,
 )
+from beliefprop.propagation import CompiledQuery
 
 
 def two_var_net(table_b=None):
@@ -247,6 +250,66 @@ class TestValidation:
         assert validate_network(ok).ok
         bad = two_var_net([[0.9 + 1e-8, 0.1], [0.2, 0.8]])
         assert not validate_network(bad).ok
+
+
+# row 1 leaves [0, 1]; both rows of the other table miss a sum of one
+OUT_OF_RANGE = np.array([[0.5, 0.5], [1.2, -0.2]])
+BAD_SUM = np.array([[0.5, 0.6], [0.3, 0.8]])
+
+
+def tied_chain(tied: bool) -> DiscreteNetwork:
+    """V0 -> V1 -> ... -> V7; V1..V6 alternate between the two bad
+    tables, one array each when ``tied``, a copy per CPD otherwise.  V7
+    has three states, so the shared table is the wrong shape for it."""
+    variables = [Variable(i, f"V{i}", ("0", "1")) for i in range(7)]
+    variables.append(Variable(7, "V7", ("0", "1", "2")))
+    cpds = [Cpd(0, (), np.array([[0.5, 0.5]]))]
+    for i in range(1, 8):
+        table = OUT_OF_RANGE if i % 2 else BAD_SUM
+        cpds.append(Cpd(i, (i - 1,), table if tied else table.copy()))
+    return DiscreteNetwork(variables, cpds)
+
+
+class TestTiedTables:
+    def test_report_matches_per_cpd_copies(self):
+        tied, copies = tied_chain(tied=True), tied_chain(tied=False)
+        assert len({id(c.table) for c in tied.cpds}) == 3
+        assert len({id(c.table) for c in copies.cpds}) == 8
+        report = validate_network(tied)
+        assert report == validate_network(copies)
+        assert [(v.kind, v.variable) for v in report.violations] == [
+            ("bad-prob", 1), ("bad-row-sum", 2), ("bad-prob", 3), ("bad-row-sum", 4),
+            ("bad-prob", 5), ("bad-row-sum", 6), ("bad-shape", 7),
+        ]
+        assert report.lines()[1] == "bad-row-sum: V2 rows [0, 1] sum to [1.1, 1.1]"
+
+    def test_unchecked_query_refuses_a_negative_shared_entry(self):
+        net = tied_chain(tied=True)
+        # with V0 observed at state 0, V1's slice of the shared table holds
+        # only its good row and passes; V3's whole view reaches the bad one
+        ev = EvidenceSet({0: {0}})
+        head = DiscreteNetwork(net.variables[:2], net.cpds[:2])
+        assert build_potentials(head, ev, {0: 0})[1].values.tolist() == [0.5, 0.5]
+        for evidence in (EvidenceSet.none(), ev):
+            with pytest.raises(ValueError, match="factor values must be non-negative"):
+                CompiledQuery(net, evidence, validate=False)
+
+    @pytest.mark.parametrize("observed", [False, True])
+    def test_chain_potentials_match_per_cpd_copies(self, observed):
+        spec = hmm.precipitation_spec(30)
+        _, y = hmm.simulate(spec, 3)
+        net, ev = hmm.to_bayes_net(spec, y)
+        assert len({id(c.table) for c in net.cpds}) == 3
+        copies = DiscreteNetwork(net.variables, [Cpd(c.child, c.parents, c.table.copy())
+                                                 for c in net.cpds])
+        sliced = {u: s for u, states in ev.allowed.items() for s in states} if observed else {}
+        want = build_potentials(copies, ev, sliced)
+        got = build_potentials(net, ev, sliced)
+        assert list(got) == list(want)
+        for u, f in got.items():
+            assert f.scope == want[u].scope and f.log_scale == want[u].log_scale
+            assert f.values.shape == want[u].values.shape
+            assert f.values.tobytes() == want[u].values.tobytes()
 
 
 class TestEvidence:

@@ -542,3 +542,13 @@ def test_hot_path_builds_no_factor_algebra(monkeypatch, ped_net_module, ped_ev_m
     assert len(ped.posterior_table()) == len(ped_net_module.ids)
     ped.map_assignment()
     sample_posterior(ped, seed=3, count=100)
+
+
+def test_handed_out_tables_cannot_write_into_the_query():
+    # a leaf's rows toward the root are its cluster potential itself
+    spec = hmm.precipitation_spec(5)
+    net, _ = hmm.to_bayes_net(spec, [0] * 5)
+    cq = CompiledQuery(net, jtree=hmm.chain_junction_tree(spec))
+    cq.inward()
+    with pytest.raises(ValueError, match="read-only"):
+        cq.cluster_rows(4).table[0, 0] = 0.0

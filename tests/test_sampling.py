@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -27,8 +28,9 @@ from beliefprop.propagation import (
 from beliefprop.sampling import (
     PosteriorSampler,
     SamplingConsistencyError,
-    _invert,
+    _padded,
     _row_cdfs,
+    _search,
     cluster_conditional,
     sample_hmm_path,
     sample_posterior,
@@ -206,14 +208,14 @@ class TestLazyCdfs:
     @given(_cdf_case())
     def test_invert_counts_cells_at_or_below_u(self, case):
         cum, pos, u = case
-        np.testing.assert_array_equal(_invert(cum, pos, u), _prefix_counts(cum, pos, u))
+        np.testing.assert_array_equal(_search(_padded(cum), pos, u), _prefix_counts(cum, pos, u))
 
     def test_invert_edge_widths(self):
         for width in (1, 2, 3, 4, 5, 31, 32, 33, 1024, 1025):
             cum = _row_cdfs(np.ones((2, width)))
             u = np.concatenate([[0.0], cum[0, :-1], [np.nextafter(1.0, 0.0)]])
             pos = np.arange(u.size) % 2
-            np.testing.assert_array_equal(_invert(cum, pos, u), _prefix_counts(cum, pos, u))
+            np.testing.assert_array_equal(_search(_padded(cum), pos, u), _prefix_counts(cum, pos, u))
 
     @pytest.mark.parametrize("count", [0, 1, 1000, (1 << 16) + 7])
     def test_pedigree_every_root(self, count):
@@ -481,3 +483,66 @@ class TestHmmPathSampling:
         spec, y, _ = setup
         paths = sample_hmm_path(spec, y, "forward", seed=1, count=500)
         assert np.all(paths[:, 0] == 1)
+
+
+def _digest(arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(repr(a.shape).encode())
+        h.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+# a zero in every row of the transition matrix and in the initial row
+ZERO_ENTRY = hmm.HmmSpec(("a", "b", "c"), (0.5, 0.5, 0.0),
+                         ((0.0, 0.6, 0.4), (0.3, 0.0, 0.7), (0.2, 0.2, 0.6)), (0.7, 2.0, 6.0), 60)
+PINNED_CHAINS = [(hmm.precipitation_spec(n), [i * i % 7 for i in range(n)]) for n in (1, 2, 200)]
+PINNED_CHAINS.append((ZERO_ENTRY, [i * 5 % 9 for i in range(60)]))
+
+
+class TestDrawStreamPinned:
+    """Pinned draw streams: the stacked conditionals and the shared CDF
+    search draw exactly what a walk building each step's CDFs draws."""
+
+    def test_hmm_paths(self):
+        draws = [sample_hmm_path(spec, y, direction, seed=spec.horizon + count, count=count)
+                 for spec, y in PINNED_CHAINS
+                 for direction in ("forward", "backward") for count in (0, 1, 100)]
+        assert _digest(draws) == "017508abef471ba3edc72b52ee7804d9116f7e27e7a86f44e2bbe832653ed12f"
+
+    @pytest.mark.parametrize("case", range(len(PINNED_CHAINS)))
+    def test_each_step_is_the_per_step_formula(self, case):
+        spec, y = PINNED_CHAINS[case]
+        fb = hmm.forward_backward(spec, y)
+        assert fb.forward_transitions.shape == (spec.horizon - 1, spec.n_states, spec.n_states)
+        for i in range(1, spec.horizon):
+            with np.errstate(over="ignore"):
+                fwd = hmm._normalized(fb.log_transition + (fb.log_emissions[i] + fb.log_backward[i]))
+                bwd = hmm._normalized((fb.log_forward[i - 1][:, None] + fb.log_transition).T)
+            assert hmm.forward_transition(fb, i).tobytes() == fwd.tobytes()
+            assert hmm.backward_transition(fb, i).tobytes() == bwd.tobytes()
+            # one CDF call on the stack gives each step's CDFs bit for bit
+            for stack, step in ((fb.forward_transitions, fwd), (fb.backward_transitions, bwd)):
+                assert _row_cdfs(stack)[i - 1].tobytes() == _row_cdfs(step).tobytes()
+
+    def test_steps_outside_the_chain_refused(self):
+        spec, y = PINNED_CHAINS[2]
+        fb = hmm.forward_backward(spec, y)
+        for i in (0, -1, spec.horizon):
+            for transition in (hmm.forward_transition, hmm.backward_transition):
+                with pytest.raises(IndexError, match=f"step {i} has no transition"):
+                    transition(fb, i)
+        with pytest.raises(ValueError, match="read-only"):
+            hmm.forward_transition(fb, 1)[0, 0] = 0.5
+
+    def test_posterior_sampler(self, ped_net, ped_ev, ped_jtree):
+        draws = []
+        for ev in (None, ped_ev):
+            for root in range(ped_jtree.q):
+                cq = CompiledQuery(ped_net, ev, jtree=ped_jtree, root=root)
+                cq.inward()
+                draws += [PosteriorSampler(cq, seed=root + count).sample(count)
+                          for count in (0, 1, 100)]
+                sampler = PosteriorSampler(cq, seed=5, targets=[0, 3, 7])
+                draws += [sampler.sample(30), sampler.sample(70)]
+        assert _digest(draws) == "9892f0a5bfe824d1e16b81c84ab522daa1004ed67671f1eb3d7fe913038ec3f4"
