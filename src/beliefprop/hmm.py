@@ -14,9 +14,9 @@ log transition matrix, and no step rescales, so no mass is rounded
 away: horizons of thousands of steps, counts whose pmf underflows to 0
 in every state, and zero transition entries all stay exact.
 log_likelihood sums a row of the tables with logaddexp; posteriors and
-the posterior chain's conditionals (one stack over all steps for each
-direction) exponentiate log rows scaled to a unit maximum (unit_max_exp)
-and normalize each row.
+the posterior chain's conditionals (stacked over a run of steps, one
+formula per direction) exponentiate log rows scaled to a unit maximum
+(unit_max_exp) and normalize each row.
 
 The chain is also expressible as a Bayesian network (one node per S_i
 and Y_i, counts truncated to a finite domain), which lets the generic
@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -191,20 +190,6 @@ class ForwardBackward:
         """Backward rows scaled to a unit maximum."""
         return unit_max_exp(self.log_backward)
 
-    @cached_property
-    def forward_transitions(self) -> np.ndarray:
-        """(n - 1, states, states), read-only; entry i - 1 is forward_transition(self, i)."""
-        with np.errstate(over="ignore"):
-            log_rows = self.log_emissions[1:] + self.log_backward[1:]
-            return _read_only(_normalized(self.log_transition + log_rows[:, None, :]))
-
-    @cached_property
-    def backward_transitions(self) -> np.ndarray:
-        """(n - 1, states, states), read-only; entry i - 1 is backward_transition(self, i)."""
-        with np.errstate(over="ignore"):
-            log_cols = self.log_forward[:-1, :, None] + self.log_transition
-            return _read_only(_normalized(log_cols.transpose(0, 2, 1)))
-
 
 def forward_backward(spec: HmmSpec, y: Sequence[int]) -> ForwardBackward:
     """Both sweeps over one log_emissions table, each step one log-sum-exp
@@ -258,29 +243,32 @@ def posteriors(spec: HmmSpec, y: Sequence[int]) -> np.ndarray:
         return _normalized(fb.log_forward + fb.log_backward)
 
 
-def _read_only(stack: np.ndarray) -> np.ndarray:
-    stack.setflags(write=False)
-    return stack
-
-
-def _step(stack: np.ndarray, i: int) -> np.ndarray:
-    """Step i's entry of a conditional stack; IndexError unless 0 < i < horizon."""
-    if not 0 < i <= len(stack):
-        raise IndexError(f"step {i} has no transition (steps 1..{len(stack)})")
-    return stack[i - 1]
+def _transitions(fb: ForwardBackward, direction: str, lo: int, hi: int) -> np.ndarray:
+    """Steps lo..hi - 1's posterior conditionals in one direction, stacked
+    as (hi - lo, states, states) by one formula for all steps; entry
+    i - lo is forward_transition(fb, i) or backward_transition(fb, i)."""
+    n = len(fb.log_forward)
+    if not 0 < lo <= hi <= n:
+        raise IndexError(f"no transition at steps {lo}..{hi - 1} (only 1..{n - 1})")
+    with np.errstate(over="ignore"):
+        if direction == "forward":
+            log_rows = fb.log_emissions[lo:hi] + fb.log_backward[lo:hi]
+            return _normalized(fb.log_transition + log_rows[:, None, :])
+        log_cols = fb.log_forward[lo - 1:hi - 1, :, None] + fb.log_transition
+        return _normalized(log_cols.transpose(0, 2, 1))
 
 
 def forward_transition(fb: ForwardBackward, i: int) -> np.ndarray:
     """P(S_i = s | S_{i-1} = r, all observations) with rows indexed by r,
     for 0 < i < horizon.  Rows sum to one up to rounding; a row whose
     state cannot explain the observations is zero."""
-    return _step(fb.forward_transitions, i)
+    return _transitions(fb, "forward", i, i + 1)[0]
 
 
 def backward_transition(fb: ForwardBackward, i: int) -> np.ndarray:
     """P(S_{i-1} = r | S_i = s, all observations) with rows indexed by s,
     for 0 < i < horizon.  Step i's emission is fixed by s, so it cancels."""
-    return _step(fb.backward_transitions, i)
+    return _transitions(fb, "backward", i, i + 1)[0]
 
 
 def simulate(spec: HmmSpec, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -300,9 +288,8 @@ def to_bayes_net(spec: HmmSpec, y: Sequence[int]) -> tuple[DiscreteNetwork, Evid
 
     Count domains are truncated to 0..COUNT_CUTOFF; for the demo rates
     the discarded tail mass is far below 1e-12, so CPD rows still sum to
-    one within tolerance.  The initial row, the transition matrix and the
-    emission rows are each one array shared by the CPDs that use it, so
-    validation and potentials check each once.  Ids go S_1, Y_1, S_2, ...
+    one within tolerance.  The transition matrix and the emission rows
+    are one array each, shared by their CPDs.  Ids go S_1, Y_1, S_2, ...
     """
     n = spec.horizon
     if len(y) != n:
@@ -313,13 +300,16 @@ def to_bayes_net(spec: HmmSpec, y: Sequence[int]) -> tuple[DiscreteNetwork, Evid
     count_states = tuple(str(k) for k in range(COUNT_CUTOFF + 1))
     variables: list[Variable] = []
     cpds: list[Cpd] = []
-    initial, transition = np.asarray([spec.initial]), np.asarray(spec.transition)
+    transition = np.asarray(spec.transition)
     emission_rows = np.exp(log_emissions(spec, range(COUNT_CUTOFF + 1)).T, order="C")
     for i in range(n):
         s_id, y_id = 2 * i, 2 * i + 1
         variables.append(Variable(s_id, f"S{i + 1}", spec.states))
         variables.append(Variable(y_id, f"Y{i + 1}", count_states))
-        cpds.append(Cpd(s_id, (s_id - 2,), transition) if i else Cpd(s_id, (), initial))
+        if i == 0:
+            cpds.append(Cpd(s_id, (), np.asarray([spec.initial])))
+        else:
+            cpds.append(Cpd(s_id, (2 * (i - 1),), transition))
         cpds.append(Cpd(y_id, (s_id,), emission_rows))
     net = DiscreteNetwork(variables, cpds)
     evidence = EvidenceSet({2 * i + 1: {counts[i]} for i in range(n)})

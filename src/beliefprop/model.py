@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .factor import Factor, _integer, _trusted
+from .factor import Factor, _integer
 
 ROW_SUM_TOL = 1e-9
 
@@ -146,7 +146,7 @@ class DiscreteNetwork:
         """The family of u in ascending id order, and its CPD table viewed
         with one axis per family member in that order (no copy)."""
         cpd, cards = self._cpd_by_child[u], self._cards
-        listed = cpd.parents + (cpd.child,)
+        listed = cpd.parents + (u,)
         perm = sorted(range(len(listed)), key=listed.__getitem__)
         table = cpd.table.reshape([cards[w] for w in listed]).transpose(perm)
         return tuple(listed[i] for i in perm), table
@@ -224,18 +224,30 @@ def validate_network(net: DiscreteNetwork) -> ValidationReport:
             continue
         child_name = net.variable(c.child).name
         if len(set(c.parents)) != len(c.parents):
-            out.append(Violation("duplicate-parent", c.child, f"{child_name} lists a parent twice"))
+            out.append(
+                Violation("duplicate-parent", c.child, f"{child_name} lists a parent twice")
+            )
         if c.child in c.parents:
             out.append(Violation("self-parent", c.child, f"{child_name} is its own parent"))
         dangling = [p for p in c.parents if p not in ids]
         if dangling:
-            out.append(Violation("dangling-parent", c.child,
-                                 f"{child_name} references unknown parent ids {dangling}"))
+            out.append(
+                Violation(
+                    "dangling-parent",
+                    c.child,
+                    f"{child_name} references unknown parent ids {dangling}",
+                )
+            )
             continue
         want = (math.prod(net.card(p) for p in c.parents), net.card(c.child))
         if c.table.shape != want:
-            out.append(Violation("bad-shape", c.child,
-                                 f"{child_name} table has shape {c.table.shape}, expected {want}"))
+            out.append(
+                Violation(
+                    "bad-shape",
+                    c.child,
+                    f"{child_name} table has shape {c.table.shape}, expected {want}",
+                )
+            )
             continue
         # a table shared by several CPDs (a chain's transition matrix) is
         # checked once and its defect reported under each of them
@@ -343,17 +355,10 @@ def build_potentials(
         if not all(0 <= s < cards[u] for s in states):
             raise ValueError(f"state index out of range for variable {u}: {sorted(states)}")
     out: dict[int, Factor] = {}
-    # a table shared by several CPDs passes Factor's checks once per view and slice
-    checked: dict[tuple, np.ndarray] = {}
     for u in net.ids:
         scope, table = net._cpd_view(u)
         kept = tuple(w for w in scope if w not in sliced)
-        key = (id(net.cpd(u).table), table.shape, table.strides, tuple(map(sliced.get, scope)))
-        if key in checked and len(set(kept)) == len(kept):  # Factor refuses a repeated id
-            factor = _trusted(kept, checked[key], 0.0)
-        else:
-            factor = Factor(kept, table[tuple(sliced.get(w, slice(None)) for w in scope)])
-            checked[key] = factor.values
+        factor = Factor(kept, table[tuple(sliced.get(w, slice(None)) for w in scope)])
         if u in allowed and u not in sliced:
             factor = factor.restrict({u: allowed[u]})
         out[u] = factor

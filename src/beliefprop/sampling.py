@@ -24,8 +24,7 @@ seed, count).
 
 The chain models in the hmm module get a direct implementation of the
 same idea (sample_hmm_path) working straight from the log forward/backward
-tables, in chronological or reverse order: every step's conditional is
-built at once and only the draws walk the steps, through ``_search``.
+tables, in chronological or reverse order, a block of steps' CDFs at once.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .factor import Factor, _integer, check_table_size
-from .hmm import HmmSpec, forward_backward, unit_max_exp
+from .hmm import HmmSpec, _transitions, forward_backward, unit_max_exp
 from .propagation import ClusterRows, CompiledQuery, ImpossibleEvidenceError
 
 _CHUNK = 1 << 16
@@ -233,9 +232,10 @@ def sample_hmm_path(
 
     "forward" starts at step 1 and walks ahead through the conditional
     transitions; "backward" starts at the final step and walks back.
-    Both target the same smoothing posterior.  All steps' CDFs are built
-    at once; the draws, one uniform per path per step, walk the steps in
-    order.  FactorSizeError when the output would pass the table entry cap.
+    Both target the same smoothing posterior.  CDFs are built a block of
+    steps (about ``_CHUNK`` entries) at a time; one uniform per path per
+    step, steps processed in walk order.  FactorSizeError when the
+    output would pass the table entry cap.
     """
     if direction not in ("forward", "backward"):
         raise ValueError(f"unknown direction {direction!r}")
@@ -254,9 +254,13 @@ def sample_hmm_path(
         raise ValueError("observations have probability zero")
     first = np.zeros(count, dtype=np.int64)
     paths[:, walk[0]] = _search(_padded(_row_cdfs(start)), first, rng.random(count))
-    stack = fb.forward_transitions if direction == "forward" else fb.backward_transitions
-    padded, k = _padded(_row_cdfs(stack)), spec.n_states
+    k, lo, hi = spec.n_states, 0, 0
+    block = max(1, _CHUNK // (k * k))
     for prev, i in zip(walk, walk[1:]):
-        # either conditional is entry (later of its two steps) - 1
-        paths[:, i] = _search(padded, (max(prev, i) - 1) * k + paths[:, prev], rng.random(count))
+        step = max(prev, i)  # either conditional is indexed by the later step
+        if not lo <= step < hi:  # steps go in fixed blocks counted from step 1
+            lo = step - (step - 1) % block
+            hi = min(lo + block, n)
+            padded = _padded(_row_cdfs(_transitions(fb, direction, lo, hi)))
+        paths[:, i] = _search(padded, (step - lo) * k + paths[:, prev], rng.random(count))
     return paths

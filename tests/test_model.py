@@ -10,7 +10,6 @@ from helpers import (
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from beliefprop import hmm
 from beliefprop.model import (
     Cpd,
     DiscreteNetwork,
@@ -293,23 +292,6 @@ class TestTiedTables:
         for evidence in (EvidenceSet.none(), ev):
             with pytest.raises(ValueError, match="factor values must be non-negative"):
                 CompiledQuery(net, evidence, validate=False)
-
-    @pytest.mark.parametrize("observed", [False, True])
-    def test_chain_potentials_match_per_cpd_copies(self, observed):
-        spec = hmm.precipitation_spec(30)
-        _, y = hmm.simulate(spec, 3)
-        net, ev = hmm.to_bayes_net(spec, y)
-        assert len({id(c.table) for c in net.cpds}) == 3
-        copies = DiscreteNetwork(net.variables, [Cpd(c.child, c.parents, c.table.copy())
-                                                 for c in net.cpds])
-        sliced = {u: s for u, states in ev.allowed.items() for s in states} if observed else {}
-        want = build_potentials(copies, ev, sliced)
-        got = build_potentials(net, ev, sliced)
-        assert list(got) == list(want)
-        for u, f in got.items():
-            assert f.scope == want[u].scope and f.log_scale == want[u].log_scale
-            assert f.values.shape == want[u].values.shape
-            assert f.values.tobytes() == want[u].values.tobytes()
 
 
 class TestEvidence:

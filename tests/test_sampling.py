@@ -26,6 +26,7 @@ from beliefprop.propagation import (
     compile_query,
 )
 from beliefprop.sampling import (
+    _CHUNK,
     PosteriorSampler,
     SamplingConsistencyError,
     _padded,
@@ -504,7 +505,10 @@ class TestDrawStreamPinned:
     """Pinned draw streams: the stacked conditionals and the shared CDF
     search draw exactly what a walk building each step's CDFs draws."""
 
-    def test_hmm_paths(self):
+    # blocks of one step each, of a few steps, and of the whole chain
+    @pytest.mark.parametrize("chunk", [1, 20, 1 << 16])
+    def test_hmm_paths(self, chunk, monkeypatch):
+        monkeypatch.setattr("beliefprop.sampling._CHUNK", chunk)
         draws = [sample_hmm_path(spec, y, direction, seed=spec.horizon + count, count=count)
                  for spec, y in PINNED_CHAINS
                  for direction in ("forward", "backward") for count in (0, 1, 100)]
@@ -514,7 +518,8 @@ class TestDrawStreamPinned:
     def test_each_step_is_the_per_step_formula(self, case):
         spec, y = PINNED_CHAINS[case]
         fb = hmm.forward_backward(spec, y)
-        assert fb.forward_transitions.shape == (spec.horizon - 1, spec.n_states, spec.n_states)
+        stacks = [hmm._transitions(fb, d, 1, spec.horizon) for d in ("forward", "backward")]
+        assert stacks[0].shape == (spec.horizon - 1, spec.n_states, spec.n_states)
         for i in range(1, spec.horizon):
             with np.errstate(over="ignore"):
                 fwd = hmm._normalized(fb.log_transition + (fb.log_emissions[i] + fb.log_backward[i]))
@@ -522,7 +527,8 @@ class TestDrawStreamPinned:
             assert hmm.forward_transition(fb, i).tobytes() == fwd.tobytes()
             assert hmm.backward_transition(fb, i).tobytes() == bwd.tobytes()
             # one CDF call on the stack gives each step's CDFs bit for bit
-            for stack, step in ((fb.forward_transitions, fwd), (fb.backward_transitions, bwd)):
+            for stack, step in zip(stacks, (fwd, bwd)):
+                assert stack[i - 1].tobytes() == step.tobytes()
                 assert _row_cdfs(stack)[i - 1].tobytes() == _row_cdfs(step).tobytes()
 
     def test_steps_outside_the_chain_refused(self):
@@ -530,10 +536,34 @@ class TestDrawStreamPinned:
         fb = hmm.forward_backward(spec, y)
         for i in (0, -1, spec.horizon):
             for transition in (hmm.forward_transition, hmm.backward_transition):
-                with pytest.raises(IndexError, match=f"step {i} has no transition"):
+                with pytest.raises(IndexError, match=f"no transition at steps {i}..{i} "):
                     transition(fb, i)
-        with pytest.raises(ValueError, match="read-only"):
-            hmm.forward_transition(fb, 1)[0, 0] = 0.5
+
+    @pytest.mark.parametrize("k, horizon", [(100, 40), (300, 5)])
+    def test_many_states_build_bounded_blocks(self, k, horizon, monkeypatch):
+        # horizon x k fits the cap easily, but one stack over all steps
+        # would hold (horizon - 1) k^2 entries; blocks keep each stack to
+        # _CHUNK entries, or to one step when a step alone needs more
+        rates = tuple(0.5 + 0.1 * s for s in range(k))
+        spec = hmm.HmmSpec(tuple(map(str, range(k))), (1 / k,) * k,
+                           ((1 / k,) * k,) * k, rates, horizon)
+        y = [i % 9 for i in range(horizon)]
+        built = []
+
+        def recording(fb, direction, lo, hi):
+            built.append(hi - lo)
+            return hmm._transitions(fb, direction, lo, hi)
+
+        monkeypatch.setattr("beliefprop.sampling._transitions", recording)
+        for direction in ("forward", "backward"):
+            built.clear()
+            paths = sample_hmm_path(spec, y, direction, seed=4, count=50)
+            assert sum(built) == horizon - 1 and len(built) > 1
+            assert max(built) * k * k <= max(_CHUNK, k * k)
+            with monkeypatch.context() as m:
+                m.setattr("beliefprop.sampling._CHUNK", 1 << 30)  # one block
+                whole = sample_hmm_path(spec, y, direction, seed=4, count=50)
+            assert paths.tobytes() == whole.tobytes()
 
     def test_posterior_sampler(self, ped_net, ped_ev, ped_jtree):
         draws = []
