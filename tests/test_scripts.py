@@ -19,11 +19,14 @@ def run_script(name, *args):
     )
 
 
-@pytest.mark.parametrize("args", [(), ("--root", "3")])
+@pytest.mark.parametrize("args", [(), ("--root", "3", "--scale-outward")])
 def test_pedigree_tables(args):
+    # every printed message and posterior is pinned byte for byte
+    pinned = "pedigree_tables_root3.txt" if args else "pedigree_tables.txt"
     r = run_script("pedigree_tables.py", *args)
     assert r.returncode == 0, r.stderr
     assert r.stdout.splitlines()[0].startswith("P(evidence) = 1.632000000e-04 ")
+    assert r.stdout == (REPO / "fixtures" / pinned).read_text()
 
 
 def _posterior_demo_gaps(*args):
