@@ -273,7 +273,7 @@ def backward_transition(fb: ForwardBackward, i: int) -> np.ndarray:
 
 def simulate(spec: HmmSpec, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Draw one state path and its observations (PCG64, reproducible)."""
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.Generator(np.random.PCG64(_integer(seed, "seed")))
     trans = np.asarray(spec.transition)
     states = np.zeros(spec.horizon, dtype=int)
     states[0] = rng.choice(spec.n_states, p=np.asarray(spec.initial))

@@ -139,17 +139,13 @@ class DiscreteNetwork:
         return order
 
     def cpd_factor(self, u: int) -> Factor:
-        """The CPD of u as a factor over its family (canonical scope order)."""
-        return Factor(*self._cpd_view(u))
-
-    def _cpd_view(self, u: int) -> tuple[tuple[int, ...], np.ndarray]:
-        """The family of u in ascending id order, and its CPD table viewed
-        with one axis per family member in that order (no copy)."""
+        """The CPD of u as a checked factor over its family in ascending id
+        order, one axis per family member in that order."""
         cpd, cards = self._cpd_by_child[u], self._cards
         listed = cpd.parents + (u,)
         perm = sorted(range(len(listed)), key=listed.__getitem__)
         table = cpd.table.reshape([cards[w] for w in listed]).transpose(perm)
-        return tuple(listed[i] for i in perm), table
+        return Factor(tuple(listed[i] for i in perm), table)
 
 
 @dataclass(frozen=True)
@@ -331,23 +327,22 @@ class EvidenceSet:
         return u not in self.allowed or state in self.allowed[u]
 
 
-def build_potentials(
-    net: DiscreteNetwork, evidence: EvidenceSet, sliced: Mapping[int, int] | None = None
-) -> dict[int, Factor]:
-    """One factor per variable: its CPD over its family in ascending id
-    order, with the child's disallowed states zeroed.
+def build_potentials(net: DiscreteNetwork, evidence: EvidenceSet) -> dict[int, Factor]:
+    """One factor per variable, the paper's potential K_u: its CPD over its
+    family in ascending id order (``cpd_factor``), with the child's
+    disallowed states zeroed.
 
     Each variable's indicator is applied exactly once, in its own
     potential, never where the variable appears as a parent.  Products
     over sets of potentials therefore carry each restriction once, and
     a single potential restricted this way still matches the message
-    definitions entry for entry.  A variable in ``sliced`` (variable ->
-    its one allowed state) is instead indexed at that state in every
-    potential that mentions it, which drops its axis (factor reduction).
-    ValueError naming them when the evidence restricts variable ids the
-    network does not have, or names a state out of range.
+    definitions entry for entry.  Every axis stays whole, an observed
+    one too: a query slices single-state evidence out of its own cluster
+    layouts.  ValueError naming them when the evidence restricts
+    variable ids the network does not have, or names a state out of
+    range.
     """
-    cards, allowed, sliced = net.cards, evidence.allowed, sliced or {}
+    cards, allowed = net.cards, evidence.allowed
     unknown = sorted(u for u in allowed if u not in cards)
     if unknown:
         raise ValueError(f"evidence names unknown variable ids {unknown}")
@@ -356,10 +351,6 @@ def build_potentials(
             raise ValueError(f"state index out of range for variable {u}: {sorted(states)}")
     out: dict[int, Factor] = {}
     for u in net.ids:
-        scope, table = net._cpd_view(u)
-        kept = tuple(w for w in scope if w not in sliced)
-        factor = Factor(kept, table[tuple(sliced.get(w, slice(None)) for w in scope)])
-        if u in allowed and u not in sliced:
-            factor = factor.restrict({u: allowed[u]})
-        out[u] = factor
+        factor = net.cpd_factor(u)
+        out[u] = factor.restrict({u: allowed[u]}) if u in allowed else factor
     return out

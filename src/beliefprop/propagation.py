@@ -1,25 +1,25 @@
 """Message passing on a junction tree.
 
-Each variable's potential is its CPD with the evidence folded in: a
-variable pinned to one state is indexed out of every potential that
-mentions it (factor reduction), any other allowed set masks the
-variable's own potential.  Each cluster multiplies the potentials of the
-variables assigned to it, and messages flow along tree edges: the
-message from j to k is the cluster potential of j times all incoming
-messages except k's, with the non-separator variables summed out.
-After an inward pass to the query's one root cluster and an outward pass
-back, every cluster and edge holds an unnormalized marginal whose total
-mass is the evidence probability.
+Each variable's potential is the paper's K_u, its CPD with its own
+allowed set masked (``build_potentials``).  Each cluster multiplies the
+potentials of the variables assigned to it, and messages flow along tree
+edges: the message from j to k is the cluster potential of j times all
+incoming messages except k's, with the non-separator variables summed
+out.  After an inward pass to the query's one root cluster and an
+outward pass back, every cluster and edge holds an unnormalized marginal
+whose total mass is the evidence probability.
 
 The tree fixes the scope of every such table, so a query lays each
 cluster out once (see ``CompiledQuery``), and messages and readouts run
 on bare arrays: broadcast multiplies in a fixed order and one sum or max
-over precomputed axes.  Those arrays leave out the variables pinned by
-evidence, and a layout holds only what that kernel reads.  The observed
-axes come back in one helper (``CompiledQuery._with_observed``), with
-exact zeros off the observed states, only where a caller asks for a
-table: a ``Factor`` over the full scope, the columns of
-``cluster_rows``, each MAP row or an observed variable's posterior.
+over precomputed axes.  Only the layouts slice: each potential is read
+at the state of every variable the evidence pins to one state (factor
+reduction), so the arrays leave those variables out, and a layout holds
+only what that kernel reads.  The observed axes come back in one helper
+(``CompiledQuery._with_observed``), with exact zeros off the observed
+states, only where a caller asks for a table: a ``Factor`` over the full
+scope, the columns of ``cluster_rows``, each MAP row or an observed
+variable's posterior.
 
 Messages are renormalized to unit maximum, with the removed
 mass tracked in each message's log scale, so long chains cannot
@@ -45,7 +45,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from .factor import Factor, _require_finite, _trusted, check_table_size
+from .factor import Factor, _integer, _require_finite, _trusted, check_table_size
 from .jtree import (
     InvalidJunctionTreeError,
     JunctionTree,
@@ -137,23 +137,25 @@ class CompiledQuery:
     map_assignment() and the samplers all follow: ``order`` lists the
     clusters parent before child (children by ascending index), and
     ``parent`` maps every other cluster to its neighbour toward the root.
-    ``potentials`` maps each variable to its CPD over its family with
-    every single-state observation indexed out and its own other allowed
-    set masked.  Construction lays out each cluster without its observed
-    variables, holding only what ``_product`` and ``compute_message``
-    read: its ascending scope and shape, the product of its potentials
-    (ascending ids) and its log scale, and per neighbour (separator, its
-    view shape, its shape, the axes outside it).  A view has size-1 axes
-    where a table lacks a scope variable.  The message stores (sum and
-    max semiring) hold (table, log scale) pairs over those separators;
-    inward() and outward() fill them.  ``_with_observed`` alone puts the
-    observed axes back, for ``cluster_table``, ``compute_message``'s
-    factor, the columns of ``cluster_rows`` and the MAP rows; posteriors
-    slice each home marginal once by its index rule.  Marginal accessors
-    require the messages they read to exist and raise SchedulingError
-    otherwise.  A tree with a cluster of more than ``MAX_TABLE_ENTRIES``
-    entries (the product of its variables' cardinalities, observed ones
-    included) raises FactorSizeError here, before any table is built.
+    ``potentials`` maps each variable to its potential K_u, unsliced
+    (``build_potentials``).  Construction lays out each cluster without
+    its observed variables, each potential read at their states, holding
+    only what ``_product`` and ``compute_message`` read: its ascending
+    scope and shape, the product of its potentials (ascending ids) and
+    its log scale, and per neighbour (separator, its view shape, its
+    shape, the axes outside it).  A view has size-1 axes where a table
+    lacks a scope variable.  The message stores (sum and max semiring)
+    hold (table, log scale) pairs over those separators; inward() and
+    outward() fill them.  ``_with_observed`` alone puts the observed axes
+    back, for ``cluster_table``, ``compute_message``'s factor, the columns
+    of ``cluster_rows`` and the MAP rows; posteriors slice each home
+    marginal once by its index rule.  ``message`` and
+    ``cluster_conditional`` read a copy laid out from the same potentials
+    with nothing sliced.  Marginal accessors require the messages they
+    read to exist and raise SchedulingError otherwise.  A tree with a
+    cluster of more than ``MAX_TABLE_ENTRIES`` entries (the product of
+    its variables' cardinalities, observed ones included) raises
+    FactorSizeError here, before any table is built.
     """
 
     def __init__(
@@ -184,6 +186,7 @@ class CompiledQuery:
         for j, cluster in enumerate(jtree.clusters):
             check_table_size((cards[u] for u in cluster), f"cluster {j}")
         self.jtree = jtree
+        root = _integer(root, "root cluster")
         if not (0 <= root < jtree.q):
             raise ValueError(f"root cluster {root} out of range")
         self.root = root
@@ -191,13 +194,13 @@ class CompiledQuery:
         self.parent = MappingProxyType({k: j for j in self.order for k in children[j]})
         allowed = self.evidence.allowed
         self._observed = {u: s for u, states in allowed.items() if len(states) == 1 for s in states}
+        self.potentials = build_potentials(net, self.evidence)
         self._unsliced_copy: CompiledQuery | None = None
         self._compile()
 
     def _compile(self) -> None:
-        """Potentials, cluster layouts and an empty message store."""
+        """Cluster layouts and an empty message store."""
         jtree = self.jtree
-        self.potentials = build_potentials(self.net, self.evidence, self._observed)
         # potentials of each cluster in ascending id order; a home out
         # of range (possible with validate=False) owns nothing
         members: list[list[Factor]] = [[] for _ in range(jtree.q)]
@@ -208,9 +211,9 @@ class CompiledQuery:
         self._messages: dict[tuple[str, int, int], tuple[np.ndarray, float]] = {}
 
     def _unsliced(self) -> "CompiledQuery":
-        """This query with every observation masked, none sliced, holding
-        the messages this query has sent: the messages as defined, over
-        every state, which ``message`` reports."""
+        """This query laid out again from the same potentials with no
+        observation sliced, holding the messages this query has sent: the
+        messages as defined, over every state, which ``message`` reports."""
         if not self._observed:
             return self
         twin = self._unsliced_copy
@@ -226,8 +229,9 @@ class CompiledQuery:
         return twin
 
     def _layout(self, j: int, pots: list[Factor]) -> _Layout:
-        cards, cluster = self.net.cards, self.jtree.clusters[j].difference(self._observed)
-        scope = tuple(sorted(cluster.union(*(f.scope for f in pots))))
+        cards, observed = self.net.cards, self._observed
+        cluster = self.jtree.clusters[j].difference(observed)
+        scope = tuple(sorted(cluster.union(*(f.scope for f in pots)).difference(observed)))
         shape = tuple(cards[u] for u in scope)
         if len(scope) > len(cluster):  # a stray potential, under validate=False
             check_table_size(shape, "product table")
@@ -235,10 +239,10 @@ class CompiledQuery:
         def view(sub) -> tuple[int, ...]:
             return tuple(d if u in sub else 1 for u, d in zip(scope, shape))
 
-        # 1.0 * x == x, so starting from one changes no bit
+        # 1.0 * x == x: starting from one, or at a mask's kept state, changes no bit
         potential, log_scale = np.ones(view(())), 0.0
         for f in pots:
-            potential = potential * f.values.reshape(view(f.scope))
+            potential = potential * f.values[self._observed_index(f.scope)].reshape(view(f.scope))
             log_scale += f.log_scale
         potential.setflags(write=False)  # tables and messages may be views of it
         seps = {}
@@ -301,10 +305,10 @@ class CompiledQuery:
     def message(self, i: int, j: int, semiring: str = "sum") -> Factor:
         """The message i -> j over its whole separator, every state of an
         observed variable included, once this query has sent it."""
+        sep = tuple(sorted(self.jtree.separator(i, j)))  # JunctionTreeError unless an edge
         self._stored(i, j, semiring)
-        twin = self._unsliced()
-        values, log_scale = twin._stored(i, j, semiring)
-        return _trusted(twin._layouts[j].seps[i][0], values, log_scale)
+        values, log_scale = self._unsliced()._stored(i, j, semiring)
+        return _trusted(sep, values, log_scale)
 
     def _product(self, j: int, skip: int | None, semiring: str) -> tuple[np.ndarray, float]:
         """Cluster potential of j times every stored message into j except

@@ -10,9 +10,10 @@ every variable.  Restricting the sweep to a subtree yields draws of any
 subset of variables at reduced cost.  The sweep walks the MAP
 traceback's root-first order (``CompiledQuery.order``) over the sum
 tables laid out as separator rows (``CompiledQuery.cluster_rows``),
-building CDFs only for the rows its draws reach.  Targets, separator
-states and counts follow the one integer rule (``factor._integer``):
-anything but an integer type is a ValueError naming it, never truncated.
+building CDFs only for the rows its draws reach.  Seeds, targets,
+separator states and counts follow the one integer rule
+(``factor._integer``): anything but an integer type is a ValueError
+naming it, never truncated.
 
 Randomness contract: numpy's PCG64 generator seeded with a caller
 64-bit seed.  For each visited cluster, in a fixed root-first order
@@ -34,7 +35,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .factor import Factor, _integer, check_table_size
+from .factor import Factor, _integer, _trusted, check_table_size
 from .hmm import HmmSpec, _transitions, forward_backward, unit_max_exp
 from .propagation import ClusterRows, CompiledQuery, ImpossibleEvidenceError
 
@@ -77,7 +78,7 @@ def cluster_conditional(
             f"cluster {j} has zero conditional mass at separator "
             f"{dict(sep_assignment)}"
         )
-    return Factor(layout.free, (row / total).reshape(layout.free_shape))
+    return _trusted(layout.free, (row / total).reshape(layout.free_shape), 0.0)
 
 
 def _row_cdfs(rows: np.ndarray) -> np.ndarray:
@@ -174,7 +175,7 @@ class PosteriorSampler:
         self._plan = [cq.cluster_rows(j) for j in cq.order if j in needed]
         covered = sorted(set().union(*(set(t.sep) | set(t.free) for t in self._plan)))
         self._columns = {u: idx for idx, u in enumerate(covered)}
-        self._rng = np.random.Generator(np.random.PCG64(seed))
+        self._rng = np.random.Generator(np.random.PCG64(_integer(seed, "seed")))
         if math.isinf(cq.evidence_log_probability()):
             raise ImpossibleEvidenceError("cannot sample: evidence has probability zero")
 
@@ -245,7 +246,7 @@ def sample_hmm_path(
         raise ValueError("count must be non-negative")
     check_table_size((count, n), "sample output")
     fb = forward_backward(spec, y)
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.Generator(np.random.PCG64(_integer(seed, "seed")))
     paths = np.zeros((count, n), dtype=np.int64)
     walk = range(n) if direction == "forward" else range(n - 1, -1, -1)
     with np.errstate(over="ignore"):

@@ -13,7 +13,7 @@ from beliefprop.factor import (
     product,
 )
 from beliefprop.propagation import compile_query
-from beliefprop.sampling import sample_posterior
+from beliefprop.sampling import cluster_conditional, sample_posterior
 
 
 def F(scope, values, log_scale=0.0):
@@ -233,7 +233,8 @@ def test_product_of_three():
 
 def test_only_outside_factors_are_validated(monkeypatch, ped_net, ped_ev):
     # the ten CPD factors enter from outside; every table the queries
-    # derive from them is built by the algebra without a re-check
+    # derive from them is built by the algebra without a re-check, and the
+    # unsliced copy behind message() re-lays the same potentials
     validated = []
     check = Factor.__post_init__
 
@@ -246,6 +247,10 @@ def test_only_outside_factors_are_validated(monkeypatch, ped_net, ped_ev):
     cq.posterior_table()
     cq.map_assignment()
     sample_posterior(cq, count=10)
+    i, j = cq.jtree.edges[0]
+    cq.message(i, j)
+    cq.edge_marginal(i, j)
+    cluster_conditional(cq, cq.root, {})
     assert len(validated) == len(ped_net.cpds) == 10
 
 

@@ -400,6 +400,12 @@ class TestSimulate:
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 
+    def test_non_integer_seed_refused(self, spec5):
+        with pytest.raises(ValueError, match=r"seed 1\.5 is not an integer"):
+            hmm.simulate(spec5, seed=1.5)
+        for got, want in zip(hmm.simulate(spec5, seed=np.int64(11)), hmm.simulate(spec5, seed=11)):
+            np.testing.assert_array_equal(got, want)
+
     def test_shapes_and_ranges(self, spec5):
         states, y = hmm.simulate(spec5, seed=3)
         assert states.shape == (5,) and y.shape == (5,)

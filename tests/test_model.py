@@ -15,7 +15,6 @@ from beliefprop.model import (
     DiscreteNetwork,
     EvidenceSet,
     Variable,
-    build_potentials,
     validate_network,
 )
 from beliefprop.propagation import CompiledQuery
@@ -284,11 +283,12 @@ class TestTiedTables:
 
     def test_unchecked_query_refuses_a_negative_shared_entry(self):
         net = tied_chain(tied=True)
-        # with V0 observed at state 0, V1's slice of the shared table holds
-        # only its good row and passes; V3's whole view reaches the bad one
+        # every CPD enters Factor whole, whatever the evidence: with V0
+        # observed at state 0, V1's table still shows its bad row
         ev = EvidenceSet({0: {0}})
         head = DiscreteNetwork(net.variables[:2], net.cpds[:2])
-        assert build_potentials(head, ev, {0: 0})[1].values.tolist() == [0.5, 0.5]
+        with pytest.raises(ValueError, match="factor values must be non-negative"):
+            CompiledQuery(head, ev, validate=False)
         for evidence in (EvidenceSet.none(), ev):
             with pytest.raises(ValueError, match="factor values must be non-negative"):
                 CompiledQuery(net, evidence, validate=False)

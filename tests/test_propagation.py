@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,12 @@ from hypothesis import strategies as st
 import beliefprop
 from beliefprop import hmm, model, oracle
 from beliefprop.factor import MAX_TABLE_ENTRIES, Factor, FactorSizeError
-from beliefprop.jtree import InvalidJunctionTreeError, JunctionTree, build_junction_tree
+from beliefprop.jtree import (
+    InvalidJunctionTreeError,
+    JunctionTree,
+    JunctionTreeError,
+    build_junction_tree,
+)
 from beliefprop.model import Cpd, DiscreteNetwork, EvidenceSet, InvalidNetworkError, Variable
 from beliefprop.oracle import (
     joint_table,
@@ -125,6 +131,15 @@ class TestMessages:
         cq = CompiledQuery(ped_net_module, ped_ev_module, jtree=ped_jtree_module)
         with pytest.raises(SchedulingError):
             cq.message(1, 0)
+
+    def test_message_off_the_tree_is_refused(self, calibrated, ped_jtree_module):
+        # clusters 0 and 2 are not neighbours: no pass ever sends 0 -> 2
+        assert not ped_jtree_module.is_edge(0, 2)
+        for i, j in ((0, 2), (2, 0)):
+            with pytest.raises(JunctionTreeError, match=rf"\({i}, {j}\) is not a tree edge"):
+                calibrated.message(i, j)
+            with pytest.raises(JunctionTreeError, match="is not a tree edge"):
+                calibrated.edge_marginal(i, j)
 
     def test_inward_only_outward_missing(self, ped_net_module, ped_ev_module,
                                          ped_jtree_module):
@@ -360,6 +375,16 @@ class TestConstruction:
         with pytest.raises(ValueError):
             CompiledQuery(ped_net_module, ped_ev_module,
                           jtree=ped_jtree_module, root=99)
+
+    @pytest.mark.parametrize("root", [1.5, "1", None])
+    def test_non_integer_root_refused(self, ped_net_module, ped_ev_module,
+                                      ped_jtree_module, root):
+        # 1.5 used to end in a bare KeyError, "1" in a comparison TypeError
+        with pytest.raises(ValueError, match=re.escape(f"root cluster {root!r} is not an integer")):
+            CompiledQuery(ped_net_module, ped_ev_module, jtree=ped_jtree_module, root=root)
+        cq = CompiledQuery(ped_net_module, ped_ev_module, jtree=ped_jtree_module,
+                           root=np.int64(1))
+        assert cq.root == 1 and cq.order[0] == 1
 
     @pytest.mark.parametrize(
         "wide_at, n, card",

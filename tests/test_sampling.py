@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -329,6 +330,17 @@ class TestPosteriorSampler:
             PosteriorSampler(ped_query, targets=[1.9])
         assert PosteriorSampler(ped_query, targets=[np.int64(1)]).variables == (1,)
 
+    def test_non_integer_seed_refused(self, ped_query):
+        for seed in (1.5, "1"):
+            want = re.escape(f"seed {seed!r} is not an integer")
+            with pytest.raises(ValueError, match=want):
+                PosteriorSampler(ped_query, seed=seed)
+            with pytest.raises(ValueError, match=want):
+                sample_posterior(ped_query, seed=seed, count=3)
+        # an integer type keeps its stream
+        np.testing.assert_array_equal(PosteriorSampler(ped_query, seed=np.int64(7)).sample(5),
+                                      PosteriorSampler(ped_query, seed=7).sample(5))
+
     def test_negative_count_refused(self, ped_query):
         with pytest.raises(ValueError, match="count must be non-negative"):
             PosteriorSampler(ped_query, seed=7).sample(-1)
@@ -464,6 +476,13 @@ class TestHmmPathSampling:
         spec, y, _ = setup
         with pytest.raises(ValueError, match=r"count 2\.5 is not an integer"):
             sample_hmm_path(spec, y, count=2.5)
+
+    def test_non_integer_seed_refused(self, setup):
+        spec, y, _ = setup
+        with pytest.raises(ValueError, match=r"seed 1\.5 is not an integer"):
+            sample_hmm_path(spec, y, seed=1.5, count=3)
+        np.testing.assert_array_equal(sample_hmm_path(spec, y, seed=np.int64(4), count=3),
+                                      sample_hmm_path(spec, y, seed=4, count=3))
 
     def test_impossible_observations_refused(self, setup):
         # a negative rain count has probability zero under every state
