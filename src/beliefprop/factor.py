@@ -234,14 +234,16 @@ class Factor:
         return _trusted(self.scope, self.values / peak, self.log_scale + math.log(peak))
 
 
-def _require_finite(values: np.ndarray, log_scale: float = 0.0) -> None:
-    """Reject a product or sum of valid tables that left double range."""
+def _require_finite(values: np.ndarray, log_scale: float = 0.0) -> float:
+    """Reject a sum or product of valid tables that left double range; return its max."""
     # entries of valid tables are non-negative, so an overflow shows as
     # inf in the largest entry, or as NaN once an inf met a zero
-    if values.size and not math.isfinite(values.max()):
+    peak = float(values.max()) if values.size else 0.0
+    if not math.isfinite(peak):
         raise ValueError("factor values must be finite")
     if not math.isfinite(log_scale):
         raise ValueError("log_scale must be finite")
+    return peak
 
 
 def _trusted(scope: tuple[int, ...], values, log_scale: float) -> Factor:

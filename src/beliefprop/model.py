@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .factor import Factor, _integer
+from .factor import Factor, _integer, _trusted
 
 ROW_SUM_TOL = 1e-9
 
@@ -139,13 +139,16 @@ class DiscreteNetwork:
         return order
 
     def cpd_factor(self, u: int) -> Factor:
-        """The CPD of u as a checked factor over its family in ascending id
-        order, one axis per family member in that order."""
+        """The CPD of u as a checked factor, one axis per family member in ascending id order."""
+        return Factor(*self._family_table(u))
+
+    def _family_table(self, u: int) -> tuple[tuple[int, ...], np.ndarray]:
+        """``cpd_factor``'s scope and table, unchecked: a view of the CPD's buffer."""
         cpd, cards = self._cpd_by_child[u], self._cards
         listed = cpd.parents + (u,)
         perm = sorted(range(len(listed)), key=listed.__getitem__)
         table = cpd.table.reshape([cards[w] for w in listed]).transpose(perm)
-        return Factor(tuple(listed[i] for i in perm), table)
+        return tuple(listed[i] for i in perm), table
 
 
 @dataclass(frozen=True)
@@ -333,14 +336,15 @@ def build_potentials(net: DiscreteNetwork, evidence: EvidenceSet) -> dict[int, F
     disallowed states zeroed.
 
     Each variable's indicator is applied exactly once, in its own
-    potential, never where the variable appears as a parent.  Products
-    over sets of potentials therefore carry each restriction once, and
-    a single potential restricted this way still matches the message
-    definitions entry for entry.  Every axis stays whole, an observed
-    one too: a query slices single-state evidence out of its own cluster
-    layouts.  ValueError naming them when the evidence restricts
-    variable ids the network does not have, or names a state out of
-    range.
+    potential, never where the variable appears as a parent, so products
+    of potentials carry each restriction once and a single potential
+    matches the message definitions entry for entry.  Every axis stays
+    whole, an observed one too: a query's layouts slice single states.
+    A table several CPDs share (a chain's transition matrix) is laid out,
+    checked and masked once per call and its CPDs share the values: one
+    check per view (all start at its first entry, so shape and strides
+    tell them apart), one mask per allowed set.  ValueError naming them
+    when the evidence restricts unknown variable ids or a state out of range.
     """
     cards, allowed = net.cards, evidence.allowed
     unknown = sorted(u for u in allowed if u not in cards)
@@ -350,7 +354,15 @@ def build_potentials(net: DiscreteNetwork, evidence: EvidenceSet) -> dict[int, F
         if not all(0 <= s < cards[u] for s in states):
             raise ValueError(f"state index out of range for variable {u}: {sorted(states)}")
     out: dict[int, Factor] = {}
+    made: dict[tuple, Factor] = {}
     for u in net.ids:
-        factor = net.cpd_factor(u)
-        out[u] = factor.restrict({u: allowed[u]}) if u in allowed else factor
+        scope, table = net._family_table(u)
+        key = (id(net.cpd(u).table), table.shape, table.strides)
+        factor = made[key] = (_trusted(scope, made[key].values, 0.0) if key in made
+                              else Factor(scope, table))
+        if u in allowed:
+            key += (allowed[u],)
+            factor = made[key] = (_trusted(scope, made[key].values, 0.0) if key in made
+                                  else factor.restrict({u: allowed[u]}))
+        out[u] = factor
     return out

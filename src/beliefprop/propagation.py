@@ -305,6 +305,8 @@ class CompiledQuery:
     def message(self, i: int, j: int, semiring: str = "sum") -> Factor:
         """The message i -> j over its whole separator, every state of an
         observed variable included, once this query has sent it."""
+        if semiring not in ("sum", "max"):
+            raise ValueError(f"unknown semiring {semiring!r}")
         sep = tuple(sorted(self.jtree.separator(i, j)))  # JunctionTreeError unless an edge
         self._stored(i, j, semiring)
         values, log_scale = self._unsliced()._stored(i, j, semiring)
@@ -377,9 +379,8 @@ class CompiledQuery:
         values, log_scale = self._product(j, k, semiring)
         if outside:
             values = values.sum(axis=outside) if semiring == "sum" else values.max(axis=outside)
-        _require_finite(values, log_scale)
         values = values if values.shape == sep_shape else np.broadcast_to(values, sep_shape)
-        peak = float(values.max()) if values.size else 0.0
+        peak = _require_finite(values, log_scale)
         if peak > 0.0 and peak != 1.0:
             values, log_scale = values / peak, log_scale + math.log(peak)
         if not values.flags.c_contiguous:

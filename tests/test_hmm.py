@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from decimal import Decimal, localcontext
@@ -9,12 +10,12 @@ from hypothesis import strategies as st
 from scipy import special, stats
 
 from beliefprop import hmm
-from beliefprop.factor import MAX_TABLE_ENTRIES, FactorSizeError
+from beliefprop.factor import MAX_TABLE_ENTRIES, Factor, FactorSizeError
 from beliefprop.jtree import validate_junction_tree
-from beliefprop.model import validate_network
+from beliefprop.model import Cpd, DiscreteNetwork, validate_network
 from beliefprop.oracle import oracle_log_probability, oracle_posterior
 from beliefprop.propagation import CompiledQuery
-from beliefprop.sampling import sample_hmm_path
+from beliefprop.sampling import PosteriorSampler, sample_hmm_path
 
 
 @pytest.fixture(scope="module")
@@ -507,3 +508,69 @@ class TestChainTree:
             np.testing.assert_allclose(
                 cq.variable_posterior(2 * i), table[i], rtol=0, atol=1e-12
             )
+
+
+def _answers(cq: CompiledQuery) -> list:
+    """log Z, every posterior, the MAP, every message sent (both
+    semirings) and a digest of 100 draws, as exact bytes or reprs."""
+    out = [repr(cq.propagate().evidence_log_probability())]
+    out += [p.tobytes() for p in cq.posterior_table().values()]
+    out.append(repr(cq.map_assignment()))
+    for i, j in cq.jtree.edges:
+        for a, b, semiring in ((i, j, "sum"), (j, i, "sum"), (i, j, "max"), (j, i, "max")):
+            if cq.has_message(a, b, semiring):
+                msg = cq.message(a, b, semiring)
+                out += [msg.values.tobytes(), repr(msg.log_scale)]
+    draws = PosteriorSampler(cq, seed=5).sample(100)
+    out.append(hashlib.sha256(draws.tobytes()).hexdigest())
+    return out
+
+
+class TestSharedTables:
+    """to_bayes_net gives all transition CPDs one array and all emission
+    CPDs another; a query lays out, checks and masks each once."""
+
+    @pytest.fixture(scope="class")
+    def chain200(self):
+        spec = hmm.precipitation_spec(200)
+        _, y = hmm.simulate(spec, 3)
+        return (spec, y, *hmm.to_bayes_net(spec, y))
+
+    def test_tied_and_copied_tables_answer_bit_for_bit(self, chain200):
+        spec, _, net, ev = chain200
+        copies = DiscreteNetwork(
+            net.variables, [Cpd(c.child, c.parents, c.table.copy()) for c in net.cpds]
+        )
+        assert len({id(c.table) for c in net.cpds}) == 3
+        assert len({id(c.table) for c in copies.cpds}) == 400
+        tied, copied = (_answers(CompiledQuery(network, ev, jtree=hmm.chain_junction_tree(spec)))
+                        for network in (net, copies))
+        assert tied == copied
+
+    def test_each_distinct_table_is_checked_and_masked_once(self, chain200, monkeypatch):
+        spec, y, net, ev = chain200
+        checked, masked = [], []
+        check, restrict = Factor.__post_init__, Factor.restrict
+
+        def counted_check(self):
+            checked.append(self.scope)
+            check(self)
+
+        def counted_restrict(self, allowed):
+            masked.append(*allowed.values())
+            return restrict(self, allowed)
+
+        monkeypatch.setattr(Factor, "__post_init__", counted_check)
+        monkeypatch.setattr(Factor, "restrict", counted_restrict)
+        cq = CompiledQuery(net, ev, jtree=hmm.chain_junction_tree(spec)).propagate()
+        cq.posterior_table()
+        cq.map_assignment()
+        cq.message(0, 1)
+        # the initial law, the transition matrix and the emission table
+        assert checked == [(0,), (0, 1), (0, 2)]
+        assert sorted(masked, key=min) == [frozenset({k}) for k in sorted(set(y))]
+        assert cq.potentials[2].values is cq.potentials[4].values
+        assert cq.potentials[4].scope == (2, 4)
+        # every Y with step 1's count reads step 1's masked emission table
+        twins = [2 * i + 1 for i in range(200) if y[i] == y[0]]
+        assert all(cq.potentials[u].values is cq.potentials[1].values for u in twins)

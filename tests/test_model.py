@@ -15,6 +15,7 @@ from beliefprop.model import (
     DiscreteNetwork,
     EvidenceSet,
     Variable,
+    build_potentials,
     validate_network,
 )
 from beliefprop.propagation import CompiledQuery
@@ -292,6 +293,30 @@ class TestTiedTables:
         for evidence in (EvidenceSet.none(), ev):
             with pytest.raises(ValueError, match="factor values must be non-negative"):
                 CompiledQuery(net, evidence, validate=False)
+
+    def test_one_table_viewed_two_ways_is_laid_out_per_view(self):
+        # C | A, B and D | B, A share one table; D lists its parents against
+        # id order, so its view has the same shape and other strides
+        table = np.array([[0.1, 0.9], [0.2, 0.8], [0.3, 0.7], [0.4, 0.6]])
+        variables = [Variable(i, name, ("0", "1")) for i, name in enumerate("ABCD")]
+        cpds = [Cpd(i, (), np.array([[0.5, 0.5]])) for i in (0, 1)]
+        net = DiscreteNetwork(variables, cpds + [Cpd(2, (0, 1), table), Cpd(3, (1, 0), table)])
+        pots = build_potentials(net, EvidenceSet({2: {1}, 3: {1}}))
+        for u in (2, 3):
+            want = net.cpd_factor(u).restrict({u: {1}})
+            assert pots[u].scope == want.scope
+            assert pots[u].values.tobytes() == want.values.tobytes()
+        assert not np.array_equal(pots[2].values, pots[3].values)
+
+    def test_shared_table_is_checked_before_it_is_masked(self):
+        # V1..V3 share OUT_OF_RANGE and are observed at state 0; masking
+        # first would turn its -0.2 in column 1 into -0.0, which is not < 0
+        variables = [Variable(i, f"V{i}", ("0", "1")) for i in range(4)]
+        cpds = [Cpd(0, (), np.array([[0.5, 0.5]]))]
+        cpds += [Cpd(i, (i - 1,), OUT_OF_RANGE) for i in range(1, 4)]
+        ev = EvidenceSet({i: {0} for i in range(1, 4)})
+        with pytest.raises(ValueError, match="factor values must be non-negative"):
+            CompiledQuery(DiscreteNetwork(variables, cpds), ev, validate=False)
 
 
 class TestEvidence:

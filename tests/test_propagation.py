@@ -141,6 +141,12 @@ class TestMessages:
             with pytest.raises(JunctionTreeError, match="is not a tree edge"):
                 calibrated.edge_marginal(i, j)
 
+    def test_unknown_semiring_named(self, calibrated):
+        # no pass sends a "prod" message, so asking to run one cannot help
+        for i, j in ((1, 0), (0, 2)):
+            with pytest.raises(ValueError, match="unknown semiring 'prod'"):
+                calibrated.message(i, j, semiring="prod")
+
     def test_inward_only_outward_missing(self, ped_net_module, ped_ev_module,
                                          ped_jtree_module):
         cq = CompiledQuery(ped_net_module, ped_ev_module, jtree=ped_jtree_module, root=0)
