@@ -256,9 +256,8 @@ def _trusted(scope: tuple[int, ...], values, log_scale: float) -> Factor:
         values = np.ascontiguousarray(values)
     values.setflags(write=False)
     out = object.__new__(Factor)
-    object.__setattr__(out, "scope", scope)
-    object.__setattr__(out, "values", values)
-    object.__setattr__(out, "log_scale", log_scale)
+    # a frozen dataclass refuses __setattr__; its fields live in the instance dict
+    out.__dict__.update(scope=scope, values=values, log_scale=log_scale)
     return out
 
 

@@ -310,8 +310,8 @@ def validate_junction_tree(net: DiscreteNetwork, jt: JunctionTree) -> Validation
                     )
                 )
 
-    for u in sorted(ids):
-        fam = net.family(u)
+    families = {u: net.family(u) for u in sorted(ids)}
+    for u, fam in families.items():
         if not any(fam <= jt.clusters[j] for j in jt.holders.get(u, ())):
             out.append(
                 Violation("covering", u,
@@ -320,13 +320,13 @@ def validate_junction_tree(net: DiscreteNetwork, jt: JunctionTree) -> Validation
             )
 
     if jt.assignment is not None:
-        for u in sorted(ids):
+        for u, fam in families.items():
             j = jt.assignment.get(u)
             if j is None:
                 out.append(Violation("assignment", u, f"variable {u} is unassigned"))
             elif not (0 <= j < q):
                 out.append(Violation("assignment", u, f"variable {u} assigned to {j}"))
-            elif not net.family(u) <= jt.clusters[j]:
+            elif not fam <= jt.clusters[j]:
                 out.append(
                     Violation("assignment", u,
                               f"cluster {j} does not cover the family of variable {u}")

@@ -140,15 +140,15 @@ class DiscreteNetwork:
 
     def cpd_factor(self, u: int) -> Factor:
         """The CPD of u as a checked factor, one axis per family member in ascending id order."""
-        return Factor(*self._family_table(u))
+        scope, shape, perm = self._family_layout(u)
+        return Factor(scope, self._cpd_by_child[u].table.reshape(shape).transpose(perm))
 
-    def _family_table(self, u: int) -> tuple[tuple[int, ...], np.ndarray]:
-        """``cpd_factor``'s scope and table, unchecked: a view of the CPD's buffer."""
-        cpd, cards = self._cpd_by_child[u], self._cards
-        listed = cpd.parents + (u,)
-        perm = sorted(range(len(listed)), key=listed.__getitem__)
-        table = cpd.table.reshape([cards[w] for w in listed]).transpose(perm)
-        return tuple(listed[i] for i in perm), table
+    def _family_layout(self, u: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """``cpd_factor``'s scope, then the CPD table's shape with one axis per
+        listed family member and the permutation that puts those axes in id order."""
+        listed = self._cpd_by_child[u].parents + (u,)
+        scope, perm = zip(*sorted(zip(listed, range(len(listed)))))
+        return scope, tuple(map(self._cards.__getitem__, listed)), perm
 
 
 @dataclass(frozen=True)
@@ -340,11 +340,11 @@ def build_potentials(net: DiscreteNetwork, evidence: EvidenceSet) -> dict[int, F
     of potentials carry each restriction once and a single potential
     matches the message definitions entry for entry.  Every axis stays
     whole, an observed one too: a query's layouts slice single states.
-    A table several CPDs share (a chain's transition matrix) is laid out,
+    A table several CPDs share (a chain's transition matrix) is viewed,
     checked and masked once per call and its CPDs share the values: one
-    check per view (all start at its first entry, so shape and strides
-    tell them apart), one mask per allowed set.  ValueError naming them
-    when the evidence restricts unknown variable ids or a state out of range.
+    view and check per listed shape and axis permutation, one mask per
+    allowed set.  ValueError naming them when the evidence restricts
+    unknown variable ids or a state out of range.
     """
     cards, allowed = net.cards, evidence.allowed
     unknown = sorted(u for u in allowed if u not in cards)
@@ -354,15 +354,15 @@ def build_potentials(net: DiscreteNetwork, evidence: EvidenceSet) -> dict[int, F
         if not all(0 <= s < cards[u] for s in states):
             raise ValueError(f"state index out of range for variable {u}: {sorted(states)}")
     out: dict[int, Factor] = {}
-    made: dict[tuple, Factor] = {}
+    made: dict[tuple, np.ndarray] = {}
     for u in net.ids:
-        scope, table = net._family_table(u)
-        key = (id(net.cpd(u).table), table.shape, table.strides)
-        factor = made[key] = (_trusted(scope, made[key].values, 0.0) if key in made
-                              else Factor(scope, table))
+        scope, shape, perm = net._family_layout(u)
+        key = (id(net.cpd(u).table), shape, perm)
+        if key not in made:
+            made[key] = net.cpd_factor(u).values
         if u in allowed:
-            key += (allowed[u],)
-            factor = made[key] = (_trusted(scope, made[key].values, 0.0) if key in made
-                                  else factor.restrict({u: allowed[u]}))
-        out[u] = factor
+            key, whole = key + (allowed[u],), made[key]
+            if key not in made:
+                made[key] = _trusted(scope, whole, 0.0).restrict({u: allowed[u]}).values
+        out[u] = _trusted(scope, made[key], 0.0)
     return out

@@ -10,16 +10,12 @@ outward pass back, every cluster and edge holds an unnormalized marginal
 whose total mass is the evidence probability.
 
 The tree fixes the scope of every such table, so a query lays each
-cluster out once (see ``CompiledQuery``), and messages and readouts run
-on bare arrays: broadcast multiplies in a fixed order and one sum or max
-over precomputed axes.  Only the layouts slice: each potential is read
-at the state of every variable the evidence pins to one state (factor
-reduction), so the arrays leave those variables out, and a layout holds
-only what that kernel reads.  The observed axes come back in one helper
-(``CompiledQuery._with_observed``), with exact zeros off the observed
-states, only where a caller asks for a table: a ``Factor`` over the full
-scope, the columns of ``cluster_rows``, each MAP row or an observed
-variable's posterior.
+cluster out once and builds one product per distinct cluster (see
+``CompiledQuery``); the message kernel then reads per-edge records and
+runs on bare arrays.  Only the layouts slice: each potential is read at
+the state of every variable the evidence pins to one state (factor
+reduction), so the arrays leave those variables out until a caller
+asks for a table that has them (``CompiledQuery._with_observed``).
 
 Messages are renormalized to unit maximum, with the removed
 mass tracked in each message's log scale, so long chains cannot
@@ -39,7 +35,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import filterfalse, groupby, repeat
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -49,6 +45,7 @@ from .factor import Factor, _integer, _require_finite, _trusted, check_table_siz
 from .jtree import (
     InvalidJunctionTreeError,
     JunctionTree,
+    JunctionTreeError,
     assign_clusters,
     build_junction_tree,
     validate_junction_tree,
@@ -71,9 +68,11 @@ class ImpossibleEvidenceError(ValueError):
 
 
 class _Layout(NamedTuple):
-    """One cluster laid out for a query, observed variables left out: only
-    what ``_product`` and ``compute_message`` read (see ``CompiledQuery``)."""
+    """A cluster's whole scope, then what the kernel reads, observed variables
+    left out; ``seps`` maps each neighbour, ascending, to its edge record: whole
+    and sliced separator, view in ``scope``, shape and the axes outside it."""
 
+    full: tuple[int, ...]
     scope: tuple[int, ...]
     shape: tuple[int, ...]
     potential: np.ndarray
@@ -138,18 +137,16 @@ class CompiledQuery:
     clusters parent before child (children by ascending index), and
     ``parent`` maps every other cluster to its neighbour toward the root.
     ``potentials`` maps each variable to its potential K_u, unsliced
-    (``build_potentials``).  Construction lays out each cluster without
-    its observed variables, each potential read at their states, holding
-    only what ``_product`` and ``compute_message`` read: its ascending
-    scope and shape, the product of its potentials (ascending ids) and
-    its log scale, and per neighbour (separator, its view shape, its
-    shape, the axes outside it).  A view has size-1 axes where a table
-    lacks a scope variable.  The message stores (sum and max semiring)
-    hold (table, log scale) pairs over those separators; inward() and
-    outward() fill them.  ``_with_observed`` alone puts the observed axes
-    back, for ``cluster_table``, ``compute_message``'s factor, the columns
-    of ``cluster_rows`` and the MAP rows; posteriors slice each home
-    marginal once by its index rule.  ``message`` and
+    (``build_potentials``).  Construction lays out each cluster
+    (``_Layout``) and builds one read-only product per distinct cluster:
+    clusters whose potentials are the same arrays, read at the same
+    states into the same axes with the same log scales, share it.  The
+    kernel reads per-edge records, never the tree.  The message stores
+    (sum and max semiring) hold (table, log scale) pairs over the sliced
+    separators; inward() and outward() fill them.  ``_with_observed``
+    alone puts the observed axes back, for ``cluster_table``,
+    ``compute_message``'s factor, the columns of ``cluster_rows`` and the
+    MAP rows; posteriors slice each home marginal once.  ``message`` and
     ``cluster_conditional`` read a copy laid out from the same potentials
     with nothing sliced.  Marginal accessors require the messages they
     read to exist and raise SchedulingError otherwise.  A tree with a
@@ -184,7 +181,7 @@ class CompiledQuery:
         # cluster over the cap can finish
         cards = net.cards
         for j, cluster in enumerate(jtree.clusters):
-            check_table_size((cards[u] for u in cluster), f"cluster {j}")
+            check_table_size(map(cards.__getitem__, cluster), f"cluster {j}")
         self.jtree = jtree
         root = _integer(root, "root cluster")
         if not (0 <= root < jtree.q):
@@ -199,7 +196,7 @@ class CompiledQuery:
         self._compile()
 
     def _compile(self) -> None:
-        """Cluster layouts and an empty message store."""
+        """Cluster layouts, one product per distinct cluster, and an empty message store."""
         jtree = self.jtree
         # potentials of each cluster in ascending id order; a home out
         # of range (possible with validate=False) owns nothing
@@ -207,7 +204,8 @@ class CompiledQuery:
         for u, j in sorted(jtree.assignment.items()):
             if 0 <= j < jtree.q:
                 members[j].append(self.potentials[u])
-        self._layouts = [self._layout(j, pots) for j, pots in enumerate(members)]
+        products: dict[tuple, tuple[np.ndarray, float]] = {}
+        self._layouts = [self._layout(j, pots, products) for j, pots in enumerate(members)]
         self._messages: dict[tuple[str, int, int], tuple[np.ndarray, float]] = {}
 
     def _unsliced(self) -> "CompiledQuery":
@@ -228,34 +226,40 @@ class CompiledQuery:
                     twin.compute_message(i, j, semiring)
         return twin
 
-    def _layout(self, j: int, pots: list[Factor]) -> _Layout:
-        cards, observed = self.net.cards, self._observed
-        cluster = self.jtree.clusters[j].difference(observed)
-        scope = tuple(sorted(cluster.union(*(f.scope for f in pots)).difference(observed)))
-        shape = tuple(cards[u] for u in scope)
-        if len(scope) > len(cluster):  # a stray potential, under validate=False
+    def _layout(self, j: int, pots: list[Factor], products: dict) -> _Layout:
+        cards, observed, clusters = self.net.cards, self._observed, self.jtree.clusters
+        full, held = tuple(sorted(clusters[j])), clusters[j].union(*[f.scope for f in pots])
+        scope = tuple(filterfalse(observed.__contains__,
+                                  full if len(held) == len(full) else sorted(held)))
+        shape = tuple(map(cards.__getitem__, scope))
+        if len(held) > len(full):  # a stray potential, under validate=False
             check_table_size(shape, "product table")
-
-        def view(sub) -> tuple[int, ...]:
-            return tuple(d if u in sub else 1 for u, d in zip(scope, shape))
-
-        # 1.0 * x == x: starting from one, or at a mask's kept state, changes no bit
-        potential, log_scale = np.ones(view(())), 0.0
-        for f in pots:
-            potential = potential * f.values[self._observed_index(f.scope)].reshape(view(f.scope))
-            log_scale += f.log_scale
-        potential.setflags(write=False)  # tables and messages may be views of it
+        axis = dict(zip(scope, range(len(scope))))
+        # the same arrays read at the same states into the same axes: one product
+        key = (len(scope), *[(id(f.values), tuple(map(observed.get, f.scope)),
+                              tuple(map(axis.get, f.scope)), f.log_scale) for f in pots])
+        if key not in products:
+            # 1.0 * x == x: starting from one, or at a mask's kept state, changes no bit
+            potential, log_scale = np.ones((1,) * len(scope)), 0.0
+            for f in pots:
+                view = tuple(d if u in f.scope else 1 for u, d in zip(scope, shape))
+                potential = potential * f.values[self._observed_index(f.scope)].reshape(view)
+                log_scale += f.log_scale
+            potential.setflags(write=False)  # shared, and tables and messages may be views of it
+            products[key] = potential, log_scale
         seps = {}
         for k in self.jtree.neighbors(j):
-            sep = tuple(sorted(cluster & self.jtree.clusters[k]))
+            whole = tuple(filter(clusters[k].__contains__, full))
+            sep = tuple(filter(axis.__contains__, whole))  # less its observed variables
+            view = tuple(d if u in sep else 1 for u, d in zip(scope, shape))
             outside = tuple(a for a, u in enumerate(scope) if u not in sep)
-            seps[k] = (sep, view(sep), tuple(cards[u] for u in sep), outside)
-        return _Layout(scope, shape, potential, log_scale, seps)
+            seps[k] = (whole, sep, view, tuple(map(cards.__getitem__, sep)), outside)
+        return _Layout(full, scope, shape, *products[key], seps)
 
     def _observed_index(self, scope: tuple[int, ...]) -> tuple:
         """Where a table over ``scope`` holds what a layout computes: each
         observed variable at its state, every other axis whole."""
-        return tuple(self._observed.get(u, slice(None)) for u in scope)
+        return tuple(map(self._observed.get, scope, repeat(slice(None))))
 
     def _with_observed(self, scope: tuple[int, ...], values: np.ndarray) -> np.ndarray:
         """``values``, over ``scope`` less its observed variables, over all of
@@ -263,7 +267,7 @@ class CompiledQuery:
         The one place a table the engine computed regains them."""
         if values.ndim == len(scope):  # nothing in scope is observed
             return values
-        out = np.zeros([self.net.cards[u] for u in scope])
+        out = np.zeros(tuple(map(self.net.cards.__getitem__, scope)))
         out[self._observed_index(scope)] = values
         return out
 
@@ -323,11 +327,11 @@ class CompiledQuery:
         MAP traceback and sampling conditionals (``skip`` is the parent
         toward the root).
         """
-        _, _, values, log_scale, seps = self._layouts[j]
-        for i in self.jtree.neighbors(j):
+        _, _, _, values, log_scale, seps = self._layouts[j]
+        for i, edge in seps.items():
             if i != skip:
                 msg, scale = self._stored(i, j, semiring)
-                values, log_scale = values * msg.reshape(seps[i][1]), log_scale + scale
+                values, log_scale = values * msg.reshape(edge[2]), log_scale + scale
         return values, log_scale
 
     def _table(self, j: int, skip: int | None, semiring: str) -> tuple[np.ndarray, float]:
@@ -345,7 +349,7 @@ class CompiledQuery:
     ) -> Factor:
         """``_product`` laid out over every variable of cluster j."""
         values, log_scale = self._table(j, skip, semiring)
-        scope = tuple(sorted(self.jtree.clusters[j]))
+        scope = self._layouts[j].full
         return _trusted(scope, self._with_observed(scope, values), log_scale)
 
     def cluster_rows(self, j: int) -> ClusterRows:
@@ -353,7 +357,7 @@ class CompiledQuery:
         the root; a normalized row is P(free | separator, evidence)."""
         parent, layout, cards = self.parent.get(j), self._layouts[j], self.net.cards
         values, _ = self._table(j, parent, "sum")
-        sep, _, sep_shape, _ = layout.seps.get(parent, ((), (), (), ()))
+        _, sep, _, sep_shape, _ = layout.seps.get(parent, ((),) * 5)
         up = self.jtree.clusters[parent] if parent is not None else ()
         free = tuple(sorted(self.jtree.clusters[j].difference(up)))
         perm = [layout.scope.index(u) for u in (*sep, *free) if u not in self._observed]
@@ -374,8 +378,10 @@ class CompiledQuery:
         """
         if semiring not in ("sum", "max"):
             raise ValueError(f"unknown semiring {semiring!r}")
-        full = tuple(sorted(self.jtree.separator(j, k)))  # JunctionTreeError unless an edge
-        _, _, sep_shape, outside = self._layouts[j].seps[k]
+        seps = self._layouts[j].seps if 0 <= j < len(self._layouts) else {}
+        if k not in seps:
+            raise JunctionTreeError(f"({j}, {k}) is not a tree edge")
+        full, _, _, sep_shape, outside = seps[k]
         values, log_scale = self._product(j, k, semiring)
         if outside:
             values = values.sum(axis=outside) if semiring == "sum" else values.max(axis=outside)
@@ -407,8 +413,11 @@ class CompiledQuery:
         return self.cluster_marginal(self.root).total_log_mass()
 
     def variable_posterior(self, u: int) -> np.ndarray:
-        """P(variable | evidence) read from the variable's home cluster."""
-        return dict(self._posteriors(self.jtree.assignment[u], (u,)))[u]
+        """P(variable | evidence) from its home cluster; ValueError unless an integer id."""
+        u = _integer(u, "variable id")
+        if u not in self.net.cards:
+            raise KeyError(f"unknown variable id {u}")
+        return next(self._posteriors(self.jtree.assignment[u], (u,)))[1]
 
     def posterior_table(self) -> dict[int, np.ndarray]:
         """Every posterior by ascending id, one cluster marginal per home."""

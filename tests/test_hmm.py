@@ -11,8 +11,8 @@ from scipy import special, stats
 
 from beliefprop import hmm
 from beliefprop.factor import MAX_TABLE_ENTRIES, Factor, FactorSizeError
-from beliefprop.jtree import validate_junction_tree
-from beliefprop.model import Cpd, DiscreteNetwork, validate_network
+from beliefprop.jtree import JunctionTree, validate_junction_tree
+from beliefprop.model import Cpd, DiscreteNetwork, EvidenceSet, Variable, validate_network
 from beliefprop.oracle import oracle_log_probability, oracle_posterior
 from beliefprop.propagation import CompiledQuery
 from beliefprop.sampling import PosteriorSampler, sample_hmm_path
@@ -509,6 +509,35 @@ class TestChainTree:
                 cq.variable_posterior(2 * i), table[i], rtol=0, atol=1e-12
             )
 
+    @pytest.mark.parametrize("sim_seed", [3, 11, 29])
+    def test_map_is_the_viterbi_path(self, sim_seed):
+        spec = hmm.precipitation_spec(200)
+        _, y = hmm.simulate(spec, sim_seed)
+        net, ev = hmm.to_bayes_net(spec, y)
+        cq = CompiledQuery(net, ev, jtree=hmm.chain_junction_tree(spec))
+        assignment, value = cq.map_assignment()
+        path, want = _viterbi(spec, y)
+        assert [assignment[2 * i] for i in range(spec.horizon)] == path
+        assert math.isclose(value, want, rel_tol=1e-9), (value, want)
+
+
+def _viterbi(spec, y) -> tuple[list[int], float]:
+    """Most probable state path and its log joint with y, by the log-space
+    Viterbi recursion: max over the log transition matrix plus each
+    step's log emissions, then backtracking from the best last state."""
+    with np.errstate(divide="ignore"):
+        log_t, score = np.log(spec.transition), np.log(spec.initial)
+    log_e = hmm.log_emissions(spec, y)
+    score, back = score + log_e[0], []
+    for i in range(1, len(y)):
+        cand = score[:, None] + log_t
+        back.append(cand.argmax(axis=0))
+        score = cand.max(axis=0) + log_e[i]
+    path = [int(score.argmax())]
+    for best in reversed(back):
+        path.append(int(best[path[-1]]))
+    return path[::-1], float(score.max())
+
 
 def _answers(cq: CompiledQuery) -> list:
     """log Z, every posterior, the MAP, every message sent (both
@@ -528,7 +557,8 @@ def _answers(cq: CompiledQuery) -> list:
 
 class TestSharedTables:
     """to_bayes_net gives all transition CPDs one array and all emission
-    CPDs another; a query lays out, checks and masks each once."""
+    CPDs another; a query lays out, checks and masks each once, and
+    clusters that read the same arrays the same way share one product."""
 
     @pytest.fixture(scope="class")
     def chain200(self):
@@ -574,3 +604,66 @@ class TestSharedTables:
         # every Y with step 1's count reads step 1's masked emission table
         twins = [2 * i + 1 for i in range(200) if y[i] == y[0]]
         assert all(cq.potentials[u].values is cq.potentials[1].values for u in twins)
+
+    def test_one_product_per_distinct_cluster(self, chain200):
+        spec, y, net, ev = chain200
+        cq = CompiledQuery(net, ev, jtree=hmm.chain_junction_tree(spec))
+        # the first cluster, then one per count seen after step 1
+        assert len({id(layout.potential) for layout in cq._layouts}) == len(set(y[1:])) + 1
+        assert len(set(y[1:])) + 1 == 9
+        same = [i for i in range(1, 200) if y[i] == y[1]]
+        assert all(cq._layouts[i].potential is cq._layouts[1].potential for i in same)
+        assert not cq._layouts[1].potential.flags.writeable
+
+    @pytest.mark.parametrize("states, shared", [((0, 0), True), ((0, 1), False), ((1, 0), False)])
+    def test_same_array_at_another_state_gets_its_own_product(self, states, shared):
+        # 0 -> 1 -> 2 -> 3 -> 4 on one transition array; clusters 1 = {1, 2}
+        # and 3 = {3, 4} each hold one transition potential, read at the
+        # observed state of 1 and of 3
+        net = _tied_chain(5)
+        jt = JunctionTree([{0, 1}, {1, 2}, {2, 3}, {3, 4}], [(0, 1), (1, 2), (2, 3)],
+                          {0: 0, 1: 0, 2: 1, 3: 2, 4: 3})
+        ev = EvidenceSet({1: {states[0]}, 3: {states[1]}})
+        cq = CompiledQuery(net, ev, jtree=jt)
+        assert cq.potentials[2].values is cq.potentials[4].values
+        assert (cq._layouts[1].potential is cq._layouts[3].potential) is shared
+        np.testing.assert_array_equal(cq._layouts[1].potential, TRANSITION[states[0]])
+        np.testing.assert_array_equal(cq._layouts[3].potential, TRANSITION[states[1]])
+        _check_posteriors(cq, net, ev)
+
+    def test_same_array_in_other_axes_gets_its_own_product(self):
+        # 1 | 0 and 4 | 3 share the transition array; cluster 1 = {0, 1, 2}
+        # holds the first over its first two axes, cluster 2 = {2, 3, 4}
+        # the second over its last two
+        variables = [Variable(i, f"V{i}", ("0", "1")) for i in range(5)]
+        prior = np.array([[0.4, 0.6]])
+        cpds = [Cpd(0, (), prior), Cpd(1, (0,), TRANSITION), Cpd(2, (), prior),
+                Cpd(3, (), prior), Cpd(4, (3,), TRANSITION)]
+        net = DiscreteNetwork(variables, cpds)
+        jt = JunctionTree([{0}, {0, 1, 2}, {2, 3, 4}, {2}, {3}],
+                          [(0, 1), (1, 2), (2, 3), (2, 4)], {0: 0, 1: 1, 2: 3, 3: 4, 4: 2})
+        cq = CompiledQuery(net, EvidenceSet.none(), jtree=jt)
+        assert cq.potentials[1].values is cq.potentials[4].values
+        assert cq._layouts[1].potential.shape == (2, 2, 1)
+        assert cq._layouts[2].potential.shape == (1, 2, 2)
+        _check_posteriors(cq, net, EvidenceSet.none())
+
+
+TRANSITION = np.array([[0.9, 0.1], [0.3, 0.7]])
+
+
+def _tied_chain(n: int) -> DiscreteNetwork:
+    """Binary chain 0 -> 1 -> ... -> n-1 whose transition CPDs share one array."""
+    variables = [Variable(i, f"V{i}", ("0", "1")) for i in range(n)]
+    cpds = [Cpd(0, (), np.array([[0.4, 0.6]]))]
+    cpds += [Cpd(i, (i - 1,), TRANSITION) for i in range(1, n)]
+    return DiscreteNetwork(variables, cpds)
+
+
+def _check_posteriors(cq: CompiledQuery, net: DiscreteNetwork, ev: EvidenceSet) -> None:
+    cq.propagate()
+    want = oracle_log_probability(net, ev)
+    assert math.isclose(cq.evidence_log_probability(), want, rel_tol=1e-12, abs_tol=1e-12)
+    for u in net.ids:
+        np.testing.assert_allclose(cq.variable_posterior(u), oracle_posterior(net, ev, u),
+                                   rtol=0, atol=1e-12)

@@ -212,6 +212,17 @@ class TestPosteriors:
     def test_point_mass_on_observed(self, calibrated):
         np.testing.assert_allclose(calibrated.variable_posterior(1), [0, 0, 1])
 
+    @pytest.mark.parametrize("u, error, message", [
+        (1.0, ValueError, "variable id 1.0 is not an integer"),
+        (np.float64(2.0), ValueError, rf"variable id {re.escape(repr(np.float64(2.0)))} is not"),
+        ("1", ValueError, "variable id '1' is not an integer"),
+        (99, KeyError, "unknown variable id 99"),
+    ])
+    def test_variable_id_follows_the_integer_rule(self, calibrated, u, error, message):
+        # a float or a string is never read as the id it resembles
+        with pytest.raises(error, match=message):
+            calibrated.variable_posterior(u)
+
 
 class TestEvidenceProbability:
     def test_matches_oracle(self, calibrated, ped_net_module, ped_ev_module):
