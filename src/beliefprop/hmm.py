@@ -28,7 +28,6 @@ pinned to H, P(H -> L) = 0.3, P(L -> H) = 0.1, rates 3.0 and 0.5.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -104,10 +103,7 @@ def precipitation_spec(n: int) -> HmmSpec:
 def _counts(y: Sequence[int]) -> list[int]:
     counts = []
     for i, k in enumerate(y):
-        try:
-            c = operator.index(k)
-        except TypeError:
-            raise ValueError(f"count {k!r} at step {i} is not an integer") from None
+        c = _integer(k, f"count at step {i}:")
         if abs(c) > MAX_COUNT:
             raise ValueError(f"count at step {i} is out of range (magnitude above 1e305)")
         counts.append(c)

@@ -31,7 +31,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .model import DiscreteNetwork, ValidationReport, Violation
 
@@ -243,56 +243,26 @@ def assign_clusters(net: DiscreteNetwork, jt: JunctionTree) -> dict[int, int]:
 
 
 def validate_junction_tree(net: DiscreteNetwork, jt: JunctionTree) -> ValidationReport:
-    """Check the tree/intersection/covering conditions plus, when an
-    assignment is attached, that it maps families into their clusters.
-
-    The tree spans when its walk rooted at cluster 0 reaches every
-    cluster.  A holder's top is its parent's top if the parent holds the
-    variable too, else itself; a variable whose holders have several
-    tops gives one running-intersection violation.
+    """Check the tree (``tree_violations``, on the walk rooted at cluster
+    0), intersection and covering conditions plus, when an assignment is
+    attached, ``assignment_violations``.  A holder's top is its parent's
+    top if the parent holds the variable too, else itself; a variable
+    whose holders have several tops gives one running-intersection
+    violation.
     """
     out: list[Violation] = []
     ids = set(net.ids)
-    q = jt.q
 
     for j, cluster in enumerate(jt.clusters):
         unknown = sorted(cluster - ids)
         if unknown:
-            out.append(
-                Violation("unknown-variable", None,
-                          f"cluster {j} references unknown variable ids {unknown}")
-            )
+            out.append(Violation("unknown-variable", None,
+                                 f"cluster {j} references unknown variable ids {unknown}"))
 
-    tree_ok = True
-    seen_edges: set[tuple[int, int]] = set()
-    for i, j in jt.edges:
-        if not (0 <= i < q and 0 <= j < q):
-            out.append(Violation("tree", None, f"edge ({i}, {j}) is out of range"))
-            tree_ok = False
-        elif i == j:
-            out.append(Violation("tree", None, f"edge ({i}, {j}) is a self-loop"))
-            tree_ok = False
-        elif (i, j) in seen_edges:
-            out.append(Violation("tree", None, f"edge ({i}, {j}) is duplicated"))
-            tree_ok = False
-        seen_edges.add((i, j))
-    if tree_ok:
-        if len(jt.edges) != q - 1:
-            out.append(
-                Violation("tree", None,
-                          f"{len(jt.edges)} edges cannot span {q} clusters")
-            )
-            tree_ok = False
-        else:
-            children, order = jt.rooted(0)
-            if len(order) != q:
-                missing = sorted(set(range(q)) - set(order))
-                out.append(
-                    Violation("tree", None, f"clusters {missing} are disconnected")
-                )
-                tree_ok = False
-
-    if tree_ok:
+    children, order = jt.rooted(0) if jt.q else ({}, ())
+    tree = tree_violations(jt, order)
+    out.extend(tree)
+    if not tree:
         parent = {k: j for j in order for k in children[j]}
         top: dict[tuple[int, int], int] = {}
         for j in order:
@@ -310,29 +280,53 @@ def validate_junction_tree(net: DiscreteNetwork, jt: JunctionTree) -> Validation
                     )
                 )
 
-    families = {u: net.family(u) for u in sorted(ids)}
-    for u, fam in families.items():
+    for u in sorted(ids):
+        fam = net.family(u)
         if not any(fam <= jt.clusters[j] for j in jt.holders.get(u, ())):
-            out.append(
-                Violation("covering", u,
-                          f"no cluster covers the family {sorted(fam)} of "
-                          f"variable {net.variable(u).name}")
-            )
+            out.append(Violation("covering", u, f"no cluster covers the family {sorted(fam)} "
+                                 f"of variable {net.variable(u).name}"))
 
     if jt.assignment is not None:
-        for u, fam in families.items():
-            j = jt.assignment.get(u)
-            if j is None:
-                out.append(Violation("assignment", u, f"variable {u} is unassigned"))
-            elif not (0 <= j < q):
-                out.append(Violation("assignment", u, f"variable {u} assigned to {j}"))
-            elif not fam <= jt.clusters[j]:
-                out.append(
-                    Violation("assignment", u,
-                              f"cluster {j} does not cover the family of variable {u}")
-                )
+        out.extend(assignment_violations(net, jt))
 
     return ValidationReport(tuple(out))
+
+
+def tree_violations(jt: JunctionTree, order: tuple[int, ...]) -> list[Violation]:
+    """Why the edges are not a spanning tree of the clusters: each bad edge,
+    else a wrong count, else the clusters that ``order``, the walk from
+    any root (``rooted``), misses."""
+    q, out, seen = jt.q, [], set()
+    for i, j in jt.edges:
+        if not (0 <= i < q and 0 <= j < q):
+            out.append(f"edge ({i}, {j}) is out of range")
+        elif i == j:
+            out.append(f"edge ({i}, {j}) is a self-loop")
+        elif (i, j) in seen:
+            out.append(f"edge ({i}, {j}) is duplicated")
+        seen.add((i, j))
+    missing = sorted(set(range(q)).difference(order))
+    if not out and len(jt.edges) != q - 1:
+        out.append(f"{len(jt.edges)} edges cannot span {q} clusters")
+    elif not out and missing:
+        out.append(f"clusters {missing} are disconnected")
+    return [Violation("tree", None, message) for message in out]
+
+
+def assignment_violations(net: DiscreteNetwork, jt: JunctionTree) -> Iterator[Violation]:
+    """Each way the attached assignment fails to send exactly the network's
+    ids to clusters holding their families, by ascending id."""
+    homes, clusters = jt.assignment, jt.clusters
+    for u in sorted(homes.keys() | net.cards.keys()):
+        j = homes.get(u)
+        if u not in net.cards:
+            yield Violation("assignment", u, f"variable {u} is assigned but not in the network")
+        elif j is None:
+            yield Violation("assignment", u, f"variable {u} is unassigned")
+        elif not (0 <= j < jt.q):
+            yield Violation("assignment", u, f"variable {u} assigned to {j}")
+        elif u not in clusters[j] or not clusters[j].issuperset(net.parents(u)):
+            yield Violation("assignment", u, f"cluster {j} does not cover the family of variable {u}")
 
 
 def edge_context(jt: JunctionTree, i: int, j: int) -> EdgeContext:

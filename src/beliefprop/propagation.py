@@ -16,6 +16,8 @@ runs on bare arrays.  Only the layouts slice: each potential is read at
 the state of every variable the evidence pins to one state (factor
 reduction), so the arrays leave those variables out until a caller
 asks for a table that has them (``CompiledQuery._with_observed``).
+A query refuses a tree it cannot lay out or schedule (``CompiledQuery``);
+running intersection is checked only by ``validate_junction_tree``.
 
 Messages are renormalized to unit maximum, with the removed
 mass tracked in each message's log scale, so long chains cannot
@@ -35,7 +37,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
-from itertools import filterfalse, groupby, repeat
+from itertools import chain, filterfalse, groupby, repeat
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -47,13 +49,16 @@ from .jtree import (
     JunctionTree,
     JunctionTreeError,
     assign_clusters,
+    assignment_violations,
     build_junction_tree,
+    tree_violations,
     validate_junction_tree,
 )
 from .model import (
     DiscreteNetwork,
     EvidenceSet,
     InvalidNetworkError,
+    ValidationReport,
     build_potentials,
     validate_network,
 )
@@ -149,10 +154,15 @@ class CompiledQuery:
     MAP rows; posteriors slice each home marginal once.  ``message`` and
     ``cluster_conditional`` read a copy laid out from the same potentials
     with nothing sliced.  Marginal accessors require the messages they
-    read to exist and raise SchedulingError otherwise.  A tree with a
-    cluster of more than ``MAX_TABLE_ENTRIES`` entries (the product of
-    its variables' cardinalities, observed ones included) raises
-    FactorSizeError here, before any table is built.
+    read to exist and raise SchedulingError otherwise.
+
+    ``validate`` runs ``validate_network`` and ``validate_junction_tree``
+    first.  Either way, before any table is built, a cluster of more than
+    ``MAX_TABLE_ENTRIES`` entries (observed variables included) raises
+    FactorSizeError, and a tree the layouts or the schedule cannot use
+    raises InvalidJunctionTreeError with its first ``tree`` or
+    ``assignment`` violation.  Under ``validate=False`` a valid network,
+    cluster ids in it and running intersection are the caller's promise.
     """
 
     def __init__(
@@ -188,6 +198,11 @@ class CompiledQuery:
             raise ValueError(f"root cluster {root} out of range")
         self.root = root
         children, self.order = self.rooted_children(root)
+        # what the layouts and the schedule rely on, validate or not
+        broken = next(chain(tree_violations(jtree, self.order),
+                            assignment_violations(net, jtree)), None)
+        if broken is not None:
+            raise InvalidJunctionTreeError(ValidationReport((broken,)))
         self.parent = MappingProxyType({k: j for j in self.order for k in children[j]})
         allowed = self.evidence.allowed
         self._observed = {u: s for u, states in allowed.items() if len(states) == 1 for s in states}
@@ -198,12 +213,10 @@ class CompiledQuery:
     def _compile(self) -> None:
         """Cluster layouts, one product per distinct cluster, and an empty message store."""
         jtree = self.jtree
-        # potentials of each cluster in ascending id order; a home out
-        # of range (possible with validate=False) owns nothing
+        # potentials of each cluster in ascending id order
         members: list[list[Factor]] = [[] for _ in range(jtree.q)]
         for u, j in sorted(jtree.assignment.items()):
-            if 0 <= j < jtree.q:
-                members[j].append(self.potentials[u])
+            members[j].append(self.potentials[u])
         products: dict[tuple, tuple[np.ndarray, float]] = {}
         self._layouts = [self._layout(j, pots, products) for j, pots in enumerate(members)]
         self._messages: dict[tuple[str, int, int], tuple[np.ndarray, float]] = {}
@@ -228,12 +241,9 @@ class CompiledQuery:
 
     def _layout(self, j: int, pots: list[Factor], products: dict) -> _Layout:
         cards, observed, clusters = self.net.cards, self._observed, self.jtree.clusters
-        full, held = tuple(sorted(clusters[j])), clusters[j].union(*[f.scope for f in pots])
-        scope = tuple(filterfalse(observed.__contains__,
-                                  full if len(held) == len(full) else sorted(held)))
+        full = tuple(sorted(clusters[j]))
+        scope = tuple(filterfalse(observed.__contains__, full))
         shape = tuple(map(cards.__getitem__, scope))
-        if len(held) > len(full):  # a stray potential, under validate=False
-            check_table_size(shape, "product table")
         axis = dict(zip(scope, range(len(scope))))
         # the same arrays read at the same states into the same axes: one product
         key = (len(scope), *[(id(f.values), tuple(map(observed.get, f.scope)),
@@ -337,8 +347,6 @@ class CompiledQuery:
     def _table(self, j: int, skip: int | None, semiring: str) -> tuple[np.ndarray, float]:
         """``_product`` checked finite and laid out over j's whole layout."""
         layout = self._layouts[j]
-        if not self.jtree.clusters[j].issuperset(layout.scope):
-            raise ValueError(f"cluster {j} does not hold its potentials' scope {layout.scope}")
         values, log_scale = self._product(j, skip, semiring)
         _require_finite(values, log_scale)
         values = values if values.shape == layout.shape else np.broadcast_to(values, layout.shape)

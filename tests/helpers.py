@@ -328,8 +328,7 @@ class _FactorRun:
         jt = cq.jtree
         members: list[list[int]] = [[] for _ in range(jt.q)]
         for u, j in sorted(jt.assignment.items()):
-            if 0 <= j < jt.q:
-                members[j].append(u)
+            members[j].append(u)
         self.potentials = [self._product(self.sliced(pots[u]) for u in us) for us in members]
         self.messages: dict[tuple[str, int, int], Factor] = {}
 

@@ -226,11 +226,11 @@ class TestEmission:
     def test_fractional_counts_are_refused(self, spec5):
         # truncating 1.7 to 1 would answer for other observations
         spec = hmm.precipitation_spec(4)
-        with pytest.raises(ValueError, match="count 1.7 at step 1 is not an integer"):
+        with pytest.raises(ValueError, match="count at step 1: 1.7 is not an integer"):
             hmm.posteriors(spec, [1, 1.7, 2, 3])
-        with pytest.raises(ValueError, match="count 0.5 at step 0"):
+        with pytest.raises(ValueError, match="count at step 0: 0.5"):
             hmm.posteriors(spec, [0.5, 1.7, 2.2, 3.9])
-        with pytest.raises(ValueError, match="count 2.0 at step 2"):
+        with pytest.raises(ValueError, match="count at step 2: 2.0"):
             hmm.to_bayes_net(spec, [0, 1, 2.0, 3])
         with pytest.raises(ValueError, match="at step 3"):
             sample_hmm_path(spec, [0, 1, 2, np.float64(3.0)])

@@ -351,8 +351,12 @@ class TestValidator:
             (PED_EDGES, {u: j for u, j in PED_ASSIGNMENT.items() if u != 9},
              "assignment: variable 9 is unassigned"),
             (PED_EDGES, {**PED_ASSIGNMENT, 9: 7}, "assignment: variable 9 assigned to 7"),
+            # an id outside the network would end in a KeyError in CompiledQuery
+            (PED_EDGES, {**PED_ASSIGNMENT, 77: 0},
+             "assignment: variable 77 is assigned but not in the network"),
         ],
-        ids=["out-of-range", "self-loop", "duplicated", "disconnected", "unassigned", "assigned-to"],
+        ids=["out-of-range", "self-loop", "duplicated", "disconnected", "unassigned", "assigned-to",
+             "not-in-network"],
     )
     def test_violation_lines(self, ped_net, edges, assignment, line):
         jt = JunctionTree(PED_CLUSTERS, edges, assignment)

@@ -436,6 +436,60 @@ class TestConstruction:
         ):
             CompiledQuery(net, jtree=jt)
 
+    # A -> B, C independent, evidence C = c0: log P(e) = log 0.25
+    CONTRACT_NET = DiscreteNetwork(
+        [Variable(0, "A", ("a0", "a1")), Variable(1, "B", ("b0", "b1")),
+         Variable(2, "C", ("c0", "c1"))],
+        [Cpd(0, (), [[0.3, 0.7]]), Cpd(1, (0,), [[0.9, 0.1], [0.4, 0.6]]),
+         Cpd(2, (), [[0.25, 0.75]])],
+    )
+    CONTRACT_CLUSTERS = (frozenset({0, 1}), frozenset({0}), frozenset({2}))
+    CONTRACT_EDGES = ((0, 1), (1, 2))
+    CONTRACT_HOMES = {0: 1, 1: 0, 2: 2}
+
+    @pytest.mark.parametrize("validate", [False, True])
+    def test_contract_tree_gives_the_exact_answer(self, validate):
+        jt = JunctionTree(self.CONTRACT_CLUSTERS, self.CONTRACT_EDGES, self.CONTRACT_HOMES)
+        cq = CompiledQuery(self.CONTRACT_NET, EvidenceSet({2: frozenset({0})}), jtree=jt,
+                           validate=validate)
+        cq.inward()
+        assert cq.evidence_log_probability() == pytest.approx(math.log(0.25), rel=1e-12)
+
+    # what compile relies on, validate or not: laid out anyway, these
+    # trees give a wrong log Z, a KeyError or a SchedulingError
+    @pytest.mark.parametrize("validate", [False, True])
+    @pytest.mark.parametrize(
+        "edges, homes, kind, line",
+        [
+            pytest.param(None, {0: 1, 1: 0}, "assignment", "variable 2 is unassigned",
+                         id="missing-id"),
+            pytest.param(None, {0: 1, 1: 0, 2: 2, 7: 0}, "assignment",
+                         "variable 7 is assigned but not in the network", id="unknown-id"),
+            pytest.param(None, {0: -1, 1: 0, 2: 2}, "assignment", "variable 0 assigned to -1",
+                         id="home-minus-1"),
+            pytest.param(None, {0: 3, 1: 0, 2: 2}, "assignment", "variable 0 assigned to 3",
+                         id="home-q"),
+            pytest.param(None, {0: 1, 1: 1, 2: 2}, "assignment",
+                         "cluster 1 does not cover the family of variable 1", id="stray-home"),
+            pytest.param(((0, 1),), None, "tree", "1 edges cannot span 3 clusters",
+                         id="dropped-edge"),
+            pytest.param(((0, 1), (1, 2), (0, 2)), None, "tree", "3 edges cannot span 3 clusters",
+                         id="extra-edge"),
+        ],
+    )
+    def test_malformed_tree_refused(self, monkeypatch, validate, edges, homes, kind, line):
+        jt = JunctionTree(self.CONTRACT_CLUSTERS, edges or self.CONTRACT_EDGES,
+                          homes or self.CONTRACT_HOMES)
+
+        def no_tables(*args):
+            raise AssertionError("a table was built before the tree was checked")
+
+        monkeypatch.setattr(beliefprop.propagation, "build_potentials", no_tables)
+        with pytest.raises(InvalidJunctionTreeError) as err:
+            CompiledQuery(self.CONTRACT_NET, EvidenceSet({2: frozenset({0})}), jtree=jt,
+                          validate=validate)
+        assert err.value.report.lines() == [f"{kind}: {line}"]
+
 
 class TestRandomizedAgainstOracle:
     def test_small_networks(self):
@@ -532,17 +586,6 @@ class TestLayoutsMatchFactorReference:
         ref = FactorReference(cq)
         self.check(cq, ref, range(2))
         self.check_posteriors(cq, ref)
-
-    def test_stray_potential_is_summed_out_of_messages(self):
-        # C's potential lands on cluster 1, which lacks C: messages sum C
-        # out as before, and cluster 1's table cannot be laid out
-        jt = JunctionTree((frozenset({0, 1, 2}), frozenset({0, 1})), ((0, 1),), {0: 1, 1: 1, 2: 1})
-        cq = CompiledQuery(self.three_variables(), jtree=jt, validate=False)
-        ref = FactorReference(cq)
-        self.check(cq, ref, [0])
-        for table in (cq.cluster_marginal, ref.cluster_table):
-            with pytest.raises(ValueError):
-                table(1)
 
     def test_overflowing_product_and_sum_raise(self):
         # with validate=False nothing bounds the CPD entries
