@@ -10,14 +10,11 @@ outward pass back, every cluster and edge holds an unnormalized marginal
 whose total mass is the evidence probability.
 
 The tree fixes the scope of every such table, so a query lays each
-cluster out once and builds one product per distinct cluster (see
-``CompiledQuery``); the message kernel then reads per-edge records and
-runs on bare arrays.  Only the layouts slice: each potential is read at
-the state of every variable the evidence pins to one state (factor
-reduction), so the arrays leave those variables out until a caller
-asks for a table that has them (``CompiledQuery._with_observed``).
-A query refuses a tree it cannot lay out or schedule (``CompiledQuery``);
-running intersection is checked only by ``validate_junction_tree``.
+cluster out once (``CompiledQuery``) and the kernel runs on bare arrays.
+Only the layouts slice: each potential is read at the state of every
+variable the evidence pins to one state (factor reduction), so the arrays
+leave those variables out.  A query refuses a tree it cannot lay out or
+schedule; running intersection is checked only by ``validate_junction_tree``.
 
 Messages are renormalized to unit maximum, with the removed
 mass tracked in each message's log scale, so long chains cannot
@@ -25,11 +22,11 @@ underflow.  Both passes are iterative (explicit stacks), so tree depth
 is not limited by the interpreter's recursion limit.
 
 The same inward pass run in the max semiring yields most-probable
-assignments: maximize instead of marginalize, then walk the query's one
-root-first order, index each cluster's sliced max table at the
-separator states the walk has fixed and take the first maximum of that
-one row.  Posterior sampling walks the same order over the sum tables
-laid out by ``cluster_rows`` (one row per separator assignment).
+assignments: each max message records its first argmax per separator
+state, and the traceback forms only the root's table, then reads one
+recorded argmax per cluster along the query's one root-first order.
+Posterior sampling walks the same order over the sum tables laid out by
+``cluster_rows``.  Posteriors read an edge's two messages where they can.
 """
 
 from __future__ import annotations
@@ -37,9 +34,9 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
-from itertools import chain, filterfalse, groupby, repeat
+from itertools import chain, filterfalse, repeat
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -116,11 +113,8 @@ class ClusterRows:
 
 
 def joint_score(net: DiscreteNetwork, evidence: EvidenceSet, assignment: Mapping[int, int]) -> float:
-    """Probability of one full assignment times the evidence indicator.
-
-    Multiplies CPD entries in ascending variable order; used to score
-    candidate most-probable assignments on a common footing.
-    """
+    """Probability of one full assignment times the evidence indicator, CPD
+    entries multiplied in ascending variable order (MAP candidates' score)."""
     score = 1.0
     for u in sorted(net.ids):
         state = assignment[u]
@@ -138,31 +132,27 @@ class CompiledQuery:
     """A network, evidence, and junction tree wired up for propagation.
 
     ``root`` fixes the one rooted schedule that inward(), outward(),
-    map_assignment() and the samplers all follow: ``order`` lists the
-    clusters parent before child (children by ascending index), and
-    ``parent`` maps every other cluster to its neighbour toward the root.
-    ``potentials`` maps each variable to its potential K_u, unsliced
-    (``build_potentials``).  Construction lays out each cluster
-    (``_Layout``) and builds one read-only product per distinct cluster:
-    clusters whose potentials are the same arrays, read at the same
-    states into the same axes with the same log scales, share it.  The
-    kernel reads per-edge records, never the tree.  The message stores
-    (sum and max semiring) hold (table, log scale) pairs over the sliced
-    separators; inward() and outward() fill them.  ``_with_observed``
-    alone puts the observed axes back, for ``cluster_table``,
-    ``compute_message``'s factor, the columns of ``cluster_rows`` and the
-    MAP rows; posteriors slice each home marginal once.  ``message`` and
-    ``cluster_conditional`` read a copy laid out from the same potentials
-    with nothing sliced.  Marginal accessors require the messages they
-    read to exist and raise SchedulingError otherwise.
+    map_assignment() and the samplers follow: ``order`` lists the clusters
+    parent before child (children by ascending index), and ``parent`` maps
+    every other cluster to its neighbour toward the root.  ``potentials``
+    maps each variable to its unsliced K_u (``build_potentials``).
+    Construction lays out each cluster (``_Layout``) and builds one
+    read-only product per distinct cluster (the same arrays read at the
+    same states into the same axes with the same log scales).  The message
+    stores hold (table, log scale) pairs over the sliced separators, and
+    ``_argmax`` what each max message recorded for map_assignment.
+    ``_with_observed`` alone puts observed axes back, in the tables handed
+    out.  ``message`` and ``cluster_conditional`` read a copy laid out with
+    nothing sliced.  Accessors raise SchedulingError until the messages
+    they read exist.
 
     ``validate`` runs ``validate_network`` and ``validate_junction_tree``
     first.  Either way, before any table is built, a cluster of more than
     ``MAX_TABLE_ENTRIES`` entries (observed variables included) raises
     FactorSizeError, and a tree the layouts or the schedule cannot use
-    raises InvalidJunctionTreeError with its first ``tree`` or
-    ``assignment`` violation.  Under ``validate=False`` a valid network,
-    cluster ids in it and running intersection are the caller's promise.
+    raises InvalidJunctionTreeError with its first ``unknown-variable``,
+    ``tree`` or ``assignment`` violation.  Under ``validate=False`` a valid
+    network and running intersection are the caller's promise.
     """
 
     def __init__(
@@ -187,11 +177,14 @@ class CompiledQuery:
                 raise InvalidJunctionTreeError(report)
         if jtree.assignment is None:
             jtree = JunctionTree(jtree.clusters, jtree.edges, assign_clusters(net, jtree))
-        # the readouts lay out whole cluster tables, so no query on a
-        # cluster over the cap can finish
+        # readouts lay out whole cluster tables: no query on an over-cap cluster can finish
         cards = net.cards
-        for j, cluster in enumerate(jtree.clusters):
-            check_table_size(map(cards.__getitem__, cluster), f"cluster {j}")
+        try:
+            for j, cluster in enumerate(jtree.clusters):
+                check_table_size(map(cards.__getitem__, cluster), f"cluster {j}")
+        except KeyError:  # a cluster names an id the network lacks: validate's first violation
+            first = validate_junction_tree(net, jtree).violations[:1]
+            raise InvalidJunctionTreeError(ValidationReport(first)) from None
         self.jtree = jtree
         root = _integer(root, "root cluster")
         if not (0 <= root < jtree.q):
@@ -220,6 +213,7 @@ class CompiledQuery:
         products: dict[tuple, tuple[np.ndarray, float]] = {}
         self._layouts = [self._layout(j, pots, products) for j, pots in enumerate(members)]
         self._messages: dict[tuple[str, int, int], tuple[np.ndarray, float]] = {}
+        self._argmax: dict[tuple[int, int], tuple] = {}  # (j, k) -> what map_assignment reads
 
     def _unsliced(self) -> "CompiledQuery":
         """This query laid out again from the same potentials with no
@@ -253,7 +247,8 @@ class CompiledQuery:
             potential, log_scale = np.ones((1,) * len(scope)), 0.0
             for f in pots:
                 view = tuple(d if u in f.scope else 1 for u, d in zip(scope, shape))
-                potential = potential * f.values[self._observed_index(f.scope)].reshape(view)
+                at = tuple(map(observed.get, f.scope, repeat(slice(None))))  # observed states
+                potential = potential * f.values[at].reshape(view)
                 log_scale += f.log_scale
             potential.setflags(write=False)  # shared, and tables and messages may be views of it
             products[key] = potential, log_scale
@@ -266,11 +261,6 @@ class CompiledQuery:
             seps[k] = (whole, sep, view, tuple(map(cards.__getitem__, sep)), outside)
         return _Layout(full, scope, shape, *products[key], seps)
 
-    def _observed_index(self, scope: tuple[int, ...]) -> tuple:
-        """Where a table over ``scope`` holds what a layout computes: each
-        observed variable at its state, every other axis whole."""
-        return tuple(map(self._observed.get, scope, repeat(slice(None))))
-
     def _with_observed(self, scope: tuple[int, ...], values: np.ndarray) -> np.ndarray:
         """``values``, over ``scope`` less its observed variables, over all of
         ``scope``: the observed axes come back, 0 off the observed states.
@@ -278,7 +268,7 @@ class CompiledQuery:
         if values.ndim == len(scope):  # nothing in scope is observed
             return values
         out = np.zeros(tuple(map(self.net.cards.__getitem__, scope)))
-        out[self._observed_index(scope)] = values
+        out[tuple(map(self._observed.get, scope, repeat(slice(None))))] = values
         return out
 
     # -- schedule ----------------------------------------------------------
@@ -328,15 +318,10 @@ class CompiledQuery:
 
     def _product(self, j: int, skip: int | None, semiring: str) -> tuple[np.ndarray, float]:
         """Cluster potential of j times every stored message into j except
-        the one from ``skip``, all from the ``semiring`` store, over j's
-        layout.  Unchecked: an overflow stays inf or turns into NaN, so one
-        finite check on the product or on a reduction of it catches it.
-
-        The one product behind every other quantity: messages (``skip``
-        is the receiver), cluster marginals (no ``skip``), and the
-        MAP traceback and sampling conditionals (``skip`` is the parent
-        toward the root).
-        """
+        the one from ``skip`` (a message's receiver, a sampled cluster's
+        parent), all from the ``semiring`` store, over j's layout.  Unchecked:
+        an overflow stays inf or turns into NaN, so one finite check on the
+        product or on a reduction of it catches it."""
         _, _, _, values, log_scale, seps = self._layouts[j]
         for i, edge in seps.items():
             if i != skip:
@@ -352,9 +337,7 @@ class CompiledQuery:
         values = values if values.shape == layout.shape else np.broadcast_to(values, layout.shape)
         return (values if values.flags.c_contiguous else values.copy()), log_scale
 
-    def cluster_table(
-        self, j: int, skip: int | None = None, semiring: str = "sum"
-    ) -> Factor:
+    def cluster_table(self, j: int, skip: int | None = None, semiring: str = "sum") -> Factor:
         """``_product`` laid out over every variable of cluster j."""
         values, log_scale = self._table(j, skip, semiring)
         scope = self._layouts[j].full
@@ -375,24 +358,32 @@ class CompiledQuery:
         return ClusterRows(j, sep, sep_shape, free, free_shape, table)
 
     def compute_message(self, j: int, k: int, semiring: str = "sum") -> Factor:
-        """Message along the directed edge j -> k.
-
-        ``_product(j, k)`` with everything outside the separator summed
-        (or maximized) out, rescaled to unit maximum.  The result's scope
-        is exactly the separator, broadcasting over separator variables
-        that no piece mentions.  The stored table leaves out the variables
-        the evidence pins; the returned factor restores their axes with
-        exact zeros off the observed states, which ``message`` does not.
-        """
+        """Message along the directed edge j -> k: ``_product(j, k)`` summed
+        (or maximized, recording each separator state's first argmax) over
+        the sliced scope outside the separator, rescaled to unit maximum.
+        The stored table leaves out the variables the evidence pins; the
+        returned factor restores their axes with zeros off the observed
+        states, which ``message`` does not."""
         if semiring not in ("sum", "max"):
             raise ValueError(f"unknown semiring {semiring!r}")
         seps = self._layouts[j].seps if 0 <= j < len(self._layouts) else {}
         if k not in seps:
             raise JunctionTreeError(f"({j}, {k}) is not a tree edge")
-        full, _, _, sep_shape, outside = seps[k]
+        full, sep, _, sep_shape, outside = seps[k]
         values, log_scale = self._product(j, k, semiring)
-        if outside:
-            values = values.sum(axis=outside) if semiring == "sum" else values.max(axis=outside)
+        if outside and semiring == "sum":
+            values = values.sum(axis=outside)
+        elif outside:  # one row per separator state, its outside axes flattened in C order
+            _, scope, shape, *_ = self._layouts[j]
+            rows = values if values.shape == shape else np.broadcast_to(values, shape)
+            kept = [a for a in range(len(scope)) if a not in outside]
+            rows = rows.transpose(kept + list(outside)).reshape(math.prod(sep_shape), -1)
+            best = rows.argmax(axis=1)
+            values = rows.reshape(-1)[best + np.arange(0, rows.size, rows.shape[1])]
+            values = values.reshape(sep_shape)
+            # kept as long as the query, so in the smallest integer type that holds it
+            best = best.astype(np.min_scalar_type(rows.shape[1] - 1)).reshape(sep_shape)
+            self._argmax[j, k] = best, sep, [scope[a] for a in outside], [shape[a] for a in outside]
         values = values if values.shape == sep_shape else np.broadcast_to(values, sep_shape)
         peak = _require_finite(values, log_scale)
         if peak > 0.0 and peak != 1.0:
@@ -413,11 +404,8 @@ class CompiledQuery:
         return self.cluster_table(j)
 
     def evidence_log_probability(self) -> float:
-        """log P(evidence); -inf when the evidence is impossible.
-
-        Reads the root cluster marginal, so only the inward pass is
-        required.
-        """
+        """log P(evidence), -inf when the evidence is impossible, from the
+        root cluster marginal, so only the inward pass is required."""
         return self.cluster_marginal(self.root).total_log_mass()
 
     def variable_posterior(self, u: int) -> np.ndarray:
@@ -425,27 +413,37 @@ class CompiledQuery:
         u = _integer(u, "variable id")
         if u not in self.net.cards:
             raise KeyError(f"unknown variable id {u}")
-        return next(self._posteriors(self.jtree.assignment[u], (u,)))[1]
+        return self._posterior(u, {})
 
     def posterior_table(self) -> dict[int, np.ndarray]:
-        """Every posterior by ascending id, one cluster marginal per home."""
-        home, out = self.jtree.assignment, {}
-        for j, us in groupby(sorted(self.net.ids, key=lambda u: (home[u], u)), key=home.get):
-            out.update(self._posteriors(j, us))
-        return dict(sorted(out.items()))
+        """Every posterior by ascending id, each table they read formed once."""
+        tables: dict = {}
+        return {u: self._posterior(u, tables) for u in sorted(self.net.ids)}
 
-    def _posteriors(self, j: int, us: Iterable[int]) -> Iterator[tuple[int, np.ndarray]]:
-        """(u, P(u | evidence)) for each u homed in cluster j, from its marginal
-        sliced once to its observed states; an observed u reads its indicator."""
-        marginal, scope = self.cluster_marginal(j), self._layouts[j].scope
-        table = marginal.values[self._observed_index(marginal.scope)]
-        for u in us:
-            single = table.sum(axis=tuple(a for a, v in enumerate(scope) if v != u))
-            _require_finite(single)
-            total = float(single.sum())
-            if total <= 0.0:
-                raise ImpossibleEvidenceError("posterior undefined: evidence has probability zero")
-            yield u, self._with_observed((u,), single) / total
+    def _posterior(self, u: int, tables: dict) -> np.ndarray:
+        """P(u | evidence) from the smallest table of u's home j that holds u (an
+        observed u's indicator, its mass checked there): an edge's two stored sum
+        messages, lowest neighbour on ties, else j's marginal; ``tables`` caches by (j, k)."""
+        j = self.jtree.assignment[u]
+        seps, observed, stored = self._layouts[j].seps, self._observed, self._messages
+        held = [(math.prod(e[3]), k) for k, e in seps.items() if (u in observed or u in e[1])
+                and ("sum", j, k) in stored and ("sum", k, j) in stored]
+        k = min(held)[1] if held else None
+        if k is None and (j, k) not in tables:
+            marginal = self.cluster_marginal(j)
+            tables[j, k] = marginal.scope, marginal.values
+        elif (j, k) not in tables:
+            tables[j, k] = seps[k][1], self._stored(j, k, "sum")[0] * self._stored(k, j, "sum")[0]
+        scope, table = tables[j, k]
+        # np.add.reduce is what .sum() runs, without its Python wrapper
+        others = tuple(a for a, v in enumerate(scope) if v != u)
+        single = np.add.reduce(table, others) if others else table
+        total = float(np.add.reduce(single, None))
+        if not math.isfinite(total):
+            raise ValueError("factor values must be finite")
+        if total <= 0.0:
+            raise ImpossibleEvidenceError("posterior undefined: evidence has probability zero")
+        return self._with_observed((u,), single) / total
 
     # -- most probable assignment ------------------------------------------
 
@@ -454,27 +452,29 @@ class CompiledQuery:
 
         Returns the assignment, keyed in the order the walk over ``order``
         fixes the variables, and log P(assignment, evidence) from the
-        root's peak.  Each cluster indexes its sliced max table at the
-        states the walk fixed for its separator toward the root and takes
-        the first maximum of that row over its free variables (ascending,
-        observed ones padded back), so ties go to lower state indices.
+        root's peak.  The root takes its max table's first maximum, every
+        other cluster the argmax its message toward the root recorded at the
+        separator states the walk fixed (first in C order, so ties go to
+        lower states); an observed variable takes its state.
         """
         if not all(self.has_message(j, k, "max") for j, k in self.parent.items()):
             self.inward(semiring="max")
-        assignment: dict[int, int] = {}
+        values, log_scale = self._product(self.root, None, "max")
+        peak = _require_finite(values, log_scale)
+        if peak <= 0.0:
+            raise ImpossibleEvidenceError("no assignment is consistent with the evidence")
+        clusters, states, assignment = self.jtree.clusters, dict(self._observed), {}
+        states.update(zip(self._layouts[self.root].scope,
+                          np.unravel_index(int(np.argmax(values)), values.shape)))
         for j in self.order:
             parent = self.parent.get(j)
-            values, scale = self._table(j, parent, "max")
-            if parent is None:
-                peak, root_scale = float(values.max()), scale
-                if peak <= 0.0:
-                    raise ImpossibleEvidenceError("no assignment is consistent with the evidence")
-            up = self.jtree.clusters[parent] if parent is not None else ()
-            free = tuple(sorted(self.jtree.clusters[j].difference(up)))
-            fixed = tuple(assignment[u] if u in up else slice(None) for u in self._layouts[j].scope)
-            row = self._with_observed(free, values[fixed])
-            assignment.update(zip(free, map(int, np.unravel_index(int(np.argmax(row)), row.shape))))
-        return assignment, math.log(peak) + root_scale
+            if (j, parent) in self._argmax:
+                best, sep, free, dims = self._argmax[j, parent]
+                flat = int(best[tuple(map(assignment.__getitem__, sep))])
+                states.update(zip(free, np.unravel_index(flat, dims)))
+            up = clusters[parent] if parent is not None else ()
+            assignment.update((u, int(states[u])) for u in sorted(clusters[j].difference(up)))
+        return assignment, math.log(peak) + log_scale
 
 
 def compile_query(net: DiscreteNetwork, evidence: EvidenceSet | None = None) -> CompiledQuery:

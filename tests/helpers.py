@@ -298,18 +298,17 @@ def _extend_argmax(table: Factor, assignment: dict[int, int]) -> None:
 
 def argmax_traceback(cq: CompiledQuery) -> tuple[dict[int, int], float]:
     """``cq.map_assignment()`` read from the whole max-semiring cluster
-    tables: the root's argmax, then each parent's children in turn
-    indexed by the variables assigned so far.  Needs the max messages."""
+    tables: the root's argmax, then every other cluster along ``cq.order``
+    indexed by the variables assigned so far, so the dict is keyed in the
+    same order.  Needs the max messages."""
     marginal = cq.cluster_table(cq.root, semiring="max")
     peak = float(marginal.values.max())
     if peak <= 0.0:
         raise ImpossibleEvidenceError("no assignment is consistent with the evidence")
     assignment: dict[int, int] = {}
     _extend_argmax(marginal, assignment)
-    children, order = cq.rooted_children(cq.root)
-    for j in order:
-        for k in children[j]:
-            _extend_argmax(cq.cluster_table(k, j, "max"), assignment)
+    for k in cq.order[1:]:
+        _extend_argmax(cq.cluster_table(k, cq.parent[k], "max"), assignment)
     return assignment, math.log(peak) + marginal.log_scale
 
 
@@ -416,17 +415,27 @@ class FactorReference:
         return self
 
     def variable_posterior(self, u: int) -> np.ndarray:
-        """Sums over the observed slice of the home cluster's table; an
-        observed variable's posterior is its indicator."""
-        observed = self.sliced.observed
-        marginal = self.cluster_table(self.cq.jtree.assignment[u])
-        index = tuple(observed.get(v, slice(None)) for v in marginal.scope)
-        kept = self.sliced.kept(marginal.scope)
-        single = marginal.values[index].sum(axis=tuple(a for a, v in enumerate(kept) if v != u))
+        """Sums the home cluster's smallest table that holds u: the product
+        of the two sliced sum messages on the edge with the smallest
+        separator holding u (lowest neighbour on ties), else the home's
+        table.  An observed variable's posterior is its indicator, its mass
+        checked on the home's smallest table."""
+        run, observed, j = self.sliced, self.sliced.observed, self.cq.jtree.assignment[u]
+        held = []
+        for k in self.cq.jtree.neighbors(j):
+            sep = run.kept(self.cq.jtree.separator(j, k))
+            if u in observed or u in sep:
+                held.append((math.prod(self.cq.net.card(v) for v in sep), k))
+        if held:
+            k = min(held)[1]
+            table = run.messages[("sum", j, k)].multiply(run.messages[("sum", k, j)])
+        else:
+            table = self.cluster_table(j)
+        single = table.values.sum(axis=tuple(a for a, v in enumerate(table.scope) if v != u))
         total = float(single.sum())
         if total <= 0.0:
             raise ImpossibleEvidenceError("posterior undefined: evidence has probability zero")
-        if u in observed:
+        if single.ndim == 0:
             single = np.zeros(self.cq.net.card(u))
             single[observed[u]] = total
         return single / total

@@ -224,6 +224,23 @@ class TestPosteriors:
             calibrated.variable_posterior(u)
 
 
+    def test_root_posteriors_after_the_inward_pass_alone(self, ped_net_module, ped_ev_module,
+                                                         ped_jtree_module):
+        # an edge is read only once both its messages exist; until then the
+        # root's marginal serves, and a cluster missing a message raises
+        cq = CompiledQuery(ped_net_module, ped_ev_module, jtree=ped_jtree_module, root=0)
+        cq.inward()
+        home = cq.jtree.assignment
+        for u in ped_net_module.ids:
+            if home[u] == 0:
+                np.testing.assert_allclose(cq.variable_posterior(u),
+                                           oracle_posterior(ped_net_module, ped_ev_module, u),
+                                           rtol=0, atol=1e-12)
+            else:
+                with pytest.raises(SchedulingError):
+                    cq.variable_posterior(u)
+
+
 class TestEvidenceProbability:
     def test_matches_oracle(self, calibrated, ped_net_module, ped_ev_module):
         want = oracle_log_probability(ped_net_module, ped_ev_module)
@@ -292,6 +309,48 @@ class TestMostProbable:
                     walk += sorted(jt.clusters[j] - up)
                 assert list(assignment) == walk
 
+    @staticmethod
+    def tied_case(rng):
+        """A random network whose CPD rows take only the values 1 and 2
+        before normalizing, so most rows hold ties, with each variable
+        pinned to one state or held to two at random."""
+        net = random_network(rng, max_vars=7)
+        cpds = []
+        for c in net.cpds:
+            t = rng.integers(1, 3, size=c.table.shape).astype(float)
+            cpds.append(Cpd(c.child, c.parents, t / t.sum(axis=1, keepdims=True)))
+        net = DiscreteNetwork(net.variables, cpds)
+        allowed = {}
+        for v in net.variables:
+            if rng.random() < 0.5:
+                k = int(rng.integers(1, min(2, v.card) + 1))
+                allowed[v.id] = frozenset(int(s) for s in rng.choice(v.card, size=k, replace=False))
+        return net, EvidenceSet(allowed)
+
+    def test_ties_match_whole_table_traceback_at_random_roots(self):
+        # the recorded argmaxes pick what indexing whole max tables picks,
+        # ties and dict order included, under one- and two-state evidence
+        rng = np.random.default_rng(20261019)
+        cases = [self.tied_case(rng) for _ in range(60)]
+        cases = [(net, ev, build_junction_tree(net)) for net, ev in cases]
+        # a tree whose messages broadcast separator variables no piece holds
+        jt = JunctionTree((frozenset({0, 1, 2}), frozenset({0, 1})), ((0, 1),), {0: 0, 1: 1, 2: 0})
+        for allowed in ({}, {1: frozenset({0, 2}), 2: frozenset({1})}, {2: frozenset({0})}):
+            cases.append((TestLayoutsMatchFactorReference.three_variables(), EvidenceSet(allowed), jt))
+        for net, ev, jt in cases:
+            cq = CompiledQuery(net, ev, jtree=jt, root=int(rng.integers(jt.q)))
+            _, want = oracle_map(net, ev)
+            if want == 0.0:
+                with pytest.raises(ImpossibleEvidenceError):
+                    cq.map_assignment()
+                continue
+            assignment, log_value = cq.map_assignment()
+            ref_assignment, ref_value = argmax_traceback(cq)
+            assert list(assignment.items()) == list(ref_assignment.items())
+            assert log_value == ref_value
+            assert math.exp(log_value) == pytest.approx(want, rel=1e-12)
+            assert joint_score(net, ev, assignment) == pytest.approx(want, rel=1e-12)
+
     def test_no_evidence_map_is_mode(self):
         net = pedigree_network()
         cq = CompiledQuery(net, EvidenceSet.none())
@@ -310,6 +369,40 @@ class TestMostProbable:
             assignment, log_value = cq.map_assignment()
             assert joint_score(ped_net_module, ped_ev_module, assignment) == want
             assert log_value == pytest.approx(math.log(want), rel=1e-12)
+
+
+class TestReadoutWork:
+    """Readouts counted, not timed: they form no table a pass already holds."""
+
+    @staticmethod
+    def chain_query():
+        spec = hmm.precipitation_spec(200)
+        _, y = hmm.simulate(spec, 7)
+        net, ev = hmm.to_bayes_net(spec, y)
+        return spec, y, CompiledQuery(net, ev, jtree=hmm.chain_junction_tree(spec), validate=False)
+
+    def test_chain_posteriors_read_one_cluster_marginal(self, monkeypatch):
+        # S_i lies in the separator toward S_{i+1}; only S_200's home has none
+        spec, y, cq = self.chain_query()
+        cq.propagate()
+        homes = []
+        marginal = CompiledQuery.cluster_marginal
+        monkeypatch.setattr(CompiledQuery, "cluster_marginal",
+                            lambda self, j: homes.append(j) or marginal(self, j))
+        post = np.array([cq.variable_posterior(2 * i) for i in range(spec.horizon)])
+        assert homes == [spec.horizon - 1]
+        np.testing.assert_allclose(post, hmm.posteriors(spec, y), rtol=0, atol=1e-9)
+
+    def test_map_forms_one_cluster_product_after_the_max_pass(self, monkeypatch):
+        _, _, cq = self.chain_query()
+        cq.inward("max")
+        formed = []
+        product = CompiledQuery._product
+        monkeypatch.setattr(CompiledQuery, "_product",
+                            lambda self, j, skip, semiring: formed.append(j)
+                            or product(self, j, skip, semiring))
+        cq.map_assignment()
+        assert formed == [cq.root]
 
 
 class TestSchedule:
@@ -489,6 +582,23 @@ class TestConstruction:
             CompiledQuery(self.CONTRACT_NET, EvidenceSet({2: frozenset({0})}), jtree=jt,
                           validate=validate)
         assert err.value.report.lines() == [f"{kind}: {line}"]
+
+    @pytest.mark.parametrize("validate", [False, True])
+    def test_cluster_naming_an_unknown_variable_refused(self, monkeypatch, validate):
+        # cluster 2 holds C and an id 9 the network lacks
+        clusters = (*self.CONTRACT_CLUSTERS[:2], frozenset({2, 9}))
+        jt = JunctionTree(clusters, self.CONTRACT_EDGES, self.CONTRACT_HOMES)
+
+        def no_tables(*args):
+            raise AssertionError("a table was built before the tree was checked")
+
+        monkeypatch.setattr(beliefprop.propagation, "build_potentials", no_tables)
+        with pytest.raises(InvalidJunctionTreeError) as err:
+            CompiledQuery(self.CONTRACT_NET, EvidenceSet({2: frozenset({0})}), jtree=jt,
+                          validate=validate)
+        lines = err.value.report.lines()
+        assert lines[0] == "unknown-variable: cluster 2 references unknown variable ids [9]"
+        assert len(lines) == 1 or validate
 
 
 class TestRandomizedAgainstOracle:
