@@ -38,7 +38,7 @@ from . import hmm as hmm_mod
 from .factor import FactorSizeError
 from .jtree import JunctionTree, build_junction_tree
 from .model import Cpd, DiscreteNetwork, EvidenceSet, Variable, validate_network
-from .oracle import oracle_log_probability, oracle_posterior
+from .oracle import oracle_log_probability, oracle_posteriors
 from .propagation import CompiledQuery
 from .sampling import sample_posterior
 
@@ -240,10 +240,11 @@ def cmd_marginals(args) -> int:
         _print_logp("", log_p)
         return 0
     cq.outward()
+    references = (oracle_posteriors(cq.net, cq.evidence, [var.id for var in chosen])
+                  if args.oracle else [None] * len(chosen))
     rows = []
-    for var in chosen:
+    for var, reference in zip(chosen, references):
         post = cq.variable_posterior(var.id)
-        reference = oracle_posterior(cq.net, cq.evidence, var.id) if args.oracle else None
         for s, label in enumerate(var.states):
             row = [var.name, label, format_dec(float(post[s]))]
             if reference is not None:

@@ -27,6 +27,7 @@ pinned to H, P(H -> L) = 0.3, P(L -> H) = 0.1, rates 3.0 and 0.5.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -286,6 +287,8 @@ def to_bayes_net(spec: HmmSpec, y: Sequence[int]) -> tuple[DiscreteNetwork, Evid
     the discarded tail mass is far below 1e-12, so CPD rows still sum to
     one within tolerance.  The transition matrix and the emission rows
     are one array each, shared by their CPDs.  Ids go S_1, Y_1, S_2, ...
+    The network reads only ``spec``: one object per spec (the last few
+    kept) serves every sequence, shared and read-only.
     """
     n = spec.horizon
     if len(y) != n:
@@ -293,12 +296,17 @@ def to_bayes_net(spec: HmmSpec, y: Sequence[int]) -> tuple[DiscreteNetwork, Evid
     counts = _counts(y)
     if any(k < 0 or k > COUNT_CUTOFF for k in counts):
         raise ValueError(f"observations must lie within the count cutoff 0..{COUNT_CUTOFF}")
+    return _chain_network(spec), EvidenceSet({2 * i + 1: {counts[i]} for i in range(n)})
+
+
+@functools.lru_cache(maxsize=4)
+def _chain_network(spec: HmmSpec) -> DiscreteNetwork:
     count_states = tuple(str(k) for k in range(COUNT_CUTOFF + 1))
     variables: list[Variable] = []
     cpds: list[Cpd] = []
     transition = np.asarray(spec.transition)
     emission_rows = np.exp(log_emissions(spec, range(COUNT_CUTOFF + 1)).T, order="C")
-    for i in range(n):
+    for i in range(spec.horizon):
         s_id, y_id = 2 * i, 2 * i + 1
         variables.append(Variable(s_id, f"S{i + 1}", spec.states))
         variables.append(Variable(y_id, f"Y{i + 1}", count_states))
@@ -307,21 +315,16 @@ def to_bayes_net(spec: HmmSpec, y: Sequence[int]) -> tuple[DiscreteNetwork, Evid
         else:
             cpds.append(Cpd(s_id, (2 * (i - 1),), transition))
         cpds.append(Cpd(y_id, (s_id,), emission_rows))
-    net = DiscreteNetwork(variables, cpds)
-    evidence = EvidenceSet({2 * i + 1: {counts[i]} for i in range(n)})
-    return net, evidence
+    return DiscreteNetwork(variables, cpds)
 
 
+@functools.lru_cache(maxsize=4)
 def chain_junction_tree(spec: HmmSpec) -> JunctionTree:
     """The natural chain of clusters for the network from to_bayes_net:
     {S_1, Y_1}, then {S_{i-1}, S_i, Y_i} for each later step, with each
-    step's pair assigned to its own cluster."""
+    step's pair assigned to its own cluster.  One tree per spec (the last
+    few kept), shared and read-only, so its queries share its plan."""
     n = spec.horizon
-    clusters = [frozenset({0, 1})]
-    assignment = {0: 0, 1: 0}
-    for i in range(1, n):
-        clusters.append(frozenset({2 * (i - 1), 2 * i, 2 * i + 1}))
-        assignment[2 * i] = i
-        assignment[2 * i + 1] = i
+    clusters = [frozenset({0, 1})] + [frozenset({2 * i - 2, 2 * i, 2 * i + 1}) for i in range(1, n)]
     edges = tuple((i - 1, i) for i in range(1, n))
-    return JunctionTree(tuple(clusters), edges, assignment)
+    return JunctionTree(tuple(clusters), edges, {u: u // 2 for u in range(2 * n)})

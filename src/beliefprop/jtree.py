@@ -9,7 +9,7 @@ maximal cliques of any triangulation; anything passing the validator is
 accepted.
 
 Structure readers share a tree's holder index (``holders``: each
-variable's holding clusters, ascending) and its one rooted walk
+variable's holding clusters, ascending) and its last rooted walk
 (``rooted``).  Condition (2) holds for a variable when all its holders
 but one have a holding parent in the walk from cluster 0; a violation
 names the holders cut off from the variable's lowest-index holder.
@@ -50,7 +50,8 @@ class InvalidJunctionTreeError(ValueError):
 class JunctionTree:
     """Clusters, undirected edges (as (low, high) index pairs), an optional
     variable-to-cluster assignment, and ``holders``: each held variable's
-    clusters, ascending, read-only."""
+    clusters, ascending; both mappings read-only.  A tree never changes,
+    so it keeps its last ``rooted`` walk and the last query's compile plan."""
 
     clusters: tuple[frozenset[int], ...]
     edges: tuple[tuple[int, int], ...]
@@ -63,7 +64,7 @@ class JunctionTree:
         )
         assignment = None
         if self.assignment is not None:
-            assignment = {int(u): int(j) for u, j in self.assignment.items()}
+            assignment = MappingProxyType({int(u): int(j) for u, j in self.assignment.items()})
         adj: dict[int, list[int]] = {i: [] for i in range(len(clusters))}
         for i, j in edges:
             if 0 <= i < len(clusters) and 0 <= j < len(clusters) and i != j:
@@ -81,6 +82,8 @@ class JunctionTree:
         object.__setattr__(self, "_adj", {i: tuple(sorted(ns)) for i, ns in adj.items()})
         # every listed pair, self-loops and out-of-range ones included
         object.__setattr__(self, "_edge_set", frozenset(edges))
+        object.__setattr__(self, "_rooted", (None, None))  # (root, rooted(root)) of the last call
+        object.__setattr__(self, "_plan", None)  # the propagation module's last compile plan
 
     @property
     def q(self) -> int:
@@ -98,7 +101,9 @@ class JunctionTree:
         return self.clusters[i] & self.clusters[j]
 
     def rooted(self, root: int) -> tuple[Mapping[int, tuple[int, ...]], tuple[int, ...]]:
-        """Read-only children map and parent-before-child order from ``root``."""
+        """Read-only children map and parent-before-child order from ``root``, kept for the last root."""
+        if self._rooted[0] == root:
+            return self._rooted[1]
         children: dict[int, tuple[int, ...]] = {}
         order: list[int] = []
         seen = {root}
@@ -111,7 +116,8 @@ class JunctionTree:
             seen.update(kids)
             # reversed so the lowest-index child is processed first
             stack.extend(reversed(kids))
-        return MappingProxyType(children), tuple(order)
+        object.__setattr__(self, "_rooted", (root, (MappingProxyType(children), tuple(order))))
+        return self._rooted[1]
 
     def side_of(self, i: int, j: int) -> frozenset[int]:
         """Clusters in the component of i when edge (i, j) is removed:

@@ -67,11 +67,20 @@ def oracle_log_probability(net: DiscreteNetwork, evidence: EvidenceSet) -> float
 
 def oracle_posterior(net: DiscreteNetwork, evidence: EvidenceSet, u: int) -> np.ndarray:
     """P(u | evidence) by enumeration; evidence must be possible."""
-    marginal = oracle_marginal(net, evidence, [u])
-    total = float(marginal.values.sum())
-    if total <= 0.0:
-        raise ValueError("posterior undefined: evidence has probability zero")
-    return marginal.values / total
+    return oracle_posteriors(net, evidence, [u])[0]
+
+
+def oracle_posteriors(net: DiscreteNetwork, evidence: EvidenceSet, ids: list) -> list[np.ndarray]:
+    """``oracle_posterior`` of each variable in ``ids``, all read from one joint table."""
+    # every id kept: the whole joint, after the KeyError check on ``ids``
+    joint, out = oracle_marginal(net, evidence, [*net.ids, *ids]), []
+    for u in map(int, ids):
+        values = joint.marginalize_sum(set(joint.scope) - {u}).values
+        total = float(values.sum())
+        if total <= 0.0:
+            raise ValueError("posterior undefined: evidence has probability zero")
+        out.append(values / total)
+    return out
 
 
 def oracle_map(

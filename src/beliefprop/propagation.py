@@ -9,12 +9,12 @@ out.  After an inward pass to the query's one root cluster and an
 outward pass back, every cluster and edge holds an unnormalized marginal
 whose total mass is the evidence probability.
 
-The tree fixes the scope of every such table, so a query lays each
-cluster out once (``CompiledQuery``) and the kernel runs on bare arrays.
-Only the layouts slice: each potential is read at the state of every
-variable the evidence pins to one state (factor reduction), so the arrays
-leave those variables out.  A query refuses a tree it cannot lay out or
-schedule; running intersection is checked only by ``validate_junction_tree``.
+The tree fixes the scope of every such table, so the layouts form a plan that
+the tree keeps (``CompiledQuery``) and the kernel runs on bare arrays.  Only
+the layouts slice: each potential is read at the state of every variable the
+evidence pins to one state (factor reduction), so the arrays leave those
+variables out.  A query refuses a tree it cannot lay out or schedule; running
+intersection is checked only by ``validate_junction_tree``.
 
 Messages are renormalized to unit maximum, with the removed
 mass tracked in each message's log scale, so long chains cannot
@@ -33,10 +33,11 @@ from __future__ import annotations
 
 import copy
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import chain, filterfalse, repeat
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 import numpy as np
 
@@ -69,17 +70,60 @@ class ImpossibleEvidenceError(ValueError):
     """A conditional quantity was requested under zero-probability evidence."""
 
 
-class _Layout(NamedTuple):
-    """A cluster's whole scope, then what the kernel reads, observed variables
-    left out; ``seps`` maps each neighbour, ascending, to its edge record: whole
-    and sliced separator, view in ``scope``, shape and the axes outside it."""
+# Edge j -> k as j reads it: whole and sliced separator, view in j's sliced scope,
+# shape, the axes outside it, and for max messages the order that puts those last.
+_Edge = namedtuple("_Edge", "whole sep view shape outside perm free dims")
+# A cluster's whole scope, then what the kernel reads, observed variables left
+# out; its ids, ascending; ``form``, the fixed part of its product's key; ``seps``.
+_Layout = namedtuple("_Layout", "full scope shape members form seps")
+# What a query derives from its network, tree, root and observed ids alone.
+_Plan = namedtuple("_Plan", "net root observed order parent layouts")
 
-    full: tuple[int, ...]
-    scope: tuple[int, ...]
-    shape: tuple[int, ...]
-    potential: np.ndarray
-    log_scale: float
-    seps: dict[int, tuple]
+
+def _plan(net: DiscreteNetwork, jtree: JunctionTree, root: int, observed: frozenset[int]) -> _Plan:
+    """The tree's plan if built for this network object, root and observed ids; else a checked new one."""
+    plan = jtree._plan
+    if plan is not None and plan.net is net and plan.root == root and plan.observed == observed:
+        return plan
+    # readouts lay out whole cluster tables: no query on an over-cap cluster can finish
+    cards, clusters = net.cards, jtree.clusters
+    try:
+        for j, cluster in enumerate(clusters):
+            check_table_size(map(cards.__getitem__, cluster), f"cluster {j}")
+    except KeyError:  # a cluster names an id the network lacks: validate's first violation
+        first = validate_junction_tree(net, jtree).violations[:1]
+        raise InvalidJunctionTreeError(ValidationReport(first)) from None
+    if not (0 <= root < jtree.q):
+        raise ValueError(f"root cluster {root} out of range")
+    children, order = jtree.rooted(root)
+    # what the layouts and the schedule rely on, validate or not
+    broken = next(chain(tree_violations(jtree, order), assignment_violations(net, jtree)), None)
+    if broken is not None:
+        raise InvalidJunctionTreeError(ValidationReport((broken,)))
+    members: list[list[int]] = [[] for _ in range(jtree.q)]
+    for u, j in sorted(jtree.assignment.items()):
+        members[j].append(u)
+    layouts = []
+    for j, ids in enumerate(members):
+        full = tuple(sorted(clusters[j]))
+        scope = tuple(filterfalse(observed.__contains__, full))
+        shape = tuple(map(cards.__getitem__, scope))
+        axis = dict(zip(scope, range(len(scope))))
+        seps = {}
+        for k in jtree.neighbors(j):
+            whole = tuple(filter(clusters[k].__contains__, full))
+            sep = tuple(filter(axis.__contains__, whole))  # less its observed variables
+            free = tuple(filterfalse(sep.__contains__, scope))  # what the message sums out
+            view = tuple(d if u in sep else 1 for u, d in zip(scope, shape))
+            outside = tuple(map(axis.__getitem__, free))
+            seps[k] = _Edge(whole, sep, view, tuple(map(cards.__getitem__, sep)), outside,
+                            (*map(axis.__getitem__, sep), *outside), free, tuple(map(cards.__getitem__, free)))
+        # each potential's scope, its family in ascending id order, in axes of ``scope``
+        form = (len(scope), *[tuple(map(axis.get, sorted((*net.parents(u), u)))) for u in ids])
+        layouts.append(_Layout(full, scope, shape, tuple(ids), form, seps))
+    parent = MappingProxyType({k: j for j in order for k in children[j]})
+    object.__setattr__(jtree, "_plan", _Plan(net, root, observed, order, parent, tuple(layouts)))
+    return jtree._plan
 
 
 @dataclass(frozen=True)
@@ -135,10 +179,10 @@ class CompiledQuery:
     map_assignment() and the samplers follow: ``order`` lists the clusters
     parent before child (children by ascending index), and ``parent`` maps
     every other cluster to its neighbour toward the root.  ``potentials``
-    maps each variable to its unsliced K_u (``build_potentials``).
-    Construction lays out each cluster (``_Layout``) and builds one
-    read-only product per distinct cluster (the same arrays read at the
-    same states into the same axes with the same log scales).  The message
+    maps each variable to its unsliced K_u (``build_potentials``).  The
+    schedule and each cluster's ``_Layout`` come from the tree's plan
+    (``_plan``); construction builds one read-only product per distinct
+    cluster (``_compile``).  The message
     stores hold (table, log scale) pairs over the sliced separators, and
     ``_argmax`` what each max message recorded for map_assignment.
     ``_with_observed`` alone puts observed axes back, in the tables handed
@@ -152,7 +196,8 @@ class CompiledQuery:
     FactorSizeError, and a tree the layouts or the schedule cannot use
     raises InvalidJunctionTreeError with its first ``unknown-variable``,
     ``tree`` or ``assignment`` violation.  Under ``validate=False`` a valid
-    network and running intersection are the caller's promise.
+    network and running intersection are the caller's promise; a kept plan
+    trusts that a network is not changed once built.
     """
 
     def __init__(
@@ -177,41 +222,36 @@ class CompiledQuery:
                 raise InvalidJunctionTreeError(report)
         if jtree.assignment is None:
             jtree = JunctionTree(jtree.clusters, jtree.edges, assign_clusters(net, jtree))
-        # readouts lay out whole cluster tables: no query on an over-cap cluster can finish
-        cards = net.cards
-        try:
-            for j, cluster in enumerate(jtree.clusters):
-                check_table_size(map(cards.__getitem__, cluster), f"cluster {j}")
-        except KeyError:  # a cluster names an id the network lacks: validate's first violation
-            first = validate_junction_tree(net, jtree).violations[:1]
-            raise InvalidJunctionTreeError(ValidationReport(first)) from None
-        self.jtree = jtree
-        root = _integer(root, "root cluster")
-        if not (0 <= root < jtree.q):
-            raise ValueError(f"root cluster {root} out of range")
-        self.root = root
-        children, self.order = self.rooted_children(root)
-        # what the layouts and the schedule rely on, validate or not
-        broken = next(chain(tree_violations(jtree, self.order),
-                            assignment_violations(net, jtree)), None)
-        if broken is not None:
-            raise InvalidJunctionTreeError(ValidationReport((broken,)))
-        self.parent = MappingProxyType({k: j for j in self.order for k in children[j]})
+        self.jtree, self.root = jtree, _integer(root, "root cluster")
         allowed = self.evidence.allowed
         self._observed = {u: s for u, states in allowed.items() if len(states) == 1 for s in states}
+        plan = _plan(net, jtree, self.root, frozenset(self._observed))
+        self.order, self.parent = plan.order, plan.parent
         self.potentials = build_potentials(net, self.evidence)
         self._unsliced_copy: CompiledQuery | None = None
-        self._compile()
+        self._compile(plan)
 
-    def _compile(self) -> None:
-        """Cluster layouts, one product per distinct cluster, and an empty message store."""
-        jtree = self.jtree
-        # potentials of each cluster in ascending id order
-        members: list[list[Factor]] = [[] for _ in range(jtree.q)]
-        for u, j in sorted(jtree.assignment.items()):
-            members[j].append(self.potentials[u])
-        products: dict[tuple, tuple[np.ndarray, float]] = {}
-        self._layouts = [self._layout(j, pots, products) for j, pots in enumerate(members)]
+    def _compile(self, plan: _Plan) -> None:
+        """The plan's layouts, one product per distinct cluster, and empty message stores."""
+        observed, potentials = self._observed, self.potentials
+        self._layouts = plan.layouts
+        self._products: list[tuple[np.ndarray, float]] = []  # per cluster
+        made: dict[tuple, tuple[np.ndarray, float]] = {}
+        for _, scope, shape, members, form, _ in plan.layouts:
+            pots = [potentials[u] for u in members]
+            # the same arrays read at the same states into the same axes: one product
+            key = (form, *[(id(f.values), tuple(map(observed.get, f.scope)), f.log_scale) for f in pots])
+            if key not in made:
+                # 1.0 * x == x: starting from one, or at a mask's kept state, changes no bit
+                potential, log_scale = np.ones((1,) * len(scope)), 0.0
+                for f in pots:
+                    view = tuple(d if u in f.scope else 1 for u, d in zip(scope, shape))
+                    at = tuple(map(observed.get, f.scope, repeat(slice(None))))  # observed states
+                    potential = potential * f.values[at].reshape(view)
+                    log_scale += f.log_scale
+                potential.setflags(write=False)  # shared, and tables and messages may be views of it
+                made[key] = potential, log_scale
+            self._products.append(made[key])
         self._messages: dict[tuple[str, int, int], tuple[np.ndarray, float]] = {}
         self._argmax: dict[tuple[int, int], tuple] = {}  # (j, k) -> what map_assignment reads
 
@@ -225,41 +265,13 @@ class CompiledQuery:
         if twin is None:
             twin = self._unsliced_copy = copy.copy(self)
             twin._observed = {}
-            twin._compile()
+            twin._compile(_plan(self.net, self.jtree, self.root, frozenset()))
         if len(twin._messages) != len(self._messages):
             # the store keeps sending order, so replaying it is a valid schedule
             for semiring, i, j in self._messages:
                 if not twin.has_message(i, j, semiring):
                     twin.compute_message(i, j, semiring)
         return twin
-
-    def _layout(self, j: int, pots: list[Factor], products: dict) -> _Layout:
-        cards, observed, clusters = self.net.cards, self._observed, self.jtree.clusters
-        full = tuple(sorted(clusters[j]))
-        scope = tuple(filterfalse(observed.__contains__, full))
-        shape = tuple(map(cards.__getitem__, scope))
-        axis = dict(zip(scope, range(len(scope))))
-        # the same arrays read at the same states into the same axes: one product
-        key = (len(scope), *[(id(f.values), tuple(map(observed.get, f.scope)),
-                              tuple(map(axis.get, f.scope)), f.log_scale) for f in pots])
-        if key not in products:
-            # 1.0 * x == x: starting from one, or at a mask's kept state, changes no bit
-            potential, log_scale = np.ones((1,) * len(scope)), 0.0
-            for f in pots:
-                view = tuple(d if u in f.scope else 1 for u, d in zip(scope, shape))
-                at = tuple(map(observed.get, f.scope, repeat(slice(None))))  # observed states
-                potential = potential * f.values[at].reshape(view)
-                log_scale += f.log_scale
-            potential.setflags(write=False)  # shared, and tables and messages may be views of it
-            products[key] = potential, log_scale
-        seps = {}
-        for k in self.jtree.neighbors(j):
-            whole = tuple(filter(clusters[k].__contains__, full))
-            sep = tuple(filter(axis.__contains__, whole))  # less its observed variables
-            view = tuple(d if u in sep else 1 for u, d in zip(scope, shape))
-            outside = tuple(a for a, u in enumerate(scope) if u not in sep)
-            seps[k] = (whole, sep, view, tuple(map(cards.__getitem__, sep)), outside)
-        return _Layout(full, scope, shape, *products[key], seps)
 
     def _with_observed(self, scope: tuple[int, ...], values: np.ndarray) -> np.ndarray:
         """``values``, over ``scope`` less its observed variables, over all of
@@ -322,11 +334,11 @@ class CompiledQuery:
         parent), all from the ``semiring`` store, over j's layout.  Unchecked:
         an overflow stays inf or turns into NaN, so one finite check on the
         product or on a reduction of it catches it."""
-        _, _, _, values, log_scale, seps = self._layouts[j]
-        for i, edge in seps.items():
+        values, log_scale = self._products[j]
+        for i, edge in self._layouts[j].seps.items():
             if i != skip:
                 msg, scale = self._stored(i, j, semiring)
-                values, log_scale = values * msg.reshape(edge[2]), log_scale + scale
+                values, log_scale = values * msg.reshape(edge.view), log_scale + scale
         return values, log_scale
 
     def _table(self, j: int, skip: int | None, semiring: str) -> tuple[np.ndarray, float]:
@@ -348,12 +360,12 @@ class CompiledQuery:
         the root; a normalized row is P(free | separator, evidence)."""
         parent, layout, cards = self.parent.get(j), self._layouts[j], self.net.cards
         values, _ = self._table(j, parent, "sum")
-        _, sep, _, sep_shape, _ = layout.seps.get(parent, ((),) * 5)
+        edge = layout.seps.get(parent)  # its axis order puts free axes after sep ones
+        sep, sep_shape = (edge.sep, edge.shape) if edge else ((), ())
         up = self.jtree.clusters[parent] if parent is not None else ()
         free = tuple(sorted(self.jtree.clusters[j].difference(up)))
-        perm = [layout.scope.index(u) for u in (*sep, *free) if u not in self._observed]
         free_shape = tuple(cards[u] for u in free)
-        table = self._with_observed((*sep, *free), values.transpose(perm))
+        table = self._with_observed((*sep, *free), values.transpose(edge.perm) if edge else values)
         table = table.reshape(math.prod(sep_shape), math.prod(free_shape))
         return ClusterRows(j, sep, sep_shape, free, free_shape, table)
 
@@ -369,21 +381,20 @@ class CompiledQuery:
         seps = self._layouts[j].seps if 0 <= j < len(self._layouts) else {}
         if k not in seps:
             raise JunctionTreeError(f"({j}, {k}) is not a tree edge")
-        full, sep, _, sep_shape, outside = seps[k]
+        full, sep, _, sep_shape, outside, perm, free, dims = seps[k]
         values, log_scale = self._product(j, k, semiring)
         if outside and semiring == "sum":
             values = values.sum(axis=outside)
         elif outside:  # one row per separator state, its outside axes flattened in C order
-            _, scope, shape, *_ = self._layouts[j]
+            shape = self._layouts[j].shape
             rows = values if values.shape == shape else np.broadcast_to(values, shape)
-            kept = [a for a in range(len(scope)) if a not in outside]
-            rows = rows.transpose(kept + list(outside)).reshape(math.prod(sep_shape), -1)
+            rows = rows.transpose(perm).reshape(math.prod(sep_shape), -1)
             best = rows.argmax(axis=1)
             values = rows.reshape(-1)[best + np.arange(0, rows.size, rows.shape[1])]
             values = values.reshape(sep_shape)
             # kept as long as the query, so in the smallest integer type that holds it
             best = best.astype(np.min_scalar_type(rows.shape[1] - 1)).reshape(sep_shape)
-            self._argmax[j, k] = best, sep, [scope[a] for a in outside], [shape[a] for a in outside]
+            self._argmax[j, k] = best, sep, free, dims
         values = values if values.shape == sep_shape else np.broadcast_to(values, sep_shape)
         peak = _require_finite(values, log_scale)
         if peak > 0.0 and peak != 1.0:
@@ -426,14 +437,14 @@ class CompiledQuery:
         messages, lowest neighbour on ties, else j's marginal; ``tables`` caches by (j, k)."""
         j = self.jtree.assignment[u]
         seps, observed, stored = self._layouts[j].seps, self._observed, self._messages
-        held = [(math.prod(e[3]), k) for k, e in seps.items() if (u in observed or u in e[1])
+        held = [(math.prod(e.shape), k) for k, e in seps.items() if (u in observed or u in e.sep)
                 and ("sum", j, k) in stored and ("sum", k, j) in stored]
         k = min(held)[1] if held else None
         if k is None and (j, k) not in tables:
             marginal = self.cluster_marginal(j)
             tables[j, k] = marginal.scope, marginal.values
         elif (j, k) not in tables:
-            tables[j, k] = seps[k][1], self._stored(j, k, "sum")[0] * self._stored(k, j, "sum")[0]
+            tables[j, k] = seps[k].sep, self._stored(j, k, "sum")[0] * self._stored(k, j, "sum")[0]
         scope, table = tables[j, k]
         # np.add.reduce is what .sum() runs, without its Python wrapper
         others = tuple(a for a, v in enumerate(scope) if v != u)

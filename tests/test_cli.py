@@ -1,5 +1,6 @@
 """End-to-end checks of the command line, run as real subprocesses."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -7,7 +8,9 @@ import sys
 
 import pytest
 
+from beliefprop import cli, oracle
 from beliefprop.cli import load_network, network_to_json
+from beliefprop.oracle import joint_table
 from beliefprop.jtree import build_junction_tree
 
 NET = "pedigree.json"
@@ -189,6 +192,23 @@ class TestMarginals:
         assert set(doc) == {"X7"}
         assert doc["X7"]["dD"] == pytest.approx(1.0)
         assert doc["X7"]["dd"] == 0.0
+
+    def test_oracle_builds_one_joint_table(self, net_path, ev_path, monkeypatch, capsys):
+        # every printed variable reads the same joint table, and the output
+        # is the one a joint table per variable printed (its SHA-256)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return joint_table(*args)
+
+        monkeypatch.setattr(oracle, "joint_table", counted)
+        assert cli.main(["marginals", net_path, "--evidence", ev_path, "--oracle"]) == 0
+        out = capsys.readouterr().out
+        assert len(calls) == 1
+        assert len(out.splitlines()) == 31
+        want = "582ff59f2de8ba1d42f21ad8317ef4846cb209998aead0c0a7fde1424346a1e6"
+        assert hashlib.sha256(out.encode()).hexdigest() == want
 
     def test_unknown_var(self, net_path, ev_path):
         r = run_cli("marginals", net_path, "--evidence", ev_path, "--var", "X42")

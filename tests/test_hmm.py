@@ -430,6 +430,17 @@ class TestToBayesNet:
         assert ev.allowed[1] == frozenset({0})
         assert ev.allowed[7] == frozenset({3})
 
+    def test_network_is_built_once_per_spec(self, spec5):
+        # the network reads only the spec; each sequence gets its own evidence
+        net1, ev1 = hmm.to_bayes_net(spec5, [0, 1, 2, 3, 4])
+        net2, ev2 = hmm.to_bayes_net(spec5, [4, 3, 2, 1, 0])
+        assert net1 is net2
+        assert ev1.allowed != ev2.allowed and ev2.allowed[1] == frozenset({4})
+        assert hmm.chain_junction_tree(spec5) is hmm.chain_junction_tree(spec5)
+        # the per-sequence checks still run on a spec already built
+        with pytest.raises(ValueError, match="expected 5 observations"):
+            hmm.to_bayes_net(spec5, [0] * 4)
+
     def test_count_out_of_range(self, spec5):
         with pytest.raises(ValueError, match="cutoff"):
             hmm.to_bayes_net(spec5, [0, 1, 2, 3, 99])
@@ -609,11 +620,11 @@ class TestSharedTables:
         spec, y, net, ev = chain200
         cq = CompiledQuery(net, ev, jtree=hmm.chain_junction_tree(spec))
         # the first cluster, then one per count seen after step 1
-        assert len({id(layout.potential) for layout in cq._layouts}) == len(set(y[1:])) + 1
+        assert len({id(potential) for potential, _ in cq._products}) == len(set(y[1:])) + 1
         assert len(set(y[1:])) + 1 == 9
         same = [i for i in range(1, 200) if y[i] == y[1]]
-        assert all(cq._layouts[i].potential is cq._layouts[1].potential for i in same)
-        assert not cq._layouts[1].potential.flags.writeable
+        assert all(cq._products[i][0] is cq._products[1][0] for i in same)
+        assert not cq._products[1][0].flags.writeable
 
     @pytest.mark.parametrize("states, shared", [((0, 0), True), ((0, 1), False), ((1, 0), False)])
     def test_same_array_at_another_state_gets_its_own_product(self, states, shared):
@@ -626,9 +637,9 @@ class TestSharedTables:
         ev = EvidenceSet({1: {states[0]}, 3: {states[1]}})
         cq = CompiledQuery(net, ev, jtree=jt)
         assert cq.potentials[2].values is cq.potentials[4].values
-        assert (cq._layouts[1].potential is cq._layouts[3].potential) is shared
-        np.testing.assert_array_equal(cq._layouts[1].potential, TRANSITION[states[0]])
-        np.testing.assert_array_equal(cq._layouts[3].potential, TRANSITION[states[1]])
+        assert (cq._products[1][0] is cq._products[3][0]) is shared
+        np.testing.assert_array_equal(cq._products[1][0], TRANSITION[states[0]])
+        np.testing.assert_array_equal(cq._products[3][0], TRANSITION[states[1]])
         _check_posteriors(cq, net, ev)
 
     def test_same_array_in_other_axes_gets_its_own_product(self):
@@ -644,8 +655,8 @@ class TestSharedTables:
                           [(0, 1), (1, 2), (2, 3), (2, 4)], {0: 0, 1: 1, 2: 3, 3: 4, 4: 2})
         cq = CompiledQuery(net, EvidenceSet.none(), jtree=jt)
         assert cq.potentials[1].values is cq.potentials[4].values
-        assert cq._layouts[1].potential.shape == (2, 2, 1)
-        assert cq._layouts[2].potential.shape == (1, 2, 2)
+        assert cq._products[1][0].shape == (2, 2, 1)
+        assert cq._products[2][0].shape == (1, 2, 2)
         _check_posteriors(cq, net, EvidenceSet.none())
 
 

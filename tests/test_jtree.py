@@ -256,6 +256,19 @@ class TestTreeQueries:
         assert order == (3, 1, 0, 2, 4, 5, 6)
         assert dict(children) == {3: (1, 4, 5), 1: (0, 2), 0: (), 2: (), 4: (), 5: (6,), 6: ()}
 
+    def test_rooted_walk_is_kept(self, ped_jtree):
+        # a tree never changes, so asking again for the same root walks nothing
+        first, again = ped_jtree.rooted(3), ped_jtree.rooted(3)
+        assert first[0] is again[0] and first[1] is again[1]
+        assert ped_jtree.rooted(0)[1] == (0, 1, 2, 3, 4, 5, 6)
+        assert ped_jtree.rooted(3) == first
+
+    def test_assignment_is_read_only(self, ped_jtree):
+        u, j = next(iter(ped_jtree.assignment.items()))
+        with pytest.raises(TypeError):
+            ped_jtree.assignment[u] = j
+        assert ped_jtree.assignment == PED_ASSIGNMENT
+
     def test_holders_list_clusters_in_ascending_order(self, ped_jtree):
         assert ped_jtree.holders[8] == (1, 2, 3, 4)
         assert set(ped_jtree.holders) == set(range(10))

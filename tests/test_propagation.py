@@ -1,5 +1,7 @@
+import gc
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import beliefprop
-from beliefprop import hmm, model, oracle
+from beliefprop import hmm, model, oracle, propagation
 from beliefprop.factor import MAX_TABLE_ENTRIES, Factor, FactorSizeError
 from beliefprop.jtree import (
     InvalidJunctionTreeError,
@@ -40,7 +42,7 @@ from beliefprop.propagation import (
     compile_query,
     joint_score,
 )
-from beliefprop.sampling import sample_posterior
+from beliefprop.sampling import PosteriorSampler, sample_posterior
 
 
 @pytest.fixture(scope="module")
@@ -747,3 +749,78 @@ def test_handed_out_tables_cannot_write_into_the_query():
     cq.inward()
     with pytest.raises(ValueError, match="read-only"):
         cq.cluster_rows(4).table[0, 0] = 0.0
+
+
+class TestPlan:
+    """A tree keeps the plan of the last query laid out on it; a query on the
+    same network object, root and observed ids reuses it, to the bit."""
+
+    # used by no other test, so the memoized chain tree holds no plan yet
+    SPEC = hmm.HmmSpec(("L", "H"), (0.5, 0.5), ((0.8, 0.2), (0.35, 0.65)), (2.5, 0.7), 12)
+
+    @staticmethod
+    def answers(cq: CompiledQuery, draw_seed: int) -> list:
+        out = [repr(cq.propagate().evidence_log_probability())]
+        out += [p.tobytes() for p in cq.posterior_table().values()]
+        out.append(repr(cq.map_assignment()))
+        return out + [PosteriorSampler(cq, seed=draw_seed).sample(100).tobytes()]
+
+    def test_second_sequence_skips_the_tree_checks(self, monkeypatch):
+        calls, check = [], propagation.tree_violations
+
+        def counted(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(propagation, "tree_violations", counted)
+        queries = []
+        for sim_seed in (1, 2):
+            net, ev = hmm.to_bayes_net(self.SPEC, hmm.simulate(self.SPEC, sim_seed)[1])
+            queries.append(CompiledQuery(net, ev, jtree=hmm.chain_junction_tree(self.SPEC)))
+        assert len(calls) == 1
+        assert queries[1]._layouts is queries[0]._layouts
+
+    @pytest.mark.parametrize("case", ["chain", "pedigree"])
+    @pytest.mark.parametrize("draw_seed", [0, 5])
+    def test_reused_plan_answers_as_a_cold_query(self, case, draw_seed):
+        if case == "chain":
+            spec = hmm.precipitation_spec(60)
+            jt = hmm.chain_junction_tree(spec)
+            inputs = [hmm.to_bayes_net(spec, hmm.simulate(spec, s)[1]) for s in (3, 4)]
+        else:  # the same observed ids at other states
+            net, jt = pedigree_network(), build_junction_tree(pedigree_network())
+            inputs = [(net, EvidenceSet({1: {0}, 5: {2}, 8: {1}})),
+                      (net, EvidenceSet({1: {2}, 5: {1}, 8: {1}}))]
+        first, warm = (CompiledQuery(net, ev, jtree=jt, root=1) for net, ev in inputs)
+        assert warm._layouts is first._layouts
+        cold = CompiledQuery(*inputs[1], jtree=JunctionTree(jt.clusters, jt.edges, jt.assignment),
+                             root=1)
+        assert cold._layouts is not warm._layouts
+        assert self.answers(warm, draw_seed) == self.answers(cold, draw_seed)
+
+    def test_another_network_is_checked_again(self):
+        contract = TestConstruction
+        jt = JunctionTree(contract.CONTRACT_CLUSTERS, contract.CONTRACT_EDGES,
+                          contract.CONTRACT_HOMES)
+        ev = EvidenceSet({2: frozenset({0})})
+        CompiledQuery(contract.CONTRACT_NET, ev, jtree=jt, validate=False)
+        kept = jt._plan
+        # same variables, but C now has parent A, which C's home {C} lacks
+        cpds = (*contract.CONTRACT_NET.cpds[:2], Cpd(2, (0,), [[0.25, 0.75], [0.5, 0.5]]))
+        other = DiscreteNetwork(contract.CONTRACT_NET.variables, cpds)
+        with pytest.raises(InvalidJunctionTreeError,
+                           match="cluster 2 does not cover the family of variable 2"):
+            CompiledQuery(other, ev, jtree=jt, validate=False)
+        assert jt._plan is kept
+
+    def test_a_dropped_tree_lets_its_network_go(self):
+        net = pedigree_network()
+        jt = build_junction_tree(net)
+        CompiledQuery(net, pedigree_evidence(), jtree=jt)
+        alive = weakref.ref(net)
+        del net
+        gc.collect()
+        assert alive() is not None  # the tree's plan holds it
+        del jt
+        gc.collect()
+        assert alive() is None
