@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .factor import Factor, _integer, _trusted
+from .factor import Factor, _integer
 
 ROW_SUM_TOL = 1e-9
 
@@ -330,22 +330,8 @@ class EvidenceSet:
         return u not in self.allowed or state in self.allowed[u]
 
 
-def build_potentials(net: DiscreteNetwork, evidence: EvidenceSet) -> dict[int, Factor]:
-    """One factor per variable, the paper's potential K_u: its CPD over its
-    family in ascending id order (``cpd_factor``), with the child's
-    disallowed states zeroed.
-
-    Each variable's indicator is applied exactly once, in its own
-    potential, never where the variable appears as a parent, so products
-    of potentials carry each restriction once and a single potential
-    matches the message definitions entry for entry.  Every axis stays
-    whole, an observed one too: a query's layouts slice single states.
-    A table several CPDs share (a chain's transition matrix) is viewed,
-    checked and masked once per call and its CPDs share the values: one
-    view and check per listed shape and axis permutation, one mask per
-    allowed set.  ValueError naming them when the evidence restricts
-    unknown variable ids or a state out of range.
-    """
+def _check_evidence(net: DiscreteNetwork, evidence: EvidenceSet) -> None:
+    """ValueError naming the unknown variable ids or out-of-range states the evidence restricts."""
     cards, allowed = net.cards, evidence.allowed
     unknown = sorted(u for u in allowed if u not in cards)
     if unknown:
@@ -353,16 +339,19 @@ def build_potentials(net: DiscreteNetwork, evidence: EvidenceSet) -> dict[int, F
     for u, states in allowed.items():
         if not all(0 <= s < cards[u] for s in states):
             raise ValueError(f"state index out of range for variable {u}: {sorted(states)}")
-    out: dict[int, Factor] = {}
-    made: dict[tuple, np.ndarray] = {}
-    for u in net.ids:
-        scope, shape, perm = net._family_layout(u)
-        key = (id(net.cpd(u).table), shape, perm)
-        if key not in made:
-            made[key] = net.cpd_factor(u).values
-        if u in allowed:
-            key, whole = key + (allowed[u],), made[key]
-            if key not in made:
-                made[key] = _trusted(scope, whole, 0.0).restrict({u: allowed[u]}).values
-        out[u] = _trusted(scope, made[key], 0.0)
-    return out
+
+
+def build_potentials(net: DiscreteNetwork, evidence: EvidenceSet) -> dict[int, Factor]:
+    """One factor per variable, the paper's potential K_u: its CPD over its
+    family in ascending id order (``cpd_factor``), every axis whole, with
+    the child's disallowed states zeroed; the evidence is checked first.
+
+    Each variable's indicator is applied exactly once, in its own
+    potential, never where the variable appears as a parent, so products
+    of potentials carry each restriction once and a single potential
+    matches the message definitions entry for entry.  The oracle builds on
+    this; the engine's plan lays each CPD out once (``propagation._plan``).
+    """
+    _check_evidence(net, evidence)
+    return {u: net.cpd_factor(u).restrict({u: evidence.allowed[u]} if evidence.restricts(u) else {})
+            for u in net.ids}

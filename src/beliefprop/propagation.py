@@ -1,20 +1,20 @@
 """Message passing on a junction tree.
 
 Each variable's potential is the paper's K_u, its CPD with its own
-allowed set masked (``build_potentials``).  Each cluster multiplies the
-potentials of the variables assigned to it, and messages flow along tree
-edges: the message from j to k is the cluster potential of j times all
-incoming messages except k's, with the non-separator variables summed
-out.  After an inward pass to the query's one root cluster and an
+allowed set masked.  Each cluster multiplies the potentials of the
+variables assigned to it, and messages flow along tree edges: the message
+from j to k is the cluster potential of j times all incoming messages
+except k's, with the non-separator variables summed out.  After an inward pass to the query's one root cluster and an
 outward pass back, every cluster and edge holds an unnormalized marginal
 whose total mass is the evidence probability.
 
-The tree fixes the scope of every such table, so the layouts form a plan that
-the tree keeps (``CompiledQuery``) and the kernel runs on bare arrays.  Only
-the layouts slice: each potential is read at the state of every variable the
-evidence pins to one state (factor reduction), so the arrays leave those
-variables out.  A query refuses a tree it cannot lay out or schedule; running
-intersection is checked only by ``validate_junction_tree``.
+The tree fixes the scope of every such table, so the layouts and each CPD,
+laid out and checked once, form a plan the tree keeps (``_plan``); the kernel
+runs on bare arrays.  A query reads each CPD at the state of every variable
+the evidence pins to one state (factor reduction), so the arrays leave those
+variables out, and masks only the other restricted children.  A query refuses
+a tree it cannot lay out or schedule; only ``validate_junction_tree`` checks
+running intersection.
 
 Messages are renormalized to unit maximum, with the removed
 mass tracked in each message's log scale, so long chains cannot
@@ -57,7 +57,7 @@ from .model import (
     EvidenceSet,
     InvalidNetworkError,
     ValidationReport,
-    build_potentials,
+    _check_evidence,
     validate_network,
 )
 
@@ -73,8 +73,8 @@ class ImpossibleEvidenceError(ValueError):
 # Edge j -> k as j reads it: whole and sliced separator, view in j's sliced scope,
 # shape, the axes outside it, and for max messages the order that puts those last.
 _Edge = namedtuple("_Edge", "whole sep view shape outside perm free dims")
-# A cluster's whole scope, then what the kernel reads, observed variables left
-# out; its ids, ascending; ``form``, the fixed part of its product's key; ``seps``.
+# A cluster's whole scope, then what the kernel reads, observed variables left out;
+# (id, family, checked CPD array) per id it holds; ``form``, its product key's fixed part.
 _Layout = namedtuple("_Layout", "full scope shape members form seps")
 # What a query derives from its network, tree, root and observed ids alone.
 _Plan = namedtuple("_Plan", "net root observed order parent layouts")
@@ -100,11 +100,24 @@ def _plan(net: DiscreteNetwork, jtree: JunctionTree, root: int, observed: frozen
     broken = next(chain(tree_violations(jtree, order), assignment_violations(net, jtree)), None)
     if broken is not None:
         raise InvalidJunctionTreeError(ValidationReport((broken,)))
-    members: list[list[int]] = [[] for _ in range(jtree.q)]
+    members: list[list[tuple]] = [[] for _ in range(jtree.q)]
+    made: dict[tuple, np.ndarray] = {}  # a CPD table several CPDs view alike is checked once
     for u, j in sorted(jtree.assignment.items()):
-        members[j].append(u)
-    layouts = []
-    for j, ids in enumerate(members):
+        family, shape, perm = net._family_layout(u)
+        key = (id(net.cpd(u).table), shape, perm)
+        if key not in made:
+            made[key] = net.cpd_factor(u).values
+        members[j].append((u, family, made[key]))
+    parent = MappingProxyType({k: j for j in order for k in children[j]})
+    plan = _Plan(net, root, observed, order, parent, _layouts(net, jtree, observed, members))
+    object.__setattr__(jtree, "_plan", plan)
+    return plan
+
+
+def _layouts(net: DiscreteNetwork, jtree: JunctionTree, observed, members) -> tuple[_Layout, ...]:
+    """Each cluster's ``_Layout``, ``observed`` sliced out; ``form`` has each member's array id and axes."""
+    cards, clusters, layouts = net.cards, jtree.clusters, []
+    for j, cpds in enumerate(members):
         full = tuple(sorted(clusters[j]))
         scope = tuple(filterfalse(observed.__contains__, full))
         shape = tuple(map(cards.__getitem__, scope))
@@ -118,12 +131,9 @@ def _plan(net: DiscreteNetwork, jtree: JunctionTree, root: int, observed: frozen
             outside = tuple(map(axis.__getitem__, free))
             seps[k] = _Edge(whole, sep, view, tuple(map(cards.__getitem__, sep)), outside,
                             (*map(axis.__getitem__, sep), *outside), free, tuple(map(cards.__getitem__, free)))
-        # each potential's scope, its family in ascending id order, in axes of ``scope``
-        form = (len(scope), *[tuple(map(axis.get, sorted((*net.parents(u), u)))) for u in ids])
-        layouts.append(_Layout(full, scope, shape, tuple(ids), form, seps))
-    parent = MappingProxyType({k: j for j in order for k in children[j]})
-    object.__setattr__(jtree, "_plan", _Plan(net, root, observed, order, parent, tuple(layouts)))
-    return jtree._plan
+        form = (len(scope), *[(id(values), tuple(map(axis.get, family))) for _, family, values in cpds])
+        layouts.append(_Layout(full, scope, shape, tuple(cpds), form, seps))
+    return tuple(layouts)
 
 
 @dataclass(frozen=True)
@@ -178,26 +188,28 @@ class CompiledQuery:
     ``root`` fixes the one rooted schedule that inward(), outward(),
     map_assignment() and the samplers follow: ``order`` lists the clusters
     parent before child (children by ascending index), and ``parent`` maps
-    every other cluster to its neighbour toward the root.  ``potentials``
-    maps each variable to its unsliced K_u (``build_potentials``).  The
-    schedule and each cluster's ``_Layout`` come from the tree's plan
-    (``_plan``); construction builds one read-only product per distinct
-    cluster (``_compile``).  The message
-    stores hold (table, log scale) pairs over the sliced separators, and
+    every other cluster to its neighbour toward the root.  The schedule
+    and each cluster's ``_Layout``, with its members' checked CPD arrays,
+    come from the tree's plan (``_plan``); construction reads those arrays
+    at the evidence into one read-only product of K_u per distinct cluster
+    (``_compile``) and keeps no per-variable potential.  The message stores
+    hold (table, log scale) pairs over the sliced separators, and
     ``_argmax`` what each max message recorded for map_assignment.
     ``_with_observed`` alone puts observed axes back, in the tables handed
-    out.  ``message`` and ``cluster_conditional`` read a copy laid out with
-    nothing sliced.  Accessors raise SchedulingError until the messages
-    they read exist.
+    out.  ``message`` and ``cluster_conditional`` read a copy laid out from
+    the same arrays with nothing sliced, the tree's plan left in place.
+    Accessors raise SchedulingError until the messages they read exist.
 
     ``validate`` runs ``validate_network`` and ``validate_junction_tree``
-    first.  Either way, before any table is built, a cluster of more than
+    first.  Either way, evidence on an unknown id or state raises
+    ValueError; then, before any table is built, a cluster of more than
     ``MAX_TABLE_ENTRIES`` entries (observed variables included) raises
     FactorSizeError, and a tree the layouts or the schedule cannot use
     raises InvalidJunctionTreeError with its first ``unknown-variable``,
-    ``tree`` or ``assignment`` violation.  Under ``validate=False`` a valid
-    network and running intersection are the caller's promise; a kept plan
-    trusts that a network is not changed once built.
+    ``tree`` or ``assignment`` violation; then a CPD entry that is not
+    finite and non-negative raises ValueError.  Under ``validate=False`` a valid network and running
+    intersection are the caller's promise; a kept plan trusts that a
+    network is not changed once built.
     """
 
     def __init__(
@@ -223,40 +235,40 @@ class CompiledQuery:
         if jtree.assignment is None:
             jtree = JunctionTree(jtree.clusters, jtree.edges, assign_clusters(net, jtree))
         self.jtree, self.root = jtree, _integer(root, "root cluster")
+        _check_evidence(net, self.evidence)  # first: refused evidence leaves the tree's plan alone
         allowed = self.evidence.allowed
         self._observed = {u: s for u, states in allowed.items() if len(states) == 1 for s in states}
         plan = _plan(net, jtree, self.root, frozenset(self._observed))
         self.order, self.parent = plan.order, plan.parent
-        self.potentials = build_potentials(net, self.evidence)
         self._unsliced_copy: CompiledQuery | None = None
-        self._compile(plan)
+        self._compile(plan.layouts)
 
-    def _compile(self, plan: _Plan) -> None:
-        """The plan's layouts, one product per distinct cluster, and empty message stores."""
-        observed, potentials = self._observed, self.potentials
-        self._layouts = plan.layouts
-        self._products: list[tuple[np.ndarray, float]] = []  # per cluster
-        made: dict[tuple, tuple[np.ndarray, float]] = {}
-        for _, scope, shape, members, form, _ in plan.layouts:
-            pots = [potentials[u] for u in members]
-            # the same arrays read at the same states into the same axes: one product
-            key = (form, *[(id(f.values), tuple(map(observed.get, f.scope)), f.log_scale) for f in pots])
+    def _compile(self, layouts: tuple[_Layout, ...]) -> None:
+        """``layouts``, one product of K_u per distinct cluster, and empty message stores."""
+        observed, allowed = self._observed, self.evidence.allowed
+        self._layouts = layouts
+        self._products: list[np.ndarray] = []  # per cluster
+        made: dict[tuple, np.ndarray] = {}
+        for _, scope, shape, members, form, _ in layouts:
+            # the same arrays read at the same states, masked alike, into the same axes: one product
+            key = (form, *[(tuple(map(observed.get, family)), allowed.get(u)) for u, family, _ in members])
             if key not in made:
                 # 1.0 * x == x: starting from one, or at a mask's kept state, changes no bit
-                potential, log_scale = np.ones((1,) * len(scope)), 0.0
-                for f in pots:
-                    view = tuple(d if u in f.scope else 1 for u, d in zip(scope, shape))
-                    at = tuple(map(observed.get, f.scope, repeat(slice(None))))  # observed states
-                    potential = potential * f.values[at].reshape(view)
-                    log_scale += f.log_scale
+                potential = np.ones((1,) * len(scope))
+                for u, family, values in members:
+                    if u in allowed and u not in observed:  # a sliced child is read at its state
+                        values = _trusted(family, values, 0.0).restrict({u: allowed[u]}).values
+                    view = tuple(d if v in family else 1 for v, d in zip(scope, shape))
+                    at = tuple(map(observed.get, family, repeat(slice(None))))  # observed states
+                    potential = potential * values[at].reshape(view)
                 potential.setflags(write=False)  # shared, and tables and messages may be views of it
-                made[key] = potential, log_scale
+                made[key] = potential
             self._products.append(made[key])
         self._messages: dict[tuple[str, int, int], tuple[np.ndarray, float]] = {}
         self._argmax: dict[tuple[int, int], tuple] = {}  # (j, k) -> what map_assignment reads
 
     def _unsliced(self) -> "CompiledQuery":
-        """This query laid out again from the same potentials with no
+        """This query laid out again from the plan's CPD arrays with no
         observation sliced, holding the messages this query has sent: the
         messages as defined, over every state, which ``message`` reports."""
         if not self._observed:
@@ -265,7 +277,7 @@ class CompiledQuery:
         if twin is None:
             twin = self._unsliced_copy = copy.copy(self)
             twin._observed = {}
-            twin._compile(_plan(self.net, self.jtree, self.root, frozenset()))
+            twin._compile(_layouts(self.net, self.jtree, (), [c.members for c in self._layouts]))
         if len(twin._messages) != len(self._messages):
             # the store keeps sending order, so replaying it is a valid schedule
             for semiring, i, j in self._messages:
@@ -334,7 +346,7 @@ class CompiledQuery:
         parent), all from the ``semiring`` store, over j's layout.  Unchecked:
         an overflow stays inf or turns into NaN, so one finite check on the
         product or on a reduction of it catches it."""
-        values, log_scale = self._products[j]
+        values, log_scale = self._products[j], 0.0
         for i, edge in self._layouts[j].seps.items():
             if i != skip:
                 msg, scale = self._stored(i, j, semiring)

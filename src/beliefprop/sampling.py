@@ -60,12 +60,11 @@ def cluster_conditional(
     gives positive mass has one.
     """
     layout = cq._unsliced().cluster_rows(j)
-    if set(sep_assignment) != set(layout.sep):
-        raise ValueError(
-            f"separator assignment must cover exactly {list(layout.sep)}, "
-            f"got {sorted(sep_assignment)}"
-        )
-    states = {u: _integer(s, f"state of variable {u}") for u, s in sep_assignment.items()}
+    states = {_integer(u, "separator variable id"): s for u, s in sep_assignment.items()}
+    if set(states) != set(layout.sep):
+        raise ValueError(f"separator assignment must cover exactly {list(layout.sep)}, "
+                         f"got {sorted(states)}")
+    states = {u: _integer(s, f"state of variable {u}") for u, s in states.items()}
     for u, d in zip(layout.sep, layout.sep_shape):
         # a flattened row index would carry an out-of-range state into
         # a neighbouring row

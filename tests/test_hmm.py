@@ -568,7 +568,7 @@ def _answers(cq: CompiledQuery) -> list:
 
 class TestSharedTables:
     """to_bayes_net gives all transition CPDs one array and all emission
-    CPDs another; a query lays out, checks and masks each once, and
+    CPDs another; a compile plan lays out and checks each once, and
     clusters that read the same arrays the same way share one product."""
 
     @pytest.fixture(scope="class")
@@ -588,8 +588,10 @@ class TestSharedTables:
                         for network in (net, copies))
         assert tied == copied
 
-    def test_each_distinct_table_is_checked_and_masked_once(self, chain200, monkeypatch):
+    def test_each_distinct_table_is_checked_once_per_plan(self, chain200, monkeypatch):
         spec, y, net, ev = chain200
+        chain_tree = hmm.chain_junction_tree(spec)
+        jt = JunctionTree(chain_tree.clusters, chain_tree.edges, chain_tree.assignment)
         checked, masked = [], []
         check, restrict = Factor.__post_init__, Factor.restrict
 
@@ -603,28 +605,36 @@ class TestSharedTables:
 
         monkeypatch.setattr(Factor, "__post_init__", counted_check)
         monkeypatch.setattr(Factor, "restrict", counted_restrict)
-        cq = CompiledQuery(net, ev, jtree=hmm.chain_junction_tree(spec)).propagate()
+        cq = CompiledQuery(net, ev, jtree=jt).propagate()
         cq.posterior_table()
         cq.map_assignment()
+        # every Y is pinned to one state, so it is sliced, never masked
+        assert masked == []
         cq.message(0, 1)
-        # the initial law, the transition matrix and the emission table
+        # the initial law, the transition matrix and the emission table,
+        # checked when the plan was built; the unsliced copy re-checks none
         assert checked == [(0,), (0, 1), (0, 2)]
-        assert sorted(masked, key=min) == [frozenset({k}) for k in sorted(set(y))]
-        assert cq.potentials[2].values is cq.potentials[4].values
-        assert cq.potentials[4].scope == (2, 4)
-        # every Y with step 1's count reads step 1's masked emission table
-        twins = [2 * i + 1 for i in range(200) if y[i] == y[0]]
-        assert all(cq.potentials[u].values is cq.potentials[1].values for u in twins)
+        # the copy slices nothing, so it masks every Y
+        assert set(masked) == {frozenset({k}) for k in y}
+        members = {u: (family, values) for layout in jt._plan.layouts
+                   for u, family, values in layout.members}
+        assert members[2][1] is members[4][1]
+        assert members[4][0] == (2, 4)
+        # one emission array for every Y, whatever its count
+        assert all(members[2 * i + 1][1] is members[1][1] for i in range(200))
+        assert members[1][0] == (0, 1)
+        CompiledQuery(net, ev, jtree=jt)
+        assert len(checked) == 3  # a query on the kept plan checks nothing
 
     def test_one_product_per_distinct_cluster(self, chain200):
         spec, y, net, ev = chain200
         cq = CompiledQuery(net, ev, jtree=hmm.chain_junction_tree(spec))
         # the first cluster, then one per count seen after step 1
-        assert len({id(potential) for potential, _ in cq._products}) == len(set(y[1:])) + 1
+        assert len({id(potential) for potential in cq._products}) == len(set(y[1:])) + 1
         assert len(set(y[1:])) + 1 == 9
         same = [i for i in range(1, 200) if y[i] == y[1]]
-        assert all(cq._products[i][0] is cq._products[1][0] for i in same)
-        assert not cq._products[1][0].flags.writeable
+        assert all(cq._products[i] is cq._products[1] for i in same)
+        assert not cq._products[1].flags.writeable
 
     @pytest.mark.parametrize("states, shared", [((0, 0), True), ((0, 1), False), ((1, 0), False)])
     def test_same_array_at_another_state_gets_its_own_product(self, states, shared):
@@ -636,10 +646,12 @@ class TestSharedTables:
                           {0: 0, 1: 0, 2: 1, 3: 2, 4: 3})
         ev = EvidenceSet({1: {states[0]}, 3: {states[1]}})
         cq = CompiledQuery(net, ev, jtree=jt)
-        assert cq.potentials[2].values is cq.potentials[4].values
-        assert (cq._products[1][0] is cq._products[3][0]) is shared
-        np.testing.assert_array_equal(cq._products[1][0], TRANSITION[states[0]])
-        np.testing.assert_array_equal(cq._products[3][0], TRANSITION[states[1]])
+        (_, _, first), = cq._layouts[1].members
+        (_, _, second), = cq._layouts[3].members
+        assert first is second
+        assert (cq._products[1] is cq._products[3]) is shared
+        np.testing.assert_array_equal(cq._products[1], TRANSITION[states[0]])
+        np.testing.assert_array_equal(cq._products[3], TRANSITION[states[1]])
         _check_posteriors(cq, net, ev)
 
     def test_same_array_in_other_axes_gets_its_own_product(self):
@@ -654,9 +666,11 @@ class TestSharedTables:
         jt = JunctionTree([{0}, {0, 1, 2}, {2, 3, 4}, {2}, {3}],
                           [(0, 1), (1, 2), (2, 3), (2, 4)], {0: 0, 1: 1, 2: 3, 3: 4, 4: 2})
         cq = CompiledQuery(net, EvidenceSet.none(), jtree=jt)
-        assert cq.potentials[1].values is cq.potentials[4].values
-        assert cq._products[1][0].shape == (2, 2, 1)
-        assert cq._products[2][0].shape == (1, 2, 2)
+        (u, _, first), = cq._layouts[1].members
+        (v, _, second), = cq._layouts[2].members
+        assert (u, v) == (1, 4) and first is second
+        assert cq._products[1].shape == (2, 2, 1)
+        assert cq._products[2].shape == (1, 2, 2)
         _check_posteriors(cq, net, EvidenceSet.none())
 
 

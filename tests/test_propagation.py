@@ -18,7 +18,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import beliefprop
-from beliefprop import hmm, model, oracle, propagation
+from beliefprop import factor, hmm, model, oracle, propagation, sampling
 from beliefprop.factor import MAX_TABLE_ENTRIES, Factor, FactorSizeError
 from beliefprop.jtree import (
     InvalidJunctionTreeError,
@@ -26,7 +26,14 @@ from beliefprop.jtree import (
     JunctionTreeError,
     build_junction_tree,
 )
-from beliefprop.model import Cpd, DiscreteNetwork, EvidenceSet, InvalidNetworkError, Variable
+from beliefprop.model import (
+    Cpd,
+    DiscreteNetwork,
+    EvidenceSet,
+    InvalidNetworkError,
+    Variable,
+    build_potentials,
+)
 from beliefprop.oracle import (
     joint_table,
     oracle_log_probability,
@@ -38,11 +45,10 @@ from beliefprop.propagation import (
     CompiledQuery,
     ImpossibleEvidenceError,
     SchedulingError,
-    build_potentials,
     compile_query,
     joint_score,
 )
-from beliefprop.sampling import PosteriorSampler, sample_posterior
+from beliefprop.sampling import PosteriorSampler, cluster_conditional, sample_posterior
 
 
 @pytest.fixture(scope="module")
@@ -84,8 +90,8 @@ class TestPotentials:
         assert f4[:, :, 2].max() > 0
 
     def test_one_builder_shared_with_the_oracle(self):
-        # the oracle builds its potentials with the same model function
-        assert build_potentials is model.build_potentials is beliefprop.build_potentials
+        # the oracle builds its potentials with the model's one definition of K_u
+        assert model.build_potentials is beliefprop.build_potentials
         assert oracle.build_potentials is model.build_potentials
 
     def test_unknown_evidence_ids_refused(self):
@@ -97,6 +103,12 @@ class TestPotentials:
             compile_query(net, ev)
         with pytest.raises(ValueError, match=r"unknown variable ids \[-1, 999\]"):
             oracle_log_probability(net, ev)
+        jt = build_junction_tree(net)
+        CompiledQuery(net, EvidenceSet({3: {2}}), jtree=jt)
+        kept = jt._plan
+        with pytest.raises(ValueError, match=r"unknown variable ids \[-1, 999\]"):
+            CompiledQuery(net, ev, jtree=jt)
+        assert jt._plan is kept  # refused before a plan for its observed ids is laid out
 
     def test_state_out_of_range_refused(self):
         # the engine and the oracle both index CPDs at the observed state
@@ -106,6 +118,11 @@ class TestPotentials:
             build_potentials(net, ev)
         with pytest.raises(ValueError, match=r"out of range for variable 0: \[1, 3\]"):
             compile_query(net, ev)
+        # on a plan kept for the same observed ids, at an in-range state
+        jt = build_junction_tree(net)
+        CompiledQuery(net, EvidenceSet({3: {2}, 0: {1, 2}}), jtree=jt)
+        with pytest.raises(ValueError, match=r"out of range for variable 0: \[1, 3\]"):
+            CompiledQuery(net, ev, jtree=jt)
 
     def test_no_evidence_is_plain_cpd(self):
         net = pedigree_network()
@@ -579,7 +596,7 @@ class TestConstruction:
         def no_tables(*args):
             raise AssertionError("a table was built before the tree was checked")
 
-        monkeypatch.setattr(beliefprop.propagation, "build_potentials", no_tables)
+        monkeypatch.setattr(DiscreteNetwork, "cpd_factor", no_tables)
         with pytest.raises(InvalidJunctionTreeError) as err:
             CompiledQuery(self.CONTRACT_NET, EvidenceSet({2: frozenset({0})}), jtree=jt,
                           validate=validate)
@@ -594,7 +611,7 @@ class TestConstruction:
         def no_tables(*args):
             raise AssertionError("a table was built before the tree was checked")
 
-        monkeypatch.setattr(beliefprop.propagation, "build_potentials", no_tables)
+        monkeypatch.setattr(DiscreteNetwork, "cpd_factor", no_tables)
         with pytest.raises(InvalidJunctionTreeError) as err:
             CompiledQuery(self.CONTRACT_NET, EvidenceSet({2: frozenset({0})}), jtree=jt,
                           validate=validate)
@@ -824,3 +841,60 @@ class TestPlan:
         del jt
         gc.collect()
         assert alive() is None
+
+
+class TestPlanOwnsTheTables:
+    """The plan lays out and checks each distinct CPD view once; a query
+    reads those arrays at its evidence and builds no per-variable factor."""
+
+    @staticmethod
+    def chain(seeds, horizon=30):
+        spec = hmm.precipitation_spec(horizon)
+        return spec, [hmm.to_bayes_net(spec, hmm.simulate(spec, s)[1]) for s in seeds]
+
+    def test_reading_unsliced_messages_keeps_the_tree_plan(self, monkeypatch):
+        calls, check = [], propagation.tree_violations
+        monkeypatch.setattr(propagation, "tree_violations",
+                            lambda *args: calls.append(args) or check(*args))
+        spec, inputs = self.chain((21, 22))
+        tree = hmm.chain_junction_tree(spec)
+        jt = JunctionTree(tree.clusters, tree.edges, tree.assignment)
+        first = CompiledQuery(*inputs[0], jtree=jt).propagate()
+        plan = jt._plan
+        first.message(0, 1)
+        first.edge_marginal(1, 2)
+        cluster_conditional(first, first.root, {})
+        assert jt._plan is plan
+        second = CompiledQuery(*inputs[1], jtree=jt)
+        assert len(calls) == 1
+        assert second._layouts is first._layouts
+
+    def test_a_query_on_a_kept_plan_builds_no_factor(self, monkeypatch):
+        spec, inputs = self.chain((31, 32), horizon=200)
+        jt = hmm.chain_junction_tree(spec)
+        first = CompiledQuery(*inputs[0], jtree=jt)
+        built = []
+
+        def counted(original):
+            return lambda *args: built.append(args) or original(*args)
+
+        monkeypatch.setattr(Factor, "__post_init__", counted(Factor.__post_init__))
+        for module in (factor, model, propagation, sampling):
+            if hasattr(module, "_trusted"):
+                monkeypatch.setattr(module, "_trusted", counted(module._trusted))
+        second = CompiledQuery(*inputs[1], jtree=jt)
+        assert second._layouts is first._layouts
+        assert built == []
+
+    @pytest.mark.parametrize("bad, line", [(float("nan"), "factor values must be finite"),
+                                           (-0.25, "factor values must be non-negative")])
+    def test_unchecked_bad_cpd_refused_on_every_query(self, bad, line):
+        net = DiscreteNetwork(
+            [Variable(0, "A", ("a0", "a1")), Variable(1, "B", ("b0", "b1"))],
+            [Cpd(0, (), [[0.3, 0.7]]), Cpd(1, (0,), [[0.9, 0.1], [bad, 0.6]])],
+        )
+        jt = build_junction_tree(net)
+        for _ in range(2):  # the same network object and tree
+            with pytest.raises(ValueError, match=line):
+                CompiledQuery(net, EvidenceSet({0: {1}}), jtree=jt, validate=False)
+            assert jt._plan is None

@@ -85,6 +85,9 @@ class TestClusterConditional:
         sep = sorted(ped_query.jtree.separator(j, parent))
         with pytest.raises(ValueError, match=r"state of variable \d+ 0\.9 is not an integer"):
             cluster_conditional(ped_query, j, {u: 0.9 for u in sep})
+        # nor a float key as a variable id: cluster 6's separator is {3, 8}
+        with pytest.raises(ValueError, match=r"separator variable id 3\.0 is not an integer"):
+            cluster_conditional(ped_query, 6, {3.0: 0, 8.0: 0})
         msg = ped_query.message(j, parent).linear()
         idx = np.unravel_index(int(np.argmax(msg)), msg.shape)
         got = cluster_conditional(ped_query, j, dict(zip(sep, idx)))
