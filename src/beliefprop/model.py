@@ -181,10 +181,12 @@ def _table_defects(table: np.ndarray) -> list[tuple[str, str]]:
     # NaN and +-inf fail the comparison too
     if not ((table >= 0) & (table <= 1)).all():
         return [("bad-prob", "has entries outside [0, 1]")]
-    sums = table.sum(axis=1)
+    # numpy sums a short last axis row by row: past 16 rows one product with
+    # ones is faster, up to 16 (a very wide row too) the plain sum, which reports read
+    sums = table.dot(np.ones(table.shape[1])) if len(table) > 16 else table.sum(axis=1)
     bad = np.nonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)[0]
     if bad.size:
-        return [("bad-row-sum", f"rows {bad.tolist()} sum to {sums[bad].tolist()}")]
+        return [("bad-row-sum", f"rows {bad.tolist()} sum to {table[bad].sum(axis=1).tolist()}")]
     return []
 
 

@@ -86,6 +86,21 @@ def random_network(rng: np.random.Generator, max_vars: int = 8,
     return DiscreteNetwork(variables, sorted(cpds, key=lambda c: c.child))
 
 
+def banded_network(rng: np.random.Generator, n: int = 30, band: int = 9,
+                   p: float = 0.7) -> DiscreteNetwork:
+    """Banded random DAG of ternary variables: each variable takes each of
+    the ``band`` variables before it as a parent with probability ``p``.
+    Draws as the benchmark's wide workload does, so a seed gives its network."""
+    states = ("a", "b", "c")
+    variables = [Variable(i, f"W{i}", states) for i in range(n)]
+    cpds = []
+    for i in range(n):
+        parents = tuple(j for j in range(max(0, i - band), i) if rng.random() < p)
+        table = rng.random((3 ** len(parents), 3)) + 0.05
+        cpds.append(Cpd(i, parents, table / table.sum(axis=1, keepdims=True)))
+    return DiscreteNetwork(variables, cpds)
+
+
 def random_evidence(rng: np.random.Generator, net: DiscreteNetwork,
                     p_restrict: float = 0.4) -> EvidenceSet:
     allowed = {}

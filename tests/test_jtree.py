@@ -8,6 +8,7 @@ from conftest import PED_ASSIGNMENT, PED_CLUSTERS, PED_EDGES
 from helpers import (
     all_pairs_junction_tree,
     all_pairs_min_fill_cliques,
+    banded_network,
     pairwise_running_intersection,
     path,
     pedigree_network,
@@ -68,6 +69,18 @@ class TestMinFill:
     def test_isolated_vertex(self):
         cliques = min_fill_cliques({0: set()})
         assert cliques == [frozenset({0})]
+
+    def test_self_loop_refused(self):
+        with pytest.raises(ValueError, match="vertex 0 is its own neighbour"):
+            min_fill_cliques({0: {0, 1}, 1: {0}})
+
+    def test_neighbour_outside_the_graph_refused(self):
+        with pytest.raises(ValueError, match="neighbour 5 of vertex 0 is not a vertex"):
+            min_fill_cliques({0: {5}})
+
+    def test_one_way_edge_refused(self):
+        with pytest.raises(ValueError, match="edge 0-1 is not listed at 1"):
+            min_fill_cliques({0: {1}, 1: set()})
 
 
 class TestBuiltTree:
@@ -144,6 +157,15 @@ class TestBuiltTreeAgainstAllPairsReference:
                 adj[w].add(u)
         assert min_fill_cliques(adj) == all_pairs_min_fill_cliques(adj)
 
+    @seed(20261024)
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_min_fill_on_banded_moral_graphs(self, rng_seed):
+        # the wide benchmark's networks: about 0.7 of the pairs within a
+        # band of 9 linked, denser than the random graphs above
+        adj = moral_graph(banded_network(np.random.default_rng(rng_seed)))
+        assert min_fill_cliques(adj) == all_pairs_min_fill_cliques(adj)
+
     @seed(20261019)
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -188,6 +210,17 @@ class TestBuiltTreeAgainstAllPairsReference:
         assert jt.q == 3999
         assert validate_junction_tree(net, jt).ok
         assert elapsed < 5.0
+
+    def test_star_min_fill_is_linear_in_its_leaves(self):
+        # rescoring the hub from scratch after each leaf took about 4.5 s
+        # at this size; 2 s is a generous bound
+        leaves = 5000
+        adj = {0: set(range(1, leaves + 1)), **{i: {0} for i in range(1, leaves + 1)}}
+        start = time.perf_counter()
+        cliques = min_fill_cliques(adj)
+        elapsed = time.perf_counter() - start
+        assert cliques == [frozenset({0, i}) for i in range(1, leaves + 1)]
+        assert elapsed < 2.0
 
 
 class TestAssignment:

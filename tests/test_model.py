@@ -10,6 +10,7 @@ from helpers import (
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from beliefprop import hmm
 from beliefprop.model import (
     Cpd,
     DiscreteNetwork,
@@ -249,6 +250,51 @@ class TestValidation:
         assert validate_network(ok).ok
         bad = two_var_net([[0.9 + 1e-8, 0.1], [0.2, 0.8]])
         assert not validate_network(bad).ok
+
+
+def tall_net(bad_row=None) -> DiscreteNetwork:
+    """C with eight ternary parents, its (3**8, 3) CPD uniform except row
+    4321 when ``bad_row`` is given."""
+    states = ("a", "b", "c")
+    variables = [Variable(i, f"P{i}", states) for i in range(8)] + [Variable(8, "C", states)]
+    table = np.full((3 ** 8, 3), 1 / 3)
+    if bad_row is not None:
+        table[4321] = bad_row
+    cpds = [Cpd(i, (), np.full((1, 3), 1 / 3)) for i in range(8)]
+    cpds.append(Cpd(8, tuple(range(8)), table))
+    return DiscreteNetwork(variables, cpds)
+
+
+class TestRowSums:
+    """Tall tables take their row sums by a product against ones; the
+    report lines stay those of a plain row sum."""
+
+    def test_tall_table_is_valid(self):
+        assert validate_network(tall_net()).ok
+
+    def test_tall_bad_row_sum_line(self):
+        report = validate_network(tall_net([0.6, 0.3, 0.2]))
+        assert report.lines() == ["bad-row-sum: C rows [4321] sum to [1.0999999999999999]"]
+
+    def test_tall_row_sum_tolerance(self):
+        assert validate_network(tall_net([1 / 3 + 1e-10, 1 / 3, 1 / 3])).ok
+        assert not validate_network(tall_net([1 / 3 + 1e-8, 1 / 3, 1 / 3])).ok
+
+    @pytest.mark.parametrize("row", [[np.nan, 0.5, 0.5], [np.inf, 0.0, 0.0],
+                                     [-np.inf, 1.0, 1.0], [-0.1, 0.6, 0.5]])
+    def test_tall_out_of_range_entries(self, row):
+        assert validate_network(tall_net(row)).lines() == [
+            "bad-prob: C has entries outside [0, 1]"]
+
+    def test_empty_domain_row(self):
+        net = DiscreteNetwork([Variable(0, "A", ())], [Cpd(0, (), np.ones((1, 0)))])
+        assert validate_network(net).lines() == [
+            "empty-domain: A has no states", "bad-row-sum: A rows [0] sum to [0.0]"]
+
+    def test_chain_emission_table_validates(self):
+        net, _ = hmm.to_bayes_net(hmm.precipitation_spec(5), [0, 3, 40, 1, 0])
+        assert net.cpds[1].table.shape == (2, hmm.COUNT_CUTOFF + 1) == (2, 41)
+        assert validate_network(net).ok
 
 
 # row 1 leaves [0, 1]; both rows of the other table miss a sum of one
