@@ -80,7 +80,7 @@ def main() -> int:
     log_p = cq.evidence_log_probability()
     print(f"P(evidence) = {math.exp(log_p):.9e}   log = {log_p:.9f}\n")
 
-    children, order = cq.rooted_children(args.root)
+    children, order = cq.jtree.rooted(args.root)
     inward = [(k, j) for j in order for k in children[j]]
     print("== inward pass ==\n")
     for i, j in reversed(inward):

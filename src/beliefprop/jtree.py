@@ -33,7 +33,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .model import DiscreteNetwork, ValidationReport, Violation
 
@@ -271,12 +271,15 @@ def assign_clusters(net: DiscreteNetwork, jt: JunctionTree) -> dict[int, int]:
 
 
 def validate_junction_tree(net: DiscreteNetwork, jt: JunctionTree) -> ValidationReport:
-    """Check the tree (``tree_violations``, on the walk rooted at cluster
-    0), intersection and covering conditions plus, when an assignment is
-    attached, ``assignment_violations``.  A holder's top is its parent's
-    top if the parent holds the variable too, else itself; a variable
-    whose holders have several tops gives one running-intersection
-    violation.
+    """Every way ``jt`` fails to be a junction tree of ``net``, the one
+    check a query's compile plan runs.  Clusters may name only network
+    ids.  The edges must be in range, no self-loop and listed once, then
+    number q - 1, then reach every cluster from cluster 0.  On such a
+    tree, a holder's top is its parent's top if the parent holds the
+    variable too, else itself; a variable whose holders have several tops
+    gives one running-intersection violation.  Every family must fit in a
+    holder, and an attached assignment must send exactly the network's
+    ids to clusters holding their families.
     """
     out: list[Violation] = []
     ids = set(net.ids)
@@ -287,9 +290,22 @@ def validate_junction_tree(net: DiscreteNetwork, jt: JunctionTree) -> Validation
             out.append(Violation("unknown-variable", None,
                                  f"cluster {j} references unknown variable ids {unknown}"))
 
-    children, order = jt.rooted(0) if jt.q else ({}, ())
-    tree = tree_violations(jt, order)
-    out.extend(tree)
+    q, tree, seen = jt.q, [], set()
+    for i, j in jt.edges:
+        if not (0 <= i < q and 0 <= j < q):
+            tree.append(f"edge ({i}, {j}) is out of range")
+        elif i == j:
+            tree.append(f"edge ({i}, {j}) is a self-loop")
+        elif (i, j) in seen:
+            tree.append(f"edge ({i}, {j}) is duplicated")
+        seen.add((i, j))
+    children, order = jt.rooted(0) if q else ({}, ())
+    missing = sorted(set(range(q)).difference(order))
+    if not tree and len(jt.edges) != q - 1:
+        tree.append(f"{len(jt.edges)} edges cannot span {q} clusters")
+    elif not tree and missing:
+        tree.append(f"clusters {missing} are disconnected")
+    out.extend(Violation("tree", None, message) for message in tree)
     if not tree:
         parent = {k: j for j in order for k in children[j]}
         top: dict[tuple[int, int], int] = {}
@@ -314,47 +330,20 @@ def validate_junction_tree(net: DiscreteNetwork, jt: JunctionTree) -> Validation
             out.append(Violation("covering", u, f"no cluster covers the family {sorted(fam)} "
                                  f"of variable {net.variable(u).name}"))
 
-    if jt.assignment is not None:
-        out.extend(assignment_violations(net, jt))
+    homes, clusters = jt.assignment, jt.clusters
+    for u in sorted(homes.keys() | ids) if homes is not None else ():
+        j = homes.get(u)
+        if u not in ids:
+            out.append(Violation("assignment", u, f"variable {u} is assigned but not in the network"))
+        elif j is None:
+            out.append(Violation("assignment", u, f"variable {u} is unassigned"))
+        elif not (0 <= j < q):
+            out.append(Violation("assignment", u, f"variable {u} assigned to {j}"))
+        elif u not in clusters[j] or not clusters[j].issuperset(net.parents(u)):
+            out.append(Violation("assignment", u,
+                                 f"cluster {j} does not cover the family of variable {u}"))
 
     return ValidationReport(tuple(out))
-
-
-def tree_violations(jt: JunctionTree, order: tuple[int, ...]) -> list[Violation]:
-    """Why the edges are not a spanning tree of the clusters: each bad edge,
-    else a wrong count, else the clusters that ``order``, the walk from
-    any root (``rooted``), misses."""
-    q, out, seen = jt.q, [], set()
-    for i, j in jt.edges:
-        if not (0 <= i < q and 0 <= j < q):
-            out.append(f"edge ({i}, {j}) is out of range")
-        elif i == j:
-            out.append(f"edge ({i}, {j}) is a self-loop")
-        elif (i, j) in seen:
-            out.append(f"edge ({i}, {j}) is duplicated")
-        seen.add((i, j))
-    missing = sorted(set(range(q)).difference(order))
-    if not out and len(jt.edges) != q - 1:
-        out.append(f"{len(jt.edges)} edges cannot span {q} clusters")
-    elif not out and missing:
-        out.append(f"clusters {missing} are disconnected")
-    return [Violation("tree", None, message) for message in out]
-
-
-def assignment_violations(net: DiscreteNetwork, jt: JunctionTree) -> Iterator[Violation]:
-    """Each way the attached assignment fails to send exactly the network's
-    ids to clusters holding their families, by ascending id."""
-    homes, clusters = jt.assignment, jt.clusters
-    for u in sorted(homes.keys() | net.cards.keys()):
-        j = homes.get(u)
-        if u not in net.cards:
-            yield Violation("assignment", u, f"variable {u} is assigned but not in the network")
-        elif j is None:
-            yield Violation("assignment", u, f"variable {u} is unassigned")
-        elif not (0 <= j < jt.q):
-            yield Violation("assignment", u, f"variable {u} assigned to {j}")
-        elif u not in clusters[j] or not clusters[j].issuperset(net.parents(u)):
-            yield Violation("assignment", u, f"cluster {j} does not cover the family of variable {u}")
 
 
 def edge_context(jt: JunctionTree, i: int, j: int) -> EdgeContext:

@@ -12,9 +12,9 @@ The tree fixes the scope of every such table, so the layouts and each CPD,
 laid out and checked once, form a plan the tree keeps (``_plan``); the kernel
 runs on bare arrays.  A query reads each CPD at the state of every variable
 the evidence pins to one state (factor reduction), so the arrays leave those
-variables out, and masks only the other restricted children.  A query refuses
-a tree it cannot lay out or schedule; only ``validate_junction_tree`` checks
-running intersection.
+variables out, and masks only the other restricted children.  A plan is
+built only for a tree ``validate_junction_tree`` passes, so a tree breaking
+running intersection is refused, never answered; a kept plan is not checked again.
 
 Messages are renormalized to unit maximum, with the removed
 mass tracked in each message's log scale, so long chains cannot
@@ -35,7 +35,7 @@ import copy
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import chain, filterfalse, repeat
+from itertools import filterfalse, repeat
 from types import MappingProxyType
 from typing import Mapping
 
@@ -47,16 +47,13 @@ from .jtree import (
     JunctionTree,
     JunctionTreeError,
     assign_clusters,
-    assignment_violations,
     build_junction_tree,
-    tree_violations,
     validate_junction_tree,
 )
 from .model import (
     DiscreteNetwork,
     EvidenceSet,
     InvalidNetworkError,
-    ValidationReport,
     _check_evidence,
     validate_network,
 )
@@ -80,26 +77,24 @@ _Layout = namedtuple("_Layout", "full scope shape members form seps")
 _Plan = namedtuple("_Plan", "net root observed order parent layouts")
 
 
-def _plan(net: DiscreteNetwork, jtree: JunctionTree, root: int, observed: frozenset[int]) -> _Plan:
-    """The tree's plan if built for this network object, root and observed ids; else a checked new one."""
+def _plan(net: DiscreteNetwork, jtree: JunctionTree, root: int,
+          observed: frozenset[int]) -> tuple[JunctionTree, _Plan]:
+    """``jtree`` and its plan if built for this network object, root and observed
+    ids; else the tree checked by ``validate_junction_tree``, homes attached, and a new plan."""
     plan = jtree._plan
     if plan is not None and plan.net is net and plan.root == root and plan.observed == observed:
-        return plan
+        return jtree, plan
+    report = validate_junction_tree(net, jtree)
+    if not report.ok:
+        raise InvalidJunctionTreeError(report)
+    if jtree.assignment is None:
+        jtree = JunctionTree(jtree.clusters, jtree.edges, assign_clusters(net, jtree))
     # readouts lay out whole cluster tables: no query on an over-cap cluster can finish
-    cards, clusters = net.cards, jtree.clusters
-    try:
-        for j, cluster in enumerate(clusters):
-            check_table_size(map(cards.__getitem__, cluster), f"cluster {j}")
-    except KeyError:  # a cluster names an id the network lacks: validate's first violation
-        first = validate_junction_tree(net, jtree).violations[:1]
-        raise InvalidJunctionTreeError(ValidationReport(first)) from None
+    for j, cluster in enumerate(jtree.clusters):
+        check_table_size(map(net.cards.__getitem__, cluster), f"cluster {j}")
     if not (0 <= root < jtree.q):
         raise ValueError(f"root cluster {root} out of range")
     children, order = jtree.rooted(root)
-    # what the layouts and the schedule rely on, validate or not
-    broken = next(chain(tree_violations(jtree, order), assignment_violations(net, jtree)), None)
-    if broken is not None:
-        raise InvalidJunctionTreeError(ValidationReport((broken,)))
     members: list[list[tuple]] = [[] for _ in range(jtree.q)]
     made: dict[tuple, np.ndarray] = {}  # a CPD table several CPDs view alike is checked once
     for u, j in sorted(jtree.assignment.items()):
@@ -111,7 +106,7 @@ def _plan(net: DiscreteNetwork, jtree: JunctionTree, root: int, observed: frozen
     parent = MappingProxyType({k: j for j in order for k in children[j]})
     plan = _Plan(net, root, observed, order, parent, _layouts(net, jtree, observed, members))
     object.__setattr__(jtree, "_plan", plan)
-    return plan
+    return jtree, plan
 
 
 def _layouts(net: DiscreteNetwork, jtree: JunctionTree, observed, members) -> tuple[_Layout, ...]:
@@ -200,16 +195,16 @@ class CompiledQuery:
     the same arrays with nothing sliced, the tree's plan left in place.
     Accessors raise SchedulingError until the messages they read exist.
 
-    ``validate`` runs ``validate_network`` and ``validate_junction_tree``
-    first.  Either way, evidence on an unknown id or state raises
-    ValueError; then, before any table is built, a cluster of more than
+    ``validate`` runs ``validate_network`` first; under ``validate=False``
+    a valid network is the caller's promise.  Then evidence on an unknown
+    id or state raises ValueError.  A query that misses the tree's plan
+    then runs ``validate_junction_tree``, before homes are attached to a
+    tree given without them, and raises InvalidJunctionTreeError with its
+    full report; then, before any table is built, a cluster of more than
     ``MAX_TABLE_ENTRIES`` entries (observed variables included) raises
-    FactorSizeError, and a tree the layouts or the schedule cannot use
-    raises InvalidJunctionTreeError with its first ``unknown-variable``,
-    ``tree`` or ``assignment`` violation; then a CPD entry that is not
-    finite and non-negative raises ValueError.  Under ``validate=False`` a valid network and running
-    intersection are the caller's promise; a kept plan trusts that a
-    network is not changed once built.
+    FactorSizeError; then a CPD entry that is not finite and non-negative
+    raises ValueError.  A kept plan trusts that a network is not changed
+    once built.
     """
 
     def __init__(
@@ -228,17 +223,11 @@ class CompiledQuery:
                 raise InvalidNetworkError(report)
         if jtree is None:
             jtree = build_junction_tree(net)
-        if validate:
-            report = validate_junction_tree(net, jtree)
-            if not report.ok:
-                raise InvalidJunctionTreeError(report)
-        if jtree.assignment is None:
-            jtree = JunctionTree(jtree.clusters, jtree.edges, assign_clusters(net, jtree))
-        self.jtree, self.root = jtree, _integer(root, "root cluster")
+        self.root = _integer(root, "root cluster")
         _check_evidence(net, self.evidence)  # first: refused evidence leaves the tree's plan alone
         allowed = self.evidence.allowed
         self._observed = {u: s for u, states in allowed.items() if len(states) == 1 for s in states}
-        plan = _plan(net, jtree, self.root, frozenset(self._observed))
+        self.jtree, plan = _plan(net, jtree, self.root, frozenset(self._observed))
         self.order, self.parent = plan.order, plan.parent
         self._unsliced_copy: CompiledQuery | None = None
         self._compile(plan.layouts)

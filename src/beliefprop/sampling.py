@@ -30,7 +30,6 @@ tables, in chronological or reverse order, a block of steps' CDFs at once.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -175,7 +174,7 @@ class PosteriorSampler:
         covered = sorted(set().union(*(set(t.sep) | set(t.free) for t in self._plan)))
         self._columns = {u: idx for idx, u in enumerate(covered)}
         self._rng = np.random.Generator(np.random.PCG64(_integer(seed, "seed")))
-        if math.isinf(cq.evidence_log_probability()):
+        if not self._plan[0].table.any():  # the root's rows: P(evidence) = 0
             raise ImpossibleEvidenceError("cannot sample: evidence has probability zero")
 
     def sample(self, count: int) -> np.ndarray:

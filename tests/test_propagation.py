@@ -25,6 +25,7 @@ from beliefprop.jtree import (
     JunctionTree,
     JunctionTreeError,
     build_junction_tree,
+    validate_junction_tree,
 )
 from beliefprop.model import (
     Cpd,
@@ -487,10 +488,14 @@ class TestConstruction:
         with pytest.raises(InvalidNetworkError):
             CompiledQuery(net, EvidenceSet.none())
 
-    def test_invalid_tree_rejected(self, ped_net_module, ped_ev_module):
+    @pytest.mark.parametrize("validate", [False, True])
+    def test_invalid_tree_rejected(self, ped_net_module, ped_ev_module, validate):
+        # given without homes, it fails covering before any are attached
         bad = JunctionTree((frozenset({0, 1, 2}),), ())
-        with pytest.raises(InvalidJunctionTreeError):
-            CompiledQuery(ped_net_module, ped_ev_module, jtree=bad)
+        with pytest.raises(InvalidJunctionTreeError) as err:
+            CompiledQuery(ped_net_module, ped_ev_module, jtree=bad, validate=validate)
+        assert err.value.report == validate_junction_tree(ped_net_module, bad)
+        assert {v.kind for v in err.value.report.violations} == {"covering"}
 
     def test_default_tree_built_and_assigned(self, ped_net_module, ped_ev_module):
         cq = CompiledQuery(ped_net_module, ped_ev_module)
@@ -567,31 +572,39 @@ class TestConstruction:
         cq.inward()
         assert cq.evidence_log_probability() == pytest.approx(math.log(0.25), rel=1e-12)
 
-    # what compile relies on, validate or not: laid out anyway, these
-    # trees give a wrong log Z, a KeyError or a SchedulingError
+    # checked once per plan, validate or not: laid out anyway, these trees
+    # give a wrong log Z, a KeyError or a SchedulingError
     @pytest.mark.parametrize("validate", [False, True])
     @pytest.mark.parametrize(
-        "edges, homes, kind, line",
+        "clusters, edges, homes, kind, line",
         [
-            pytest.param(None, {0: 1, 1: 0}, "assignment", "variable 2 is unassigned",
+            pytest.param(None, None, {0: 1, 1: 0}, "assignment", "variable 2 is unassigned",
                          id="missing-id"),
-            pytest.param(None, {0: 1, 1: 0, 2: 2, 7: 0}, "assignment",
+            pytest.param(None, None, {0: 1, 1: 0, 2: 2, 7: 0}, "assignment",
                          "variable 7 is assigned but not in the network", id="unknown-id"),
-            pytest.param(None, {0: -1, 1: 0, 2: 2}, "assignment", "variable 0 assigned to -1",
-                         id="home-minus-1"),
-            pytest.param(None, {0: 3, 1: 0, 2: 2}, "assignment", "variable 0 assigned to 3",
-                         id="home-q"),
-            pytest.param(None, {0: 1, 1: 1, 2: 2}, "assignment",
+            pytest.param(None, None, {0: -1, 1: 0, 2: 2}, "assignment",
+                         "variable 0 assigned to -1", id="home-minus-1"),
+            pytest.param(None, None, {0: 3, 1: 0, 2: 2}, "assignment",
+                         "variable 0 assigned to 3", id="home-q"),
+            pytest.param(None, None, {0: 1, 1: 1, 2: 2}, "assignment",
                          "cluster 1 does not cover the family of variable 1", id="stray-home"),
-            pytest.param(((0, 1),), None, "tree", "1 edges cannot span 3 clusters",
+            pytest.param(None, ((0, 1),), None, "tree", "1 edges cannot span 3 clusters",
                          id="dropped-edge"),
-            pytest.param(((0, 1), (1, 2), (0, 2)), None, "tree", "3 edges cannot span 3 clusters",
-                         id="extra-edge"),
+            pytest.param(None, ((0, 1), (1, 2), (0, 2)), None, "tree",
+                         "3 edges cannot span 3 clusters", id="extra-edge"),
+            # A's holders 0 and 1 hang off {C}: log Z comes out log 0.5, not log 0.25
+            pytest.param(None, ((0, 2), (1, 2)), None, "running-intersection",
+                         "variable 0 is held by clusters [1], which are cut off from cluster 0 "
+                         "by clusters lacking it", id="running-intersection"),
+            # no cluster holds B with its parent A; {} gives the tree without homes
+            pytest.param((frozenset({1}), frozenset({0}), frozenset({2})), None, {}, "covering",
+                         "no cluster covers the family [0, 1] of variable B", id="covering"),
         ],
     )
-    def test_malformed_tree_refused(self, monkeypatch, validate, edges, homes, kind, line):
-        jt = JunctionTree(self.CONTRACT_CLUSTERS, edges or self.CONTRACT_EDGES,
-                          homes or self.CONTRACT_HOMES)
+    def test_malformed_tree_refused(self, monkeypatch, validate, clusters, edges, homes, kind,
+                                    line):
+        homes = self.CONTRACT_HOMES if homes is None else homes or None
+        jt = JunctionTree(clusters or self.CONTRACT_CLUSTERS, edges or self.CONTRACT_EDGES, homes)
 
         def no_tables(*args):
             raise AssertionError("a table was built before the tree was checked")
@@ -601,6 +614,8 @@ class TestConstruction:
             CompiledQuery(self.CONTRACT_NET, EvidenceSet({2: frozenset({0})}), jtree=jt,
                           validate=validate)
         assert err.value.report.lines() == [f"{kind}: {line}"]
+        assert err.value.report == validate_junction_tree(self.CONTRACT_NET, jt)
+        assert jt._plan is None
 
     @pytest.mark.parametrize("validate", [False, True])
     def test_cluster_naming_an_unknown_variable_refused(self, monkeypatch, validate):
@@ -615,9 +630,9 @@ class TestConstruction:
         with pytest.raises(InvalidJunctionTreeError) as err:
             CompiledQuery(self.CONTRACT_NET, EvidenceSet({2: frozenset({0})}), jtree=jt,
                           validate=validate)
-        lines = err.value.report.lines()
-        assert lines[0] == "unknown-variable: cluster 2 references unknown variable ids [9]"
-        assert len(lines) == 1 or validate
+        assert err.value.report == validate_junction_tree(self.CONTRACT_NET, jt)
+        assert err.value.report.lines()[0] == (
+            "unknown-variable: cluster 2 references unknown variable ids [9]")
 
 
 class TestRandomizedAgainstOracle:
@@ -783,13 +798,13 @@ class TestPlan:
         return out + [PosteriorSampler(cq, seed=draw_seed).sample(100).tobytes()]
 
     def test_second_sequence_skips_the_tree_checks(self, monkeypatch):
-        calls, check = [], propagation.tree_violations
+        calls, check = [], propagation.validate_junction_tree
 
         def counted(*args):
             calls.append(args)
             return check(*args)
 
-        monkeypatch.setattr(propagation, "tree_violations", counted)
+        monkeypatch.setattr(propagation, "validate_junction_tree", counted)
         queries = []
         for sim_seed in (1, 2):
             net, ev = hmm.to_bayes_net(self.SPEC, hmm.simulate(self.SPEC, sim_seed)[1])
@@ -814,6 +829,24 @@ class TestPlan:
                              root=1)
         assert cold._layouts is not warm._layouts
         assert self.answers(warm, draw_seed) == self.answers(cold, draw_seed)
+
+    @pytest.mark.parametrize("validate", [False, True])
+    def test_the_tree_is_checked_once_per_plan(self, monkeypatch, validate):
+        calls, check = [], propagation.validate_junction_tree
+        monkeypatch.setattr(propagation, "validate_junction_tree",
+                            lambda *args: calls.append(args) or check(*args))
+        net = pedigree_network()
+        jt = build_junction_tree(net)
+        counts = []
+        for query_net, ev, root in [(net, EvidenceSet({1: {0}}), 0),
+                                    (net, EvidenceSet({1: {2}}), 0),  # a hit
+                                    (net, EvidenceSet({1: {2}}), 1),
+                                    (net, EvidenceSet({1: {2}, 5: {0}}), 1),
+                                    (pedigree_network(), EvidenceSet({1: {2}, 5: {0}}), 1)]:
+            CompiledQuery(query_net, ev, jtree=jt, root=root, validate=validate)
+            counts.append(len(calls))
+        assert counts == [1, 1, 2, 3, 4]
+        assert all(args[1] is jt for args in calls)
 
     def test_another_network_is_checked_again(self):
         contract = TestConstruction
@@ -853,8 +886,8 @@ class TestPlanOwnsTheTables:
         return spec, [hmm.to_bayes_net(spec, hmm.simulate(spec, s)[1]) for s in seeds]
 
     def test_reading_unsliced_messages_keeps_the_tree_plan(self, monkeypatch):
-        calls, check = [], propagation.tree_violations
-        monkeypatch.setattr(propagation, "tree_violations",
+        calls, check = [], propagation.validate_junction_tree
+        monkeypatch.setattr(propagation, "validate_junction_tree",
                             lambda *args: calls.append(args) or check(*args))
         spec, inputs = self.chain((21, 22))
         tree = hmm.chain_junction_tree(spec)
