@@ -113,7 +113,7 @@ def load_network(path: str) -> DiscreteNetwork:
             cpds.append(Cpd(by_name[child_name].id, tuple(parent_ids), np.asarray(spec["table"], dtype=float)))
     except CliError:
         raise
-    except (TypeError, KeyError, ValueError) as exc:
+    except (TypeError, KeyError, ValueError, OverflowError) as exc:
         raise CliError(f"error: {path}: bad CPD entry ({exc})") from None
     return DiscreteNetwork(variables, cpds)
 
@@ -210,8 +210,7 @@ def _inward_query(args) -> tuple[CompiledQuery, float]:
     """The validated network and evidence of ``args``, compiled and
     passed inward, with log P(evidence)."""
     net = _validated_network(args.network)
-    # the network was just checked and the built tree is valid by construction
-    cq = CompiledQuery(net, _evidence(args, net), validate=False)
+    cq = CompiledQuery(net, _evidence(args, net))
     cq.inward()
     return cq, cq.evidence_log_probability()
 

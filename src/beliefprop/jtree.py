@@ -53,7 +53,8 @@ class JunctionTree:
     """Clusters, undirected edges (as (low, high) index pairs), an optional
     variable-to-cluster assignment, and ``holders``: each held variable's
     clusters, ascending; both mappings read-only.  A tree never changes,
-    so it keeps its last ``rooted`` walk and the last query's compile plan."""
+    so it keeps its last ``rooted`` walk and the evidence half of the last
+    query's compile plan."""
 
     clusters: tuple[frozenset[int], ...]
     edges: tuple[tuple[int, int], ...]
@@ -85,7 +86,7 @@ class JunctionTree:
         # every listed pair, self-loops and out-of-range ones included
         object.__setattr__(self, "_edge_set", frozenset(edges))
         object.__setattr__(self, "_rooted", (None, None))  # (root, rooted(root)) of the last call
-        object.__setattr__(self, "_plan", None)  # the propagation module's last compile plan
+        object.__setattr__(self, "_plan", None)  # the evidence half of the last compile plan
 
     @property
     def q(self) -> int:
@@ -228,8 +229,11 @@ def build_junction_tree(net: DiscreteNetwork) -> JunctionTree:
 
     Always succeeds on a valid network; the worst case is a single
     cluster holding everything.  The output carries the smallest-cluster
-    variable assignment and passes validate_junction_tree.
+    variable assignment and passes validate_junction_tree.  It is the
+    network's one tree: the network keeps it, and a repeat call returns it.
     """
+    if net._tree is not None:
+        return net._tree
     cliques = min_fill_cliques(moral_graph(net)) or [frozenset()]
     bare = JunctionTree(tuple(cliques), ())
     # separator size of every pair of clusters that share a variable
@@ -251,7 +255,9 @@ def build_junction_tree(net: DiscreteNetwork) -> JunctionTree:
         if ri != rj:
             parent[ri] = rj
             edges.append((i, j))
-    return JunctionTree(bare.clusters, tuple(edges), assign_clusters(net, bare))
+    object.__setattr__(net, "_tree", JunctionTree(bare.clusters, tuple(edges),
+                                                  assign_clusters(net, bare)))
+    return net._tree
 
 
 def assign_clusters(net: DiscreteNetwork, jt: JunctionTree) -> dict[int, int]:
@@ -279,8 +285,12 @@ def validate_junction_tree(net: DiscreteNetwork, jt: JunctionTree) -> Validation
     variable too, else itself; a variable whose holders have several tops
     gives one running-intersection violation.  Every family must fit in a
     holder, and an attached assignment must send exactly the network's
-    ids to clusters holding their families.
+    ids to clusters holding their families.  One report per (network,
+    tree) pair: the network keeps the last tree's for a repeat call.
     """
+    kept, report = net._tree_check
+    if kept is jt:
+        return report
     out: list[Violation] = []
     ids = set(net.ids)
 
@@ -343,7 +353,8 @@ def validate_junction_tree(net: DiscreteNetwork, jt: JunctionTree) -> Validation
             out.append(Violation("assignment", u,
                                  f"cluster {j} does not cover the family of variable {u}"))
 
-    return ValidationReport(tuple(out))
+    object.__setattr__(net, "_tree_check", (jt, ValidationReport(tuple(out))))
+    return net._tree_check[1]
 
 
 def edge_context(jt: JunctionTree, i: int, j: int) -> EdgeContext:

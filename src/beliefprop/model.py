@@ -56,24 +56,36 @@ class DiscreteNetwork:
     validate_network can enumerate every defect instead of dying on the
     first one.  Query helpers assume a valid network and may raise
     KeyError or ValueError on a broken one.
+
+    Read-only once built: rebinding an attribute raises AttributeError and
+    the lookups are read-only mappings.  So the network keeps, in slots
+    that never refer back to it, ``validate_network``'s report,
+    ``build_junction_tree``'s tree and, for the last tree checked or
+    compiled on it, that tree's report and ``propagation._structure``.
     """
 
     def __init__(self, variables: Iterable[Variable], cpds: Iterable[Cpd]):
-        self.variables: tuple[Variable, ...] = tuple(variables)
-        self.cpds: tuple[Cpd, ...] = tuple(cpds)
-        self._by_id: dict[int, Variable] = {}
-        for v in self.variables:
-            self._by_id.setdefault(v.id, v)
-        self._by_name: dict[str, Variable] = {}
-        for v in self.variables:
-            self._by_name.setdefault(v.name, v)
-        self._cpd_by_child: dict[int, Cpd] = {}
-        for c in self.cpds:
-            self._cpd_by_child.setdefault(c.child, c)
-        # on a duplicate id the last variable's card wins
-        self._cards: Mapping[int, int] = MappingProxyType(
-            {v.id: v.card for v in self.variables}
+        variables, cpds = tuple(variables), tuple(cpds)
+        by_id: dict[int, Variable] = {}
+        by_name: dict[str, Variable] = {}
+        for v in variables:
+            by_id.setdefault(v.id, v)
+            by_name.setdefault(v.name, v)
+        cpd_by_child: dict[int, Cpd] = {}
+        for c in cpds:
+            cpd_by_child.setdefault(c.child, c)
+        vars(self).update(
+            variables=variables, cpds=cpds, _by_id=MappingProxyType(by_id),
+            _by_name=MappingProxyType(by_name), _cpd_by_child=MappingProxyType(cpd_by_child),
+            # on a duplicate id the last variable's card wins
+            _cards=MappingProxyType({v.id: v.card for v in variables}),
+            _report=None, _tree=None, _tree_check=(None, None), _structure=(None, None, None),
         )
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"a DiscreteNetwork is read-only: {name!r} cannot be rebound")
+
+    __delattr__ = __setattr__
 
     # -- lookups ---------------------------------------------------------
 
@@ -191,7 +203,10 @@ def _table_defects(table: np.ndarray) -> list[tuple[str, str]]:
 
 
 def validate_network(net: DiscreteNetwork) -> ValidationReport:
-    """Check every structural and numeric invariant of the network."""
+    """Check every structural and numeric invariant of the network, once:
+    the network keeps the report, which a repeat call returns."""
+    if net._report is not None:
+        return net._report
     out: list[Violation] = []
 
     seen_ids: set[int] = set()
@@ -265,7 +280,8 @@ def validate_network(net: DiscreteNetwork) -> ValidationReport:
         except ValueError as exc:
             out.append(Violation("cycle", None, str(exc)))
 
-    return ValidationReport(tuple(out))
+    object.__setattr__(net, "_report", ValidationReport(tuple(out)))
+    return net._report
 
 
 EvidenceMapping = Mapping[int, Iterable[int]]

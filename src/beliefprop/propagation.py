@@ -8,13 +8,14 @@ except k's, with the non-separator variables summed out.  After an inward pass t
 outward pass back, every cluster and edge holds an unnormalized marginal
 whose total mass is the evidence probability.
 
-The tree fixes the scope of every such table, so the layouts and each CPD,
-laid out and checked once, form a plan the tree keeps (``_plan``); the kernel
-runs on bare arrays.  A query reads each CPD at the state of every variable
-the evidence pins to one state (factor reduction), so the arrays leave those
-variables out, and masks only the other restricted children.  A plan is
-built only for a tree ``validate_junction_tree`` passes, so a tree breaking
-running intersection is refused, never answered; a kept plan is not checked again.
+The network and tree fix the scope of every such table, so the kernel runs
+on bare arrays laid out by a two-part plan: per (network, tree), kept on the
+network, the tree ``validate_junction_tree`` passes (one breaking running
+intersection is refused, never answered) and each CPD checked once
+(``_structure``); per root and observed ids, kept on the tree, the schedule
+and layouts (``_plan``).  A query reads each CPD at the state of every
+variable the evidence pins to one state (factor reduction), so the arrays
+leave those variables out, and masks only the other restricted children.
 
 Messages are renormalized to unit maximum, with the removed
 mass tracked in each message's log scale, so long chains cannot
@@ -73,40 +74,53 @@ _Edge = namedtuple("_Edge", "whole sep view shape outside perm free dims")
 # A cluster's whole scope, then what the kernel reads, observed variables left out;
 # (id, family, checked CPD array) per id it holds; ``form``, its product key's fixed part.
 _Layout = namedtuple("_Layout", "full scope shape members form seps")
-# What a query derives from its network, tree, root and observed ids alone.
-_Plan = namedtuple("_Plan", "net root observed order parent layouts")
+# A compile plan's evidence half, for one root and set of observed ids, kept on the tree
+# with the ``members`` of the structural half it was laid out from.
+_Plan = namedtuple("_Plan", "members root observed order parent layouts")
 
 
-def _plan(net: DiscreteNetwork, jtree: JunctionTree, root: int,
-          observed: frozenset[int]) -> tuple[JunctionTree, _Plan]:
-    """``jtree`` and its plan if built for this network object, root and observed
-    ids; else the tree checked by ``validate_junction_tree``, homes attached, and a new plan."""
-    plan = jtree._plan
-    if plan is not None and plan.net is net and plan.root == root and plan.observed == observed:
-        return jtree, plan
+def _structure(net: DiscreteNetwork, jtree: JunctionTree) -> tuple[JunctionTree, list]:
+    """A compile plan's structural half, kept on the network for its last tree: that
+    tree checked by ``validate_junction_tree``, homes attached, each cluster within the
+    size cap, and per cluster (id, family, checked CPD array) for each id it holds."""
+    given, tree, members = net._structure
+    if given is jtree:
+        return tree, members
     report = validate_junction_tree(net, jtree)
     if not report.ok:
         raise InvalidJunctionTreeError(report)
-    if jtree.assignment is None:
-        jtree = JunctionTree(jtree.clusters, jtree.edges, assign_clusters(net, jtree))
+    tree = jtree if jtree.assignment is not None else JunctionTree(
+        jtree.clusters, jtree.edges, assign_clusters(net, jtree))
     # readouts lay out whole cluster tables: no query on an over-cap cluster can finish
-    for j, cluster in enumerate(jtree.clusters):
+    for j, cluster in enumerate(tree.clusters):
         check_table_size(map(net.cards.__getitem__, cluster), f"cluster {j}")
-    if not (0 <= root < jtree.q):
-        raise ValueError(f"root cluster {root} out of range")
-    children, order = jtree.rooted(root)
-    members: list[list[tuple]] = [[] for _ in range(jtree.q)]
+    members: list[list[tuple]] = [[] for _ in range(tree.q)]
     made: dict[tuple, np.ndarray] = {}  # a CPD table several CPDs view alike is checked once
-    for u, j in sorted(jtree.assignment.items()):
+    for u, j in sorted(tree.assignment.items()):
         family, shape, perm = net._family_layout(u)
         key = (id(net.cpd(u).table), shape, perm)
         if key not in made:
             made[key] = net.cpd_factor(u).values
         members[j].append((u, family, made[key]))
+    object.__setattr__(net, "_structure", (jtree, tree, members))
+    return tree, members
+
+
+def _plan(net: DiscreteNetwork, jtree: JunctionTree, root: int,
+          observed: frozenset[int]) -> tuple[JunctionTree, _Plan]:
+    """The tree with homes and the plan for this root and these observed ids: the
+    kept evidence half if laid out from the kept structural half, else a new one."""
+    tree, members = _structure(net, jtree)
+    plan = tree._plan
+    if plan is not None and plan.members is members and plan.root == root and plan.observed == observed:
+        return tree, plan
+    if not (0 <= root < tree.q):
+        raise ValueError(f"root cluster {root} out of range")
+    children, order = tree.rooted(root)
     parent = MappingProxyType({k: j for j in order for k in children[j]})
-    plan = _Plan(net, root, observed, order, parent, _layouts(net, jtree, observed, members))
-    object.__setattr__(jtree, "_plan", plan)
-    return jtree, plan
+    plan = _Plan(members, root, observed, order, parent, _layouts(net, tree, observed, members))
+    object.__setattr__(tree, "_plan", plan)
+    return tree, plan
 
 
 def _layouts(net: DiscreteNetwork, jtree: JunctionTree, observed, members) -> tuple[_Layout, ...]:
@@ -185,7 +199,7 @@ class CompiledQuery:
     parent before child (children by ascending index), and ``parent`` maps
     every other cluster to its neighbour toward the root.  The schedule
     and each cluster's ``_Layout``, with its members' checked CPD arrays,
-    come from the tree's plan (``_plan``); construction reads those arrays
+    come from the kept compile plan (``_plan``); construction reads those arrays
     at the evidence into one read-only product of K_u per distinct cluster
     (``_compile``) and keeps no per-variable potential.  The message stores
     hold (table, log scale) pairs over the sliced separators, and
@@ -195,16 +209,16 @@ class CompiledQuery:
     the same arrays with nothing sliced, the tree's plan left in place.
     Accessors raise SchedulingError until the messages they read exist.
 
-    ``validate`` runs ``validate_network`` first; under ``validate=False``
+    ``validate`` reads ``validate_network``'s report, kept on the network,
+    and raises InvalidNetworkError unless it is ok; under ``validate=False``
     a valid network is the caller's promise.  Then evidence on an unknown
-    id or state raises ValueError.  A query that misses the tree's plan
-    then runs ``validate_junction_tree``, before homes are attached to a
-    tree given without them, and raises InvalidJunctionTreeError with its
-    full report; then, before any table is built, a cluster of more than
+    id or state raises ValueError.  Unless the tree is the network's last
+    one, ``validate_junction_tree``'s report is read next, before homes are
+    attached to a tree given without them, and InvalidJunctionTreeError
+    raised with it; then, before any table is built, a cluster of more than
     ``MAX_TABLE_ENTRIES`` entries (observed variables included) raises
     FactorSizeError; then a CPD entry that is not finite and non-negative
-    raises ValueError.  A kept plan trusts that a network is not changed
-    once built.
+    raises ValueError, and an out-of-range root ValueError.
     """
 
     def __init__(

@@ -356,6 +356,20 @@ class TestLoader:
             f"error: {bad}: parents of 'C' must be a list"
         ]
 
+    @pytest.mark.parametrize("command", ["validate", "jtree", "logz", "marginals", "map", "sample"])
+    def test_integer_past_the_float_range_is_usage_error(self, tmp_path, capsys, command):
+        # JSON reads 10**400 as an exact integer, which no float holds
+        doc = {"variables": [{"name": "A", "states": ["0", "1"]}],
+               "cpds": [{"child": "A", "parents": [], "table": [[10 ** 400, 0]]}]}
+        bad = tmp_path / "huge_entry.json"
+        bad.write_text(json.dumps(doc))
+        assert cli.main([command, str(bad)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: {bad}: bad CPD entry (int too large to convert to float)"
+        ]
+
 
 def _write_model(path, variables, cpds):
     path.write_text(json.dumps({"variables": variables, "cpds": cpds}))

@@ -72,6 +72,19 @@ class TestNetworkBasics:
         with pytest.raises(TypeError):
             net.cards[0] = 5
 
+    def test_network_is_read_only(self):
+        # its report, tree and compile plans are kept on it, so nothing may change it
+        net = pedigree_network()
+        for name in ("variables", "cpds", "_by_id", "_report", "extra"):
+            with pytest.raises(AttributeError, match="read-only"):
+                setattr(net, name, ())
+        with pytest.raises(AttributeError, match="read-only"):
+            del net.cpds
+        for lookup in (net._by_id, net._by_name, net._cpd_by_child, net.cards):
+            with pytest.raises(TypeError):
+                lookup[0] = None
+        assert len(net.variables) == len(net.cpds) == 10
+
     def test_cards_last_duplicate_wins(self):
         net = DiscreteNetwork(
             [Variable(0, "A", ("x", "y")), Variable(0, "B", ("x", "y", "z"))], []

@@ -2,12 +2,14 @@ import gc
 import math
 import re
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 from helpers import (
     FactorReference,
     argmax_traceback,
+    banded_network,
     path,
     pedigree_evidence,
     pedigree_network,
@@ -18,7 +20,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import beliefprop
-from beliefprop import factor, hmm, model, oracle, propagation, sampling
+from beliefprop import factor, hmm, jtree, model, oracle, propagation, sampling
 from beliefprop.factor import MAX_TABLE_ENTRIES, Factor, FactorSizeError
 from beliefprop.jtree import (
     InvalidJunctionTreeError,
@@ -34,6 +36,7 @@ from beliefprop.model import (
     InvalidNetworkError,
     Variable,
     build_potentials,
+    validate_network,
 )
 from beliefprop.oracle import (
     joint_table,
@@ -831,7 +834,7 @@ class TestPlan:
         assert self.answers(warm, draw_seed) == self.answers(cold, draw_seed)
 
     @pytest.mark.parametrize("validate", [False, True])
-    def test_the_tree_is_checked_once_per_plan(self, monkeypatch, validate):
+    def test_the_tree_is_checked_once_per_network_and_tree(self, monkeypatch, validate):
         calls, check = [], propagation.validate_junction_tree
         monkeypatch.setattr(propagation, "validate_junction_tree",
                             lambda *args: calls.append(args) or check(*args))
@@ -845,7 +848,7 @@ class TestPlan:
                                     (pedigree_network(), EvidenceSet({1: {2}, 5: {0}}), 1)]:
             CompiledQuery(query_net, ev, jtree=jt, root=root, validate=validate)
             counts.append(len(calls))
-        assert counts == [1, 1, 2, 3, 4]
+        assert counts == [1, 1, 1, 1, 2]
         assert all(args[1] is jt for args in calls)
 
     def test_another_network_is_checked_again(self):
@@ -870,10 +873,64 @@ class TestPlan:
         alive = weakref.ref(net)
         del net
         gc.collect()
-        assert alive() is not None  # the tree's plan holds it
+        assert alive() is None  # nothing the tree keeps refers to it
         del jt
         gc.collect()
         assert alive() is None
+
+    def test_a_network_and_all_it_keeps_go_without_the_cycle_collector(self):
+        # a fresh network per query, as the wide workload makes them
+        rng = np.random.default_rng(17)
+        net = banded_network(rng)
+        observed = rng.choice(30, size=5, replace=False)
+        ev = EvidenceSet({int(u): {int(rng.integers(3))} for u in observed})
+        gc.disable()
+        try:
+            assert validate_network(net).ok
+            jt = build_junction_tree(net)
+            assert validate_junction_tree(net, jt).ok
+            cq = CompiledQuery(net, ev, jtree=jt, validate=False).propagate()
+            cq.posterior_table()
+            cq.map_assignment()
+            cq.message(*jt.edges[0])
+            sampler = PosteriorSampler(cq, seed=0)
+            sampler.sample(100)
+            alive = weakref.ref(net)
+            del net, jt, cq, sampler
+            assert alive() is None
+        finally:
+            gc.enable()
+
+    def test_structure_is_worked_out_once_per_network_object(self, monkeypatch):
+        # consistent genotype draws, about half of each observed: 20 families
+        ids, draws = sample_posterior(compile_query(pedigree_network()), seed=11, count=20)
+        rng = np.random.default_rng(11)
+        families = [EvidenceSet({u: {int(s)} for u, s in zip(ids, row) if rng.random() < 0.5})
+                    for row in draws]
+        assert len({frozenset(ev.allowed) for ev in families}) > 10
+        runs, checked = Counter(), []
+
+        def counted(name, original):
+            return lambda *args: runs.update([name]) or original(*args)
+
+        # each check's work ends in building its one report
+        monkeypatch.setattr(model, "ValidationReport", counted("network", model.ValidationReport))
+        monkeypatch.setattr(jtree, "ValidationReport", counted("tree", jtree.ValidationReport))
+        monkeypatch.setattr(jtree, "min_fill_cliques", counted("min-fill", jtree.min_fill_cliques))
+        check = Factor.__post_init__
+        monkeypatch.setattr(Factor, "__post_init__", lambda f: checked.append(f.scope) or check(f))
+        # four founder tables, and the one Mendel table all six children view alike
+        views = [(0,), (1,), (0, 1, 2), (4,), (5,)]
+        for copies in (1, 2):
+            net = pedigree_network()
+            for ev in families:
+                for root in (0, 1):
+                    assert validate_network(net).ok
+                    jt = build_junction_tree(net)
+                    assert validate_junction_tree(net, jt).ok
+                    CompiledQuery(net, ev, jtree=jt, root=root)
+            assert runs == {"network": copies, "tree": copies, "min-fill": copies}
+            assert checked == views * copies
 
 
 class TestPlanOwnsTheTables:
