@@ -31,7 +31,10 @@ def main() -> int:
     spec = hmm.precipitation_spec(args.days)
     states, y = hmm.simulate(spec, seed=args.seed)
 
-    smooth = hmm.posteriors(spec, y)
+    # one sweep serves the smoothing column, the path sampler and log P(y)
+    fb = hmm.forward_backward(spec, y)
+    rows = hmm.unit_max_exp(fb.log_forward + fb.log_backward)
+    smooth = rows / rows.sum(axis=1, keepdims=True)
 
     net, ev = hmm.to_bayes_net(spec, [int(k) for k in y])
     cq = CompiledQuery(net, ev, jtree=hmm.chain_junction_tree(spec), root=0)
@@ -39,11 +42,10 @@ def main() -> int:
     tree = np.stack([cq.variable_posterior(2 * i) for i in range(args.days)])
 
     paths = sample_hmm_path(spec, y, args.direction,
-                            seed=args.seed, count=args.samples)
+                            seed=args.seed, count=args.samples, fb=fb)
     empirical = np.stack([(paths == s).mean(axis=0) for s in range(spec.n_states)],
                          axis=1)
 
-    fb = hmm.forward_backward(spec, y)
     print(f"days={args.days} seed={args.seed} samples={args.samples} "
           f"log P(y) = {hmm.log_likelihood(fb):.6f}")
     print()

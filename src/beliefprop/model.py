@@ -111,7 +111,14 @@ class DiscreteNetwork:
         return self._cpd_by_child[u]
 
     def parents(self, u: int) -> tuple[int, ...]:
-        return self._cpd_by_child[u].parents
+        """u's parents: InvalidNetworkError with the kept report when the
+        variable u has no CPD, KeyError when u is no variable."""
+        cpd = self._cpd_by_child.get(u)
+        if cpd is not None:
+            return cpd.parents
+        if u in self._by_id:
+            raise InvalidNetworkError(validate_network(self))
+        raise KeyError(u)
 
     def family(self, u: int) -> frozenset[int]:
         """The variable together with its parents."""

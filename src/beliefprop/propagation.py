@@ -12,15 +12,24 @@ The network and tree fix the scope of every such table, so the kernel runs
 on bare arrays laid out by a two-part plan: per (network, tree), kept on the
 network, the tree ``validate_junction_tree`` passes (one breaking running
 intersection is refused, never answered) and each CPD checked once
-(``_structure``); per root and observed ids, kept on the tree, the schedule
-and layouts (``_plan``).  A query reads each CPD at the state of every
+(``_structure``); per root and observed ids, kept on the tree, the schedule,
+layouts and runs (``_plan``).  A query reads each CPD at the state of every
 variable the evidence pins to one state (factor reduction), so the arrays
 leave those variables out, and masks only the other restricted children.
 
 Messages are renormalized to unit maximum, with the removed
 mass tracked in each message's log scale, so long chains cannot
-underflow.  Both passes are iterative (explicit stacks), so tree depth
-is not limited by the interpreter's recursion limit.
+underflow.  Both passes walk the plan's schedule, so tree depth is not
+limited by the interpreter's recursion limit.  A run, a long path of
+clusters with one child each and small separators, is a chain: read as a
+(separator toward the root x separator away) matrix, each cluster passes
+its one incoming message on by a matrix product, so the run's outward
+messages are prefix products of its matrices and its inward ones suffix
+products, the forward and backward quantities of a hidden Markov chain.
+The sum passes send a run's messages by one log-depth (Hillis-Steele)
+scan each, every partial product at unit maximum with its log scale
+carried, and store them as a message at a time would be stored; every
+other message, the max semiring and every readout go a message at a time.
 
 The same inward pass run in the max semiring yields most-probable
 assignments: each max message records its first argmax per separator
@@ -75,8 +84,24 @@ _Edge = namedtuple("_Edge", "whole sep view shape outside perm free dims")
 # (id, family, checked CPD array) per id it holds; ``form``, its product key's fixed part.
 _Layout = namedtuple("_Layout", "full scope shape members form seps")
 # A compile plan's evidence half, for one root and set of observed ids, kept on the tree
-# with the ``members`` of the structural half it was laid out from.
-_Plan = namedtuple("_Plan", "members root observed order parent layouts")
+# with the ``members`` of the structural half it was laid out from; ``inward`` and
+# ``outward``, the sum passes' steps (``_passes``).
+_Plan = namedtuple("_Plan", "members root observed order parent layouts inward outward")
+# A run of clusters, root-first, each read as a matrix padded to ``width``: per
+# ``groups`` entry, the run positions and clusters laid out alike, their layout shape,
+# the stacked axes summed out and the order putting the separator toward the root first,
+# and the (toward × away) entries.
+_Run = namedtuple("_Run", "clusters width groups")
+# One direction of a run's messages: the scan's matrices reversed and transposed when
+# ``inward``; the stored message ``into`` the run's first matrix, if any; the message
+# keys in sending order; per ``sends`` entry, the scan rows, entries, shape and keys.
+_Sweep = namedtuple("_Sweep", "run inward into keys sends")
+
+# The run rule, from the measured crossover of the scan against a compute_message per
+# edge on k-state chains: from 22-24 clusters at k <= 4, 32 at k = 6, 48 at k = 8, and
+# none at k = 12 (see ``_passes``).
+_RUN_MIN_CLUSTERS = 32
+_RUN_MAX_ENTRIES = 6
 
 
 def _structure(net: DiscreteNetwork, jtree: JunctionTree) -> tuple[JunctionTree, list]:
@@ -118,7 +143,9 @@ def _plan(net: DiscreteNetwork, jtree: JunctionTree, root: int,
         raise ValueError(f"root cluster {root} out of range")
     children, order = tree.rooted(root)
     parent = MappingProxyType({k: j for j in order for k in children[j]})
-    plan = _Plan(members, root, observed, order, parent, _layouts(net, tree, observed, members))
+    layouts = _layouts(net, tree, observed, members)
+    plan = _Plan(members, root, observed, order, parent, layouts,
+                 *_passes(layouts, order, children, parent))
     object.__setattr__(tree, "_plan", plan)
     return tree, plan
 
@@ -143,6 +170,108 @@ def _layouts(net: DiscreteNetwork, jtree: JunctionTree, observed, members) -> tu
         form = (len(scope), *[(id(values), tuple(map(axis.get, family))) for _, family, values in cpds])
         layouts.append(_Layout(full, scope, shape, tuple(cpds), form, seps))
     return tuple(layouts)
+
+
+def _passes(layouts, order, children, parent) -> tuple[tuple, tuple]:
+    """The sum passes' steps in a valid sending order: a cluster j stands for the one
+    message j -> ``parent[j]`` inward and ``parent[j]`` -> j outward, a ``_Sweep`` for
+    a run's messages.
+
+    A run is a maximal parent-child path of clusters with at most one child each (a
+    leaf ends it, the root may start it) whose sliced separators share no variable and
+    hold at most _RUN_MAX_ENTRIES entries each; it is kept from _RUN_MIN_CLUSTERS clusters
+    on.  Inward, it sends once its last cluster's child has; outward, once its first
+    cluster has heard from its parent."""
+    if len(order) < _RUN_MIN_CLUSTERS:  # no run fits
+        return tuple(reversed(order[1:])), order[1:]
+    linear = set()
+    for j in order:
+        near = [layouts[j].seps[k] for k in (parent.get(j), *children[j]) if k is not None]
+        held = [u for e in near for u in e.sep]
+        if (len(children[j]) < 2 and len(held) == len(set(held))
+                and all(math.prod(e.shape) <= _RUN_MAX_ENTRIES for e in near)):
+            linear.add(j)
+    runs: dict[int, tuple[_Sweep, _Sweep]] = {}  # member cluster -> its run's sweeps
+    for j in order:
+        if j in linear and parent.get(j) not in linear:
+            path = [j]
+            while children[path[-1]] and children[path[-1]][0] in linear:
+                path.append(children[path[-1]][0])
+            if len(path) >= _RUN_MIN_CLUSTERS:
+                runs.update(dict.fromkeys(path, _sweeps(layouts, path, parent, children)))
+    inward, outward = [], []
+    for j in reversed(order[1:]):
+        if j not in runs:
+            inward.append(j)
+        elif j == runs[j][0].run.clusters[-1]:
+            inward.append(runs[j][0])
+    for k in order[1:]:
+        if parent[k] not in runs:
+            outward.append(k)
+        elif parent[k] == runs[parent[k]][1].run.clusters[0]:
+            outward.append(runs[parent[k]][1])
+    return tuple(inward), tuple(outward)
+
+
+def _sweeps(layouts, path: list[int], parent, children) -> tuple[_Sweep, _Sweep]:
+    """The inward and outward ``_Sweep`` of the run ``path``.  Each cluster's matrix
+    sums its product over what neither separator holds; a missing side has one entry."""
+    sides = [(parent.get(j), children[j][0] if children[j] else None) for j in path]
+    groups: dict[tuple, list[int]] = {}
+    width = 1
+    for t, (j, ends) in enumerate(zip(path, sides)):
+        layout = layouts[j]
+        axis = dict(zip(layout.scope, range(len(layout.scope))))
+        toward, away = (layout.seps[k].sep if k is not None else () for k in ends)
+        kept = sorted(axis[u] for u in toward + away)
+        free = tuple(a + 1 for a in range(len(axis)) if a not in kept)  # the stack's axis first
+        perm = (0, *[kept.index(axis[u]) + 1 for u in toward + away])
+        entries = tuple(math.prod(layout.shape[axis[u]] for u in sep) for sep in (toward, away))
+        width = max(width, *entries)
+        groups.setdefault((layout.shape, free, perm, entries), []).append(t)
+    run = _Run(tuple(path), width, tuple((np.array(ts), tuple(path[t] for t in ts), *key)
+                                        for key, ts in groups.items()))
+    sweeps = []
+    for inward in (True, False):
+        walk = range(len(path) - 1, -1, -1) if inward else range(len(path))
+        keys, sends = [], {}
+        for row, t in enumerate(walk):
+            j, k = path[t], sides[t][0] if inward else sides[t][1]
+            if k is not None:
+                edge = layouts[j].seps[k]
+                keys.append(("sum", j, k))
+                rows, sent = sends.setdefault((math.prod(edge.shape), edge.shape), ([], []))
+                rows.append(row)
+                sent.append(keys[-1])
+        into = sides[walk[0]][1] if inward else sides[walk[0]][0]
+        sweeps.append(_Sweep(run, inward, None if into is None else (into, path[walk[0]]), tuple(keys),
+                             tuple((np.array(rows), size, shape, tuple(sent))
+                                   for (size, shape), (rows, sent) in sends.items())))
+    return sweeps[0], sweeps[1]
+
+
+def _unit_max(tables: np.ndarray, logs: np.ndarray) -> None:
+    """Scale each table along the last axis (``tables[..., t]``) to unit maximum in
+    place and add the log of its peak to ``logs[t]``; an all-zero table keeps its
+    scale.  ValueError unless every table is finite."""
+    peaks = tables.max(axis=tuple(range(tables.ndim - 1)))
+    if not math.isfinite(peaks.max()):  # entries are non-negative: inf, or NaN once inf met 0
+        raise ValueError("factor values must be finite")
+    peaks += peaks == 0.0
+    tables /= peaks
+    logs += np.log(peaks)
+
+
+def _prefix_products(mats: np.ndarray, logs: np.ndarray) -> None:
+    """In place, matrix t (``mats[..., t]``) becomes the product of matrices 0..t and
+    ``logs[t]`` the sum of logs[:t + 1], each partial product at unit maximum:
+    Hillis-Steele, ceil(log2 n) rounds of one batched product."""
+    d = 1
+    while d < len(logs):
+        mats[..., d:] = np.einsum("ijt,jkt->ikt", mats[..., :-d], mats[..., d:])
+        logs[d:] = logs[:-d] + logs[d:]
+        _unit_max(mats[..., d:], logs[d:])
+        d *= 2
 
 
 @dataclass(frozen=True)
@@ -197,9 +326,10 @@ class CompiledQuery:
     ``root`` fixes the one rooted schedule that inward(), outward(),
     map_assignment() and the samplers follow: ``order`` lists the clusters
     parent before child (children by ascending index), and ``parent`` maps
-    every other cluster to its neighbour toward the root.  The schedule
-    and each cluster's ``_Layout``, with its members' checked CPD arrays,
-    come from the kept compile plan (``_plan``); construction reads those arrays
+    every other cluster to its neighbour toward the root.  The schedule, the
+    sum passes' steps (``_passes``) and each cluster's ``_Layout``, with its
+    members' checked CPD arrays, come from the kept compile plan (``_plan``);
+    construction reads those arrays
     at the evidence into one read-only product of K_u per distinct cluster
     (``_compile``) and keeps no per-variable potential.  The message stores
     hold (table, log scale) pairs over the sliced separators, and
@@ -243,6 +373,7 @@ class CompiledQuery:
         self._observed = {u: s for u, states in allowed.items() if len(states) == 1 for s in states}
         self.jtree, plan = _plan(net, jtree, self.root, frozenset(self._observed))
         self.order, self.parent = plan.order, plan.parent
+        self._passes = plan.inward, plan.outward
         self._unsliced_copy: CompiledQuery | None = None
         self._compile(plan.layouts)
 
@@ -269,6 +400,7 @@ class CompiledQuery:
             self._products.append(made[key])
         self._messages: dict[tuple[str, int, int], tuple[np.ndarray, float]] = {}
         self._argmax: dict[tuple[int, int], tuple] = {}  # (j, k) -> what map_assignment reads
+        self._matrices: dict[int, tuple] = {}  # a run's first cluster -> what _run_matrices formed
 
     def _unsliced(self) -> "CompiledQuery":
         """This query laid out again from the plan's CPD arrays with no
@@ -305,14 +437,21 @@ class CompiledQuery:
         return self.jtree.rooted(root)
 
     def inward(self, semiring: str = "sum") -> None:
-        """Send messages from the leaves toward the root."""
-        for j in reversed(self.order[1:]):
-            self.compute_message(j, self.parent[j], semiring=semiring)
+        """Send messages from the leaves toward the root: in the sum semiring a run's
+        by one scan (``_scan``), every other one by ``compute_message``."""
+        for step in self._passes[0] if semiring == "sum" else reversed(self.order[1:]):
+            if type(step) is _Sweep:
+                self._scan(step)
+            else:
+                self.compute_message(step, self.parent[step], semiring=semiring)
 
     def outward(self) -> None:
-        """Send sum messages from the root back toward the leaves."""
-        for j in self.order[1:]:
-            self.compute_message(self.parent[j], j)
+        """Send sum messages from the root back toward the leaves, a run's by one scan."""
+        for step in self._passes[1]:
+            if type(step) is _Sweep:
+                self._scan(step)
+            else:
+                self.compute_message(self.parent[step], step)
 
     def propagate(self) -> "CompiledQuery":
         self.inward()
@@ -418,6 +557,51 @@ class CompiledQuery:
             values = values.copy()
         self._messages[(semiring, j, k)] = (values, log_scale)
         return _trusted(full, self._with_observed(full, values), log_scale)
+
+    def _scan(self, sweep: _Sweep) -> None:
+        """Store a run's messages in one direction as ``compute_message`` would: the
+        prefix products of its matrices, the message into the run folded into the
+        first, summed over their rows.  Inward, the matrices go reversed and
+        transposed, so each prefix is a suffix product read from the other side."""
+        mats, logs = self._run_matrices(sweep.run)
+        if sweep.inward:
+            mats, logs = mats[:, :, ::-1].transpose(1, 0, 2), logs[::-1]
+        mats, logs = mats.copy(), logs.copy()  # C order; what _run_matrices keeps stays
+        if sweep.into is not None:
+            values, log_scale = self._stored(*sweep.into, "sum")
+            values = values.reshape(-1, 1)
+            mats[:len(values), :, 0] *= values
+            logs[0] += log_scale
+        _prefix_products(mats, logs)
+        sums = mats.sum(axis=0)
+        _unit_max(sums, logs)
+        if len(sweep.sends) > 1:  # the store keeps sending order, which _unsliced replays
+            self._messages.update(dict.fromkeys(sweep.keys))
+        for rows, size, shape, keys in sweep.sends:
+            tables = sums.T[rows, :size].reshape(-1, *shape)
+            self._messages.update(zip(keys, zip(tables, logs[rows].tolist())))
+
+    def _run_matrices(self, run: _Run) -> tuple[np.ndarray, np.ndarray]:
+        """The run's cluster products as (toward × away) matrices along the last axis,
+        zero-padded to the run's width and at unit maximum, and the log scales taken
+        out, formed once per query; ValueError unless finite."""
+        kept = self._matrices.get(run.clusters[0])
+        if kept is not None:
+            return kept
+        mats = np.zeros((run.width, run.width, len(run.clusters)))
+        for rows, clusters, shape, free, perm, (a, b) in run.groups:
+            products = list(map(self._products.__getitem__, clusters))
+            distinct = {id(p): p for p in products}  # clusters that share a product share its matrix
+            index = dict(zip(distinct, range(len(distinct))))
+            tables = np.stack([p if p.shape == shape else np.broadcast_to(p, shape)
+                               for p in distinct.values()])
+            tables = tables.sum(axis=free) if free else tables
+            tables = tables.transpose(perm).reshape(-1, a, b)
+            mats[:a, :b, rows] = tables[[index[id(p)] for p in products]].transpose(1, 2, 0)
+        logs = np.zeros(len(run.clusters))
+        _unit_max(mats, logs)
+        self._matrices[run.clusters[0]] = mats, logs
+        return mats, logs
 
     # -- marginals ---------------------------------------------------------
 

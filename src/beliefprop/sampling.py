@@ -35,7 +35,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .factor import Factor, _integer, _trusted, check_table_size
-from .hmm import HmmSpec, _transitions, forward_backward, unit_max_exp
+from .hmm import ForwardBackward, HmmSpec, _transitions, forward_backward, unit_max_exp
 from .propagation import ClusterRows, CompiledQuery, ImpossibleEvidenceError
 
 _CHUNK = 1 << 16
@@ -226,6 +226,7 @@ def sample_hmm_path(
     direction: str = "forward",
     seed: int = 0,
     count: int = 1,
+    fb: ForwardBackward | None = None,
 ) -> np.ndarray:
     """Posterior state paths for a chain model, (count, horizon) indices.
 
@@ -233,8 +234,9 @@ def sample_hmm_path(
     transitions; "backward" starts at the final step and walks back.
     Both target the same smoothing posterior.  CDFs are built a block of
     steps (about ``_CHUNK`` entries) at a time; one uniform per path per
-    step, steps processed in walk order.  FactorSizeError when the
-    output would pass the table entry cap.
+    step, steps processed in walk order.  ``fb``, the caller's
+    ``forward_backward(spec, y)``, saves running the sweep again.
+    FactorSizeError when the output would pass the table entry cap.
     """
     if direction not in ("forward", "backward"):
         raise ValueError(f"unknown direction {direction!r}")
@@ -243,7 +245,7 @@ def sample_hmm_path(
     if count < 0:
         raise ValueError("count must be non-negative")
     check_table_size((count, n), "sample output")
-    fb = forward_backward(spec, y)
+    fb = forward_backward(spec, y) if fb is None else fb
     rng = np.random.Generator(np.random.PCG64(_integer(seed, "seed")))
     paths = np.zeros((count, n), dtype=np.int64)
     walk = range(n) if direction == "forward" else range(n - 1, -1, -1)

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -14,7 +15,7 @@ from beliefprop.factor import MAX_TABLE_ENTRIES, Factor, FactorSizeError
 from beliefprop.jtree import JunctionTree, validate_junction_tree
 from beliefprop.model import Cpd, DiscreteNetwork, EvidenceSet, Variable, validate_network
 from beliefprop.oracle import oracle_log_probability, oracle_posterior
-from beliefprop.propagation import CompiledQuery
+from beliefprop.propagation import CompiledQuery, ImpossibleEvidenceError, _Sweep
 from beliefprop.sampling import PosteriorSampler, sample_hmm_path
 
 
@@ -464,19 +465,29 @@ class TestChainTree:
         assert jt.edges == ((0, 1), (1, 2), (2, 3), (3, 4))
 
     def test_messages_are_forward_backward(self, spec5):
-        y = [0, 2, 1, 4, 0]
-        net, ev = hmm.to_bayes_net(spec5, y)
-        jt = hmm.chain_junction_tree(spec5)
-        cq = CompiledQuery(net, ev, jtree=jt, root=0)
-        cq.propagate()
-        fb = hmm.forward_backward(spec5, y)
-        for i in range(1, 5):
-            fwd = cq.message(i - 1, i).linear()
-            want_f = np.exp(fb.log_forward[i - 1])
-            np.testing.assert_allclose(fwd, want_f, rtol=1e-12)
-            bwd = cq.message(i, i - 1).linear()
-            want_b = np.exp(fb.log_backward[i - 1])
-            np.testing.assert_allclose(bwd, want_b, rtol=1e-12)
+        # five clusters send a message each per edge; forty, past the run
+        # threshold, send them all by one scan per pass
+        spec40 = hmm.precipitation_spec(40)
+        for spec, y in ((spec5, [0, 2, 1, 4, 0]), (spec40, hmm.simulate(spec40, 40)[1])):
+            net, ev = hmm.to_bayes_net(spec, y)
+            jt = hmm.chain_junction_tree(spec)
+            cq = CompiledQuery(net, ev, jtree=jt, root=0)
+            assert _scanned(cq) == (spec is spec40)
+            cq.propagate()
+            fb = hmm.forward_backward(spec, y)
+            for i in range(1, spec.horizon):
+                fwd = cq.message(i - 1, i).linear()
+                want_f = np.exp(fb.log_forward[i - 1])
+                np.testing.assert_allclose(fwd, want_f, rtol=1e-12)
+                bwd = cq.message(i, i - 1).linear()
+                want_b = np.exp(fb.log_backward[i - 1])
+                np.testing.assert_allclose(bwd, want_b, rtol=1e-12)
+                # message() lays the edge out again with nothing sliced; the
+                # passes stored these tables, each Y sliced out
+                for edge, want in (((i - 1, i), want_f), ((i, i - 1), want_b)):
+                    values, log_scale = cq._messages[("sum", *edge)]
+                    assert values.max() == 1.0
+                    np.testing.assert_allclose(values * math.exp(log_scale), want, rtol=1e-12)
 
     def test_long_chain_evidence_probability(self):
         # 2000 steps of messages multiply far below the smallest double;
@@ -520,6 +531,77 @@ class TestChainTree:
                 cq.variable_posterior(2 * i), table[i], rtol=0, atol=1e-12
             )
 
+    def test_sum_passes_take_log_depth_steps(self, monkeypatch):
+        spec = hmm.precipitation_spec(2000)
+        _, y = hmm.simulate(spec, 8)
+        net, ev = hmm.to_bayes_net(spec, y)
+        cq = CompiledQuery(net, ev, jtree=hmm.chain_junction_tree(spec))
+        calls = []
+        for name in ("compute_message", "_product"):
+            def counted(self, *args, _original=getattr(CompiledQuery, name), **kwargs):
+                calls.append(args)
+                return _original(self, *args, **kwargs)
+            monkeypatch.setattr(CompiledQuery, name, counted)
+        cq.propagate()
+        # one compute_message per directed edge was 3998 calls
+        assert len(calls) <= 2 * math.ceil(math.log2(spec.horizon))
+        assert len(cq._messages) == 2 * (spec.horizon - 1)
+        assert math.isfinite(cq.evidence_log_probability())
+
+    @pytest.mark.parametrize("middle", [False, True])
+    @pytest.mark.parametrize("zeros", [False, True])
+    @pytest.mark.parametrize("horizon", [200, 2000])
+    def test_scanned_chain_matches_forward_backward(self, horizon, zeros, middle):
+        spec = hmm.HmmSpec(horizon=horizon, **ZERO_ENTRY) if zeros else hmm.precipitation_spec(horizon)
+        _, y = hmm.simulate(spec, horizon + zeros)
+        net, ev = hmm.to_bayes_net(spec, y)
+        # a middle root has two children, so it splits the chain into two runs
+        root = horizon // 2 if middle else 0
+        cq = CompiledQuery(net, ev, jtree=hmm.chain_junction_tree(spec), root=root).propagate()
+        assert _scanned(cq) == 1 + middle
+        fb = hmm.forward_backward(spec, y)
+        logz = cq.evidence_log_probability()
+        assert logz == pytest.approx(hmm.log_likelihood(fb), rel=1e-12)
+        # every cluster's mass reads the stored outward messages and their scales
+        for j in range(0, horizon, 37):
+            assert cq.cluster_marginal(j).total_log_mass() == pytest.approx(logz, rel=1e-12)
+        table, want = cq.posterior_table(), hmm.posteriors(spec, y)
+        got = np.array([table[2 * i] for i in range(horizon)])
+        # the log-space sweeps hold log tables near -4000 at step 2000, whose
+        # rounding alone moves a posterior by about 5e-13
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert np.array_equal(got == 0.0, want == 0.0)
+
+    def test_impossible_evidence_on_a_scanned_chain(self):
+        spec = hmm.precipitation_spec(200)
+        _, y = hmm.simulate(spec, 4)
+        net, ev = hmm.to_bayes_net(spec, y)
+        # S_1 pinned to L, which the initial law rules out
+        ev = EvidenceSet({**ev.allowed, 0: {0}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cq = CompiledQuery(net, ev, jtree=hmm.chain_junction_tree(spec))
+            assert _scanned(cq) == 1
+            cq.propagate()
+            assert cq.evidence_log_probability() == -math.inf
+            with pytest.raises(ImpossibleEvidenceError):
+                cq.posterior_table()
+            with pytest.raises(ImpossibleEvidenceError):
+                cq.variable_posterior(2 * 100)
+            with pytest.raises(ImpossibleEvidenceError):
+                PosteriorSampler(cq, seed=0)
+
+    def test_sampler_on_a_scanned_chain_draws_possible_paths(self):
+        spec = hmm.HmmSpec(horizon=200, **ZERO_ENTRY)
+        _, y = hmm.simulate(spec, 6)
+        net, ev = hmm.to_bayes_net(spec, y)
+        cq = CompiledQuery(net, ev, jtree=hmm.chain_junction_tree(spec)).propagate()
+        assert _scanned(cq) == 1
+        draws = PosteriorSampler(cq, seed=3, targets=[2 * i for i in range(200)]).sample(500)
+        initial, transition = np.asarray(spec.initial), np.asarray(spec.transition)
+        assert (initial[draws[:, 0]] > 0).all()
+        assert (transition[draws[:, :-1], draws[:, 1:]] > 0).all()
+
     @pytest.mark.parametrize("sim_seed", [3, 11, 29])
     def test_map_is_the_viterbi_path(self, sim_seed):
         spec = hmm.precipitation_spec(200)
@@ -530,6 +612,17 @@ class TestChainTree:
         path, want = _viterbi(spec, y)
         assert [assignment[2 * i] for i in range(spec.horizon)] == path
         assert math.isclose(value, want, rel_tol=1e-9), (value, want)
+
+
+# as tests/test_sampling.py's ZERO_ENTRY: a zero in every transition row and the initial row
+ZERO_ENTRY = dict(states=("a", "b", "c"), initial=(0.5, 0.5, 0.0),
+                  transition=((0.0, 0.6, 0.4), (0.3, 0.0, 0.7), (0.2, 0.2, 0.6)),
+                  rates=(0.7, 2.0, 6.0))
+
+
+def _scanned(cq: CompiledQuery) -> int:
+    """How many runs the query's inward pass sends by one scan each."""
+    return sum(isinstance(step, _Sweep) for step in cq._passes[0])
 
 
 def _viterbi(spec, y) -> tuple[list[int], float]:

@@ -15,10 +15,12 @@ from beliefprop.model import (
     Cpd,
     DiscreteNetwork,
     EvidenceSet,
+    InvalidNetworkError,
     Variable,
     build_potentials,
     validate_network,
 )
+from beliefprop.jtree import build_junction_tree
 from beliefprop.propagation import CompiledQuery
 
 
@@ -263,6 +265,20 @@ class TestValidation:
         assert validate_network(ok).ok
         bad = two_var_net([[0.9 + 1e-8, 0.1], [0.2, 0.8]])
         assert not validate_network(bad).ok
+
+    def test_missing_cpd_is_a_typed_error_past_the_check(self):
+        # only A has a CPD: building a tree reads B's parents, with or without the check
+        net = DiscreteNetwork([Variable(0, "A", ("a0", "a1")), Variable(1, "B", ("b0", "b1"))],
+                              [Cpd(0, (), np.array([[0.5, 0.5]]))])
+        report = validate_network(net)
+        for build in (lambda: build_junction_tree(net),
+                      lambda: CompiledQuery(net, validate=False),
+                      lambda: CompiledQuery(net, validate=True)):
+            with pytest.raises(InvalidNetworkError, match="variable B has no CPD") as caught:
+                build()
+            assert caught.value.report is report
+        with pytest.raises(KeyError):  # an id that is no variable stays a lookup miss
+            net.parents(7)
 
 
 def tall_net(bad_row=None) -> DiscreteNetwork:

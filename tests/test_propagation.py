@@ -786,6 +786,102 @@ def test_handed_out_tables_cannot_write_into_the_query():
         cq.cluster_rows(4).table[0, 0] = 0.0
 
 
+def _runs(cq: CompiledQuery) -> list[tuple[int, ...]]:
+    """The runs the query's sum passes send by one scan each, root-first."""
+    return [step.run.clusters for step in cq._passes[0] if isinstance(step, propagation._Sweep)]
+
+
+def _chain_with_extras(n: int, rng: np.random.Generator) -> tuple[DiscreteNetwork, JunctionTree]:
+    """V_0 -> ... -> V_{n-1} of two or three states, each V_i with a binary
+    child E_i; clusters {V_0, E_0} and {V_{i-1}, V_i, E_i} in a path."""
+    cards = [int(c) for c in rng.integers(2, 4, size=n)]
+    variables = [Variable(2 * i, f"V{i}", tuple("abc"[:c])) for i, c in enumerate(cards)]
+    variables += [Variable(2 * i + 1, f"E{i}", ("0", "1")) for i in range(n)]
+
+    def table(rows: int, card: int) -> np.ndarray:
+        t = rng.random((rows, card)) + 0.05
+        return t / t.sum(axis=1, keepdims=True)
+
+    cpds = [Cpd(0, (), table(1, cards[0]))]
+    cpds += [Cpd(2 * i, (2 * i - 2,), table(cards[i - 1], cards[i])) for i in range(1, n)]
+    cpds += [Cpd(2 * i + 1, (2 * i,), table(cards[i], 2)) for i in range(n)]
+    clusters = [{0, 1}] + [{2 * i - 2, 2 * i, 2 * i + 1} for i in range(1, n)]
+    tree = JunctionTree(clusters, [(i - 1, i) for i in range(1, n)], {u: u // 2 for u in range(2 * n)})
+    return DiscreteNetwork(variables, cpds), tree
+
+
+class TestScannedRuns:
+    """A run of one-child clusters with small separators sends its sum
+    messages by one scan per pass; every other message, each max message
+    and every readout take the per-message path."""
+
+    def test_separators_of_several_sizes_answer_as_the_stepped_passes(self, monkeypatch):
+        # E_i observed or free (summed inside its cluster's matrix), V_20
+        # masked, V_9, V_10 and V_50 pinned: sliced separators of 1, 2 and 3
+        # entries along each run
+        rng = np.random.default_rng(27)
+        net, jt = _chain_with_extras(80, rng)
+        allowed = {2 * i + 1: {int(rng.integers(2))} for i in range(80) if i % 3}
+        allowed.update({2 * i: {0} for i in (9, 10, 50)})
+        allowed[2 * 20] = {0, 1}
+        ev = EvidenceSet(allowed)
+        answers = []
+        for rule in (propagation._RUN_MIN_CLUSTERS, 10**9):
+            monkeypatch.setattr(propagation, "_RUN_MIN_CLUSTERS", rule)
+            tree = JunctionTree(jt.clusters, jt.edges, jt.assignment)
+            cq = CompiledQuery(net, ev, jtree=tree, root=35).propagate()
+            answers.append(cq)
+        scanned, stepped = answers
+        assert _runs(scanned) == [tuple(range(36, 80)), tuple(range(34, -1, -1))]
+        assert _runs(stepped) == []
+        assert len({(size, shape) for step in scanned._passes[1] if not isinstance(step, int)
+                    for _, size, shape, _ in step.sends}) > 1
+        assert list(scanned._messages) == list(stepped._messages)
+        for key, (values, log_scale) in stepped._messages.items():
+            got, got_scale = scanned._messages[key]
+            assert got.shape == values.shape and got.max() == values.max() == 1.0
+            assert got.flags.c_contiguous
+            np.testing.assert_allclose(got * math.exp(got_scale - log_scale), values, rtol=1e-12)
+        logz = stepped.evidence_log_probability()
+        assert scanned.evidence_log_probability() == pytest.approx(logz, rel=1e-12)
+        for u, want in stepped.posterior_table().items():
+            np.testing.assert_allclose(scanned.variable_posterior(u), want, rtol=0, atol=1e-12)
+        # message() replays the stored order with nothing sliced
+        for i, j in jt.edges:
+            for a, b in ((i, j), (j, i)):
+                np.testing.assert_allclose(scanned.message(a, b).linear(),
+                                           stepped.message(a, b).linear(), rtol=1e-12)
+        assert scanned.map_assignment() == stepped.map_assignment()
+
+    def test_a_run_whose_products_overflow_raises_as_the_loop_does(self):
+        # with validate=False nothing bounds the CPD entries: each cluster's
+        # transition times its emission is 1e400
+        for horizon, runs in ((5, 0), (40, 1)):
+            big = np.full((2, 2), 1e200)
+            variables = [Variable(u, f"V{u}", ("0", "1")) for u in range(2 * horizon)]
+            cpds = [Cpd(0, (), np.full((1, 2), 1e200)), Cpd(1, (0,), big)]
+            cpds += [Cpd(u, (u - 2,) if u % 2 == 0 else (u - 1,), big) for u in range(2, 2 * horizon)]
+            net = DiscreteNetwork(variables, cpds)
+            ev = EvidenceSet({2 * i + 1: {0} for i in range(horizon)})
+            jt = hmm.chain_junction_tree(hmm.precipitation_spec(horizon))
+            tree = JunctionTree(jt.clusters, jt.edges, jt.assignment)
+            with np.errstate(over="ignore", invalid="ignore"):
+                cq = CompiledQuery(net, ev, jtree=tree, validate=False)
+                assert len(_runs(cq)) == runs
+                with pytest.raises(ValueError, match="^factor values must be finite$"):
+                    cq.inward()
+
+    def test_pedigree_and_banded_networks_have_no_run(self):
+        net, ev = pedigree_network(), pedigree_evidence()
+        jt = build_junction_tree(net)
+        for root in range(jt.q):
+            assert _runs(CompiledQuery(net, ev, jtree=jt, root=root)) == []
+        rng = np.random.default_rng(0)
+        for _ in range(10):
+            net = banded_network(rng)
+            assert _runs(compile_query(net)) == []
+
+
 class TestPlan:
     """A tree keeps the plan of the last query laid out on it; a query on the
     same network object, root and observed ids reuses it, to the bit."""

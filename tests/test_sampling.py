@@ -475,6 +475,18 @@ class TestHmmPathSampling:
         with pytest.raises(ValueError, match="count must be non-negative"):
             sample_hmm_path(spec, y, count=-1)
 
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_the_callers_sweep_is_used(self, setup, monkeypatch, direction):
+        spec, y, fb = setup
+        want = sample_hmm_path(spec, y, direction, seed=9, count=50)
+
+        def no_sweep(*args):
+            raise AssertionError("sample_hmm_path swept although it was given the sweep")
+
+        monkeypatch.setattr("beliefprop.sampling.forward_backward", no_sweep)
+        got = sample_hmm_path(spec, y, direction, seed=9, count=50, fb=fb)
+        assert got.tobytes() == want.tobytes()
+
     def test_fractional_count_refused(self, setup):
         spec, y, _ = setup
         with pytest.raises(ValueError, match=r"count 2\.5 is not an integer"):
