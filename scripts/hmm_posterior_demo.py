@@ -33,8 +33,7 @@ def main() -> int:
 
     # one sweep serves the smoothing column, the path sampler and log P(y)
     fb = hmm.forward_backward(spec, y)
-    rows = hmm.unit_max_exp(fb.log_forward + fb.log_backward)
-    smooth = rows / rows.sum(axis=1, keepdims=True)
+    smooth = hmm.smoothing_posteriors(fb)
 
     net, ev = hmm.to_bayes_net(spec, [int(k) for k in y])
     cq = CompiledQuery(net, ev, jtree=hmm.chain_junction_tree(spec), root=0)

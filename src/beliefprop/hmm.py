@@ -13,10 +13,11 @@ CPD rows read the same table.  Each step is one log-sum-exp over the
 log transition matrix, and no step rescales, so no mass is rounded
 away: horizons of thousands of steps, counts whose pmf underflows to 0
 in every state, and zero transition entries all stay exact.
-log_likelihood sums a row of the tables with logaddexp; posteriors and
-the posterior chain's conditionals (stacked over a run of steps, one
-formula per direction) exponentiate log rows scaled to a unit maximum
-(unit_max_exp) and normalize each row.
+log_likelihood sums a row of the tables with logaddexp; posteriors
+(smoothing_posteriors, from a sweep already run) and the posterior
+chain's conditionals (stacked over a run of steps, one formula per
+direction) exponentiate log rows scaled to a unit maximum (unit_max_exp)
+and normalize each row.
 
 The chain is also expressible as a Bayesian network (one node per S_i
 and Y_i, counts truncated to a finite domain), which lets the generic
@@ -233,7 +234,11 @@ def log_likelihood(fb: ForwardBackward, i: int = 0) -> float:
 def posteriors(spec: HmmSpec, y: Sequence[int]) -> np.ndarray:
     """All smoothing posteriors P(S_i | all observations) as an
     (n, states) table, row i for 0-based step i."""
-    fb = forward_backward(spec, y)
+    return smoothing_posteriors(forward_backward(spec, y))
+
+
+def smoothing_posteriors(fb: ForwardBackward) -> np.ndarray:
+    """posteriors() read from a sweep already run."""
     if log_likelihood(fb) == -math.inf:
         raise ValueError("posterior undefined: observations have probability zero")
     with np.errstate(over="ignore"):

@@ -27,8 +27,8 @@ its one incoming message on by a matrix product, so the run's outward
 messages are prefix products of its matrices and its inward ones suffix
 products, the forward and backward quantities of a hidden Markov chain.
 The sum passes send a run's messages by one log-depth (Hillis-Steele)
-scan each, every partial product at unit maximum with its log scale
-carried, and store them as a message at a time would be stored; every
+scan each, every row of a partial product at unit maximum with its own
+log scale, and store them as a message at a time would be stored; every
 other message, the max semiring and every readout go a message at a time.
 
 The same inward pass run in the max semiring yields most-probable
@@ -98,10 +98,10 @@ _Run = namedtuple("_Run", "clusters width groups")
 _Sweep = namedtuple("_Sweep", "run inward into keys sends")
 
 # The run rule, from the measured crossover of the scan against a compute_message per
-# edge on k-state chains: from 22-24 clusters at k <= 4, 32 at k = 6, 48 at k = 8, and
-# none at k = 12 (see ``_passes``).
-_RUN_MIN_CLUSTERS = 32
-_RUN_MAX_ENTRIES = 6
+# edge on k-state chains: from 32 clusters at k <= 3, 40 at k = 4, 64 at k = 6, and none
+# up to 128 at k = 8 (see ``_passes``).
+_RUN_MIN_CLUSTERS = 40
+_RUN_MAX_ENTRIES = 4
 
 
 def _structure(net: DiscreteNetwork, jtree: JunctionTree) -> tuple[JunctionTree, list]:
@@ -262,16 +262,42 @@ def _unit_max(tables: np.ndarray, logs: np.ndarray) -> None:
     logs += np.log(peaks)
 
 
+def _unit_rows(mats: np.ndarray, logs: np.ndarray) -> None:
+    """Scale each row of each matrix (``mats[i, :, t]``) to unit maximum in place and
+    add the log of its peak to ``logs[i, t]``, -inf for an all-zero row.  ValueError
+    unless every matrix is finite."""
+    peaks = mats.max(axis=1)
+    if not math.isfinite(peaks.max()):
+        raise ValueError("factor values must be finite")
+    with np.errstate(divide="ignore"):
+        logs += np.log(peaks)
+    peaks[peaks == 0.0] = 1.0
+    mats /= peaks[:, None]
+
+
 def _prefix_products(mats: np.ndarray, logs: np.ndarray) -> None:
-    """In place, matrix t (``mats[..., t]``) becomes the product of matrices 0..t and
-    ``logs[t]`` the sum of logs[:t + 1], each partial product at unit maximum:
-    Hillis-Steele, ceil(log2 n) rounds of one batched product."""
+    """In place, matrix t (``mats[..., t]``) becomes the product of matrices 0..t, each
+    row at unit maximum with its log scale in ``logs[:, t]``: Hillis-Steele, ceil(log2 n)
+    rounds of one batched product.  A row of a partial product is the chain's mass from
+    one start state, so it keeps its own scale, as a message does: one scale per matrix
+    would underflow the rows that the others outweigh past the float range (an
+    absorbing state's), and a prefix may sit on exactly those."""
     d = 1
-    while d < len(logs):
-        mats[..., d:] = np.einsum("ijt,jkt->ikt", mats[..., :-d], mats[..., d:])
-        logs[d:] = logs[:-d] + logs[d:]
-        _unit_max(mats[..., d:], logs[d:])
-        d *= 2
+    with np.errstate(divide="ignore"):
+        while d < logs.shape[1]:
+            # row i of the product sums the later rows j weighted by mats[i, j] at j's
+            # scale, taken relative to the largest such weight
+            weights = np.log(mats[..., :-d])
+            weights += logs[None, :, d:]
+            peaks = weights.max(axis=1)
+            peaks[peaks == -math.inf] = 0.0
+            weights -= peaks[:, None]
+            products = np.einsum("ijt,jkt->ikt", np.exp(weights, out=weights), mats[..., d:])
+            rows = products.max(axis=1)  # entries at most the width: finite as the first rows are
+            logs[:, d:] = logs[:, :-d] + peaks + np.log(rows)
+            rows[rows == 0.0] = 1.0
+            np.divide(products, rows[:, None], out=mats[..., d:])
+            d *= 2
 
 
 @dataclass(frozen=True)
@@ -400,7 +426,7 @@ class CompiledQuery:
             self._products.append(made[key])
         self._messages: dict[tuple[str, int, int], tuple[np.ndarray, float]] = {}
         self._argmax: dict[tuple[int, int], tuple] = {}  # (j, k) -> what map_assignment reads
-        self._matrices: dict[int, tuple] = {}  # a run's first cluster -> what _run_matrices formed
+        self._matrices: dict[int, np.ndarray] = {}  # a run's first cluster -> what _run_matrices formed
 
     def _unsliced(self) -> "CompiledQuery":
         """This query laid out again from the plan's CPD arrays with no
@@ -561,30 +587,33 @@ class CompiledQuery:
     def _scan(self, sweep: _Sweep) -> None:
         """Store a run's messages in one direction as ``compute_message`` would: the
         prefix products of its matrices, the message into the run folded into the
-        first, summed over their rows.  Inward, the matrices go reversed and
-        transposed, so each prefix is a suffix product read from the other side."""
-        mats, logs = self._run_matrices(sweep.run)
+        first, summed over their rows at the rows' scales.  Inward, the matrices go
+        reversed and transposed, so each prefix is a suffix product read from the other
+        side.  ValueError unless every matrix is finite."""
+        mats = self._run_matrices(sweep.run)
         if sweep.inward:
-            mats, logs = mats[:, :, ::-1].transpose(1, 0, 2), logs[::-1]
-        mats, logs = mats.copy(), logs.copy()  # C order; what _run_matrices keeps stays
+            mats = mats[:, :, ::-1].transpose(1, 0, 2)
+        mats = mats.copy()  # C order; what _run_matrices keeps stays
+        logs = np.zeros(mats.shape[::2])
+        _unit_rows(mats, logs)
         if sweep.into is not None:
             values, log_scale = self._stored(*sweep.into, "sum")
-            values = values.reshape(-1, 1)
-            mats[:len(values), :, 0] *= values
-            logs[0] += log_scale
+            with np.errstate(divide="ignore"):
+                logs[:values.size, 0] += np.log(values.reshape(-1)) + log_scale
         _prefix_products(mats, logs)
-        sums = mats.sum(axis=0)
-        _unit_max(sums, logs)
+        peaks = logs.max(axis=0)
+        peaks[peaks == -math.inf] = 0.0
+        sums = np.einsum("it,ikt->kt", np.exp(logs - peaks), mats)
+        _unit_max(sums, peaks)
         if len(sweep.sends) > 1:  # the store keeps sending order, which _unsliced replays
             self._messages.update(dict.fromkeys(sweep.keys))
         for rows, size, shape, keys in sweep.sends:
             tables = sums.T[rows, :size].reshape(-1, *shape)
-            self._messages.update(zip(keys, zip(tables, logs[rows].tolist())))
+            self._messages.update(zip(keys, zip(tables, peaks[rows].tolist())))
 
-    def _run_matrices(self, run: _Run) -> tuple[np.ndarray, np.ndarray]:
+    def _run_matrices(self, run: _Run) -> np.ndarray:
         """The run's cluster products as (toward × away) matrices along the last axis,
-        zero-padded to the run's width and at unit maximum, and the log scales taken
-        out, formed once per query; ValueError unless finite."""
+        zero-padded to the run's width, formed once per query."""
         kept = self._matrices.get(run.clusters[0])
         if kept is not None:
             return kept
@@ -598,10 +627,8 @@ class CompiledQuery:
             tables = tables.sum(axis=free) if free else tables
             tables = tables.transpose(perm).reshape(-1, a, b)
             mats[:a, :b, rows] = tables[[index[id(p)] for p in products]].transpose(1, 2, 0)
-        logs = np.zeros(len(run.clusters))
-        _unit_max(mats, logs)
-        self._matrices[run.clusters[0]] = mats, logs
-        return mats, logs
+        self._matrices[run.clusters[0]] = mats
+        return mats
 
     # -- marginals ---------------------------------------------------------
 

@@ -235,8 +235,9 @@ def sample_hmm_path(
     Both target the same smoothing posterior.  CDFs are built a block of
     steps (about ``_CHUNK`` entries) at a time; one uniform per path per
     step, steps processed in walk order.  ``fb``, the caller's
-    ``forward_backward(spec, y)``, saves running the sweep again.
-    FactorSizeError when the output would pass the table entry cap.
+    ``forward_backward(spec, y)``, saves running the sweep again; ValueError
+    unless its tables fit y and spec.  FactorSizeError when the output
+    would pass the table entry cap.
     """
     if direction not in ("forward", "backward"):
         raise ValueError(f"unknown direction {direction!r}")
@@ -245,7 +246,12 @@ def sample_hmm_path(
     if count < 0:
         raise ValueError("count must be non-negative")
     check_table_size((count, n), "sample output")
-    fb = forward_backward(spec, y) if fb is None else fb
+    if fb is None:
+        fb = forward_backward(spec, y)
+    elif len(y) != n or not fb.log_forward.shape == fb.log_backward.shape == (n, spec.n_states):
+        raise ValueError(f"fb holds {fb.log_forward.shape} and {fb.log_backward.shape} tables, "
+                         f"not the sweep of {len(y)} observations over {n} steps of "
+                         f"{spec.n_states} states")
     rng = np.random.Generator(np.random.PCG64(_integer(seed, "seed")))
     paths = np.zeros((count, n), dtype=np.int64)
     walk = range(n) if direction == "forward" else range(n - 1, -1, -1)

@@ -465,14 +465,14 @@ class TestChainTree:
         assert jt.edges == ((0, 1), (1, 2), (2, 3), (3, 4))
 
     def test_messages_are_forward_backward(self, spec5):
-        # five clusters send a message each per edge; forty, past the run
+        # five clusters send a message each per edge; sixty-four, past the run
         # threshold, send them all by one scan per pass
-        spec40 = hmm.precipitation_spec(40)
-        for spec, y in ((spec5, [0, 2, 1, 4, 0]), (spec40, hmm.simulate(spec40, 40)[1])):
+        spec64 = hmm.precipitation_spec(64)
+        for spec, y in ((spec5, [0, 2, 1, 4, 0]), (spec64, hmm.simulate(spec64, 40)[1])):
             net, ev = hmm.to_bayes_net(spec, y)
             jt = hmm.chain_junction_tree(spec)
             cq = CompiledQuery(net, ev, jtree=jt, root=0)
-            assert _scanned(cq) == (spec is spec40)
+            assert _scanned(cq) == (spec is spec64)
             cq.propagate()
             fb = hmm.forward_backward(spec, y)
             for i in range(1, spec.horizon):
@@ -591,6 +591,31 @@ class TestChainTree:
             with pytest.raises(ImpossibleEvidenceError):
                 PosteriorSampler(cq, seed=0)
 
+    @pytest.mark.parametrize("middle", [False, True])
+    def test_a_scan_keeps_the_rows_of_an_absorbing_state(self, middle):
+        # S_1 = H, a state the chain never leaves; y = 10 puts each step's H row near
+        # 2e-7 of its L row, so a block of 64 steps holds H's row some 1e-400
+        # below L's.  The forward messages sit on H: one scale per partial
+        # product lost them all, and log Z read -inf.
+        spec = hmm.HmmSpec(horizon=200, **ABSORBING)
+        y = [10] * 200
+        net, ev = hmm.to_bayes_net(spec, y)
+        root = 100 if middle else 199
+        cq = CompiledQuery(net, ev, jtree=hmm.chain_junction_tree(spec), root=root).propagate()
+        assert _scanned(cq) == 1 + middle
+        fb = hmm.forward_backward(spec, y)
+        # i - 1 -> i is scanned inward below the root and outward above it
+        for i in range(1, 200):
+            values, log_scale = cq._messages[("sum", i - 1, i)]
+            with np.errstate(divide="ignore"):
+                got = np.log(values) + log_scale
+            np.testing.assert_allclose(got, fb.log_forward[i - 1], rtol=1e-12)
+        if not middle:
+            logz = cq.evidence_log_probability()
+            assert logz == pytest.approx(hmm.log_likelihood(fb), rel=1e-12)
+            draws = PosteriorSampler(cq, seed=0, targets=[2 * i for i in range(200)]).sample(20)
+            assert (draws == 1).all()
+
     def test_sampler_on_a_scanned_chain_draws_possible_paths(self):
         spec = hmm.HmmSpec(horizon=200, **ZERO_ENTRY)
         _, y = hmm.simulate(spec, 6)
@@ -618,6 +643,11 @@ class TestChainTree:
 ZERO_ENTRY = dict(states=("a", "b", "c"), initial=(0.5, 0.5, 0.0),
                   transition=((0.0, 0.6, 0.4), (0.3, 0.0, 0.7), (0.2, 0.2, 0.6)),
                   rates=(0.7, 2.0, 6.0))
+
+
+# a start pinned to an absorbing state H, whose emissions trail L's at y = 10
+ABSORBING = dict(states=("L", "H"), initial=(0.0, 1.0), transition=((0.9, 0.1), (0.0, 1.0)),
+                 rates=(3.0, 0.5))
 
 
 def _scanned(cq: CompiledQuery) -> int:

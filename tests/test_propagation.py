@@ -820,8 +820,8 @@ class TestScannedRuns:
         # masked, V_9, V_10 and V_50 pinned: sliced separators of 1, 2 and 3
         # entries along each run
         rng = np.random.default_rng(27)
-        net, jt = _chain_with_extras(80, rng)
-        allowed = {2 * i + 1: {int(rng.integers(2))} for i in range(80) if i % 3}
+        net, jt = _chain_with_extras(100, rng)
+        allowed = {2 * i + 1: {int(rng.integers(2))} for i in range(100) if i % 3}
         allowed.update({2 * i: {0} for i in (9, 10, 50)})
         allowed[2 * 20] = {0, 1}
         ev = EvidenceSet(allowed)
@@ -829,10 +829,10 @@ class TestScannedRuns:
         for rule in (propagation._RUN_MIN_CLUSTERS, 10**9):
             monkeypatch.setattr(propagation, "_RUN_MIN_CLUSTERS", rule)
             tree = JunctionTree(jt.clusters, jt.edges, jt.assignment)
-            cq = CompiledQuery(net, ev, jtree=tree, root=35).propagate()
+            cq = CompiledQuery(net, ev, jtree=tree, root=45).propagate()
             answers.append(cq)
         scanned, stepped = answers
-        assert _runs(scanned) == [tuple(range(36, 80)), tuple(range(34, -1, -1))]
+        assert _runs(scanned) == [tuple(range(46, 100)), tuple(range(44, -1, -1))]
         assert _runs(stepped) == []
         assert len({(size, shape) for step in scanned._passes[1] if not isinstance(step, int)
                     for _, size, shape, _ in step.sends}) > 1
@@ -856,7 +856,7 @@ class TestScannedRuns:
     def test_a_run_whose_products_overflow_raises_as_the_loop_does(self):
         # with validate=False nothing bounds the CPD entries: each cluster's
         # transition times its emission is 1e400
-        for horizon, runs in ((5, 0), (40, 1)):
+        for horizon, runs in ((5, 0), (64, 1)):
             big = np.full((2, 2), 1e200)
             variables = [Variable(u, f"V{u}", ("0", "1")) for u in range(2 * horizon)]
             cpds = [Cpd(0, (), np.full((1, 2), 1e200)), Cpd(1, (0,), big)]

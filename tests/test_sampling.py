@@ -487,6 +487,15 @@ class TestHmmPathSampling:
         got = sample_hmm_path(spec, y, direction, seed=9, count=50, fb=fb)
         assert got.tobytes() == want.tobytes()
 
+    def test_a_sweep_of_another_shape_refused(self, setup):
+        spec, y, fb = setup
+        longer = hmm.precipitation_spec(13)
+        other = hmm.forward_backward(longer, hmm.simulate(longer, seed=5)[1])
+        for bad_spec, bad_y, bad_fb in ((spec, y, other), (longer, [*y, 0], fb),
+                                        (spec, y[:-1], fb)):
+            with pytest.raises(ValueError, match="not the sweep of"):
+                sample_hmm_path(bad_spec, bad_y, fb=bad_fb)
+
     def test_fractional_count_refused(self, setup):
         spec, y, _ = setup
         with pytest.raises(ValueError, match=r"count 2\.5 is not an integer"):
