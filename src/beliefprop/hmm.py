@@ -8,11 +8,16 @@ smoothing are done with the classic two sweeps, kept in log space:
     log_backward[i](s) = log P(Y_{i+1}..Y_n = y_{i+1}..y_n | S_i = s)
 
 with log_backward[n] = 0.  Both sweeps read one table per sequence, the
-(n x states) log pmfs from log_emissions; emission() and to_bayes_net's
-CPD rows read the same table.  Each step is one log-sum-exp over the
-log transition matrix, and no step rescales, so no mass is rounded
-away: horizons of thousands of steps, counts whose pmf underflows to 0
-in every state, and zero transition entries all stay exact.
+(n x states) log pmfs from log_emissions, computed once per distinct
+count; emission() and to_bayes_net's CPD rows read the same table.
+Both sweeps work in the log semiring.  A chain of at most SCAN_STATES
+states takes each as a Hillis-Steele scan over its step matrices
+log_t[r, s] + log_e[i, s], ceil(log2 n) rounds of batched products in
+which each entry is its own log-sum-exp; a larger chain takes one
+log-sum-exp over the log transition matrix per step.  Neither rescales,
+so no mass is rounded away: horizons of thousands of steps, counts
+whose pmf underflows to 0 in every state, and zero transition entries
+all stay exact.
 log_likelihood sums a row of the tables with logaddexp; posteriors
 (smoothing_posteriors, from a sweep already run) and the posterior
 chain's conditionals (stacked over a run of steps, one formula per
@@ -42,6 +47,14 @@ from .model import Cpd, DiscreteNetwork, EvidenceSet, Variable
 COUNT_CUTOFF = 40
 # past this magnitude a count's log pmf leaves the float range
 MAX_COUNT = 10**305
+# chains of at most this many states sweep by log-depth scans, and
+# sample_hmm_path walks them through outcome tables.  A scan does s^3 log n
+# work to the loop's s^2 n: on a 2-core host it won 2x or more at s <= 3
+# up to n = 2000 (s = 3 breaks even near n = 20000), about even at s = 4
+# and n = 2000, and lost at s = 5
+SCAN_STATES = 3
+# matrices per scan block: a block's products hold 2 s^3 entries per step
+_SCAN_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -102,7 +115,12 @@ def precipitation_spec(n: int) -> HmmSpec:
     )
 
 
-def _counts(y: Sequence[int]) -> list[int]:
+def _counts(y: Sequence[int]) -> np.ndarray | list[int]:
+    """The counts of y, checked where they enter: an integer ndarray as it
+    is, since it holds neither a fraction nor a magnitude past MAX_COUNT,
+    anything else one count at a time, as Python ints."""
+    if isinstance(y, np.ndarray) and y.ndim == 1 and y.dtype.kind in "iu":
+        return y
     counts = []
     for i, k in enumerate(y):
         c = _integer(k, f"count at step {i}:")
@@ -144,15 +162,24 @@ def log_emissions(spec: HmmSpec, counts: Sequence[int]) -> np.ndarray:
     -stirlerr(k) - bd0(k, rate) - log(2 pi k) / 2, as R's dpois does: no
     two large terms cancel, so the pmf keeps its relative accuracy for
     counts and rates up to 1e20 and beyond.  A zero count has log pmf
-    -rate, a negative one -inf.  ValueError naming the step when a count
-    is not an integer or its magnitude passes MAX_COUNT.
+    -rate, a negative one -inf.  Each distinct count's row is computed
+    once.  ValueError naming the step when a count is not an integer or
+    its magnitude passes MAX_COUNT.
     """
     k = _counts(counts)
+    if isinstance(k, np.ndarray):
+        distinct, inverse = np.unique(k, return_inverse=True)
+        distinct = distinct.tolist()
+    else:
+        first: dict[int, int] = {}
+        inverse = np.array([first.setdefault(c, len(first)) for c in k], dtype=np.intp)
+        distinct = list(first)
+    # one row per distinct count, read out per step
     rates = np.asarray(spec.rates)
-    x = np.array([float(c) for c in k]).reshape(-1, 1)
-    lead = [_stirlerr(c) + _HALF_LOG_2PI + 0.5 * math.log(c) if c > 0 else 0.0 for c in k]
+    x = np.array([float(c) for c in distinct]).reshape(-1, 1)
+    lead = [_stirlerr(c) + _HALF_LOG_2PI + 0.5 * math.log(c) if c > 0 else 0.0 for c in distinct]
     saddle = -np.reshape(lead, (-1, 1)) - _bd0(np.maximum(x, 1.0), rates)
-    return np.where(x > 0, saddle, np.where(x == 0, -rates, -math.inf))
+    return np.where(x > 0, saddle, np.where(x == 0, -rates, -math.inf))[inverse]
 
 
 def emission(spec: HmmSpec, s: int | str, k: int) -> float:
@@ -189,26 +216,76 @@ class ForwardBackward:
         return unit_max_exp(self.log_backward)
 
 
+def _log_sum(terms: np.ndarray, axis: int) -> np.ndarray:
+    """log-sum-exp of ``terms`` along ``axis``, shifted by the maximum of
+    each sum; a sum of -inf terms is -inf.  ``terms`` is overwritten."""
+    peak = terms.max(axis=axis, keepdims=True)
+    peak[peak == -math.inf] = 0.0
+    terms -= peak
+    return np.log(np.exp(terms, out=terms).sum(axis=axis)) + peak.squeeze(axis)
+
+
+def _log_prefix_products(mats: np.ndarray) -> None:
+    """In place, matrix t (``mats[:, :, ..., t]``) becomes the log-semiring
+    product of matrices 0..t: Hillis-Steele, ceil(log2 n) rounds of one
+    batched product, each entry its own log-sum-exp, so none is rounded
+    away against another."""
+    d = 1
+    while d < mats.shape[-1]:
+        mats[..., d:] = _log_sum(mats[:, :, None, ..., :-d] + mats[None, ..., d:], axis=1)
+        d *= 2
+
+
+def _scan_sweeps(log_start: np.ndarray, log_t: np.ndarray, log_e: np.ndarray,
+                 fwd: np.ndarray, bwd: np.ndarray) -> None:
+    """Both sweeps from the step matrices M_i[r, s] = log_t[r, s] + log_e[i, s],
+    stacked along the last axis: fwd[i] reduces M_1 ... M_i against fwd[0],
+    and bwd[i] reduces M_{i+1} ... M_{n-1} against zeros, the same scan
+    over the matrices reversed and transposed.  The two scans run side by
+    side on an axis of their own, _SCAN_BLOCK matrices at a time, each
+    block reduced against the rows the one before it ended on."""
+    fwd[0] = log_start
+    bwd_r, log_e_r = bwd[::-1], log_e[::-1]  # bwd_r[j] = bwd[n - 1 - j]
+    for lo in range(0, len(fwd) - 1, _SCAN_BLOCK):
+        hi = min(lo + _SCAN_BLOCK, len(fwd) - 1)
+        both = np.stack([log_t[:, :, None] + log_e[lo + 1:hi + 1].T[None],
+                         log_t.T[:, :, None] + log_e_r[lo:hi].T[:, None]], axis=2)
+        _log_prefix_products(both)
+        starts = np.stack([fwd[lo], bwd_r[lo]], axis=1)
+        ends = _log_sum(starts[:, None, :, None] + both, axis=0)
+        fwd[lo + 1:hi + 1] = ends[:, 0].T
+        bwd_r[lo + 1:hi + 1] = ends[:, 1].T
+
+
+def _step_sweeps(log_start: np.ndarray, log_t: np.ndarray, log_e: np.ndarray,
+                 fwd: np.ndarray, bwd: np.ndarray) -> None:
+    """Both sweeps one step at a time, each step one log-sum-exp over the
+    log transition matrix."""
+    fwd[0] = log_start
+    for i in range(1, len(fwd)):
+        fwd[i] = np.logaddexp.reduce(fwd[i - 1][:, None] + log_t, axis=0) + log_e[i]
+    for i in range(len(bwd) - 2, -1, -1):
+        bwd[i] = np.logaddexp.reduce(log_t + (log_e[i + 1] + bwd[i + 1]), axis=1)
+
+
 def forward_backward(spec: HmmSpec, y: Sequence[int]) -> ForwardBackward:
-    """Both sweeps over one log_emissions table, each step one log-sum-exp
-    over the log transition matrix.  ValueError when log P(y) leaves the
-    float range."""
+    """Both sweeps over one log_emissions table, in the log semiring.  A
+    chain of at most SCAN_STATES states takes each sweep as one log-depth
+    scan over its step matrices, a longer one step at a time; no entry is
+    rescaled either way.  ValueError when log P(y) leaves the float range."""
     n = spec.horizon
     if len(y) != n:
         raise ValueError(f"expected {n} observations, got {len(y)}")
     log_e = log_emissions(spec, y)
     fwd = np.empty((n, spec.n_states))
     bwd = np.zeros((n, spec.n_states))
+    sweeps = _scan_sweeps if spec.n_states <= SCAN_STATES else _step_sweeps
     # an entry past -1.8e308 reads -inf, losing nothing unless every path
     # does; then reachability tells an impossible y from a vanishing one
     with np.errstate(divide="ignore", over="ignore"):
         log_init = np.log(spec.initial)
         log_t = np.log(spec.transition)
-        fwd[0] = log_init + log_e[0]
-        for i in range(1, n):
-            fwd[i] = np.logaddexp.reduce(fwd[i - 1][:, None] + log_t, axis=0) + log_e[i]
-        for i in range(n - 2, -1, -1):
-            bwd[i] = np.logaddexp.reduce(log_t + (log_e[i + 1] + bwd[i + 1]), axis=1)
+        sweeps(log_init + log_e[0], log_t, log_e, fwd, bwd)
     if np.all(fwd[-1] == -math.inf):
         reach = (log_init > -math.inf) & (log_e[0] > -math.inf)
         for i in range(1, n):
@@ -299,7 +376,11 @@ def to_bayes_net(spec: HmmSpec, y: Sequence[int]) -> tuple[DiscreteNetwork, Evid
     if len(y) != n:
         raise ValueError(f"expected {n} observations, got {len(y)}")
     counts = _counts(y)
-    if any(k < 0 or k > COUNT_CUTOFF for k in counts):
+    if isinstance(counts, np.ndarray):
+        low, high, counts = counts.min(), counts.max(), counts.tolist()
+    else:
+        low, high = min(counts), max(counts)
+    if low < 0 or high > COUNT_CUTOFF:
         raise ValueError(f"observations must lie within the count cutoff 0..{COUNT_CUTOFF}")
     return _chain_network(spec), EvidenceSet({2 * i + 1: {counts[i]} for i in range(n)})
 
@@ -310,7 +391,7 @@ def _chain_network(spec: HmmSpec) -> DiscreteNetwork:
     variables: list[Variable] = []
     cpds: list[Cpd] = []
     transition = np.asarray(spec.transition)
-    emission_rows = np.exp(log_emissions(spec, range(COUNT_CUTOFF + 1)).T, order="C")
+    emission_rows = np.exp(log_emissions(spec, np.arange(COUNT_CUTOFF + 1)).T, order="C")
     for i in range(spec.horizon):
         s_id, y_id = 2 * i, 2 * i + 1
         variables.append(Variable(s_id, f"S{i + 1}", spec.states))

@@ -26,6 +26,10 @@ seed, count).
 The chain models in the hmm module get a direct implementation of the
 same idea (sample_hmm_path) working straight from the log forward/backward
 tables, in chronological or reverse order, a block of steps' CDFs at once.
+Its draws follow the same contract: one uniform per path for the first
+state, then one per path per step in walk order.  On a chain of at most
+``hmm.SCAN_STATES`` states a block's CDFs become outcome tables, each
+path's next state from every previous state, and a step is one gather.
 """
 
 from __future__ import annotations
@@ -35,7 +39,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .factor import Factor, _integer, _trusted, check_table_size
-from .hmm import ForwardBackward, HmmSpec, _transitions, forward_backward, unit_max_exp
+from .hmm import (SCAN_STATES, ForwardBackward, HmmSpec, _transitions, forward_backward,
+                  log_emissions, unit_max_exp)
 from .propagation import ClusterRows, CompiledQuery, ImpossibleEvidenceError
 
 _CHUNK = 1 << 16
@@ -232,12 +237,16 @@ def sample_hmm_path(
 
     "forward" starts at step 1 and walks ahead through the conditional
     transitions; "backward" starts at the final step and walks back.
-    Both target the same smoothing posterior.  CDFs are built a block of
-    steps (about ``_CHUNK`` entries) at a time; one uniform per path per
-    step, steps processed in walk order.  ``fb``, the caller's
-    ``forward_backward(spec, y)``, saves running the sweep again; ValueError
-    unless its tables fit y and spec.  FactorSizeError when the output
-    would pass the table entry cap.
+    Both target the same smoothing posterior.  One uniform per path for
+    the first state, then one per path per step, steps in walk order.
+    CDFs are built a block of steps at a time.  A chain of at most
+    ``SCAN_STATES`` states turns each block into outcome tables, every
+    path's next state from every previous state, so that a step is one
+    gather; a larger one searches each step's CDF rows.  Each block
+    holds about ``_CHUNK`` entries.  ``fb``, the caller's
+    ``forward_backward(spec, y)``, saves running the sweep again;
+    ValueError unless its tables fit y and spec.  FactorSizeError when
+    the output would pass the table entry cap.
     """
     if direction not in ("forward", "backward"):
         raise ValueError(f"unknown direction {direction!r}")
@@ -248,26 +257,77 @@ def sample_hmm_path(
     check_table_size((count, n), "sample output")
     if fb is None:
         fb = forward_backward(spec, y)
-    elif len(y) != n or not fb.log_forward.shape == fb.log_backward.shape == (n, spec.n_states):
-        raise ValueError(f"fb holds {fb.log_forward.shape} and {fb.log_backward.shape} tables, "
-                         f"not the sweep of {len(y)} observations over {n} steps of "
-                         f"{spec.n_states} states")
+    else:
+        _check_sweep(spec, y, fb)
     rng = np.random.Generator(np.random.PCG64(_integer(seed, "seed")))
-    paths = np.zeros((count, n), dtype=np.int64)
     walk = range(n) if direction == "forward" else range(n - 1, -1, -1)
     with np.errstate(over="ignore"):
         start = unit_max_exp(fb.log_forward[walk[0]] + fb.log_backward[walk[0]])
     if start.sum() <= 0:
         raise ValueError("observations have probability zero")
-    first = np.zeros(count, dtype=np.int64)
-    paths[:, walk[0]] = _search(_padded(_row_cdfs(start)), first, rng.random(count))
-    k, lo, hi = spec.n_states, 0, 0
-    block = max(1, _CHUNK // (k * k))
-    for prev, i in zip(walk, walk[1:]):
-        step = max(prev, i)  # either conditional is indexed by the later step
-        if not lo <= step < hi:  # steps go in fixed blocks counted from step 1
-            lo = step - (step - 1) % block
-            hi = min(lo + block, n)
-            padded = _padded(_row_cdfs(_transitions(fb, direction, lo, hi)))
-        paths[:, i] = _search(padded, (step - lo) * k + paths[:, prev], rng.random(count))
-    return paths
+    # row t of walked is the state at walk[t]; row t of uniforms takes
+    # walk[t] to walk[t + 1], drawn as PCG64 draws them one step at a time
+    walked = np.empty((n, count), dtype=np.int64)
+    walked[0] = _search(_padded(_row_cdfs(start)), np.zeros(count, dtype=np.int64),
+                        rng.random(count))
+    uniforms = rng.random((n - 1, count))
+    k = spec.n_states
+    if k <= SCAN_STATES:
+        _walk_outcomes(fb, direction, uniforms, walked)
+    else:
+        lo, hi = 0, 0
+        block = max(1, _CHUNK // (k * k))
+        for t, step in enumerate(max(prev, i) for prev, i in zip(walk, walk[1:])):
+            # either conditional is indexed by the later step; steps go in
+            # fixed blocks counted from step 1
+            if not lo <= step < hi:
+                lo = step - (step - 1) % block
+                hi = min(lo + block, n)
+                padded = _padded(_row_cdfs(_transitions(fb, direction, lo, hi)))
+            walked[t + 1] = _search(padded, (step - lo) * k + walked[t], uniforms[t])
+    return np.ascontiguousarray(walked[::1 if direction == "forward" else -1].T)
+
+
+def _walk_outcomes(fb: ForwardBackward, direction: str, uniforms: np.ndarray,
+                   walked: np.ndarray) -> None:
+    """The walk of sample_hmm_path on a chain of few states.  A step's
+    outcome table holds, for each path and each previous state r, the
+    next state its uniform u picks, ``(cum[r, :-1] <= u).sum()``, which
+    is what ``_search`` counts on the same CDF row; the walk then gathers
+    each path's entry at its previous state.  Tables are built for a
+    block of steps and paths of about ``_CHUNK`` compared entries."""
+    n, count = walked.shape
+    k = fb.log_forward.shape[1]
+    width = min(max(count, 1), max(1, _CHUNK // (k * k)))
+    block = max(1, _CHUNK // (k * k * width))
+    forward = direction == "forward"
+    starts = range(1, n, block)
+    paths = np.arange(count)
+    for lo in starts if forward else reversed(starts):
+        hi = min(lo + block, n)
+        # steps lo..hi - 1 index the CDFs; the walk's rows t take them in
+        # walk order, from walked[t] to walked[t + 1]
+        rows = range(lo - 1, hi - 1) if forward else range(n - hi, n - lo)
+        cum = _row_cdfs(_transitions(fb, direction, lo, hi))[::1 if forward else -1]
+        for a in range(0, count, width):
+            b = min(a + width, count)
+            u = uniforms[rows.start:rows.stop, None, None, a:b]
+            outcomes = (cum[:, :, :-1, None] <= u).sum(axis=2)
+            for t, table in zip(rows, outcomes):
+                walked[t + 1, a:b] = table[walked[t, a:b], paths[:b - a]]
+
+
+def _check_sweep(spec: HmmSpec, y: Sequence[int], fb: ForwardBackward) -> None:
+    """ValueError unless ``fb`` is the sweep of ``y`` on ``spec``: its shapes,
+    its emission and transition tables and its first forward row."""
+    n = spec.horizon
+    if len(y) != n or not fb.log_forward.shape == fb.log_backward.shape == (n, spec.n_states):
+        raise ValueError(f"fb holds {fb.log_forward.shape} and {fb.log_backward.shape} tables, "
+                         f"not the sweep of {len(y)} observations over {n} steps of "
+                         f"{spec.n_states} states")
+    log_e = log_emissions(spec, y)
+    with np.errstate(divide="ignore"):
+        log_t, log_init = np.log(spec.transition), np.log(spec.initial)
+    if not (np.array_equal(fb.log_emissions, log_e) and np.array_equal(fb.log_transition, log_t)
+            and np.array_equal(fb.log_forward[0], log_init + log_e[0])):
+        raise ValueError("fb is not the sweep of these observations on this spec")

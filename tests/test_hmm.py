@@ -250,6 +250,59 @@ class TestEmission:
         assert np.all(np.isfinite(table[0])) and np.all(table[1] == -math.inf)
 
 
+    # counts 0..10^4, the largest refused magnitude's neighbour and negative
+    # counts, through the list path; the digest is of the table as the
+    # per-count form computed it, one saddle-point lead per step
+    PINNED_COUNTS = [*range(10**4 + 1), hmm.MAX_COUNT, -1, -7, -hmm.MAX_COUNT]
+
+    @staticmethod
+    def pinned_spec() -> hmm.HmmSpec:
+        return hmm.HmmSpec(("a", "b", "c"), (1.0, 0.0, 0.0), np.eye(3), (0.5, 3.0, 1e3), 1)
+
+    def test_table_is_pinned_bit_for_bit(self):
+        table = hmm.log_emissions(self.pinned_spec(), self.PINNED_COUNTS)
+        assert table.shape == (len(self.PINNED_COUNTS), 3)
+        assert hashlib.sha256(table.tobytes()).hexdigest() == (
+            "0d3610fbdff0514885f8eb46250f1e2f44bb07c6cddba4f854a0d9a2ee291cd7")
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.int16, np.uint16, np.uint64])
+    def test_integer_arrays_read_as_lists_do(self, dtype):
+        spec = self.pinned_spec()
+        low = 0 if np.dtype(dtype).kind == "u" else -3
+        counts = np.arange(low, 10**4 + 1).astype(dtype)[::-1]
+        want = hmm.log_emissions(spec, counts.tolist())
+        assert hmm.log_emissions(spec, counts).tobytes() == want.tobytes()
+        assert hmm.log_emissions(spec, counts.tolist()).tobytes() == want.tobytes()
+        # each row is the count's row alone, whatever else the sequence holds
+        for k in (low, 0, 1, 15, 16, 9999):
+            assert want[list(counts).index(k)].tobytes() == \
+                hmm.log_emissions(spec, [k])[0].tobytes()
+
+    def test_integer_array_counts_are_not_checked_one_at_a_time(self, spec5, monkeypatch):
+        def per_count(value, what):
+            raise AssertionError(f"{what} checked one at a time")
+
+        monkeypatch.setattr("beliefprop.hmm._integer", per_count)
+        y = np.array([0, 2, 1, 4, 0])
+        assert hmm.log_emissions(spec5, y).shape == (5, 2)
+        hmm.forward_backward(spec5, y)
+        _, ev = hmm.to_bayes_net(spec5, y)
+        assert ev.allowed[3] == {2}
+        with pytest.raises(ValueError, match="count cutoff"):
+            hmm.to_bayes_net(spec5, np.array([0, 2, 41, 4, 0]))
+        with pytest.raises(ValueError, match="count cutoff"):
+            hmm.to_bayes_net(spec5, np.array([0, -1, 1, 4, 0]))
+
+    def test_other_arrays_are_checked_one_count_at_a_time(self, spec5):
+        # an integral float is no count either
+        with pytest.raises(ValueError, match=r"count at step 0: \S*0\.0\S* is not an integer"):
+            hmm.log_emissions(spec5, np.array([0.0, 1.0, 1.5]))
+        with pytest.raises(ValueError, match="count at step 0:"):
+            hmm.log_emissions(spec5, np.array([[1], [2]]))
+        with pytest.raises(ValueError, match="count at step 0: .*False.* is not an integer"):
+            hmm.log_emissions(spec5, np.array([False, True]))
+
+
 class TestForwardBackward:
     def test_single_step(self):
         spec = hmm.precipitation_spec(1)
@@ -393,6 +446,93 @@ class TestForwardBackward:
             np.testing.assert_allclose(
                 table[i], oracle_posterior(net, ev, 2 * i), rtol=0, atol=1e-12
             )
+
+
+def step_sweeps(spec, y) -> tuple[np.ndarray, np.ndarray]:
+    """The log forward and backward tables one step at a time, each step
+    one log-sum-exp over the log transition matrix."""
+    n, log_e = spec.horizon, hmm.log_emissions(spec, y)
+    fwd, bwd = np.empty((n, spec.n_states)), np.zeros((n, spec.n_states))
+    with np.errstate(divide="ignore", over="ignore"):
+        log_t = np.log(spec.transition)
+        fwd[0] = np.log(spec.initial) + log_e[0]
+        for i in range(1, n):
+            fwd[i] = np.logaddexp.reduce(fwd[i - 1][:, None] + log_t, axis=0) + log_e[i]
+        for i in range(n - 2, -1, -1):
+            bwd[i] = np.logaddexp.reduce(log_t + (log_e[i + 1] + bwd[i + 1]), axis=1)
+    return fwd, bwd
+
+
+def sweep_case(k: int, horizon: int, kind: str, seed: int) -> tuple[hmm.HmmSpec, np.ndarray]:
+    """A seeded k-state chain and a sequence it emits.  "zeros" puts a zero
+    in every transition row and in the initial row; "absorbing" pins the
+    start to a state the chain never leaves, which emits counts of 10 at
+    some 1e-7 the rate the others do, so its rows trail theirs by
+    hundreds of nats within a few dozen steps."""
+    rng = np.random.default_rng(seed)
+    initial, transition = rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(k), size=k)
+    rates = rng.uniform(0.3, 8.0, k)
+    if kind == "zeros":
+        transition[np.arange(k), rng.integers(0, k, k)] = 0.0
+        initial[0] = 0.0
+    if kind == "absorbing":
+        transition[-1] = np.eye(k)[-1]
+        initial = np.eye(k)[-1]
+        rates[-1] = 0.5
+    spec = hmm.HmmSpec(tuple(map(str, range(k))), tuple(initial / initial.sum()),
+                       tuple(map(tuple, transition / transition.sum(axis=1, keepdims=True))),
+                       tuple(rates), horizon)
+    y = np.full(horizon, 10) if kind == "absorbing" else hmm.simulate(spec, seed)[1]
+    return spec, y
+
+
+class TestScannedSweeps:
+    """A chain of at most SCAN_STATES states sweeps by log-semiring scans,
+    a larger one by the per-step loop; both read as the per-step sweep."""
+
+    def assert_matches_step_sweeps(self, spec, y):
+        fb = hmm.forward_backward(spec, y)
+        fwd, bwd = step_sweeps(spec, y)
+        for got, want in ((fb.log_forward, fwd), (fb.log_backward, bwd)):
+            assert np.array_equal(got == -math.inf, want == -math.inf)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        with np.errstate(over="ignore"):
+            want = float(np.logaddexp.reduce(fwd[-1]))
+        for i in (0, spec.horizon // 2, spec.horizon - 1):
+            got = hmm.log_likelihood(fb, i)
+            assert got == want or got == pytest.approx(want, rel=1e-12), i
+
+    @pytest.mark.parametrize("horizon", [1, 2, 3, 64, 2000])
+    @pytest.mark.parametrize("kind", ["plain", "zeros", "absorbing"])
+    @pytest.mark.parametrize("k", [2, hmm.SCAN_STATES, hmm.SCAN_STATES + 1])
+    def test_sweeps_match_the_per_step_sweep(self, k, kind, horizon):
+        spec, y = sweep_case(k, horizon, kind, seed=100 * k + horizon)
+        self.assert_matches_step_sweeps(spec, y)
+
+    @pytest.mark.parametrize("kind", ["plain", "zeros", "absorbing"])
+    def test_blocks_carry_their_end_rows(self, kind, monkeypatch):
+        monkeypatch.setattr("beliefprop.hmm._SCAN_BLOCK", 5)
+        for horizon in (6, 7, 64):
+            self.assert_matches_step_sweeps(*sweep_case(hmm.SCAN_STATES, horizon, kind, seed=3))
+
+    def test_impossible_observations_keep_their_mask(self):
+        spec, y = sweep_case(hmm.SCAN_STATES, 64, "zeros", seed=5)
+        y[30] = -1
+        self.assert_matches_step_sweeps(spec, y)
+        with pytest.raises(ValueError, match="probability zero"):
+            hmm.posteriors(spec, y)
+
+    def test_the_state_count_alone_picks_the_sweep(self, monkeypatch):
+        called = []
+        for name in ("_scan_sweeps", "_step_sweeps"):
+            sweeps = getattr(hmm, name)
+            monkeypatch.setattr(f"beliefprop.hmm.{name}",
+                                lambda *args, name=name, sweeps=sweeps:
+                                called.append(name) or sweeps(*args))
+        for k in (2, hmm.SCAN_STATES, hmm.SCAN_STATES + 1, 6):
+            for horizon in (1, 2000):
+                hmm.forward_backward(*sweep_case(k, horizon, "plain", seed=k))
+        assert called == ["_scan_sweeps"] * 4 + ["_step_sweeps"] * 4
 
 
 class TestSimulate:

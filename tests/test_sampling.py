@@ -15,7 +15,7 @@ from helpers import (
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from beliefprop import hmm
+from beliefprop import hmm, sampling
 from beliefprop.factor import MAX_TABLE_ENTRIES, FactorSizeError
 from beliefprop.jtree import JunctionTree
 from beliefprop.model import Cpd, DiscreteNetwork, EvidenceSet, Variable
@@ -429,6 +429,12 @@ def setup():
     return spec, y, fb
 
 
+@pytest.fixture(scope="module")
+def spec5_sweep():
+    spec, y = hmm.precipitation_spec(5), [0, 2, 1, 4, 0]
+    return spec, y, hmm.forward_backward(spec, y)
+
+
 class TestHmmPathSampling:
     def test_transition_rows_stochastic(self, setup):
         spec, y, fb = setup
@@ -496,6 +502,22 @@ class TestHmmPathSampling:
             with pytest.raises(ValueError, match="not the sweep of"):
                 sample_hmm_path(bad_spec, bad_y, fb=bad_fb)
 
+    def test_a_sweep_of_other_counts_or_another_spec_refused(self, spec5_sweep):
+        spec, y, fb = spec5_sweep
+        # same shapes throughout: only the tables tell these sweeps apart
+        others = [
+            (spec, [9] * 5, fb),
+            (spec, [0, 2, 1, 4, 1], fb),
+            (hmm.HmmSpec(spec.states, spec.initial, ((0.8, 0.2), (0.3, 0.7)), spec.rates, 5), y, fb),
+            (hmm.HmmSpec(spec.states, (0.5, 0.5), spec.transition, spec.rates, 5), y, fb),
+            (hmm.HmmSpec(spec.states, spec.initial, spec.transition, (3.0, 0.6), 5), y, fb),
+        ]
+        for bad_spec, bad_y, bad_fb in others:
+            with pytest.raises(ValueError, match="not the sweep of"):
+                sample_hmm_path(bad_spec, bad_y, seed=1, count=3, fb=bad_fb)
+        assert sample_hmm_path(spec, np.array(y), seed=1, count=3, fb=fb).tobytes() == \
+            sample_hmm_path(spec, y, seed=1, count=3).tobytes()
+
     def test_fractional_count_refused(self, setup):
         spec, y, _ = setup
         with pytest.raises(ValueError, match=r"count 2\.5 is not an integer"):
@@ -544,6 +566,19 @@ PINNED_CHAINS = [(hmm.precipitation_spec(n), [i * i % 7 for i in range(n)]) for 
 PINNED_CHAINS.append((ZERO_ENTRY, [i * 5 % 9 for i in range(60)]))
 
 
+# a start that may not be c, a state with no way out, and zeros elsewhere
+FOUR_STATES = hmm.HmmSpec(("a", "b", "c", "d"), (0.4, 0.3, 0.0, 0.3),
+                          ((0.7, 0.1, 0.1, 0.1), (0.0, 0.5, 0.5, 0.0), (0.2, 0.2, 0.3, 0.3),
+                           (0.0, 0.0, 0.0, 1.0)), (0.5, 2.0, 4.0, 9.0), 80)
+RAIN200 = hmm.precipitation_spec(200)
+PATH_CASES = {
+    "rain200": (RAIN200, hmm.simulate(RAIN200, 7)[1], 100),
+    "zero_entry": (ZERO_ENTRY, [i * 5 % 9 for i in range(60)], 100),
+    "four_states": (FOUR_STATES, [i * 7 % 11 for i in range(80)], 100),
+    "rain200_blocks": (RAIN200, hmm.simulate(RAIN200, 8)[1], 1000),
+}
+
+
 class TestDrawStreamPinned:
     """Pinned draw streams: the stacked conditionals and the shared CDF
     search draw exactly what a walk building each step's CDFs draws."""
@@ -556,6 +591,38 @@ class TestDrawStreamPinned:
                  for spec, y in PINNED_CHAINS
                  for direction in ("forward", "backward") for count in (0, 1, 100)]
         assert _digest(draws) == "017508abef471ba3edc72b52ee7804d9116f7e27e7a86f44e2bbe832653ed12f"
+
+    # digests of the walk that searched each step's CDF rows, so they pin
+    # the outcome-table walk to it: the 200-step demo chain; the 3-state
+    # chain with zeros; a chain one state too large for outcome tables,
+    # which searches each step; and 1000 paths, whose outcome tables take
+    # the 199 steps in several blocks
+    @pytest.mark.parametrize("case, digest", [
+        ("rain200", "f7b15958c1d0fc6aa2de5a9a85f18bb16eee691f436ada48cc66603073e30012"),
+        ("zero_entry", "c949dbe109a603e94d8ce0c001f17f4aa572c320cf69da4544d1185f94acac2a"),
+        ("four_states", "8d4ee42701481cd50ff0d4f775fac1cca04a9879c0dd14f3ee238638e19030cd"),
+        ("rain200_blocks", "195aa02d44a1a6b4d21ce253a14392f648fb07f7d77c7b4a7105d3703579ff0c"),
+    ])
+    def test_outcome_walk_draws_the_searched_walk(self, case, digest, monkeypatch):
+        spec, y, count = PATH_CASES[case]
+        blocks, searches = [], []
+        transitions = hmm._transitions
+        search = sampling._search
+        monkeypatch.setattr("beliefprop.sampling._transitions",
+                            lambda *args: blocks.append(args[2:]) or transitions(*args))
+        monkeypatch.setattr("beliefprop.sampling._search",
+                            lambda *args: searches.append(1) or search(*args))
+        draws = [sample_hmm_path(spec, y, d, seed=spec.horizon + count, count=count)
+                 for d in ("forward", "backward")]
+        assert _digest(draws) == digest
+        small = spec.n_states <= hmm.SCAN_STATES
+        # outcome tables search only for the first state, blocks walk in order
+        assert len(searches) == (2 if small else 2 * spec.horizon)
+        # 163 steps of 100 two-state paths fill a block, 16 of 1000 paths
+        per_walk = {"rain200": 2, "zero_entry": 1, "four_states": 1, "rain200_blocks": 13}
+        assert len(blocks) == 2 * per_walk[case]
+        firsts = [lo for lo, _ in blocks[:len(blocks) // 2]]
+        assert firsts == sorted(firsts) and blocks[len(blocks) // 2:] == blocks[:len(blocks) // 2][::-1]
 
     @pytest.mark.parametrize("case", range(len(PINNED_CHAINS)))
     def test_each_step_is_the_per_step_formula(self, case):
