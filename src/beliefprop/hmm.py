@@ -42,7 +42,7 @@ import numpy as np
 
 from .factor import _integer, check_table_size
 from .jtree import JunctionTree
-from .model import Cpd, DiscreteNetwork, EvidenceSet, Variable
+from .model import Cpd, DiscreteNetwork, EvidenceSet, Variable, _trusted_evidence
 
 COUNT_CUTOFF = 40
 # past this magnitude a count's log pmf leaves the float range
@@ -382,7 +382,8 @@ def to_bayes_net(spec: HmmSpec, y: Sequence[int]) -> tuple[DiscreteNetwork, Evid
         low, high = min(counts), max(counts)
     if low < 0 or high > COUNT_CUTOFF:
         raise ValueError(f"observations must lie within the count cutoff 0..{COUNT_CUTOFF}")
-    return _chain_network(spec), EvidenceSet({2 * i + 1: {counts[i]} for i in range(n)})
+    pinned = {c: frozenset((c,)) for c in set(counts)}  # checked ints, one set per count
+    return _chain_network(spec), _trusted_evidence(dict(zip(range(1, 2 * n, 2), map(pinned.get, counts))))
 
 
 @functools.lru_cache(maxsize=4)

@@ -355,6 +355,13 @@ class EvidenceSet:
         return u not in self.allowed or state in self.allowed[u]
 
 
+def _trusted_evidence(allowed: dict[int, frozenset[int]]) -> EvidenceSet:
+    """An EvidenceSet of checked ids and states, built as ``factor._trusted`` builds a Factor."""
+    out = object.__new__(EvidenceSet)
+    object.__setattr__(out, "allowed", allowed)
+    return out
+
+
 def _check_evidence(net: DiscreteNetwork, evidence: EvidenceSet) -> None:
     """ValueError naming the unknown variable ids or out-of-range states the evidence restricts."""
     cards, allowed = net.cards, evidence.allowed

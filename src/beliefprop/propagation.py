@@ -36,7 +36,9 @@ assignments: each max message records its first argmax per separator
 state, and the traceback forms only the root's table, then reads one
 recorded argmax per cluster along the query's one root-first order.
 Posterior sampling walks the same order over the sum tables laid out by
-``cluster_rows``.  Posteriors read an edge's two messages where they can.
+``cluster_rows``.  Posteriors read an edge's two messages where they can, the
+edge recorded on the plan; a run's are formed together by one batched product
+of its scans' messages at the first request, and each later one is a lookup.
 """
 
 from __future__ import annotations
@@ -85,8 +87,8 @@ _Edge = namedtuple("_Edge", "whole sep view shape outside perm free dims")
 _Layout = namedtuple("_Layout", "full scope shape members form seps")
 # A compile plan's evidence half, for one root and set of observed ids, kept on the tree
 # with the ``members`` of the structural half it was laid out from; ``inward`` and
-# ``outward``, the sum passes' steps (``_passes``).
-_Plan = namedtuple("_Plan", "members root observed order parent layouts inward outward")
+# ``outward``, the sum passes' steps (``_passes``); ``reads``, where each posterior is read.
+_Plan = namedtuple("_Plan", "members root observed order parent layouts inward outward reads")
 # A run of clusters, root-first, each read as a matrix padded to ``width``: per
 # ``groups`` entry, the run positions and clusters laid out alike, their layout shape,
 # the stacked axes summed out and the order putting the separator toward the root first,
@@ -144,8 +146,9 @@ def _plan(net: DiscreteNetwork, jtree: JunctionTree, root: int,
     children, order = tree.rooted(root)
     parent = MappingProxyType({k: j for j in order for k in children[j]})
     layouts = _layouts(net, tree, observed, members)
-    plan = _Plan(members, root, observed, order, parent, layouts,
-                 *_passes(layouts, order, children, parent))
+    inward, outward = _passes(layouts, order, children, parent)
+    plan = _Plan(members, root, observed, order, parent, layouts, inward, outward,
+                 _reads(layouts, observed, inward))
     object.__setattr__(tree, "_plan", plan)
     return tree, plan
 
@@ -248,6 +251,30 @@ def _sweeps(layouts, path: list[int], parent, children) -> tuple[_Sweep, _Sweep]
                              tuple((np.array(rows), size, shape, tuple(sent))
                                    for (size, shape), (rows, sent) in sends.items())))
     return sweeps[0], sweeps[1]
+
+
+def _reads(layouts, observed, steps) -> dict:
+    """Per variable id u, where its posterior is read: (home j, k, batch), (j, k) j's smallest
+    edge whose sliced separator holds u (any edge if u is observed; lowest k on ties; k None if
+    none does), batch (a run's first cluster, its groups) if (j, k) lies inside a run of
+    ``steps`` and holds u: per separator shape and u's axis, the ids and their edges' scan rows."""
+    reads = {}
+    for j, layout in enumerate(layouts):
+        for u, _, _ in layout.members:
+            held = [(math.prod(e.shape), k) for k, e in layout.seps.items() if u in observed or u in e.sep]
+            reads[u] = j, min(held)[1] if held else None, None
+    for path in (step.run.clusters for step in steps if type(step) is _Sweep):
+        groups: dict[tuple, list] = {}
+        for t, pair in enumerate(zip(path, path[1:])):  # scan rows n - 2 - t inward, t outward
+            for j, k in (pair, pair[::-1]):
+                edge = layouts[j].seps[k]
+                for u in (u for u, _, _ in layouts[j].members if reads[u][1] == k and u in edge.sep):
+                    reads[u] = j, k, (path[0], groups)
+                    groups.setdefault((edge.shape, edge.sep.index(u)), []).append((u, len(path) - 2 - t, t))
+        for key, members in groups.items():
+            ids, rows_in, rows_out = zip(*members)
+            groups[key] = ids, np.array(rows_in), np.array(rows_out)
+    return reads
 
 
 def _unit_max(tables: np.ndarray, logs: np.ndarray) -> None:
@@ -355,11 +382,11 @@ class CompiledQuery:
     every other cluster to its neighbour toward the root.  The schedule, the
     sum passes' steps (``_passes``) and each cluster's ``_Layout``, with its
     members' checked CPD arrays, come from the kept compile plan (``_plan``);
-    construction reads those arrays
-    at the evidence into one read-only product of K_u per distinct cluster
-    (``_compile``) and keeps no per-variable potential.  The message stores
-    hold (table, log scale) pairs over the sliced separators, and
-    ``_argmax`` what each max message recorded for map_assignment.
+    construction reads those arrays at the evidence into one read-only
+    product of K_u per distinct cluster (``_compile``) and keeps no
+    per-variable potential.  The message stores hold (table, log scale)
+    pairs over the sliced separators, ``_argmax`` what each max message
+    recorded for map_assignment, and ``_batched`` each run's posteriors.
     ``_with_observed`` alone puts observed axes back, in the tables handed
     out.  ``message`` and ``cluster_conditional`` read a copy laid out from
     the same arrays with nothing sliced, the tree's plan left in place.
@@ -398,7 +425,7 @@ class CompiledQuery:
         allowed = self.evidence.allowed
         self._observed = {u: s for u, states in allowed.items() if len(states) == 1 for s in states}
         self.jtree, plan = _plan(net, jtree, self.root, frozenset(self._observed))
-        self.order, self.parent = plan.order, plan.parent
+        self.order, self.parent, self._reads = plan.order, plan.parent, plan.reads
         self._passes = plan.inward, plan.outward
         self._unsliced_copy: CompiledQuery | None = None
         self._compile(plan.layouts)
@@ -427,6 +454,8 @@ class CompiledQuery:
         self._messages: dict[tuple[str, int, int], tuple[np.ndarray, float]] = {}
         self._argmax: dict[tuple[int, int], tuple] = {}  # (j, k) -> what map_assignment reads
         self._matrices: dict[int, np.ndarray] = {}  # a run's first cluster -> what _run_matrices formed
+        self._sums: dict[tuple[int, bool], np.ndarray] = {}  # (first cluster, inward) -> _scan's sums
+        self._batched: dict[int, dict] = {}  # a run's first cluster -> its _run_posteriors
 
     def _unsliced(self) -> "CompiledQuery":
         """This query laid out again from the plan's CPD arrays with no
@@ -603,7 +632,8 @@ class CompiledQuery:
         _prefix_products(mats, logs)
         peaks = logs.max(axis=0)
         peaks[peaks == -math.inf] = 0.0
-        sums = np.einsum("it,ikt->kt", np.exp(logs - peaks), mats)
+        sums = self._sums[sweep.run.clusters[0], sweep.inward] = np.einsum(
+            "it,ikt->kt", np.exp(logs - peaks), mats)
         _unit_max(sums, peaks)
         if len(sweep.sends) > 1:  # the store keeps sending order, which _unsliced replays
             self._messages.update(dict.fromkeys(sweep.keys))
@@ -646,31 +676,33 @@ class CompiledQuery:
         return self.cluster_marginal(self.root).total_log_mass()
 
     def variable_posterior(self, u: int) -> np.ndarray:
-        """P(variable | evidence) from its home cluster; ValueError unless an integer id."""
+        """P(variable | evidence) from its home cluster, a new array; ValueError unless an
+        integer id.  A variable on a run's edge costs a lookup after the first such request."""
         u = _integer(u, "variable id")
         if u not in self.net.cards:
             raise KeyError(f"unknown variable id {u}")
         return self._posterior(u, {})
 
     def posterior_table(self) -> dict[int, np.ndarray]:
-        """Every posterior by ascending id, each table they read formed once."""
+        """Every posterior by ascending id, each table they read formed once, a run's
+        posteriors by one batched product, unless an earlier request formed them."""
         tables: dict = {}
         return {u: self._posterior(u, tables) for u in sorted(self.net.ids)}
 
     def _posterior(self, u: int, tables: dict) -> np.ndarray:
-        """P(u | evidence) from the smallest table of u's home j that holds u (an
-        observed u's indicator, its mass checked there): an edge's two stored sum
-        messages, lowest neighbour on ties, else j's marginal; ``tables`` caches by (j, k)."""
-        j = self.jtree.assignment[u]
-        seps, observed, stored = self._layouts[j].seps, self._observed, self._messages
-        held = [(math.prod(e.shape), k) for k, e in seps.items() if (u in observed or u in e.sep)
-                and ("sum", j, k) in stored and ("sum", k, j) in stored]
-        k = min(held)[1] if held else None
+        """P(u | evidence) read as the plan records (``_reads``): from its run's batch, else
+        the edge's two stored sum messages, else its home j's marginal (an observed u's
+        indicator, its mass checked there); ``tables`` caches by (j, k)."""
+        j, k, batch = self._reads[u]
+        if batch is not None and u in (posts := self._run_posteriors(*batch)):
+            return posts[u].copy()
+        if ("sum", j, k) not in self._messages or ("sum", k, j) not in self._messages:
+            k = None
         if k is None and (j, k) not in tables:
             marginal = self.cluster_marginal(j)
             tables[j, k] = marginal.scope, marginal.values
         elif (j, k) not in tables:
-            tables[j, k] = seps[k].sep, self._stored(j, k, "sum")[0] * self._stored(k, j, "sum")[0]
+            tables[j, k] = self._layouts[j].seps[k].sep, self._stored(j, k, "sum")[0] * self._stored(k, j, "sum")[0]
         scope, table = tables[j, k]
         # np.add.reduce is what .sum() runs, without its Python wrapper
         others = tuple(a for a, v in enumerate(scope) if v != u)
@@ -681,6 +713,24 @@ class CompiledQuery:
         if total <= 0.0:
             raise ImpossibleEvidenceError("posterior undefined: evidence has probability zero")
         return self._with_observed((u,), single) / total
+
+    def _run_posteriors(self, first: int, groups: dict) -> dict[int, np.ndarray]:
+        """The posteriors batched on the run from ``first`` (``_reads``), formed and kept once
+        both sweeps' ``sums`` are stored (else {}): per group one product of the two directions'
+        rows, one reduction, one division; a group with an improper mass is left to ``_posterior``."""
+        posts = self._batched.get(first)
+        if posts is not None or (first, True) not in self._sums or (first, False) not in self._sums:
+            return posts or {}
+        toward, away = self._sums[first, True].T, self._sums[first, False].T
+        posts = self._batched[first] = {}
+        for (shape, axis), (ids, rows_in, rows_out) in groups.items():
+            size = math.prod(shape)
+            table = (toward[rows_in, :size] * away[rows_out, :size]).reshape(-1, *shape)
+            single = np.add.reduce(table, tuple(a + 1 for a in range(len(shape)) if a != axis))
+            total = np.add.reduce(single, 1)
+            if np.isfinite(total).all() and (total > 0.0).all():
+                posts.update(zip(ids, single / total[:, None]))
+        return posts
 
     # -- most probable assignment ------------------------------------------
 

@@ -293,6 +293,27 @@ class TestEmission:
         with pytest.raises(ValueError, match="count cutoff"):
             hmm.to_bayes_net(spec5, np.array([0, -1, 1, 4, 0]))
 
+    def test_chain_evidence_is_built_without_the_per_count_checks(self, monkeypatch):
+        # the counts were checked where they entered: the evidence equals what the
+        # checking constructor builds, one frozenset per distinct count, and
+        # EvidenceSet's own checks are not run
+        spec = hmm.precipitation_spec(200)
+        y = hmm.simulate(spec, 3)[1]
+        want = EvidenceSet({2 * i + 1: {int(c)} for i, c in enumerate(y)})
+        monkeypatch.setattr("beliefprop.model._integer", lambda value, what: pytest.fail(what))
+        for counts in (y, y.tolist(), list(y)):
+            _, ev = hmm.to_bayes_net(spec, counts)
+            assert ev == want and list(ev.allowed) == list(want.allowed)
+            assert all(type(s) is frozenset and all(type(c) is int for c in s)
+                       for s in ev.allowed.values())
+            assert len({id(s) for s in ev.allowed.values()}) == len(set(y.tolist()))
+        monkeypatch.undo()
+        # the public constructor keeps every check
+        with pytest.raises(ValueError, match="state of variable 1 1.5 is not an integer"):
+            EvidenceSet({1: {1.5}})
+        with pytest.raises(ValueError, match="evidence variable id '1' is not an integer"):
+            EvidenceSet({"1": {0}})
+
     def test_other_arrays_are_checked_one_count_at_a_time(self, spec5):
         # an integral float is no count either
         with pytest.raises(ValueError, match=r"count at step 0: \S*0\.0\S* is not an integer"):

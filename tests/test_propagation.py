@@ -1,3 +1,4 @@
+import hashlib
 import gc
 import math
 import re
@@ -1084,3 +1085,218 @@ class TestPlanOwnsTheTables:
             with pytest.raises(ValueError, match=line):
                 CompiledQuery(net, EvidenceSet({0: {1}}), jtree=jt, validate=False)
             assert jt._plan is None
+
+
+# -- posteriors read on a run, all at once ------------------------------------
+
+
+def _pair_chain(n: int, rng: np.random.Generator) -> tuple[DiscreteNetwork, JunctionTree]:
+    """Binary A_i, B_i with A_i <- A_{i-1} and B_i <- A_{i-1}, B_{i-1}, and a binary
+    E_i <- A_i, B_i; clusters {A_0, B_0, E_0} and {A_{i-1}, B_{i-1}, A_i, B_i, E_i} in a
+    path, so a run's separators hold two variables each."""
+    variables = [Variable(3 * i + c, f"{'ABE'[c]}{i}", ("0", "1")) for i in range(n) for c in range(3)]
+
+    def table(rows: int) -> np.ndarray:
+        t = rng.random((rows, 2)) + 0.05
+        return t / t.sum(axis=1, keepdims=True)
+
+    cpds = [Cpd(0, (), table(1)), Cpd(1, (0,), table(2))]
+    cpds += [Cpd(3 * i, (3 * i - 3,), table(2)) for i in range(1, n)]
+    cpds += [Cpd(3 * i + 1, (3 * i - 3, 3 * i - 2), table(4)) for i in range(1, n)]
+    cpds += [Cpd(3 * i + 2, (3 * i, 3 * i + 1), table(4)) for i in range(n)]
+    clusters = [{0, 1, 2}] + [{3 * i - 3, 3 * i - 2, 3 * i, 3 * i + 1, 3 * i + 2} for i in range(1, n)]
+    tree = JunctionTree(clusters, [(i - 1, i) for i in range(1, n)], {u: u // 3 for u in range(3 * n)})
+    return DiscreteNetwork(variables, sorted(cpds, key=lambda c: c.child)), tree
+
+
+def _read_all(h, cq: CompiledQuery) -> None:
+    """Every variable_posterior, then posterior_table, into the hash: bytes, or the
+    error's name in their place."""
+    for read in [lambda u=u: cq.variable_posterior(u).tobytes() for u in sorted(cq.net.ids)] + [
+            lambda: b"".join(p.tobytes() for p in cq.posterior_table().values())]:
+        try:
+            h.update(read())
+        except (SchedulingError, ImpossibleEvidenceError) as exc:
+            h.update(type(exc).__name__.encode())
+
+
+def _posterior_digest(case: str) -> str:
+    """The bytes of every posterior read on a case's queries, before the outward pass
+    where it says so; pinned from the per-variable reads, one variable at a time."""
+    h = hashlib.sha256()
+    if case.startswith("chain"):  # horizon 200, one root, inward alone then both passes
+        spec = hmm.precipitation_spec(200)
+        root = int(case[5:])
+        for seed in range(4):
+            net, ev = hmm.to_bayes_net(spec, hmm.simulate(spec, seed)[1])
+            cq = CompiledQuery(net, ev, jtree=hmm.chain_junction_tree(spec), root=root)
+            cq.inward()
+            _read_all(h, cq)
+            cq.outward()
+            _read_all(h, cq)
+            _read_all(h, CompiledQuery(net, ev, jtree=cq.jtree, root=root).propagate())
+    elif case == "pedigree":  # the fixture evidence and seeded families, at every root
+        net = pedigree_network()
+        jt = build_junction_tree(net)
+        rng = np.random.default_rng(29)
+        for ev in [pedigree_evidence()] + [random_evidence(rng, net, 0.5) for _ in range(30)]:
+            for root in range(jt.q):
+                h.update(repr(sorted((u, sorted(s)) for u, s in ev.allowed.items())).encode())
+                _read_all(h, CompiledQuery(net, ev, jtree=jt, root=root).propagate())
+    elif case == "banded":  # the wide workload's networks
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            net = banded_network(rng)
+            ev = random_evidence(rng, net, 1 / 6)
+            h.update(b"".join(p.tobytes() for p in CompiledQuery(net, ev).propagate().posterior_table().values()))
+    else:  # runs of other separators: 3 and 4 states, mixed sizes, two variables
+        spec3 = hmm.HmmSpec(("a", "b", "c"), (0.2, 0.3, 0.5),
+                            ((0.8, 0.1, 0.1), (0.2, 0.7, 0.1), (0.3, 0.3, 0.4)), (0.5, 2.0, 6.0), 120)
+        spec4 = hmm.HmmSpec(("a", "b", "c", "d"), (0.25,) * 4,
+                            tuple(tuple(0.7 if r == c else 0.1 for c in range(4)) for r in range(4)),
+                            (0.5, 2.0, 6.0, 12.0), 120)
+        for spec in (spec3, spec4):
+            net, ev = hmm.to_bayes_net(spec, hmm.simulate(spec, 5)[1])
+            _read_all(h, CompiledQuery(net, ev, jtree=hmm.chain_junction_tree(spec), root=60).propagate())
+        rng = np.random.default_rng(27)
+        net, jt = _chain_with_extras(100, rng)
+        allowed = {2 * i + 1: {int(rng.integers(2))} for i in range(100) if i % 3}
+        allowed.update({2 * i: {0} for i in (9, 10, 50)})
+        allowed[2 * 20] = {0, 1}
+        _read_all(h, CompiledQuery(net, EvidenceSet(allowed), jtree=jt, root=45).propagate())
+        net, jt = _pair_chain(80, np.random.default_rng(28))
+        allowed = {3 * i + 2: {i % 2} for i in range(80)}
+        allowed.update({30: {1}, 31: {0, 1}, 150: {0}})
+        _read_all(h, CompiledQuery(net, EvidenceSet(allowed), jtree=jt, root=0).propagate())
+    return h.hexdigest()
+
+
+class TestRunPosteriors:
+    """Where each posterior is read is kept on the plan; a run's posteriors are
+    formed together, by one product of its two scans' messages, at the first
+    request after both scans, and every later request reads them."""
+
+    @pytest.mark.parametrize("case, digest", [
+        ("chain0", "079dd5f6422d278ac73ee0a63ee0f315117dd8b97dcd0c079c8dab63fceedf2d"),
+        ("chain100", "a88391a3f5e2bab58de29e74b16da715ed48aea5b27d6030d1adacedfff95969"),
+        ("chain199", "5b44adfa3e5408cb5f5b14c03a26a59e097fb827b9c88f94446d859c192ab107"),
+        ("pedigree", "91a24f2cb8cad70a3b5a1be1957e9497651e717b15938944efdb614621c4ea02"),
+        ("banded", "b44ce3925314929b7dea6450011e1474d357afdb6723091d8e4a1f3235b3aeee"),
+        ("other", "3531b2e382675ee72ecfd8584dbd46bf801731d20debbd614e51c13ebe309b23"),
+    ])
+    def test_posteriors_keep_their_bytes(self, case, digest):
+        # pinned when every posterior was read one variable at a time
+        assert _posterior_digest(case) == digest
+
+    @staticmethod
+    def counted(monkeypatch) -> tuple[list, list]:
+        """Runs whose posteriors a query forms, and the stored messages read one
+        variable at a time (an edge's two, or the ones a cluster marginal folds in)."""
+        formed, stored = [], []
+        run_posteriors, read = CompiledQuery._run_posteriors, CompiledQuery._stored
+
+        def counted(self, first, groups):
+            kept = first in self._batched
+            out = run_posteriors(self, first, groups)
+            if not kept and first in self._batched:
+                formed.append(first)
+            return out
+
+        monkeypatch.setattr(CompiledQuery, "_run_posteriors", counted)
+        monkeypatch.setattr(CompiledQuery, "_stored", lambda self, i, j, semiring: (
+            stored.append((i, j))) or read(self, i, j, semiring))
+        return formed, stored
+
+    @pytest.mark.parametrize("root, runs, edges", [
+        (0, [0], []), (199, [199], []),
+        # two runs; S_100 and S_101 read the edges to the root's cluster, outside them
+        (100, [99, 101], [(99, 100), (100, 99), (100, 101), (101, 100)])])
+    def test_a_chain_forms_each_run_once(self, monkeypatch, root, runs, edges):
+        spec = hmm.precipitation_spec(200)
+        _, y = hmm.simulate(spec, 7)
+        cq = CompiledQuery(*hmm.to_bayes_net(spec, y), jtree=hmm.chain_junction_tree(spec),
+                           root=root).propagate()
+        formed, stored = self.counted(monkeypatch)
+        homes = []
+        marginal = CompiledQuery.cluster_marginal
+        monkeypatch.setattr(CompiledQuery, "cluster_marginal",
+                            lambda self, j: homes.append(j) or marginal(self, j))
+        post = np.array([cq.variable_posterior(2 * i) for i in range(spec.horizon)])
+        assert formed == runs
+        # one variable at a time: S_200 from its home's marginal, and the states
+        # whose edge lies off the runs
+        assert homes == [199]
+        assert sorted(stored) == sorted(edges + [(198, 199)])
+        np.testing.assert_allclose(post, hmm.posteriors(spec, y), rtol=0, atol=1e-9)
+        table = cq.posterior_table()
+        assert formed == runs
+        for i in range(spec.horizon):
+            assert table[2 * i].tobytes() == post[i].tobytes()
+
+    def test_no_run_is_formed_before_both_scans(self, monkeypatch):
+        spec = hmm.precipitation_spec(200)
+        net, ev = hmm.to_bayes_net(spec, hmm.simulate(spec, 8)[1])
+        cq = CompiledQuery(net, ev, jtree=hmm.chain_junction_tree(spec))
+        formed, _ = self.counted(monkeypatch)
+        cq.inward()
+        assert cq.variable_posterior(0).sum() == pytest.approx(1.0)  # the root's marginal
+        with pytest.raises(SchedulingError):
+            cq.variable_posterior(2)
+        assert formed == [] and cq._batched == {}
+        cq.outward()
+        cq.variable_posterior(2)
+        assert formed == [0]
+
+    def test_each_answer_is_its_own_array(self):
+        spec = hmm.precipitation_spec(200)
+        net, ev = hmm.to_bayes_net(spec, hmm.simulate(spec, 9)[1])
+        cq = CompiledQuery(net, ev, jtree=hmm.chain_junction_tree(spec)).propagate()
+        want = {u: p.tobytes() for u, p in cq.posterior_table().items()}
+        for u in (0, 2, 2 * 199, 1):  # on the run, off it, observed
+            got = cq.variable_posterior(u)
+            assert got.flags.writeable and got.flags.owndata
+            got[:] = -1.0
+            assert cq.variable_posterior(u).tobytes() == want[u]
+        for p in cq.posterior_table().values():
+            p[:] = -1.0
+        assert {u: p.tobytes() for u, p in cq.posterior_table().items()} == want
+
+    def test_the_unsliced_copy_keeps_no_posteriors_of_its_own_query(self):
+        spec = hmm.precipitation_spec(200)
+        net, ev = hmm.to_bayes_net(spec, hmm.simulate(spec, 10)[1])
+        cq = CompiledQuery(net, ev, jtree=hmm.chain_junction_tree(spec)).propagate()
+        want = {u: p.tobytes() for u, p in cq.posterior_table().items()}
+        cq.message(0, 1)
+        twin = cq._unsliced()
+        assert twin is not cq and twin._batched == {} and twin._sums == {}
+        assert twin._batched is not cq._batched and twin._sums is not cq._sums
+        assert {u: p.tobytes() for u, p in cq.posterior_table().items()} == want
+        # a second propagate() sends the same messages and reads the same bytes
+        cq.propagate()
+        assert {u: p.tobytes() for u, p in cq.posterior_table().items()} == want
+        fresh = CompiledQuery(net, ev, jtree=cq.jtree).propagate()
+        assert {u: p.tobytes() for u, p in fresh.posterior_table().items()} == want
+
+    def test_the_reads_live_on_the_plan(self):
+        spec = hmm.precipitation_spec(200)
+        jt = hmm.chain_junction_tree(spec)
+        first, second = (CompiledQuery(*hmm.to_bayes_net(spec, hmm.simulate(spec, s)[1]), jtree=jt)
+                         for s in (11, 12))
+        assert first._reads is second._reads is jt._plan.reads
+        j, k, batch = first._reads[2 * 7]
+        assert (j, k) == (7, 8) and batch[0] == 0
+        assert first._reads[2 * 199][1:] == (None, None)
+        assert first._reads[1][1:] == (1, None)  # observed: its home's smallest edge
+
+    def test_impossible_evidence_on_a_run_raises_for_every_variable(self):
+        # every edge on the runs has zero mass: no group is kept, and each read
+        # raises from the per-variable path as before
+        net, jt = _chain_with_extras(100, np.random.default_rng(27))
+        cq = CompiledQuery(net, EvidenceSet({2 * 70: set(), 5: {1}}), jtree=jt, root=45).propagate()
+        assert len(_runs(cq)) == 2
+        for u in net.ids:
+            with pytest.raises(ImpossibleEvidenceError):
+                cq.variable_posterior(u)
+        with pytest.raises(ImpossibleEvidenceError):
+            cq.posterior_table()
+        assert cq._batched == {44: {}, 46: {}}
