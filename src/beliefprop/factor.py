@@ -14,10 +14,7 @@ factor enters from outside through the ``Factor`` constructor.  The
 algebra methods build their results without re-scanning them: from
 valid operands only a product or a sum can leave double range, so
 ``multiply`` and ``marginalize_sum`` check their result for overflow and
-the other operations need no value check at all.  The propagation
-engine works on bare tables and runs the same check once per message
-(after its sum) and once per cluster table: an overflow there stays inf
-or turns into NaN, and the check catches both.
+the other operations need no value check at all.
 
 One guard bounds every table whose size comes from the input: a table
 may hold at most ``MAX_TABLE_ENTRIES`` entries, counted as the product

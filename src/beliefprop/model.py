@@ -54,8 +54,10 @@ class DiscreteNetwork:
     Construction is deliberately permissive: structurally broken inputs
     (cycles, dangling parents, bad row sums...) are accepted so that
     validate_network can enumerate every defect instead of dying on the
-    first one.  Query helpers assume a valid network and may raise
-    KeyError or ValueError on a broken one.
+    first one.  A query (``CompiledQuery``) reads that report and raises
+    InvalidNetworkError with it unless it is ok; the lookups and the
+    oracle assume a valid network and may raise KeyError or ValueError on
+    a broken one.
 
     Read-only once built: rebinding an attribute raises AttributeError and
     the lookups are read-only mappings.  So the network keeps, in slots

@@ -11,16 +11,17 @@ whose total mass is the evidence probability.
 The network and tree fix the scope of every such table, so the kernel runs
 on bare arrays laid out by a two-part plan: per (network, tree), kept on the
 network, the tree ``validate_junction_tree`` passes (one breaking running
-intersection is refused, never answered) and each CPD checked once
+intersection is refused, never answered) and each CPD laid out once
 (``_structure``); per root and observed ids, kept on the tree, the schedule,
 layouts and runs (``_plan``).  A query reads each CPD at the state of every
 variable the evidence pins to one state (factor reduction), so the arrays
 leave those variables out, and masks only the other restricted children.
 
-Messages are renormalized to unit maximum, with the removed
-mass tracked in each message's log scale, so long chains cannot
-underflow.  Both passes walk the plan's schedule, so tree depth is not
-limited by the interpreter's recursion limit.  A run, a long path of
+Every query refuses an invalid network first, so CPD entries lie in [0, 1].
+Messages are renormalized to unit maximum, with the removed mass tracked in
+each message's log scale, so nothing the engine forms can overflow and long
+chains cannot underflow.  Both passes walk the plan's schedule, so tree depth
+is not limited by the interpreter's recursion limit.  A run, a long path of
 clusters with one child each and small separators, is a chain: read as a
 (separator toward the root x separator away) matrix, each cluster passes
 its one incoming message on by a matrix product, so the run's outward
@@ -53,7 +54,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .factor import Factor, _integer, _require_finite, _trusted, check_table_size
+from .factor import Factor, _integer, _trusted, check_table_size
 from .jtree import (
     InvalidJunctionTreeError,
     JunctionTree,
@@ -83,7 +84,7 @@ class ImpossibleEvidenceError(ValueError):
 # shape, the axes outside it, and for max messages the order that puts those last.
 _Edge = namedtuple("_Edge", "whole sep view shape outside perm free dims")
 # A cluster's whole scope, then what the kernel reads, observed variables left out;
-# (id, family, checked CPD array) per id it holds; ``form``, its product key's fixed part.
+# (id, family, CPD array) per id it holds; ``form``, its product key's fixed part.
 _Layout = namedtuple("_Layout", "full scope shape members form seps")
 # A compile plan's evidence half, for one root and set of observed ids, kept on the tree
 # with the ``members`` of the structural half it was laid out from; ``inward`` and
@@ -109,7 +110,8 @@ _RUN_MAX_ENTRIES = 4
 def _structure(net: DiscreteNetwork, jtree: JunctionTree) -> tuple[JunctionTree, list]:
     """A compile plan's structural half, kept on the network for its last tree: that
     tree checked by ``validate_junction_tree``, homes attached, each cluster within the
-    size cap, and per cluster (id, family, checked CPD array) for each id it holds."""
+    size cap, and per cluster (id, family, CPD table as a read-only array over the family
+    in id order) for each id it holds."""
     given, tree, members = net._structure
     if given is jtree:
         return tree, members
@@ -122,12 +124,14 @@ def _structure(net: DiscreteNetwork, jtree: JunctionTree) -> tuple[JunctionTree,
     for j, cluster in enumerate(tree.clusters):
         check_table_size(map(net.cards.__getitem__, cluster), f"cluster {j}")
     members: list[list[tuple]] = [[] for _ in range(tree.q)]
-    made: dict[tuple, np.ndarray] = {}  # a CPD table several CPDs view alike is checked once
+    made: dict[tuple, np.ndarray] = {}  # a CPD table several CPDs view alike is laid out once
     for u, j in sorted(tree.assignment.items()):
         family, shape, perm = net._family_layout(u)
-        key = (id(net.cpd(u).table), shape, perm)
+        table = net.cpd(u).table
+        key = (id(table), shape, perm)
         if key not in made:
-            made[key] = net.cpd_factor(u).values
+            made[key] = np.ascontiguousarray(table.reshape(shape).transpose(perm))
+            made[key].setflags(write=False)
         members[j].append((u, family, made[key]))
     object.__setattr__(net, "_structure", (jtree, tree, members))
     return tree, members
@@ -277,31 +281,6 @@ def _reads(layouts, observed, steps) -> dict:
     return reads
 
 
-def _unit_max(tables: np.ndarray, logs: np.ndarray) -> None:
-    """Scale each table along the last axis (``tables[..., t]``) to unit maximum in
-    place and add the log of its peak to ``logs[t]``; an all-zero table keeps its
-    scale.  ValueError unless every table is finite."""
-    peaks = tables.max(axis=tuple(range(tables.ndim - 1)))
-    if not math.isfinite(peaks.max()):  # entries are non-negative: inf, or NaN once inf met 0
-        raise ValueError("factor values must be finite")
-    peaks += peaks == 0.0
-    tables /= peaks
-    logs += np.log(peaks)
-
-
-def _unit_rows(mats: np.ndarray, logs: np.ndarray) -> None:
-    """Scale each row of each matrix (``mats[i, :, t]``) to unit maximum in place and
-    add the log of its peak to ``logs[i, t]``, -inf for an all-zero row.  ValueError
-    unless every matrix is finite."""
-    peaks = mats.max(axis=1)
-    if not math.isfinite(peaks.max()):
-        raise ValueError("factor values must be finite")
-    with np.errstate(divide="ignore"):
-        logs += np.log(peaks)
-    peaks[peaks == 0.0] = 1.0
-    mats /= peaks[:, None]
-
-
 def _prefix_products(mats: np.ndarray, logs: np.ndarray) -> None:
     """In place, matrix t (``mats[..., t]``) becomes the product of matrices 0..t, each
     row at unit maximum with its log scale in ``logs[:, t]``: Hillis-Steele, ceil(log2 n)
@@ -381,7 +360,7 @@ class CompiledQuery:
     parent before child (children by ascending index), and ``parent`` maps
     every other cluster to its neighbour toward the root.  The schedule, the
     sum passes' steps (``_passes``) and each cluster's ``_Layout``, with its
-    members' checked CPD arrays, come from the kept compile plan (``_plan``);
+    members' CPD arrays, come from the kept compile plan (``_plan``);
     construction reads those arrays at the evidence into one read-only
     product of K_u per distinct cluster (``_compile``) and keeps no
     per-variable potential.  The message stores hold (table, log scale)
@@ -392,16 +371,18 @@ class CompiledQuery:
     the same arrays with nothing sliced, the tree's plan left in place.
     Accessors raise SchedulingError until the messages they read exist.
 
-    ``validate`` reads ``validate_network``'s report, kept on the network,
-    and raises InvalidNetworkError unless it is ok; under ``validate=False``
-    a valid network is the caller's promise.  Then evidence on an unknown
-    id or state raises ValueError.  Unless the tree is the network's last
-    one, ``validate_junction_tree``'s report is read next, before homes are
-    attached to a tree given without them, and InvalidJunctionTreeError
-    raised with it; then, before any table is built, a cluster of more than
-    ``MAX_TABLE_ENTRIES`` entries (observed variables included) raises
-    FactorSizeError; then a CPD entry that is not finite and non-negative
-    raises ValueError, and an out-of-range root ValueError.
+    Construction first reads ``validate_network``'s report, kept on the
+    network, and raises InvalidNetworkError with it unless it is ok
+    (``validate`` is ignored).  So CPD entries lie in [0, 1] and stored
+    messages peak at 1: a product of them is at most 1, a sum at most
+    ``MAX_TABLE_ENTRIES``, and no table formed can leave double range.
+    Then evidence on an unknown id or state raises ValueError.  Unless the
+    tree is the network's last one, ``validate_junction_tree``'s report is
+    read next, before homes are attached to a tree given without them, and
+    InvalidJunctionTreeError raised with it; then, before any table is
+    built, a cluster of more than ``MAX_TABLE_ENTRIES`` entries (observed
+    variables included) raises FactorSizeError, and an out-of-range root
+    ValueError.  A cluster index given to a readout is checked as the root is.
     """
 
     def __init__(
@@ -414,10 +395,9 @@ class CompiledQuery:
     ):
         self.net = net
         self.evidence = evidence if evidence is not None else EvidenceSet.none()
-        if validate:
-            report = validate_network(net)
-            if not report.ok:
-                raise InvalidNetworkError(report)
+        report = validate_network(net)
+        if not report.ok:
+            raise InvalidNetworkError(report)
         if jtree is None:
             jtree = build_junction_tree(net)
         self.root = _integer(root, "root cluster")
@@ -540,9 +520,7 @@ class CompiledQuery:
     def _product(self, j: int, skip: int | None, semiring: str) -> tuple[np.ndarray, float]:
         """Cluster potential of j times every stored message into j except
         the one from ``skip`` (a message's receiver, a sampled cluster's
-        parent), all from the ``semiring`` store, over j's layout.  Unchecked:
-        an overflow stays inf or turns into NaN, so one finite check on the
-        product or on a reduction of it catches it."""
+        parent), all from the ``semiring`` store, over j's layout."""
         values, log_scale = self._products[j], 0.0
         for i, edge in self._layouts[j].seps.items():
             if i != skip:
@@ -550,16 +528,29 @@ class CompiledQuery:
                 values, log_scale = values * msg.reshape(edge.view), log_scale + scale
         return values, log_scale
 
+    def _cluster(self, j: int, skip: int | None = None, semiring: str = "sum") -> int:
+        """``j`` as an int: ValueError unless ``j`` and ``skip`` are integers, ``j`` a
+        cluster index and ``semiring`` known, JunctionTreeError unless ``skip`` is None
+        or a neighbour of ``j``."""
+        j = _integer(j, "cluster")
+        if not 0 <= j < len(self._layouts):
+            raise ValueError(f"cluster {j} out of range")
+        if semiring not in ("sum", "max"):
+            raise ValueError(f"unknown semiring {semiring!r}")
+        if skip is not None and _integer(skip, "cluster") not in self._layouts[j].seps:
+            raise JunctionTreeError(f"({j}, {skip}) is not a tree edge")
+        return j
+
     def _table(self, j: int, skip: int | None, semiring: str) -> tuple[np.ndarray, float]:
-        """``_product`` checked finite and laid out over j's whole layout."""
+        """``_product`` laid out over j's whole layout."""
         layout = self._layouts[j]
         values, log_scale = self._product(j, skip, semiring)
-        _require_finite(values, log_scale)
         values = values if values.shape == layout.shape else np.broadcast_to(values, layout.shape)
         return (values if values.flags.c_contiguous else values.copy()), log_scale
 
     def cluster_table(self, j: int, skip: int | None = None, semiring: str = "sum") -> Factor:
-        """``_product`` laid out over every variable of cluster j."""
+        """``_product`` laid out over every variable of cluster j (``_cluster``'s errors)."""
+        j = self._cluster(j, skip, semiring)
         values, log_scale = self._table(j, skip, semiring)
         scope = self._layouts[j].full
         return _trusted(scope, self._with_observed(scope, values), log_scale)
@@ -567,6 +558,7 @@ class CompiledQuery:
     def cluster_rows(self, j: int) -> ClusterRows:
         """``cluster_table(j, parent)`` as rows over the separator toward
         the root; a normalized row is P(free | separator, evidence)."""
+        j = self._cluster(j)
         parent, layout, cards = self.parent.get(j), self._layouts[j], self.net.cards
         values, _ = self._table(j, parent, "sum")
         edge = layout.seps.get(parent)  # its axis order puts free axes after sep ones
@@ -605,7 +597,7 @@ class CompiledQuery:
             best = best.astype(np.min_scalar_type(rows.shape[1] - 1)).reshape(sep_shape)
             self._argmax[j, k] = best, sep, free, dims
         values = values if values.shape == sep_shape else np.broadcast_to(values, sep_shape)
-        peak = _require_finite(values, log_scale)
+        peak = float(values.max())
         if peak > 0.0 and peak != 1.0:
             values, log_scale = values / peak, log_scale + math.log(peak)
         if not values.flags.c_contiguous:
@@ -618,23 +610,28 @@ class CompiledQuery:
         prefix products of its matrices, the message into the run folded into the
         first, summed over their rows at the rows' scales.  Inward, the matrices go
         reversed and transposed, so each prefix is a suffix product read from the other
-        side.  ValueError unless every matrix is finite."""
+        side."""
         mats = self._run_matrices(sweep.run)
         if sweep.inward:
             mats = mats[:, :, ::-1].transpose(1, 0, 2)
         mats = mats.copy()  # C order; what _run_matrices keeps stays
-        logs = np.zeros(mats.shape[::2])
-        _unit_rows(mats, logs)
-        if sweep.into is not None:
-            values, log_scale = self._stored(*sweep.into, "sum")
-            with np.errstate(divide="ignore"):
+        peaks = mats.max(axis=1)  # row i of matrix t to unit maximum, its log in logs[i, t]
+        with np.errstate(divide="ignore"):  # -inf for an all-zero row
+            logs = np.log(peaks)
+            if sweep.into is not None:
+                values, log_scale = self._stored(*sweep.into, "sum")
                 logs[:values.size, 0] += np.log(values.reshape(-1)) + log_scale
+        peaks[peaks == 0.0] = 1.0
+        mats /= peaks[:, None]
         _prefix_products(mats, logs)
         peaks = logs.max(axis=0)
         peaks[peaks == -math.inf] = 0.0
         sums = self._sums[sweep.run.clusters[0], sweep.inward] = np.einsum(
             "it,ikt->kt", np.exp(logs - peaks), mats)
-        _unit_max(sums, peaks)
+        top = sums.max(axis=0)  # each message to unit maximum; an all-zero one keeps its scale
+        top += top == 0.0
+        sums /= top
+        peaks += np.log(top)
         if len(sweep.sends) > 1:  # the store keeps sending order, which _unsliced replays
             self._messages.update(dict.fromkeys(sweep.keys))
         for rows, size, shape, keys in sweep.sends:
@@ -708,8 +705,6 @@ class CompiledQuery:
         others = tuple(a for a, v in enumerate(scope) if v != u)
         single = np.add.reduce(table, others) if others else table
         total = float(np.add.reduce(single, None))
-        if not math.isfinite(total):
-            raise ValueError("factor values must be finite")
         if total <= 0.0:
             raise ImpossibleEvidenceError("posterior undefined: evidence has probability zero")
         return self._with_observed((u,), single) / total
@@ -717,7 +712,7 @@ class CompiledQuery:
     def _run_posteriors(self, first: int, groups: dict) -> dict[int, np.ndarray]:
         """The posteriors batched on the run from ``first`` (``_reads``), formed and kept once
         both sweeps' ``sums`` are stored (else {}): per group one product of the two directions'
-        rows, one reduction, one division; a group with an improper mass is left to ``_posterior``."""
+        rows, one reduction, one division; a group with a zero mass is left to ``_posterior``."""
         posts = self._batched.get(first)
         if posts is not None or (first, True) not in self._sums or (first, False) not in self._sums:
             return posts or {}
@@ -728,7 +723,7 @@ class CompiledQuery:
             table = (toward[rows_in, :size] * away[rows_out, :size]).reshape(-1, *shape)
             single = np.add.reduce(table, tuple(a + 1 for a in range(len(shape)) if a != axis))
             total = np.add.reduce(single, 1)
-            if np.isfinite(total).all() and (total > 0.0).all():
+            if (total > 0.0).all():
                 posts.update(zip(ids, single / total[:, None]))
         return posts
 
@@ -747,7 +742,7 @@ class CompiledQuery:
         if not all(self.has_message(j, k, "max") for j, k in self.parent.items()):
             self.inward(semiring="max")
         values, log_scale = self._product(self.root, None, "max")
-        peak = _require_finite(values, log_scale)
+        peak = float(values.max())
         if peak <= 0.0:
             raise ImpossibleEvidenceError("no assignment is consistent with the evidence")
         clusters, states, assignment = self.jtree.clusters, dict(self._observed), {}

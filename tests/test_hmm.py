@@ -12,7 +12,7 @@ from scipy import special, stats
 
 from beliefprop import hmm
 from beliefprop.factor import MAX_TABLE_ENTRIES, Factor, FactorSizeError
-from beliefprop.jtree import JunctionTree, validate_junction_tree
+from beliefprop.jtree import JunctionTree, build_junction_tree, validate_junction_tree
 from beliefprop.model import Cpd, DiscreteNetwork, EvidenceSet, Variable, validate_network
 from beliefprop.oracle import oracle_log_probability, oracle_posterior
 from beliefprop.propagation import CompiledQuery, ImpossibleEvidenceError, _Sweep
@@ -777,6 +777,24 @@ class TestChainTree:
             draws = PosteriorSampler(cq, seed=0, targets=[2 * i for i in range(200)]).sample(20)
             assert (draws == 1).all()
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="a stored message keeps one log scale for its whole table, so the "
+                       "messages carrying later evidence back toward the absorbing start lose H")
+    def test_log_z_at_every_root_on_an_absorbing_start(self):
+        # the scan's rows keep their own scales, but the message each stores keeps
+        # one: each step puts H's entry a factor of about 1.6e6 further below L's, so it is 0
+        # some 50 steps in, and log Z reads -inf at roots 0 and 100 on both trees
+        spec = hmm.HmmSpec(horizon=200, **ABSORBING)
+        y = [10] * 200
+        net, ev = hmm.to_bayes_net(spec, y)
+        want = hmm.log_likelihood(hmm.forward_backward(spec, y))
+        assert want == pytest.approx(-4507.18, abs=0.005)
+        for jt in (hmm.chain_junction_tree(spec), build_junction_tree(net)):
+            for root in (0, 100):
+                cq = CompiledQuery(net, ev, jtree=jt, root=root)
+                cq.inward()
+                assert cq.evidence_log_probability() == pytest.approx(want, rel=1e-12)
+
     def test_sampler_on_a_scanned_chain_draws_possible_paths(self):
         spec = hmm.HmmSpec(horizon=200, **ZERO_ENTRY)
         _, y = hmm.simulate(spec, 6)
@@ -895,20 +913,24 @@ class TestSharedTables:
         # every Y is pinned to one state, so it is sliced, never masked
         assert masked == []
         cq.message(0, 1)
-        # the initial law, the transition matrix and the emission table,
-        # checked when the plan was built; the unsliced copy re-checks none
-        assert checked == [(0,), (0, 1), (0, 2)]
+        # the network's kept report checked the CPDs: the plan lays out
+        # read-only views and no CPD enters Factor, nor in the unsliced copy
+        assert checked == []
         # the copy slices nothing, so it masks every Y
         assert set(masked) == {frozenset({k}) for k in y}
         members = {u: (family, values) for layout in jt._plan.layouts
                    for u, family, values in layout.members}
         assert members[2][1] is members[4][1]
+        # the initial law, the transition matrix and the emission table, once each
+        assert len({id(values) for _, values in members.values()}) == 3
+        assert not any(values.flags.writeable for _, values in members.values())
         assert members[4][0] == (2, 4)
         # one emission array for every Y, whatever its count
         assert all(members[2 * i + 1][1] is members[1][1] for i in range(200))
         assert members[1][0] == (0, 1)
-        CompiledQuery(net, ev, jtree=jt)
-        assert len(checked) == 3  # a query on the kept plan checks nothing
+        # a query on the kept plan lays nothing out again and checks nothing
+        assert CompiledQuery(net, ev, jtree=jt)._layouts is cq._layouts
+        assert checked == []
 
     def test_one_product_per_distinct_cluster(self, chain200):
         spec, y, net, ev = chain200

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from helpers import (
@@ -359,15 +361,19 @@ class TestTiedTables:
 
     def test_unchecked_query_refuses_a_negative_shared_entry(self):
         net = tied_chain(tied=True)
-        # every CPD enters Factor whole, whatever the evidence: with V0
-        # observed at state 0, V1's table still shows its bad row
+        # the network's kept report reads every CPD whole, whatever the
+        # evidence: with V0 observed at state 0, V1's table still shows its bad row
         ev = EvidenceSet({0: {0}})
         head = DiscreteNetwork(net.variables[:2], net.cpds[:2])
-        with pytest.raises(ValueError, match="factor values must be non-negative"):
+        with pytest.raises(InvalidNetworkError) as caught:
             CompiledQuery(head, ev, validate=False)
+        assert caught.value.report is validate_network(head)
+        assert caught.value.report.lines() == ["bad-prob: V1 has entries outside [0, 1]"]
         for evidence in (EvidenceSet.none(), ev):
-            with pytest.raises(ValueError, match="factor values must be non-negative"):
+            with pytest.raises(InvalidNetworkError,
+                               match=re.escape("bad-prob: V1 has entries outside [0, 1]")) as caught:
                 CompiledQuery(net, evidence, validate=False)
+            assert caught.value.report is validate_network(net)
 
     def test_one_table_viewed_two_ways_is_laid_out_per_view(self):
         # C | A, B and D | B, A share one table; D lists its parents against
@@ -390,8 +396,12 @@ class TestTiedTables:
         cpds = [Cpd(0, (), np.array([[0.5, 0.5]]))]
         cpds += [Cpd(i, (i - 1,), OUT_OF_RANGE) for i in range(1, 4)]
         ev = EvidenceSet({i: {0} for i in range(1, 4)})
-        with pytest.raises(ValueError, match="factor values must be non-negative"):
-            CompiledQuery(DiscreteNetwork(variables, cpds), ev, validate=False)
+        net = DiscreteNetwork(variables, cpds)
+        with pytest.raises(InvalidNetworkError) as caught:
+            CompiledQuery(net, ev, validate=False)
+        assert caught.value.report is validate_network(net)
+        assert caught.value.report.lines() == [
+            f"bad-prob: V{i} has entries outside [0, 1]" for i in range(1, 4)]
 
 
 class TestEvidence:

@@ -613,7 +613,7 @@ class TestConstruction:
         def no_tables(*args):
             raise AssertionError("a table was built before the tree was checked")
 
-        monkeypatch.setattr(DiscreteNetwork, "cpd_factor", no_tables)
+        monkeypatch.setattr(DiscreteNetwork, "_family_layout", no_tables)
         with pytest.raises(InvalidJunctionTreeError) as err:
             CompiledQuery(self.CONTRACT_NET, EvidenceSet({2: frozenset({0})}), jtree=jt,
                           validate=validate)
@@ -630,13 +630,110 @@ class TestConstruction:
         def no_tables(*args):
             raise AssertionError("a table was built before the tree was checked")
 
-        monkeypatch.setattr(DiscreteNetwork, "cpd_factor", no_tables)
+        monkeypatch.setattr(DiscreteNetwork, "_family_layout", no_tables)
         with pytest.raises(InvalidJunctionTreeError) as err:
             CompiledQuery(self.CONTRACT_NET, EvidenceSet({2: frozenset({0})}), jtree=jt,
                           validate=validate)
         assert err.value.report == validate_junction_tree(self.CONTRACT_NET, jt)
         assert err.value.report.lines()[0] == (
             "unknown-variable: cluster 2 references unknown variable ids [9]")
+
+
+class TestInvalidNetworksRefused:
+    """Every query reads the network's kept ``validate_network`` report, whatever
+    ``validate`` says: laid out anyway, these networks answered silently (a root
+    whose row sums to 2 gave log Z = log 2, a cycle log Z = 0) or failed deep inside."""
+
+    A, B = Variable(0, "A", ("a0", "a1")), Variable(1, "B", ("b0", "b1"))
+    HALVES = [[0.5, 0.5], [0.5, 0.5]]
+    NETWORKS = {
+        "row-sum-2": ([A], [Cpd(0, (), [[1.0, 1.0]])], None,
+                      "bad-row-sum: A rows [0] sum to [2.0]"),
+        "cycle": ([A, B], [Cpd(0, (1,), HALVES), Cpd(1, (0,), HALVES)],
+                  (frozenset({0, 1}),), "cycle: cycle among variables [0, 1]"),
+        "missing-cpd": ([A, B], [Cpd(0, (), [[0.5, 0.5]])], None,
+                        "missing-cpd: variable B has no CPD"),
+    }
+
+    @pytest.mark.parametrize("validate", [False, True])
+    @pytest.mark.parametrize("case", list(NETWORKS))
+    def test_refused_with_the_kept_report(self, monkeypatch, case, validate):
+        variables, cpds, clusters, line = self.NETWORKS[case]
+        net = DiscreteNetwork(variables, cpds)
+        jt = JunctionTree(clusters, (), {0: 0, 1: 0}) if clusters else None
+
+        def no_tables(*args):
+            raise AssertionError("a CPD was laid out for an invalid network")
+
+        monkeypatch.setattr(DiscreteNetwork, "_family_layout", no_tables)
+        for _ in range(2):  # the same network object, and tree if given
+            with pytest.raises(InvalidNetworkError) as err:
+                CompiledQuery(net, jtree=jt, validate=validate)
+            assert err.value.report is validate_network(net)
+            assert err.value.report.lines() == [line]
+            assert jt is None or jt._plan is None
+
+
+class TestClusterIndices:
+    """A cluster index given to a readout follows the one integer rule, as the
+    root does: an integer in range, else ValueError; a ``skip`` that is no
+    neighbour is JunctionTreeError, an unknown semiring ValueError."""
+
+    READOUTS = {
+        "cluster_table": lambda cq, j: cq.cluster_table(j),
+        "cluster_marginal": lambda cq, j: cq.cluster_marginal(j),
+        "cluster_rows": lambda cq, j: cq.cluster_rows(j),
+        "cluster_conditional": lambda cq, j: cluster_conditional(cq, j, {}),
+    }
+
+    @staticmethod
+    def calibrated(q: int) -> CompiledQuery:
+        """The contract network on its three-cluster tree, or on one cluster."""
+        net = TestConstruction.CONTRACT_NET
+        if q == 1:
+            jt = JunctionTree((frozenset({0, 1, 2}),), (), {0: 0, 1: 0, 2: 0})
+        else:
+            jt = JunctionTree(TestConstruction.CONTRACT_CLUSTERS, TestConstruction.CONTRACT_EDGES,
+                              TestConstruction.CONTRACT_HOMES)
+        return CompiledQuery(net, EvidenceSet({2: frozenset({0})}), jtree=jt).propagate()
+
+    @pytest.mark.parametrize("q", [1, 3])
+    @pytest.mark.parametrize("readout", list(READOUTS))
+    @pytest.mark.parametrize("j, error", [(-1, "cluster -1 out of range"),
+                                          ("q", "cluster 'q' is not an integer"),
+                                          (1.0, "cluster 1.0 is not an integer")],
+                             ids=["minus-1", "str", "float"])
+    def test_a_bad_index_is_a_value_error(self, q, readout, j, error):
+        cq = self.calibrated(q)
+        with pytest.raises(ValueError, match=re.escape(error)):
+            self.READOUTS[readout](cq, j)
+        with pytest.raises(ValueError, match=re.escape(f"cluster {q} out of range")):
+            self.READOUTS[readout](cq, q)
+
+    @pytest.mark.parametrize("readout", list(READOUTS))
+    def test_an_integer_of_another_type_is_the_same_index(self, readout):
+        cq = self.calibrated(3)
+        got, want = (self.READOUTS[readout](cq, j) for j in (np.int64(0), 0))  # the root
+        if readout == "cluster_rows":
+            assert got.cluster == 0 and got.table.tobytes() == want.table.tobytes()
+        else:
+            assert got.scope == want.scope and got.values.tobytes() == want.values.tobytes()
+
+    def test_a_skip_that_is_no_neighbour_is_a_tree_error(self):
+        cq = self.calibrated(3)  # edges 0 - 1 - 2
+        for j, skip in ((0, 2), (2, 0), (1, 1)):
+            with pytest.raises(JunctionTreeError, match=re.escape(f"({j}, {skip}) is not a tree edge")):
+                cq.cluster_table(j, skip=skip)
+        with pytest.raises(ValueError, match="cluster 1.5 is not an integer"):
+            cq.cluster_table(1, skip=1.5)
+        with pytest.raises(JunctionTreeError, match=re.escape("(0, 0) is not a tree edge")):
+            self.calibrated(1).cluster_table(0, skip=0)
+        assert cq.cluster_table(1, skip=0).scope == (0,)
+
+    def test_an_unknown_semiring_is_a_value_error(self):
+        cq = self.calibrated(3)
+        with pytest.raises(ValueError, match="unknown semiring 'prod'"):
+            cq.cluster_table(0, semiring="prod")
 
 
 class TestRandomizedAgainstOracle:
@@ -736,23 +833,30 @@ class TestLayoutsMatchFactorReference:
         self.check_posteriors(cq, ref)
 
     def test_overflowing_product_and_sum_raise(self):
-        # with validate=False nothing bounds the CPD entries
+        # CPD entries past 1 are the only way a product or a sum could leave
+        # double range, and the network's kept report refuses them whatever
+        # ``validate`` says, before any tree is laid out
         net = DiscreteNetwork(
             [Variable(0, "A", ("a0", "a1")), Variable(1, "B", ("b0", "b1"))],
             [Cpd(0, (), [[1e308, 1e308]]), Cpd(1, (), [[1e200, 1.0]])],
         )
         clusters = (frozenset({0, 1}), frozenset({1}))
-        with np.errstate(over="ignore", invalid="ignore"):
-            # the product A * B overflows in a cluster table, in a message
-            # from the cluster holding both, and the sum over A overflows
-            for jt, read in (
-                (JunctionTree(clusters[:1], (), {0: 0, 1: 0}), "evidence_log_probability"),
-                (JunctionTree(clusters, ((0, 1),), {0: 0, 1: 0}), "inward"),
-                (JunctionTree(clusters, ((0, 1),), {0: 0, 1: 1}), "inward"),
-            ):
-                cq = CompiledQuery(net, jtree=jt, root=jt.q - 1, validate=False)
-                with pytest.raises(ValueError, match="finite"):
-                    getattr(cq, read)()
+        # where the product A * B would overflow in a cluster table, in a message
+        # from the cluster holding both, and where the sum over A would
+        for jt in (
+            JunctionTree(clusters[:1], (), {0: 0, 1: 0}),
+            JunctionTree(clusters, ((0, 1),), {0: 0, 1: 0}),
+            JunctionTree(clusters, ((0, 1),), {0: 0, 1: 1}),
+        ):
+            for validate in (False, True):
+                with pytest.raises(InvalidNetworkError) as caught:
+                    CompiledQuery(net, jtree=jt, root=jt.q - 1, validate=validate)
+                assert caught.value.report is validate_network(net)
+                assert caught.value.report.lines() == [
+                    "bad-prob: A has entries outside [0, 1]",
+                    "bad-prob: B has entries outside [0, 1]",
+                ]
+                assert jt._plan is None
 
 
 def test_hot_path_builds_no_factor_algebra(monkeypatch, ped_net_module, ped_ev_module):
@@ -855,22 +959,32 @@ class TestScannedRuns:
         assert scanned.map_assignment() == stepped.map_assignment()
 
     def test_a_run_whose_products_overflow_raises_as_the_loop_does(self):
-        # with validate=False nothing bounds the CPD entries: each cluster's
-        # transition times its emission is 1e400
+        # each cluster's transition times its emission would be 1e400, on the
+        # stepped path (horizon 5) and on a scanned run (64) alike; the network's
+        # kept report refuses the tables before either is laid out
         for horizon, runs in ((5, 0), (64, 1)):
-            big = np.full((2, 2), 1e200)
             variables = [Variable(u, f"V{u}", ("0", "1")) for u in range(2 * horizon)]
-            cpds = [Cpd(0, (), np.full((1, 2), 1e200)), Cpd(1, (0,), big)]
-            cpds += [Cpd(u, (u - 2,) if u % 2 == 0 else (u - 1,), big) for u in range(2, 2 * horizon)]
-            net = DiscreteNetwork(variables, cpds)
             ev = EvidenceSet({2 * i + 1: {0} for i in range(horizon)})
             jt = hmm.chain_junction_tree(hmm.precipitation_spec(horizon))
-            tree = JunctionTree(jt.clusters, jt.edges, jt.assignment)
-            with np.errstate(over="ignore", invalid="ignore"):
-                cq = CompiledQuery(net, ev, jtree=tree, validate=False)
-                assert len(_runs(cq)) == runs
-                with pytest.raises(ValueError, match="^factor values must be finite$"):
-                    cq.inward()
+
+            def chain(entry: float) -> DiscreteNetwork:
+                table = np.full((2, 2), entry)
+                cpds = [Cpd(0, (), table[:1]), Cpd(1, (0,), table)]
+                cpds += [Cpd(u, (u - 2,) if u % 2 == 0 else (u - 1,), table) for u in range(2, 2 * horizon)]
+                return DiscreteNetwork(variables, cpds)
+
+            # the same tree on a valid network takes the path named
+            valid = CompiledQuery(chain(0.5), ev, jtree=JunctionTree(jt.clusters, jt.edges, jt.assignment),
+                                  validate=False)
+            assert len(_runs(valid)) == runs
+            valid.inward()
+            assert valid.evidence_log_probability() == pytest.approx(horizon * math.log(0.5))
+            net, tree = chain(1e200), JunctionTree(jt.clusters, jt.edges, jt.assignment)
+            with pytest.raises(InvalidNetworkError,
+                               match=re.escape("bad-prob: V0 has entries outside [0, 1]")) as caught:
+                CompiledQuery(net, ev, jtree=tree, validate=False)
+            assert caught.value.report is validate_network(net)
+            assert tree._plan is None
 
     def test_pedigree_and_banded_networks_have_no_run(self):
         net, ev = pedigree_network(), pedigree_evidence()
@@ -1016,8 +1130,6 @@ class TestPlan:
         monkeypatch.setattr(jtree, "min_fill_cliques", counted("min-fill", jtree.min_fill_cliques))
         check = Factor.__post_init__
         monkeypatch.setattr(Factor, "__post_init__", lambda f: checked.append(f.scope) or check(f))
-        # four founder tables, and the one Mendel table all six children view alike
-        views = [(0,), (1,), (0, 1, 2), (4,), (5,)]
         for copies in (1, 2):
             net = pedigree_network()
             for ev in families:
@@ -1027,7 +1139,8 @@ class TestPlan:
                     assert validate_junction_tree(net, jt).ok
                     CompiledQuery(net, ev, jtree=jt, root=root)
             assert runs == {"network": copies, "tree": copies, "min-fill": copies}
-            assert checked == views * copies
+            # the network's one report covers the CPDs: none enters Factor
+            assert checked == []
 
 
 class TestPlanOwnsTheTables:
@@ -1073,17 +1186,18 @@ class TestPlanOwnsTheTables:
         assert second._layouts is first._layouts
         assert built == []
 
-    @pytest.mark.parametrize("bad, line", [(float("nan"), "factor values must be finite"),
-                                           (-0.25, "factor values must be non-negative")])
-    def test_unchecked_bad_cpd_refused_on_every_query(self, bad, line):
+    @pytest.mark.parametrize("bad", [float("nan"), -0.25])
+    def test_unchecked_bad_cpd_refused_on_every_query(self, bad):
         net = DiscreteNetwork(
             [Variable(0, "A", ("a0", "a1")), Variable(1, "B", ("b0", "b1"))],
             [Cpd(0, (), [[0.3, 0.7]]), Cpd(1, (0,), [[0.9, 0.1], [bad, 0.6]])],
         )
         jt = build_junction_tree(net)
         for _ in range(2):  # the same network object and tree
-            with pytest.raises(ValueError, match=line):
+            with pytest.raises(InvalidNetworkError,
+                               match=re.escape("bad-prob: B has entries outside [0, 1]")) as caught:
                 CompiledQuery(net, EvidenceSet({0: {1}}), jtree=jt, validate=False)
+            assert caught.value.report is validate_network(net)
             assert jt._plan is None
 
 
