@@ -13,11 +13,12 @@ count; emission() and to_bayes_net's CPD rows read the same table.
 Both sweeps work in the log semiring.  A chain of at most SCAN_STATES
 states takes each as a Hillis-Steele scan over its step matrices
 log_t[r, s] + log_e[i, s], ceil(log2 n) rounds of batched products in
-which each entry is its own log-sum-exp; a larger chain takes one
-log-sum-exp over the log transition matrix per step.  Neither rescales,
-so no mass is rounded away: horizons of thousands of steps, counts
-whose pmf underflows to 0 in every state, and zero transition entries
-all stay exact.
+which each entry is its own log-sum-exp (``_log_prefix_products``, the
+kernel the tree engine also sends a run of clusters by); a larger
+chain takes one log-sum-exp over the log transition matrix per step.
+Neither rescales, so no mass is rounded away: horizons of thousands of
+steps, counts whose pmf underflows to 0 in every state, and zero
+transition entries all stay exact.
 log_likelihood sums a row of the tables with logaddexp; posteriors
 (smoothing_posteriors, from a sweep already run) and the posterior
 chain's conditionals (stacked over a run of steps, one formula per

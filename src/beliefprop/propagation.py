@@ -28,9 +28,10 @@ its one incoming message on by a matrix product, so the run's outward
 messages are prefix products of its matrices and its inward ones suffix
 products, the forward and backward quantities of a hidden Markov chain.
 The sum passes send a run's messages by one log-depth (Hillis-Steele)
-scan each, every row of a partial product at unit maximum with its own
-log scale, and store them as a message at a time would be stored; every
-other message, the max semiring and every readout go a message at a time.
+scan each, in the log semiring by the kernel forward/backward scans with
+(``hmm._log_prefix_products``), and store them as a message at a time
+would be stored; every other message, the max semiring and every readout
+go a message at a time.
 
 The same inward pass run in the max semiring yields most-probable
 assignments: each max message records its first argmax per separator
@@ -55,6 +56,7 @@ from typing import Mapping
 import numpy as np
 
 from .factor import Factor, _integer, _trusted, check_table_size
+from .hmm import _log_prefix_products, _log_sum
 from .jtree import (
     InvalidJunctionTreeError,
     JunctionTree,
@@ -281,31 +283,6 @@ def _reads(layouts, observed, steps) -> dict:
     return reads
 
 
-def _prefix_products(mats: np.ndarray, logs: np.ndarray) -> None:
-    """In place, matrix t (``mats[..., t]``) becomes the product of matrices 0..t, each
-    row at unit maximum with its log scale in ``logs[:, t]``: Hillis-Steele, ceil(log2 n)
-    rounds of one batched product.  A row of a partial product is the chain's mass from
-    one start state, so it keeps its own scale, as a message does: one scale per matrix
-    would underflow the rows that the others outweigh past the float range (an
-    absorbing state's), and a prefix may sit on exactly those."""
-    d = 1
-    with np.errstate(divide="ignore"):
-        while d < logs.shape[1]:
-            # row i of the product sums the later rows j weighted by mats[i, j] at j's
-            # scale, taken relative to the largest such weight
-            weights = np.log(mats[..., :-d])
-            weights += logs[None, :, d:]
-            peaks = weights.max(axis=1)
-            peaks[peaks == -math.inf] = 0.0
-            weights -= peaks[:, None]
-            products = np.einsum("ijt,jkt->ikt", np.exp(weights, out=weights), mats[..., d:])
-            rows = products.max(axis=1)  # entries at most the width: finite as the first rows are
-            logs[:, d:] = logs[:, :-d] + peaks + np.log(rows)
-            rows[rows == 0.0] = 1.0
-            np.divide(products, rows[:, None], out=mats[..., d:])
-            d *= 2
-
-
 @dataclass(frozen=True)
 class ClusterRows:
     """One cluster's table laid out for root-first decoding.
@@ -382,7 +359,8 @@ class CompiledQuery:
     InvalidJunctionTreeError raised with it; then, before any table is
     built, a cluster of more than ``MAX_TABLE_ENTRIES`` entries (observed
     variables included) raises FactorSizeError, and an out-of-range root
-    ValueError.  A cluster index given to a readout is checked as the root is.
+    ValueError.  A cluster index or edge given to a readout, messages included,
+    is checked as the root is (``_cluster``).
     """
 
     def __init__(
@@ -496,7 +474,8 @@ class CompiledQuery:
     # -- messages ----------------------------------------------------------
 
     def has_message(self, i: int, j: int, semiring: str = "sum") -> bool:
-        return (semiring, i, j) in self._messages
+        """Whether i -> j is stored (``_cluster``'s errors)."""
+        return (semiring, self._cluster(i, j, semiring), j) in self._messages
 
     def _stored(self, i: int, j: int, semiring: str) -> tuple[np.ndarray, float]:
         try:
@@ -509,13 +488,11 @@ class CompiledQuery:
 
     def message(self, i: int, j: int, semiring: str = "sum") -> Factor:
         """The message i -> j over its whole separator, every state of an
-        observed variable included, once this query has sent it."""
-        if semiring not in ("sum", "max"):
-            raise ValueError(f"unknown semiring {semiring!r}")
-        sep = tuple(sorted(self.jtree.separator(i, j)))  # JunctionTreeError unless an edge
+        observed variable included, once this query has sent it (``_cluster``'s errors)."""
+        i = self._cluster(i, j, semiring)
         self._stored(i, j, semiring)
         values, log_scale = self._unsliced()._stored(i, j, semiring)
-        return _trusted(sep, values, log_scale)
+        return _trusted(self._layouts[i].seps[j].whole, values, log_scale)
 
     def _product(self, j: int, skip: int | None, semiring: str) -> tuple[np.ndarray, float]:
         """Cluster potential of j times every stored message into j except
@@ -576,13 +553,9 @@ class CompiledQuery:
         the sliced scope outside the separator, rescaled to unit maximum.
         The stored table leaves out the variables the evidence pins; the
         returned factor restores their axes with zeros off the observed
-        states, which ``message`` does not."""
-        if semiring not in ("sum", "max"):
-            raise ValueError(f"unknown semiring {semiring!r}")
-        seps = self._layouts[j].seps if 0 <= j < len(self._layouts) else {}
-        if k not in seps:
-            raise JunctionTreeError(f"({j}, {k}) is not a tree edge")
-        full, sep, _, sep_shape, outside, perm, free, dims = seps[k]
+        states, which ``message`` does not (``_cluster``'s errors)."""
+        j = self._cluster(j, k, semiring)
+        full, sep, _, sep_shape, outside, perm, free, dims = self._layouts[j].seps[k]
         values, log_scale = self._product(j, k, semiring)
         if outside and semiring == "sum":
             values = values.sum(axis=outside)
@@ -607,31 +580,26 @@ class CompiledQuery:
 
     def _scan(self, sweep: _Sweep) -> None:
         """Store a run's messages in one direction as ``compute_message`` would: the
-        prefix products of its matrices, the message into the run folded into the
-        first, summed over their rows at the rows' scales.  Inward, the matrices go
-        reversed and transposed, so each prefix is a suffix product read from the other
-        side."""
+        log-semiring prefix products of its matrices, each shifted to a log maximum near 0
+        (the shifts go to the scales, so the logs summed stay small), the message into
+        the run folded into the first's rows, reduced over rows.  Inward, the matrices
+        go reversed and transposed, so each prefix is a suffix product read backward."""
         mats = self._run_matrices(sweep.run)
         if sweep.inward:
             mats = mats[:, :, ::-1].transpose(1, 0, 2)
-        mats = mats.copy()  # C order; what _run_matrices keeps stays
-        peaks = mats.max(axis=1)  # row i of matrix t to unit maximum, its log in logs[i, t]
-        with np.errstate(divide="ignore"):  # -inf for an all-zero row
-            logs = np.log(peaks)
-            if sweep.into is not None:
-                values, log_scale = self._stored(*sweep.into, "sum")
-                logs[:values.size, 0] += np.log(values.reshape(-1)) + log_scale
-        peaks[peaks == 0.0] = 1.0
-        mats /= peaks[:, None]
-        _prefix_products(mats, logs)
+        values, log_scale = self._stored(*sweep.into, "sum") if sweep.into else (np.ones(1), 0.0)
+        with np.errstate(divide="ignore"):  # -inf for a zero entry or sum
+            logs = np.log(mats)  # a new array: what _run_matrices keeps stays
+            logs[:values.size, :, 0] += np.log(values.reshape(-1, 1))
+            shifts = np.rint(logs.max(axis=(0, 1)))  # whole numbers, so np.cumsum adds them exactly
+            shifts[shifts == -math.inf] = 0.0
+            logs -= shifts
+            _log_prefix_products(logs)
+            logs = _log_sum(logs, axis=0)
         peaks = logs.max(axis=0)
         peaks[peaks == -math.inf] = 0.0
-        sums = self._sums[sweep.run.clusters[0], sweep.inward] = np.einsum(
-            "it,ikt->kt", np.exp(logs - peaks), mats)
-        top = sums.max(axis=0)  # each message to unit maximum; an all-zero one keeps its scale
-        top += top == 0.0
-        sums /= top
-        peaks += np.log(top)
+        sums = self._sums[sweep.run.clusters[0], sweep.inward] = np.exp(logs - peaks)
+        peaks += np.cumsum(shifts) + log_scale
         if len(sweep.sends) > 1:  # the store keeps sending order, which _unsliced replays
             self._messages.update(dict.fromkeys(sweep.keys))
         for rows, size, shape, keys in sweep.sends:
@@ -660,7 +628,7 @@ class CompiledQuery:
     # -- marginals ---------------------------------------------------------
 
     def edge_marginal(self, i: int, j: int) -> Factor:
-        """Unnormalized P(separator, evidence) from the two edge messages."""
+        """Unnormalized P(separator, evidence) from the two edge messages (``message``'s errors)."""
         return self.message(i, j) * self.message(j, i)
 
     def cluster_marginal(self, j: int) -> Factor:

@@ -3,6 +3,8 @@ import itertools
 import math
 import warnings
 from decimal import Decimal, localcontext
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
-from beliefprop import hmm
+from beliefprop import hmm, propagation
 from beliefprop.factor import MAX_TABLE_ENTRIES, Factor, FactorSizeError
 from beliefprop.jtree import JunctionTree, build_junction_tree, validate_junction_tree
 from beliefprop.model import Cpd, DiscreteNetwork, EvidenceSet, Variable, validate_network
@@ -52,11 +54,12 @@ def enumerate_log_space(spec, y):
 
 
 @st.composite
-def chain_cases(draw, max_horizon, max_count, max_rate, zero_transitions, min_count=0):
-    """A random chain spec and an observation sequence for it.  Initial
-    entries may be zero; transition entries only if ``zero_transitions``.
-    A negative ``min_count`` lets impossible observations in."""
-    k = draw(st.integers(2, 3))
+def chain_cases(draw, max_horizon, max_count, max_rate, zero_transitions, min_count=0, max_states=3):
+    """A random chain spec of 2 to ``max_states`` states and an observation
+    sequence for it.  Initial entries may be zero; transition entries only
+    if ``zero_transitions``.  A negative ``min_count`` lets impossible
+    observations in."""
+    k = draw(st.integers(2, max_states))
     n = draw(st.integers(1, max_horizon))
 
     def distribution(low):
@@ -64,7 +67,7 @@ def chain_cases(draw, max_horizon, max_count, max_rate, zero_transitions, min_co
         return tuple(x / sum(w) for x in w)
 
     spec = hmm.HmmSpec(
-        tuple("ABC"[:k]),
+        tuple("ABCD"[:k]),
         distribution(0),
         tuple(distribution(0 if zero_transitions else 1) for _ in range(k)),
         tuple(draw(st.floats(0.1, max_rate)) for _ in range(k)),
@@ -681,6 +684,41 @@ class TestChainTree:
                 cq.variable_posterior(2 * i), table[i], rtol=0, atol=1e-12
             )
 
+    @seed(20261020)
+    @settings(max_examples=60, deadline=None)
+    @given(chain_cases(max_horizon=60, max_count=40, max_rate=5.0, zero_transitions=True,
+                       max_states=4), st.data())
+    def test_a_scan_stores_each_message_as_exact_arithmetic_does(self, case, data):
+        # every run of two clusters or more scanned, against the same tree with none
+        spec, y = case
+        n = spec.horizon
+        root = data.draw(st.integers(0, n - 1), label="root")
+        net, ev = hmm.to_bayes_net(spec, y)
+        jt = hmm.chain_junction_tree(spec)
+        answers = []
+        for rule in (2, 10**9):
+            with mock.patch.object(propagation, "_RUN_MIN_CLUSTERS", rule):
+                tree = JunctionTree(jt.clusters, jt.edges, jt.assignment)
+                answers.append(CompiledQuery(net, ev, jtree=tree, root=root).propagate())
+        scanned, stepped = answers
+        # the root starts the one run at either end; in the middle it has two children
+        runs = int(n > 1) if root in (0, n - 1) else (root >= 2) + (n - 1 - root >= 2)
+        assert (_scanned(scanned), _scanned(stepped)) == (runs, 0)
+        assert list(scanned._messages) == list(stepped._messages)
+        assert all(table.max() == 1.0 for q in answers for table, _ in q._messages.values())
+        # each scanned message against exact arithmetic from what its scan read, not
+        # against the stepped passes: a product of one-scale messages can pass through
+        # the subnormal range and round away an entry a scan keeps (an absorbing state's)
+        for sweep in scanned._passes[0] + scanned._passes[1]:
+            if isinstance(sweep, _Sweep):
+                exact = _exact_sweep(scanned, sweep, y)
+                for key in sweep.keys:
+                    got, got_scale = scanned._messages[key]
+                    want, want_scale = exact[key[1]]
+                    assert np.array_equal(got == 0.0, want == 0.0), key
+                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=np.finfo(float).smallest_subnormal)
+                    assert got_scale == pytest.approx(want_scale, rel=1e-12, abs=1e-12)
+
     def test_tree_posterior_equals_smoothing(self, spec5):
         y = [0, 2, 1, 4, 0]
         net, ev = hmm.to_bayes_net(spec5, y)
@@ -781,8 +819,8 @@ class TestChainTree:
                        reason="a stored message keeps one log scale for its whole table, so the "
                        "messages carrying later evidence back toward the absorbing start lose H")
     def test_log_z_at_every_root_on_an_absorbing_start(self):
-        # the scan's rows keep their own scales, but the message each stores keeps
-        # one: each step puts H's entry a factor of about 1.6e6 further below L's, so it is 0
+        # the scan rounds nothing away inside a run, but the message each stores
+        # keeps one scale: each step puts H's entry a factor of about 1.6e6 further below L's, so it is 0
         # some 50 steps in, and log Z reads -inf at roots 0 and 100 on both trees
         spec = hmm.HmmSpec(horizon=200, **ABSORBING)
         y = [10] * 200
@@ -827,6 +865,33 @@ ZERO_ENTRY = dict(states=("a", "b", "c"), initial=(0.5, 0.5, 0.0),
 # a start pinned to an absorbing state H, whose emissions trail L's at y = 10
 ABSORBING = dict(states=("L", "H"), initial=(0.0, 1.0), transition=((0.9, 0.1), (0.0, 1.0)),
                  rates=(3.0, 0.5))
+
+
+def _exact_sweep(cq: CompiledQuery, sweep: _Sweep, y) -> dict:
+    """The messages a chain tree's ``sweep`` sends, each as (table rounded once
+    to unit maximum, log scale), in rational arithmetic on the cluster products
+    the engine forms (each CPD entry times the observed emission, rounded once),
+    from the stored message the sweep reads, or from the chain's end."""
+    net = cq.net
+    mats = [net.cpd(0).table * net.cpd(1).table[:, y[0]]]  # one row: cluster 0 has no parent state
+    mats += [net.cpd(2 * i).table * net.cpd(2 * i + 1).table[:, y[i]] for i in range(1, len(y))]
+    mats = [[[Fraction(x) for x in row] for row in m.tolist()] for m in mats]
+    forward = sweep.keys[0][2] > sweep.keys[0][1]
+    if sweep.into is None:
+        vector, log_scale = [Fraction(1)] * (1 if forward else len(mats[-1][0])), 0.0
+    else:
+        values, log_scale = cq._messages[("sum", *sweep.into)]
+        vector = [Fraction(x) for x in values.tolist()]
+    out = {}
+    for _, j, _ in sweep.keys:
+        if forward:
+            vector = [sum(v * row[s] for v, row in zip(vector, mats[j])) for s in range(len(mats[j][0]))]
+        else:
+            vector = [sum(m * v for m, v in zip(row, vector)) for row in mats[j]]
+        top = max(vector)
+        out[j] = (np.array([float(x / top) for x in vector]),
+                  log_scale + math.log(top.numerator) - math.log(top.denominator))
+    return out
 
 
 def _scanned(cq: CompiledQuery) -> int:
