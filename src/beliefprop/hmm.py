@@ -13,12 +13,12 @@ count; emission() and to_bayes_net's CPD rows read the same table.
 Both sweeps work in the log semiring.  A chain of at most SCAN_STATES
 states takes each as a Hillis-Steele scan over its step matrices
 log_t[r, s] + log_e[i, s], ceil(log2 n) rounds of batched products in
-which each entry is its own log-sum-exp (``_log_prefix_products``, the
-kernel the tree engine also sends a run of clusters by); a larger
-chain takes one log-sum-exp over the log transition matrix per step.
-Neither rescales, so no mass is rounded away: horizons of thousands of
-steps, counts whose pmf underflows to 0 in every state, and zero
-transition entries all stay exact.
+which each entry is its own log-sum-exp (``_log_scan``, the one scan
+the tree engine also sends a run of clusters by); a larger chain takes
+one log-sum-exp over the log transition matrix per step.  Neither
+rounds an entry away against another: horizons of thousands of steps,
+counts whose pmf underflows to 0 in every state, and zero transition
+entries all stay exact.
 log_likelihood sums a row of the tables with logaddexp; posteriors
 (smoothing_posteriors, from a sweep already run) and the posterior
 chain's conditionals (stacked over a run of steps, one formula per
@@ -226,15 +226,22 @@ def _log_sum(terms: np.ndarray, axis: int) -> np.ndarray:
     return np.log(np.exp(terms, out=terms).sum(axis=axis)) + peak.squeeze(axis)
 
 
-def _log_prefix_products(mats: np.ndarray) -> None:
-    """In place, matrix t (``mats[:, :, ..., t]``) becomes the log-semiring
-    product of matrices 0..t: Hillis-Steele, ceil(log2 n) rounds of one
-    batched product, each entry its own log-sum-exp, so none is rounded
-    away against another."""
+def _log_scan(logs: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The log-semiring products start x M_0 ... M_t for each t, as (shifted log rows,
+    ``offsets`` to add back).  ``logs`` (overwritten) stacks the M_t[r, c] along its
+    last axis, batch axes between c and t; ``start`` covers the first rows r.  Each M_t
+    is shifted by its maximum rounded to a whole number (0 if all -inf), so ``offsets``,
+    their running sums, are exact; then Hillis-Steele, ceil(log2 n) rounds of one batched
+    product, each entry its own log-sum-exp, so none is rounded away against another."""
+    logs[:len(start), :, ..., 0] += start[:, None]
+    shifts = np.rint(logs.max(axis=(0, 1)))
+    shifts[shifts == -math.inf] = 0.0
+    logs -= shifts
     d = 1
-    while d < mats.shape[-1]:
-        mats[..., d:] = _log_sum(mats[:, :, None, ..., :-d] + mats[None, ..., d:], axis=1)
+    while d < logs.shape[-1]:
+        logs[..., d:] = _log_sum(logs[:, :, None, ..., :-d] + logs[None, ..., d:], axis=1)
         d *= 2
+    return _log_sum(logs, axis=0), np.cumsum(shifts, axis=-1)
 
 
 def _scan_sweeps(log_start: np.ndarray, log_t: np.ndarray, log_e: np.ndarray,
@@ -244,18 +251,15 @@ def _scan_sweeps(log_start: np.ndarray, log_t: np.ndarray, log_e: np.ndarray,
     and bwd[i] reduces M_{i+1} ... M_{n-1} against zeros, the same scan
     over the matrices reversed and transposed.  The two scans run side by
     side on an axis of their own, _SCAN_BLOCK matrices at a time, each
-    block reduced against the rows the one before it ended on."""
+    block started from the rows the one before it ended on."""
     fwd[0] = log_start
     bwd_r, log_e_r = bwd[::-1], log_e[::-1]  # bwd_r[j] = bwd[n - 1 - j]
     for lo in range(0, len(fwd) - 1, _SCAN_BLOCK):
         hi = min(lo + _SCAN_BLOCK, len(fwd) - 1)
         both = np.stack([log_t[:, :, None] + log_e[lo + 1:hi + 1].T[None],
                          log_t.T[:, :, None] + log_e_r[lo:hi].T[:, None]], axis=2)
-        _log_prefix_products(both)
-        starts = np.stack([fwd[lo], bwd_r[lo]], axis=1)
-        ends = _log_sum(starts[:, None, :, None] + both, axis=0)
-        fwd[lo + 1:hi + 1] = ends[:, 0].T
-        bwd_r[lo + 1:hi + 1] = ends[:, 1].T
+        values, offsets = _log_scan(both, np.stack([fwd[lo], bwd_r[lo]], axis=1))
+        fwd[lo + 1:hi + 1], bwd_r[lo + 1:hi + 1] = (values + offsets).transpose(1, 2, 0)
 
 
 def _step_sweeps(log_start: np.ndarray, log_t: np.ndarray, log_e: np.ndarray,

@@ -28,10 +28,10 @@ its one incoming message on by a matrix product, so the run's outward
 messages are prefix products of its matrices and its inward ones suffix
 products, the forward and backward quantities of a hidden Markov chain.
 The sum passes send a run's messages by one log-depth (Hillis-Steele)
-scan each, in the log semiring by the kernel forward/backward scans with
-(``hmm._log_prefix_products``), and store them as a message at a time
-would be stored; every other message, the max semiring and every readout
-go a message at a time.
+scan each, in the log semiring by the one scan forward/backward runs
+(``hmm._log_scan``), and store them as a message at a time would be
+stored; every other message, the max semiring and every readout go a
+message at a time.
 
 The same inward pass run in the max semiring yields most-probable
 assignments: each max message records its first argmax per separator
@@ -56,7 +56,7 @@ from typing import Mapping
 import numpy as np
 
 from .factor import Factor, _integer, _trusted, check_table_size
-from .hmm import _log_prefix_products, _log_sum
+from .hmm import _log_scan
 from .jtree import (
     InvalidJunctionTreeError,
     JunctionTree,
@@ -98,9 +98,9 @@ _Plan = namedtuple("_Plan", "members root observed order parent layouts inward o
 # and the (toward × away) entries.
 _Run = namedtuple("_Run", "clusters width groups")
 # One direction of a run's messages: the scan's matrices reversed and transposed when
-# ``inward``; the stored message ``into`` the run's first matrix, if any; the message
-# keys in sending order; per ``sends`` entry, the scan rows, entries, shape and keys.
-_Sweep = namedtuple("_Sweep", "run inward into keys sends")
+# ``inward``; the stored message ``into`` the run's first matrix, if any; per ``sends``
+# entry, the scan rows, entries, shape and message keys.
+_Sweep = namedtuple("_Sweep", "run inward into sends")
 
 # The run rule, from the measured crossover of the scan against a compute_message per
 # edge on k-state chains: from 32 clusters at k <= 3, 40 at k = 4, 64 at k = 6, and none
@@ -243,17 +243,16 @@ def _sweeps(layouts, path: list[int], parent, children) -> tuple[_Sweep, _Sweep]
     sweeps = []
     for inward in (True, False):
         walk = range(len(path) - 1, -1, -1) if inward else range(len(path))
-        keys, sends = [], {}
+        sends = {}
         for row, t in enumerate(walk):
             j, k = path[t], sides[t][0] if inward else sides[t][1]
             if k is not None:
                 edge = layouts[j].seps[k]
-                keys.append(("sum", j, k))
                 rows, sent = sends.setdefault((math.prod(edge.shape), edge.shape), ([], []))
                 rows.append(row)
-                sent.append(keys[-1])
+                sent.append(("sum", j, k))
         into = sides[walk[0]][1] if inward else sides[walk[0]][0]
-        sweeps.append(_Sweep(run, inward, None if into is None else (into, path[walk[0]]), tuple(keys),
+        sweeps.append(_Sweep(run, inward, None if into is None else (into, path[walk[0]]),
                              tuple((np.array(rows), size, shape, tuple(sent))
                                    for (size, shape), (rows, sent) in sends.items())))
     return sweeps[0], sweeps[1]
@@ -344,8 +343,8 @@ class CompiledQuery:
     pairs over the sliced separators, ``_argmax`` what each max message
     recorded for map_assignment, and ``_batched`` each run's posteriors.
     ``_with_observed`` alone puts observed axes back, in the tables handed
-    out.  ``message`` and ``cluster_conditional`` read a copy laid out from
-    the same arrays with nothing sliced, the tree's plan left in place.
+    out.  ``message`` and ``cluster_conditional`` read a copy with nothing
+    sliced (``_unsliced``), the tree's plan left in place.
     Accessors raise SchedulingError until the messages they read exist.
 
     Construction first reads ``validate_network``'s report, kept on the
@@ -416,9 +415,11 @@ class CompiledQuery:
         self._batched: dict[int, dict] = {}  # a run's first cluster -> its _run_posteriors
 
     def _unsliced(self) -> "CompiledQuery":
-        """This query laid out again from the plan's CPD arrays with no
-        observation sliced, holding the messages this query has sent: the
-        messages as defined, over every state, which ``message`` reports."""
+        """This query laid out again from the plan's CPD arrays with nothing sliced,
+        holding the messages this query holds, over every state, as ``message`` reports
+        them: sent in the schedule's order, sum then max, inward edges leaf first, then
+        outward ones.  Each message's inputs come first, so that replays messages sent
+        in any valid order toward any root."""
         if not self._observed:
             return self
         twin = self._unsliced_copy
@@ -427,10 +428,11 @@ class CompiledQuery:
             twin._observed = {}
             twin._compile(_layouts(self.net, self.jtree, (), [c.members for c in self._layouts]))
         if len(twin._messages) != len(self._messages):
-            # the store keeps sending order, so replaying it is a valid schedule
-            for semiring, i, j in self._messages:
-                if not twin.has_message(i, j, semiring):
-                    twin.compute_message(i, j, semiring)
+            parent, later = self.parent, self.order[1:]
+            edges = [(j, parent[j]) for j in reversed(later)] + [(parent[k], k) for k in later]
+            for key in [(semiring, i, j) for semiring in ("sum", "max") for i, j in edges]:
+                if key in self._messages and key not in twin._messages:
+                    twin.compute_message(key[1], key[2], key[0])
         return twin
 
     def _with_observed(self, scope: tuple[int, ...], values: np.ndarray) -> np.ndarray:
@@ -580,28 +582,20 @@ class CompiledQuery:
 
     def _scan(self, sweep: _Sweep) -> None:
         """Store a run's messages in one direction as ``compute_message`` would: the
-        log-semiring prefix products of its matrices, each shifted to a log maximum near 0
-        (the shifts go to the scales, so the logs summed stay small), the message into
-        the run folded into the first's rows, reduced over rows.  Inward, the matrices
-        go reversed and transposed, so each prefix is a suffix product read backward."""
+        message into the run times the prefix products of its matrices, by ``_log_scan``,
+        each row at unit maximum, its scan offset going to its log scale.  Inward, the
+        matrices go reversed and transposed, so each prefix is a suffix product read
+        backward."""
         mats = self._run_matrices(sweep.run)
         if sweep.inward:
             mats = mats[:, :, ::-1].transpose(1, 0, 2)
         values, log_scale = self._stored(*sweep.into, "sum") if sweep.into else (np.ones(1), 0.0)
-        with np.errstate(divide="ignore"):  # -inf for a zero entry or sum
-            logs = np.log(mats)  # a new array: what _run_matrices keeps stays
-            logs[:values.size, :, 0] += np.log(values.reshape(-1, 1))
-            shifts = np.rint(logs.max(axis=(0, 1)))  # whole numbers, so np.cumsum adds them exactly
-            shifts[shifts == -math.inf] = 0.0
-            logs -= shifts
-            _log_prefix_products(logs)
-            logs = _log_sum(logs, axis=0)
+        with np.errstate(divide="ignore"):  # -inf for a zero entry or sum; np.log copies
+            logs, offsets = _log_scan(np.log(mats), np.log(values.reshape(-1)))
         peaks = logs.max(axis=0)
         peaks[peaks == -math.inf] = 0.0
         sums = self._sums[sweep.run.clusters[0], sweep.inward] = np.exp(logs - peaks)
-        peaks += np.cumsum(shifts) + log_scale
-        if len(sweep.sends) > 1:  # the store keeps sending order, which _unsliced replays
-            self._messages.update(dict.fromkeys(sweep.keys))
+        peaks += offsets + log_scale
         for rows, size, shape, keys in sweep.sends:
             tables = sums.T[rows, :size].reshape(-1, *shape)
             self._messages.update(zip(keys, zip(tables, peaks[rows].tolist())))
