@@ -367,9 +367,13 @@ def _trusted_evidence(allowed: dict[int, frozenset[int]]) -> EvidenceSet:
 def _check_evidence(net: DiscreteNetwork, evidence: EvidenceSet) -> None:
     """ValueError naming the unknown variable ids or out-of-range states the evidence restricts."""
     cards, allowed = net.cards, evidence.allowed
-    unknown = sorted(u for u in allowed if u not in cards)
-    if unknown:
-        raise ValueError(f"evidence names unknown variable ids {unknown}")
+    if not allowed.keys() <= cards.keys():
+        raise ValueError(f"evidence names unknown variable ids {sorted(allowed.keys() - cards.keys())}")
+    # each distinct allowed set once per cardinality (to_bayes_net shares one set per
+    # count); only a failure scans every variable, for the first bad one
+    if all(0 <= s < card for states, card in set(zip(allowed.values(), map(cards.__getitem__, allowed)))
+           for s in states):
+        return
     for u, states in allowed.items():
         if not all(0 <= s < cards[u] for s in states):
             raise ValueError(f"state index out of range for variable {u}: {sorted(states)}")

@@ -13,9 +13,11 @@ on bare arrays laid out by a two-part plan: per (network, tree), kept on the
 network, the tree ``validate_junction_tree`` passes (one breaking running
 intersection is refused, never answered) and each CPD laid out once
 (``_structure``); per root and observed ids, kept on the tree, the schedule,
-layouts and runs (``_plan``).  A query reads each CPD at the state of every
-variable the evidence pins to one state (factor reduction), so the arrays
-leave those variables out, and masks only the other restricted children.
+layouts, runs and the groups of clusters of one form (``_groups``).  A query
+reads each CPD at the state of every variable the evidence pins to one state
+(factor reduction), so the arrays leave those variables out, and masks only
+the other restricted children by a 0/1 indicator; a group's products come from
+one gather per member at the distinct observed states (``_compile``).
 
 Every query refuses an invalid network first, so CPD entries lie in [0, 1].
 Messages are renormalized to unit maximum, with the removed mass tracked in
@@ -46,6 +48,7 @@ of its scans' messages at the first request, and each later one is a lookup.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -86,16 +89,22 @@ class ImpossibleEvidenceError(ValueError):
 # shape, the axes outside it, and for max messages the order that puts those last.
 _Edge = namedtuple("_Edge", "whole sep view shape outside perm free dims")
 # A cluster's whole scope, then what the kernel reads, observed variables left out;
-# (id, family, CPD array) per id it holds; ``form``, its product key's fixed part.
+# (id, family, CPD array) per id it holds; ``form``, what clusters compiled together share.
 _Layout = namedtuple("_Layout", "full scope shape members form seps")
+# Clusters of one ``form``, compiled together (``_groups``): their indices, a one over
+# the batch axis and theirs; per member its array with the observed family axes first,
+# the slice of a cluster's observed states it is read at, the view its rows take and
+# its child's axis (None if observed); ``ids``, the observed family ids, cluster after
+# cluster, member after member.
+_Group = namedtuple("_Group", "clusters ones members ids")
 # A compile plan's evidence half, for one root and set of observed ids, kept on the tree
 # with the ``members`` of the structural half it was laid out from; ``inward`` and
 # ``outward``, the sum passes' steps (``_passes``); ``reads``, where each posterior is read.
-_Plan = namedtuple("_Plan", "members root observed order parent layouts inward outward reads")
+_Plan = namedtuple("_Plan", "members root observed order parent layouts groups inward outward reads")
 # A run of clusters, root-first, each read as a matrix padded to ``width``: per
-# ``groups`` entry, the run positions and clusters laid out alike, their layout shape,
-# the stacked axes summed out and the order putting the separator toward the root first,
-# and the (toward × away) entries.
+# ``groups`` entry, the run positions of clusters laid out alike in one ``_Group``, that
+# group and their positions in it, their layout shape, the stacked axes summed out and
+# the order putting the separator toward the root first, and the (toward × away) entries.
 _Run = namedtuple("_Run", "clusters width groups")
 # One direction of a run's messages: the scan's matrices reversed and transposed when
 # ``inward``; the stored message ``into`` the run's first matrix, if any; per ``sends``
@@ -152,8 +161,9 @@ def _plan(net: DiscreteNetwork, jtree: JunctionTree, root: int,
     children, order = tree.rooted(root)
     parent = MappingProxyType({k: j for j in order for k in children[j]})
     layouts = _layouts(net, tree, observed, members)
-    inward, outward = _passes(layouts, order, children, parent)
-    plan = _Plan(members, root, observed, order, parent, layouts, inward, outward,
+    groups = _groups(layouts, observed)
+    inward, outward = _passes(layouts, groups, order, children, parent)
+    plan = _Plan(members, root, observed, order, parent, layouts, groups, inward, outward,
                  _reads(layouts, observed, inward))
     object.__setattr__(tree, "_plan", plan)
     return tree, plan
@@ -181,7 +191,37 @@ def _layouts(net: DiscreteNetwork, jtree: JunctionTree, observed, members) -> tu
     return tuple(layouts)
 
 
-def _passes(layouts, order, children, parent) -> tuple[tuple, tuple]:
+def _groups(layouts, observed) -> tuple[_Group, ...]:
+    """The layouts' clusters by ``form``, first seen first; clusters of one form hold the
+    same arrays over the same axes, so each member's rows are read by one gather."""
+    forms: dict[tuple, list[int]] = {}
+    for j, layout in enumerate(layouts):
+        forms.setdefault(layout.form, []).append(j)
+    groups = []
+    for (ndim, *axes), clusters in forms.items():
+        members, start = [], 0
+        for (u, family, values), (_, at) in zip(layouts[clusters[0]].members, axes):
+            view, first, rest = [1] * ndim, [], []  # its rows' shape; its observed axes, then the others
+            for i, (a, d) in enumerate(zip(at, values.shape)):
+                if a is None:
+                    first.append(i)
+                else:
+                    view[a] = d
+                    rest.append(i)
+            members.append((values.transpose(first + rest) if first else values,
+                            slice(start, start := start + len(first)), tuple(view), at[family.index(u)]))
+        ids = [v for j in clusters for _, family, _ in layouts[j].members for v in family if v in observed]
+        groups.append(_Group(clusters, _ones(ndim), members, ids))
+    return tuple(groups)
+
+
+@functools.cache
+def _ones(ndim: int) -> np.ndarray:
+    """A read-only 1.0 over the batch axis and ``ndim`` cluster axes."""
+    return np.broadcast_to(1.0, (1,) * (ndim + 1))
+
+
+def _passes(layouts, groups, order, children, parent) -> tuple[tuple, tuple]:
     """The sum passes' steps in a valid sending order: a cluster j stands for the one
     message j -> ``parent[j]`` inward and ``parent[j]`` -> j outward, a ``_Sweep`` for
     a run's messages.
@@ -193,6 +233,7 @@ def _passes(layouts, order, children, parent) -> tuple[tuple, tuple]:
     cluster has heard from its parent."""
     if len(order) < _RUN_MIN_CLUSTERS:  # no run fits
         return tuple(reversed(order[1:])), order[1:]
+    where = {j: (g, t) for g, group in enumerate(groups) for t, j in enumerate(group.clusters)}
     linear = set()
     for j in order:
         near = [layouts[j].seps[k] for k in (parent.get(j), *children[j]) if k is not None]
@@ -207,7 +248,7 @@ def _passes(layouts, order, children, parent) -> tuple[tuple, tuple]:
             while children[path[-1]] and children[path[-1]][0] in linear:
                 path.append(children[path[-1]][0])
             if len(path) >= _RUN_MIN_CLUSTERS:
-                runs.update(dict.fromkeys(path, _sweeps(layouts, path, parent, children)))
+                runs.update(dict.fromkeys(path, _sweeps(layouts, where, path, parent, children)))
     inward, outward = [], []
     for j in reversed(order[1:]):
         if j not in runs:
@@ -222,11 +263,12 @@ def _passes(layouts, order, children, parent) -> tuple[tuple, tuple]:
     return tuple(inward), tuple(outward)
 
 
-def _sweeps(layouts, path: list[int], parent, children) -> tuple[_Sweep, _Sweep]:
+def _sweeps(layouts, where, path: list[int], parent, children) -> tuple[_Sweep, _Sweep]:
     """The inward and outward ``_Sweep`` of the run ``path``.  Each cluster's matrix
-    sums its product over what neither separator holds; a missing side has one entry."""
+    sums its product over what neither separator holds; a missing side has one entry.
+    ``where`` maps a cluster to its ``_Group`` and its position there."""
     sides = [(parent.get(j), children[j][0] if children[j] else None) for j in path]
-    groups: dict[tuple, list[int]] = {}
+    alike: dict[tuple, list[tuple]] = {}
     width = 1
     for t, (j, ends) in enumerate(zip(path, sides)):
         layout = layouts[j]
@@ -237,9 +279,10 @@ def _sweeps(layouts, path: list[int], parent, children) -> tuple[_Sweep, _Sweep]
         perm = (0, *[kept.index(axis[u]) + 1 for u in toward + away])
         entries = tuple(math.prod(layout.shape[axis[u]] for u in sep) for sep in (toward, away))
         width = max(width, *entries)
-        groups.setdefault((layout.shape, free, perm, entries), []).append(t)
-    run = _Run(tuple(path), width, tuple((np.array(ts), tuple(path[t] for t in ts), *key)
-                                        for key, ts in groups.items()))
+        g, at = where[j]
+        alike.setdefault((g, layout.shape, free, perm, entries), []).append((t, at))
+    run = _Run(tuple(path), width, tuple((np.array(ts), g, np.array(ats), *key)
+                                        for (g, *key), pairs in alike.items() for ts, ats in [zip(*pairs)]))
     sweeps = []
     for inward in (True, False):
         walk = range(len(path) - 1, -1, -1) if inward else range(len(path))
@@ -337,9 +380,10 @@ class CompiledQuery:
     every other cluster to its neighbour toward the root.  The schedule, the
     sum passes' steps (``_passes``) and each cluster's ``_Layout``, with its
     members' CPD arrays, come from the kept compile plan (``_plan``);
-    construction reads those arrays at the evidence into one read-only
-    product of K_u per distinct cluster (``_compile``) and keeps no
-    per-variable potential.  The message stores hold (table, log scale)
+    construction reads those arrays at the evidence, one gather per member
+    of each group of clusters of one form, into one read-only product of
+    K_u per distinct cluster (``_compile``), a view of its group's stack,
+    and keeps no per-variable potential.  The message stores hold (table, log scale)
     pairs over the sliced separators, ``_argmax`` what each max message
     recorded for map_assignment, and ``_batched`` each run's posteriors.
     ``_with_observed`` alone puts observed axes back, in the tables handed
@@ -385,29 +429,48 @@ class CompiledQuery:
         self.order, self.parent, self._reads = plan.order, plan.parent, plan.reads
         self._passes = plan.inward, plan.outward
         self._unsliced_copy: CompiledQuery | None = None
-        self._compile(plan.layouts)
+        self._compile(plan.layouts, plan.groups)
 
-    def _compile(self, layouts: tuple[_Layout, ...]) -> None:
-        """``layouts``, one product of K_u per distinct cluster, and empty message stores."""
+    def _compile(self, layouts: tuple[_Layout, ...], groups: tuple[_Group, ...]) -> None:
+        """``layouts``, one product of K_u per distinct cluster, and empty message stores.
+        A group's key per cluster holds the observed states its members are read at, then
+        a code per masked child's allowed set; each member is read at the distinct keys by
+        one gather, batch axis first, into a ones stack, and a cluster takes its key's row."""
         observed, allowed = self._observed, self.evidence.allowed
-        self._layouts = layouts
-        self._products: list[np.ndarray] = []  # per cluster
-        made: dict[tuple, np.ndarray] = {}
-        for _, scope, shape, members, form, _ in layouts:
-            # the same arrays read at the same states, masked alike, into the same axes: one product
-            key = (form, *[(tuple(map(observed.get, family)), allowed.get(u)) for u, family, _ in members])
-            if key not in made:
+        masked = {u: states for u, states in allowed.items() if u not in observed}
+        codes = dict(zip(dict.fromkeys(masked.values()), range(len(masked))))  # equal sets alike
+        indicators: dict[int, np.ndarray] = {}  # per card, a 0/1 row per code, then all ones
+        self._layouts, self._products, self._stacks = layouts, [None] * len(layouts), []
+        for clusters, ones, members, ids in groups:
+            n, col = len(clusters), len(ids) // len(clusters)
+            masks = {}  # member -> per cluster, the code of its child's allowed set (-1: none)
+            for m, (*_, child) in enumerate(members if codes else ()):
+                found = [codes.get(masked.get(layouts[j].members[m][0]), -1) for j in clusters]
+                if child is not None and max(found) >= 0:
+                    masks[m] = found
+            keys = list(zip(*[map(observed.__getitem__, ids)] * col, *masks.values())) or [()] * n
+            rows = dict.fromkeys(keys)  # distinct keys, first seen first
+            if len(rows) == 1:  # a stack of one, read at ints
+                inverse, index = [0] * n, keys[0]
+            else:  # each cluster's row, and the keys' columns
+                inverse, index = list(map(dict(zip(rows, range(n))).__getitem__, keys)), tuple(np.array(list(rows)).T)
+            stack = ones
+            for m, (values, take, view, child) in enumerate(members):
                 # 1.0 * x == x: starting from one, or at a mask's kept state, changes no bit
-                potential = np.ones((1,) * len(scope))
-                for u, family, values in members:
-                    if u in allowed and u not in observed:  # a sliced child is read at its state
-                        values = _trusted(family, values, 0.0).restrict({u: allowed[u]}).values
-                    view = tuple(d if v in family else 1 for v, d in zip(scope, shape))
-                    at = tuple(map(observed.get, family, repeat(slice(None))))  # observed states
-                    potential = potential * values[at].reshape(view)
-                potential.setflags(write=False)  # shared, and tables and messages may be views of it
-                made[key] = potential
-            self._products.append(made[key])
+                part = values[index[take]].reshape(-1, *view)
+                if m in masks:  # a child kept to several states: its indicator on its axis
+                    card, mask = view[child], [1] * len(view)
+                    mask[child] = card
+                    if card not in indicators:
+                        indicators[card] = np.array([[s in states for s in range(card)] for states in codes]
+                                                    + [[True] * card], float)
+                    part, col = part * indicators[card][index[col]].reshape(-1, *mask), col + 1
+                stack = stack * part
+            stack.setflags(write=False)  # shared, and tables and messages may be views of it
+            views = list(stack)
+            for j, r in zip(clusters, inverse):
+                self._products[j] = views[r]
+            self._stacks.append((stack, inverse))
         self._messages: dict[tuple[str, int, int], tuple[np.ndarray, float]] = {}
         self._argmax: dict[tuple[int, int], tuple] = {}  # (j, k) -> what map_assignment reads
         self._matrices: dict[int, np.ndarray] = {}  # a run's first cluster -> what _run_matrices formed
@@ -426,7 +489,8 @@ class CompiledQuery:
         if twin is None:
             twin = self._unsliced_copy = copy.copy(self)
             twin._observed = {}
-            twin._compile(_layouts(self.net, self.jtree, (), [c.members for c in self._layouts]))
+            layouts = _layouts(self.net, self.jtree, (), [c.members for c in self._layouts])
+            twin._compile(layouts, _groups(layouts, ()))
         if len(twin._messages) != len(self._messages):
             parent, later = self.parent, self.order[1:]
             edges = [(j, parent[j]) for j in reversed(later)] + [(parent[k], k) for k in later]
@@ -607,15 +671,12 @@ class CompiledQuery:
         if kept is not None:
             return kept
         mats = np.zeros((run.width, run.width, len(run.clusters)))
-        for rows, clusters, shape, free, perm, (a, b) in run.groups:
-            products = list(map(self._products.__getitem__, clusters))
-            distinct = {id(p): p for p in products}  # clusters that share a product share its matrix
-            index = dict(zip(distinct, range(len(distinct))))
-            tables = np.stack([p if p.shape == shape else np.broadcast_to(p, shape)
-                               for p in distinct.values()])
+        for rows, g, at, shape, free, perm, (a, b) in run.groups:
+            stack, inverse = self._stacks[g]  # the group's distinct products, and each cluster's row
+            inverse = np.array(inverse)
+            tables = stack if stack.shape[1:] == shape else np.broadcast_to(stack, (len(stack), *shape))
             tables = tables.sum(axis=free) if free else tables
-            tables = tables.transpose(perm).reshape(-1, a, b)
-            mats[:a, :b, rows] = tables[[index[id(p)] for p in products]].transpose(1, 2, 0)
+            mats[:a, :b, rows] = tables.transpose(perm).reshape(-1, a, b)[inverse[at]].transpose(1, 2, 0)
         self._matrices[run.clusters[0]] = mats
         return mats
 

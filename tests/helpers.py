@@ -327,6 +327,47 @@ def argmax_traceback(cq: CompiledQuery) -> tuple[dict[int, int], float]:
     return assignment, math.log(peak) + marginal.log_scale
 
 
+# -- reference implementation for the compiled cluster products ----------
+
+
+def reference_products(cq: CompiledQuery) -> list[np.ndarray]:
+    """``cq``'s cluster products formed one cluster at a time, as the engine once
+    compiled them: one read-only product per distinct key (the layout's ``form``, then per
+    member the observed states of its family and its child's allowed set), each member's
+    array masked by ``Factor.restrict`` when its child is kept to an allowed set it is not
+    sliced at, read at the observed states and multiplied into a one, in member order."""
+    observed, allowed = cq._observed, cq.evidence.allowed
+    products, made = [], {}
+    for _, scope, shape, members, form, _ in cq._layouts:
+        key = (form, *[(tuple(map(observed.get, family)), allowed.get(u)) for u, family, _ in members])
+        if key not in made:
+            potential = np.ones((1,) * len(scope))
+            for u, family, values in members:
+                if u in allowed and u not in observed:
+                    values = Factor(family, values).restrict({u: allowed[u]}).values
+                view = tuple(d if v in family else 1 for v, d in zip(scope, shape))
+                at = tuple(observed.get(v, slice(None)) for v in family)
+                potential = potential * values[at].reshape(view)
+            potential.setflags(write=False)
+            made[key] = potential
+        products.append(made[key])
+    return products
+
+
+def assert_products_match(cq: CompiledQuery) -> None:
+    """``cq``'s products against ``reference_products``: bit for bit, read-only, and the
+    same clusters sharing one array."""
+    got, want = cq._products, reference_products(cq)
+    assert len(got) == len(want)
+    for j, (a, b) in enumerate(zip(got, want)):
+        assert a.shape == b.shape and a.dtype == b.dtype, (j, a.shape, b.shape)
+        assert a.tobytes() == b.tobytes(), j
+        assert not a.flags.writeable, j
+    first_got, first_want = {}, {}
+    assert ([first_got.setdefault(id(p), j) for j, p in enumerate(got)]
+            == [first_want.setdefault(id(p), j) for j, p in enumerate(want)])
+
+
 # -- reference implementation for the compiled cluster layouts ------------
 
 

@@ -995,30 +995,29 @@ class TestSharedTables:
         spec, y, net, ev = chain200
         chain_tree = hmm.chain_junction_tree(spec)
         jt = JunctionTree(chain_tree.clusters, chain_tree.edges, chain_tree.assignment)
-        checked, masked = [], []
-        check, restrict = Factor.__post_init__, Factor.restrict
+        checked = []
+        check = Factor.__post_init__
 
         def counted_check(self):
             checked.append(self.scope)
             check(self)
 
-        def counted_restrict(self, allowed):
-            masked.append(*allowed.values())
-            return restrict(self, allowed)
-
         monkeypatch.setattr(Factor, "__post_init__", counted_check)
-        monkeypatch.setattr(Factor, "restrict", counted_restrict)
         cq = CompiledQuery(net, ev, jtree=jt).propagate()
         cq.posterior_table()
         cq.map_assignment()
-        # every Y is pinned to one state, so it is sliced, never masked
-        assert masked == []
+        # every Y is pinned to one state, so it is sliced: no product keeps a Y axis
+        assert all(not any(u % 2 for u in layout.scope) for layout in cq._layouts)
+        assert all(p.ndim == len(layout.scope) for p, layout in zip(cq._products, cq._layouts))
         cq.message(0, 1)
         # the network's kept report checked the CPDs: the plan lays out
         # read-only views and no CPD enters Factor, nor in the unsliced copy
         assert checked == []
-        # the copy slices nothing, so it masks every Y
-        assert set(masked) == {frozenset({k}) for k in y}
+        # the copy slices nothing, so it masks every Y: each product (Y_i its
+        # last axis) is zero off the observed count and not all zero at it
+        for product, count in zip(cq._unsliced()._products, y):
+            off = np.arange(product.shape[-1]) != count
+            assert not product[..., off].any() and product[..., count].any(), count
         members = {u: (family, values) for layout in jt._plan.layouts
                    for u, family, values in layout.members}
         assert members[2][1] is members[4][1]

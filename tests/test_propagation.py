@@ -129,6 +129,20 @@ class TestPotentials:
         with pytest.raises(ValueError, match=r"out of range for variable 0: \[1, 3\]"):
             CompiledQuery(net, ev, jtree=jt)
 
+    def test_a_shared_allowed_set_is_checked_at_each_cardinality(self):
+        # one set object, in range for a ternary variable and not for a binary one:
+        # the check runs once per (set, cardinality) and still names the first bad one
+        variables = [Variable(0, "T", ("a", "b", "c")), Variable(1, "B", ("a", "b")),
+                     Variable(2, "U", ("a", "b"))]
+        cpds = [Cpd(0, (), [[0.2, 0.3, 0.5]]), Cpd(1, (), [[0.5, 0.5]]), Cpd(2, (), [[0.5, 0.5]])]
+        net = DiscreteNetwork(variables, cpds)
+        shared, other = frozenset({2}), frozenset({0, 5})
+        build_potentials(net, model._trusted_evidence({0: shared}))
+        for allowed, bad in (({0: shared, 2: other, 1: shared}, "2: \\[0, 5\\]"),
+                             ({0: shared, 1: shared, 2: other}, "1: \\[2\\]")):
+            with pytest.raises(ValueError, match=f"out of range for variable {bad}$"):
+                build_potentials(net, model._trusted_evidence(allowed))
+
     def test_no_evidence_is_plain_cpd(self):
         net = pedigree_network()
         pots = build_potentials(net, EvidenceSet.none())
