@@ -40,8 +40,7 @@ def main() -> int:
     cq.propagate()
     tree = np.stack([cq.variable_posterior(2 * i) for i in range(args.days)])
 
-    paths = sample_hmm_path(spec, y, args.direction,
-                            seed=args.seed, count=args.samples, fb=fb)
+    paths = sample_hmm_path(spec, y, args.direction, seed=args.seed, count=args.samples)
     empirical = np.stack([(paths == s).mean(axis=0) for s in range(spec.n_states)],
                          axis=1)
 

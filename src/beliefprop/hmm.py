@@ -10,6 +10,7 @@ smoothing are done with the classic two sweeps, kept in log space:
 with log_backward[n] = 0.  Both sweeps read one table per sequence, the
 (n x states) log pmfs from log_emissions, computed once per distinct
 count; emission() and to_bayes_net's CPD rows read the same table.
+A spec keeps its last sweep, read-only, for every reader of those counts.
 Both sweeps work in the log semiring.  A chain of at most SCAN_STATES
 states takes each as a Hillis-Steele scan over its step matrices
 log_t[r, s] + log_e[i, s], ceil(log2 n) rounds of batched products in
@@ -62,7 +63,8 @@ _SCAN_BLOCK = 1 << 16
 class HmmSpec:
     """State space, initial distribution, transition matrix, Poisson
     emission rates, and horizon length.  FactorSizeError when the
-    horizon x states tables the sweeps keep would pass the entry cap."""
+    horizon x states tables the sweeps keep would pass the entry cap.
+    Keeps, outside its fields, forward_backward's last sweep."""
 
     states: tuple[str, ...]
     initial: tuple[float, ...]
@@ -92,6 +94,7 @@ class HmmSpec:
                 )
         if not all(0.0 < r < math.inf for r in self.rates):
             raise ValueError("emission rates must be positive and finite")
+        object.__setattr__(self, "_sweep", (None, None))  # (counts key, ForwardBackward)
 
     @property
     def n_states(self) -> int:
@@ -167,7 +170,11 @@ def log_emissions(spec: HmmSpec, counts: Sequence[int]) -> np.ndarray:
     once.  ValueError naming the step when a count is not an integer or
     its magnitude passes MAX_COUNT.
     """
-    k = _counts(counts)
+    return _log_pmfs(spec, _counts(counts))
+
+
+def _log_pmfs(spec: HmmSpec, k: np.ndarray | Sequence[int]) -> np.ndarray:
+    """log_emissions of counts already checked by _counts."""
     if isinstance(k, np.ndarray):
         distinct, inverse = np.unique(k, return_inverse=True)
         distinct = distinct.tolist()
@@ -277,11 +284,18 @@ def forward_backward(spec: HmmSpec, y: Sequence[int]) -> ForwardBackward:
     """Both sweeps over one log_emissions table, in the log semiring.  A
     chain of at most SCAN_STATES states takes each sweep as one log-depth
     scan over its step matrices, a longer one step at a time; no entry is
-    rescaled either way.  ValueError when log P(y) leaves the float range."""
+    rescaled either way.  ValueError when log P(y) leaves the float range.
+    The spec keeps its last sweep, keyed by the checked counts (an integer
+    ndarray's dtype and bytes, else the ints): the same counts get the same
+    object back, its arrays read-only.  A refused y leaves it in place."""
     n = spec.horizon
     if len(y) != n:
         raise ValueError(f"expected {n} observations, got {len(y)}")
-    log_e = log_emissions(spec, y)
+    counts = _counts(y)
+    key = (counts.dtype.str, counts.tobytes()) if isinstance(counts, np.ndarray) else tuple(counts)
+    if spec._sweep[0] == key:
+        return spec._sweep[1]
+    log_e = _log_pmfs(spec, counts)
     fwd = np.empty((n, spec.n_states))
     bwd = np.zeros((n, spec.n_states))
     sweeps = _scan_sweeps if spec.n_states <= SCAN_STATES else _step_sweeps
@@ -297,7 +311,10 @@ def forward_backward(spec: HmmSpec, y: Sequence[int]) -> ForwardBackward:
             reach = (reach @ (log_t > -math.inf)) & (log_e[i] > -math.inf)
         if reach.any():
             raise ValueError("log P(observations) leaves the float range (below -1.8e308)")
-    return ForwardBackward(fwd, bwd, log_e, log_t)
+    for table in (fwd, bwd, log_e, log_t):
+        table.setflags(write=False)
+    object.__setattr__(spec, "_sweep", (key, ForwardBackward(fwd, bwd, log_e, log_t)))
+    return spec._sweep[1]
 
 
 def _normalized(log_rows: np.ndarray) -> np.ndarray:
@@ -309,6 +326,7 @@ def _normalized(log_rows: np.ndarray) -> np.ndarray:
 
 def log_likelihood(fb: ForwardBackward, i: int = 0) -> float:
     """log P(all observations), readable at any step i."""
+    i = _integer(i, "step")
     with np.errstate(over="ignore"):
         return float(np.logaddexp.reduce(fb.log_forward[i] + fb.log_backward[i]))
 
@@ -346,12 +364,14 @@ def forward_transition(fb: ForwardBackward, i: int) -> np.ndarray:
     """P(S_i = s | S_{i-1} = r, all observations) with rows indexed by r,
     for 0 < i < horizon.  Rows sum to one up to rounding; a row whose
     state cannot explain the observations is zero."""
+    i = _integer(i, "step")
     return _transitions(fb, "forward", i, i + 1)[0]
 
 
 def backward_transition(fb: ForwardBackward, i: int) -> np.ndarray:
     """P(S_{i-1} = r | S_i = s, all observations) with rows indexed by s,
     for 0 < i < horizon.  Step i's emission is fixed by s, so it cancels."""
+    i = _integer(i, "step")
     return _transitions(fb, "backward", i, i + 1)[0]
 
 

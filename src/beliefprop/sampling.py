@@ -25,7 +25,7 @@ seed, count).
 
 The chain models in the hmm module get a direct implementation of the
 same idea (sample_hmm_path) working straight from the log forward/backward
-tables, in chronological or reverse order, a block of steps' CDFs at once.
+tables the spec keeps, forward or backward in time, a block's CDFs at once.
 Its draws follow the same contract: one uniform per path for the first
 state, then one per path per step in walk order.  On a chain of at most
 ``hmm.SCAN_STATES`` states a block's CDFs become outcome tables, each
@@ -40,7 +40,7 @@ import numpy as np
 
 from .factor import Factor, _integer, _trusted, check_table_size
 from .hmm import (SCAN_STATES, ForwardBackward, HmmSpec, _transitions, forward_backward,
-                  log_emissions, unit_max_exp)
+                  unit_max_exp)
 from .propagation import ClusterRows, CompiledQuery, ImpossibleEvidenceError
 
 _CHUNK = 1 << 16
@@ -231,7 +231,6 @@ def sample_hmm_path(
     direction: str = "forward",
     seed: int = 0,
     count: int = 1,
-    fb: ForwardBackward | None = None,
 ) -> np.ndarray:
     """Posterior state paths for a chain model, (count, horizon) indices.
 
@@ -243,10 +242,9 @@ def sample_hmm_path(
     ``SCAN_STATES`` states turns each block into outcome tables, every
     path's next state from every previous state, so that a step is one
     gather; a larger one searches each step's CDF rows.  Each block
-    holds about ``_CHUNK`` entries.  ``fb``, the caller's
-    ``forward_backward(spec, y)``, saves running the sweep again;
-    ValueError unless its tables fit y and spec.  FactorSizeError when
-    the output would pass the table entry cap.
+    holds about ``_CHUNK`` entries.  The tables are the sweep the spec
+    keeps (``forward_backward``).  FactorSizeError when the output would
+    pass the table entry cap.
     """
     if direction not in ("forward", "backward"):
         raise ValueError(f"unknown direction {direction!r}")
@@ -255,10 +253,7 @@ def sample_hmm_path(
     if count < 0:
         raise ValueError("count must be non-negative")
     check_table_size((count, n), "sample output")
-    if fb is None:
-        fb = forward_backward(spec, y)
-    else:
-        _check_sweep(spec, y, fb)
+    fb = forward_backward(spec, y)
     rng = np.random.Generator(np.random.PCG64(_integer(seed, "seed")))
     walk = range(n) if direction == "forward" else range(n - 1, -1, -1)
     with np.errstate(over="ignore"):
@@ -315,19 +310,3 @@ def _walk_outcomes(fb: ForwardBackward, direction: str, uniforms: np.ndarray,
             outcomes = (cum[:, :, :-1, None] <= u).sum(axis=2)
             for t, table in zip(rows, outcomes):
                 walked[t + 1, a:b] = table[walked[t, a:b], paths[:b - a]]
-
-
-def _check_sweep(spec: HmmSpec, y: Sequence[int], fb: ForwardBackward) -> None:
-    """ValueError unless ``fb`` is the sweep of ``y`` on ``spec``: its shapes,
-    its emission and transition tables and its first forward row."""
-    n = spec.horizon
-    if len(y) != n or not fb.log_forward.shape == fb.log_backward.shape == (n, spec.n_states):
-        raise ValueError(f"fb holds {fb.log_forward.shape} and {fb.log_backward.shape} tables, "
-                         f"not the sweep of {len(y)} observations over {n} steps of "
-                         f"{spec.n_states} states")
-    log_e = log_emissions(spec, y)
-    with np.errstate(divide="ignore"):
-        log_t, log_init = np.log(spec.transition), np.log(spec.initial)
-    if not (np.array_equal(fb.log_emissions, log_e) and np.array_equal(fb.log_transition, log_t)
-            and np.array_equal(fb.log_forward[0], log_init + log_e[0])):
-        raise ValueError("fb is not the sweep of these observations on this spec")

@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import itertools
 import math
+import re
 import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -340,6 +342,17 @@ class TestForwardBackward:
         values = [hmm.log_likelihood(fb, i) for i in range(5)]
         assert max(values) - min(values) < 1e-12
 
+    def test_log_likelihood_steps_follow_the_integer_rule(self, spec5):
+        fb = hmm.forward_backward(spec5, [0, 2, 1, 4, 0])
+        for i in (1.5, 2.0, np.float64(1.0), np.True_, "1", None):
+            with pytest.raises(ValueError, match=re.escape(f"step {i!r} is not an integer")):
+                hmm.log_likelihood(fb, i)
+        assert hmm.log_likelihood(fb, np.int64(3)) == hmm.log_likelihood(fb, 3)
+        assert hmm.log_likelihood(fb, -1) == hmm.log_likelihood(fb, 4)
+        for i in (5, -6):
+            with pytest.raises(IndexError):
+                hmm.log_likelihood(fb, i)
+
     def test_backward_terminal_is_one(self, spec5):
         fb = hmm.forward_backward(spec5, [0, 2, 1, 4, 0])
         np.testing.assert_array_equal(fb.backward[-1], [1.0, 1.0])
@@ -589,6 +602,79 @@ class TestScannedSweeps:
             for horizon in (1, 2000):
                 hmm.forward_backward(*sweep_case(k, horizon, "plain", seed=k))
         assert called == ["_scan_sweeps"] * 4 + ["_step_sweeps"] * 4
+
+
+class TestKeptSweep:
+    """A spec keeps the sweep of its last sequence: the same counts read it
+    again, other counts, an array edited in place or another spec sweep anew."""
+
+    @pytest.fixture
+    def swept(self, monkeypatch):
+        called = []
+        for name in ("_scan_sweeps", "_step_sweeps"):
+            sweeps = getattr(hmm, name)
+            monkeypatch.setattr(f"beliefprop.hmm.{name}",
+                                lambda *args, name=name, sweeps=sweeps:
+                                called.append(name) or sweeps(*args))
+        return called
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_a_chain_query_sweeps_once(self, swept, k):
+        spec, y = sweep_case(k, 200, "plain", seed=k)
+        # the chain benchmark's order: the floor, its paths, then the referee
+        floor = hmm.posteriors(spec, y)
+        sample_hmm_path(spec, y, seed=1, count=10)
+        sample_hmm_path(spec, y, "backward", seed=1, count=10)
+        fb = hmm.forward_backward(spec, y)
+        assert swept == ["_scan_sweeps" if k <= hmm.SCAN_STATES else "_step_sweeps"]
+        assert hmm.forward_backward(spec, y) is fb
+        assert hmm.smoothing_posteriors(fb).tobytes() == floor.tobytes()
+
+    def test_other_counts_or_another_spec_sweep_again(self, swept):
+        spec, y = sweep_case(2, 50, "plain", seed=7)
+        fb = hmm.forward_backward(spec, y)
+        y[3] += 1  # the same array, edited in place
+        edited = hmm.forward_backward(spec, y)
+        assert edited is not fb and not np.array_equal(edited.log_emissions, fb.log_emissions)
+        # the same values under another dtype, and as a list of ints
+        assert hmm.forward_backward(spec, y.astype(np.int32)) is not edited
+        listed = hmm.forward_backward(spec, y.tolist())
+        assert hmm.forward_backward(spec, list(y.tolist())) is listed
+        assert hmm.forward_backward(spec, y[::-1]) is not listed
+        twin = dataclasses.replace(spec)
+        assert twin == spec and hmm.forward_backward(twin, y[::-1]) is not hmm.forward_backward(spec, y[::-1])
+        assert swept == ["_scan_sweeps"] * 6
+
+    def test_a_refused_sequence_keeps_the_sweep(self, swept):
+        spec, y = hmm.precipitation_spec(3), [0, 1, 2]
+        fb = hmm.forward_backward(spec, y)
+        refused = ([0, 1], [0, 1.5, 2], [0, 10**306, 2], [hmm.MAX_COUNT] * 3)
+        for bad in refused:
+            with pytest.raises(ValueError):
+                hmm.forward_backward(spec, bad)
+            assert hmm.forward_backward(spec, y) is fb
+        # only the sequence past the float range got as far as sweeping
+        assert swept == ["_scan_sweeps"] * 2
+
+    def test_kept_arrays_are_read_only(self):
+        spec, y = hmm.precipitation_spec(4), np.array([0, 1, 2, 3])
+        fb = hmm.forward_backward(spec, y)
+        for table in (fb.log_forward, fb.log_backward, fb.log_emissions, fb.log_transition):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0.0
+        assert hmm.forward_backward(spec, y) is fb
+
+    @pytest.mark.parametrize("k", [2, 4])
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_paths_from_the_kept_sweep_match_a_fresh_one(self, k, direction):
+        spec, y = sweep_case(k, 64, "plain", seed=11)
+        hmm.posteriors(spec, y)
+        kept = sample_hmm_path(spec, y, direction, seed=5, count=30)
+        fresh = dataclasses.replace(spec)
+        got = sample_hmm_path(fresh, y, direction, seed=5, count=30)
+        assert kept.tobytes() == got.tobytes()
+        for name in ("log_forward", "log_backward", "log_emissions", "log_transition"):
+            assert getattr(spec._sweep[1], name).tobytes() == getattr(fresh._sweep[1], name).tobytes()
 
 
 class TestSimulate:

@@ -429,12 +429,6 @@ def setup():
     return spec, y, fb
 
 
-@pytest.fixture(scope="module")
-def spec5_sweep():
-    spec, y = hmm.precipitation_spec(5), [0, 2, 1, 4, 0]
-    return spec, y, hmm.forward_backward(spec, y)
-
-
 class TestHmmPathSampling:
     def test_transition_rows_stochastic(self, setup):
         spec, y, fb = setup
@@ -480,43 +474,6 @@ class TestHmmPathSampling:
         monkeypatch.setattr("beliefprop.sampling.forward_backward", no_sweep)
         with pytest.raises(ValueError, match="count must be non-negative"):
             sample_hmm_path(spec, y, count=-1)
-
-    @pytest.mark.parametrize("direction", ["forward", "backward"])
-    def test_the_callers_sweep_is_used(self, setup, monkeypatch, direction):
-        spec, y, fb = setup
-        want = sample_hmm_path(spec, y, direction, seed=9, count=50)
-
-        def no_sweep(*args):
-            raise AssertionError("sample_hmm_path swept although it was given the sweep")
-
-        monkeypatch.setattr("beliefprop.sampling.forward_backward", no_sweep)
-        got = sample_hmm_path(spec, y, direction, seed=9, count=50, fb=fb)
-        assert got.tobytes() == want.tobytes()
-
-    def test_a_sweep_of_another_shape_refused(self, setup):
-        spec, y, fb = setup
-        longer = hmm.precipitation_spec(13)
-        other = hmm.forward_backward(longer, hmm.simulate(longer, seed=5)[1])
-        for bad_spec, bad_y, bad_fb in ((spec, y, other), (longer, [*y, 0], fb),
-                                        (spec, y[:-1], fb)):
-            with pytest.raises(ValueError, match="not the sweep of"):
-                sample_hmm_path(bad_spec, bad_y, fb=bad_fb)
-
-    def test_a_sweep_of_other_counts_or_another_spec_refused(self, spec5_sweep):
-        spec, y, fb = spec5_sweep
-        # same shapes throughout: only the tables tell these sweeps apart
-        others = [
-            (spec, [9] * 5, fb),
-            (spec, [0, 2, 1, 4, 1], fb),
-            (hmm.HmmSpec(spec.states, spec.initial, ((0.8, 0.2), (0.3, 0.7)), spec.rates, 5), y, fb),
-            (hmm.HmmSpec(spec.states, (0.5, 0.5), spec.transition, spec.rates, 5), y, fb),
-            (hmm.HmmSpec(spec.states, spec.initial, spec.transition, (3.0, 0.6), 5), y, fb),
-        ]
-        for bad_spec, bad_y, bad_fb in others:
-            with pytest.raises(ValueError, match="not the sweep of"):
-                sample_hmm_path(bad_spec, bad_y, seed=1, count=3, fb=bad_fb)
-        assert sample_hmm_path(spec, np.array(y), seed=1, count=3, fb=fb).tobytes() == \
-            sample_hmm_path(spec, y, seed=1, count=3).tobytes()
 
     def test_fractional_count_refused(self, setup):
         spec, y, _ = setup
@@ -648,6 +605,13 @@ class TestDrawStreamPinned:
             for transition in (hmm.forward_transition, hmm.backward_transition):
                 with pytest.raises(IndexError, match=f"no transition at steps {i}..{i} "):
                     transition(fb, i)
+        # a step follows the one integer rule: 1.9 is not step 1
+        for i in (1.5, 2.0, np.float64(1.0), np.True_, "1", None):
+            for transition in (hmm.forward_transition, hmm.backward_transition):
+                with pytest.raises(ValueError, match=re.escape(f"step {i!r} is not an integer")):
+                    transition(fb, i)
+        for transition in (hmm.forward_transition, hmm.backward_transition):
+            assert np.array_equal(transition(fb, np.int64(2)), transition(fb, 2))
 
     @pytest.mark.parametrize("k, horizon", [(100, 40), (300, 5)])
     def test_many_states_build_bounded_blocks(self, k, horizon, monkeypatch):
