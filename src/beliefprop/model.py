@@ -81,7 +81,7 @@ class DiscreteNetwork:
             _by_name=MappingProxyType(by_name), _cpd_by_child=MappingProxyType(cpd_by_child),
             # on a duplicate id the last variable's card wins
             _cards=MappingProxyType({v.id: v.card for v in variables}),
-            _report=None, _tree=None, _tree_check=(None, None), _structure=(None, None, None),
+            _report=None, _tree=None, _tree_check=(None, None), _structure=(None, None, None, None),
         )
 
     def __setattr__(self, name: str, value=None) -> None:

@@ -12,8 +12,10 @@ The network and tree fix the scope of every such table, so the kernel runs
 on bare arrays laid out by a two-part plan: per (network, tree), kept on the
 network, the tree ``validate_junction_tree`` passes (one breaking running
 intersection is refused, never answered) and each CPD laid out once
-(``_structure``); per root and observed ids, kept on the tree, the schedule,
-layouts, runs and the groups of clusters of one form (``_groups``).  A query
+(``_structure``), with each cluster's layout per set of its variables observed
+and each form's member reads, which later plans share; per root and observed
+ids, kept on the tree, the schedule, layouts, runs and the groups of clusters
+of one form (``_groups``).  A query
 reads each CPD at the state of every variable the evidence pins to one state
 (factor reduction), so the arrays leave those variables out, and masks only
 the other restricted children by a 0/1 indicator; a group's products come from
@@ -36,13 +38,20 @@ stored; every other message, the max semiring and every readout go a
 message at a time.
 
 The same inward pass run in the max semiring yields most-probable
-assignments: each max message records its first argmax per separator
-state, and the traceback forms only the root's table, then reads one
-recorded argmax per cluster along the query's one root-first order.
-Posterior sampling walks the same order over the sum tables laid out by
-``cluster_rows``.  Posteriors read an edge's two messages where they can, the
-edge recorded on the plan; a run's are formed together by one batched product
-of its scans' messages at the first request, and each later one is a lookup.
+assignments: each max message is the elementwise maxima of the slices of
+each axis it maximizes out, and records nothing else.  The readouts that
+walk the query's one root-first order need, at each cluster, only the rows
+at the separator states the walk has fixed (Dawid 1992), and one row kernel
+(``_rows``) forms just those: the cluster potential times every stored
+message into it but its parent's, each indexed at those states before the
+multiply, so every entry has the bits it has in the whole table.  The
+traceback forms the root's table, then one max row per cluster; posterior
+sampling forms the root's row once and, per batch of draws, the rows they
+reach.  ``cluster_rows`` reads out whole tables.  Posteriors read an edge's
+two messages where they can, the edge recorded on the plan; a run's are
+formed together by one batched product of its scans' messages at the first
+request, and each later one is a lookup; an observed variable's is its
+indicator once one read has checked the query's mass.
 """
 
 from __future__ import annotations
@@ -86,7 +95,8 @@ class ImpossibleEvidenceError(ValueError):
 
 
 # Edge j -> k as j reads it: whole and sliced separator, view in j's sliced scope,
-# shape, the axes outside it, and for max messages the order that puts those last.
+# shape, the axes outside it, the order that puts those last (``_rows``' operands),
+# and the variables and cards of those axes.
 _Edge = namedtuple("_Edge", "whole sep view shape outside perm free dims")
 # A cluster's whole scope, then what the kernel reads, observed variables left out;
 # (id, family, CPD array) per id it holds; ``form``, what clusters compiled together share.
@@ -116,16 +126,20 @@ _Sweep = namedtuple("_Sweep", "run inward into sends")
 # up to 128 at k = 8 (see ``_passes``).
 _RUN_MIN_CLUSTERS = 40
 _RUN_MAX_ENTRIES = 4
+# What a structural half keeps for later plans grows with the observed sets seen, up to
+# 2 ** (cluster size) per cluster; past this many entries it starts again.
+_KEPT_MAX = 1 << 12
 
 
-def _structure(net: DiscreteNetwork, jtree: JunctionTree) -> tuple[JunctionTree, list]:
+def _structure(net: DiscreteNetwork, jtree: JunctionTree) -> tuple[JunctionTree, list, dict]:
     """A compile plan's structural half, kept on the network for its last tree: that
     tree checked by ``validate_junction_tree``, homes attached, each cluster within the
-    size cap, and per cluster (id, family, CPD table as a read-only array over the family
-    in id order) for each id it holds."""
-    given, tree, members = net._structure
+    size cap, per cluster (id, family, CPD table as a read-only array over the family
+    in id order) for each id it holds, and what the plans laid out from it share: per
+    (cluster, its observed ids) its ``_Layout``, per form its member reads (``_groups``)."""
+    given, tree, members, kept = net._structure
     if given is jtree:
-        return tree, members
+        return tree, members, kept
     report = validate_junction_tree(net, jtree)
     if not report.ok:
         raise InvalidJunctionTreeError(report)
@@ -144,15 +158,16 @@ def _structure(net: DiscreteNetwork, jtree: JunctionTree) -> tuple[JunctionTree,
             made[key] = np.ascontiguousarray(table.reshape(shape).transpose(perm))
             made[key].setflags(write=False)
         members[j].append((u, family, made[key]))
-    object.__setattr__(net, "_structure", (jtree, tree, members))
-    return tree, members
+    kept: dict[tuple, tuple] = {}
+    object.__setattr__(net, "_structure", (jtree, tree, members, kept))
+    return tree, members, kept
 
 
 def _plan(net: DiscreteNetwork, jtree: JunctionTree, root: int,
           observed: frozenset[int]) -> tuple[JunctionTree, _Plan]:
     """The tree with homes and the plan for this root and these observed ids: the
     kept evidence half if laid out from the kept structural half, else a new one."""
-    tree, members = _structure(net, jtree)
+    tree, members, kept = _structure(net, jtree)
     plan = tree._plan
     if plan is not None and plan.members is members and plan.root == root and plan.observed == observed:
         return tree, plan
@@ -160,8 +175,10 @@ def _plan(net: DiscreteNetwork, jtree: JunctionTree, root: int,
         raise ValueError(f"root cluster {root} out of range")
     children, order = tree.rooted(root)
     parent = MappingProxyType({k: j for j in order for k in children[j]})
-    layouts = _layouts(net, tree, observed, members)
-    groups = _groups(layouts, observed)
+    if len(kept) > _KEPT_MAX:
+        kept.clear()
+    layouts = _layouts(net, tree, observed, members, kept)
+    groups = _groups(layouts, kept)
     inward, outward = _passes(layouts, groups, order, children, parent)
     plan = _Plan(members, root, observed, order, parent, layouts, groups, inward, outward,
                  _reads(layouts, observed, inward))
@@ -169,10 +186,16 @@ def _plan(net: DiscreteNetwork, jtree: JunctionTree, root: int,
     return tree, plan
 
 
-def _layouts(net: DiscreteNetwork, jtree: JunctionTree, observed, members) -> tuple[_Layout, ...]:
-    """Each cluster's ``_Layout``, ``observed`` sliced out; ``form`` has each member's array id and axes."""
+def _layouts(net: DiscreteNetwork, jtree: JunctionTree, observed: frozenset, members,
+             kept: dict) -> tuple[_Layout, ...]:
+    """Each cluster's ``_Layout``, ``observed`` sliced out; ``form`` has each member's array id
+    and axes.  A cluster is laid out once per set of its variables observed, kept in ``kept``."""
     cards, clusters, layouts = net.cards, jtree.clusters, []
     for j, cpds in enumerate(members):
+        key = (j, observed & clusters[j])
+        if key in kept:
+            layouts.append(kept[key])
+            continue
         full = tuple(sorted(clusters[j]))
         scope = tuple(filterfalse(observed.__contains__, full))
         shape = tuple(map(cards.__getitem__, scope))
@@ -187,32 +210,44 @@ def _layouts(net: DiscreteNetwork, jtree: JunctionTree, observed, members) -> tu
             seps[k] = _Edge(whole, sep, view, tuple(map(cards.__getitem__, sep)), outside,
                             (*map(axis.__getitem__, sep), *outside), free, tuple(map(cards.__getitem__, free)))
         form = (len(scope), *[(id(values), tuple(map(axis.get, family))) for _, family, values in cpds])
-        layouts.append(_Layout(full, scope, shape, tuple(cpds), form, seps))
+        layouts.append(kept.setdefault(key, _Layout(full, scope, shape, tuple(cpds), form, seps)))
     return tuple(layouts)
 
 
-def _groups(layouts, observed) -> tuple[_Group, ...]:
+def _groups(layouts, kept: dict) -> tuple[_Group, ...]:
     """The layouts' clusters by ``form``, first seen first; clusters of one form hold the
-    same arrays over the same axes, so each member's rows are read by one gather."""
+    same arrays over the same axes, so each member's rows are read by one gather.  A form's
+    member reads, and where its observed ids sit, are prepared once per structural half
+    and kept in ``kept``."""
     forms: dict[tuple, list[int]] = {}
     for j, layout in enumerate(layouts):
         forms.setdefault(layout.form, []).append(j)
     groups = []
-    for (ndim, *axes), clusters in forms.items():
-        members, start = [], 0
-        for (u, family, values), (_, at) in zip(layouts[clusters[0]].members, axes):
-            view, first, rest = [1] * ndim, [], []  # its rows' shape; its observed axes, then the others
-            for i, (a, d) in enumerate(zip(at, values.shape)):
-                if a is None:
-                    first.append(i)
-                else:
-                    view[a] = d
-                    rest.append(i)
-            members.append((values.transpose(first + rest) if first else values,
-                            slice(start, start := start + len(first)), tuple(view), at[family.index(u)]))
-        ids = [v for j in clusters for _, family, _ in layouts[j].members for v in family if v in observed]
-        groups.append(_Group(clusters, _ones(ndim), members, ids))
+    for form, clusters in forms.items():
+        if form not in kept:
+            kept[form] = _member_reads(form, layouts[clusters[0]].members)
+        members, at = kept[form]
+        ids = [layouts[j].members[m][1][i] for j in clusters for m, i in at]
+        groups.append(_Group(clusters, _ones(form[0]), members, ids))
     return tuple(groups)
+
+
+def _member_reads(form: tuple, cpds) -> tuple[list, list]:
+    """Per member of a ``form``'s clusters (``cpds``, one cluster's), its ``_Group`` read;
+    and (member, family position) of each observed family id, in ``_Group.ids`` order."""
+    (ndim, *axes), members, observed, start = form, [], [], 0
+    for m, ((u, family, values), (_, at)) in enumerate(zip(cpds, axes)):
+        view, first, rest = [1] * ndim, [], []  # its rows' shape; its observed axes, then the others
+        for i, (a, d) in enumerate(zip(at, values.shape)):
+            if a is None:
+                first.append(i)
+                observed.append((m, i))
+            else:
+                view[a] = d
+                rest.append(i)
+        members.append((values.transpose(first + rest) if first else values,
+                        slice(start, start := start + len(first)), tuple(view), at[family.index(u)]))
+    return members, observed
 
 
 @functools.cache
@@ -384,8 +419,7 @@ class CompiledQuery:
     of each group of clusters of one form, into one read-only product of
     K_u per distinct cluster (``_compile``), a view of its group's stack,
     and keeps no per-variable potential.  The message stores hold (table, log scale)
-    pairs over the sliced separators, ``_argmax`` what each max message
-    recorded for map_assignment, and ``_batched`` each run's posteriors.
+    pairs over the sliced separators, and ``_batched`` each run's posteriors.
     ``_with_observed`` alone puts observed axes back, in the tables handed
     out.  ``message`` and ``cluster_conditional`` read a copy with nothing
     sliced (``_unsliced``), the tree's plan left in place.
@@ -472,7 +506,7 @@ class CompiledQuery:
                 self._products[j] = views[r]
             self._stacks.append((stack, inverse))
         self._messages: dict[tuple[str, int, int], tuple[np.ndarray, float]] = {}
-        self._argmax: dict[tuple[int, int], tuple] = {}  # (j, k) -> what map_assignment reads
+        self._mass_checked = False  # whether a posterior read found positive mass
         self._matrices: dict[int, np.ndarray] = {}  # a run's first cluster -> what _run_matrices formed
         self._sums: dict[tuple[int, bool], np.ndarray] = {}  # (first cluster, inward) -> _scan's sums
         self._batched: dict[int, dict] = {}  # a run's first cluster -> its _run_posteriors
@@ -489,8 +523,8 @@ class CompiledQuery:
         if twin is None:
             twin = self._unsliced_copy = copy.copy(self)
             twin._observed = {}
-            layouts = _layouts(self.net, self.jtree, (), [c.members for c in self._layouts])
-            twin._compile(layouts, _groups(layouts, ()))
+            layouts = _layouts(self.net, self.jtree, frozenset(), [c.members for c in self._layouts], {})
+            twin._compile(layouts, _groups(layouts, {}))
         if len(twin._messages) != len(self._messages):
             parent, later = self.parent, self.order[1:]
             edges = [(j, parent[j]) for j in reversed(later)] + [(parent[k], k) for k in later]
@@ -500,13 +534,16 @@ class CompiledQuery:
         return twin
 
     def _with_observed(self, scope: tuple[int, ...], values: np.ndarray) -> np.ndarray:
-        """``values``, over ``scope`` less its observed variables, over all of
-        ``scope``: the observed axes come back, 0 off the observed states.
-        The one place a table the engine computed regains them."""
-        if values.ndim == len(scope):  # nothing in scope is observed
+        """``values``, over any leading axes, then ``scope`` less its observed
+        variables, over those axes then all of ``scope``: the observed axes come
+        back, 0 off the observed states.  The one place a table the engine
+        computed regains them."""
+        if self._observed.keys().isdisjoint(scope):
             return values
-        out = np.zeros(tuple(map(self.net.cards.__getitem__, scope)))
-        out[tuple(map(self._observed.get, scope, repeat(slice(None))))] = values
+        at = tuple(map(self._observed.get, scope, repeat(slice(None))))
+        lead = values.shape[:values.ndim - at.count(slice(None))]
+        out = np.zeros((*lead, *map(self.net.cards.__getitem__, scope)))
+        out[(..., *at)] = values
         return out
 
     # -- schedule ----------------------------------------------------------
@@ -560,16 +597,30 @@ class CompiledQuery:
         values, log_scale = self._unsliced()._stored(i, j, semiring)
         return _trusted(self._layouts[i].seps[j].whole, values, log_scale)
 
-    def _product(self, j: int, skip: int | None, semiring: str) -> tuple[np.ndarray, float]:
-        """Cluster potential of j times every stored message into j except
-        the one from ``skip`` (a message's receiver, a sampled cluster's
-        parent), all from the ``semiring`` store, over j's layout."""
-        values, log_scale = self._products[j], 0.0
+    def _operands(self, j: int, skip: int | None, semiring: str) -> tuple[list[np.ndarray], float]:
+        """Cluster potential of j, then every stored message into j except the one
+        from ``skip`` (a message's receiver, a cluster's parent), all from the
+        ``semiring`` store, each viewed over j's layout; and their summed log scales."""
+        operands, log_scale = [self._products[j]], 0.0
         for i, edge in self._layouts[j].seps.items():
             if i != skip:
                 msg, scale = self._stored(i, j, semiring)
-                values, log_scale = values * msg.reshape(edge.view), log_scale + scale
-        return values, log_scale
+                operands.append(msg.reshape(edge.view))
+                log_scale += scale
+        return operands, log_scale
+
+    def _product(self, j: int, skip: int | None, semiring: str) -> tuple[np.ndarray, float]:
+        """The product of ``_operands(j, skip, semiring)``, in their order, over j's layout."""
+        operands, log_scale = self._operands(j, skip, semiring)
+        return functools.reduce(np.multiply, operands), log_scale
+
+    def _row_operands(self, j: int, semiring: str) -> tuple[list[np.ndarray], _Edge | None]:
+        """``_operands`` of j toward the root, as ``_rows`` reads them, with the axes of
+        the edge to j's parent first (``_Edge.perm``); and that edge, None at the root."""
+        parent = self.parent.get(j)
+        edge = self._layouts[j].seps.get(parent)
+        operands, _ = self._operands(j, parent, semiring)
+        return [x.transpose(edge.perm) for x in operands] if edge else operands, edge
 
     def _cluster(self, j: int, skip: int | None = None, semiring: str = "sum") -> int:
         """``j`` as an int: ValueError unless ``j`` and ``skip`` are integers, ``j`` a
@@ -602,39 +653,37 @@ class CompiledQuery:
         """``cluster_table(j, parent)`` as rows over the separator toward
         the root; a normalized row is P(free | separator, evidence)."""
         j = self._cluster(j)
-        parent, layout, cards = self.parent.get(j), self._layouts[j], self.net.cards
+        parent = self.parent.get(j)
         values, _ = self._table(j, parent, "sum")
-        edge = layout.seps.get(parent)  # its axis order puts free axes after sep ones
+        edge = self._layouts[j].seps.get(parent)  # its axis order puts free axes after sep ones
         sep, sep_shape = (edge.sep, edge.shape) if edge else ((), ())
-        up = self.jtree.clusters[parent] if parent is not None else ()
-        free = tuple(sorted(self.jtree.clusters[j].difference(up)))
-        free_shape = tuple(cards[u] for u in free)
+        free, free_shape = self._free(j)
         table = self._with_observed((*sep, *free), values.transpose(edge.perm) if edge else values)
         table = table.reshape(math.prod(sep_shape), math.prod(free_shape))
         return ClusterRows(j, sep, sep_shape, free, free_shape, table)
 
+    def _free(self, j: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Cluster j's variables outside its parent's, ascending, and their cards."""
+        up = self.jtree.clusters[self.parent[j]] if j in self.parent else ()
+        free = tuple(sorted(self.jtree.clusters[j].difference(up)))
+        return free, tuple(map(self.net.cards.__getitem__, free))
+
     def compute_message(self, j: int, k: int, semiring: str = "sum") -> Factor:
         """Message along the directed edge j -> k: ``_product(j, k)`` summed
-        (or maximized, recording each separator state's first argmax) over
+        (or maximized, by elementwise maxima of each outside axis's slices) over
         the sliced scope outside the separator, rescaled to unit maximum.
         The stored table leaves out the variables the evidence pins; the
         returned factor restores their axes with zeros off the observed
         states, which ``message`` does not (``_cluster``'s errors)."""
         j = self._cluster(j, k, semiring)
-        full, sep, _, sep_shape, outside, perm, free, dims = self._layouts[j].seps[k]
+        full, _, _, sep_shape, outside, _, _, _ = self._layouts[j].seps[k]
         values, log_scale = self._product(j, k, semiring)
         if outside and semiring == "sum":
             values = values.sum(axis=outside)
-        elif outside:  # one row per separator state, its outside axes flattened in C order
-            shape = self._layouts[j].shape
-            rows = values if values.shape == shape else np.broadcast_to(values, shape)
-            rows = rows.transpose(perm).reshape(math.prod(sep_shape), -1)
-            best = rows.argmax(axis=1)
-            values = rows.reshape(-1)[best + np.arange(0, rows.size, rows.shape[1])]
-            values = values.reshape(sep_shape)
-            # kept as long as the query, so in the smallest integer type that holds it
-            best = best.astype(np.min_scalar_type(rows.shape[1] - 1)).reshape(sep_shape)
-            self._argmax[j, k] = best, sep, free, dims
+        elif outside:  # a call per slice: a reduction over a short inner axis loops per row
+            for a in reversed(outside):
+                index = (slice(None),) * a
+                values = functools.reduce(np.maximum, [values[(*index, s)] for s in range(values.shape[a])])
         values = values if values.shape == sep_shape else np.broadcast_to(values, sep_shape)
         peak = float(values.max())
         if peak > 0.0 and peak != 1.0:
@@ -711,26 +760,37 @@ class CompiledQuery:
 
     def _posterior(self, u: int, tables: dict) -> np.ndarray:
         """P(u | evidence) read as the plan records (``_reads``): from its run's batch, else
-        the edge's two stored sum messages, else its home j's marginal (an observed u's
-        indicator, its mass checked there); ``tables`` caches by (j, k)."""
+        the edge's two stored sum messages, else its home j's marginal; ``tables`` caches by
+        (j, k).  An observed u's is its indicator once one read has found positive mass: it
+        needs the messages that read would, and forms no table."""
         j, k, batch = self._reads[u]
         if batch is not None and u in (posts := self._run_posteriors(*batch)):
             return posts[u].copy()
         if ("sum", j, k) not in self._messages or ("sum", k, j) not in self._messages:
             k = None
-        if k is None and (j, k) not in tables:
-            marginal = self.cluster_marginal(j)
-            tables[j, k] = marginal.scope, marginal.values
-        elif (j, k) not in tables:
-            tables[j, k] = self._layouts[j].seps[k].sep, self._stored(j, k, "sum")[0] * self._stored(k, j, "sum")[0]
-        scope, table = tables[j, k]
-        # np.add.reduce is what .sum() runs, without its Python wrapper
-        others = tuple(a for a, v in enumerate(scope) if v != u)
-        single = np.add.reduce(table, others) if others else table
-        total = float(np.add.reduce(single, None))
-        if total <= 0.0:
-            raise ImpossibleEvidenceError("posterior undefined: evidence has probability zero")
-        return self._with_observed((u,), single) / total
+        if u in self._observed and self._mass_checked:
+            if k is None:
+                self._operands(j, None, "sum")  # SchedulingError as j's marginal would raise
+        else:
+            if k is None and (j, k) not in tables:
+                marginal = self.cluster_marginal(j)
+                tables[j, k] = marginal.scope, marginal.values
+            elif (j, k) not in tables:
+                product = self._stored(j, k, "sum")[0] * self._stored(k, j, "sum")[0]
+                tables[j, k] = self._layouts[j].seps[k].sep, product
+            scope, table = tables[j, k]
+            # np.add.reduce is what .sum() runs, without its Python wrapper
+            others = tuple(a for a, v in enumerate(scope) if v != u)
+            single = np.add.reduce(table, others) if others else table
+            total = float(np.add.reduce(single, None))
+            if total <= 0.0:
+                raise ImpossibleEvidenceError("posterior undefined: evidence has probability zero")
+            self._mass_checked = True
+            if u not in self._observed:
+                return single / total
+        out = np.zeros(self.net.cards[u])  # 1.0 at the observed state, its mass over its mass
+        out[self._observed[u]] = 1.0
+        return out
 
     def _run_posteriors(self, first: int, groups: dict) -> dict[int, np.ndarray]:
         """The posteriors batched on the run from ``first`` (``_reads``), formed and kept once
@@ -758,7 +818,7 @@ class CompiledQuery:
         Returns the assignment, keyed in the order the walk over ``order``
         fixes the variables, and log P(assignment, evidence) from the
         root's peak.  The root takes its max table's first maximum, every
-        other cluster the argmax its message toward the root recorded at the
+        other cluster the first maximum of its one max row (``_rows``) at the
         separator states the walk fixed (first in C order, so ties go to
         lower states); an observed variable takes its state.
         """
@@ -768,18 +828,30 @@ class CompiledQuery:
         peak = float(values.max())
         if peak <= 0.0:
             raise ImpossibleEvidenceError("no assignment is consistent with the evidence")
-        clusters, states, assignment = self.jtree.clusters, dict(self._observed), {}
+        states, assignment = dict(self._observed), {}
         states.update(zip(self._layouts[self.root].scope,
                           np.unravel_index(int(np.argmax(values)), values.shape)))
         for j in self.order:
             parent = self.parent.get(j)
-            if (j, parent) in self._argmax:
-                best, sep, free, dims = self._argmax[j, parent]
-                flat = int(best[tuple(map(assignment.__getitem__, sep))])
-                states.update(zip(free, np.unravel_index(flat, dims)))
-            up = clusters[parent] if parent is not None else ()
-            assignment.update((u, int(states[u])) for u in sorted(clusters[j].difference(up)))
+            edge = self._layouts[j].seps.get(parent)
+            if edge is not None and edge.outside:
+                operands, _ = self._row_operands(j, "max")
+                row = _rows(operands, tuple(map(assignment.__getitem__, edge.sep)), edge.dims)
+                states.update(zip(edge.free, np.unravel_index(int(row.argmax()), edge.dims)))
+            assignment.update((u, int(states[u])) for u in self._free(j)[0])
         return assignment, math.log(peak) + log_scale
+
+
+def _rows(operands: list[np.ndarray], states: tuple, shape: tuple[int, ...]) -> np.ndarray:
+    """The product of ``operands`` (``CompiledQuery._row_operands``) at ``states``, one
+    integer or index array per separator axis, all of one shape, as an array of ``shape``:
+    the states' shape, then the cluster's other axes.  Each operand is read at ``states``
+    before the multiply, in ``_product``'s order, so every entry has the bits it has in the
+    whole table and the work follows the rows asked for; a broadcast view where no operand
+    spans an axis."""
+    parts = [x[tuple(s if d > 1 else 0 for s, d in zip(states, x.shape))] for x in operands]
+    rows = functools.reduce(np.multiply, parts)
+    return rows if rows.shape == shape else np.broadcast_to(rows, shape)
 
 
 def compile_query(net: DiscreteNetwork, evidence: EvidenceSet | None = None) -> CompiledQuery:

@@ -9,9 +9,12 @@ are available in closed form, so a single sweep from the root assigns
 every variable.  Restricting the sweep to a subtree yields draws of any
 subset of variables at reduced cost.  The sweep walks the MAP
 traceback's root-first order (``CompiledQuery.order``) over the sum
-tables laid out as separator rows (``CompiledQuery.cluster_rows``),
-building CDFs only for the rows its draws reach.  Seeds, targets,
-separator states and counts follow the one integer rule
+tables laid out as ``CompiledQuery.cluster_rows`` lays them out, one row
+per state of the separator toward the root, but never forms a whole
+table: the root's one row is formed at construction, and each batch of
+draws forms, by the query's row kernel (``propagation._rows``), only the
+rows at the distinct separator states it reaches, and their CDFs.
+Seeds, targets, separator states and counts follow the one integer rule
 (``factor._integer``): anything but an integer type is a ValueError
 naming it, never truncated.
 
@@ -34,6 +37,8 @@ path's next state from every previous state, and a step is one gather.
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -41,7 +46,7 @@ import numpy as np
 from .factor import Factor, _integer, _trusted, check_table_size
 from .hmm import (SCAN_STATES, ForwardBackward, HmmSpec, _transitions, forward_backward,
                   unit_max_exp)
-from .propagation import ClusterRows, CompiledQuery, ImpossibleEvidenceError
+from .propagation import CompiledQuery, ImpossibleEvidenceError, _rows
 
 _CHUNK = 1 << 16
 
@@ -92,13 +97,12 @@ def _row_cdfs(rows: np.ndarray) -> np.ndarray:
     zero cells.  An all-zero row stays all zero.
     """
     sums = rows.sum(axis=-1, keepdims=True)
-    cond = np.divide(rows, sums, out=np.zeros_like(rows), where=sums > 0)
+    cond = rows / np.where(sums > 0, sums, 1.0)  # an all-zero row over 1 stays zero
     cum = np.cumsum(cond, axis=-1)
     positive = cond > 0
     width = cond.shape[-1]
-    last_pos = width - 1 - np.argmax(positive[..., ::-1], axis=-1)
-    suffix = np.arange(width) >= last_pos[..., None]
-    cum[positive.any(axis=-1)[..., None] & suffix] = 1.0
+    last_pos = np.where(positive.any(axis=-1), width - 1 - np.argmax(positive[..., ::-1], axis=-1), width)
+    cum[np.arange(width) >= last_pos[..., None]] = 1.0
     return cum
 
 
@@ -130,25 +134,27 @@ def _search(padded: np.ndarray, pos: np.ndarray, u: np.ndarray) -> np.ndarray:
     return draws
 
 
-def _draw(layout: ClusterRows, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Flattened free assignment for each draw, given its separator row
-    and uniform.  CDFs are built only for the rows the draws reach."""
-    hit = np.zeros(layout.table.shape[0], dtype=bool)
-    hit[rows] = True
-    reached = np.flatnonzero(hit)
-    cum = _row_cdfs(layout.table[reached])
-    # a row with mass ends at exactly 1.0; a zero-mass row stays all zero
-    if np.any(cum[:, -1] < 1.0):
-        raise SamplingConsistencyError(
-            f"cluster {layout.cluster} reached with a zero-mass separator"
-        )
-    return _search(_padded(cum), (np.cumsum(hit) - 1)[rows], u)
+@dataclass(frozen=True)
+class _Visit:
+    """One cluster of the sampler's walk, laid out as ``ClusterRows`` (its
+    ``cluster``, ``sep``, ``free`` and their shapes) without the table: the
+    row kernel's ``operands`` (``CompiledQuery._row_operands``) and ``dims``,
+    the axes it forms beside the separator's; at the root, ``table``, the
+    one row, formed once."""
+
+    cluster: int
+    sep: tuple[int, ...]
+    sep_shape: tuple[int, ...]
+    free: tuple[int, ...]
+    free_shape: tuple[int, ...]
+    operands: list
+    dims: tuple[int, ...]
+    table: np.ndarray | None
 
 
 class PosteriorSampler:
     """Reusable sampling state: compiled query, visit plan (the needed
-    clusters' ``cluster_rows`` layouts in root-first order), and the
-    PCG64 generator."""
+    clusters' ``_Visit`` in root-first order), and the PCG64 generator."""
 
     def __init__(
         self,
@@ -175,12 +181,46 @@ class PosteriorSampler:
                     needed.add(j)
                     j = cq.parent[j]
             self.variables = tuple(targets)
-        self._plan = [cq.cluster_rows(j) for j in cq.order if j in needed]
+        self._plan = [self._visit(j) for j in cq.order if j in needed]
         covered = sorted(set().union(*(set(t.sep) | set(t.free) for t in self._plan)))
         self._columns = {u: idx for idx, u in enumerate(covered)}
         self._rng = np.random.Generator(np.random.PCG64(_integer(seed, "seed")))
-        if not self._plan[0].table.any():  # the root's rows: P(evidence) = 0
+        if not self._plan[0].table.any():  # the root's row: P(evidence) = 0
             raise ImpossibleEvidenceError("cannot sample: evidence has probability zero")
+
+    def _visit(self, j: int) -> _Visit:
+        """Cluster j's ``_Visit``: what its rows read, and at the root its row."""
+        cq = self.cq
+        operands, edge = cq._row_operands(j, "sum")
+        free, free_shape = cq._free(j)
+        if edge is None:
+            dims = cq._layouts[j].shape
+            table = cq._with_observed(free, _rows(operands, (), (1, *dims))).reshape(1, -1)
+            return _Visit(j, (), (), free, free_shape, [], dims, table)
+        return _Visit(j, edge.sep, edge.shape, free, free_shape, operands, edge.dims, None)
+
+    def _draw(self, visit: _Visit, flat: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Flattened free assignment for each draw, given its separator row
+        ``flat`` and uniform: rows and CDFs are formed only for the distinct
+        rows the draws reach, in ascending order."""
+        hit = np.zeros(math.prod(visit.sep_shape), dtype=bool)
+        hit[flat] = True
+        reached = np.flatnonzero(hit)
+        at = np.empty(hit.size, dtype=np.int64)  # each reached row's place among them
+        at[reached] = np.arange(reached.size)
+        if visit.table is not None:
+            rows = visit.table[reached]
+        else:
+            states = np.unravel_index(reached, visit.sep_shape) if visit.sep else ()
+            rows = _rows(visit.operands, states, (reached.size, *visit.dims))
+            rows = self.cq._with_observed(visit.free, rows).reshape(reached.size, -1)
+        cum = _row_cdfs(rows)
+        # a row with mass ends at exactly 1.0; a zero-mass row stays all zero
+        if np.any(cum[:, -1] < 1.0):
+            raise SamplingConsistencyError(
+                f"cluster {visit.cluster} reached with a zero-mass separator"
+            )
+        return _search(_padded(cum), at[flat], u)
 
     def sample(self, count: int) -> np.ndarray:
         """Draw ``count`` assignments; one row per draw, one column per
@@ -191,17 +231,17 @@ class PosteriorSampler:
             raise ValueError("count must be non-negative")
         check_table_size((count, len(self._columns)), "sample output")
         out = np.zeros((count, len(self._columns)), dtype=np.int64)
-        for layout in self._plan:
+        for visit in self._plan:
             uniforms = self._rng.random(count)
-            rows = np.zeros(count, dtype=np.int64) + layout.row(
-                {u: out[:, self._columns[u]] for u in layout.sep}
-            )
+            flat = np.zeros(count, dtype=np.int64)
+            for u, d in zip(visit.sep, visit.sep_shape):
+                flat = flat * d + out[:, self._columns[u]]
             for lo in range(0, count, _CHUNK):
                 hi = min(lo + _CHUNK, count)
-                draws = _draw(layout, rows[lo:hi], uniforms[lo:hi])
-                if layout.free:
-                    states = np.unravel_index(draws, layout.free_shape)
-                    for u, vals in zip(layout.free, states):
+                draws = self._draw(visit, flat[lo:hi], uniforms[lo:hi])
+                if visit.free:
+                    states = np.unravel_index(draws, visit.free_shape)
+                    for u, vals in zip(visit.free, states):
                         out[lo:hi, self._columns[u]] = vals
         keep = [self._columns[u] for u in self.variables]
         return out[:, keep]

@@ -267,10 +267,12 @@ def all_pairs_junction_tree(net: DiscreteNetwork) -> JunctionTree:
 
 def eager_sample(sampler: PosteriorSampler, count: int) -> np.ndarray:
     """``sampler.sample(count)`` the eager way: every separator row's CDF
-    is built up front, each draw gathers its whole row and counts the
-    cells <= its uniform.  Consumes the sampler's generator the same way."""
+    is built up front from the whole table (``cluster_rows``), each draw
+    gathers its whole row and counts the cells <= its uniform.  Consumes
+    the sampler's generator the same way; reads only which clusters it visits."""
     out = np.zeros((count, len(sampler._columns)), dtype=np.int64)
-    for layout in sampler._plan:
+    for visit in sampler._plan:
+        layout = sampler.cq.cluster_rows(visit.cluster)
         cum = _row_cdfs(layout.table)
         zero_row = cum[:, -1] < 1.0
         uniforms = sampler._rng.random(count)

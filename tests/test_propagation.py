@@ -442,6 +442,58 @@ class TestReadoutWork:
         cq.map_assignment()
         assert formed == [cq.root]
 
+    def test_map_keeps_no_argmax_and_reads_one_row_per_cluster(self, monkeypatch):
+        # every max message is a plain table over its separator; the traceback
+        # reads each non-root cluster's one row at the states the walk fixed
+        rows = []
+        kernel = propagation._rows
+        monkeypatch.setattr(propagation, "_rows",
+                            lambda operands, states, shape: rows.append((states, shape))
+                            or kernel(operands, states, shape))
+        rng = np.random.default_rng(35)
+        queries = [CompiledQuery(pedigree_network(), pedigree_evidence())]
+        queries += [CompiledQuery(banded_network(rng), EvidenceSet({3: {1}, 17: {0}})) for _ in range(3)]
+        for cq in queries:
+            before = set(vars(cq))
+            rows.clear()
+            assignment, _ = cq.map_assignment()
+            assert set(vars(cq)) == before and not hasattr(cq, "_argmax")
+            for (semiring, j, k), (values, _) in cq._messages.items():
+                assert values.shape == cq._layouts[j].seps[k].shape, (semiring, j, k)
+            read = [j for j in cq.order[1:] if cq._layouts[j].seps[cq.parent[j]].outside]
+            assert len(rows) == len(read)
+            for j, (states, shape) in zip(read, rows):
+                edge = cq._layouts[j].seps[cq.parent[j]]
+                assert states == tuple(assignment[u] for u in edge.sep) and shape == edge.dims
+
+    def test_observed_posteriors_form_no_table_after_one_mass_check(self, monkeypatch):
+        spec, y, cq = self.chain_query()
+        cq.propagate()
+        stored = []
+        read = CompiledQuery._stored
+        monkeypatch.setattr(CompiledQuery, "_stored",
+                            lambda self, i, j, semiring: stored.append((i, j)) or read(self, i, j, semiring))
+        table = cq.posterior_table()
+        # the run's batch reads the stored scans; Y_1 its edge's two messages, the
+        # query's one mass check; every later Y_i nothing; S_200 its home's one message in
+        assert stored == [(0, 1), (1, 0), (198, 199)]
+        for i, state in enumerate(y):
+            want = np.zeros(cq.net.card(2 * i + 1))
+            want[state] = 1.0
+            assert table[2 * i + 1].tobytes() == want.tobytes()
+            assert cq.variable_posterior(2 * i + 1).tobytes() == want.tobytes()
+
+    def test_observed_posteriors_still_need_their_messages(self):
+        # after the mass check an observed variable still needs what its read
+        # needed: with the inward pass alone, only the root's variables are read
+        spec, y, cq = self.chain_query()
+        cq.inward()
+        assert cq.variable_posterior(1).tobytes() == np.eye(cq.net.card(1))[y[0]].tobytes()
+        assert cq._mass_checked
+        for u in (3, 2 * 199 + 1):
+            with pytest.raises(SchedulingError):
+                cq.variable_posterior(u)
+
 
 class TestSchedule:
     def test_root_zero(self, calibrated):
@@ -1189,6 +1241,31 @@ class TestPlan:
             assert runs == {"network": copies, "tree": copies, "min-fill": copies}
             # the network's one report covers the CPDs: none enters Factor
             assert checked == []
+
+    def test_plan_misses_share_cluster_layouts_within_a_bound(self, monkeypatch):
+        # a plan miss lays a cluster out again only for a set of its variables
+        # observed it has not seen; what the structure keeps stays bounded, and
+        # every answer is a fresh network's, bit for bit
+        ids, draws = sample_posterior(compile_query(pedigree_network()), seed=12, count=40)
+        rng = np.random.default_rng(12)
+        families = [EvidenceSet({u: {int(s)} for u, s in zip(ids, row) if rng.random() < 0.5})
+                    for row in draws]
+        net = pedigree_network()
+        jt = build_junction_tree(net)
+        first = CompiledQuery(net, EvidenceSet({0: {1}}), jtree=jt)
+        second = CompiledQuery(net, EvidenceSet({0: {2}, 9: {0}}), jtree=jt)
+        assert first._layouts is not second._layouts
+        for j, cluster in enumerate(jt.clusters):
+            assert (first._layouts[j] is second._layouts[j]) == (9 not in cluster)
+        monkeypatch.setattr(propagation, "_KEPT_MAX", 10)
+        for ev in families:
+            cq = CompiledQuery(net, ev, jtree=jt).propagate()
+            assert len(net._structure[3]) <= 10 + 2 * jt.q
+            fresh_net = pedigree_network()
+            fresh = CompiledQuery(fresh_net, ev, jtree=build_junction_tree(fresh_net)).propagate()
+            assert cq.evidence_log_probability() == fresh.evidence_log_probability()
+            got, want = cq.posterior_table(), fresh.posterior_table()
+            assert all(got[u].tobytes() == want[u].tobytes() for u in want)
 
 
 class TestPlanOwnsTheTables:

@@ -1,10 +1,13 @@
 import dataclasses
 import hashlib
+import math
 import re
 
 import numpy as np
 import pytest
 from helpers import (
+    argmax_traceback,
+    banded_network,
     eager_sample,
     path,
     pedigree_evidence,
@@ -15,9 +18,9 @@ from helpers import (
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from beliefprop import hmm, sampling
+from beliefprop import hmm, propagation, sampling
 from beliefprop.factor import MAX_TABLE_ENTRIES, FactorSizeError
-from beliefprop.jtree import JunctionTree
+from beliefprop.jtree import JunctionTree, build_junction_tree
 from beliefprop.model import Cpd, DiscreteNetwork, EvidenceSet, Variable
 from beliefprop.oracle import joint_table, oracle_posterior
 from beliefprop.propagation import (
@@ -202,6 +205,86 @@ def _cdf_case(draw):
             u.append(draw(st.floats(0.0, 1.0, exclude_max=True)))
         pos.append(r)
     return cum, np.array(pos, dtype=np.int64), np.array(u)
+
+
+@st.composite
+def _reader_case(draw):
+    """A random network, its CPD rows often tied, evidence of one-state and
+    several-state allowed sets (now and then an empty one), a root and targets."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    net = random_network(rng, max_vars=draw(st.integers(2, 7)))
+    if draw(st.booleans()):  # rows of ones and twos: most rows hold ties
+        cpds = [Cpd(c.child, c.parents, t / t.sum(axis=1, keepdims=True)) for c in net.cpds
+                for t in [rng.integers(1, 3, size=c.table.shape).astype(float)]]
+        net = DiscreteNetwork(net.variables, cpds)
+    allowed = {}
+    for v in net.variables:
+        size = draw(st.sampled_from([None, None, 1, 1, 2]))
+        if size is not None:
+            allowed[v.id] = set(draw(st.permutations(range(v.card)))[:size])
+    if draw(st.integers(0, 9)) == 0:
+        allowed[draw(st.sampled_from(net.ids))] = set()
+    root = draw(st.integers(0, build_junction_tree(net).q - 1))
+    targets = draw(st.none() | st.lists(st.sampled_from(net.ids), min_size=1, max_size=3))
+    return net, EvidenceSet(allowed), root, targets
+
+
+class TestReadersAgainstWholeTables:
+    """MAP and draws read separator rows only; the references read whole tables."""
+
+    @seed(20261020)
+    @settings(max_examples=150, deadline=None)
+    @given(_reader_case(), st.integers(0, 2 ** 32 - 1))
+    def test_map_and_draws_match_the_references(self, case, draw_seed):
+        net, ev, root, targets = case
+        cq = CompiledQuery(net, ev, root=root).propagate()
+        if cq.evidence_log_probability() == float("-inf"):
+            with pytest.raises(ImpossibleEvidenceError):
+                cq.map_assignment()
+            with pytest.raises(ImpossibleEvidenceError):
+                PosteriorSampler(cq, seed=draw_seed, targets=targets)
+            return
+        assignment, value = cq.map_assignment()
+        ref_assignment, ref_value = argmax_traceback(cq)
+        assert list(assignment.items()) == list(ref_assignment.items()) and value == ref_value
+        for count in (1, 60):
+            got = PosteriorSampler(cq, seed=draw_seed, targets=targets).sample(count)
+            want = eager_sample(PosteriorSampler(cq, seed=draw_seed, targets=targets), count)
+            assert got.tobytes() == want.tobytes()
+
+    def test_the_sampler_forms_only_the_rows_its_draws_reach(self, monkeypatch):
+        def whole(*args):
+            raise AssertionError("the sampler formed a whole cluster table")
+
+        formed = []
+        kernel = sampling._rows
+
+        def counted(operands, states, shape):
+            # one row per distinct separator state reached, over the free entries
+            distinct = set(zip(*map(np.ravel, states)))
+            assert shape[0] == (len(distinct) if states else 1)
+            rows = kernel(operands, states, shape)
+            assert rows.shape == shape
+            formed.append(shape)
+            return rows
+
+        monkeypatch.setattr(sampling, "_rows", counted)
+        rng = np.random.default_rng(20261020)
+        for _ in range(3):
+            net = banded_network(rng)
+            cq = CompiledQuery(net, EvidenceSet({4: {2}, 20: {0, 1}})).propagate()
+            formed.clear()
+            with monkeypatch.context() as m:
+                for name in ("_product", "_table", "cluster_rows"):
+                    m.setattr(CompiledQuery, name, whole)
+                sampler = PosteriorSampler(cq, seed=1)
+                sampler.sample(100)
+            assert len(formed) == len(cq.order)  # the root's row at init, a batch per cluster
+            for visit, shape in zip(sampler._plan, formed):
+                edge = cq._layouts[visit.cluster].seps.get(cq.parent.get(visit.cluster))
+                assert shape[0] <= (100 if edge else 1) and shape[1:] == visit.dims
+                if edge:
+                    assert shape[0] <= math.prod(edge.shape)
 
 
 class TestLazyCdfs:
@@ -650,3 +733,31 @@ class TestDrawStreamPinned:
                 sampler = PosteriorSampler(cq, seed=5, targets=[0, 3, 7])
                 draws += [sampler.sample(30), sampler.sample(70)]
         assert _digest(draws) == "9892f0a5bfe824d1e16b81c84ab522daa1004ed67671f1eb3d7fe913038ec3f4"
+
+    def test_map_and_draws_on_pedigree_and_banded_networks(self):
+        # MAP (key order and value) and whole and target draws on the pedigree
+        # at every root and on 20 banded networks at the wide benchmark's size,
+        # pinned before the traceback and the sampler formed separator rows only
+        h = hashlib.sha256()
+
+        def add(cq, seed):
+            assignment, value = cq.map_assignment()
+            h.update(repr((list(assignment.items()), value.hex())).encode())
+            for targets, count in ((None, 200), ([3, 5], 57)):
+                draws = PosteriorSampler(cq, seed=seed, targets=targets).sample(count)
+                h.update(repr(draws.shape).encode() + draws.astype(np.int64).tobytes())
+
+        net = pedigree_network()
+        for ev in (EvidenceSet.none(), pedigree_evidence()):
+            for root in range(CompiledQuery(net, ev).jtree.q):
+                add(CompiledQuery(net, ev, root=root).propagate(), root)
+        rng = np.random.default_rng(20261020)
+        for k in range(20):
+            net = banded_network(rng)
+            observed = rng.choice(30, size=5, replace=False)
+            allowed = {int(u): {int(rng.integers(3))} for u in observed}
+            allowed[int(rng.integers(30))] = {0, 2}
+            ev = EvidenceSet(allowed)
+            q = CompiledQuery(net, ev).jtree.q
+            add(CompiledQuery(net, ev, root=int(rng.integers(q))).propagate(), k)
+        assert h.hexdigest() == "fb0f276ce11a52959dc6629c4c03204d3d9d0ecd0bcdce7e3ee0f4f79d3b97f4"
