@@ -14,16 +14,17 @@ variable's holding clusters, ascending) and its last rooted walk
 but one have a holding parent in the walk from cluster 0; a violation
 names the holders cut off from the variable's lowest-index holder.
 
-Min-fill pops (fill, vertex id) from a heap and skips stale entries.
-Scores are updated, not recounted: eliminating v takes from each
-neighbour its missing pairs with v, and each fill edge x-y adds at x the
-neighbours of x that y lacks (and the mirror at y) and takes one from
-each common neighbour, so a star's 20,000 leaves go in about 0.2 s.
-Each variable is assigned to the smallest covering cluster, ties going
-to the lower cluster index.  The spanning tree weighs every pair of
-clusters that share a variable, so it costs about the sum over
-variables of their holder count squared: near-linear on chains,
-quadratic on a hub held by many clusters.
+Min-fill holds each vertex's neighbours as an int bitset and counts
+fill with ``int.bit_count``.  Scores are updated, not recounted:
+eliminating v takes from each neighbour its missing pairs with v, and
+each fill edge x-y adds at x the neighbours of x that y lacks (and the
+mirror at y) and takes one from each common neighbour.  A vertex of
+fill 0 goes first, so a changed score enters the heap only when none is
+left.  Each variable is assigned to the smallest covering cluster, ties
+going to the lower cluster index.  The spanning tree is read off one
+clique tree (``_spanning_edges``) without weighing any pair of clusters:
+one walk per separator over the clusters holding it, so chains, bands
+and a hub held by every cluster build in near-linear time.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import repeat
 from types import MappingProxyType
 from typing import Mapping
 
@@ -61,10 +62,8 @@ class JunctionTree:
     assignment: Mapping[int, int] | None = None
 
     def __post_init__(self) -> None:
-        clusters = tuple(frozenset(int(u) for u in c) for c in self.clusters)
-        edges = tuple(
-            (min(int(i), int(j)), max(int(i), int(j))) for i, j in self.edges
-        )
+        clusters = tuple(frozenset(map(int, c)) for c in self.clusters)
+        edges = tuple((min(int(i), int(j)), max(int(i), int(j))) for i, j in self.edges)
         assignment = None
         if self.assignment is not None:
             assignment = MappingProxyType({int(u): int(j) for u, j in self.assignment.items()})
@@ -155,10 +154,22 @@ def moral_graph(net: DiscreteNetwork) -> dict[int, set[int]]:
     """Undirected graph linking each variable to its whole family."""
     adj: dict[int, set[int]] = {u: set() for u in net.ids}
     for u in net.ids:
-        fam = net.family(u)
-        for a in fam:
-            adj[a] |= fam - {a}
+        family = (*net.parents(u), u)
+        for a in family:
+            adj[a].update(family)
+    for u, ns in adj.items():
+        ns.discard(u)
     return adj
+
+
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def min_fill_cliques(adj: Mapping[int, set[int]]) -> list[frozenset[int]]:
@@ -172,60 +183,78 @@ def min_fill_cliques(adj: Mapping[int, set[int]]) -> list[frozenset[int]]:
     clique are dropped; the survivors are the maximal cliques of the
     triangulation induced by the elimination, in elimination order.
     """
-    work = {u: set(ns) for u, ns in adj.items()}
-    for u, ns in work.items():
+    for u, ns in adj.items():
         if u in ns:
             raise ValueError(f"vertex {u} is its own neighbour")
         for w in ns:
-            if u not in work.get(w, ()):
-                raise ValueError(f"edge {u}-{w} is not listed at {w}" if w in work
+            if u not in adj.get(w, ()):
+                raise ValueError(f"edge {u}-{w} is not listed at {w}" if w in adj
                                  else f"neighbour {w} of vertex {u} is not a vertex")
-
-    def fill(u: int) -> int:
-        nbrs = work[u]
-        # each missing edge counts from both ends; & walks the smaller set
-        return sum(len(nbrs) - 1 - len(nbrs & work[a]) for a in nbrs) // 2
-
-    score = {u: fill(u) for u in work}
-    heap = [(f, u) for u, f in score.items()]
+    # vertex i is the i-th lowest id, so ties on position are ties on id; ids 0..n-1 are their own
+    ids = sorted(adj)
+    at = dict(zip(ids, range(len(ids))))
+    near = list(map(adj.__getitem__, ids)) if ids == [*at.values()] else [[*map(at.__getitem__, adj[u])] for u in ids]
+    nb = [sum(map((1).__lshift__, ns)) for ns in near]
+    # d (d - 1) / 2 pairs of neighbours, less the edges between them (each counted from both ends)
+    score = [(len(ns) * (len(ns) - 1) - sum(map(int.bit_count, map(m.__and__, map(nb.__getitem__, ns))))) // 2
+             for ns, m in zip(near, nb)]
+    # a vertex of fill 0 goes first, the lowest id first; as long as one is left the
+    # others' changed scores wait in ``dirty``, and a chordal graph always has one
+    zeros = [v for v, f in enumerate(score) if not f]
+    heap = [(f, v) for v, f in enumerate(score) if f]
     heapq.heapify(heap)
-    eliminated: list[tuple[int, frozenset[int]]] = []
-    while heap:
-        f, v = heapq.heappop(heap)
-        if v not in work or score[v] != f:
-            continue
-        nbrs = work.pop(v)
-        eliminated.append((v, frozenset([v, *nbrs])))
-        before = {a: score[a] for a in nbrs}
-        for a in nbrs:
+    alive, dirty = [True] * len(ids), set()
+    eliminated: list[tuple[int, int, list[int]]] = []  # (vertex, its neighbours then, as a list)
+    for _ in ids:
+        while zeros and (score[zeros[0]] or not alive[zeros[0]]):
+            heapq.heappop(zeros)
+        if not zeros:
+            for a in dirty:
+                heapq.heappush(heap, (score[a], a))
+            dirty.clear()
+            while not alive[heap[0][1]] or score[heap[0][1]] != heap[0][0]:
+                heapq.heappop(heap)
+        v = heapq.heappop(zeros) if zeros else heapq.heappop(heap)[1]
+        f, alive[v], nbrs, bit = score[v], False, nb[v], 1 << v
+        around, changed, away = _bits(nbrs), [], ~(nbrs | bit)
+        eliminated.append((v, nbrs, around))
+        for a in around:
             # the missing pairs {v, w} at a leave with v
-            work[a].discard(v)
-            score[a] -= len(work[a]) - len(work[a] & nbrs)
-        for x in nbrs:
-            nx = work[x]
-            for y in nbrs - nx - {x}:
+            lost = (nb[a] & away).bit_count()
+            nb[a] ^= bit
+            if lost:
+                score[a] -= lost
+                changed.append(a)
+        for x in around if f else ():  # f missing pairs: v's neighbours need f fill edges
+            nx = nb[x]
+            for y in _bits(nbrs & ~(nx | 1 << x)):
                 # fill edge x-y: new missing pairs at both ends, one fewer at common neighbours
-                ny = work[y]
-                common = nx & ny
-                score[x] += len(nx) - len(common)
-                score[y] += len(ny) - len(common)
+                ny, common = nb[y], _bits(nx & nb[y])
+                score[x] += nx.bit_count() - len(common)
+                score[y] += ny.bit_count() - len(common)
+                changed += x, y, *common
                 for c in common:
-                    before.setdefault(c, score[c])
                     score[c] -= 1
-                nx.add(y)
-                ny.add(x)
-        for u, old in before.items():
-            if score[u] != old:
-                heapq.heappush(heap, (score[u], u))
+                nx |= 1 << y
+                nb[y] = ny | 1 << x
+            nb[x] = nx
+        for a in changed:
+            if score[a]:
+                dirty.add(a)
+            else:
+                heapq.heappush(zeros, a)
     # a clique inside another equals some clique minus its own vertex
     # (Blair & Peyton 1993); no two cliques share their own vertex
-    subsumed = {c - {v} for v, c in eliminated}
-    return [c for _, c in eliminated if c not in subsumed]
+    subsumed = {nbrs for _, nbrs, _ in eliminated}
+    return [frozenset(map(ids.__getitem__, (v, *around))) for v, nbrs, around in eliminated
+            if nbrs | 1 << v not in subsumed]
 
 
 def build_junction_tree(net: DiscreteNetwork) -> JunctionTree:
-    """Moralize, triangulate by min-fill, join cliques by a maximum-weight
-    spanning tree (weight = separator size, ties by lexicographic edge).
+    """Moralize, triangulate by min-fill, and join the cliques by the
+    spanning tree Kruskal's algorithm keeps over every pair of clusters
+    in the order (-separator size, i, j), its edges in that order, found
+    without listing the pairs (``_spanning_edges``).
 
     Always succeeds on a valid network; the worst case is a single
     cluster holding everything.  The output carries the smallest-cluster
@@ -234,45 +263,87 @@ def build_junction_tree(net: DiscreteNetwork) -> JunctionTree:
     """
     if net._tree is not None:
         return net._tree
-    cliques = min_fill_cliques(moral_graph(net)) or [frozenset()]
-    bare = JunctionTree(tuple(cliques), ())
-    # separator size of every pair of clusters that share a variable
-    shared = Counter(e for js in bare.holders.values() for e in combinations(js, 2))
-    parent = list(range(bare.q))
+    clusters = tuple(min_fill_cliques(moral_graph(net)) or [frozenset()])
+    tree = JunctionTree(clusters, _spanning_edges(clusters))
+    # one tree: the homes read its holder index and join it before it is handed out
+    object.__setattr__(tree, "assignment", MappingProxyType(assign_clusters(net, tree)))
+    object.__setattr__(net, "_tree", tree)
+    return tree
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    edges: list[tuple[int, int]] = []
-    # pairs sharing nothing weigh 0, so a part still apart joins cluster
-    # 0 through its lowest index, the first such pair in edge order
-    joins = sorted(shared, key=lambda e: (-shared[e], e))
-    for i, j in joins + [(0, j) for j in range(1, bare.q)]:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-            edges.append((i, j))
-    object.__setattr__(net, "_tree", JunctionTree(bare.clusters, tuple(edges),
-                                                  assign_clusters(net, bare)))
-    return net._tree
+def _spanning_edges(clusters: tuple[frozenset[int], ...]) -> tuple[tuple[int, int], ...]:
+    """The maximum-weight spanning tree of the maximal cliques of a chordal
+    graph (weight: separator size) first under the strict order (-weight,
+    i, j), its edges in that order.  First any clique tree, by maximum
+    cardinality search: each cluster joins the one whose visit last raised
+    its count, which holds all of it seen so far (cluster 0 if none).  All
+    clique trees share their separators (Blair & Peyton 1993); for each S,
+    the edges carrying more than S split S's holders into the same blocks,
+    clusters of two blocks share exactly S, and S's edges join the blocks.
+    So the order joins each block but that of S's lowest holder to that
+    holder through the block's lowest cluster: a walk over S's holders.
+    """
+    q, holders = len(clusters), {}
+    for j, cluster in enumerate(clusters):
+        for u in cluster:
+            holders.setdefault(u, []).append(j)
+    count, via, done, seen = [0] * q, [0] * q, [False] * q, set()
+    # the clusters by count, stale entries left in place; cluster 0 goes first
+    level, top = [[] for _ in range(1 + max(map(len, clusters)))], 0
+    level[0] = list(range(q - 1, -1, -1))
+    links: list[list[tuple[int, frozenset[int]]]] = [[] for _ in range(q)]
+    first: dict[frozenset[int], int] = {}  # each separator, and a cluster on an edge carrying it
+    for _ in range(q):
+        while True:
+            while not level[top]:
+                top -= 1
+            j = level[top].pop()
+            if not done[j] and count[j] == top:
+                break
+        done[j] = True
+        if seen:
+            sep = clusters[j] & clusters[via[j]]
+            links[j].append((via[j], sep))
+            links[via[j]].append((j, sep))
+            first.setdefault(sep, j)
+        for u in clusters[j] - seen:
+            for k in holders[u]:
+                if not done[k]:
+                    count[k] += 1
+                    via[k] = j
+                    level[count[k]].append(k)
+                    top = max(top, count[k])
+        seen |= clusters[j]
+    edges = []
+    for sep, start in first.items():
+        size, walk = len(sep), [start]
+        block, low = {start: start}, {start: start}  # cluster -> its block; block -> its lowest
+        for j in walk:
+            for k, s in links[j]:
+                if k not in block and sep <= s:
+                    b = block[k] = k if len(s) == size else block[j]
+                    low[b] = min(low.get(b, k), k)
+                    walk.append(k)
+        lowest = min(walk)
+        edges.extend((-size, lowest, m) for b, m in low.items() if b != block[lowest])
+    edges.sort()
+    return tuple((i, j) for _, i, j in edges)
 
 
 def assign_clusters(net: DiscreteNetwork, jt: JunctionTree) -> dict[int, int]:
     """Map each variable to the smallest cluster covering its family,
     breaking size ties by the lower cluster index."""
     out: dict[int, int] = {}
+    clusters = jt.clusters
     for u in net.ids:
-        fam = net.family(u)
-        covering = [j for j in jt.holders.get(u, ()) if fam <= jt.clusters[j]]
-        if not covering:
-            raise JunctionTreeError(
-                f"no cluster covers the family of variable {u} ({sorted(fam)})"
-            )
-        # holders ascend, so min keeps the lower index among equal sizes
-        out[u] = min(covering, key=lambda j: len(jt.clusters[j]))
+        parents, home = net.parents(u), None
+        # holders ascend, so a strict < keeps the lower index among equal sizes
+        for j in jt.holders.get(u, ()):
+            if clusters[j].issuperset(parents) and (home is None or len(clusters[j]) < len(clusters[home])):
+                home = j
+        if home is None:
+            raise JunctionTreeError(f"no cluster covers the family of variable {u} ({sorted(net.family(u))})")
+        out[u] = home
     return out
 
 
@@ -281,11 +352,12 @@ def validate_junction_tree(net: DiscreteNetwork, jt: JunctionTree) -> Validation
     check a query's compile plan runs.  Clusters may name only network
     ids.  The edges must be in range, no self-loop and listed once, then
     number q - 1, then reach every cluster from cluster 0.  On such a
-    tree, a holder's top is its parent's top if the parent holds the
-    variable too, else itself; a variable whose holders have several tops
-    gives one running-intersection violation.  Every family must fit in a
-    holder, and an attached assignment must send exactly the network's
-    ids to clusters holding their families.  One report per (network,
+    tree, a variable's h holders must share h - 1 of its edges; if they do
+    not, a holder's top is its parent's top if the parent holds the
+    variable too, else itself, and the holders whose top is not the
+    lowest holder's give one running-intersection violation.  Every
+    family must fit in a holder, and an attached assignment must send
+    exactly the network's ids to clusters holding their families.  One report per (network,
     tree) pair: the network keeps the last tree's for a repeat call.
     """
     kept, report = net._tree_check
@@ -294,11 +366,11 @@ def validate_junction_tree(net: DiscreteNetwork, jt: JunctionTree) -> Validation
     out: list[Violation] = []
     ids = set(net.ids)
 
-    for j, cluster in enumerate(jt.clusters):
-        unknown = sorted(cluster - ids)
-        if unknown:
+    clusters = jt.clusters
+    for j, cluster in enumerate(clusters):
+        if not ids.issuperset(cluster):
             out.append(Violation("unknown-variable", None,
-                                 f"cluster {j} references unknown variable ids {unknown}"))
+                                 f"cluster {j} references unknown variable ids {sorted(cluster - ids)}"))
 
     q, tree, seen = jt.q, [], set()
     for i, j in jt.edges:
@@ -317,30 +389,26 @@ def validate_junction_tree(net: DiscreteNetwork, jt: JunctionTree) -> Validation
         tree.append(f"clusters {missing} are disconnected")
     out.extend(Violation("tree", None, message) for message in tree)
     if not tree:
-        parent = {k: j for j in order for k in children[j]}
-        top: dict[tuple[int, int], int] = {}
-        for j in order:
-            for u in jt.clusters[j]:
-                top[j, u] = top.get((parent.get(j), u), j)
-        for u, holders in sorted(jt.holders.items()):
-            start = holders[0]
-            missed = [j for j in holders if top[j, u] != top[start, u]]
-            if missed:
-                out.append(
-                    Violation(
-                        "running-intersection", None,
-                        f"variable {u} is held by clusters {missed}, which are "
-                        f"cut off from cluster {start} by clusters lacking it",
-                    )
-                )
+        parent, shared = {k: j for j in order for k in children[j]}, Counter()
+        for i, j in jt.edges:
+            shared.update(clusters[i] & clusters[j])
+        for u in sorted(u for u, holders in jt.holders.items() if shared[u] != len(holders) - 1):
+            top: dict[int, int] = {}
+            for j in order:
+                if u in clusters[j]:
+                    top[j] = top.get(parent.get(j), j)
+            start = jt.holders[u][0]
+            missed = [j for j in jt.holders[u] if top[j] != top[start]]
+            out.append(Violation("running-intersection", None, f"variable {u} is held by clusters {missed}, "
+                                 f"which are cut off from cluster {start} by clusters lacking it"))
 
     for u in sorted(ids):
-        fam = net.family(u)
-        if not any(fam <= jt.clusters[j] for j in jt.holders.get(u, ())):
-            out.append(Violation("covering", u, f"no cluster covers the family {sorted(fam)} "
+        held = map(clusters.__getitem__, jt.holders.get(u, ()))
+        if not any(map(frozenset.issuperset, held, repeat(net.parents(u)))):
+            out.append(Violation("covering", u, f"no cluster covers the family {sorted(net.family(u))} "
                                  f"of variable {net.variable(u).name}"))
 
-    homes, clusters = jt.assignment, jt.clusters
+    homes = jt.assignment
     for u in sorted(homes.keys() | ids) if homes is not None else ():
         j = homes.get(u)
         if u not in ids:

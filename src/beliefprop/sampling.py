@@ -89,14 +89,15 @@ def cluster_conditional(
     return _trusted(layout.free, (row / total).reshape(layout.free_shape), 0.0)
 
 
-def _row_cdfs(rows: np.ndarray) -> np.ndarray:
-    """Each row's (last axis) conditional CDF, in column order.
+def _row_cdfs(rows: np.ndarray, sums: np.ndarray | None = None) -> np.ndarray:
+    """Each row's (last axis) conditional CDF, in column order, over its sum or ``sums``.
 
     The CDF is pinned to exactly 1 from each row's last positive cell on,
     so rounding can neither overflow the index nor leak probability into
     zero cells.  An all-zero row stays all zero.
     """
-    sums = rows.sum(axis=-1, keepdims=True)
+    if sums is None:
+        sums = rows.sum(axis=-1, keepdims=True)
     cond = rows / np.where(sums > 0, sums, 1.0)  # an all-zero row over 1 stays zero
     cum = np.cumsum(cond, axis=-1)
     positive = cond > 0
@@ -139,8 +140,12 @@ class _Visit:
     """One cluster of the sampler's walk, laid out as ``ClusterRows`` (its
     ``cluster``, ``sep``, ``free`` and their shapes) without the table: the
     row kernel's ``operands`` (``CompiledQuery._row_operands``) and ``dims``,
-    the axes it forms beside the separator's; at the root, ``table``, the
-    one row, formed once."""
+    the axes it forms beside the separator's; at the root, formed once,
+    ``table``, the one row over the sliced scope, ``total``, its sum with
+    the observed axes' zeros put back, which its CDF is taken over, and
+    ``pinned``, each free variable's observed state or None (itself None
+    if nothing is observed), put back into each draw so that it indexes
+    the padded row."""
 
     cluster: int
     sep: tuple[int, ...]
@@ -150,6 +155,8 @@ class _Visit:
     operands: list
     dims: tuple[int, ...]
     table: np.ndarray | None
+    total: np.ndarray | None
+    pinned: tuple | None
 
 
 class PosteriorSampler:
@@ -195,9 +202,12 @@ class PosteriorSampler:
         free, free_shape = cq._free(j)
         if edge is None:
             dims = cq._layouts[j].shape
-            table = cq._with_observed(free, _rows(operands, (), (1, *dims))).reshape(1, -1)
-            return _Visit(j, (), (), free, free_shape, [], dims, table)
-        return _Visit(j, edge.sep, edge.shape, free, free_shape, operands, edge.dims, None)
+            row = _rows(operands, (), (1, *dims))
+            padded = cq._with_observed(free, row)
+            return _Visit(j, (), (), free, free_shape, [], dims, row.reshape(1, -1),
+                          padded.reshape(1, -1).sum(axis=-1, keepdims=True),
+                          None if padded is row else tuple(map(cq._observed.get, free)))
+        return _Visit(j, edge.sep, edge.shape, free, free_shape, operands, edge.dims, None, None, None)
 
     def _draw(self, visit: _Visit, flat: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Flattened free assignment for each draw, given its separator row
@@ -214,13 +224,18 @@ class PosteriorSampler:
             states = np.unravel_index(reached, visit.sep_shape) if visit.sep else ()
             rows = _rows(visit.operands, states, (reached.size, *visit.dims))
             rows = self.cq._with_observed(visit.free, rows).reshape(reached.size, -1)
-        cum = _row_cdfs(rows)
+        cum = _row_cdfs(rows, visit.total)
         # a row with mass ends at exactly 1.0; a zero-mass row stays all zero
         if np.any(cum[:, -1] < 1.0):
             raise SamplingConsistencyError(
                 f"cluster {visit.cluster} reached with a zero-mass separator"
             )
-        return _search(_padded(cum), at[flat], u)
+        draws = _search(_padded(cum), at[flat], u)
+        if visit.pinned is None:
+            return draws
+        kept = iter(np.unravel_index(draws, visit.dims) if visit.dims else ())
+        return np.ravel_multi_index([next(kept) if s is None else np.full_like(draws, s) for s in visit.pinned],
+                                    visit.free_shape)
 
     def sample(self, count: int) -> np.ndarray:
         """Draw ``count`` assignments; one row per draw, one column per

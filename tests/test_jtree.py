@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 from itertools import combinations
 
@@ -17,7 +18,7 @@ from helpers import (
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from beliefprop import hmm
+from beliefprop import hmm, jtree
 from beliefprop.cli import jtree_to_json, load_network
 from beliefprop.jtree import (
     JunctionTree,
@@ -221,6 +222,64 @@ class TestBuiltTreeAgainstAllPairsReference:
         elapsed = time.perf_counter() - start
         assert cliques == [frozenset({0, i}) for i in range(1, leaves + 1)]
         assert elapsed < 2.0
+
+
+def hub_network(rng: np.random.Generator, n_hubs: int, n_children: int) -> DiscreteNetwork:
+    """Binary root variables 0..n_hubs-1 and children with one or two of them as parents."""
+    n = n_hubs + n_children
+    variables = [Variable(i, f"V{i}", ("a", "b")) for i in range(n)]
+    cpds = [Cpd(i, (), [[0.5, 0.5]]) for i in range(n_hubs)]
+    for i in range(n_hubs, n):
+        ps = tuple(sorted({int(h) for h in rng.integers(0, n_hubs, size=int(rng.integers(1, 3)))}))
+        cpds.append(Cpd(i, ps, np.full((2 ** len(ps), 2), 0.5)))
+    return DiscreteNetwork(variables, cpds)
+
+
+class TestSpanningTreeAtScale:
+    """The spanning tree read off one clique tree is the all-pairs
+    Kruskal's tree on the benchmark's networks and on hubs of hundreds of
+    ties, and its work grows linearly with a hub's children."""
+
+    def test_wide_sized_banded_networks(self):
+        # 30 ternary variables, band 9: the wide benchmark's networks
+        for rng_seed in range(60):
+            TestBuiltTreeAgainstAllPairsReference.assert_same_tree(banded_network(np.random.default_rng(rng_seed)))
+
+    @pytest.mark.parametrize("n_hubs, n_children", [(1, 300), (2, 120), (3, 200), (4, 300), (6, 250)])
+    def test_several_hubs_with_many_tied_children(self, n_hubs, n_children):
+        # every child's clique shares one or two hub variables with many
+        # others, so hundreds of pairs tie on separator size
+        for rng_seed in range(3):
+            net = hub_network(np.random.default_rng([rng_seed, n_hubs, n_children]), n_hubs, n_children)
+            TestBuiltTreeAgainstAllPairsReference.assert_same_tree(net)
+
+    @staticmethod
+    def lines_run(net: DiscreteNetwork, budget: int) -> int:
+        """Lines of jtree.py run to build ``net``'s tree, counted by a trace
+        function; AssertionError once they pass ``budget``."""
+        count = 0
+
+        def local(frame, event, arg):
+            nonlocal count
+            count += event == "line"
+            assert count <= budget, f"building took more than {budget} lines"
+            return local
+
+        before = sys.gettrace()
+        sys.settrace(lambda frame, event, arg: local if frame.f_code.co_filename == jtree.__file__ else None)
+        try:
+            build_junction_tree(net)
+        finally:
+            sys.settrace(before)
+        return count
+
+    def test_hub_build_work_is_linear_in_its_children(self):
+        # a binary root with k binary children: k cliques all holding the
+        # root; weighing every pair of them ran about 64 times the lines
+        # at k = 4000 that it ran at k = 500, eight times the children
+        small = self.lines_run(hub_network(np.random.default_rng(0), 1, 500), 500 * 400)
+        large = self.lines_run(hub_network(np.random.default_rng(0), 1, 4000), 4000 * 400)
+        assert large <= 10 * small, (small, large)
 
 
 class TestAssignment:
