@@ -199,14 +199,14 @@ class InvalidNetworkError(ValueError):
 
 def _table_defects(table: np.ndarray) -> list[tuple[str, str]]:
     """(kind, what is wrong) unless a well-shaped CPD table's rows are distributions."""
-    # NaN and +-inf fail the comparison too
-    if table.size and not (np.minimum.reduce(table, None) >= 0 and np.maximum.reduce(table, None) <= 1):
+    # NaN and +-inf fail the comparisons too; the initial values let an empty table pass
+    if not (table.min(initial=0.0) >= 0 and table.max(initial=1.0) <= 1):
         return [("bad-prob", "has entries outside [0, 1]")]
     # numpy sums a short last axis row by row: past 16 rows one product with
     # ones is faster, up to 16 (a very wide row too) the plain sum, which reports read
     sums = table.dot(np.ones(table.shape[1])) if len(table) > 16 else table.sum(axis=1)
-    off = abs(sums - 1.0)
-    if off.size and np.maximum.reduce(off) > ROW_SUM_TOL:
+    off = np.abs(sums - 1.0)
+    if off.max(initial=0.0) > ROW_SUM_TOL:
         bad = np.nonzero(off > ROW_SUM_TOL)[0]
         return [("bad-row-sum", f"rows {bad.tolist()} sum to {table[bad].sum(axis=1).tolist()}")]
     return []
@@ -244,34 +244,43 @@ def validate_network(net: DiscreteNetwork) -> ValidationReport:
         if c.child not in ids:
             out.append(Violation("unknown-child", c.child, f"CPD for unknown id {c.child}"))
 
-    # a duplicated id keeps its first variable's card, as ``card`` reads it
-    cards = net.cards if len(seen_ids) == len(net.variables) else {u: net.card(u) for u in ids}
     defects: dict[int, list[tuple[str, str]]] = {}
     for c in net.cpds:
-        u, parents = c.child, c.parents
-        if u not in ids:
+        if c.child not in ids:
             continue
-        child_name = net.variable(u).name
-        if len(set(parents)) != len(parents):
-            out.append(Violation("duplicate-parent", u, f"{child_name} lists a parent twice"))
-        if u in parents:
-            out.append(Violation("self-parent", u, f"{child_name} is its own parent"))
-        if not ids.issuperset(parents):
-            dangling = [p for p in parents if p not in ids]
-            out.append(Violation("dangling-parent", u,
-                                 f"{child_name} references unknown parent ids {dangling}"))
+        child_name = net.variable(c.child).name
+        if len(set(c.parents)) != len(c.parents):
+            out.append(
+                Violation("duplicate-parent", c.child, f"{child_name} lists a parent twice")
+            )
+        if c.child in c.parents:
+            out.append(Violation("self-parent", c.child, f"{child_name} is its own parent"))
+        dangling = [p for p in c.parents if p not in ids]
+        if dangling:
+            out.append(
+                Violation(
+                    "dangling-parent",
+                    c.child,
+                    f"{child_name} references unknown parent ids {dangling}",
+                )
+            )
             continue
-        want = (math.prod(map(cards.__getitem__, parents)), cards[u])
+        want = (math.prod(net.card(p) for p in c.parents), net.card(c.child))
         if c.table.shape != want:
-            out.append(Violation("bad-shape", u,
-                                 f"{child_name} table has shape {c.table.shape}, expected {want}"))
+            out.append(
+                Violation(
+                    "bad-shape",
+                    c.child,
+                    f"{child_name} table has shape {c.table.shape}, expected {want}",
+                )
+            )
             continue
         # a table shared by several CPDs (a chain's transition matrix) is
         # checked once and its defect reported under each of them
         if id(c.table) not in defects:
             defects[id(c.table)] = _table_defects(c.table)
         for kind, detail in defects[id(c.table)]:
-            out.append(Violation(kind, u, f"{child_name} {detail}"))
+            out.append(Violation(kind, c.child, f"{child_name} {detail}"))
 
     structural = {v.kind for v in out}
     if not structural & {"duplicate-id", "missing-cpd", "extra-cpd", "dangling-parent",

@@ -108,9 +108,9 @@ _Layout = namedtuple("_Layout", "full scope shape members form seps")
 # cluster, member after member.
 _Group = namedtuple("_Group", "clusters ones members ids")
 # A compile plan's evidence half, for one root and set of observed ids, kept on the tree
-# with the ``frames`` of the structural half it was laid out from; ``inward`` and
+# with the ``members`` of the structural half it was laid out from; ``inward`` and
 # ``outward``, the sum passes' steps (``_passes``); ``reads``, where each posterior is read.
-_Plan = namedtuple("_Plan", "frames root observed order parent layouts groups inward outward reads")
+_Plan = namedtuple("_Plan", "members root observed order parent layouts groups inward outward reads")
 # A run of clusters, root-first, each read as a matrix padded to ``width``: per
 # ``groups`` entry, the run positions of clusters laid out alike in one ``_Group``, that
 # group and their positions in it, their layout shape, the stacked axes summed out and
@@ -134,13 +134,12 @@ _KEPT_MAX = 1 << 12
 def _structure(net: DiscreteNetwork, jtree: JunctionTree) -> tuple[JunctionTree, list, dict]:
     """A compile plan's structural half, kept on the network for its last tree: that
     tree checked by ``validate_junction_tree``, homes attached, each cluster within the
-    size cap; per cluster its frame: its ids ascending, per neighbour the ids they share
-    (``_Edge.whole``), and (id, family, CPD table as a read-only array over the family
-    in id order) for each id it holds; and what the plans laid out from it share: per
+    size cap, per cluster (id, family, CPD table as a read-only array over the family
+    in id order) for each id it holds, and what the plans laid out from it share: per
     (cluster, its observed ids) its ``_Layout``, per form its member reads (``_groups``)."""
-    given, tree, frames, kept = net._structure
+    given, tree, members, kept = net._structure
     if given is jtree:
-        return tree, frames, kept
+        return tree, members, kept
     report = validate_junction_tree(net, jtree)
     if not report.ok:
         raise InvalidJunctionTreeError(report)
@@ -159,22 +158,18 @@ def _structure(net: DiscreteNetwork, jtree: JunctionTree) -> tuple[JunctionTree,
             made[key] = np.ascontiguousarray(table.reshape(shape).transpose(perm))
             made[key].setflags(write=False)
         members[j].append((u, family, made[key]))
-    frames = [(tuple(sorted(cluster)), {}, cpds) for cluster, cpds in zip(tree.clusters, members)]
-    for j, (full, wholes, _) in enumerate(frames):
-        for k in tree.neighbors(j):  # an edge's ids are the same from both ends
-            wholes[k] = frames[k][1][j] if k < j else tuple(filter(tree.clusters[k].__contains__, full))
     kept: dict[tuple, tuple] = {}
-    object.__setattr__(net, "_structure", (jtree, tree, frames, kept))
-    return tree, frames, kept
+    object.__setattr__(net, "_structure", (jtree, tree, members, kept))
+    return tree, members, kept
 
 
 def _plan(net: DiscreteNetwork, jtree: JunctionTree, root: int,
           observed: frozenset[int]) -> tuple[JunctionTree, _Plan]:
     """The tree with homes and the plan for this root and these observed ids: the
     kept evidence half if laid out from the kept structural half, else a new one."""
-    tree, frames, kept = _structure(net, jtree)
+    tree, members, kept = _structure(net, jtree)
     plan = tree._plan
-    if plan is not None and plan.frames is frames and plan.root == root and plan.observed == observed:
+    if plan is not None and plan.members is members and plan.root == root and plan.observed == observed:
         return tree, plan
     if not (0 <= root < tree.q):
         raise ValueError(f"root cluster {root} out of range")
@@ -182,31 +177,33 @@ def _plan(net: DiscreteNetwork, jtree: JunctionTree, root: int,
     parent = MappingProxyType({k: j for j in order for k in children[j]})
     if len(kept) > _KEPT_MAX:
         kept.clear()
-    layouts = _layouts(net, observed, frames, kept)
+    layouts = _layouts(net, tree, observed, members, kept)
     groups = _groups(layouts, kept)
     inward, outward = _passes(layouts, groups, order, children, parent)
-    plan = _Plan(frames, root, observed, order, parent, layouts, groups, inward, outward,
+    plan = _Plan(members, root, observed, order, parent, layouts, groups, inward, outward,
                  _reads(layouts, observed, inward))
     object.__setattr__(tree, "_plan", plan)
     return tree, plan
 
 
-def _layouts(net: DiscreteNetwork, observed: frozenset, frames, kept: dict) -> tuple[_Layout, ...]:
-    """Each cluster's ``_Layout`` from its frame (``_structure``), ``observed`` sliced out; ``form``
-    has each member's array id and axes.  A cluster is laid out once per set of its variables
-    observed, kept in ``kept``."""
-    cards, layouts = net.cards, []
-    for j, (full, wholes, cpds) in enumerate(frames):
-        key = (j, observed.intersection(full))
+def _layouts(net: DiscreteNetwork, jtree: JunctionTree, observed: frozenset, members,
+             kept: dict) -> tuple[_Layout, ...]:
+    """Each cluster's ``_Layout``, ``observed`` sliced out; ``form`` has each member's array id
+    and axes.  A cluster is laid out once per set of its variables observed, kept in ``kept``."""
+    cards, clusters, layouts = net.cards, jtree.clusters, []
+    for j, cpds in enumerate(members):
+        key = (j, observed & clusters[j])
         if key in kept:
             layouts.append(kept[key])
             continue
-        scope = tuple(filterfalse(observed.__contains__, full)) if key[1] else full
+        full = tuple(sorted(clusters[j]))
+        scope = tuple(filterfalse(observed.__contains__, full))
         shape = tuple(map(cards.__getitem__, scope))
         axis = dict(zip(scope, range(len(scope))))
         seps = {}
-        for k, whole in wholes.items():
-            sep = tuple(filter(axis.__contains__, whole)) if key[1] else whole  # less its observed variables
+        for k in jtree.neighbors(j):
+            whole = tuple(filter(clusters[k].__contains__, full))
+            sep = tuple(filter(axis.__contains__, whole))  # less its observed variables
             at, rest, view = tuple(map(axis.__getitem__, sep)), dict(axis), [1] * len(scope)
             for u, a in zip(sep, at):
                 view[a] = shape[a]
@@ -528,8 +525,7 @@ class CompiledQuery:
         if twin is None:
             twin = self._unsliced_copy = copy.copy(self)
             twin._observed = {}
-            frames = [(c.full, {k: e.whole for k, e in c.seps.items()}, c.members) for c in self._layouts]
-            layouts = _layouts(self.net, frozenset(), frames, {})
+            layouts = _layouts(self.net, self.jtree, frozenset(), [c.members for c in self._layouts], {})
             twin._compile(layouts, _groups(layouts, {}))
         if len(twin._messages) != len(self._messages):
             parent, later = self.parent, self.order[1:]

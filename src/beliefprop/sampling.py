@@ -141,11 +141,10 @@ class _Visit:
     ``cluster``, ``sep``, ``free`` and their shapes) without the table: the
     row kernel's ``operands`` (``CompiledQuery._row_operands``) and ``dims``,
     the axes it forms beside the separator's; at the root, formed once,
-    ``table``, the one row over the sliced scope, ``total``, its sum with
-    the observed axes' zeros put back, which its CDF is taken over, and
-    ``pinned``, each free variable's observed state or None (itself None
-    if nothing is observed), put back into each draw so that it indexes
-    the padded row."""
+    ``table``, the one row over the sliced scope, ``total``, the sum of
+    that row with the observed axes' zeros put back, which its CDF is
+    taken over, and ``back``, each sliced entry's place in that padded
+    row, where a draw is put back."""
 
     cluster: int
     sep: tuple[int, ...]
@@ -156,7 +155,7 @@ class _Visit:
     dims: tuple[int, ...]
     table: np.ndarray | None
     total: np.ndarray | None
-    pinned: tuple | None
+    back: np.ndarray | None
 
 
 class PosteriorSampler:
@@ -204,9 +203,10 @@ class PosteriorSampler:
             dims = cq._layouts[j].shape
             row = _rows(operands, (), (1, *dims))
             padded = cq._with_observed(free, row)
-            return _Visit(j, (), (), free, free_shape, [], dims, row.reshape(1, -1),
-                          padded.reshape(1, -1).sum(axis=-1, keepdims=True),
-                          None if padded is row else tuple(map(cq._observed.get, free)))
+            at = tuple(cq._observed.get(u, slice(None)) for u in free)
+            back = np.arange(padded.size).reshape(padded.shape)[(0, *at)].reshape(-1)
+            total = padded.reshape(1, -1).sum(axis=-1, keepdims=True)
+            return _Visit(j, (), (), free, free_shape, [], dims, row.reshape(1, -1), total, back)
         return _Visit(j, edge.sep, edge.shape, free, free_shape, operands, edge.dims, None, None, None)
 
     def _draw(self, visit: _Visit, flat: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -231,11 +231,7 @@ class PosteriorSampler:
                 f"cluster {visit.cluster} reached with a zero-mass separator"
             )
         draws = _search(_padded(cum), at[flat], u)
-        if visit.pinned is None:
-            return draws
-        kept = iter(np.unravel_index(draws, visit.dims) if visit.dims else ())
-        return np.ravel_multi_index([next(kept) if s is None else np.full_like(draws, s) for s in visit.pinned],
-                                    visit.free_shape)
+        return draws if visit.back is None else visit.back[draws]
 
     def sample(self, count: int) -> np.ndarray:
         """Draw ``count`` assignments; one row per draw, one column per
