@@ -56,7 +56,6 @@ indicator once one read has checked the query's mass.
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 from collections import namedtuple
@@ -423,8 +422,8 @@ class CompiledQuery:
     and keeps no per-variable potential.  The message stores hold (table, log scale)
     pairs over the sliced separators, and ``_batched`` each run's posteriors.
     ``_with_observed`` alone puts observed axes back, in the tables handed
-    out.  ``message`` and ``cluster_conditional`` read a copy with nothing
-    sliced (``_unsliced``), the tree's plan left in place.
+    out.  ``message``, ``edge_marginal`` and ``cluster_conditional`` read
+    messages over whole separators, formed on demand from the same arrays (``_whole``).
     Accessors raise SchedulingError until the messages they read exist.
 
     Construction first reads ``validate_network``'s report, kept on the
@@ -464,7 +463,6 @@ class CompiledQuery:
         self.jtree, plan = _plan(net, jtree, self.root, frozenset(self._observed))
         self.order, self.parent, self._reads = plan.order, plan.parent, plan.reads
         self._passes = plan.inward, plan.outward
-        self._unsliced_copy: CompiledQuery | None = None
         self._compile(plan.layouts, plan.groups)
 
     def _compile(self, layouts: tuple[_Layout, ...], groups: tuple[_Group, ...]) -> None:
@@ -508,32 +506,11 @@ class CompiledQuery:
                 self._products[j] = views[r]
             self._stacks.append((stack, inverse))
         self._messages: dict[tuple[str, int, int], tuple[np.ndarray, float]] = {}
+        self._wholes: dict[tuple[str, int, int], tuple[np.ndarray, float]] = {}  # what _whole formed
         self._mass_checked = False  # whether a posterior read found positive mass
         self._matrices: dict[int, np.ndarray] = {}  # a run's first cluster -> what _run_matrices formed
         self._sums: dict[tuple[int, bool], np.ndarray] = {}  # (first cluster, inward) -> _scan's sums
         self._batched: dict[int, dict] = {}  # a run's first cluster -> its _run_posteriors
-
-    def _unsliced(self) -> "CompiledQuery":
-        """This query laid out again from the plan's CPD arrays with nothing sliced,
-        holding the messages this query holds, over every state, as ``message`` reports
-        them: sent in the schedule's order, sum then max, inward edges leaf first, then
-        outward ones.  Each message's inputs come first, so that replays messages sent
-        in any valid order toward any root."""
-        if not self._observed:
-            return self
-        twin = self._unsliced_copy
-        if twin is None:
-            twin = self._unsliced_copy = copy.copy(self)
-            twin._observed = {}
-            layouts = _layouts(self.net, self.jtree, frozenset(), [c.members for c in self._layouts], {})
-            twin._compile(layouts, _groups(layouts, {}))
-        if len(twin._messages) != len(self._messages):
-            parent, later = self.parent, self.order[1:]
-            edges = [(j, parent[j]) for j in reversed(later)] + [(parent[k], k) for k in later]
-            for key in [(semiring, i, j) for semiring in ("sum", "max") for i, j in edges]:
-                if key in self._messages and key not in twin._messages:
-                    twin.compute_message(key[1], key[2], key[0])
-        return twin
 
     def _with_observed(self, scope: tuple[int, ...], values: np.ndarray) -> np.ndarray:
         """``values``, over any leading axes, then ``scope`` less its observed
@@ -595,9 +572,44 @@ class CompiledQuery:
         """The message i -> j over its whole separator, every state of an
         observed variable included, once this query has sent it (``_cluster``'s errors)."""
         i = self._cluster(i, j, semiring)
-        self._stored(i, j, semiring)
-        values, log_scale = self._unsliced()._stored(i, j, semiring)
-        return _trusted(self._layouts[i].seps[j].whole, values, log_scale)
+        return _trusted(self._layouts[i].seps[j].whole, *self._whole(i, j, semiring))
+
+    def _whole(self, i: int, j: int, semiring: str) -> tuple[np.ndarray, float]:
+        """Message i -> j over its whole separator as ``compute_message`` sends it with nothing
+        sliced: the stored one if nothing is, else formed once into ``_wholes``, each edge
+        upstream first, found by an explicit stack.  SchedulingError unless each was sent."""
+        if not self._observed:
+            return self._stored(i, j, semiring)
+        walked, stack = [], [(i, j)]
+        while stack:
+            a, b = stack.pop()
+            if (semiring, a, b) not in self._wholes:
+                self._stored(a, b, semiring)
+                walked.append((a, b))
+                stack.extend((c, a) for c in self._layouts[a].seps if c != b)
+        for a, b in reversed(walked):
+            full, whole = self._layouts[a].full, self._layouts[a].seps[b].whole
+            self._wholes[semiring, a, b] = _reduced(
+                *self._unmasked(a, b, semiring), tuple(x for x, u in enumerate(full) if u not in whole),
+                tuple(map(self.net.cards.__getitem__, whole)), semiring)
+        return self._wholes[semiring, i, j]
+
+    def _unmasked(self, j: int, skip: int | None, semiring: str) -> tuple[np.ndarray, float]:
+        """Cluster j's ``_product`` over its whole scope, nothing sliced: each member's CPD
+        array, masked by ``Factor.restrict`` if the evidence restricts its child, then
+        ``_whole`` of every message into j except the one from ``skip``; and their log scales."""
+        cards, allowed, full = self.net.cards, self.evidence.allowed, self._layouts[j].full
+        operands, log_scale = [_ones(len(full))[0]], 0.0
+        for u, family, values in self._layouts[j].members:
+            if u in allowed:
+                values = _trusted(family, values, 0.0).restrict({u: allowed[u]}).values
+            operands.append(values.reshape([cards[v] if v in family else 1 for v in full]))
+        for i, edge in self._layouts[j].seps.items():
+            if i != skip:
+                msg, scale = self._whole(i, j, semiring)
+                operands.append(msg.reshape([cards[v] if v in edge.whole else 1 for v in full]))
+                log_scale += scale
+        return functools.reduce(np.multiply, operands), log_scale
 
     def _operands(self, j: int, skip: int | None, semiring: str) -> tuple[list[np.ndarray], float]:
         """Cluster potential of j, then every stored message into j except the one
@@ -671,27 +683,14 @@ class CompiledQuery:
         return free, tuple(map(self.net.cards.__getitem__, free))
 
     def compute_message(self, j: int, k: int, semiring: str = "sum") -> Factor:
-        """Message along the directed edge j -> k: ``_product(j, k)`` summed
-        (or maximized, by elementwise maxima of each outside axis's slices) over
-        the sliced scope outside the separator, rescaled to unit maximum.
+        """Message along the directed edge j -> k: ``_product(j, k)`` reduced over the
+        sliced scope outside the separator (``_reduced``).
         The stored table leaves out the variables the evidence pins; the
         returned factor restores their axes with zeros off the observed
         states, which ``message`` does not (``_cluster``'s errors)."""
         j = self._cluster(j, k, semiring)
         full, _, _, sep_shape, outside, _, _, _ = self._layouts[j].seps[k]
-        values, log_scale = self._product(j, k, semiring)
-        if outside and semiring == "sum":
-            values = values.sum(axis=outside)
-        elif outside:  # a call per slice: a reduction over a short inner axis loops per row
-            for a in reversed(outside):
-                index = (slice(None),) * a
-                values = functools.reduce(np.maximum, [values[(*index, s)] for s in range(values.shape[a])])
-        values = values if values.shape == sep_shape else np.broadcast_to(values, sep_shape)
-        peak = float(values.max())
-        if peak > 0.0 and peak != 1.0:
-            values, log_scale = values / peak, log_scale + math.log(peak)
-        if not values.flags.c_contiguous:
-            values = values.copy()
+        values, log_scale = _reduced(*self._product(j, k, semiring), outside, sep_shape, semiring)
         self._messages[(semiring, j, k)] = (values, log_scale)
         return _trusted(full, self._with_observed(full, values), log_scale)
 
@@ -842,6 +841,24 @@ class CompiledQuery:
                 states.update(zip(edge.free, np.unravel_index(int(row.argmax()), edge.dims)))
             assignment.update((u, int(states[u])) for u in self._free(j)[0])
         return assignment, math.log(peak) + log_scale
+
+
+def _reduced(values: np.ndarray, log_scale: float, outside: tuple[int, ...], shape: tuple[int, ...],
+             semiring: str) -> tuple[np.ndarray, float]:
+    """A message from its cluster's product: ``values`` summed (or maximized, by elementwise
+    maxima of each axis's slices) over the ``outside`` axes, laid out over the separator's
+    ``shape``, at unit maximum, the removed mass added to ``log_scale``."""
+    if outside and semiring == "sum":
+        values = values.sum(axis=outside)
+    elif outside:  # a call per slice: a reduction over a short inner axis loops per row
+        for a in reversed(outside):
+            index = (slice(None),) * a
+            values = functools.reduce(np.maximum, [values[(*index, s)] for s in range(values.shape[a])])
+    values = values if values.shape == shape else np.broadcast_to(values, shape)
+    peak = float(values.max())
+    if peak > 0.0 and peak != 1.0:
+        values, log_scale = values / peak, log_scale + math.log(peak)
+    return (values if values.flags.c_contiguous else values.copy()), log_scale
 
 
 def _rows(operands: list[np.ndarray], states: tuple, shape: tuple[int, ...]) -> np.ndarray:

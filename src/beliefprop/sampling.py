@@ -63,30 +63,33 @@ def cluster_conditional(
 
     The separator is the one toward the query's root; for the root
     cluster it is empty and the result is the normalized root marginal.
-    The returned factor is a proper distribution over the free variables,
-    one row of ``cluster_rows(j)`` normalized, read with every observation
-    masked and none sliced, so that every separator state ``cq.message``
-    gives positive mass has one.
+    The returned factor is a proper distribution over the free variables:
+    the row at ``sep_assignment`` of the cluster's product over its whole
+    scope (``CompiledQuery._unmasked``), every observation masked and none
+    sliced, normalized, so that every separator state ``cq.message`` gives
+    positive mass has one.
     """
-    layout = cq._unsliced().cluster_rows(j)
+    j = cq._cluster(j)
+    values, _ = cq._unmasked(j, cq.parent.get(j), "sum")
+    full, free = cq._layouts[j].full, cq._free(j)[0]
+    sep = tuple(u for u in full if u not in free)
     states = {_integer(u, "separator variable id"): s for u, s in sep_assignment.items()}
-    if set(states) != set(layout.sep):
-        raise ValueError(f"separator assignment must cover exactly {list(layout.sep)}, "
+    if set(states) != set(sep):
+        raise ValueError(f"separator assignment must cover exactly {list(sep)}, "
                          f"got {sorted(states)}")
     states = {u: _integer(s, f"state of variable {u}") for u, s in states.items()}
-    for u, d in zip(layout.sep, layout.sep_shape):
-        # a flattened row index would carry an out-of-range state into
-        # a neighbouring row
-        if not 0 <= states[u] < d:
+    for u in sep:
+        if not 0 <= states[u] < cq.net.cards[u]:
             raise ValueError(f"state {states[u]} out of range for variable {u}")
-    row = layout.table[layout.row(states)]
-    total = float(row.sum())
+    shape = tuple(map(cq.net.cards.__getitem__, full))
+    row = np.broadcast_to(values, shape)[tuple(states.get(u, slice(None)) for u in full)]
+    total = float(row.reshape(-1).sum())
     if total <= 0.0:
         raise SamplingConsistencyError(
             f"cluster {j} has zero conditional mass at separator "
             f"{dict(sep_assignment)}"
         )
-    return _trusted(layout.free, (row / total).reshape(layout.free_shape), 0.0)
+    return _trusted(free, row / total, 0.0)
 
 
 def _row_cdfs(rows: np.ndarray, sums: np.ndarray | None = None) -> np.ndarray:

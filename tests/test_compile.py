@@ -1,9 +1,11 @@
 """The group compile: each cluster's product of K_u against the per-cluster
 reference (``helpers.reference_products``), bit for bit and shared alike."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
-from helpers import assert_products_match, pedigree_network, random_network
+from helpers import assert_products_match, pedigree_network, random_network, reference_products
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
@@ -70,8 +72,16 @@ def test_group_compile_matches_the_per_cluster_reference(s):
     ev = evidence(rng, net, allowed) if rng.random() < 0.9 else EvidenceSet.none()
     cq = CompiledQuery(net, ev, jtree=jt, root=int(rng.integers(jt.q)))
     assert_products_match(cq)
-    # the unsliced twin behind message() reads every state, masking the evidence
-    assert_products_match(cq._unsliced())
+    # the whole-scope products behind message() read every state, masking the evidence:
+    # with unit messages in, each is the reference product laid out with nothing sliced
+    cards = net.cards
+    cq._whole = lambda i, j, semiring: (np.ones([cards[u] for u in cq._layouts[i].seps[j].whole]), 0.0)
+    unsliced = SimpleNamespace(_observed={}, evidence=ev, _layouts=[
+        layout._replace(scope=layout.full, shape=tuple(map(cards.__getitem__, layout.full)), form=j)
+        for j, layout in enumerate(cq._layouts)])
+    for j, want in enumerate(reference_products(unsliced)):
+        got, log_scale = cq._unmasked(j, None, "sum")
+        assert log_scale == 0.0 and got.tobytes() == np.broadcast_to(want, got.shape).tobytes(), j
 
 
 @pytest.mark.parametrize("horizon", [20, 200, 2000])

@@ -236,8 +236,8 @@ def test_only_outside_factors_are_validated(monkeypatch, ped_ev):
     # the CPDs are checked once, by the network's kept validate_network
     # report, and the plan lays them out as read-only views: no CPD enters
     # Factor on the query path, every table the queries derive is built by
-    # the algebra without a re-check, and the unsliced copy behind
-    # message() re-lays the same views
+    # the algebra without a re-check, and the whole-separator readouts
+    # read the same views
     validated = []
     check = Factor.__post_init__
 

@@ -1096,14 +1096,16 @@ class TestSharedTables:
         assert all(not any(u % 2 for u in layout.scope) for layout in cq._layouts)
         assert all(p.ndim == len(layout.scope) for p, layout in zip(cq._products, cq._layouts))
         cq.message(0, 1)
-        # the network's kept report checked the CPDs: the plan lays out
-        # read-only views and no CPD enters Factor, nor in the unsliced copy
-        assert checked == []
-        # the copy slices nothing, so it masks every Y: each product (Y_i its
-        # last axis) is zero off the observed count and not all zero at it
-        for product, count in zip(cq._unsliced()._products, y):
+        # a cluster's whole-scope product behind message() slices nothing, so it
+        # masks every Y: each (Y_i its last axis) is zero off the observed count
+        # and not all zero at it
+        for j, count in enumerate(y):
+            product, _ = cq._unmasked(j, None, "sum")
             off = np.arange(product.shape[-1]) != count
             assert not product[..., off].any() and product[..., count].any(), count
+        # the network's kept report checked the CPDs: the plan lays out
+        # read-only views and no CPD enters Factor, nor in those readouts
+        assert checked == []
         members = {u: (family, values) for layout in jt._plan.layouts
                    for u, family, values in layout.members}
         assert members[2][1] is members[4][1]

@@ -1295,10 +1295,10 @@ class TestPlanOwnsTheTables:
         assert second._layouts is first._layouts
 
     @pytest.mark.parametrize("case", ["pedigree", "chain"])
-    def test_the_unsliced_copy_replays_messages_sent_toward_another_root(self, case):
-        # the copy sends what a query holds in its own schedule's order (from
-        # root 0 here); sum and max messages sent by hand toward another root,
-        # max ones outward too, read as those of a query rooted there
+    def test_whole_messages_read_alike_whatever_root_they_were_sent_toward(self, case):
+        # sum and max messages sent by hand toward another root than the query's
+        # (root 0 here), max ones outward too, read over their whole separators
+        # as those of a query rooted there
         if case == "pedigree":
             net, ev = pedigree_network(), pedigree_evidence()
             jt = build_junction_tree(net)
@@ -1321,6 +1321,8 @@ class TestPlanOwnsTheTables:
             queries.append(cq)
         by_hand, rooted = queries
         assert by_hand._observed and by_hand.order != rooted.order
+        sent = dict(by_hand._messages)
+        assert len(sent) == 4 * len(jt.edges)
         for i, j in jt.edges:
             for a, b in ((i, j), (j, i)):
                 for semiring in ("sum", "max"):
@@ -1330,7 +1332,9 @@ class TestPlanOwnsTheTables:
             got, want = by_hand.edge_marginal(i, j), rooted.edge_marginal(i, j)
             assert got.scope == want.scope and got.log_scale == want.log_scale
             assert got.values.tobytes() == want.values.tobytes(), (i, j)
-        assert len(by_hand._unsliced()._messages) == len(by_hand._messages) == 4 * len(jt.edges)
+        # reading stores nothing in the message store
+        assert by_hand._messages.keys() == sent.keys()
+        assert all(by_hand._messages[key] is sent[key] for key in sent)
 
     def test_a_query_on_a_kept_plan_builds_no_factor(self, monkeypatch):
         spec, inputs = self.chain((31, 32), horizon=200)
@@ -1448,6 +1452,122 @@ def _posterior_digest(case: str) -> str:
     return h.hexdigest()
 
 
+def _read_whole(h, cq: CompiledQuery, rng: np.random.Generator) -> None:
+    """Every message, sum and max, and edge marginal over its whole separator, then per
+    cluster two ``cluster_conditional`` rows at drawn separator states, the second with
+    each observed variable at its state, into the hash: scope, log scale and bytes, or
+    the error's name in their place."""
+    def read(readout):
+        try:
+            out = readout()
+        except (SchedulingError, sampling.SamplingConsistencyError) as exc:
+            h.update(type(exc).__name__.encode())
+        else:
+            h.update(repr((out.scope, out.log_scale)).encode() + out.values.tobytes())
+
+    for i, j in cq.jtree.edges:
+        for a, b in ((i, j), (j, i)):
+            read(lambda: cq.message(a, b))
+            read(lambda: cq.message(a, b, "max"))
+        read(lambda: cq.edge_marginal(i, j))
+    cards, clusters = cq.net.cards, cq.jtree.clusters
+    for j in range(cq.jtree.q):
+        sep = sorted(clusters[j].intersection(clusters[cq.parent[j]] if j in cq.parent else ()))
+        drawn = [int(rng.integers(cards[u])) for u in sep]
+        for states in (drawn, [cq._observed.get(u, s) for u, s in zip(sep, drawn)]):
+            read(lambda: cluster_conditional(cq, j, dict(zip(sep, states))))
+
+
+def _readout_digest(case: str) -> str:
+    """The bytes of every whole-separator readout (``_read_whole``) on queries over
+    ``_posterior_digest``'s cases, max messages sent inward; the digests were recorded
+    when these readouts came from a second compile of each query with nothing sliced."""
+    h, rng = hashlib.sha256(), np.random.default_rng(37)
+
+    def read(cq: CompiledQuery, outward: bool = True) -> None:
+        cq.inward()
+        cq.inward("max")
+        if not outward:  # inward alone, then both passes: the reads formed first are kept
+            _read_whole(h, cq, rng)
+        cq.outward()
+        _read_whole(h, cq, rng)
+
+    if case.startswith("chain"):
+        spec = hmm.precipitation_spec(200)
+        for seed in range(2):
+            net, ev = hmm.to_bayes_net(spec, hmm.simulate(spec, seed)[1])
+            read(CompiledQuery(net, ev, jtree=hmm.chain_junction_tree(spec), root=int(case[5:])), False)
+    elif case == "pedigree":
+        net = pedigree_network()
+        jt = build_junction_tree(net)
+        evs = np.random.default_rng(29)
+        for ev in [pedigree_evidence()] + [random_evidence(evs, net, 0.5) for _ in range(10)]:
+            for root in range(jt.q):
+                read(CompiledQuery(net, ev, jtree=jt, root=root))
+    elif case == "banded":
+        nets = np.random.default_rng(0)
+        for _ in range(8):
+            net = banded_network(nets)
+            read(CompiledQuery(net, random_evidence(nets, net, 1 / 6)))
+    else:  # observed variables inside separators on long paths
+        spec3 = hmm.HmmSpec(("a", "b", "c"), (0.2, 0.3, 0.5),
+                            ((0.8, 0.1, 0.1), (0.2, 0.7, 0.1), (0.3, 0.3, 0.4)), (0.5, 2.0, 6.0), 120)
+        net, ev = hmm.to_bayes_net(spec3, hmm.simulate(spec3, 5)[1])
+        read(CompiledQuery(net, ev, jtree=hmm.chain_junction_tree(spec3), root=60), False)
+        net, jt = _chain_with_extras(100, np.random.default_rng(27))
+        allowed = {2 * i + 1: {int(rng.integers(2))} for i in range(100) if i % 3}
+        allowed.update({2 * i: {0} for i in (9, 10, 50)})
+        allowed[2 * 20] = {0, 1}
+        read(CompiledQuery(net, EvidenceSet(allowed), jtree=jt, root=45), False)
+        net, jt = _pair_chain(80, np.random.default_rng(28))
+        allowed = {3 * i + 2: {i % 2} for i in range(80)}
+        allowed.update({30: {1}, 31: {0, 1}, 150: {0}})
+        read(CompiledQuery(net, EvidenceSet(allowed), jtree=jt, root=0))
+    return h.hexdigest()
+
+
+class TestWholeReadouts:
+    """``message``, ``edge_marginal`` and ``cluster_conditional`` report every state of
+    an observed variable: each whole-separator message is formed on demand, once."""
+
+    @pytest.mark.parametrize("case, digest", [
+        ("chain0", "40f216860eb81bf8ad623ee5f2db16a20f3955091120cbb431012de599594d5e"),
+        ("chain100", "f4295bbfb7f47170fe5dc11eeac3d0d047ff4e9967a868d3b4d4c0cefaeeb2d3"),
+        ("chain199", "b2a15151b4782fd31f7f7122d9a4d75d3255687f89367b53a0b1d5219619f45e"),
+        ("pedigree", "84b6f6a50c9aa42e1a9a58b003f344916c7307819cdf23890f2fb1618d0e7d51"),
+        ("banded", "0ea4dc34252529137afe4dddca828866703a12953339436af015baadb3a75b1d"),
+        ("other", "085acf2fb5b88943c639e165b2e9d4034005cb5d3a713bd800d94b610df4e337"),
+    ])
+    def test_readouts_keep_their_bytes(self, case, digest):
+        assert _readout_digest(case) == digest
+
+    def test_a_message_forms_each_edge_upstream_of_it_once(self, monkeypatch):
+        # counted, not timed: reading i -> j forms the whole message of every edge on
+        # i's side of it, i -> j included, stores none, and a second read forms nothing
+        reduced, formed = propagation._reduced, []
+        monkeypatch.setattr(propagation, "_reduced", lambda *args: formed.append(1) or reduced(*args))
+        rng = np.random.default_rng(37)
+        for _ in range(4):
+            net = banded_network(rng)
+            observed = EvidenceSet({int(u): {int(rng.integers(3))} for u in rng.choice(30, 5, replace=False)})
+            cq = CompiledQuery(net, observed).propagate()
+            sent = dict(cq._messages)
+            i, j = cq.jtree.edges[int(rng.integers(len(cq.jtree.edges)))]
+            children, _ = cq.jtree.rooted(j)
+            side, upstream = [i], {(i, j)}
+            for c in side:
+                side += children[c]
+                upstream.update((k, c) for k in children[c])
+            formed.clear()
+            cq.message(i, j)
+            assert {(a, b) for _, a, b in cq._wholes} == upstream and len(formed) == len(upstream)
+            formed.clear()
+            cq.message(i, j)
+            assert formed == []
+            assert cq._messages.keys() == sent.keys()
+            assert all(cq._messages[key] is sent[key] for key in sent)
+
+
 class TestRunPosteriors:
     """Where each posterior is read is kept on the plan; a run's posteriors are
     formed together, by one product of its two scans' messages, at the first
@@ -1539,15 +1659,12 @@ class TestRunPosteriors:
             p[:] = -1.0
         assert {u: p.tobytes() for u, p in cq.posterior_table().items()} == want
 
-    def test_the_unsliced_copy_keeps_no_posteriors_of_its_own_query(self):
+    def test_reading_a_whole_message_keeps_the_posteriors(self):
         spec = hmm.precipitation_spec(200)
         net, ev = hmm.to_bayes_net(spec, hmm.simulate(spec, 10)[1])
         cq = CompiledQuery(net, ev, jtree=hmm.chain_junction_tree(spec)).propagate()
         want = {u: p.tobytes() for u, p in cq.posterior_table().items()}
         cq.message(0, 1)
-        twin = cq._unsliced()
-        assert twin is not cq and twin._batched == {} and twin._sums == {}
-        assert twin._batched is not cq._batched and twin._sums is not cq._sums
         assert {u: p.tobytes() for u, p in cq.posterior_table().items()} == want
         # a second propagate() sends the same messages and reads the same bytes
         cq.propagate()
