@@ -39,15 +39,15 @@ message at a time.
 
 The same inward pass run in the max semiring yields most-probable
 assignments: each max message is the elementwise maxima of the slices of
-each axis it maximizes out, and records nothing else.  The readouts that
-walk the query's one root-first order need, at each cluster, only the rows
-at the separator states the walk has fixed (Dawid 1992), and one row kernel
-(``_rows``) forms just those: the cluster potential times every stored
-message into it but its parent's, each indexed at those states before the
-multiply, so every entry has the bits it has in the whole table.  The
-traceback forms the root's table, then one max row per cluster; posterior
-sampling forms the root's row once and, per batch of draws, the rows they
-reach.  ``cluster_rows`` reads out whole tables.  Posteriors read an edge's
+each axis it maximizes out, and records nothing else.  One kernel (``_rows``)
+forms every product of a cluster potential and messages into it: whole tables,
+or, for the readouts that walk the root-first order, the rows at the separator
+states the walk has fixed (Dawid 1992), each operand indexed at them before the
+multiply, so every entry has the bits it has in the whole table.  The traceback
+forms the root's table, then one max row per cluster; sampling the root's row
+once and, per batch of draws, the rows they reach; whole-separator readouts
+fold whole-scope operands (``_unmasked``).  No query calls ``Factor`` algebra:
+a ``Factor`` is only handed out.  Posteriors read an edge's
 two messages where they can, the edge recorded on the plan; a run's are
 formed together by one batched product of its scans' messages at the first
 request, and each later one is a lookup; an observed variable's is its
@@ -507,6 +507,7 @@ class CompiledQuery:
             self._stacks.append((stack, inverse))
         self._messages: dict[tuple[str, int, int], tuple[np.ndarray, float]] = {}
         self._wholes: dict[tuple[str, int, int], tuple[np.ndarray, float]] = {}  # what _whole formed
+        self._potentials: dict[int, np.ndarray] = {}  # cluster -> what _unmasked formed
         self._mass_checked = False  # whether a posterior read found positive mass
         self._matrices: dict[int, np.ndarray] = {}  # a run's first cluster -> what _run_matrices formed
         self._sums: dict[tuple[int, bool], np.ndarray] = {}  # (first cluster, inward) -> _scan's sums
@@ -594,22 +595,27 @@ class CompiledQuery:
                 tuple(map(self.net.cards.__getitem__, whole)), semiring)
         return self._wholes[semiring, i, j]
 
-    def _unmasked(self, j: int, skip: int | None, semiring: str) -> tuple[np.ndarray, float]:
-        """Cluster j's ``_product`` over its whole scope, nothing sliced: each member's CPD
-        array, masked by ``Factor.restrict`` if the evidence restricts its child, then
-        ``_whole`` of every message into j except the one from ``skip``; and their log scales."""
+    def _unmasked(self, j: int, skip: int | None, semiring: str) -> tuple[list[np.ndarray], float]:
+        """``_operands`` of j over its whole scope, nothing sliced: j's potential, formed once per
+        query, a one times each member's CPD array, times a 0/1 indicator on its child's axis if
+        the evidence restricts it; then ``_whole`` of every message into j but ``skip``'s."""
         cards, allowed, full = self.net.cards, self.evidence.allowed, self._layouts[j].full
-        operands, log_scale = [_ones(len(full))[0]], 0.0
-        for u, family, values in self._layouts[j].members:
-            if u in allowed:
-                values = _trusted(family, values, 0.0).restrict({u: allowed[u]}).values
-            operands.append(values.reshape([cards[v] if v in family else 1 for v in full]))
+        if j not in self._potentials:
+            potential = _ones(len(full))[0]
+            for u, family, values in self._layouts[j].members:
+                values = values.reshape([cards[v] if v in family else 1 for v in full])
+                if u in allowed:
+                    mask = np.isin(np.arange(cards[u]), list(allowed[u]))
+                    values = values * mask.reshape([cards[u] if v == u else 1 for v in full])
+                potential = potential * values
+            self._potentials[j] = potential
+        operands, log_scale = [self._potentials[j]], 0.0
         for i, edge in self._layouts[j].seps.items():
             if i != skip:
                 msg, scale = self._whole(i, j, semiring)
                 operands.append(msg.reshape([cards[v] if v in edge.whole else 1 for v in full]))
                 log_scale += scale
-        return functools.reduce(np.multiply, operands), log_scale
+        return operands, log_scale
 
     def _operands(self, j: int, skip: int | None, semiring: str) -> tuple[list[np.ndarray], float]:
         """Cluster potential of j, then every stored message into j except the one
@@ -622,11 +628,6 @@ class CompiledQuery:
                 operands.append(msg.reshape(edge.view))
                 log_scale += scale
         return operands, log_scale
-
-    def _product(self, j: int, skip: int | None, semiring: str) -> tuple[np.ndarray, float]:
-        """The product of ``_operands(j, skip, semiring)``, in their order, over j's layout."""
-        operands, log_scale = self._operands(j, skip, semiring)
-        return functools.reduce(np.multiply, operands), log_scale
 
     def _row_operands(self, j: int, semiring: str) -> tuple[list[np.ndarray], _Edge | None]:
         """``_operands`` of j toward the root, as ``_rows`` reads them, with the axes of
@@ -649,31 +650,24 @@ class CompiledQuery:
             raise JunctionTreeError(f"({j}, {skip}) is not a tree edge")
         return j
 
-    def _table(self, j: int, skip: int | None, semiring: str) -> tuple[np.ndarray, float]:
-        """``_product`` laid out over j's whole layout."""
-        layout = self._layouts[j]
-        values, log_scale = self._product(j, skip, semiring)
-        values = values if values.shape == layout.shape else np.broadcast_to(values, layout.shape)
-        return (values if values.flags.c_contiguous else values.copy()), log_scale
-
     def cluster_table(self, j: int, skip: int | None = None, semiring: str = "sum") -> Factor:
-        """``_product`` laid out over every variable of cluster j (``_cluster``'s errors)."""
+        """``_operands(j, skip)``' product over every variable of cluster j (``_cluster``'s errors)."""
         j = self._cluster(j, skip, semiring)
-        values, log_scale = self._table(j, skip, semiring)
-        scope = self._layouts[j].full
-        return _trusted(scope, self._with_observed(scope, values), log_scale)
+        operands, log_scale = self._operands(j, skip, semiring)
+        full, _, shape, *_ = self._layouts[j]
+        return _trusted(full, self._with_observed(full, _rows(operands, (), shape)), log_scale)
 
     def cluster_rows(self, j: int) -> ClusterRows:
         """``cluster_table(j, parent)`` as rows over the separator toward
-        the root; a normalized row is P(free | separator, evidence)."""
+        the root, C-contiguous; a normalized row is P(free | separator, evidence)."""
         j = self._cluster(j)
         parent = self.parent.get(j)
-        values, _ = self._table(j, parent, "sum")
+        values = _rows(self._operands(j, parent, "sum")[0], (), self._layouts[j].shape)
         edge = self._layouts[j].seps.get(parent)  # its axis order puts free axes after sep ones
         sep, sep_shape = (edge.sep, edge.shape) if edge else ((), ())
         free, free_shape = self._free(j)
         table = self._with_observed((*sep, *free), values.transpose(edge.perm) if edge else values)
-        table = table.reshape(math.prod(sep_shape), math.prod(free_shape))
+        table = np.ascontiguousarray(table.reshape(math.prod(sep_shape), math.prod(free_shape)))
         return ClusterRows(j, sep, sep_shape, free, free_shape, table)
 
     def _free(self, j: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -683,14 +677,14 @@ class CompiledQuery:
         return free, tuple(map(self.net.cards.__getitem__, free))
 
     def compute_message(self, j: int, k: int, semiring: str = "sum") -> Factor:
-        """Message along the directed edge j -> k: ``_product(j, k)`` reduced over the
-        sliced scope outside the separator (``_reduced``).
+        """Message along the directed edge j -> k: ``_operands(j, k)`` folded and reduced over
+        the sliced scope outside the separator (``_reduced``).
         The stored table leaves out the variables the evidence pins; the
         returned factor restores their axes with zeros off the observed
         states, which ``message`` does not (``_cluster``'s errors)."""
         j = self._cluster(j, k, semiring)
         full, _, _, sep_shape, outside, _, _, _ = self._layouts[j].seps[k]
-        values, log_scale = _reduced(*self._product(j, k, semiring), outside, sep_shape, semiring)
+        values, log_scale = _reduced(*self._operands(j, k, semiring), outside, sep_shape, semiring)
         self._messages[(semiring, j, k)] = (values, log_scale)
         return _trusted(full, self._with_observed(full, values), log_scale)
 
@@ -734,7 +728,9 @@ class CompiledQuery:
 
     def edge_marginal(self, i: int, j: int) -> Factor:
         """Unnormalized P(separator, evidence) from the two edge messages (``message``'s errors)."""
-        return self.message(i, j) * self.message(j, i)
+        i = self._cluster(i, j)
+        (values, log_scale), (other, scale) = self._whole(i, j, "sum"), self._whole(j, i, "sum")
+        return _trusted(self._layouts[i].seps[j].whole, _rows([values, other]), log_scale + scale)
 
     def cluster_marginal(self, j: int) -> Factor:
         """Unnormalized P(cluster, evidence): potential times all inputs."""
@@ -825,7 +821,8 @@ class CompiledQuery:
         """
         if not all(self.has_message(j, k, "max") for j, k in self.parent.items()):
             self.inward(semiring="max")
-        values, log_scale = self._product(self.root, None, "max")
+        operands, log_scale = self._operands(self.root, None, "max")
+        values = _rows(operands)
         peak = float(values.max())
         if peak <= 0.0:
             raise ImpossibleEvidenceError("no assignment is consistent with the evidence")
@@ -843,11 +840,12 @@ class CompiledQuery:
         return assignment, math.log(peak) + log_scale
 
 
-def _reduced(values: np.ndarray, log_scale: float, outside: tuple[int, ...], shape: tuple[int, ...],
-             semiring: str) -> tuple[np.ndarray, float]:
-    """A message from its cluster's product: ``values`` summed (or maximized, by elementwise
-    maxima of each axis's slices) over the ``outside`` axes, laid out over the separator's
-    ``shape``, at unit maximum, the removed mass added to ``log_scale``."""
+def _reduced(operands: list[np.ndarray], log_scale: float, outside: tuple[int, ...],
+             shape: tuple[int, ...], semiring: str) -> tuple[np.ndarray, float]:
+    """A message from its cluster's ``operands``: their product (``_rows``) summed (or maximized,
+    by elementwise maxima of each axis's slices) over the ``outside`` axes, laid out over the
+    separator's ``shape``, at unit maximum, the removed mass added to ``log_scale``."""
+    values = _rows(operands)
     if outside and semiring == "sum":
         values = values.sum(axis=outside)
     elif outside:  # a call per slice: a reduction over a short inner axis loops per row
@@ -861,16 +859,17 @@ def _reduced(values: np.ndarray, log_scale: float, outside: tuple[int, ...], sha
     return (values if values.flags.c_contiguous else values.copy()), log_scale
 
 
-def _rows(operands: list[np.ndarray], states: tuple, shape: tuple[int, ...]) -> np.ndarray:
-    """The product of ``operands`` (``CompiledQuery._row_operands``) at ``states``, one
-    integer or index array per separator axis, all of one shape, as an array of ``shape``:
-    the states' shape, then the cluster's other axes.  Each operand is read at ``states``
-    before the multiply, in ``_product``'s order, so every entry has the bits it has in the
-    whole table and the work follows the rows asked for; a broadcast view where no operand
-    spans an axis."""
-    parts = [x[tuple(s if d > 1 else 0 for s, d in zip(states, x.shape))] for x in operands]
-    rows = functools.reduce(np.multiply, parts)
-    return rows if rows.shape == shape else np.broadcast_to(rows, shape)
+def _rows(operands: list[np.ndarray], states: tuple = (), shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """The engine's one product: ``operands`` (``CompiledQuery._operands``, ``_row_operands``,
+    ``_unmasked``) folded left in their order at ``states``, one integer or index array per
+    leading axis, all of one shape, each operand read at them before the multiply, so every
+    entry has the bits it has in the whole table; with none, the whole table.  If ``shape``
+    (the states' shape, then the other axes) is given, laid out over it, a read-only
+    broadcast view where no operand spans an axis."""
+    if states:
+        operands = [x[tuple(s if d > 1 else 0 for s, d in zip(states, x.shape))] for x in operands]
+    rows = functools.reduce(np.multiply, operands)
+    return rows if shape is None or rows.shape == shape else np.broadcast_to(rows, shape)
 
 
 def compile_query(net: DiscreteNetwork, evidence: EvidenceSet | None = None) -> CompiledQuery:

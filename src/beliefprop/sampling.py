@@ -53,7 +53,7 @@ _CHUNK = 1 << 16
 
 class SamplingConsistencyError(RuntimeError):
     """A conditional came out empty for a separator state that upstream
-    messages claim is possible; indicates an engine bug."""
+    messages claim is possible, under possible evidence; an engine bug."""
 
 
 def cluster_conditional(
@@ -64,13 +64,14 @@ def cluster_conditional(
     The separator is the one toward the query's root; for the root
     cluster it is empty and the result is the normalized root marginal.
     The returned factor is a proper distribution over the free variables:
-    the row at ``sep_assignment`` of the cluster's product over its whole
-    scope (``CompiledQuery._unmasked``), every observation masked and none
-    sliced, normalized, so that every separator state ``cq.message`` gives
-    positive mass has one.
+    the one row at ``sep_assignment`` (``_rows`` on ``CompiledQuery._unmasked``,
+    separator axes first) of the cluster's product over its whole scope,
+    every observation masked and none sliced, normalized, so that every separator
+    state ``cq.message`` gives positive mass has one; ImpossibleEvidenceError
+    for a zero row under evidence of probability zero.
     """
     j = cq._cluster(j)
-    values, _ = cq._unmasked(j, cq.parent.get(j), "sum")
+    operands, _ = cq._unmasked(j, cq.parent.get(j), "sum")
     full, free = cq._layouts[j].full, cq._free(j)[0]
     sep = tuple(u for u in full if u not in free)
     states = {_integer(u, "separator variable id"): s for u, s in sep_assignment.items()}
@@ -81,10 +82,13 @@ def cluster_conditional(
     for u in sep:
         if not 0 <= states[u] < cq.net.cards[u]:
             raise ValueError(f"state {states[u]} out of range for variable {u}")
-    shape = tuple(map(cq.net.cards.__getitem__, full))
-    row = np.broadcast_to(values, shape)[tuple(states.get(u, slice(None)) for u in full)]
+    perm = [full.index(u) for u in sep + free]
+    row = _rows([x.transpose(perm) for x in operands], tuple(map(states.__getitem__, sep)),
+                tuple(map(cq.net.cards.__getitem__, free)))
     total = float(row.reshape(-1).sum())
     if total <= 0.0:
+        if cq.evidence_log_probability() == -math.inf:
+            raise ImpossibleEvidenceError("conditional undefined: evidence has probability zero")
         raise SamplingConsistencyError(
             f"cluster {j} has zero conditional mass at separator "
             f"{dict(sep_assignment)}"

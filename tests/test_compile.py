@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from beliefprop import hmm
 from beliefprop.jtree import build_junction_tree
 from beliefprop.model import Cpd, DiscreteNetwork, EvidenceSet, Variable, _trusted_evidence
-from beliefprop.propagation import CompiledQuery, _Sweep
+from beliefprop.propagation import CompiledQuery, _rows, _Sweep
 
 
 def tied_network(rng: np.random.Generator) -> DiscreteNetwork:
@@ -80,7 +80,8 @@ def test_group_compile_matches_the_per_cluster_reference(s):
         layout._replace(scope=layout.full, shape=tuple(map(cards.__getitem__, layout.full)), form=j)
         for j, layout in enumerate(cq._layouts)])
     for j, want in enumerate(reference_products(unsliced)):
-        got, log_scale = cq._unmasked(j, None, "sum")
+        operands, log_scale = cq._unmasked(j, None, "sum")
+        got = _rows(operands)
         assert log_scale == 0.0 and got.tobytes() == np.broadcast_to(want, got.shape).tobytes(), j
 
 

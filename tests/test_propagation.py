@@ -435,12 +435,16 @@ class TestReadoutWork:
         _, _, cq = self.chain_query()
         cq.inward("max")
         formed = []
-        product = CompiledQuery._product
-        monkeypatch.setattr(CompiledQuery, "_product",
-                            lambda self, j, skip, semiring: formed.append(j)
-                            or product(self, j, skip, semiring))
+        kernel = propagation._rows
+
+        def counted(operands, states=(), shape=None):
+            if not states:  # a whole table; its first operand is the cluster's potential
+                formed.append(operands[0])
+            return kernel(operands, states, shape)
+
+        monkeypatch.setattr(propagation, "_rows", counted)
         cq.map_assignment()
-        assert formed == [cq.root]
+        assert len(formed) == 1 and formed[0] is cq._products[cq.root]
 
     def test_map_keeps_no_argmax_and_reads_one_row_per_cluster(self, monkeypatch):
         # every max message is a plain table over its separator; the traceback
@@ -448,16 +452,18 @@ class TestReadoutWork:
         rows = []
         kernel = propagation._rows
         monkeypatch.setattr(propagation, "_rows",
-                            lambda operands, states, shape: rows.append((states, shape))
+                            lambda operands, states=(), shape=None: rows.append((states, shape))
                             or kernel(operands, states, shape))
         rng = np.random.default_rng(35)
         queries = [CompiledQuery(pedigree_network(), pedigree_evidence())]
         queries += [CompiledQuery(banded_network(rng), EvidenceSet({3: {1}, 17: {0}})) for _ in range(3)]
         for cq in queries:
             before = set(vars(cq))
+            cq.inward("max")
             rows.clear()
             assignment, _ = cq.map_assignment()
             assert set(vars(cq)) == before and not hasattr(cq, "_argmax")
+            assert rows.pop(0) == ((), None)  # the root's whole max table
             for (semiring, j, k), (values, _) in cq._messages.items():
                 assert values.shape == cq._layouts[j].seps[k].shape, (semiring, j, k)
             read = [j for j in cq.order[1:] if cq._layouts[j].seps[cq.parent[j]].outside]
@@ -1566,6 +1572,76 @@ class TestWholeReadouts:
             assert formed == []
             assert cq._messages.keys() == sent.keys()
             assert all(cq._messages[key] is sent[key] for key in sent)
+
+    @staticmethod
+    def banded_query(rng: np.random.Generator) -> CompiledQuery:
+        """A banded network with five of its separator variables pinned to one state
+        and one more kept to two."""
+        net = banded_network(rng)
+        jt = build_junction_tree(net)
+        held = sorted(set().union(*(jt.separator(i, j) for i, j in jt.edges)))
+        picked = [int(u) for u in rng.choice(held, 6, replace=False)]
+        allowed = {u: {int(rng.integers(3))} for u in picked[:5]}
+        allowed[picked[5]] = {0, 2}
+        return CompiledQuery(net, EvidenceSet(allowed), jtree=jt)
+
+    def test_the_query_path_calls_no_factor_algebra(self, monkeypatch):
+        # Factor is the type tables are handed out in; every table is formed on arrays
+        def algebra(*args, **kwargs):
+            raise AssertionError("Factor algebra on the query path")
+
+        for name in ("multiply", "restrict", "marginalize_sum", "marginalize_max", "expand",
+                     "rescaled_unit_max"):
+            monkeypatch.setattr(Factor, name, algebra)
+        rng = np.random.default_rng(38)
+        queries = [CompiledQuery(pedigree_network(), pedigree_evidence())]
+        queries += [self.banded_query(rng) for _ in range(2)]
+        for cq in queries:
+            cq.propagate()
+            cq.posterior_table()
+            assignment, _ = cq.map_assignment()
+            PosteriorSampler(cq, seed=1).sample(50)
+            for i, j in cq.jtree.edges:
+                cq.message(i, j)
+                cq.message(j, i)
+                cq.edge_marginal(i, j)
+            for j, parent in cq.parent.items():  # the max pass runs inward only
+                cq.message(j, parent, "max")
+            for j in range(cq.jtree.q):
+                cq.cluster_table(j)
+                assert cq.cluster_rows(j).table.flags.c_contiguous
+                sep = cq.jtree.separator(j, cq.parent[j]) if j in cq.parent else ()
+                cluster_conditional(cq, j, {u: assignment[u] for u in sep})
+
+    def test_each_whole_scope_potential_is_formed_once_per_query(self):
+        # counted, not timed: repeated conditionals and messages, sum and max, read each
+        # member CPD array of a cluster once
+        reads = Counter()
+
+        class Read(np.ndarray):
+            def reshape(self, *shape):
+                reads[id(self)] += 1
+                return self.view(np.ndarray).reshape(*shape)
+
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            cq = self.banded_query(rng).propagate()
+            assignment, _ = cq.map_assignment()
+            cq._layouts = tuple(layout._replace(members=tuple((u, family, values.view(Read))
+                                                              for u, family, values in layout.members))
+                                for layout in cq._layouts)
+            members = {id(values) for layout in cq._layouts for _, _, values in layout.members}
+            reads.clear()
+            for _ in range(3):
+                for j in range(cq.jtree.q):
+                    sep = cq.jtree.separator(j, cq.parent[j]) if j in cq.parent else ()
+                    cluster_conditional(cq, j, {u: assignment[u] for u in sep})
+                for i, j in cq.jtree.edges:
+                    cq.message(i, j)
+                    cq.message(j, i)
+                for j, parent in cq.parent.items():
+                    cq.message(j, parent, "max")
+            assert reads.keys() == members and set(reads.values()) == {1}
 
 
 class TestRunPosteriors:

@@ -131,6 +131,25 @@ class TestClusterConditional:
         with pytest.raises(SamplingConsistencyError):
             cluster_conditional(cq, j, dict(zip(sep, zeros[0])))
 
+    def test_impossible_evidence_is_no_engine_bug(self):
+        # dd parents X1 and X2 cannot have a DD child X3: log Z is -inf, so a zero row
+        # is the evidence's doing, as the sampler and the posteriors report it
+        cq = compile_query(pedigree_network(), EvidenceSet({0: {0}, 1: {0}, 2: {2}}))
+        assert cq.evidence_log_probability() == -math.inf
+        with pytest.raises(ImpossibleEvidenceError):
+            PosteriorSampler(cq)
+        with pytest.raises(ImpossibleEvidenceError):
+            cluster_conditional(cq, cq.root, {})
+        raised = 0
+        for j, parent in cq.parent.items():
+            sep = sorted(cq.jtree.separator(j, parent))
+            for states in np.ndindex(*(cq.net.cards[u] for u in sep)):
+                try:
+                    cluster_conditional(cq, j, dict(zip(sep, states)))
+                except ImpossibleEvidenceError:
+                    raised += 1
+        assert raised > 0
+
 
 class TestRowCdfs:
     def test_pinned_from_last_positive_cell(self):
@@ -275,7 +294,9 @@ class TestReadersAgainstWholeTables:
             cq = CompiledQuery(net, EvidenceSet({4: {2}, 20: {0, 1}})).propagate()
             formed.clear()
             with monkeypatch.context() as m:
-                for name in ("_product", "_table", "cluster_rows"):
+                # every whole table the query forms is a fold at no states in propagation
+                m.setattr(propagation, "_rows", whole)
+                for name in ("cluster_table", "cluster_rows"):
                     m.setattr(CompiledQuery, name, whole)
                 sampler = PosteriorSampler(cq, seed=1)
                 sampler.sample(100)
