@@ -372,7 +372,8 @@ class ClusterRows:
     (ascending ids, last fastest).  ``sep`` leaves out variables pinned
     to one state by the evidence (``row`` ignores states given for
     them); ``free`` keeps them, with exact zeros off the observed state,
-    so the sampler draws them like any other variable.
+    which change no bit of a row's CDF (``sampling._row_cdfs``): the
+    sampler draws over rows without them what this table gives.
     """
 
     cluster: int
@@ -514,16 +515,13 @@ class CompiledQuery:
         self._batched: dict[int, dict] = {}  # a run's first cluster -> its _run_posteriors
 
     def _with_observed(self, scope: tuple[int, ...], values: np.ndarray) -> np.ndarray:
-        """``values``, over any leading axes, then ``scope`` less its observed
-        variables, over those axes then all of ``scope``: the observed axes come
-        back, 0 off the observed states.  The one place a table the engine
-        computed regains them."""
+        """``values``, over ``scope`` less its observed variables, over all of
+        ``scope``: the observed axes come back, 0 off the observed states.  The
+        one place a table the engine hands out regains them."""
         if self._observed.keys().isdisjoint(scope):
             return values
-        at = tuple(map(self._observed.get, scope, repeat(slice(None))))
-        lead = values.shape[:values.ndim - at.count(slice(None))]
-        out = np.zeros((*lead, *map(self.net.cards.__getitem__, scope)))
-        out[(..., *at)] = values
+        out = np.zeros(tuple(map(self.net.cards.__getitem__, scope)))
+        out[tuple(map(self._observed.get, scope, repeat(slice(None))))] = values
         return out
 
     # -- schedule ----------------------------------------------------------

@@ -13,7 +13,10 @@ tables laid out as ``CompiledQuery.cluster_rows`` lays them out, one row
 per state of the separator toward the root, but never forms a whole
 table: the root's one row is formed at construction, and each batch of
 draws forms, by the query's row kernel (``propagation._rows``), only the
-rows at the distinct separator states it reaches, and their CDFs.
+rows at the distinct separator states it reaches, and their CDFs, each
+without the variables the evidence pins: a CDF is a running sum over its
+total (``_row_cdfs``), on which their zero cells change no bit, and a
+gather (``_Visit.back``) puts each draw back in the whole row.
 Seeds, targets, separator states and counts follow the one integer rule
 (``factor._integer``): anything but an integer type is a ValueError
 naming it, never truncated.
@@ -96,22 +99,18 @@ def cluster_conditional(
     return _trusted(free, row / total, 0.0)
 
 
-def _row_cdfs(rows: np.ndarray, sums: np.ndarray | None = None) -> np.ndarray:
-    """Each row's (last axis) conditional CDF, in column order, over its sum or ``sums``.
+def _row_cdfs(rows: np.ndarray) -> np.ndarray:
+    """Each row's (last axis) conditional CDF, in column order: its running
+    sum over its total, the running sum's last cell.
 
-    The CDF is pinned to exactly 1 from each row's last positive cell on,
-    so rounding can neither overflow the index nor leak probability into
-    zero cells.  An all-zero row stays all zero.
+    A zero cell adds exactly 0 to a running sum, so every cell from a row's
+    last positive cell on is exactly ``total / total == 1.0``, and a row's
+    CDF at its positive cells has the same bits with its zero cells put in
+    or left out.  An all-zero row stays all zero.
     """
-    if sums is None:
-        sums = rows.sum(axis=-1, keepdims=True)
-    cond = rows / np.where(sums > 0, sums, 1.0)  # an all-zero row over 1 stays zero
-    cum = np.cumsum(cond, axis=-1)
-    positive = cond > 0
-    width = cond.shape[-1]
-    last_pos = np.where(positive.any(axis=-1), width - 1 - np.argmax(positive[..., ::-1], axis=-1), width)
-    cum[np.arange(width) >= last_pos[..., None]] = 1.0
-    return cum
+    cum = np.cumsum(rows, axis=-1)
+    total = cum[..., -1:]
+    return cum / np.where(total > 0, total, 1.0)
 
 
 def _padded(cum: np.ndarray) -> np.ndarray:
@@ -126,10 +125,10 @@ def _search(padded: np.ndarray, pos: np.ndarray, u: np.ndarray) -> np.ndarray:
     """For each draw, ``(cum[pos] <= u[:, None]).sum(axis=1)``: the cells of
     its CDF row ``pos`` (rows of ``padded`` across its leading axes) <= ``u``.
 
-    Every row must end at the pinned 1.0, so ``u < 1`` makes ``cum <= u``
-    a prefix of at most W - 1 cells in a row of W.  ``_padded`` keeps its
-    2.0s outside that prefix, and a branchless binary search finds its
-    length in log2(span) vectorized steps without gathering whole rows.
+    Every row must end at exactly 1.0 (``_row_cdfs``), so ``u < 1`` makes
+    ``cum <= u`` a prefix of at most W - 1 cells in a row of W.  ``_padded``
+    keeps its 2.0s outside that prefix, and a branchless binary search finds
+    its length in log2(span) vectorized steps without gathering whole rows.
     """
     span = padded.shape[-1]
     flat = padded.reshape(-1)
@@ -147,11 +146,10 @@ class _Visit:
     """One cluster of the sampler's walk, laid out as ``ClusterRows`` (its
     ``cluster``, ``sep``, ``free`` and their shapes) without the table: the
     row kernel's ``operands`` (``CompiledQuery._row_operands``) and ``dims``,
-    the axes it forms beside the separator's; at the root, formed once,
-    ``table``, the one row over the sliced scope, ``total``, the sum of
-    that row with the observed axes' zeros put back, which its CDF is
-    taken over, and ``back``, each sliced entry's place in that padded
-    row, where a draw is put back."""
+    the sliced free axes it forms beside the separator's; ``back``, each
+    sliced free entry's flat place among all of ``free``, where a draw is
+    put back; and at the root, formed once, ``table``, the one row over the
+    sliced scope."""
 
     cluster: int
     sep: tuple[int, ...]
@@ -161,8 +159,7 @@ class _Visit:
     operands: list
     dims: tuple[int, ...]
     table: np.ndarray | None
-    total: np.ndarray | None
-    back: np.ndarray | None
+    back: np.ndarray
 
 
 class PosteriorSampler:
@@ -206,15 +203,13 @@ class PosteriorSampler:
         cq = self.cq
         operands, edge = cq._row_operands(j, "sum")
         free, free_shape = cq._free(j)
+        at = tuple(cq._observed.get(u, slice(None)) for u in free)
+        back = np.arange(math.prod(free_shape)).reshape(free_shape)[at].reshape(-1)
         if edge is None:
             dims = cq._layouts[j].shape
-            row = _rows(operands, (), (1, *dims))
-            padded = cq._with_observed(free, row)
-            at = tuple(cq._observed.get(u, slice(None)) for u in free)
-            back = np.arange(padded.size).reshape(padded.shape)[(0, *at)].reshape(-1)
-            total = padded.reshape(1, -1).sum(axis=-1, keepdims=True)
-            return _Visit(j, (), (), free, free_shape, [], dims, row.reshape(1, -1), total, back)
-        return _Visit(j, edge.sep, edge.shape, free, free_shape, operands, edge.dims, None, None, None)
+            row = _rows(operands, (), (1, *dims)).reshape(1, -1)
+            return _Visit(j, (), (), free, free_shape, [], dims, row, back)
+        return _Visit(j, edge.sep, edge.shape, free, free_shape, operands, edge.dims, None, back)
 
     def _draw(self, visit: _Visit, flat: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Flattened free assignment for each draw, given its separator row
@@ -229,16 +224,14 @@ class PosteriorSampler:
             rows = visit.table[reached]
         else:
             states = np.unravel_index(reached, visit.sep_shape) if visit.sep else ()
-            rows = _rows(visit.operands, states, (reached.size, *visit.dims))
-            rows = self.cq._with_observed(visit.free, rows).reshape(reached.size, -1)
-        cum = _row_cdfs(rows, visit.total)
+            rows = _rows(visit.operands, states, (reached.size, *visit.dims)).reshape(reached.size, -1)
+        cum = _row_cdfs(rows)
         # a row with mass ends at exactly 1.0; a zero-mass row stays all zero
         if np.any(cum[:, -1] < 1.0):
             raise SamplingConsistencyError(
                 f"cluster {visit.cluster} reached with a zero-mass separator"
             )
-        draws = _search(_padded(cum), at[flat], u)
-        return draws if visit.back is None else visit.back[draws]
+        return visit.back[_search(_padded(cum), at[flat], u)]
 
     def sample(self, count: int) -> np.ndarray:
         """Draw ``count`` assignments; one row per draw, one column per

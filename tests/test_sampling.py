@@ -151,6 +151,27 @@ class TestClusterConditional:
         assert raised > 0
 
 
+@st.composite
+def _zero_padded_rows(draw):
+    """Rows of widths 1-69, small-integer weights (exact ties) or floats at
+    unit maximum, with trailing zeros and now and then an all-zero row; the
+    same rows with zero columns put in at random places; and where in the
+    padded rows the original columns went."""
+    width, n = draw(st.integers(1, 69)), draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        cells = st.integers(0, 3).map(float)
+    else:
+        cells = st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_min=True))
+    rows = np.array(draw(st.lists(cells, min_size=n * width, max_size=n * width))).reshape(n, width)
+    for r in range(n):
+        rows[r, width - draw(st.integers(0, width)):] = 0.0  # all of it now and then
+        if rows[r].max() > 0.0 and draw(st.booleans()):
+            rows[r] /= rows[r].max()
+    places = draw(st.lists(st.integers(0, width), max_size=20))
+    columns = np.insert(np.arange(width), places, -1)
+    return rows, np.insert(rows, places, 0.0, axis=1), np.flatnonzero(columns >= 0)
+
+
 class TestRowCdfs:
     def test_pinned_from_last_positive_cell(self):
         # ten 0.1s sum to 0.9999999999999999 without the pin
@@ -163,6 +184,23 @@ class TestRowCdfs:
         cum = _row_cdfs(np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 0.0]]))
         np.testing.assert_array_equal(cum[0], [0.0, 0.0, 0.0])
         np.testing.assert_array_equal(cum[1], [1.0 / 3.0, 1.0, 1.0])
+
+    @seed(20261021)
+    @settings(max_examples=300, deadline=None)
+    @given(_zero_padded_rows())
+    def test_zero_cells_change_no_bit(self, case):
+        # the sampler draws over rows with the observed axes' zeros left out,
+        # the references over the whole rows: both must build the same CDFs
+        rows, padded, columns = case
+        cum = _row_cdfs(rows)
+        assert _row_cdfs(padded)[:, columns].tobytes() == cum.tobytes()
+        assert np.all(np.diff(cum, axis=1) >= 0.0)
+        for row, cdf in zip(rows, cum):
+            positive = np.flatnonzero(row > 0.0)
+            if positive.size:
+                assert np.all(cdf[positive[-1]:] == 1.0)
+            else:
+                assert not cdf.any()
 
     def test_zero_mass_cluster_row(self):
         # A -> B -> C with P(A=0) = 1 and P(B=0 | A=0) = 0: seen from
@@ -306,6 +344,32 @@ class TestReadersAgainstWholeTables:
                 assert shape[0] <= (100 if edge else 1) and shape[1:] == visit.dims
                 if edge:
                     assert shape[0] <= math.prod(edge.shape)
+
+
+    def test_the_sampler_forms_no_padded_row(self, monkeypatch):
+        # every visit draws over its sliced row and puts each draw back by a
+        # gather; only the tables handed out regain the observed axes
+        def padded(*args):
+            raise AssertionError("the sampler put observed axes back into a row")
+
+        queries, targets = [], (None, [2, 7])
+        net, ev = pedigree_network(), pedigree_evidence()
+        for root in range(CompiledQuery(net, ev).jtree.q):
+            queries.append(CompiledQuery(net, ev, root=root).propagate())
+        rng = np.random.default_rng(20261021)
+        for _ in range(3):
+            net = banded_network(rng)
+            allowed = {int(u): {int(rng.integers(3))} for u in rng.choice(30, size=5, replace=False)}
+            allowed[int(rng.integers(30))] = {0, 2}
+            queries.append(CompiledQuery(net, EvidenceSet(allowed)).propagate())
+        for cq in queries:
+            assert cq._observed
+            for chosen in targets:
+                with monkeypatch.context() as m:
+                    m.setattr(CompiledQuery, "_with_observed", padded)
+                    got = PosteriorSampler(cq, seed=3, targets=chosen).sample(200)
+                want = eager_sample(PosteriorSampler(cq, seed=3, targets=chosen), 200)
+                assert got.tobytes() == want.tobytes()
 
 
 class TestLazyCdfs:
