@@ -5,92 +5,44 @@ tree, propagates messages over it, and answers marginal, evidence
 probability, most-probable-assignment, and posterior sampling queries.
 A brute-force enumeration oracle and a hidden Markov chain adapter are
 included for cross-checking.
+
+Importing the package loads none of its modules: each public name and
+each module is imported on first access (PEP 562).
 """
 
-from .factor import Factor, FactorSizeError, product
-from .jtree import (
-    InvalidJunctionTreeError,
-    JunctionTree,
-    JunctionTreeError,
-    assign_clusters,
-    build_junction_tree,
-    edge_context,
-    min_fill_cliques,
-    moral_graph,
-    validate_junction_tree,
-)
-from .model import (
-    Cpd,
-    DiscreteNetwork,
-    EvidenceSet,
-    InvalidNetworkError,
-    ValidationReport,
-    Variable,
-    Violation,
-    build_potentials,
-    validate_network,
-)
-from .oracle import (
-    joint_table,
-    oracle_log_probability,
-    oracle_map,
-    oracle_marginal,
-    oracle_message,
-    oracle_posterior,
-)
-from .propagation import (
-    CompiledQuery,
-    ImpossibleEvidenceError,
-    SchedulingError,
-    compile_query,
-    joint_score,
-)
-from .sampling import (
-    PosteriorSampler,
-    SamplingConsistencyError,
-    cluster_conditional,
-    sample_hmm_path,
-    sample_posterior,
-)
+import importlib
 
-__all__ = [
-    "Cpd",
-    "CompiledQuery",
-    "DiscreteNetwork",
-    "EvidenceSet",
-    "Factor",
-    "FactorSizeError",
-    "ImpossibleEvidenceError",
-    "InvalidJunctionTreeError",
-    "InvalidNetworkError",
-    "JunctionTree",
-    "JunctionTreeError",
-    "PosteriorSampler",
-    "SamplingConsistencyError",
-    "SchedulingError",
-    "ValidationReport",
-    "Variable",
-    "Violation",
-    "assign_clusters",
-    "build_junction_tree",
-    "build_potentials",
-    "cluster_conditional",
-    "compile_query",
-    "edge_context",
-    "joint_score",
-    "joint_table",
-    "min_fill_cliques",
-    "moral_graph",
-    "oracle_log_probability",
-    "oracle_map",
-    "oracle_marginal",
-    "oracle_message",
-    "oracle_posterior",
-    "product",
-    "sample_hmm_path",
-    "sample_posterior",
-    "validate_junction_tree",
-    "validate_network",
-]
+# each public name under the module that defines it
+_HOMES = {
+    "factor": ("Factor", "FactorSizeError", "product"),
+    "jtree": ("InvalidJunctionTreeError", "JunctionTree", "JunctionTreeError", "assign_clusters",
+              "build_junction_tree", "edge_context", "min_fill_cliques", "moral_graph",
+              "validate_junction_tree"),
+    "model": ("Cpd", "DiscreteNetwork", "EvidenceSet", "InvalidNetworkError", "ValidationReport",
+              "Variable", "Violation", "build_potentials", "validate_network"),
+    "oracle": ("joint_table", "oracle_log_probability", "oracle_map", "oracle_marginal",
+               "oracle_message", "oracle_posterior"),
+    "propagation": ("CompiledQuery", "ImpossibleEvidenceError", "SchedulingError",
+                    "compile_query", "joint_score"),
+    "sampling": ("PosteriorSampler", "SamplingConsistencyError", "cluster_conditional",
+                 "sample_hmm_path", "sample_posterior"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+_MODULES = frozenset(_HOMES) | {"cli", "hmm"}
+
+__all__ = sorted(_HOME)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _MODULES:
+        return importlib.import_module(f".{name}", __name__)
+    if name in _HOME:
+        globals()[name] = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _HOME.keys() | _MODULES)

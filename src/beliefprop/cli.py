@@ -30,17 +30,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from . import hmm as hmm_mod
 from .factor import FactorSizeError
-from .jtree import JunctionTree, build_junction_tree
 from .model import Cpd, DiscreteNetwork, EvidenceSet, Variable, validate_network
-from .oracle import oracle_log_probability, oracle_posteriors
-from .propagation import CompiledQuery
-from .sampling import sample_posterior
+
+# each cmd_* imports the engine modules it runs, so a run compiles no others
+if TYPE_CHECKING:
+    from .jtree import JunctionTree
+    from .propagation import CompiledQuery
 
 
 class CliError(Exception):
@@ -76,27 +76,53 @@ def _load_json(path: str):
         ) from None
 
 
+def _string(path: str, what: str, value) -> str:
+    """``value``, which must be a JSON string: a label is never coerced."""
+    if not isinstance(value, str):
+        raise CliError(f"error: {path}: {what} must be a string, not {json.dumps(value)}")
+    return value
+
+
+def _numbers(path: str, child: str, table) -> np.ndarray:
+    """``table`` as floats; every entry must be a JSON number, not a boolean
+    or a numeric string, which float conversion would accept."""
+    values = np.asarray(table, dtype=float)
+    # float conversion passed, so the JSON values lie in the same shape
+    for i, x in enumerate(np.array(table, dtype=object).flat):
+        if type(x) is not float and type(x) is not int:
+            at = "".join(f"[{k}]" for k in np.unravel_index(i, values.shape))
+            raise CliError(
+                f"error: {path}: table of {child!r} must hold numbers, not {json.dumps(x)}"
+                + (f" (entry {at})" if at else "")
+            )
+    return values
+
+
 def load_network(path: str) -> DiscreteNetwork:
-    """Parse a model file; malformed structure is a usage error."""
+    """Parse a model file; malformed structure is a usage error.  Names,
+    states, children and parents must be JSON strings and table entries
+    JSON numbers."""
     doc = _load_json(path)
     if not isinstance(doc, dict) or "variables" not in doc or "cpds" not in doc:
         raise CliError(f"error: {path}: expected an object with 'variables' and 'cpds'")
     variables: list[Variable] = []
     try:
         for idx, spec in enumerate(doc["variables"]):
-            name = str(spec["name"])
+            name = _string(path, f"name of variable {idx}", spec["name"])
             if not isinstance(spec["states"], list):
                 raise CliError(
                     f"error: {path}: states of variable {name!r} must be a list"
                 )
-            variables.append(Variable(idx, name, tuple(str(s) for s in spec["states"])))
+            states = tuple(_string(path, f"state {k} of variable {name!r}", s)
+                           for k, s in enumerate(spec["states"]))
+            variables.append(Variable(idx, name, states))
     except (TypeError, KeyError) as exc:
         raise CliError(f"error: {path}: bad variable entry ({exc})") from None
     by_name = {v.name: v for v in variables}
     cpds: list[Cpd] = []
     try:
-        for spec in doc["cpds"]:
-            child_name = str(spec["child"])
+        for idx, spec in enumerate(doc["cpds"]):
+            child_name = _string(path, f"child of CPD {idx}", spec["child"])
             if child_name not in by_name:
                 raise CliError(f"error: {path}: CPD for unknown variable {child_name!r}")
             if not isinstance(spec["parents"], list):
@@ -104,13 +130,12 @@ def load_network(path: str) -> DiscreteNetwork:
                     f"error: {path}: parents of {child_name!r} must be a list"
                 )
             parent_ids = []
-            for p in spec["parents"]:
-                if str(p) not in by_name:
-                    raise CliError(
-                        f"error: {path}: unknown parent {str(p)!r} of {child_name!r}"
-                    )
-                parent_ids.append(by_name[str(p)].id)
-            cpds.append(Cpd(by_name[child_name].id, tuple(parent_ids), np.asarray(spec["table"], dtype=float)))
+            for k, p in enumerate(spec["parents"]):
+                if _string(path, f"parent {k} of {child_name!r}", p) not in by_name:
+                    raise CliError(f"error: {path}: unknown parent {p!r} of {child_name!r}")
+                parent_ids.append(by_name[p].id)
+            table = _numbers(path, child_name, spec["table"])
+            cpds.append(Cpd(by_name[child_name].id, tuple(parent_ids), table))
     except CliError:
         raise
     except (TypeError, KeyError, ValueError, OverflowError) as exc:
@@ -192,6 +217,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_jtree(args) -> int:
+    from .jtree import build_junction_tree
+
     net = _validated_network(args.network)
     jt = build_junction_tree(net)
     if args.emit_json:
@@ -209,6 +236,8 @@ def cmd_jtree(args) -> int:
 def _inward_query(args) -> tuple[CompiledQuery, float]:
     """The validated network and evidence of ``args``, compiled and
     passed inward, with log P(evidence)."""
+    from .propagation import CompiledQuery
+
     net = _validated_network(args.network)
     cq = CompiledQuery(net, _evidence(args, net))
     cq.inward()
@@ -216,6 +245,8 @@ def _inward_query(args) -> tuple[CompiledQuery, float]:
 
 
 def cmd_logz(args) -> int:
+    if args.oracle:
+        from .oracle import oracle_log_probability
     cq, log_p = _inward_query(args)
     # the oracle may refuse an over-cap joint table: fail before printing
     reference = oracle_log_probability(cq.net, cq.evidence) if args.oracle else None
@@ -226,6 +257,8 @@ def cmd_logz(args) -> int:
 
 
 def cmd_marginals(args) -> int:
+    if args.oracle:
+        from .oracle import oracle_posteriors
     cq, log_p = _inward_query(args)
     chosen = list(cq.net.variables)
     if args.var:
@@ -282,6 +315,8 @@ def cmd_sample(args) -> int:
         raise CliError("error: --count must be non-negative")
     if args.seed < 0:
         raise CliError("error: --seed must be non-negative")
+    from .sampling import sample_posterior
+
     cq, log_p = _inward_query(args)
     if log_p == float("-inf"):
         _print_logp("", log_p)
@@ -299,9 +334,11 @@ def cmd_hmm_demo(args) -> int:
         raise CliError("error: --days must be at least 1")
     if args.seed < 0:
         raise CliError("error: --seed must be non-negative")
-    spec = hmm_mod.precipitation_spec(args.days)
-    states, y = hmm_mod.simulate(spec, args.seed)
-    table = hmm_mod.posteriors(spec, y)
+    from .hmm import posteriors, precipitation_spec, simulate
+
+    spec = precipitation_spec(args.days)
+    states, y = simulate(spec, args.seed)
+    table = posteriors(spec, y)
     low = spec.states.index("L")
     print("day,y,true_state,posterior_L")
     for i in range(spec.horizon):

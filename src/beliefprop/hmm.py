@@ -38,13 +38,15 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .factor import _integer, check_table_size
-from .jtree import JunctionTree
 from .model import Cpd, DiscreteNetwork, EvidenceSet, Variable, _trusted_evidence
+
+if TYPE_CHECKING:
+    from .jtree import JunctionTree
 
 COUNT_CUTOFF = 40
 # past this magnitude a count's log pmf leaves the float range
@@ -436,6 +438,8 @@ def chain_junction_tree(spec: HmmSpec) -> JunctionTree:
     {S_1, Y_1}, then {S_{i-1}, S_i, Y_i} for each later step, with each
     step's pair assigned to its own cluster.  One tree per spec (the last
     few kept), shared and read-only, so its queries share its plan."""
+    from .jtree import JunctionTree  # here, so that hmm-demo compiles no jtree
+
     n = spec.horizon
     clusters = [frozenset({0, 1})] + [frozenset({2 * i - 2, 2 * i, 2 * i + 1}) for i in range(1, n)]
     edges = tuple((i - 1, i) for i in range(1, n))

@@ -67,7 +67,6 @@ from typing import Mapping
 import numpy as np
 
 from .factor import Factor, _integer, _trusted, check_table_size
-from .hmm import _log_scan
 from .jtree import (
     InvalidJunctionTreeError,
     JunctionTree,
@@ -692,6 +691,8 @@ class CompiledQuery:
         each row at unit maximum, its scan offset going to its log scale.  Inward, the
         matrices go reversed and transposed, so each prefix is a suffix product read
         backward."""
+        from .hmm import _log_scan  # here, so that no network query compiles hmm
+
         mats = self._run_matrices(sweep.run)
         if sweep.inward:
             mats = mats[:, :, ::-1].transpose(1, 0, 2)

@@ -42,14 +42,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .factor import Factor, _integer, _trusted, check_table_size
-from .hmm import (SCAN_STATES, ForwardBackward, HmmSpec, _transitions, forward_backward,
-                  unit_max_exp)
 from .propagation import CompiledQuery, ImpossibleEvidenceError, _rows
+
+# the chain samplers import from hmm when called, so that no network query compiles it
+if TYPE_CHECKING:
+    from .hmm import ForwardBackward, HmmSpec
 
 _CHUNK = 1 << 16
 
@@ -297,6 +299,8 @@ def sample_hmm_path(
     keeps (``forward_backward``).  FactorSizeError when the output would
     pass the table entry cap.
     """
+    from .hmm import SCAN_STATES, _transitions, forward_backward, unit_max_exp
+
     if direction not in ("forward", "backward"):
         raise ValueError(f"unknown direction {direction!r}")
     n = spec.horizon
@@ -342,6 +346,8 @@ def _walk_outcomes(fb: ForwardBackward, direction: str, uniforms: np.ndarray,
     is what ``_search`` counts on the same CDF row; the walk then gathers
     each path's entry at its previous state.  Tables are built for a
     block of steps and paths of about ``_CHUNK`` compared entries."""
+    from .hmm import _transitions
+
     n, count = walked.shape
     k = fb.log_forward.shape[1]
     width = min(max(count, 1), max(1, _CHUNK // (k * k)))

@@ -356,6 +356,40 @@ class TestLoader:
             f"error: {bad}: parents of 'C' must be a list"
         ]
 
+    @pytest.mark.parametrize("where, value, message", [
+        # a null name once validated and printed as the variable None, and
+        # 5 surfaced as a CPD for the unknown variable 'X1'
+        (("variables", 0, "name"), None, "name of variable 0 must be a string, not null"),
+        (("variables", 0, "name"), 5, "name of variable 0 must be a string, not 5"),
+        # null, true and 1.5 became the labels None, True and 1.5
+        (("variables", 1, "states"), [None, True, 1.5],
+         "state 0 of variable 'X2' must be a string, not null"),
+        (("variables", 1, "states"), ["dd", True, "DD"],
+         "state 1 of variable 'X2' must be a string, not true"),
+        (("variables", 1, "states"), ["dd", "dD", 1.5],
+         "state 2 of variable 'X2' must be a string, not 1.5"),
+        (("cpds", 2, "child"), 5, "child of CPD 2 must be a string, not 5"),
+        (("cpds", 2, "parents"), ["X1", None], "parent 1 of 'X3' must be a string, not null"),
+        # booleans were read as 1 and 0, and numeric strings as their numbers
+        (("cpds", 0, "table"), [[True, False, False]],
+         "table of 'X1' must hold numbers, not true (entry [0][0])"),
+        (("cpds", 0, "table"), [[1, 0, "0"]],
+         "table of 'X1' must hold numbers, not \"0\" (entry [0][2])"),
+    ])
+    def test_label_or_entry_of_the_wrong_json_type_is_usage_error(
+            self, tmp_path, capsys, net_path, where, value, message):
+        with open(net_path) as fh:
+            doc = json.load(fh)
+        section, index, key = where
+        doc[section][index][key] = value
+        bad = tmp_path / "wrong_type.json"
+        bad.write_text(json.dumps(doc))
+        for command in ("validate", "marginals"):
+            assert cli.main([command, str(bad)]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.splitlines() == [f"error: {bad}: {message}"]
+
     @pytest.mark.parametrize("command", ["validate", "jtree", "logz", "marginals", "map", "sample"])
     def test_integer_past_the_float_range_is_usage_error(self, tmp_path, capsys, command):
         # JSON reads 10**400 as an exact integer, which no float holds

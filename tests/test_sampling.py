@@ -639,7 +639,8 @@ class TestHmmPathSampling:
         def no_sweep(*args):
             raise AssertionError("sample_hmm_path swept before checking count")
 
-        monkeypatch.setattr("beliefprop.sampling.forward_backward", no_sweep)
+        # sample_hmm_path reads the hmm module's sweep when called
+        monkeypatch.setattr("beliefprop.hmm.forward_backward", no_sweep)
         with pytest.raises(ValueError, match="count must be non-negative"):
             sample_hmm_path(spec, y, count=-1)
 
@@ -733,7 +734,7 @@ class TestDrawStreamPinned:
         blocks, searches = [], []
         transitions = hmm._transitions
         search = sampling._search
-        monkeypatch.setattr("beliefprop.sampling._transitions",
+        monkeypatch.setattr("beliefprop.hmm._transitions",
                             lambda *args: blocks.append(args[2:]) or transitions(*args))
         monkeypatch.setattr("beliefprop.sampling._search",
                             lambda *args: searches.append(1) or search(*args))
@@ -790,13 +791,13 @@ class TestDrawStreamPinned:
         spec = hmm.HmmSpec(tuple(map(str, range(k))), (1 / k,) * k,
                            ((1 / k,) * k,) * k, rates, horizon)
         y = [i % 9 for i in range(horizon)]
-        built = []
+        built, transitions = [], hmm._transitions
 
         def recording(fb, direction, lo, hi):
             built.append(hi - lo)
-            return hmm._transitions(fb, direction, lo, hi)
+            return transitions(fb, direction, lo, hi)
 
-        monkeypatch.setattr("beliefprop.sampling._transitions", recording)
+        monkeypatch.setattr("beliefprop.hmm._transitions", recording)
         for direction in ("forward", "backward"):
             built.clear()
             paths = sample_hmm_path(spec, y, direction, seed=4, count=50)
