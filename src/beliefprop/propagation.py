@@ -37,9 +37,9 @@ scan each, in the log semiring by the one scan forward/backward runs
 stored; every other message, the max semiring and every readout go a
 message at a time.
 
-The same inward pass run in the max semiring yields most-probable
-assignments: each max message is the elementwise maxima of the slices of
-each axis it maximizes out, and records nothing else.  One kernel (``_rows``)
+The same inward pass in the max semiring yields most-probable assignments and
+records nothing else.  Every message is reduced by ``_reduce``, numpy's to the bit,
+which folds a trailing run of under 8 entries slice by slice.  One kernel (``_rows``)
 forms every product of a cluster potential and messages into it: whole tables,
 or, for the readouts that walk the root-first order, the rows at the separator
 states the walk has fixed (Dawid 1992), each operand indexed at them before the
@@ -530,13 +530,14 @@ class CompiledQuery:
         return self.jtree.rooted(root)
 
     def inward(self, semiring: str = "sum") -> None:
-        """Send messages from the leaves toward the root: in the sum semiring a run's
-        by one scan (``_scan``), every other one by ``compute_message``."""
+        """Send messages from the leaves toward the root: in the sum semiring a run's by one
+        scan (``_scan``), every other one by ``_send``, once ``_cluster`` knows the semiring."""
+        self._cluster(self.root, semiring=semiring)
         for step in self._passes[0] if semiring == "sum" else reversed(self.order[1:]):
             if type(step) is _Sweep:
                 self._scan(step)
             else:
-                self.compute_message(step, self.parent[step], semiring=semiring)
+                self._send(step, self.parent[step], semiring)
 
     def outward(self) -> None:
         """Send sum messages from the root back toward the leaves, a run's by one scan."""
@@ -544,7 +545,7 @@ class CompiledQuery:
             if type(step) is _Sweep:
                 self._scan(step)
             else:
-                self.compute_message(self.parent[step], step)
+                self._send(self.parent[step], step, "sum")
 
     def propagate(self) -> "CompiledQuery":
         self.inward()
@@ -674,16 +675,20 @@ class CompiledQuery:
         return free, tuple(map(self.net.cards.__getitem__, free))
 
     def compute_message(self, j: int, k: int, semiring: str = "sum") -> Factor:
-        """Message along the directed edge j -> k: ``_operands(j, k)`` folded and reduced over
-        the sliced scope outside the separator (``_reduced``).
-        The stored table leaves out the variables the evidence pins; the
-        returned factor restores their axes with zeros off the observed
+        """Send and store the message along the directed edge j -> k (``_send``); the factor
+        returned puts back the axes of the variables the evidence pins, zeros off the observed
         states, which ``message`` does not (``_cluster``'s errors)."""
         j = self._cluster(j, k, semiring)
-        full, _, _, sep_shape, outside, _, _, _ = self._layouts[j].seps[k]
-        values, log_scale = _reduced(*self._operands(j, k, semiring), outside, sep_shape, semiring)
-        self._messages[(semiring, j, k)] = (values, log_scale)
+        full = self._layouts[j].seps[k].whole
+        values, log_scale = self._send(j, k, semiring)
         return _trusted(full, self._with_observed(full, values), log_scale)
+
+    def _send(self, j: int, k: int, semiring: str) -> tuple[np.ndarray, float]:
+        """Store message j -> k, ``_operands(j, k)`` reduced by ``_reduced``; edge and semiring unchecked."""
+        edge = self._layouts[j].seps[k]
+        sent = self._messages[semiring, j, k] = _reduced(*self._operands(j, k, semiring), edge.outside,
+                                                         edge.shape, semiring)
+        return sent
 
     def _scan(self, sweep: _Sweep) -> None:
         """Store a run's messages in one direction as ``compute_message`` would: the
@@ -775,9 +780,8 @@ class CompiledQuery:
                 product = self._stored(j, k, "sum")[0] * self._stored(k, j, "sum")[0]
                 tables[j, k] = self._layouts[j].seps[k].sep, product
             scope, table = tables[j, k]
-            # np.add.reduce is what .sum() runs, without its Python wrapper
             others = tuple(a for a, v in enumerate(scope) if v != u)
-            single = np.add.reduce(table, others) if others else table
+            single = _reduce(np.add, table, others)
             total = float(np.add.reduce(single, None))
             if total <= 0.0:
                 raise ImpossibleEvidenceError("posterior undefined: evidence has probability zero")
@@ -841,21 +845,32 @@ class CompiledQuery:
 
 def _reduced(operands: list[np.ndarray], log_scale: float, outside: tuple[int, ...],
              shape: tuple[int, ...], semiring: str) -> tuple[np.ndarray, float]:
-    """A message from its cluster's ``operands``: their product (``_rows``) summed (or maximized,
-    by elementwise maxima of each axis's slices) over the ``outside`` axes, laid out over the
-    separator's ``shape``, at unit maximum, the removed mass added to ``log_scale``."""
-    values = _rows(operands)
-    if outside and semiring == "sum":
-        values = values.sum(axis=outside)
-    elif outside:  # a call per slice: a reduction over a short inner axis loops per row
-        for a in reversed(outside):
-            index = (slice(None),) * a
-            values = functools.reduce(np.maximum, [values[(*index, s)] for s in range(values.shape[a])])
+    """A message from its cluster's ``operands``: their product (``_rows``) summed or maximized
+    over the ``outside`` axes by ``_reduce``, laid out over the separator's ``shape``, at unit
+    maximum, the removed mass added to ``log_scale``."""
+    values = _reduce(np.add if semiring == "sum" else np.maximum, _rows(operands), outside)
     values = values if values.shape == shape else np.broadcast_to(values, shape)
     peak = float(values.max())
     if peak > 0.0 and peak != 1.0:
         values, log_scale = values / peak, log_scale + math.log(peak)
     return (values if values.flags.c_contiguous else values.copy()), log_scale
+
+
+def _reduce(ufunc: np.ufunc, values: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """``ufunc.reduce(values, axes)`` to the bit, without numpy's loop per row over a short
+    trailing run: the last axes reduced or of one entry, which numpy merges.  numpy adds fewer
+    than 8 entries in order, so a C-contiguous array's run of fewer is folded slice by slice,
+    then ``ufunc.reduce`` takes the other axes; a longer run is never split."""
+    start = values.ndim
+    while start and (start - 1 in axes or values.shape[start - 1] == 1):
+        start -= 1
+    size = math.prod(values.shape[start:])
+    if not 1 < size < 8 or not values.flags.c_contiguous:
+        return ufunc.reduce(values, axes) if axes else values
+    flat = values.reshape(*values.shape[:start], size)
+    out = functools.reduce(ufunc, [flat[..., s] for s in range(size)])
+    rest = tuple(filter(start.__gt__, axes))
+    return (ufunc.reduce(out, rest) if rest else out).reshape([d for a, d in enumerate(values.shape) if a not in axes])
 
 
 def _rows(operands: list[np.ndarray], states: tuple = (), shape: tuple[int, ...] | None = None) -> np.ndarray:

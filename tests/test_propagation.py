@@ -1,5 +1,6 @@
 import hashlib
 import gc
+import itertools
 import math
 import re
 import weakref
@@ -195,6 +196,15 @@ class TestMessages:
     def test_bad_semiring(self, calibrated):
         with pytest.raises(ValueError, match="semiring"):
             calibrated.compute_message(1, 0, semiring="tropical")
+
+    def test_inward_refuses_an_unknown_semiring_before_sending(self, ped_net_module, ped_ev_module):
+        # a one-cluster tree has no message to send, and the pedigree's would go
+        # into the store under "prod" keys if the pass checked nothing
+        one = DiscreteNetwork([Variable(0, "A", ("a0", "a1"))], [Cpd(0, (), [[0.3, 0.7]])])
+        for cq in (CompiledQuery(ped_net_module, ped_ev_module), CompiledQuery(one)):
+            with pytest.raises(ValueError, match="unknown semiring 'prod'"):
+                cq.inward("prod")
+            assert cq._messages == {}
 
 
 class TestCalibration:
@@ -965,6 +975,43 @@ class TestLayoutsMatchFactorReference:
                 assert jt._plan is None
 
 
+class TestReduce:
+    """``_reduce`` folds a short trailing run of reduced axes slice by slice; every
+    result is ``ufunc.reduce``'s, type, shape and bytes."""
+
+    @staticmethod
+    def assert_as_numpy(values: np.ndarray, axes: tuple[int, ...]) -> None:
+        for ufunc in (np.add, np.maximum):
+            got, want = propagation._reduce(ufunc, values, axes), ufunc.reduce(values, axes)
+            assert type(got) is type(want) and got.shape == want.shape, (values.shape, axes, ufunc)
+            assert got.tobytes() == want.tobytes(), (values.shape, axes, ufunc)
+
+    @seed(20261022)
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=10).filter(lambda s: math.prod(s) <= 4096),
+           st.integers(0, 2**32 - 1))
+    def test_every_axes_tuple_as_numpy_reduces_it(self, cards, s):
+        rng = np.random.default_rng(s)
+        shape = tuple(cards)
+        perm = rng.permutation(len(shape))
+        kept = tuple(d if rng.random() < 0.5 else 1 for d in shape)
+        for values in (rng.random(shape),  # C-contiguous, then transposed, then a read-only broadcast
+                       rng.random([shape[a] for a in perm]).transpose(np.argsort(perm)),
+                       np.broadcast_to(rng.random(kept), shape)):
+            assert values.shape == shape
+            for r in range(len(shape) + 1):
+                for axes in itertools.combinations(range(len(shape)), r):
+                    self.assert_as_numpy(values, axes)
+
+    def test_a_run_of_eight_entries_or_more_is_never_split(self):
+        values = np.random.default_rng(41).random((3,) * 8)
+        self.assert_as_numpy(values, (6, 7))  # nine entries: numpy sums the run pairwise
+        self.assert_as_numpy(values, (2, 7))  # three entries folded, then axis 2
+        split = np.add.reduce(np.add.reduce(values, 7), 6)
+        assert split.tobytes() != np.add.reduce(values, (6, 7)).tobytes()
+        self.assert_as_numpy(values[0, 0, 0, 0, 0, 0, :2], (0, 1))  # six entries to a 0-d result
+
+
 def test_hot_path_builds_no_factor_algebra(monkeypatch, ped_net_module, ped_ev_module):
     def refuse(self, *args, **kwargs):
         raise AssertionError("Factor algebra on the compiled hot path")
@@ -1532,6 +1579,27 @@ def _readout_digest(case: str) -> str:
     return h.hexdigest()
 
 
+def _wide_digest() -> str:
+    """The bytes of every stored sum and max message, every posterior, the MAP and 100
+    draws on ten networks shaped as the wide workload's: 30 ternary variables, band 9,
+    five observed.  Recorded before the passes sent messages without padding them and
+    reduced them by ``_reduce``."""
+    h, rng = hashlib.sha256(), np.random.default_rng(41)
+    for k in range(10):
+        net = banded_network(rng)
+        observed = {int(u): {int(rng.integers(3))} for u in rng.choice(30, 5, replace=False)}
+        cq = CompiledQuery(net, EvidenceSet(observed)).propagate()
+        cq.inward("max")
+        for key in sorted(cq._messages):
+            values, log_scale = cq._messages[key]
+            h.update(repr(key).encode() + values.tobytes() + log_scale.hex().encode())
+        h.update(b"".join(p.tobytes() for p in cq.posterior_table().values()))
+        assignment, value = cq.map_assignment()
+        h.update(repr(sorted(assignment.items())).encode() + value.hex().encode())
+        h.update(PosteriorSampler(cq, seed=k).sample(100).tobytes())
+    return h.hexdigest()
+
+
 class TestWholeReadouts:
     """``message``, ``edge_marginal`` and ``cluster_conditional`` report every state of
     an observed variable: each whole-separator message is formed on demand, once."""
@@ -1546,6 +1614,36 @@ class TestWholeReadouts:
     ])
     def test_readouts_keep_their_bytes(self, case, digest):
         assert _readout_digest(case) == digest
+
+    def test_wide_messages_and_readouts_keep_their_bytes(self):
+        assert _wide_digest() == "3bb083c2852a8756257631aeeb745ff78b308361c97d3d6cb651d8a70b9fc660"
+
+    def test_the_passes_store_messages_without_padding_them(self, monkeypatch):
+        # counted, not timed: the sum and max passes hand nothing out, so they put no
+        # observed axis back and build no Factor; compute_message still pads
+        def refuse(*args):
+            raise AssertionError("a pass padded or wrapped a message")
+
+        rng = np.random.default_rng(42)
+        net = banded_network(rng)
+        observed = EvidenceSet({int(u): {int(rng.integers(3))} for u in rng.choice(30, 5, replace=False)})
+        for cq in (CompiledQuery(pedigree_network(), pedigree_evidence()), CompiledQuery(net, observed)):
+            with monkeypatch.context() as m:
+                m.setattr(CompiledQuery, "_with_observed", refuse)
+                m.setattr(propagation, "_trusted", refuse)
+                cq.propagate()
+                cq.inward("max")
+            assert len(cq._messages) == 3 * len(cq.jtree.edges)
+            padded = 0
+            for (semiring, j, k), (values, log_scale) in list(cq._messages.items()):
+                msg = cq.compute_message(j, k, semiring)
+                at = tuple(cq._observed.get(u, slice(None)) for u in msg.scope)
+                assert msg.values[at].tobytes() == values.tobytes() and msg.log_scale == log_scale
+                off = np.ones(msg.values.shape, bool)
+                off[at] = False
+                assert not msg.values[off].any()
+                padded += msg.values.size > values.size
+            assert padded
 
     def test_a_message_forms_each_edge_upstream_of_it_once(self, monkeypatch):
         # counted, not timed: reading i -> j forms the whole message of every edge on
